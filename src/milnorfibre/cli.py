@@ -125,6 +125,10 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     for name in ("mu0", "mu1", "a", "a1"):
         if getattr(args, name) < 0:
             raise ParseError(f"--{name} must be non-negative")
+    if args.n < 4:
+        raise ParseError(f"--n must be at least 4, got {args.n}")
+    if not 0 <= args.corank <= args.n - 3:
+        raise ParseError(f"--corank must be in 0..{args.n - 3}, got {args.corank}")
     start = time.perf_counter()
     fibre, tables, checks, notes = collect_tables(
         args.mu0, args.mu1, args.a, args.corank, args.a1, args.n

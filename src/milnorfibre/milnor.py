@@ -116,7 +116,7 @@ def check_icis(gens: Sequence[Polynomial], budgets: Budgets = DEFAULT_BUDGETS) -
     jac = jacobian(ring, list(gens))
     sing = list(gens) + list(minors(jac, k))
     value, unbounded = _staircase_unbounded_vars(sing, budgets)
-    return IcisCheck(value is not INFINITE and value != INFINITE, value, unbounded)
+    return IcisCheck(value != INFINITE, value, unbounded)
 
 
 def _chain_colengths(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -543,120 +544,22 @@ class PolyMatrix:
         return f"PolyMatrix([{body}])"
 
 
-def poly_divide_exact(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Exact quotient a/b in the polynomial ring; raises if b does not divide a."""
-    if b.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    ring = a.ring
-    if ring != b.ring:
-        raise RingMismatchError("rings differ in exact division")
-
-    def lead(p: Polynomial) -> tuple[tuple[int, ...], Fraction]:
-        # graded revlex lead: max by (degree, reversed negated exponents)
-        expo = max(
-            p._terms,
-            key=lambda e: (monomial_degree(e), tuple(-x for x in reversed(e))),
-        )
-        return expo, p._terms[expo]
-
-    b_expo, b_coeff = lead(b)
-    quotient_terms: dict[tuple[int, ...], Fraction] = {}
-    rem = a
-    while not rem.is_zero():
-        r_expo, r_coeff = lead(rem)
-        if not monomial_divides(b_expo, r_expo):
-            raise ValueError("division is not exact")
-        q_expo = monomial_div(r_expo, b_expo)
-        q_coeff = r_coeff / b_coeff
-        quotient_terms[q_expo] = quotient_terms.get(q_expo, Fraction(0)) + q_coeff
-        rem = rem - Polynomial(ring, {q_expo: q_coeff}) * b
-    return Polynomial(ring, quotient_terms)
-
-
-def det_cofactor(m: PolyMatrix) -> Polynomial:
-    """Determinant by cofactor expansion along the first row."""
-    if not m.is_square():
-        raise ValueError("determinant of a non-square matrix")
-    return _det_cofactor_rec(m.ring, m.entries())
-
-
-def _det_cofactor_rec(ring: Ring, rows: tuple[tuple[Polynomial, ...], ...]) -> Polynomial:
-    k = len(rows)
-    if k == 1:
-        return rows[0][0]
-    if k == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = ring.zero()
-    sign = 1
-    for j in range(k):
-        entry = rows[0][j]
-        if not entry.is_zero():
-            sub = tuple(
-                tuple(row[c] for c in range(k) if c != j) for row in rows[1:]
-            )
-            piece = entry * _det_cofactor_rec(ring, sub)
-            total = total + (piece if sign > 0 else -piece)
-        sign = -sign
-    return total
-
-
-def det_bareiss(m: PolyMatrix) -> Polynomial:
-    """Fraction-free determinant; all intermediate divisions are exact."""
-    if not m.is_square():
-        raise ValueError("determinant of a non-square matrix")
-    ring = m.ring
-    k = m.rows
-    a = [list(row) for row in m.entries()]
-    sign = 1
-    prev = ring.one()
-    for col in range(k - 1):
-        if a[col][col].is_zero():
-            pivot_row = next(
-                (r for r in range(col + 1, k) if not a[r][col].is_zero()), None
-            )
-            if pivot_row is None:
-                return ring.zero()
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            sign = -sign
-        pivot = a[col][col]
-        for i in range(col + 1, k):
-            for j in range(col + 1, k):
-                num = a[i][j] * pivot - a[i][col] * a[col][j]
-                a[i][j] = poly_divide_exact(num, prev)
-            a[i][col] = ring.zero()
-        prev = pivot
-    det = a[k - 1][k - 1]
-    return det if sign > 0 else -det
-
-
 def determinant(m: PolyMatrix) -> Polynomial:
-    """Exact determinant; dispatches on size, value independent of route."""
+    """Exact determinant: the one full-size minor."""
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
-    if m.rows <= 4:
-        return det_cofactor(m)
-    return det_bareiss(m)
-
-
-def _subsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Size-k subsets of range(n) in lexicographic order."""
-    if k > n:
-        return
-    idx = list(range(k))
-    while True:
-        yield tuple(idx)
-        for i in reversed(range(k)):
-            if idx[i] != i + n - k:
-                break
-        else:
-            return
-        idx[i] += 1
-        for j in range(i + 1, k):
-            idx[j] = idx[j - 1] + 1
+    return minors(m, m.rows)[0]
 
 
 def minors(m: PolyMatrix, size: int) -> tuple[Polynomial, ...]:
     """All size x size minors, lexicographic in (row subset, column subset).
+
+    Built level by level: the k x k minor on rows R and columns C is the
+    Laplace expansion along R's first row over the (k-1) x (k-1) minors on
+    R's other rows, so each smaller minor is computed once.  Level k needs
+    only the row subsets that are tails of a size-subset (those inside
+    range(size - k, rows)) and every column subset; only the previous level
+    is kept, and only its nonzero minors.
 
     Duplicates are kept; the symmetric 2x2 example [[a,b],[b,c]] has size-1
     minors (a, b, b, c).
@@ -665,15 +568,32 @@ def minors(m: PolyMatrix, size: int) -> tuple[Polynomial, ...]:
         raise ValueError("minor size must be positive")
     if size > m.rows or size > m.cols:
         return ()
-    result = []
-    for rows_idx in _subsets(m.rows, size):
-        for cols_idx in _subsets(m.cols, size):
-            sub = PolyMatrix(
-                m.ring,
-                [[m.entry(i, j) for j in cols_idx] for i in rows_idx],
-            )
-            result.append(determinant(sub))
-    return tuple(result)
+    entries = m.entries()
+    prev = {((), ()): m.ring.one()}
+    for k in range(1, size + 1):
+        level = {}
+        for rows in combinations(range(size - k, m.rows), k):
+            top, rest = entries[rows[0]], rows[1:]
+            for cols in combinations(range(m.cols), k):
+                total = None
+                for i, c in enumerate(cols):
+                    if not top[c]:
+                        continue
+                    sub = prev.get((rest, cols[:i] + cols[i + 1:]))
+                    if sub is None:  # a zero subminor
+                        continue
+                    piece = top[c] * sub
+                    if i % 2:
+                        piece = -piece
+                    total = piece if total is None else total + piece
+                if total:
+                    level[rows, cols] = total
+        prev = level
+    zero = m.ring.zero()
+    return tuple(
+        prev.get(key, zero)
+        for key in product(combinations(range(m.rows), size), combinations(range(m.cols), size))
+    )
 
 
 def jacobian(ring: Ring, functions: Sequence[Polynomial]) -> PolyMatrix:

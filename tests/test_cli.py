@@ -1,11 +1,14 @@
 """CLI verbs, flags, output formats, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import milnorfibre
 from milnorfibre.cli import main
 
 WORKED_JOB = """\
@@ -86,6 +89,18 @@ def test_inconsistency_exit_code(capsys):
     assert code == 3 and "mu0 + 2*mu1" in err
 
 
+@pytest.mark.parametrize(
+    "corank, n, message",
+    [("-1", "6", "--corank"), ("4", "6", "--corank"), ("0", "3", "--n")],
+)
+def test_tables_out_of_range_flag_exit_code(corank, n, message, capsys):
+    code, _, err = run_main(
+        ["tables", "--mu0", "0", "--mu1", "0", "--a", "0", "--corank", corank, "--n", n],
+        capsys,
+    )
+    assert code == 2 and message in err
+
+
 def test_budget_flag_exit_code(job_path, capsys):
     code, _, err = run_main(
         ["--budget-reductions", "10", "invariants", job_path], capsys
@@ -121,11 +136,15 @@ def test_corpus_verb(capsys):
 
 
 def test_console_script_entry_point(job_path):
+    # the child imports the package under test, installed or not
+    src = str(Path(milnorfibre.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "milnorfibre.cli", "invariants", job_path],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "corank   2" in proc.stdout

@@ -1,18 +1,19 @@
 """Polynomials, parsing, matrices, determinants, minors."""
 
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
+from milnorfibre.corpus import _dkp_case, build_input
+from milnorfibre.decomposition import det_h
 from milnorfibre.errors import ParseError, RingMismatchError
 from milnorfibre.rings import (
     PolyMatrix,
     Polynomial,
     Ring,
     corank_at_origin,
-    det_bareiss,
-    det_cofactor,
     determinant,
     evaluate_matrix_at_origin,
     format_polynomial,
@@ -21,7 +22,6 @@ from milnorfibre.rings import (
     jacobian,
     minors,
     parse_polynomial,
-    poly_divide_exact,
 )
 
 R2 = Ring(("x", "y"))
@@ -150,24 +150,70 @@ def test_minors_lexicographic_example():
         minors(m, 0)
 
 
+def leibniz(rows, ring):
+    """Oracle: the sum over permutations of signed products of entries."""
+    total = ring.zero()
+    for perm in permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        term = ring.constant(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
+
+
+def oracle_minors(m, k):
+    return tuple(
+        leibniz([[m.entry(i, j) for j in cols] for i in rows], m.ring)
+        for rows in combinations(range(m.rows), k)
+        for cols in combinations(range(m.cols), k)
+    )
+
+
+@st.composite
+def matrices(draw, max_rows=4, max_cols=5):
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    return PolyMatrix(
+        R2, [[draw(polynomials(max_terms=2)) for _ in range(cols)] for _ in range(rows)]
+    )
+
+
+@given(matrices())
+def test_minors_match_leibniz_oracle(m):
+    for k in range(1, min(m.rows, m.cols) + 1):
+        assert minors(m, k) == oracle_minors(m, k)
+    assert minors(m, min(m.rows, m.cols) + 1) == ()
+    if m.is_square():
+        assert determinant(m) == leibniz(m.entries(), R2)
+    else:
+        with pytest.raises(ValueError):
+            determinant(m)
+
+
 @given(st.integers(1, 4), st.data())
-def test_determinant_dual_route(size, data):
-    entries = [
-        [
-            Polynomial(
-                R2,
-                {
-                    (data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))):
-                    Fraction(data.draw(st.integers(-3, 3)))
-                },
-            )
-            for _ in range(size)
-        ]
-        for _ in range(size)
-    ]
-    m = PolyMatrix(R2, entries)
-    assert det_cofactor(m) == det_bareiss(m)
-    assert determinant(m) == det_cofactor(m)
+def test_minors_of_symmetric_matrix_are_symmetric(size, data):
+    upper = {
+        (i, j): data.draw(polynomials(max_terms=2))
+        for i in range(size)
+        for j in range(i, size)
+    }
+    m = PolyMatrix(
+        R2, [[upper[min(i, j), max(i, j)] for j in range(size)] for i in range(size)]
+    )
+    for k in range(1, size + 1):
+        subsets = list(combinations(range(size), k))
+        values = dict(zip([(a, b) for a in subsets for b in subsets], minors(m, k)))
+        for (a, b), value in values.items():
+            assert value == values[b, a]
+
+
+def test_n9_corpus_case_det_h_and_a_minors():
+    """The largest matrices the runtime meets: H is 6 x 6 at n = 9, and
+    `a` takes its 5 x 5 minors."""
+    inp = build_input(_dkp_case(2, 9), "given")
+    assert det_h(inp) == leibniz(inp.h.entries(), inp.ring)
+    assert minors(inp.h, inp.n - 4) == oracle_minors(inp.h, inp.n - 4)
 
 
 def test_jacobian_example():
@@ -176,20 +222,6 @@ def test_jacobian_example():
     assert j.entry(0, 0) == parse_polynomial("y", R3)
     assert j.entry(0, 1) == parse_polynomial("x", R3)
     assert j.entry(1, 2) == parse_polynomial("2*z", R3)
-
-
-def test_poly_divide_exact():
-    p, q = poly("x^2 - y^2"), poly("x - y")
-    assert poly_divide_exact(p, q) == poly("x + y")
-    with pytest.raises(ValueError):
-        poly_divide_exact(poly("x^2 + y"), q)
-
-
-@given(polynomials(max_terms=3), polynomials(max_terms=3))
-def test_poly_divide_exact_inverts_product(p, q):
-    if q == R2.zero():
-        return
-    assert poly_divide_exact(p * q, q) == p
 
 
 # --- integer linear algebra ---------------------------------------------
