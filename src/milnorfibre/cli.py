@@ -38,13 +38,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--budget-reductions",
         type=int,
         default=DEFAULT_BUDGETS.reductions,
-        help="cap on reduction steps",
+        help="cap on reduction steps per standard basis or normal form (at least 1)",
     )
     parser.add_argument(
         "--budget-basis",
         type=int,
         default=DEFAULT_BUDGETS.basis,
-        help="cap on standard-basis elements and pairs",
+        help="cap on S-pairs reduced per standard basis (at least 1)",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -72,6 +72,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _budgets_from(args: argparse.Namespace) -> Budgets:
+    for flag, value in (
+        ("--budget-reductions", args.budget_reductions),
+        ("--budget-basis", args.budget_basis),
+    ):
+        if value < 1:
+            raise ParseError(f"{flag} must be at least 1, got {value}")
     return Budgets(
         reductions=args.budget_reductions,
         basis=args.budget_basis,

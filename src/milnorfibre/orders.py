@@ -58,9 +58,6 @@ class MonomialOrder:
             return (expo[-1], deg, *(-e for e in reversed(body)))
         return (expo[-1], -deg, *(-e for e in reversed(body)))
 
-    def greater(self, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-        return self.key(a) > self.key(b)
-
     def is_global(self) -> bool:
         """True when 1 is the smallest monomial (well-ordering)."""
         return self.kind == GLOBAL_GRADED_REVLEX

@@ -11,6 +11,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from operator import le
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -77,7 +78,7 @@ def monomial_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 def monomial_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     """True when monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

@@ -8,13 +8,18 @@ normal form.  On top of these sit colength, membership, ideal quotient,
 ideal intersection and saturation.
 
 All routines are deterministic: reducer choice is (ecart, insertion index),
-pair choice is (lcm degree, i, j).  Budgets abort loudly, never truncate.
+and S-pairs are popped from a heap in (lcm degree, i, j) order.  Each engine
+polynomial caches its lead exponent and ecart when it is built, so the
+reducer scan reads them instead of recomputing them.  Budgets abort loudly,
+never truncate.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, itemgetter
 from typing import Sequence
 
 from .errors import BudgetExceededError
@@ -62,21 +67,23 @@ class _Counter:
 
 
 class _EP:
-    """Engine polynomial: (key, exponent, coefficient) sorted by key, descending."""
+    """Engine polynomial: (key, exponent, coefficient) sorted by key, descending.
 
-    __slots__ = ("terms", "maxdeg")
+    lead is the lead exponent and ecart the top degree minus the lead degree;
+    both are None for the zero polynomial."""
+
+    __slots__ = ("terms", "maxdeg", "lead", "ecart")
 
     def __init__(self, terms: tuple, maxdeg: int | None = None):
         self.terms = terms
         if maxdeg is None:
-            maxdeg = max((monomial_degree(e) for _, e, _ in terms), default=-1)
+            maxdeg = max(map(sum, map(itemgetter(1), terms)), default=-1)
         self.maxdeg = maxdeg
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def ecart(self) -> int:
-        return self.maxdeg - monomial_degree(self.terms[0][1])
+        if terms:
+            self.lead = terms[0][1]
+            self.ecart = maxdeg - monomial_degree(self.lead)
+        else:
+            self.lead = self.ecart = None
 
 
 _EP_ZERO = _EP(())
@@ -115,13 +122,13 @@ def _ep_sub_shifted(a: _EP, c: Fraction, skey: tuple, sexpo: tuple, b: _EP) -> _
     na, nb = len(aterms), len(bterms)
     while i < na and j < nb:
         ka = aterms[i][0]
-        kb = tuple(x + y for x, y in zip(bterms[j][0], skey))
+        kb = tuple(map(add, bterms[j][0], skey))
         if ka > kb:
             out.append(aterms[i])
             i += 1
         elif ka < kb:
             kt, et, ct = bterms[j]
-            out.append((kb, tuple(x + y for x, y in zip(et, sexpo)), -c * ct))
+            out.append((kb, tuple(map(add, et, sexpo)), -c * ct))
             j += 1
         else:
             coeff = aterms[i][2] - c * bterms[j][2]
@@ -132,34 +139,20 @@ def _ep_sub_shifted(a: _EP, c: Fraction, skey: tuple, sexpo: tuple, b: _EP) -> _
     out.extend(aterms[i:])
     while j < nb:
         kt, et, ct = bterms[j]
-        out.append(
-            (
-                tuple(x + y for x, y in zip(kt, skey)),
-                tuple(x + y for x, y in zip(et, sexpo)),
-                -c * ct,
-            )
-        )
+        out.append((tuple(map(add, kt, skey)), tuple(map(add, et, sexpo)), -c * ct))
         j += 1
     return _EP(tuple(out))
 
 
 def _ep_spoly(a: _EP, b: _EP, order: MonomialOrder) -> _EP:
     """S-polynomial of monic engine polynomials: x^(l-ea)*a - x^(l-eb)*b."""
-    ea = a.terms[0][1]
-    eb = b.terms[0][1]
-    lcm = tuple(max(x, y) for x, y in zip(ea, eb))
+    ea, eb = a.lead, b.lead
+    lcm = tuple(map(max, ea, eb))
     sa = tuple(x - y for x, y in zip(lcm, ea))
     sb = tuple(x - y for x, y in zip(lcm, eb))
     ka = order.key(sa)
     shifted = _EP(
-        tuple(
-            (
-                tuple(x + y for x, y in zip(k, ka)),
-                tuple(x + y for x, y in zip(e, sa)),
-                c,
-            )
-            for k, e, c in a.terms
-        ),
+        tuple((tuple(map(add, k, ka)), tuple(map(add, e, sa)), c) for k, e, c in a.terms),
         maxdeg=a.maxdeg + sum(sa),
     )
     return _ep_sub_shifted(shifted, _ONE, order.key(sb), sb, b)
@@ -206,17 +199,17 @@ def _weak_normal_form(
 
     while h.terms:
         lk, le, lc = h.terms[0]
-        best = None
-        for idx, red in enumerate(table):
-            ge = red.ep.terms[0][1]
-            if monomial_divides(ge, le):
-                cand = (red.ep.ecart(), idx)
-                if best is None or cand < best:
-                    best = cand
-        if best is None:
+        # the first reducer of least ecart among those whose lead divides le
+        idx = ecart_g = None
+        for k, red in enumerate(table):
+            g = red.ep
+            if (ecart_g is None or g.ecart < ecart_g) and monomial_divides(g.lead, le):
+                idx, ecart_g = k, g.ecart
+                if not ecart_g:
+                    break
+        if idx is None:
             break
-        ecart_g, idx = best
-        if ecart_g > h.ecart():
+        if ecart_g > h.ecart:
             inv = _ONE / lc
             table.append(
                 _Tracked(
@@ -228,9 +221,8 @@ def _weak_normal_form(
         red = table[idx]
         g = red.ep
         counter.spend()
-        ge = g.terms[0][1]
         c = lc / g.terms[0][2]
-        sexpo = tuple(x - y for x, y in zip(le, ge))
+        sexpo = tuple(x - y for x, y in zip(le, g.lead))
         skey = order.key(sexpo)
         h = _ep_sub_shifted(h, c, skey, sexpo, g)
         if track:
@@ -255,10 +247,6 @@ def _reduced_normal_form(
     return _EP(tuple(out))
 
 
-def _pair_lcm(gi: _EP, gj: _EP) -> tuple:
-    return tuple(max(x, y) for x, y in zip(gi.terms[0][1], gj.terms[0][1]))
-
-
 def _standard_basis_ep(
     gens: Sequence[_EP],
     order: MonomialOrder,
@@ -267,26 +255,36 @@ def _standard_basis_ep(
 ) -> list[_EP]:
     counter = _Counter(budgets.reductions, "reduction")
     pair_counter = _Counter(budgets.basis, "basis pair")
-    G = [_ep_monic(g) for g in gens if g.terms]
-    pending: dict[tuple[int, int], tuple] = {}
-    for i in range(len(G)):
-        for j in range(i + 1, len(G)):
-            pending[(i, j)] = _pair_lcm(G[i], G[j])
+    G: list[_EP] = []
+    # heap of (lcm degree, i, j, lcm); pending holds the pairs not yet popped
+    queue: list[tuple] = []
+    pending: set[tuple[int, int]] = set()
+
+    def add_element(g: _EP) -> None:
+        new = len(G)
+        G.append(g)
+        for k in range(new):
+            lcm = tuple(map(max, G[k].lead, g.lead))
+            heapq.heappush(queue, (monomial_degree(lcm), k, new, lcm))
+            pending.add((k, new))
+
+    for g in gens:
+        if g.terms:
+            add_element(_ep_monic(g))
     is_global = order.is_global()
 
-    while pending:
-        (i, j) = min(pending, key=lambda p: (monomial_degree(pending[p]), p))
-        lcm = pending.pop((i, j))
+    while queue:
+        _, i, j, lcm = heapq.heappop(queue)
+        pending.remove((i, j))
         if use_criteria:
-            ei = G[i].terms[0][1]
-            ej = G[j].terms[0][1]
+            ei, ej = G[i].lead, G[j].lead
             if is_global and all(min(a, b) == 0 for a, b in zip(ei, ej)):
                 continue
             skip = False
             for k in range(len(G)):
                 if k in (i, j):
                     continue
-                if not monomial_divides(G[k].terms[0][1], lcm):
+                if not monomial_divides(G[k].lead, lcm):
                     continue
                 a = (min(i, k), max(i, k))
                 b = (min(j, k), max(j, k))
@@ -299,10 +297,7 @@ def _standard_basis_ep(
         s = _ep_spoly(G[i], G[j], order)
         h, _, _ = _weak_normal_form(s, G, order, counter)
         if h.terms:
-            G.append(_ep_monic(h))
-            new = len(G) - 1
-            for k in range(new):
-                pending[(k, new)] = _pair_lcm(G[k], G[new])
+            add_element(_ep_monic(h))
     return _minimalize(G)
 
 
@@ -311,10 +306,10 @@ def _minimalize(G: list[_EP]) -> list[_EP]:
     order_keys = [g.terms[0][0] for g in G]
     keep: list[int] = []
     # scan by increasing lead degree so kept leads are the minimal generators
-    idx = sorted(range(len(G)), key=lambda i: (monomial_degree(G[i].terms[0][1]), i))
+    idx = sorted(range(len(G)), key=lambda i: (monomial_degree(G[i].lead), i))
     for i in idx:
-        ei = G[i].terms[0][1]
-        if any(monomial_divides(G[k].terms[0][1], ei) for k in keep):
+        ei = G[i].lead
+        if any(monomial_divides(G[k].lead, ei) for k in keep):
             continue
         keep.append(i)
     keep.sort(key=lambda i: order_keys[i], reverse=True)

@@ -108,6 +108,14 @@ def test_budget_flag_exit_code(job_path, capsys):
     assert code == 1 and "budget" in err.lower()
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--budget-reductions", "0"), ("--budget-basis", "-5")]
+)
+def test_budget_flag_below_one_is_parse_error(flag, value, job_path, capsys):
+    code, _, err = run_main([flag, value, "invariants", job_path], capsys)
+    assert code == 2 and flag in err and "at least 1" in err
+
+
 def test_dkp_verb(capsys):
     code, out, _ = run_main(["dkp", "--k", "3", "--p", "1", "--n", "6"], capsys)
     assert code == 0 and "S^3" in out

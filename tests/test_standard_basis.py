@@ -12,12 +12,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from milnorfibre.errors import BudgetExceededError
-from milnorfibre.orders import global_order, local_order
-from milnorfibre.rings import Polynomial, Ring, parse_polynomial
+from milnorfibre.orders import (
+    GLOBAL_GRADED_REVLEX,
+    LOCAL_ANTIGRADED_REVLEX,
+    elimination_order,
+    global_order,
+    local_order,
+)
+from milnorfibre.rings import Polynomial, Ring, monomial_divides, parse_polynomial
 from milnorfibre.standard_basis import (
     Budgets,
     DEFAULT_BUDGETS,
     INFINITE,
+    _Counter,
+    _ep_from_polynomial,
+    _ep_monic,
+    _ep_scale,
+    _ep_spoly,
+    _ep_sub_shifted,
+    _ep_to_polynomial,
+    _minimalize,
+    _weak_normal_form,
     colength,
     ideal_quotient,
     intersect_ideals,
@@ -139,6 +154,126 @@ def test_criteria_do_not_change_lead_ideal(gens):
         assert set(leading_exponents(with_c, order)) == set(
             leading_exponents(without, order)
         )
+
+
+def _min_scan_standard_basis(gens, order, budgets=DEFAULT_BUDGETS, use_criteria=True):
+    """Test-only oracle: Buchberger completion that picks each S-pair by a
+    min over every pending pair, keyed (lcm degree, i, j), and reads leads
+    off the terms instead of the cached lead data."""
+    counter = _Counter(budgets.reductions, "reduction")
+    pair_counter = _Counter(budgets.basis, "basis pair")
+    eps = [_ep_from_polynomial(g, order) for g in gens]
+    G = [_ep_monic(g) for g in eps if g.terms]
+
+    def lead(g):
+        return g.terms[0][1]
+
+    def pair_lcm(a, b):
+        return tuple(max(x, y) for x, y in zip(lead(a), lead(b)))
+
+    pending = {
+        (i, j): pair_lcm(G[i], G[j]) for i in range(len(G)) for j in range(i + 1, len(G))
+    }
+    while pending:
+        i, j = min(pending, key=lambda p: (sum(pending[p]), p))
+        lcm = pending.pop((i, j))
+        if use_criteria:
+            if order.is_global() and all(
+                min(a, b) == 0 for a, b in zip(lead(G[i]), lead(G[j]))
+            ):
+                continue
+            if any(
+                k not in (i, j)
+                and monomial_divides(lead(G[k]), lcm)
+                and (min(i, k), max(i, k)) not in pending
+                and (min(j, k), max(j, k)) not in pending
+                for k in range(len(G))
+            ):
+                continue
+        pair_counter.spend()
+        h, _, _ = _weak_normal_form(_ep_spoly(G[i], G[j], order), G, order, counter)
+        if h.terms:
+            G.append(_ep_monic(h))
+            new = len(G) - 1
+            for k in range(new):
+                pending[(k, new)] = pair_lcm(G[k], G[new])
+    return tuple(_ep_to_polynomial(g, gens[0].ring) for g in _minimalize(G))
+
+
+ALL_ORDERS_3 = (
+    global_order(3),
+    local_order(3),
+    elimination_order(3, LOCAL_ANTIGRADED_REVLEX),
+    elimination_order(3, GLOBAL_GRADED_REVLEX),
+)
+
+
+@given(st.lists(sparse_polys(R3, max_terms=3, max_exp=2), min_size=1, max_size=3))
+@settings(max_examples=30)
+def test_heap_queue_matches_min_scan_oracle(gens):
+    """The heap pair queue takes the pairs in the oracle's order, so the
+    bases are the same tuples of polynomials, with and without criteria."""
+    for order in ALL_ORDERS_3:
+        for use_criteria in (True, False):
+            got = standard_basis(gens, order, use_criteria=use_criteria)
+            assert got == _min_scan_standard_basis(gens, order, use_criteria=use_criteria)
+
+
+def _outcome(route, gens, order, budgets):
+    try:
+        return route(gens, order, budgets)
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+@given(st.lists(sparse_polys(R3, max_terms=3, max_exp=2), min_size=2, max_size=3))
+@settings(max_examples=20)
+def test_heap_queue_trips_budgets_like_min_scan_oracle(gens):
+    """At small budgets both routes raise BudgetExceededError, with the same
+    message, or both return the same basis."""
+    for order in ALL_ORDERS_3:
+        for budgets in (Budgets(basis=1), Budgets(basis=2), Budgets(basis=3), Budgets(reductions=6)):
+            assert _outcome(standard_basis, gens, order, budgets) == _outcome(
+                _min_scan_standard_basis, gens, order, budgets
+            )
+
+
+def _assert_cached_lead_data(ep, order):
+    if not ep.terms:
+        assert ep.lead is None and ep.ecart is None
+        return
+    keys = [k for k, _, _ in ep.terms]
+    assert keys == sorted(keys, reverse=True)
+    assert all(k == order.key(e) for k, e, _ in ep.terms)
+    top = max(sum(e) for _, e, _ in ep.terms)
+    assert ep.lead == ep.terms[0][1]
+    assert ep.maxdeg == top
+    assert ep.ecart == top - sum(ep.lead)
+
+
+@given(
+    sparse_polys(R3, max_terms=4),
+    sparse_polys(R3, max_terms=4),
+    st.tuples(*[st.integers(0, 2)] * 3),
+    small_coeffs,
+    st.sampled_from(ALL_ORDERS_3),
+)
+def test_engine_operations_keep_cached_lead_data(f, g, shift, c, order):
+    """Lead exponent and ecart cached at construction match the values
+    recomputed from the terms after every engine operation."""
+    a, b = _ep_from_polynomial(f, order), _ep_from_polynomial(g, order)
+    c = Fraction(c)
+    results = [
+        a,
+        _ep_scale(a, c),
+        _ep_monic(a),
+        _ep_sub_shifted(a, c, order.key(shift), shift, b),
+        _ep_spoly(_ep_monic(a), _ep_monic(b), order),
+        # a - a cancels to the zero polynomial
+        _ep_sub_shifted(a, Fraction(1), order.key((0, 0, 0)), (0, 0, 0), a),
+    ]
+    for ep in results:
+        _assert_cached_lead_data(ep, order)
 
 
 def test_standard_basis_contains_spolynomial_closure():
