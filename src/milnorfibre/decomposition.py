@@ -12,7 +12,6 @@ under one of three modes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .errors import ComputationError, InconsistencyError, InvalidIcisError
 from .milnor import check_icis, milnor_icis
@@ -21,7 +20,7 @@ from .rings import (
     PolyMatrix,
     Polynomial,
     Ring,
-    corank_at_origin as matrix_corank_at_origin,
+    corank_at_origin,
     determinant,
     minors,
 )
@@ -135,35 +134,6 @@ def verify_decomposition(inp: SingularityInput) -> Polynomial:
     return f
 
 
-def corank_at_origin(inp: SingularityInput) -> int:
-    """Corank of H evaluated at the origin."""
-    return matrix_corank_at_origin(inp.h)
-
-
-def det_h(inp: SingularityInput) -> Polynomial:
-    return determinant(inp.h)
-
-
-def sigma1_ideal(inp: SingularityInput) -> tuple[Polynomial, ...]:
-    """Generators of the locus where the quadratic form drops rank:
-    (g_1, ..., g_{n-3}, det H)."""
-    return inp.g + (det_h(inp),)
-
-
-def compute_mu0(
-    inp: SingularityInput, seed: int = 0, budgets: Budgets = DEFAULT_BUDGETS
-) -> int:
-    """Milnor number of the singular locus itself."""
-    return milnor_icis(list(inp.g), seed, budgets)
-
-
-def compute_mu1(
-    inp: SingularityInput, seed: int = 0, budgets: Budgets = DEFAULT_BUDGETS
-) -> int:
-    """Milnor number of the locus cut further by det H = 0."""
-    return milnor_icis(list(sigma1_ideal(inp)), seed, budgets)
-
-
 def compute_a(inp: SingularityInput, budgets: Budgets = DEFAULT_BUDGETS) -> int:
     """Colength of the corank >= 2 determinantal scheme on the locus:
     (g) + all minors of H of size n-4.  Scalar H (n = 4) gives 0."""
@@ -182,9 +152,9 @@ def jacobian_ideal(f: Polynomial) -> tuple[Polynomial, ...]:
 
 
 def a1_count(
-    inp: SingularityInput, budgets: Budgets = DEFAULT_BUDGETS
+    inp: SingularityInput, f: Polynomial, budgets: Budgets = DEFAULT_BUDGETS
 ) -> tuple[int, str]:
-    """Morse-point count with provenance.
+    """Morse-point count with provenance; f is the assembled g * H * g^t.
 
     provided -> the user's number; assume_zero -> 0 flagged as assumed;
     estimate -> colength of the Jacobian ideal of f saturated by the locus
@@ -194,7 +164,6 @@ def a1_count(
         return inp.a1_count, "provided"
     if inp.a1_mode == "assume_zero":
         return 0, "assumed"
-    f = assemble_f(inp)
     jac = [p for p in jacobian_ideal(f) if not p.is_zero()]
     if not jac:
         raise ComputationError("zero Jacobian ideal; f is identically zero")
@@ -210,40 +179,6 @@ def a1_count(
             "cannot estimate the Morse-point count"
         )
     return int(value), "experimental-saturation"
-
-
-def finite_codimension_check(
-    inp: SingularityInput, budgets: Budgets = DEFAULT_BUDGETS
-) -> tuple[CheckResult, ...]:
-    """Surrogate for finite extended codimension: (g, det H) is an i.c.i.s.
-    and the a-colength is finite.  A unit det H at the origin classifies the
-    germ as corank 0, where both conditions are vacuous."""
-    corank = corank_at_origin(inp)
-    out = []
-    if corank == 0:
-        out.append(
-            CheckResult(
-                "sigma1_icis",
-                True,
-                "det H is a unit at the origin (corank 0); mu1 not applicable",
-            )
-        )
-        out.append(CheckResult("a_finite", True, "corank 0 forces a = 0"))
-        return tuple(out)
-    icis = check_icis(list(sigma1_ideal(inp)), budgets)
-    out.append(
-        CheckResult(
-            "sigma1_icis",
-            icis.ok,
-            f"(g, det H) i.c.i.s. test: {icis.message()}",
-        )
-    )
-    try:
-        a = compute_a(inp, budgets)
-        out.append(CheckResult("a_finite", True, f"a = {a}"))
-    except ComputationError as exc:
-        out.append(CheckResult("a_finite", False, str(exc)))
-    return tuple(out)
 
 
 def locus_membership_checks(
@@ -289,7 +224,7 @@ def invariant_report(
     checks: list[CheckResult] = []
     checks.extend(locus_membership_checks(inp, f, budgets))
 
-    locus = check_icis(list(inp.g), budgets)
+    locus = check_icis(inp.g, budgets)
     checks.append(
         CheckResult("locus_icis", locus.ok, f"(g) i.c.i.s. test: {locus.message()}")
     )
@@ -298,20 +233,43 @@ def invariant_report(
             f"the locus ideal (g) is not an i.c.i.s.: {locus.message()}"
         )
 
-    corank = corank_at_origin(inp)
-    fin = finite_codimension_check(inp, budgets)
-    checks.extend(fin)
-    if not all(c.passed for c in fin):
-        failing = "; ".join(c.detail for c in fin if not c.passed)
-        raise ComputationError(f"finite-codimension surrogate failed: {failing}")
-
-    mu0 = compute_mu0(inp, seed, budgets)
+    # Surrogate for finite extended codimension: (g, det H) is an i.c.i.s.
+    # and the a-colength is finite.  A unit det H at the origin classifies
+    # the germ as corank 0, where both conditions are vacuous: some
+    # (n-4)-minor of H is then a unit, so a = 0.
+    corank = corank_at_origin(inp.h)
     if corank == 0:
-        mu1, mu1_applicable = 0, False
+        a = 0
+        checks.append(
+            CheckResult(
+                "sigma1_icis",
+                True,
+                "det H is a unit at the origin (corank 0); mu1 not applicable",
+            )
+        )
+        checks.append(CheckResult("a_finite", True, "corank 0 forces a = 0"))
     else:
-        mu1, mu1_applicable = compute_mu1(inp, seed, budgets), True
-    a = compute_a(inp, budgets)
-    a1, a1_prov = a1_count(inp, budgets)
+        sigma1 = check_icis(inp.g + (determinant(inp.h),), budgets)
+        checks.append(
+            CheckResult(
+                "sigma1_icis",
+                sigma1.ok,
+                f"(g, det H) i.c.i.s. test: {sigma1.message()}",
+            )
+        )
+        try:
+            a = compute_a(inp, budgets)
+            checks.append(CheckResult("a_finite", True, f"a = {a}"))
+        except ComputationError as exc:
+            checks.append(CheckResult("a_finite", False, str(exc)))
+        failing = "; ".join(c.detail for c in checks[-2:] if not c.passed)
+        if failing:
+            raise ComputationError(f"finite-codimension surrogate failed: {failing}")
+
+    mu0 = milnor_icis(locus, seed, budgets)
+    mu1_applicable = corank != 0
+    mu1 = milnor_icis(sigma1, seed, budgets) if mu1_applicable else 0
+    a1, a1_prov = a1_count(inp, f, budgets)
 
     guards = _guard_inequalities(mu1, a, corank) if mu1_applicable else ()
     checks.extend(guards)

@@ -7,6 +7,10 @@ the ideal spanned by the first j-1 recombined functions together with the
 j x j minors of the Jacobian of the first j.  Validity of a recombination is
 witnessed by every c_j being finite; a singular or unlucky draw is retried
 from the same seeded stream.
+
+check_icis tests a presentation once and returns an IcisCheck that carries
+its generators; milnor_icis takes that check as its witness and runs the
+chain on its generators, so a caller never tests the same ideal twice.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ class IcisCheck:
     ok: bool
     colength: int | float
     unbounded_variables: tuple[str, ...]
+    gens: tuple[Polynomial, ...]
 
     def message(self) -> str:
         if self.ok:
@@ -116,7 +121,7 @@ def check_icis(gens: Sequence[Polynomial], budgets: Budgets = DEFAULT_BUDGETS) -
     jac = jacobian(ring, list(gens))
     sing = list(gens) + list(minors(jac, k))
     value, unbounded = _staircase_unbounded_vars(sing, budgets)
-    return IcisCheck(value != INFINITE, value, unbounded)
+    return IcisCheck(value != INFINITE, value, unbounded, tuple(gens))
 
 
 def _chain_colengths(
@@ -134,21 +139,22 @@ def _chain_colengths(
 
 
 def milnor_icis(
-    gens: Sequence[Polynomial],
+    check: IcisCheck,
     seed: int = 0,
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> int:
-    """Milnor number of the germ cut out by gens (an i.c.i.s. presentation).
+    """Milnor number of the germ cut out by check.gens, where check is the
+    check_icis outcome for those generators: milnor_icis(check_icis(gens)).
 
-    Raises InvalidIcisError when the input is not an isolated complete
+    Raises InvalidIcisError when the check found no isolated complete
     intersection singularity, ComputationError when no valid recombination
     appears within the attempt cap.
     """
-    check = check_icis(gens, budgets)
     if not check.ok:
         raise InvalidIcisError(
             f"not an isolated complete intersection: {check.message()}"
         )
+    gens = check.gens
     k = len(gens)
     rng = random.Random(seed)
     last_error = None

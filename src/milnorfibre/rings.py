@@ -81,15 +81,6 @@ def monomial_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(map(le, a, b))
 
 
-def monomial_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Exponent vector of a/b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def monomial_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 class Polynomial:
     """Immutable exact polynomial: a map from exponent tuples to Fractions."""
 

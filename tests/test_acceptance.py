@@ -27,7 +27,7 @@ from milnorfibre.homology import (
     universal_coefficients_mod2,
 )
 from milnorfibre.jobs import Job, run_homology
-from milnorfibre.milnor import milnor_icis
+from milnorfibre.milnor import check_icis, milnor_icis
 from milnorfibre.orders import global_order
 from milnorfibre.rings import Polynomial, Ring, parse_polynomial
 from milnorfibre.standard_basis import colength
@@ -133,9 +133,9 @@ def test_criterion_5_milnor_number_oracle():
     for k in range(1, 9):
         ring = Ring(("x", "y"))
         germ = [parse_polynomial(f"x^{k + 1} + y^2", ring)]
-        assert milnor_icis(germ) == k, f"A_{k}"
+        assert milnor_icis(check_icis(germ)) == k, f"A_{k}"
     ring = Ring(("x", "y"))
-    assert milnor_icis([parse_polynomial("x^3 + x*y^2", ring)]) == 4  # D4
+    assert milnor_icis(check_icis([parse_polynomial("x^3 + x*y^2", ring)])) == 4  # D4
     rng = random.Random(7)
     for _ in range(10):
         nvars = rng.randint(1, 3)
@@ -146,7 +146,7 @@ def test_criterion_5_milnor_number_oracle():
         expected = 1
         for p in exps:
             expected *= p - 1
-        assert milnor_icis([parse_polynomial(text, ring)]) == expected, text
+        assert milnor_icis(check_icis([parse_polynomial(text, ring)])) == expected, text
 
 
 # --- criterion 6: Smith normal form posts -----------------------------------------

@@ -1,12 +1,15 @@
 """Invariants of the presentation f = g * H * g^T."""
 
-import pytest
+import re
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from milnorfibre import decomposition, milnor, rings
 from milnorfibre.decomposition import (
     SingularityInput,
     assemble_f,
     compute_a,
-    corank_at_origin,
     invariant_report,
     verify_decomposition,
 )
@@ -75,9 +78,9 @@ def test_input_validation():
 # --- corank ----------------------------------------------------------------
 
 def test_corank_examples():
-    assert corank_at_origin(mk(("y1", "y2"), (("1", "0"), ("0", "1")))) == 0
-    assert corank_at_origin(mk(("y1", "y2"), (("x1", "0"), ("0", "1")))) == 1
-    assert corank_at_origin(family_input(2)) == 2
+    assert rings.corank_at_origin(mk(("y1", "y2"), (("1", "0"), ("0", "1"))).h) == 0
+    assert rings.corank_at_origin(mk(("y1", "y2"), (("x1", "0"), ("0", "1"))).h) == 1
+    assert rings.corank_at_origin(family_input(2).h) == 2
 
 
 # --- invariants on the worked examples --------------------------------------
@@ -138,43 +141,100 @@ def test_a1_provided_requires_count():
 
 def test_nonisolated_corank_two_locus_fails():
     inp = mk(("y1", "y2"), (("x3", "x2"), ("x2", "-x3")))
-    with pytest.raises(ComputationError):
+    message = (
+        "finite-codimension surrogate failed: (g, det H) i.c.i.s. test: "
+        "INFINITE singular locus (unbounded in x1); "
+        "corank-2 locus not isolated at origin"
+    )
+    with pytest.raises(ComputationError, match=re.escape(message)):
         invariant_report(inp)
 
 
 def test_locus_must_be_an_icis():
     inp = mk(("y1*y2", "y1"), (("1", "0"), ("0", "1")))
-    with pytest.raises((InvalidIcisError, ComputationError)):
+    message = (
+        "the locus ideal (g) is not an i.c.i.s.: "
+        "INFINITE singular locus (unbounded in x1, x2, x3, y2)"
+    )
+    with pytest.raises(InvalidIcisError, match=re.escape(message)):
         invariant_report(inp)
+
+
+# --- one dataflow per job ----------------------------------------------------
+
+@pytest.mark.parametrize(
+    "inp, expected",
+    [
+        # corank 2: the locus and (g, det H) are each checked once
+        (worked_example(a1_mode="estimate"), (2, 1, 1, 1)),
+        # corank 0: only the locus is checked; a = 0 needs no colength
+        (mk(("y1", "y2"), (("1", "0"), ("0", "1"))), (1, 0, 0, 1)),
+    ],
+)
+def test_each_ideal_is_checked_once(monkeypatch, inp, expected):
+    counts = dict.fromkeys(("check_icis", "compute_a", "determinant", "assemble_f"), 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(decomposition, name, counting(name, getattr(decomposition, name)))
+    # milnor_icis must run on the caller's check, not test its ideal again
+    monkeypatch.setattr(milnor, "check_icis", decomposition.check_icis)
+    invariant_report(inp)
+    assert tuple(counts.values()) == expected
 
 
 # --- presentation invariance -------------------------------------------------
 
-def test_invariants_stable_under_unimodular_change_of_g():
-    """Replace g by M*g and H by (M^-T) H (M^-1): f is unchanged, so all
-    invariants must be too.  M = [[1, 1], [0, 1]]."""
+WORKED_INVARIANTS = (0, 3, 2, 2)  # (mu0, mu1, a, corank) of worked_example()
+
+# an elementary matrix I + c*E_ij as ((i, j), c)
+ELEMENTARY = st.tuples(st.sampled_from([(0, 1), (1, 0)]), st.integers(-2, 2))
+
+
+@settings(max_examples=15, deadline=None)
+@given(steps=st.lists(ELEMENTARY, max_size=3), swap=st.booleans())
+@example(steps=[((0, 1), 1)], swap=False)
+def test_invariants_stable_under_unimodular_change_of_g(steps, swap):
+    """Replace g by A*g and H by (A^-T) H (A^-1) for a unimodular integer A,
+    a product of up to three elementary matrices after an optional swap of
+    g: f is unchanged, so all invariants must be too."""
     base = worked_example()
     ring = base.ring
-    g1, g2 = base.g
-    new_g = (g1 + g2, g2)
-    # M = [[1,1],[0,1]], M^-1 = [[1,-1],[0,1]]; H' = (M^-1)^T H M^-1
-    h11 = base.h.entry(0, 0)
-    h12 = base.h.entry(0, 1)
-    h22 = base.h.entry(1, 1)
+    a = [[0, 1], [1, 0]] if swap else [[1, 0], [0, 1]]
+    a_inv = [row[:] for row in a]
+    for (i, j), c in steps:
+        # A <- (I + c*E_ij) A and A^-1 <- A^-1 (I - c*E_ij)
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        for row in a_inv:
+            row[j] -= c * row[i]
+
+    def combination(coeffs, polys):
+        total = ring.zero()
+        for c, q in zip(coeffs, polys):
+            total = total + q.scale(c)
+        return total
+
+    new_g = tuple(combination(row, base.g) for row in a)
     new_h = PolyMatrix(
         ring,
         [
-            [h11, h12 - h11],
-            [h12 - h11, h22 - 2 * h12 + h11],
+            [
+                combination(
+                    [a_inv[i][k] * a_inv[j][l] for i in range(2) for j in range(2)],
+                    [base.h.entry(i, j) for i in range(2) for j in range(2)],
+                )
+                for l in range(2)
+            ]
+            for k in range(2)
         ],
     )
     changed = SingularityInput(ring=ring, g=new_g, h=new_h)
     assert assemble_f(changed) == assemble_f(base)
-    rep_base = invariant_report(base)
-    rep_changed = invariant_report(changed)
-    assert (rep_base.mu0, rep_base.mu1, rep_base.a, rep_base.corank) == (
-        rep_changed.mu0,
-        rep_changed.mu1,
-        rep_changed.a,
-        rep_changed.corank,
-    )
+    rep = invariant_report(changed)
+    assert (rep.mu0, rep.mu1, rep.a, rep.corank) == WORKED_INVARIANTS

@@ -25,24 +25,24 @@ def germ(texts, var_names):
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
 def test_a_k_series(k):
     gens = germ([f"x^{k + 1} + y^2"], ("x", "y"))
-    assert milnor_icis(gens) == k
+    assert milnor_icis(check_icis(gens)) == k
 
 
 def test_d_and_e_series():
-    assert milnor_icis(germ(["x^3 + x*y^2"], ("x", "y"))) == 4  # D4
-    assert milnor_icis(germ(["x^3 + y^4"], ("x", "y"))) == 6  # E6
-    assert milnor_icis(germ(["x^3 + x*y^3"], ("x", "y"))) == 7  # E7
-    assert milnor_icis(germ(["x^3 + y^5"], ("x", "y"))) == 8  # E8
+    assert milnor_icis(check_icis(germ(["x^3 + x*y^2"], ("x", "y")))) == 4  # D4
+    assert milnor_icis(check_icis(germ(["x^3 + y^4"], ("x", "y")))) == 6  # E6
+    assert milnor_icis(check_icis(germ(["x^3 + x*y^3"], ("x", "y")))) == 7  # E7
+    assert milnor_icis(check_icis(germ(["x^3 + y^5"], ("x", "y")))) == 8  # E8
 
 
 def test_smooth_and_node():
-    assert milnor_icis(germ(["x"], ("x", "y"))) == 0
-    assert milnor_icis(germ(["x^2 + y^2"], ("x", "y"))) == 1
+    assert milnor_icis(check_icis(germ(["x"], ("x", "y")))) == 0
+    assert milnor_icis(check_icis(germ(["x^2 + y^2"], ("x", "y")))) == 1
 
 
 def test_suspension_does_not_change_mu():
     # mu is stable under adding squares of new variables
-    assert milnor_icis(germ(["x^3 + y^2 + z^2"], ("x", "y", "z"))) == 2
+    assert milnor_icis(check_icis(germ(["x^3 + y^2 + z^2"], ("x", "y", "z")))) == 2
 
 
 @given(
@@ -55,7 +55,7 @@ def test_quasi_homogeneous_product_formula(exponents):
     expected = 1
     for p in exponents:
         expected *= p - 1
-    assert milnor_icis(germ([text], names)) == expected
+    assert milnor_icis(check_icis(germ([text], names))) == expected
 
 
 # --- complete intersections -----------------------------------------------
@@ -65,15 +65,15 @@ def test_icis_chain_example_in_five_variables():
         ["x1", "x2", "x3^2 - x3*x5^2 - x4^2"],
         ("x1", "x2", "x3", "x4", "x5"),
     )
-    assert milnor_icis(gens) == 3
+    assert milnor_icis(check_icis(gens)) == 3
 
 
 def test_codimension_two_icis():
     # (x^2 + y^2, z): two transversal lines as a space curve;
     # mu = 2*delta - r + 1 = 2*1 - 2 + 1 = 1
     gens = germ(["x^2 + y^2", "z"], ("x", "y", "z"))
-    assert milnor_icis(gens) == 1
-    assert milnor_icis(gens, seed=5) == 1
+    assert milnor_icis(check_icis(gens)) == 1
+    assert milnor_icis(check_icis(gens), seed=5) == 1
 
 
 def test_nonreduced_scheme_is_not_an_icis():
@@ -82,7 +82,7 @@ def test_nonreduced_scheme_is_not_an_icis():
     gens = germ(["x*y", "x - y^2"], ("x", "y", "z"))
     assert not check_icis(gens).ok
     with pytest.raises(InvalidIcisError):
-        milnor_icis(gens)
+        milnor_icis(check_icis(gens))
 
 
 def test_seed_independence():
@@ -90,14 +90,14 @@ def test_seed_independence():
         ["x1", "x2", "x3^2 - x3*x5^2 - x4^2"],
         ("x1", "x2", "x3", "x4", "x5"),
     )
-    values = {milnor_icis(gens, seed=s) for s in (0, 1, 7, 123)}
+    values = {milnor_icis(check_icis(gens), seed=s) for s in (0, 1, 7, 123)}
     assert values == {3}
 
 
 def test_generator_order_invariance():
     a = germ(["x1", "x2", "x3^2 - x4^2 - x5^3"], ("x1", "x2", "x3", "x4", "x5"))
     b = [a[2], a[0], a[1]]
-    assert milnor_icis(a) == milnor_icis(b)
+    assert milnor_icis(check_icis(a)) == milnor_icis(check_icis(b))
 
 
 def test_invalid_icis_is_detected():
@@ -106,17 +106,17 @@ def test_invalid_icis_is_detected():
     assert not check.ok
     assert "INFINITE" in check.message()
     with pytest.raises(InvalidIcisError):
-        milnor_icis(gens)
+        milnor_icis(check_icis(gens))
 
 
 def test_nonvanishing_generator_rejected():
     with pytest.raises(InvalidIcisError):
-        milnor_icis(germ(["x + 1"], ("x", "y")))
+        milnor_icis(check_icis(germ(["x + 1"], ("x", "y"))))
 
 
 def test_too_many_generators_rejected():
     with pytest.raises(InvalidIcisError):
-        milnor_icis(germ(["x", "y", "x + y"], ("x", "y")))
+        milnor_icis(check_icis(germ(["x", "y", "x + y"], ("x", "y"))))
 
 
 def test_recombination_matrices_are_invertible():

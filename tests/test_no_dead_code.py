@@ -1,0 +1,58 @@
+"""Every public module-level function of the package has a caller.
+
+A function defined at the top level of a module in ``src/milnorfibre`` and
+not starting with an underscore must be referenced somewhere in the package
+outside its own definition (a call, an attribute access or an import), or
+be exported through ``milnorfibre.__all__``.  Tests and scripts do not count
+as callers.
+"""
+
+import ast
+from pathlib import Path
+
+import milnorfibre
+
+PACKAGE = Path(milnorfibre.__file__).parent
+
+
+def _references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names read, attributes accessed and names imported in tree, leaving
+    out the subtree skip."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def unreferenced_functions() -> list[str]:
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    exported = set(milnorfibre.__all__)
+    missing = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            if node.name in exported:
+                continue
+            used = any(
+                node.name in _references(other, skip=node)
+                for other in trees.values()
+            )
+            if not used:
+                missing.append(f"{module}.{node.name}")
+    return missing
+
+
+def test_every_public_function_has_a_caller():
+    assert unreferenced_functions() == []
+

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from milnorfibre.corpus import _dkp_case, build_input
-from milnorfibre.decomposition import det_h
 from milnorfibre.errors import ParseError, RingMismatchError
 from milnorfibre.rings import (
     PolyMatrix,
@@ -212,7 +211,7 @@ def test_n9_corpus_case_det_h_and_a_minors():
     """The largest matrices the runtime meets: H is 6 x 6 at n = 9, and
     `a` takes its 5 x 5 minors."""
     inp = build_input(_dkp_case(2, 9), "given")
-    assert det_h(inp) == leibniz(inp.h.entries(), inp.ring)
+    assert determinant(inp.h) == leibniz(inp.h.entries(), inp.ring)
     assert minors(inp.h, inp.n - 4) == oracle_minors(inp.h, inp.n - 4)
 
 
