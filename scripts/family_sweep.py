@@ -11,6 +11,10 @@ Usage: python scripts/family_sweep.py [--max-order 6] [--seed 0]
 import argparse
 import sys
 import time
+from pathlib import Path
+
+# the checkout's package source comes first, so the script runs uninstalled
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from milnorfibre.decomposition import SingularityInput
 from milnorfibre.jobs import Job, run_homology

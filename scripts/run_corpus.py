@@ -6,6 +6,10 @@ Usage: python scripts/run_corpus.py [--seeds 0,1,2]
 
 import argparse
 import sys
+from pathlib import Path
+
+# the checkout's package source comes first, so the script runs uninstalled
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from milnorfibre.corpus import run_corpus
 

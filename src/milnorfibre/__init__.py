@@ -3,7 +3,7 @@ singular along a 3-dimensional i.c.i.s., presented as f = g * H * g^T.
 
 Layers, bottom to top: rings (exact polynomial arithmetic), orders
 (monomial orders), standard_basis (Mora/Buchberger engine, colength,
-quotients, saturation), milnor (i.c.i.s. Milnor numbers), decomposition
+intersection, saturation), milnor (i.c.i.s. Milnor numbers), decomposition
 (the presentation's invariants mu0, mu1, a, corank, #A1), homology
 (tables, Smith normal form, bouquets), jobs (job files and reports),
 corpus (built-in regressions), cli (entry point).
@@ -56,15 +56,12 @@ from .standard_basis import (
     DEFAULT_BUDGETS,
     INFINITE,
     colength,
-    ideal_quotient,
     intersect_ideals,
     is_member,
     normal_form,
-    quotient_by_ideal,
     saturate,
     standard_basis,
     weak_normal_form,
-    weak_normal_form_with_representation,
 )
 
 __version__ = "0.1.0"
@@ -100,7 +97,6 @@ __all__ = [
     "dkp_fibre",
     "elimination_order",
     "global_order",
-    "ideal_quotient",
     "intersect_ideals",
     "invariant_report",
     "is_member",
@@ -112,7 +108,6 @@ __all__ = [
     "normal_form",
     "parse_job",
     "parse_polynomial",
-    "quotient_by_ideal",
     "run_homology",
     "run_invariants",
     "saturate",
@@ -124,5 +119,4 @@ __all__ = [
     "table_X",
     "universal_coefficients_mod2",
     "weak_normal_form",
-    "weak_normal_form_with_representation",
 ]

@@ -81,7 +81,6 @@ def _budgets_from(args: argparse.Namespace) -> Budgets:
     return Budgets(
         reductions=args.budget_reductions,
         basis=args.budget_basis,
-        saturation_rounds=DEFAULT_BUDGETS.saturation_rounds,
         staircase=DEFAULT_BUDGETS.staircase,
     )
 

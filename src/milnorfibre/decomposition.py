@@ -152,9 +152,12 @@ def jacobian_ideal(f: Polynomial) -> tuple[Polynomial, ...]:
 
 
 def a1_count(
-    inp: SingularityInput, f: Polynomial, budgets: Budgets = DEFAULT_BUDGETS
+    inp: SingularityInput,
+    partials: tuple[Polynomial, ...],
+    budgets: Budgets = DEFAULT_BUDGETS,
 ) -> tuple[int, str]:
-    """Morse-point count with provenance; f is the assembled g * H * g^t.
+    """Morse-point count with provenance; partials are the partial derivatives
+    of the assembled f = g * H * g^t.
 
     provided -> the user's number; assume_zero -> 0 flagged as assumed;
     estimate -> colength of the Jacobian ideal of f saturated by the locus
@@ -164,15 +167,16 @@ def a1_count(
         return inp.a1_count, "provided"
     if inp.a1_mode == "assume_zero":
         return 0, "assumed"
-    jac = [p for p in jacobian_ideal(f) if not p.is_zero()]
+    jac = [p for p in partials if not p.is_zero()]
     if not jac:
         raise ComputationError("zero Jacobian ideal; f is identically zero")
     order = local_order(inp.n)
-    sat, _rounds = saturate(jac, list(inp.g), order, budgets)
+    sat, _eliminations = saturate(jac, list(inp.g), order, budgets)
     live = [p for p in sat if not p.is_zero()]
     if not live:
         raise ComputationError("saturation of the Jacobian ideal is zero")
-    value = colength(live, order, budgets)
+    # saturate returns a standard basis, so colength needs no new one
+    value = colength(live, order, budgets, basis=live)
     if value == INFINITE:
         raise ComputationError(
             "saturated Jacobian ideal is not 0-dimensional; "
@@ -182,12 +186,16 @@ def a1_count(
 
 
 def locus_membership_checks(
-    inp: SingularityInput, f: Polynomial, budgets: Budgets = DEFAULT_BUDGETS
+    inp: SingularityInput,
+    f: Polynomial,
+    partials: tuple[Polynomial, ...],
+    budgets: Budgets = DEFAULT_BUDGETS,
 ) -> tuple[CheckResult, ...]:
-    """f must have a vanishing 1-jet and lie in the square of the locus ideal."""
+    """f must have a vanishing 1-jet and lie in the square of the locus ideal;
+    partials are the partial derivatives of f."""
     order = local_order(inp.n)
     one_jet_ok = f.evaluate_at_origin() == 0 and all(
-        f.derivative(i).evaluate_at_origin() == 0 for i in range(inp.n)
+        d.evaluate_at_origin() == 0 for d in partials
     )
     square = [a * b for i, a in enumerate(inp.g) for b in inp.g[i:]]
     in_square = is_member(f, square, order, budgets)
@@ -221,8 +229,9 @@ def invariant_report(
     InvalidIcisError when the geometry is out of scope.
     """
     f = verify_decomposition(inp)
+    partials = jacobian_ideal(f)
     checks: list[CheckResult] = []
-    checks.extend(locus_membership_checks(inp, f, budgets))
+    checks.extend(locus_membership_checks(inp, f, partials, budgets))
 
     locus = check_icis(inp.g, budgets)
     checks.append(
@@ -269,7 +278,7 @@ def invariant_report(
     mu0 = milnor_icis(locus, seed, budgets)
     mu1_applicable = corank != 0
     mu1 = milnor_icis(sigma1, seed, budgets) if mu1_applicable else 0
-    a1, a1_prov = a1_count(inp, f, budgets)
+    a1, a1_prov = a1_count(inp, partials, budgets)
 
     guards = _guard_inequalities(mu1, a, corank) if mu1_applicable else ()
     checks.extend(guards)

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .errors import ComputationError, InconsistencyError, InvalidIcisError
 from .orders import local_order
-from .rings import Polynomial, Ring, int_determinant, jacobian, minors
+from .rings import PolyMatrix, Polynomial, int_determinant, jacobian, minors
 from .standard_basis import (
     Budgets,
     DEFAULT_BUDGETS,
@@ -108,6 +108,8 @@ def check_icis(gens: Sequence[Polynomial], budgets: Budgets = DEFAULT_BUDGETS) -
     """Test that V(gens) is a complete intersection with at most an isolated
     singularity at the origin: the ideal of the generators plus the maximal
     minors of their Jacobian must have finite colength."""
+    if not gens:
+        raise InvalidIcisError("empty presentation")
     ring = gens[0].ring
     k = len(gens)
     if k > ring.nvars:
@@ -129,11 +131,11 @@ def _chain_colengths(
 ) -> list[int | float]:
     ring = fprime[0].ring
     order = local_order(ring.nvars)
+    # step j takes the first j rows, so each generator is differentiated once
+    rows = jacobian(ring, list(fprime)).entries()
     out = []
     for j in range(1, len(fprime) + 1):
-        head = list(fprime[: j - 1])
-        jac = jacobian(ring, list(fprime[:j]))
-        ideal = head + list(minors(jac, j))
+        ideal = list(fprime[: j - 1]) + list(minors(PolyMatrix(ring, rows[:j]), j))
         out.append(colength(ideal, order, budgets))
     return out
 

@@ -4,8 +4,11 @@ The normal form is Mora's weak normal form with ecart selection, which
 terminates for every order kind in this package; under a global order the
 ecart rule never fires and the routine degenerates to ordinary multivariate
 division.  Standard bases come from Buchberger completion driven by that
-normal form.  On top of these sit colength, membership, ideal quotient,
-ideal intersection and saturation.
+normal form.  On top of these sit colength, membership, ideal intersection
+and saturation.  Intersection and saturation are tag eliminations: one
+extra variable t, global and dominant in a block order, and the t-free part
+of a standard basis (Rabinowitsch's 1 - t*q for saturation), which is itself
+a standard basis of the result.
 
 All routines are deterministic: reducer choice is (ecart, insertion index),
 and S-pairs are popped from a heap in (lcm degree, i, j) order.  Each engine
@@ -42,7 +45,6 @@ class Budgets:
 
     reductions: int = 2_000_000
     basis: int = 50_000
-    saturation_rounds: int = 64
     staircase: int = 10_000_000
 
 
@@ -158,81 +160,33 @@ def _ep_spoly(a: _EP, b: _EP, order: MonomialOrder) -> _EP:
     return _ep_sub_shifted(shifted, _ONE, order.key(sb), sb, b)
 
 
-class _Tracked:
-    """Reducer with its representation r = A*f - sum Q_i * g_i."""
-
-    __slots__ = ("ep", "A", "Q")
-
-    def __init__(self, ep: _EP, A: _EP | None, Q: list[_EP] | None):
-        self.ep = ep
-        self.A = A
-        self.Q = Q
-
-
 def _weak_normal_form(
-    f: _EP,
-    reducers: Sequence[_EP],
-    order: MonomialOrder,
-    counter: _Counter,
-    track: bool = False,
-) -> tuple[_EP, _EP | None, list[_EP] | None]:
-    """Mora weak normal form.
-
-    Returns (h, A, Q) with A*f = h + sum Q_i * reducers_i when track is on;
-    A has a nonzero constant term (a local unit; A = 1 under global orders).
-    The lead of h is divisible by no reducer lead.
-    """
-    n = len(reducers)
-    zkey = (0,) * order.nvars
-    one = _EP(((order.key(zkey), zkey, _ONE),), maxdeg=0)
-    table: list[_Tracked] = []
-    for i, g in enumerate(reducers):
-        Q = None
-        if track:
-            Q = [_EP_ZERO] * n
-            Q[i] = _ep_scale(one, Fraction(-1))
-        table.append(_Tracked(g, _EP_ZERO if track else None, Q))
-
+    f: _EP, reducers: Sequence[_EP], order: MonomialOrder, counter: _Counter
+) -> _EP:
+    """Mora weak normal form: unit * f minus a combination of the reducers,
+    whose lead is divisible by no reducer lead (the unit is 1 under a global
+    order)."""
+    table = list(reducers)
     h = f
-    A = one if track else None
-    Q = [_EP_ZERO] * n if track else None
-
     while h.terms:
-        lk, le, lc = h.terms[0]
+        _, le, lc = h.terms[0]
         # the first reducer of least ecart among those whose lead divides le
         idx = ecart_g = None
-        for k, red in enumerate(table):
-            g = red.ep
+        for k, g in enumerate(table):
             if (ecart_g is None or g.ecart < ecart_g) and monomial_divides(g.lead, le):
                 idx, ecart_g = k, g.ecart
                 if not ecart_g:
                     break
         if idx is None:
             break
+        g = table[idx]
         if ecart_g > h.ecart:
-            inv = _ONE / lc
-            table.append(
-                _Tracked(
-                    _ep_scale(h, inv),
-                    _ep_scale(A, inv) if track else None,
-                    [_ep_scale(q, inv) for q in Q] if track else None,
-                )
-            )
-        red = table[idx]
-        g = red.ep
+            table.append(_ep_scale(h, _ONE / lc))
         counter.spend()
         c = lc / g.terms[0][2]
         sexpo = tuple(x - y for x, y in zip(le, g.lead))
-        skey = order.key(sexpo)
-        h = _ep_sub_shifted(h, c, skey, sexpo, g)
-        if track:
-            if red.A.terms:
-                A = _ep_sub_shifted(A, c, skey, sexpo, red.A)
-            for i in range(n):
-                qi = red.Q[i]
-                if qi.terms:
-                    Q[i] = _ep_sub_shifted(Q[i], c, skey, sexpo, qi)
-    return h, A, Q
+        h = _ep_sub_shifted(h, c, order.key(sexpo), sexpo, g)
+    return h
 
 
 def _reduced_normal_form(
@@ -240,10 +194,10 @@ def _reduced_normal_form(
 ) -> _EP:
     """Weak normal form, then tail reduction; no term divisible by a reducer lead."""
     out = []
-    h, _, _ = _weak_normal_form(f, reducers, order, counter)
+    h = _weak_normal_form(f, reducers, order, counter)
     while h.terms:
         out.append(h.terms[0])
-        h, _, _ = _weak_normal_form(_EP(h.terms[1:]), reducers, order, counter)
+        h = _weak_normal_form(_EP(h.terms[1:]), reducers, order, counter)
     return _EP(tuple(out))
 
 
@@ -295,7 +249,7 @@ def _standard_basis_ep(
                 continue
         pair_counter.spend()
         s = _ep_spoly(G[i], G[j], order)
-        h, _, _ = _weak_normal_form(s, G, order, counter)
+        h = _weak_normal_form(s, G, order, counter)
         if h.terms:
             add_element(_ep_monic(h))
     return _minimalize(G)
@@ -353,31 +307,8 @@ def weak_normal_form(
     _check_inputs([f] + list(reducers), order)
     counter = _Counter(budgets.reductions, "reduction")
     eps = [_ep_from_polynomial(g, order) for g in reducers if not g.is_zero()]
-    h, _, _ = _weak_normal_form(_ep_from_polynomial(f, order), eps, order, counter)
+    h = _weak_normal_form(_ep_from_polynomial(f, order), eps, order, counter)
     return _ep_to_polynomial(h, f.ring)
-
-
-def weak_normal_form_with_representation(
-    f: Polynomial,
-    reducers: Sequence[Polynomial],
-    order: MonomialOrder,
-    budgets: Budgets = DEFAULT_BUDGETS,
-) -> tuple[Polynomial, Polynomial, tuple[Polynomial, ...]]:
-    """Weak normal form with its certificate: (h, A, Q) satisfying the exact
-    identity A*f = h + sum Q_i * reducers_i, A a unit of the local ring
-    (A = 1 under a global order)."""
-    _check_inputs([f] + list(reducers), order)
-    counter = _Counter(budgets.reductions, "reduction")
-    kept = [(i, g) for i, g in enumerate(reducers) if not g.is_zero()]
-    eps = [_ep_from_polynomial(g, order) for _, g in kept]
-    h, a, q = _weak_normal_form(
-        _ep_from_polynomial(f, order), eps, order, counter, track=True
-    )
-    ring = f.ring
-    full_q = [ring.zero()] * len(reducers)
-    for (i, _), qi in zip(kept, q):
-        full_q[i] = _ep_to_polynomial(qi, ring)
-    return _ep_to_polynomial(h, ring), _ep_to_polynomial(a, ring), tuple(full_q)
 
 
 def normal_form(
@@ -480,13 +411,20 @@ def colength(
     return scan(0)
 
 
-def _fresh_tag(ring: Ring) -> str:
+def _tag_extension(
+    ring: Ring, order: MonomialOrder, what: str
+) -> tuple[Ring, MonomialOrder]:
+    """ring with a fresh tag variable appended, and the block order in which
+    the tag compares globally and dominates while the rest compares by order."""
+    if order.kind not in (GLOBAL_GRADED_REVLEX, LOCAL_ANTIGRADED_REVLEX):
+        raise ValueError(f"{what} needs a plain global or local order")
     tag = "_t"
     k = 0
     while tag in ring.variables:
         k += 1
         tag = f"_t{k}"
-    return tag
+    big = Ring(ring.variables + (tag,))
+    return big, elimination_order(big.nvars, order.kind)
 
 
 def _lift(p: Polynomial, big: Ring, tdeg: int) -> Polynomial:
@@ -502,6 +440,15 @@ def _is_tag_free(p: Polynomial) -> bool:
     return all(e[-1] == 0 for e in p.terms)
 
 
+def _tag_free_part(
+    lifted: list[Polynomial], elim: MonomialOrder, ring: Ring, budgets: Budgets
+) -> tuple[Polynomial, ...]:
+    """The tag-free elements of a standard basis of lifted under elim, a
+    minimal standard basis of the eliminated ideal; (0,) when there are none."""
+    sb = standard_basis(lifted, elim, budgets)
+    return tuple(_drop_tag(p, ring) for p in sb if _is_tag_free(p)) or (ring.zero(),)
+
+
 def intersect_ideals(
     a: Sequence[Polynomial],
     b: Sequence[Polynomial],
@@ -511,11 +458,7 @@ def intersect_ideals(
     """Intersection of two ideals by tag elimination: the tag-free part of a
     standard basis of (t*a_i, (1-t)*b_j) under a tag-dominant block order."""
     ring = _check_inputs(list(a) + list(b), order)
-    if order.kind not in (GLOBAL_GRADED_REVLEX, LOCAL_ANTIGRADED_REVLEX):
-        raise ValueError("intersection needs a plain global or local order")
-    tag = _fresh_tag(ring)
-    big = Ring(ring.variables + (tag,))
-    elim = elimination_order(big.nvars, order.kind)
+    big, elim = _tag_extension(ring, order, "intersection")
     lifted = [_lift(p, big, 1) for p in a if not p.is_zero()]
     for q in b:
         if q.is_zero():
@@ -524,70 +467,7 @@ def intersect_ideals(
         lifted.append(_lift(q, big, 0) - _lift(q, big, 1))
     if not lifted:
         return (ring.zero(),)
-    sb = standard_basis(lifted, elim, budgets)
-    found = [_drop_tag(p, ring) for p in sb if _is_tag_free(p)]
-    if not found:
-        return (ring.zero(),)
-    return tuple(found)
-
-
-def ideal_quotient(
-    gens: Sequence[Polynomial],
-    f: Polynomial,
-    order: MonomialOrder,
-    budgets: Budgets = DEFAULT_BUDGETS,
-) -> tuple[Polynomial, ...]:
-    """The quotient ideal (gens) : f, computed as the intersection with (f)
-    followed by exact division by f with multiplier tracking."""
-    ring = _check_inputs(list(gens) + [f], order)
-    if f.is_zero():
-        raise ValueError("quotient by the zero polynomial")
-    inter = intersect_ideals(gens, [f], order, budgets)
-    counter = _Counter(budgets.reductions, "reduction")
-    f_ep = _ep_from_polynomial(f, order)
-    out = []
-    for h in inter:
-        if h.is_zero():
-            continue
-        h_ep = _ep_from_polynomial(h, order)
-        r, _, Q = _weak_normal_form(h_ep, [f_ep], order, counter, track=True)
-        if r.terms:
-            raise ArithmeticError(
-                "intersection element not divisible by f; elimination failed"
-            )
-        q = Q[0]
-        if q.terms:
-            out.append(_ep_to_polynomial(_ep_monic(q), ring))
-    if not out:
-        return (ring.zero(),)
-    return tuple(out)
-
-
-def _lead_signature(
-    gens: Sequence[Polynomial], order: MonomialOrder, budgets: Budgets
-) -> tuple:
-    basis = standard_basis(gens, order, budgets)
-    return leading_exponents(basis, order)
-
-
-def quotient_by_ideal(
-    gens: Sequence[Polynomial],
-    divisor_gens: Sequence[Polynomial],
-    order: MonomialOrder,
-    budgets: Budgets = DEFAULT_BUDGETS,
-) -> tuple[Polynomial, ...]:
-    """(gens) : (divisor_gens) as the intersection of the single quotients."""
-    parts = [
-        ideal_quotient(gens, p, order, budgets)
-        for p in divisor_gens
-        if not p.is_zero()
-    ]
-    if not parts:
-        raise ValueError("quotient by the zero ideal")
-    current = parts[0]
-    for nxt in parts[1:]:
-        current = intersect_ideals(current, nxt, order, budgets)
-    return current
+    return _tag_free_part(lifted, elim, ring, budgets)
 
 
 def saturate(
@@ -596,24 +476,26 @@ def saturate(
     order: MonomialOrder,
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> tuple[tuple[Polynomial, ...], int]:
-    """Saturation (gens) : (igens)^infinity by iterated ideal quotient.
+    """Saturation (gens) : (igens)^infinity by the Rabinowitsch trick.
 
-    Returns (generators, rounds) where rounds counts quotient rounds taken
-    until the lead ideal stabilized."""
+    For each nonzero q in igens, (gens) : q^infinity is the tag-free part of
+    a standard basis of (gens, 1 - t*q) under the tag-dominant block order
+    (Cox, Little & O'Shea, ch. 4, section 4); with the tag global, that part
+    is a standard basis under order, local orders included (Greuel &
+    Pfister).
+    The saturation by the ideal is the intersection of these parts, taken in
+    igens order.  Returns (basis, eliminations): a minimal standard basis of
+    the saturation under order, and the number of tag eliminations, one per
+    nonzero generator of igens."""
     ring = _check_inputs(list(gens) + list(igens), order)
-    del ring
-    current = tuple(gens)
-    signature = _lead_signature(current, order, budgets)
-    rounds = 0
-    while True:
-        if rounds >= budgets.saturation_rounds:
-            raise BudgetExceededError(
-                f"saturation did not stabilize within {budgets.saturation_rounds} rounds"
-            )
-        nxt = quotient_by_ideal(current, igens, order, budgets)
-        rounds += 1
-        nsig = _lead_signature(nxt, order, budgets)
-        if nsig == signature:
-            return current, rounds
-        current = nxt
-        signature = nsig
+    big, elim = _tag_extension(ring, order, "saturation")
+    divisors = [q for q in igens if not q.is_zero()]
+    if not divisors:
+        raise ValueError("saturation by the zero ideal")
+    lifted = [_lift(p, big, 0) for p in gens if not p.is_zero()]
+    basis = None
+    for q in divisors:
+        # 1 - t * q
+        part = _tag_free_part(lifted + [big.one() - _lift(q, big, 1)], elim, ring, budgets)
+        basis = part if basis is None else intersect_ideals(basis, part, order, budgets)
+    return basis, len(divisors)

@@ -18,7 +18,7 @@ from milnorfibre.errors import (
     InconsistencyError,
     InvalidIcisError,
 )
-from milnorfibre.rings import PolyMatrix, Ring, parse_polynomial
+from milnorfibre.rings import PolyMatrix, Polynomial, Ring, parse_polynomial
 
 R5 = Ring(("x1", "x2", "x3", "y1", "y2"))
 
@@ -166,13 +166,15 @@ def test_locus_must_be_an_icis():
     "inp, expected",
     [
         # corank 2: the locus and (g, det H) are each checked once
-        (worked_example(a1_mode="estimate"), (2, 1, 1, 1)),
+        (worked_example(a1_mode="estimate"), (2, 1, 1, 1, 55)),
         # corank 0: only the locus is checked; a = 0 needs no colength
-        (mk(("y1", "y2"), (("1", "0"), ("0", "1"))), (1, 0, 0, 1)),
+        (mk(("y1", "y2"), (("1", "0"), ("0", "1"))), (1, 0, 0, 1, 25)),
     ],
 )
 def test_each_ideal_is_checked_once(monkeypatch, inp, expected):
-    counts = dict.fromkeys(("check_icis", "compute_a", "determinant", "assemble_f"), 0)
+    counts = dict.fromkeys(
+        ("check_icis", "compute_a", "determinant", "assemble_f", "derivative"), 0
+    )
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -181,8 +183,10 @@ def test_each_ideal_is_checked_once(monkeypatch, inp, expected):
 
         return wrapper
 
-    for name in counts:
+    for name in ("check_icis", "compute_a", "determinant", "assemble_f"):
         monkeypatch.setattr(decomposition, name, counting(name, getattr(decomposition, name)))
+    # each generator and each partial of f is differentiated once per job
+    monkeypatch.setattr(Polynomial, "derivative", counting("derivative", Polynomial.derivative))
     # milnor_icis must run on the caller's check, not test its ideal again
     monkeypatch.setattr(milnor, "check_icis", decomposition.check_icis)
     invariant_report(inp)

@@ -119,6 +119,11 @@ def test_too_many_generators_rejected():
         milnor_icis(check_icis(germ(["x", "y", "x + y"], ("x", "y"))))
 
 
+def test_empty_presentation_rejected():
+    with pytest.raises(InvalidIcisError, match="empty presentation"):
+        check_icis(())
+
+
 def test_recombination_matrices_are_invertible():
     rng = random.Random(0)
     for size in (1, 2, 3, 4):
