@@ -58,7 +58,6 @@ from .standard_basis import (
     colength,
     intersect_ideals,
     is_member,
-    normal_form,
     saturate,
     standard_basis,
     weak_normal_form,
@@ -105,7 +104,6 @@ __all__ = [
     "milnor_fibre_homology",
     "milnor_icis",
     "minors",
-    "normal_form",
     "parse_job",
     "parse_polynomial",
     "run_homology",

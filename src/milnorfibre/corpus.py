@@ -1,6 +1,7 @@
 """Built-in regression corpus.
 
-Fourteen cases: the order-k family (k = 1..4) in 5 variables, the worked
+Sixteen cases: the order-k family (k = 1..4) in 5 variables, its k = 3 and
+k = 4 members after a sparse linear change of coordinates, the worked
 2-point-D(3,2) example in 5 variables, and the D(3,p) padded normal forms
 for p in {0,1,2} and n in {5,6,7}.  Every case runs under several seeds and
 under two ring variable orders (given and reversed); the invariants must
@@ -62,6 +63,19 @@ def _order_k_case(k: int) -> CorpusCase:
     )
 
 
+def _sheared_order_k_case(k: int) -> CorpusCase:
+    """The order-k germ under x1 -> x2 + y2, x2 -> x1, x3 -> x2 - y1,
+    y1 -> x3 + 2*x2, y2 -> x2; invertible, so the invariants stay."""
+    return CorpusCase(
+        name=f"order-{k}-shear-n5",
+        variables=("x1", "x2", "x3", "y1", "y2"),
+        g=("x3 + 2*x2", "x2"),
+        h=(("x2 - y1", "x1"), ("x1", f"(x2 + y2)^{k} - x2 + y1")),
+        expected=(0, 2 * k - 1, k, 2),
+        expected_bouquet="S^3",
+    )
+
+
 def _dkp_case(p: int, n: int) -> CorpusCase:
     size = n - 3
     variables = tuple(f"x{i}" for i in range(1, n + 1))
@@ -87,6 +101,7 @@ def _dkp_case(p: int, n: int) -> CorpusCase:
 
 def builtin_cases() -> tuple[CorpusCase, ...]:
     cases = [_order_k_case(k) for k in (1, 2, 3, 4)]
+    cases += [_sheared_order_k_case(k) for k in (3, 4)]
     cases.append(
         CorpusCase(
             name="two-d32-points-n5",

@@ -26,9 +26,8 @@ from .standard_basis import (
     Budgets,
     DEFAULT_BUDGETS,
     INFINITE,
+    _staircase,
     colength,
-    leading_exponents,
-    standard_basis,
 )
 
 RECOMBINATION_ENTRY_BOUND = 9
@@ -78,32 +77,6 @@ class IcisCheck:
         return f"INFINITE singular locus (unbounded in {missing})"
 
 
-def _staircase_unbounded_vars(
-    gens: Sequence[Polynomial], budgets: Budgets
-) -> tuple[int | float, tuple[str, ...]]:
-    """Colength plus the variables with no pure power among the lead terms."""
-    ring = gens[0].ring
-    order = local_order(ring.nvars)
-    live = [g for g in gens if not g.is_zero()]
-    if not live:
-        return INFINITE, ring.variables
-    basis = standard_basis(live, order, budgets)
-    leads = leading_exponents(basis, order)
-    unbounded = []
-    for i, name in enumerate(ring.variables):
-        pure = [
-            e[i]
-            for e in leads
-            if all(x == 0 for j, x in enumerate(e) if j != i)
-        ]
-        if not pure:
-            unbounded.append(name)
-    if unbounded:
-        return INFINITE, tuple(unbounded)
-    value = colength(live, order, budgets, basis=basis)
-    return value, ()
-
-
 def check_icis(gens: Sequence[Polynomial], budgets: Budgets = DEFAULT_BUDGETS) -> IcisCheck:
     """Test that V(gens) is a complete intersection with at most an isolated
     singularity at the origin: the ideal of the generators plus the maximal
@@ -122,7 +95,7 @@ def check_icis(gens: Sequence[Polynomial], budgets: Budgets = DEFAULT_BUDGETS) -
         raise InvalidIcisError("generator does not vanish at the origin")
     jac = jacobian(ring, list(gens))
     sing = list(gens) + list(minors(jac, k))
-    value, unbounded = _staircase_unbounded_vars(sing, budgets)
+    value, unbounded = _staircase(sing, local_order(ring.nvars), budgets)
     return IcisCheck(value != INFINITE, value, unbounded, tuple(gens))
 
 

@@ -15,11 +15,21 @@ and S-pairs are popped from a heap in (lcm degree, i, j) order.  Each engine
 polynomial caches its lead exponent and ecart when it is built, so the
 reducer scan reads them instead of recomputing them.  Budgets abort loudly,
 never truncate.
+
+colength under the local degree order computes its basis with the highest
+corner (Greuel & Pfister, A Singular Introduction to Commutative Algebra,
+ch. 1): once the leads hold a pure power x_i^b_i of every variable, m^D lies
+in the ideal for D = sum(b_i - 1) + 1, so every term of degree >= D is dropped
+from S-polynomials and reduction steps.  This is exact: the lead ideal, and
+so the colength, do not change.  The truncated basis is no standard basis of
+the ideal and never leaves colength; standard_basis, is_member and the
+eliminations compute untruncated ones.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, itemgetter
@@ -116,12 +126,30 @@ def _ep_monic(ep: _EP) -> _EP:
     return _ep_scale(ep, _ONE / ep.terms[0][2])
 
 
-def _ep_sub_shifted(a: _EP, c: Fraction, skey: tuple, sexpo: tuple, b: _EP) -> _EP:
-    """a - c * x^sexpo * b; skey must equal order.key(sexpo)."""
+def _term_degree(term: tuple) -> int:
+    """Degree of an engine term under the local degree order, whose key
+    starts with minus the degree."""
+    return -term[0][0]
+
+
+def _below(terms: tuple, cut: int) -> int:
+    """Number of leading terms of degree < cut under the local degree order,
+    which sorts terms by ascending degree."""
+    return bisect_left(terms, cut, key=_term_degree)
+
+
+def _ep_sub_shifted(
+    a: _EP, c: Fraction, skey: tuple, sexpo: tuple, b: _EP, cut: int | None = None
+) -> _EP:
+    """a - c * x^sexpo * b; skey must equal order.key(sexpo).  With cut set,
+    under the local degree order only, the terms of degree >= cut are left out."""
     out = []
     aterms, bterms = a.terms, b.terms
     i = j = 0
     na, nb = len(aterms), len(bterms)
+    if cut is not None:
+        na = _below(aterms, cut)
+        nb = _below(bterms, cut - monomial_degree(sexpo))
     while i < na and j < nb:
         ka = aterms[i][0]
         kb = tuple(map(add, bterms[j][0], skey))
@@ -138,7 +166,7 @@ def _ep_sub_shifted(a: _EP, c: Fraction, skey: tuple, sexpo: tuple, b: _EP) -> _
                 out.append((ka, aterms[i][1], coeff))
             i += 1
             j += 1
-    out.extend(aterms[i:])
+    out.extend(aterms[i:na])
     while j < nb:
         kt, et, ct = bterms[j]
         out.append((tuple(map(add, kt, skey)), tuple(map(add, et, sexpo)), -c * ct))
@@ -146,8 +174,9 @@ def _ep_sub_shifted(a: _EP, c: Fraction, skey: tuple, sexpo: tuple, b: _EP) -> _
     return _EP(tuple(out))
 
 
-def _ep_spoly(a: _EP, b: _EP, order: MonomialOrder) -> _EP:
-    """S-polynomial of monic engine polynomials: x^(l-ea)*a - x^(l-eb)*b."""
+def _ep_spoly(a: _EP, b: _EP, order: MonomialOrder, cut: int | None = None) -> _EP:
+    """S-polynomial of monic engine polynomials: x^(l-ea)*a - x^(l-eb)*b,
+    without its terms of degree >= cut when cut is set."""
     ea, eb = a.lead, b.lead
     lcm = tuple(map(max, ea, eb))
     sa = tuple(x - y for x, y in zip(lcm, ea))
@@ -157,15 +186,19 @@ def _ep_spoly(a: _EP, b: _EP, order: MonomialOrder) -> _EP:
         tuple((tuple(map(add, k, ka)), tuple(map(add, e, sa)), c) for k, e, c in a.terms),
         maxdeg=a.maxdeg + sum(sa),
     )
-    return _ep_sub_shifted(shifted, _ONE, order.key(sb), sb, b)
+    return _ep_sub_shifted(shifted, _ONE, order.key(sb), sb, b, cut)
 
 
 def _weak_normal_form(
-    f: _EP, reducers: Sequence[_EP], order: MonomialOrder, counter: _Counter
+    f: _EP,
+    reducers: Sequence[_EP],
+    order: MonomialOrder,
+    counter: _Counter,
+    cut: int | None = None,
 ) -> _EP:
     """Mora weak normal form: unit * f minus a combination of the reducers,
     whose lead is divisible by no reducer lead (the unit is 1 under a global
-    order)."""
+    order).  With cut set, each step drops the terms of degree >= cut."""
     table = list(reducers)
     h = f
     while h.terms:
@@ -185,20 +218,8 @@ def _weak_normal_form(
         counter.spend()
         c = lc / g.terms[0][2]
         sexpo = tuple(x - y for x, y in zip(le, g.lead))
-        h = _ep_sub_shifted(h, c, order.key(sexpo), sexpo, g)
+        h = _ep_sub_shifted(h, c, order.key(sexpo), sexpo, g, cut)
     return h
-
-
-def _reduced_normal_form(
-    f: _EP, reducers: Sequence[_EP], order: MonomialOrder, counter: _Counter
-) -> _EP:
-    """Weak normal form, then tail reduction; no term divisible by a reducer lead."""
-    out = []
-    h = _weak_normal_form(f, reducers, order, counter)
-    while h.terms:
-        out.append(h.terms[0])
-        h = _weak_normal_form(_EP(h.terms[1:]), reducers, order, counter)
-    return _EP(tuple(out))
 
 
 def _standard_basis_ep(
@@ -206,21 +227,38 @@ def _standard_basis_ep(
     order: MonomialOrder,
     budgets: Budgets,
     use_criteria: bool,
+    highest_corner: bool = False,
 ) -> list[_EP]:
+    """Minimal monic standard basis of the ideal of gens, as engine
+    polynomials.  With highest_corner, for the local degree order only, it is
+    truncated at the highest corner: its leads still generate the lead ideal,
+    but its elements lie in the ideal only modulo m^D."""
     counter = _Counter(budgets.reductions, "reduction")
     pair_counter = _Counter(budgets.basis, "basis pair")
     G: list[_EP] = []
     # heap of (lcm degree, i, j, lcm); pending holds the pairs not yet popped
     queue: list[tuple] = []
     pending: set[tuple[int, int]] = set()
+    # least pure power of each variable among the leads (a lead 1 is a pure
+    # power of every variable), and D once every variable has one
+    pure: list[int | None] = [None] * order.nvars
+    cut = None
 
     def add_element(g: _EP) -> None:
+        nonlocal cut
         new = len(G)
         G.append(g)
         for k in range(new):
             lcm = tuple(map(max, G[k].lead, g.lead))
             heapq.heappush(queue, (monomial_degree(lcm), k, new, lcm))
             pending.add((k, new))
+        if highest_corner:
+            deg = monomial_degree(g.lead)
+            for i, b in enumerate(g.lead):
+                if b == deg and (pure[i] is None or b < pure[i]):
+                    pure[i] = b
+            if None not in pure:
+                cut = sum(pure) - len(pure) + 1
 
     for g in gens:
         if g.terms:
@@ -248,8 +286,8 @@ def _standard_basis_ep(
             if skip:
                 continue
         pair_counter.spend()
-        s = _ep_spoly(G[i], G[j], order)
-        h = _weak_normal_form(s, G, order, counter)
+        s = _ep_spoly(G[i], G[j], order, cut)
+        h = _weak_normal_form(s, G, order, counter, cut)
         if h.terms:
             add_element(_ep_monic(h))
     return _minimalize(G)
@@ -311,25 +349,6 @@ def weak_normal_form(
     return _ep_to_polynomial(h, f.ring)
 
 
-def normal_form(
-    f: Polynomial,
-    reducers: Sequence[Polynomial],
-    order: MonomialOrder,
-    budgets: Budgets = DEFAULT_BUDGETS,
-) -> Polynomial:
-    """Fully reduced normal form: no term divisible by any reducer lead.
-
-    Under a global order this is the classical canonical remainder.  Under a
-    local order the result is canonical up to a unit factor; it is zero
-    exactly when f lies in the ideal generated by a standard basis.
-    """
-    _check_inputs([f] + list(reducers), order)
-    counter = _Counter(budgets.reductions, "reduction")
-    eps = [_ep_from_polynomial(g, order) for g in reducers if not g.is_zero()]
-    h = _reduced_normal_form(_ep_from_polynomial(f, order), eps, order, counter)
-    return _ep_to_polynomial(h, f.ring)
-
-
 def leading_exponents(
     basis: Sequence[Polynomial], order: MonomialOrder
 ) -> tuple[tuple[int, ...], ...]:
@@ -371,23 +390,37 @@ def colength(
 ) -> int | float:
     """Vector-space dimension of the quotient by the ideal; INFINITE when the
     staircase is unbounded (some variable has no pure power among the leads)."""
+    return _staircase(gens, order, budgets, basis)[0]
+
+
+def _staircase(
+    gens: Sequence[Polynomial],
+    order: MonomialOrder,
+    budgets: Budgets,
+    basis: Sequence[Polynomial] | None = None,
+) -> tuple[int | float, tuple[str, ...]]:
+    """Colength of the ideal and the variables with no pure power among its
+    leads; the colength is INFINITE exactly when there are such variables.
+
+    Without a given basis, the leads come from a standard basis that the
+    local degree order truncates at the highest corner."""
+    ring = _check_inputs(gens, order)
     if basis is None:
-        basis = standard_basis(gens, order, budgets)
-    ring = gens[0].ring
-    leads = leading_exponents(basis, order)
-    if not leads:
-        return INFINITE
-    n = ring.nvars
+        eps = [_ep_from_polynomial(g, order) for g in gens]
+        local = order.kind == LOCAL_ANTIGRADED_REVLEX
+        leads = [g.lead for g in _standard_basis_ep(eps, order, budgets, True, local)]
+    else:
+        leads = leading_exponents(basis, order)
     bounds = []
-    for i in range(n):
-        pure = [
-            e[i]
-            for e in leads
-            if all(x == 0 for j, x in enumerate(e) if j != i)
-        ]
-        if not pure:
-            return INFINITE
-        bounds.append(min(pure))
+    unbounded = []
+    for i, name in enumerate(ring.variables):
+        pure = [e[i] for e in leads if e[i] == monomial_degree(e)]
+        if pure:
+            bounds.append(min(pure))
+        else:
+            unbounded.append(name)
+    if unbounded:
+        return INFINITE, tuple(unbounded)
     total_box = 1
     for b in bounds:
         total_box *= max(b, 1)
@@ -395,6 +428,7 @@ def colength(
         raise BudgetExceededError(
             f"staircase box of size {total_box} exceeds budget {budgets.staircase}"
         )
+    n = ring.nvars
     expo = [0] * n
 
     def scan(pos: int) -> int:
@@ -408,7 +442,7 @@ def colength(
         expo[pos] = 0
         return total
 
-    return scan(0)
+    return scan(0), ()
 
 
 def _tag_extension(

@@ -93,6 +93,16 @@ def test_family_invariants(k):
     assert all(c.passed for c in rep.checks)
 
 
+def test_sheared_order_4_invariants():
+    """The order-4 germ after the invertible linear change of coordinates
+    x1 -> x2 + y2, x2 -> x1, x3 -> x2 + y1, y1 -> x3 - 2*x2, y2 -> x2 keeps
+    the invariants (0, 7, 4, 2).  Its chain colengths are where Mora's
+    normal form swells without the highest corner."""
+    inp = mk(("-2*x2 + x3", "x2"), (("x2 + y1", "x1"), ("x1", "(x2 + y2)^4 - x2 - y1")))
+    rep = invariant_report(inp)
+    assert (rep.mu0, rep.mu1, rep.a, rep.corank) == (0, 7, 4, 2)
+
+
 def test_worked_example_invariants():
     rep = invariant_report(worked_example())
     assert (rep.mu0, rep.mu1, rep.a, rep.corank) == (0, 3, 2, 2)

@@ -1,4 +1,5 @@
-"""Standard bases, normal forms, colength, intersection, saturation.
+"""Standard bases, normal forms, colength, the highest corner, intersection,
+saturation.
 
 Every nontrivial frozen value here is cross-checked by an independent
 route stated next to it: a truncated-series computation, divisibility logic
@@ -10,7 +11,7 @@ saturation by iterated ideal quotients).
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from milnorfibre.errors import BudgetExceededError
 from milnorfibre.orders import (
@@ -38,7 +39,6 @@ from milnorfibre.standard_basis import (
     intersect_ideals,
     is_member,
     leading_exponents,
-    normal_form,
     saturate,
     standard_basis,
     weak_normal_form,
@@ -70,6 +70,21 @@ def sparse_polys(draw, ring=R2, max_terms=3, max_exp=3):
 
 
 # --- normal forms --------------------------------------------------------
+
+def normal_form(f, reducers, order):
+    """Test-only: weak normal form, then tail reduction, so that no term is
+    divisible by a reducer lead.  Under a global order this is the canonical
+    remainder; under a local order it is zero exactly when f lies in the
+    ideal of a standard basis."""
+    out = f.ring.zero()
+    h = weak_normal_form(f, reducers, order)
+    while not h.is_zero():
+        lead = order.leading_exponent(list(h.terms))
+        term = Polynomial(f.ring, {lead: h.coefficient(lead)})
+        out = out + term
+        h = weak_normal_form(h - term, reducers, order)
+    return out
+
 
 def test_global_normal_form_is_canonical():
     basis = standard_basis([p("x^2 - y"), p("y^2 - 1")], global_order(2))
@@ -285,6 +300,83 @@ def test_colength_budget():
     tight = Budgets(reductions=5, basis=2, staircase=10)
     with pytest.raises(BudgetExceededError):
         colength([p("x^9 + y^3"), p("y^9 + x^2*y")], global_order(2), tight)
+
+
+def test_local_colength_budget_keeps_its_message():
+    """The highest corner saves reduction steps, but a budget below what the
+    truncated computation needs still aborts it, with the usual message."""
+    gens = [p("x^5 + x*y^2"), p("x^2*y + y^3 + x^4")]
+    assert colength(gens, local_order(2)) == 11
+    with pytest.raises(BudgetExceededError) as info:
+        colength(gens, local_order(2), Budgets(reductions=5))
+    assert str(info.value) == (
+        "reduction budget exhausted (5); raise the budget to continue"
+    )
+
+
+# --- highest corner ---------------------------------------------------------
+
+def test_highest_corner_pinned_case():
+    """(3*y^2 - x^3 + 2*x^2*y^2, x^4, y^3): locally 3 + 2*x^2 is a unit, so
+    y^2 is x^3 times a unit modulo the ideal, and y * y^2 puts x^3*y in it.
+    The leads y^2, x^3*y, x^4 leave the staircase 1, x, x^2, x^3, y, x*y,
+    x^2*y.  The pure powers y^2 and x^4 put the corner at D = 5; x^3*y has
+    degree 4, so a cut one degree lower loses it and counts 8."""
+    gens = [p("2*x^2*y^2 - x^3 + 3*y^2"), p("x^4"), p("y^3")]
+    order = local_order(2)
+    assert colength(gens, order) == 7
+    assert leading_exponents(standard_basis(gens, order), order) == ((0, 2), (3, 1), (4, 0))
+
+
+@st.composite
+def m_primary_ideals(draw):
+    """Random generators without a constant term plus a pure power of every
+    variable, in 2 or 3 variables."""
+    ring = draw(st.sampled_from((R2, R3)))
+    n = ring.nvars
+    monomials = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    gens = [
+        Polynomial(ring, terms)
+        for terms in draw(
+            st.lists(
+                st.dictionaries(monomials, small_coeffs.map(Fraction), min_size=1, max_size=3),
+                min_size=1,
+                max_size=3,
+            )
+        )
+    ]
+    for i, b in enumerate(draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))):
+        gens.append(Polynomial(ring, {tuple(b if j == i else 0 for j in range(n)): Fraction(1)}))
+    return gens
+
+
+@given(m_primary_ideals())
+# the corner is D = 4 (pure powers x, y^2, z^3) and y*z^2 of degree 3 enters
+# the lead ideal only through a reduction
+@example([p("3*y^3 - y*z^2", R3), p("3*y^2", R3), p("x", R3), p("y^3", R3), p("z^3", R3)])
+@settings(max_examples=200, deadline=None)
+def test_highest_corner_colength_matches_untruncated_basis(gens):
+    """The oracle is the colength read off the untruncated standard basis;
+    the budget bounds the Mora blow-ups some random inputs have."""
+    order = local_order(gens[0].ring.nvars)
+    budgets = Budgets(reductions=300)
+    try:
+        expected = colength(gens, order, basis=standard_basis(gens, order, budgets))
+    except BudgetExceededError:
+        return
+    assert colength(gens, order, budgets) == expected
+
+
+def test_highest_corner_stays_inside_colength():
+    """standard_basis returns the untruncated basis of the pinned case: its
+    third element keeps the tail -2*x^2*y^3 of degree 5 >= D, which the
+    truncated basis inside colength drops."""
+    gens = [p("2*x^2*y^2 - x^3 + 3*y^2"), p("x^4"), p("y^3")]
+    assert standard_basis(gens, local_order(2)) == (
+        p("2/3*x^2*y^2 - 1/3*x^3 + y^2"),
+        p("x^4"),
+        p("-2*x^2*y^3 + x^3*y"),
+    )
 
 
 # --- intersection, saturation -------------------------------------------
