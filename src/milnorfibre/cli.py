@@ -78,11 +78,7 @@ def _budgets_from(args: argparse.Namespace) -> Budgets:
     ):
         if value < 1:
             raise ParseError(f"{flag} must be at least 1, got {value}")
-    return Budgets(
-        reductions=args.budget_reductions,
-        basis=args.budget_basis,
-        staircase=DEFAULT_BUDGETS.staircase,
-    )
+    return Budgets(reductions=args.budget_reductions, basis=args.budget_basis)
 
 
 def _load_job(path: str, args: argparse.Namespace) -> Job:
@@ -134,6 +130,8 @@ def _cmd_tables(args: argparse.Namespace) -> int:
         raise ParseError(f"--n must be at least 4, got {args.n}")
     if not 0 <= args.corank <= args.n - 3:
         raise ParseError(f"--corank must be in 0..{args.n - 3}, got {args.corank}")
+    if args.corank >= 1 and args.n < 5:
+        raise ParseError(f"--corank {args.corank} needs --n at least 5, got {args.n}")
     start = time.perf_counter()
     fibre, tables, checks, notes = collect_tables(
         args.mu0, args.mu1, args.a, args.corank, args.a1, args.n

@@ -218,7 +218,6 @@ class HomologyTable:
     space: str
     coefficients: str
     entries: tuple[tuple[int, FgAbelianGroup], ...]
-    parameters: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
         if self.coefficients not in ("integral", "mod2"):
@@ -249,25 +248,17 @@ class HomologyTable:
             total += size if d % 2 == 0 else -size
         return total
 
-    def parameter(self, name: str) -> int:
-        for k, val in self.parameters:
-            if k == name:
-                return val
-        raise KeyError(name)
-
 
 def make_table(
     space: str,
     coefficients: str,
     groups: Mapping[int, FgAbelianGroup],
-    parameters: Mapping[str, int] | None = None,
 ) -> HomologyTable:
     """Build a table, merging nothing and dropping trivial degrees."""
     entries = tuple(
         (d, g) for d, g in sorted(groups.items()) if not g.is_trivial()
     )
-    params = tuple(sorted((parameters or {}).items()))
-    return HomologyTable(space, coefficients, entries, params)
+    return HomologyTable(space, coefficients, entries)
 
 
 def _accumulate(groups: dict[int, FgAbelianGroup], degree: int, g: FgAbelianGroup):
@@ -294,7 +285,7 @@ def universal_coefficients_mod2(table: HomologyTable) -> HomologyTable:
         )
         if dim:
             groups[d] = mod2_group(dim)
-    return make_table(table.space, "mod2", groups, dict(table.parameters))
+    return make_table(table.space, "mod2", groups)
 
 
 def _require(cond: bool, message: str):
@@ -306,7 +297,6 @@ def table_B(mu1: int, a: int) -> tuple[HomologyTable, HomologyTable]:
     """Low-degree homology of the ambient tube boundary piece B:
     integral (Z^a, Z^{mu1-a}, Z2, Z in degrees 3,2,1,0) and its mod-2 twin."""
     _require(0 <= a <= mu1 or (a == 0 and mu1 == 0), f"need mu1 >= a >= 0, got mu1={mu1} a={a}")
-    params = {"mu1": mu1, "a": a}
     integral = make_table(
         SPACE_B,
         "integral",
@@ -316,7 +306,6 @@ def table_B(mu1: int, a: int) -> tuple[HomologyTable, HomologyTable]:
             1: FgAbelianGroup(0, (2,)),
             0: free_group(1),
         },
-        params,
     )
     mod2 = make_table(
         SPACE_B,
@@ -327,7 +316,6 @@ def table_B(mu1: int, a: int) -> tuple[HomologyTable, HomologyTable]:
             1: mod2_group(1),
             0: mod2_group(1),
         },
-        params,
     )
     return integral, mod2
 
@@ -343,7 +331,6 @@ def table_pair_B_Bu(mu1: int, a: int, n: int) -> dict[str, HomologyTable]:
     _require(mu1 - 2 * a + 1 >= 0, f"mu1 - 2a + 1 = {mu1 - 2 * a + 1} < 0")
     _require(2 * mu1 - 3 * a + 1 >= 0, f"2*mu1 - 3a + 1 = {2 * mu1 - 3 * a + 1} < 0")
     _require(mu1 >= a >= 0, f"need mu1 >= a >= 0, got mu1={mu1} a={a}")
-    params = {"mu1": mu1, "a": a, "n": n}
     pair = make_table(
         SPACE_PAIR,
         "integral",
@@ -352,7 +339,6 @@ def table_pair_B_Bu(mu1: int, a: int, n: int) -> dict[str, HomologyTable]:
             n - 1: free_group(2 * mu1 - 3 * a + 1),
             n - 3: free_group(1),
         },
-        params,
     )
     b_high = make_table(
         SPACE_B,
@@ -361,7 +347,6 @@ def table_pair_B_Bu(mu1: int, a: int, n: int) -> dict[str, HomologyTable]:
             n - 1: FgAbelianGroup(mu1 - 2 * a + 1, (2,) * a),
             n - 3: FgAbelianGroup(0, (2,)),
         },
-        params,
     )
     bu = make_table(
         SPACE_BU,
@@ -372,7 +357,6 @@ def table_pair_B_Bu(mu1: int, a: int, n: int) -> dict[str, HomologyTable]:
             n - 3: FgAbelianGroup(0, (2,)),
             n - 4: free_group(1),
         },
-        params,
     )
     cover = make_table(
         SPACE_BU_COVER,
@@ -382,7 +366,6 @@ def table_pair_B_Bu(mu1: int, a: int, n: int) -> dict[str, HomologyTable]:
             2: free_group(2 * mu1 - 3 * a + 1),
             0: free_group(1),
         },
-        params,
     )
     chi_bu_even_regime = (
         bu.rank(n - 4) - bu.rank(n - 3) + bu.rank(n - 2) - bu.rank(n - 1)
@@ -402,7 +385,6 @@ def table_X(mu1: int, a: int, n: int) -> tuple[HomologyTable, HomologyTable]:
     _require(mu1 - 2 * a + 1 >= 0, f"mu1 - 2a + 1 = {mu1 - 2 * a + 1} < 0")
     _require(2 * mu1 - 3 * a + 1 >= 0, f"2*mu1 - 3a + 1 = {2 * mu1 - 3 * a + 1} < 0")
     _require(mu1 >= a, f"need mu1 >= a, got mu1={mu1} a={a}")
-    params = {"mu1": mu1, "a": a, "n": n}
     integral = make_table(
         SPACE_X,
         "integral",
@@ -412,7 +394,6 @@ def table_X(mu1: int, a: int, n: int) -> tuple[HomologyTable, HomologyTable]:
             2: free_group(mu1 - a),
             0: free_group(1),
         },
-        params,
     )
     mod2 = make_table(
         SPACE_X,
@@ -423,7 +404,6 @@ def table_X(mu1: int, a: int, n: int) -> tuple[HomologyTable, HomologyTable]:
             2: mod2_group(mu1 - a),
             0: mod2_group(1),
         },
-        params,
     )
     return integral, mod2
 
@@ -436,7 +416,6 @@ def table_M(mu0: int, mu1: int, a: int, corank: int, n: int) -> HomologyTable:
     for corank >= 2.  Lower coranks list their complete tables.
     """
     _require(0 <= corank <= n - 3, f"corank {corank} outside 0..{n - 3}")
-    params = {"mu0": mu0, "mu1": mu1, "a": a, "corank": corank, "n": n}
     groups: dict[int, FgAbelianGroup] = {}
     if corank >= 2:
         _require(mu1 - 2 * a + 1 >= 0, f"mu1 - 2a + 1 = {mu1 - 2 * a + 1} < 0")
@@ -456,7 +435,7 @@ def table_M(mu0: int, mu1: int, a: int, corank: int, n: int) -> HomologyTable:
         _accumulate(groups, n - 1, free_group(mu0))
         _accumulate(groups, n - 4, free_group(1))
         _accumulate(groups, 0, free_group(1))
-    return make_table(SPACE_M, "integral", groups, params)
+    return make_table(SPACE_M, "integral", groups)
 
 
 def milnor_fibre_homology(
@@ -472,9 +451,6 @@ def milnor_fibre_homology(
     _require(0 <= corank <= n - 3, f"corank {corank} outside 0..{n - 3}")
     if corank >= 1 and n < 5:
         raise InconsistencyError(f"fibre table needs n >= 5 for corank >= 1, got n={n}")
-    params = {
-        "mu0": mu0, "mu1": mu1, "a": a, "corank": corank, "a1": a1, "n": n,
-    }
     groups: dict[int, FgAbelianGroup] = {}
     if corank >= 3:
         top = mu0 + 2 * mu1 - 4 * a + 1 + a1
@@ -492,7 +468,7 @@ def milnor_fibre_homology(
         _accumulate(groups, n - 1, free_group(mu0 + a1))
         _accumulate(groups, n - 4, free_group(1))
     _accumulate(groups, 0, free_group(1))
-    fibre = make_table(SPACE_FIBRE, "integral", groups, params)
+    fibre = make_table(SPACE_FIBRE, "integral", groups)
 
     m_table = table_M(mu0, mu1, a, corank, n)
     for d in sorted(set(fibre.degrees()) | set(m_table.degrees())):

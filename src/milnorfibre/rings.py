@@ -139,9 +139,6 @@ class Polynomial:
     def coefficient(self, expo: tuple[int, ...]) -> Fraction:
         return self._terms.get(tuple(expo), Fraction(0))
 
-    def is_constant(self) -> bool:
-        return all(monomial_degree(e) == 0 for e in self._terms)
-
     def is_unit_at_origin(self) -> bool:
         """Invertible in the local ring: nonzero constant term."""
         return self.constant_coefficient() != 0
@@ -472,9 +469,6 @@ class PolyMatrix:
 
     def entry(self, i: int, j: int) -> Polynomial:
         return self._entries[i][j]
-
-    def row(self, i: int) -> tuple[Polynomial, ...]:
-        return self._entries[i]
 
     def entries(self) -> tuple[tuple[Polynomial, ...], ...]:
         return self._entries

@@ -24,6 +24,11 @@ from S-polynomials and reduction steps.  This is exact: the lead ideal, and
 so the colength, do not change.  The truncated basis is no standard basis of
 the ideal and never leaves colength; standard_basis, is_member and the
 eliminations compute untruncated ones.
+
+colength then counts the staircase of the lead ideal by recursion over the
+lead exponents, splitting on one variable's exponent (the Hilbert-function
+recursion, Bayer & Stillman 1992).  Its work is at most the number of
+variables times the count, so the count has no size limit of its own.
 """
 
 from __future__ import annotations
@@ -55,7 +60,6 @@ class Budgets:
 
     reductions: int = 2_000_000
     basis: int = 50_000
-    staircase: int = 10_000_000
 
 
 DEFAULT_BUDGETS = Budgets()
@@ -411,38 +415,35 @@ def _staircase(
         leads = [g.lead for g in _standard_basis_ep(eps, order, budgets, True, local)]
     else:
         leads = leading_exponents(basis, order)
-    bounds = []
-    unbounded = []
-    for i, name in enumerate(ring.variables):
-        pure = [e[i] for e in leads if e[i] == monomial_degree(e)]
-        if pure:
-            bounds.append(min(pure))
-        else:
-            unbounded.append(name)
+    unbounded = tuple(
+        name
+        for i, name in enumerate(ring.variables)
+        if not any(e[i] == monomial_degree(e) for e in leads)
+    )
     if unbounded:
-        return INFINITE, tuple(unbounded)
-    total_box = 1
-    for b in bounds:
-        total_box *= max(b, 1)
-    if total_box > budgets.staircase:
-        raise BudgetExceededError(
-            f"staircase box of size {total_box} exceeds budget {budgets.staircase}"
-        )
-    n = ring.nvars
-    expo = [0] * n
+        return INFINITE, unbounded
+    return _count_staircase(leads, ring.nvars), ()
 
-    def scan(pos: int) -> int:
-        if pos == n:
-            e = tuple(expo)
-            return 0 if any(monomial_divides(l, e) for l in leads) else 1
-        total = 0
-        for v in range(bounds[pos]):
-            expo[pos] = v
-            total += scan(pos + 1)
-        expo[pos] = 0
-        return total
 
-    return scan(0), ()
+def _count_staircase(leads: Sequence[tuple[int, ...]], nvars: int) -> int:
+    """Number of monomials in nvars variables that no lead divides, where the
+    leads hold a pure power of every variable.
+
+    Splits on the first exponent v at the values the leads take below its
+    least pure power b: on each interval [lo, hi) of them the leads with
+    e[0] <= v are the same, so x1^v * m lies outside the ideal exactly when no
+    tail e[1:] of those leads divides m.  Each call stands for a distinct
+    staircase prefix x1^lo, so the work is at most nvars times the count."""
+    if any(not any(e) for e in leads):
+        return 0
+    if nvars == 0:
+        return 1
+    b = min(e[0] for e in leads if not any(e[1:]))
+    cuts = sorted({0, b} | {e[0] for e in leads if e[0] < b})
+    return sum(
+        (hi - lo) * _count_staircase([e[1:] for e in leads if e[0] <= lo], nvars - 1)
+        for lo, hi in zip(cuts, cuts[1:])
+    )
 
 
 def _tag_extension(

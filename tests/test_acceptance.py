@@ -28,7 +28,7 @@ from milnorfibre.homology import (
 )
 from milnorfibre.jobs import Job, run_homology
 from milnorfibre.milnor import check_icis, milnor_icis
-from milnorfibre.orders import global_order
+from milnorfibre.orders import global_order, local_order
 from milnorfibre.rings import Polynomial, Ring, parse_polynomial
 from milnorfibre.standard_basis import colength
 
@@ -121,8 +121,9 @@ def test_criterion_4_monomial_colength_oracle():
             for i in range(nvars)
         ]
         expected = _staircase_count([tuple(e) for e in exponents if any(e)], bounds)
-        got = colength(gens, global_order(nvars))
-        assert got == expected, (exponents, got, expected)
+        for order in (global_order(nvars), local_order(nvars)):
+            got = colength(gens, order)
+            assert got == expected, (exponents, order.kind, got, expected)
         checked += 1
     assert time.perf_counter() - start < 5.0
 

@@ -91,7 +91,7 @@ def test_inconsistency_exit_code(capsys):
 
 @pytest.mark.parametrize(
     "corank, n, message",
-    [("-1", "6", "--corank"), ("4", "6", "--corank"), ("0", "3", "--n")],
+    [("-1", "6", "--corank"), ("4", "6", "--corank"), ("0", "3", "--n"), ("1", "4", "--corank")],
 )
 def test_tables_out_of_range_flag_exit_code(corank, n, message, capsys):
     code, _, err = run_main(

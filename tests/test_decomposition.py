@@ -1,6 +1,7 @@
 """Invariants of the presentation f = g * H * g^T."""
 
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,7 +19,9 @@ from milnorfibre.errors import (
     InconsistencyError,
     InvalidIcisError,
 )
+from milnorfibre.orders import global_order
 from milnorfibre.rings import PolyMatrix, Polynomial, Ring, parse_polynomial
+from milnorfibre.standard_basis import Budgets, is_member
 
 R5 = Ring(("x1", "x2", "x3", "y1", "y2"))
 
@@ -52,6 +55,26 @@ def test_assemble_f_expands_the_quadratic_form():
     inp = family_input(1)
     expected = p("x3*y1^2 + 2*x2*y1*y2 + x1*y2^2 - x3*y2^2")
     assert assemble_f(inp) == expected
+
+
+SMALL_POLYS = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * R5.nvars),
+    st.sampled_from((-2, -1, 1, 2, 3)).map(Fraction),
+    min_size=1,
+    max_size=2,
+).map(lambda terms: Polynomial(R5, terms))
+
+
+@settings(max_examples=30, deadline=None)
+@given(g=st.tuples(SMALL_POLYS, SMALL_POLYS), h=st.tuples(SMALL_POLYS, SMALL_POLYS, SMALL_POLYS))
+def test_assembled_f_lies_in_the_square_of_the_locus_ideal(g, h):
+    """The f_in_I_squared check is reported without a membership test because
+    g * H * g^t lies in I^2 = (g_i * g_j) by construction; test that here
+    under the global order, where completion stays small."""
+    a, b, c = h
+    inp = SingularityInput(ring=R5, g=g, h=PolyMatrix(R5, [[a, b], [b, c]]))
+    square = [x * y for i, x in enumerate(g) for y in g[i:]]
+    assert is_member(assemble_f(inp), square, global_order(R5.nvars), Budgets(reductions=2000))
 
 
 def test_verify_decomposition_cross_check():

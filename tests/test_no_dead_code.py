@@ -1,10 +1,15 @@
-"""Every public module-level function of the package has a caller.
+"""Every public function and method of the package has a use.
 
 A function defined at the top level of a module in ``src/milnorfibre`` and
 not starting with an underscore must be referenced somewhere in the package
 outside its own definition (a call, an attribute access or an import), or
 be exported through ``milnorfibre.__all__``.  Tests and scripts do not count
 as callers.
+
+A method of a package class not starting with an underscore must be
+accessed as an attribute, or named in a string (the benchmark's tracer
+names the methods it wraps by string), somewhere in ``src/``, ``tests/``,
+``scripts/`` or ``perfbench/``.
 """
 
 import ast
@@ -13,6 +18,8 @@ from pathlib import Path
 import milnorfibre
 
 PACKAGE = Path(milnorfibre.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
+TREES = ("src", "tests", "scripts", "perfbench")
 
 
 def _references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
@@ -56,3 +63,30 @@ def unreferenced_functions() -> list[str]:
 def test_every_public_function_has_a_caller():
     assert unreferenced_functions() == []
 
+
+def unreferenced_methods() -> list[str]:
+    used = set()
+    for tree in TREES:
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    used.add(node.value)
+    missing = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.parse(path.read_text()).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (
+                    isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("_")
+                    and node.name not in used
+                ):
+                    missing.append(f"{path.stem}.{cls.name}.{node.name}")
+    return missing
+
+
+def test_every_public_method_has_a_use():
+    assert unreferenced_methods() == []

@@ -297,9 +297,35 @@ def test_colength_nonmonomial_matches_hand_count():
 
 
 def test_colength_budget():
-    tight = Budgets(reductions=5, basis=2, staircase=10)
-    with pytest.raises(BudgetExceededError):
-        colength([p("x^9 + y^3"), p("y^9 + x^2*y")], global_order(2), tight)
+    """(x^2 + y^2, x*y) under the global order reduces two S-pairs: the first
+    gives y^3, and (x*y, y^3) reduces to zero; (x^2 + y^2, y^3) has coprime
+    leads and is skipped.  A basis budget of 1 aborts at the second."""
+    gens = [p("x^2 + y^2"), p("x*y")]
+    assert colength(gens, global_order(2), Budgets(basis=2)) == 4
+    with pytest.raises(BudgetExceededError) as info:
+        colength(gens, global_order(2), Budgets(basis=1))
+    assert str(info.value) == (
+        "basis pair budget exhausted (1); raise the budget to continue"
+    )
+
+
+@pytest.mark.parametrize("N", [12, 20])
+def test_colength_of_pure_powers_and_mixed_products(N):
+    """(x_i^N, x_i*x_j for i < j) leaves the staircase 1 and x_i^e for
+    1 <= e < N: 1 + n*(N - 1) monomials, although the box spanned by the
+    pure powers holds N^n cells."""
+    n = 6
+    ring = Ring(tuple(f"x{i}" for i in range(1, n + 1)))
+
+    def monomial(*powers):
+        e = [0] * n
+        for i, k in powers:
+            e[i] += k
+        return Polynomial(ring, {tuple(e): Fraction(1)})
+
+    gens = [monomial((i, N)) for i in range(n)]
+    gens += [monomial((i, 1), (j, 1)) for i in range(n) for j in range(i + 1, n)]
+    assert colength(gens, local_order(n)) == 1 + n * (N - 1)
 
 
 def test_local_colength_budget_keeps_its_message():
