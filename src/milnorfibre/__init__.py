@@ -48,6 +48,7 @@ from .rings import (
     Ring,
     determinant,
     jacobian,
+    leading_minors,
     minors,
     parse_polynomial,
 )
@@ -100,6 +101,7 @@ __all__ = [
     "invariant_report",
     "is_member",
     "jacobian",
+    "leading_minors",
     "local_order",
     "milnor_fibre_homology",
     "milnor_icis",

@@ -12,7 +12,7 @@ import time
 
 from .decomposition import InvariantReport
 from .errors import ComputationError, InconsistencyError, ParseError
-from .homology import bouquet, dkp_fibre
+from .homology import dkp_fibre
 from .jobs import Job, Report, collect_tables, parse_job, run_homology, run_invariants
 from .standard_basis import DEFAULT_BUDGETS, Budgets
 
@@ -133,10 +133,9 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     if args.corank >= 1 and args.n < 5:
         raise ParseError(f"--corank {args.corank} needs --n at least 5, got {args.n}")
     start = time.perf_counter()
-    fibre, tables, checks, notes = collect_tables(
+    fibre, wedge, tables, checks, notes = collect_tables(
         args.mu0, args.mu1, args.a, args.corank, args.a1, args.n
     )
-    wedge = bouquet(fibre)
     inv = InvariantReport(
         n=args.n,
         mu0=args.mu0,

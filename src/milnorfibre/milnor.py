@@ -9,8 +9,13 @@ witnessed by every c_j being finite; a singular or unlucky draw is retried
 from the same seeded stream.
 
 check_icis tests a presentation once and returns an IcisCheck that carries
-its generators; milnor_icis takes that check as its witness and runs the
-chain on its generators, so a caller never tests the same ideal twice.
+its generators and the maximal minors of their Jacobian J; milnor_icis takes
+that check as its witness and runs the chain on its generators, so a caller
+never tests the same ideal twice.  The chain's minors come from one pass of
+the minors engine over the Jacobian of the first k-1 recombined functions
+(rings.leading_minors), and its top level from the check: for the
+recombination matrix A, the k x k minors of A*J are det(A) times those of J.
+The last recombined function is therefore never built.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Sequence
 
 from .errors import ComputationError, InconsistencyError, InvalidIcisError
 from .orders import local_order
-from .rings import PolyMatrix, Polynomial, int_determinant, jacobian, minors
+from .rings import Polynomial, int_determinant, jacobian, leading_minors, minors
 from .standard_basis import (
     Budgets,
     DEFAULT_BUDGETS,
@@ -34,15 +39,17 @@ RECOMBINATION_ENTRY_BOUND = 9
 RECOMBINATION_ATTEMPTS = 8
 
 
-def draw_recombination(size: int, rng: random.Random) -> list[list[int]]:
-    """One invertible integer matrix with entries in [-9, 9] from the stream."""
+def draw_recombination(size: int, rng: random.Random) -> tuple[list[list[int]], int]:
+    """One invertible integer matrix with entries in [-9, 9] from the
+    stream, and its determinant."""
     for _ in range(RECOMBINATION_ATTEMPTS):
         m = [
             [rng.randint(-RECOMBINATION_ENTRY_BOUND, RECOMBINATION_ENTRY_BOUND) for _ in range(size)]
             for _ in range(size)
         ]
-        if int_determinant(m) != 0:
-            return m
+        det = int_determinant(m)
+        if det != 0:
+            return m, det
     raise ComputationError(
         f"no invertible recombination found in {RECOMBINATION_ATTEMPTS} draws"
     )
@@ -69,6 +76,7 @@ class IcisCheck:
     colength: int | float
     unbounded_variables: tuple[str, ...]
     gens: tuple[Polynomial, ...]
+    maximal_minors: tuple[Polynomial, ...]
 
     def message(self) -> str:
         if self.ok:
@@ -93,24 +101,27 @@ def check_icis(gens: Sequence[Polynomial], budgets: Budgets = DEFAULT_BUDGETS) -
         raise InvalidIcisError("zero generator in the presentation")
     if any(g.evaluate_at_origin() != 0 for g in gens):
         raise InvalidIcisError("generator does not vanish at the origin")
-    jac = jacobian(ring, list(gens))
-    sing = list(gens) + list(minors(jac, k))
-    value, unbounded = _staircase(sing, local_order(ring.nvars), budgets)
-    return IcisCheck(value != INFINITE, value, unbounded, tuple(gens))
+    maximal = minors(jacobian(ring, list(gens)), k)
+    value, unbounded = _staircase(list(gens) + list(maximal), local_order(ring.nvars), budgets)
+    return IcisCheck(value != INFINITE, value, unbounded, tuple(gens), maximal)
 
 
 def _chain_colengths(
-    fprime: Sequence[Polynomial], budgets: Budgets
+    check: IcisCheck, matrix: list[list[int]], det: int, budgets: Budgets
 ) -> list[int | float]:
-    ring = fprime[0].ring
+    """Colengths c_1..c_k of the chain of check.gens recombined by matrix,
+    whose determinant is det."""
+    ring = check.gens[0].ring
     order = local_order(ring.nvars)
-    # step j takes the first j rows, so each generator is differentiated once
-    rows = jacobian(ring, list(fprime)).entries()
-    out = []
-    for j in range(1, len(fprime) + 1):
-        ideal = list(fprime[: j - 1]) + list(minors(PolyMatrix(ring, rows[:j]), j))
-        out.append(colength(ideal, order, budgets))
-    return out
+    # step j < k takes level j of one pass over the first k-1 recombined
+    # rows; step k's minors are det(A) times the check's maximal minors
+    head = recombine(check.gens, matrix[:-1])
+    levels = leading_minors(jacobian(ring, list(head))) if head else ()
+    top = tuple(m.scale(det) for m in check.maximal_minors)
+    return [
+        colength(list(head[: j - 1]) + list(level), order, budgets)
+        for j, level in enumerate(levels + (top,), start=1)
+    ]
 
 
 def milnor_icis(
@@ -129,14 +140,12 @@ def milnor_icis(
         raise InvalidIcisError(
             f"not an isolated complete intersection: {check.message()}"
         )
-    gens = check.gens
-    k = len(gens)
+    k = len(check.gens)
     rng = random.Random(seed)
     last_error = None
     for _ in range(RECOMBINATION_ATTEMPTS):
-        matrix = draw_recombination(k, rng)
-        fprime = recombine(gens, matrix)
-        cs = _chain_colengths(fprime, budgets)
+        matrix, det = draw_recombination(k, rng)
+        cs = _chain_colengths(check, matrix, det, budgets)
         if any(c == INFINITE for c in cs):
             last_error = f"chain colengths {cs} not all finite"
             continue

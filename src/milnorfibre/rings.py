@@ -537,48 +537,71 @@ def determinant(m: PolyMatrix) -> Polynomial:
     return minors(m, m.rows)[0]
 
 
+def _minor_levels(m: PolyMatrix, size: int) -> Iterator[dict]:
+    """Levels k = 1..size of the minors engine.
+
+    Level k maps (row subset, column subset) to the nonzero k x k minor, for
+    every column subset and the row subsets inside range(rows - size + k):
+    the heads of the size-subsets.  The minor on rows R and columns C is the
+    Laplace expansion along R's last row over the (k-1) x (k-1) minors on
+    R's other rows, a head subset of the previous level, so each smaller
+    minor is computed once.  Only the previous level is kept.
+    """
+    entries = m.entries()
+    prev = {((), ()): m.ring.one()}
+    for k in range(1, size + 1):
+        level = {}
+        for rows in combinations(range(m.rows - size + k), k):
+            bottom, rest = entries[rows[-1]], rows[:-1]
+            for cols in combinations(range(m.cols), k):
+                total = None
+                for i, c in enumerate(cols):
+                    if not bottom[c]:
+                        continue
+                    sub = prev.get((rest, cols[:i] + cols[i + 1:]))
+                    if sub is None:  # a zero subminor
+                        continue
+                    piece = bottom[c] * sub
+                    if (k - 1 + i) % 2:
+                        piece = -piece
+                    total = piece if total is None else total + piece
+                if total:
+                    level[rows, cols] = total
+        yield level
+        prev = level
+
+
 def minors(m: PolyMatrix, size: int) -> tuple[Polynomial, ...]:
     """All size x size minors, lexicographic in (row subset, column subset).
 
-    Built level by level: the k x k minor on rows R and columns C is the
-    Laplace expansion along R's first row over the (k-1) x (k-1) minors on
-    R's other rows, so each smaller minor is computed once.  Level k needs
-    only the row subsets that are tails of a size-subset (those inside
-    range(size - k, rows)) and every column subset; only the previous level
-    is kept, and only its nonzero minors.
-
-    Duplicates are kept; the symmetric 2x2 example [[a,b],[b,c]] has size-1
-    minors (a, b, b, c).
+    The top level of the minors engine, with its zeros put back.  Duplicates
+    are kept; the symmetric 2x2 example [[a,b],[b,c]] has size-1 minors
+    (a, b, b, c).
     """
     if size < 1:
         raise ValueError("minor size must be positive")
     if size > m.rows or size > m.cols:
         return ()
-    entries = m.entries()
-    prev = {((), ()): m.ring.one()}
-    for k in range(1, size + 1):
-        level = {}
-        for rows in combinations(range(size - k, m.rows), k):
-            top, rest = entries[rows[0]], rows[1:]
-            for cols in combinations(range(m.cols), k):
-                total = None
-                for i, c in enumerate(cols):
-                    if not top[c]:
-                        continue
-                    sub = prev.get((rest, cols[:i] + cols[i + 1:]))
-                    if sub is None:  # a zero subminor
-                        continue
-                    piece = top[c] * sub
-                    if i % 2:
-                        piece = -piece
-                    total = piece if total is None else total + piece
-                if total:
-                    level[rows, cols] = total
-        prev = level
+    for top in _minor_levels(m, size):
+        pass
     zero = m.ring.zero()
     return tuple(
-        prev.get(key, zero)
+        top.get(key, zero)
         for key in product(combinations(range(m.rows), size), combinations(range(m.cols), size))
+    )
+
+
+def leading_minors(m: PolyMatrix) -> tuple[tuple[Polynomial, ...], ...]:
+    """For j = 1..rows, the j x j minors of the first j rows, in column-lex
+    order with zeros kept (none once j exceeds the columns).
+
+    One pass of the minors engine at size = rows: its level j has the single
+    row subset range(j), so it holds exactly these minors.
+    """
+    zero = m.ring.zero()
+    return tuple(
+        tuple(level.get((tuple(range(j)), cols), zero) for cols in combinations(range(m.cols), j))
+        for j, level in enumerate(_minor_levels(m, m.rows), start=1)
     )
 
 

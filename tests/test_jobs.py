@@ -112,6 +112,9 @@ def test_homology_report_shape():
         "3": {"rank": 1, "torsion": []},
     }
     assert doc["bouquet"] == [{"dim": 3, "count": 1}]
+    assert doc["checks"][-1]["detail"] == (
+        "fibre table is torsion-free with H_0 = Z; bouquet S^3"
+    )
     assert doc["provenance"]["seed"] == 2
     table_names = list(doc["provenance"]["tables"])
     assert table_names == [
@@ -158,3 +161,32 @@ h = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert str(report.sphere_bouquet) == "S^2"
     names = [name for name, _ in report.tables]
     assert names == ["M"]
+
+
+N4_JOB = """\
+[ring]
+vars = x1 x2 x3 x4
+[ideal]
+g = x1^2 + x2^2 + x3^2 + x4^2
+[matrix]
+h = [[1]]
+"""
+
+
+def test_disconnected_fibre_is_reported_without_a_bouquet():
+    """At n = 4, f = h*g^2 has one sheet of the fibre for each square root of
+    the value: H_0 = Z^2, so the report carries the table and no bouquet."""
+    report = run_homology(Job(input=parse_job(N4_JOB)))
+    doc = json.loads(report.to_json())
+    assert doc["homology"]["0"] == {"rank": 2, "torsion": []}
+    assert doc["bouquet"] is None
+    assert "the fibre is disconnected (H_0 = Z^2), so no bouquet is reported" in (
+        doc["provenance"]["notes"]
+    )
+    check = doc["checks"][-1]
+    assert check == {
+        "name": "bouquet_torsion_free",
+        "pass": True,
+        "detail": "fibre table is torsion-free with H_0 = Z^2; disconnected, so no bouquet",
+    }
+    assert "bouquet:" not in report.to_text()

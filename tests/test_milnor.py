@@ -2,7 +2,8 @@
 
 Oracles: the classical simple-singularity values (A_k, D_k, E_k), the
 quasi-homogeneous product formula mu = prod(p_i - 1) for sums of pure
-powers, and hand-checked chain colengths.
+powers, hand-checked chain colengths, and the chain as each step's own
+minors call on the full recombination.
 """
 
 import random
@@ -10,9 +11,28 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from milnorfibre import milnor
+from milnorfibre.corpus import build_input, builtin_cases
 from milnorfibre.errors import InvalidIcisError
-from milnorfibre.milnor import check_icis, draw_recombination, milnor_icis
-from milnorfibre.rings import Ring, parse_polynomial
+from milnorfibre.milnor import (
+    _chain_colengths,
+    check_icis,
+    draw_recombination,
+    milnor_icis,
+    recombine,
+)
+from milnorfibre.orders import local_order
+from milnorfibre.rings import (
+    PolyMatrix,
+    Ring,
+    corank_at_origin,
+    determinant,
+    int_determinant,
+    jacobian,
+    minors,
+    parse_polynomial,
+)
+from milnorfibre.standard_basis import DEFAULT_BUDGETS, colength
 
 
 def germ(texts, var_names):
@@ -127,6 +147,80 @@ def test_empty_presentation_rejected():
 def test_recombination_matrices_are_invertible():
     rng = random.Random(0)
     for size in (1, 2, 3, 4):
-        m = draw_recombination(size, rng)
+        m, det = draw_recombination(size, rng)
         assert len(m) == size
+        assert det == int_determinant(m) != 0
         assert all(abs(e) <= 9 for row in m for e in row)
+
+
+# --- the chain's minors ----------------------------------------------------
+
+def corpus_presentations():
+    """(name, generators) of every i.c.i.s. the corpus hands to milnor_icis:
+    the locus (g) and, off corank 0, (g, det H)."""
+    out = []
+    for case in builtin_cases():
+        inp = build_input(case, "given")
+        out.append((f"{case.name}:g", inp.g))
+        if corank_at_origin(inp.h):
+            out.append((f"{case.name}:g,detH", inp.g + (determinant(inp.h),)))
+    return out
+
+
+CORPUS_PRESENTATIONS = corpus_presentations()
+
+
+def per_step_chain(gens, matrix):
+    """Oracle: recombine every generator, differentiate them all, and take
+    the j x j minors of the first j rows by a minors call at each step j.
+    Returns the chain's ideals."""
+    ring = gens[0].ring
+    fprime = recombine(gens, matrix)
+    rows = jacobian(ring, list(fprime)).entries()
+    return [
+        list(fprime[: j - 1]) + list(minors(PolyMatrix(ring, rows[:j]), j))
+        for j in range(1, len(gens) + 1)
+    ]
+
+
+@st.composite
+def invertible_matrices(draw, size):
+    entry = st.integers(-9, 9)
+    rows = st.lists(st.lists(entry, min_size=size, max_size=size), min_size=size, max_size=size)
+    return draw(rows.filter(lambda m: int_determinant(m) != 0))
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_top_level_minors_are_det_a_times_the_checks(data):
+    """The k x k minors of Jac(A*g) are det(A) times the maximal minors of
+    Jac(g) that check_icis keeps, in the same order."""
+    _, gens = data.draw(st.sampled_from(CORPUS_PRESENTATIONS))
+    k = len(gens)
+    a = data.draw(invertible_matrices(k))
+    recombined = jacobian(gens[0].ring, list(recombine(gens, a)))
+    scaled = tuple(m.scale(int_determinant(a)) for m in check_icis(gens).maximal_minors)
+    assert minors(recombined, k) == scaled
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "gens", [g for _, g in CORPUS_PRESENTATIONS], ids=[name for name, _ in CORPUS_PRESENTATIONS]
+)
+def test_chain_colengths_match_the_per_step_chain(monkeypatch, gens, seed):
+    """The chain hands colength the same polynomials, in the same order, as
+    the per-step route, and so gets the same colengths."""
+    seen = []
+
+    def recording(ideal, order, budgets):
+        seen.append(list(ideal))
+        return colength(ideal, order, budgets)
+
+    monkeypatch.setattr(milnor, "colength", recording)
+    check = check_icis(gens)
+    matrix, det = draw_recombination(len(gens), random.Random(seed))
+    cs = _chain_colengths(check, matrix, det, DEFAULT_BUDGETS)
+    ideals = per_step_chain(gens, matrix)
+    assert seen == ideals
+    order = local_order(gens[0].ring.nvars)
+    assert cs == [colength(ideal, order) for ideal in ideals]

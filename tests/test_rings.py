@@ -19,6 +19,7 @@ from milnorfibre.rings import (
     fraction_matrix_rank,
     int_determinant,
     jacobian,
+    leading_minors,
     minors,
     parse_polynomial,
 )
@@ -188,6 +189,22 @@ def test_minors_match_leibniz_oracle(m):
     else:
         with pytest.raises(ValueError):
             determinant(m)
+
+
+@given(matrices())
+def test_leading_minors_match_per_step_minors(m):
+    """Level j of the one prefix pass is what a minors call on the first j
+    rows gives, values, order and zeros included."""
+    levels = leading_minors(m)
+    assert len(levels) == m.rows
+    for j, level in enumerate(levels, start=1):
+        assert level == minors(PolyMatrix(m.ring, m.entries()[:j]), j)
+
+
+def test_leading_minors_keep_zeros_and_stop_at_the_columns():
+    x, y, zero = poly("x"), poly("y"), R2.zero()
+    m = PolyMatrix(R2, [[x, zero], [y, zero], [x, y]])
+    assert leading_minors(m) == ((x, zero), (zero,), ())
 
 
 @given(st.integers(1, 4), st.data())
