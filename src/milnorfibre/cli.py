@@ -12,7 +12,7 @@ import time
 
 from .decomposition import InvariantReport
 from .errors import ComputationError, InconsistencyError, ParseError
-from .homology import dkp_fibre
+from .homology import bouquet, dkp_fibre
 from .jobs import Job, Report, collect_tables, parse_job, run_homology, run_invariants
 from .standard_basis import DEFAULT_BUDGETS, Budgets
 
@@ -126,16 +126,15 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     for name in ("mu0", "mu1", "a", "a1"):
         if getattr(args, name) < 0:
             raise ParseError(f"--{name} must be non-negative")
-    if args.n < 4:
-        raise ParseError(f"--n must be at least 4, got {args.n}")
+    if args.n < 5:
+        raise ParseError(f"the fibre tables need --n at least 5 at every --corank, got {args.n}")
     if not 0 <= args.corank <= args.n - 3:
         raise ParseError(f"--corank must be in 0..{args.n - 3}, got {args.corank}")
-    if args.corank >= 1 and args.n < 5:
-        raise ParseError(f"--corank {args.corank} needs --n at least 5, got {args.n}")
     start = time.perf_counter()
-    fibre, wedge, tables, checks, notes = collect_tables(
+    fibre, tables, checks, notes = collect_tables(
         args.mu0, args.mu1, args.a, args.corank, args.a1, args.n
     )
+    wedge = bouquet(fibre)
     inv = InvariantReport(
         n=args.n,
         mu0=args.mu0,

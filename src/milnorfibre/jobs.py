@@ -19,7 +19,7 @@ from .decomposition import (
     SingularityInput,
     invariant_report,
 )
-from .errors import ParseError, RingMismatchError
+from .errors import InconsistencyError, ParseError, RingMismatchError
 from .homology import (
     BouquetDescription,
     HomologyTable,
@@ -327,16 +327,16 @@ def run_homology(job: Job) -> Report:
     start = time.perf_counter()
     inv = invariant_report(job.input, seed=job.seed, budgets=job.budgets)
     notes = _invariant_notes(inv)
-    fibre, wedge, tables, table_checks, table_notes = collect_tables(
+    fibre, tables, table_checks, table_notes = collect_tables(
         inv.mu0, inv.mu1, inv.a, inv.corank, inv.a1, inv.n
     )
     notes.extend(table_notes)
-    shape = "disconnected, so no bouquet" if wedge is None else f"bouquet {wedge}"
+    wedge = bouquet(fibre)
     checks = inv.checks + tuple(table_checks) + (
         CheckResult(
             "bouquet_torsion_free",
             True,
-            f"fibre table is torsion-free with H_0 = {fibre.group(0)}; {shape}",
+            f"fibre table is torsion-free with H_0 = Z; bouquet {wedge}",
         ),
     )
     return Report(
@@ -367,35 +367,23 @@ def _invariant_notes(inv: InvariantReport) -> list[str]:
 
 def collect_tables(
     mu0: int, mu1: int, a: int, corank: int, a1: int, n: int
-) -> tuple[
-    HomologyTable,
-    BouquetDescription | None,
-    list[tuple[str, HomologyTable]],
-    list[CheckResult],
-    list[str],
-]:
-    """Fibre table, its bouquet and the intermediates, with consistency
-    checks evaluated.
+) -> tuple[HomologyTable, list[tuple[str, HomologyTable]], list[CheckResult], list[str]]:
+    """Fibre table plus intermediates, with consistency checks evaluated.
 
     The table constructors raise InconsistencyError themselves when an
-    identity fails, and so does bouquet on torsion; the CheckResult entries
-    returned here record the identities that were evaluated and the values
-    they took.  A torsion-free fibre table with H_0 free of rank > 1 (at
-    n = 4, where f = h*g^2 has one sheet for each square root of the value)
-    describes a disconnected fibre: its bouquet is None, and a note says so.
+    identity fails; the CheckResult entries returned here record the
+    identities that were evaluated and the values they took.  The closed
+    forms are derived for n >= 5: at n = 4 the fibre of f = h*g^2 is two
+    copies of the Milnor fibre of g, which the corank-0 branch does not
+    give, so a smaller n is refused here.
     """
+    if n < 5:
+        raise InconsistencyError(f"the fibre tables need n >= 5, got n={n}")
     fibre = milnor_fibre_homology(mu0, mu1, a, corank, a1, n)
     m_table = table_M(mu0, mu1, a, corank, n)
     tables: list[tuple[str, HomologyTable]] = []
     checks: list[CheckResult] = []
     notes: list[str] = []
-
-    h0 = fibre.group(0)
-    if h0.rank > 1 and all(g.is_free() for _, g in fibre.entries):
-        wedge = None
-        notes.append(f"the fibre is disconnected (H_0 = {h0}), so no bouquet is reported")
-    else:
-        wedge = bouquet(fibre)
 
     checks.append(
         CheckResult(
@@ -459,12 +447,10 @@ def collect_tables(
             "tables apply"
         )
     tables.append(("M", m_table))
-    return fibre, wedge, tables, checks, notes
+    return fibre, tables, checks, notes
 
 
 def _check_tables_equal(left: HomologyTable, right: HomologyTable, what: str):
-    from .errors import InconsistencyError
-
     degrees = set(left.degrees()) | set(right.degrees())
     for d in sorted(degrees):
         if left.group(d) != right.group(d):

@@ -9,9 +9,7 @@ from pathlib import Path
 import pytest
 
 import milnorfibre
-from milnorfibre import jobs
 from milnorfibre.cli import main
-from milnorfibre.homology import FgAbelianGroup, free_group, make_table
 
 WORKED_JOB = """\
 [ring]
@@ -93,7 +91,13 @@ def test_inconsistency_exit_code(capsys):
 
 @pytest.mark.parametrize(
     "corank, n, message",
-    [("-1", "6", "--corank"), ("4", "6", "--corank"), ("0", "3", "--n"), ("1", "4", "--corank")],
+    [
+        ("-1", "6", "--corank"),
+        ("4", "6", "--corank"),
+        ("0", "3", "--n"),
+        ("1", "4", "--corank"),
+        ("0", "4", "--n"),
+    ],
 )
 def test_tables_out_of_range_flag_exit_code(corank, n, message, capsys):
     code, _, err = run_main(
@@ -158,37 +162,3 @@ def test_console_script_entry_point(job_path):
     )
     assert proc.returncode == 0
     assert "corank   2" in proc.stdout
-
-
-def test_tables_with_a_disconnected_fibre_exit_zero(capsys):
-    code, out, err = run_main(
-        ["--format", "json", "tables", "--mu0", "0", "--mu1", "0", "--a", "0",
-         "--corank", "0", "--n", "4"],
-        capsys,
-    )
-    assert code == 0 and err == ""
-    doc = json.loads(out)
-    assert doc["homology"] == {"0": {"rank": 2, "torsion": []}}
-    assert doc["bouquet"] is None
-    assert any("disconnected" in note for note in doc["provenance"]["notes"])
-
-
-def test_homology_of_a_disconnected_fibre_exits_zero(tmp_path, capsys):
-    job = tmp_path / "n4.job"
-    job.write_text("[ring]\nvars = x1 x2 x3 x4\n[ideal]\ng = x1^2 + x2^2 + x3^2 + x4^2\n"
-                   "[matrix]\nh = [[1]]\n")
-    code, out, err = run_main(["--format", "json", "homology", str(job)], capsys)
-    assert code == 0 and err == ""
-    assert json.loads(out)["bouquet"] is None
-
-
-def test_torsion_in_a_disconnected_table_still_exits_3(monkeypatch, capsys):
-    """Only a torsion-free table goes without a bouquet; torsion stays an
-    inconsistency whatever H_0 is."""
-    torsion = make_table("Fibre", "integral", {0: free_group(2), 3: FgAbelianGroup(0, (2,))})
-    monkeypatch.setattr(jobs, "milnor_fibre_homology", lambda *args: torsion)
-    code, _, err = run_main(
-        ["tables", "--mu0", "0", "--mu1", "0", "--a", "0", "--corank", "0", "--n", "4"],
-        capsys,
-    )
-    assert code == 3 and "not a bouquet by this table" in err

@@ -173,20 +173,12 @@ h = [[1]]
 """
 
 
-def test_disconnected_fibre_is_reported_without_a_bouquet():
-    """At n = 4, f = h*g^2 has one sheet of the fibre for each square root of
-    the value: H_0 = Z^2, so the report carries the table and no bouquet."""
-    report = run_homology(Job(input=parse_job(N4_JOB)))
-    doc = json.loads(report.to_json())
-    assert doc["homology"]["0"] == {"rank": 2, "torsion": []}
-    assert doc["bouquet"] is None
-    assert "the fibre is disconnected (H_0 = Z^2), so no bouquet is reported" in (
-        doc["provenance"]["notes"]
-    )
-    check = doc["checks"][-1]
-    assert check == {
-        "name": "bouquet_torsion_free",
-        "pass": True,
-        "detail": "fibre table is torsion-free with H_0 = Z^2; disconnected, so no bouquet",
-    }
-    assert "bouquet:" not in report.to_text()
+def test_n4_job_has_invariants_but_no_fibre_table():
+    """At n = 4 the fibre of f = h*g^2 is two copies of the Milnor fibre of g
+    (here H_0 = H_3 = Z^2), which the n >= 5 closed forms do not give:
+    homology is refused, invariants are not."""
+    job = Job(input=parse_job(N4_JOB))
+    inv = run_invariants(job).invariants
+    assert (inv.n, inv.mu0, inv.corank) == (4, 1, 0)
+    with pytest.raises(InconsistencyError, match="need n >= 5, got n=4"):
+        run_homology(job)
