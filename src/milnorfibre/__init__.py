@@ -50,6 +50,7 @@ from .rings import (
     jacobian,
     leading_minors,
     minors,
+    parse_matrix,
     parse_polynomial,
 )
 from .standard_basis import (
@@ -107,6 +108,7 @@ __all__ = [
     "milnor_icis",
     "minors",
     "parse_job",
+    "parse_matrix",
     "parse_polynomial",
     "run_homology",
     "run_invariants",

@@ -208,7 +208,6 @@ def run_case(
 def run_corpus(
     seeds: tuple[int, ...] = DEFAULT_SEEDS,
     budgets: Budgets = DEFAULT_BUDGETS,
-    include_self_test: bool = True,
 ) -> CorpusResult:
     """Run every built-in case, then the harness self-test.
 
@@ -217,15 +216,14 @@ def run_corpus(
     failed; it guards against a comparison that never fires.
     """
     outcomes = [run_case(case, seeds, budgets) for case in builtin_cases()]
-    if include_self_test:
-        probe = builtin_cases()[0]
-        mu0, mu1, a, corank = probe.expected
-        bad = run_case(probe, seeds[:1], budgets, expected=(mu0, mu1 + 1, a, corank))
-        caught = (not bad.passed) and probe.name == bad.name
-        detail = (
-            f"injected mu1 off-by-one on {probe.name} was detected"
-            if caught
-            else f"injected mu1 off-by-one on {probe.name} was NOT detected"
-        )
-        outcomes.append(CaseOutcome("harness-self-test", caught, detail))
+    probe = builtin_cases()[0]
+    mu0, mu1, a, corank = probe.expected
+    bad = run_case(probe, seeds[:1], budgets, expected=(mu0, mu1 + 1, a, corank))
+    caught = (not bad.passed) and probe.name == bad.name
+    detail = (
+        f"injected mu1 off-by-one on {probe.name} was detected"
+        if caught
+        else f"injected mu1 off-by-one on {probe.name} was NOT detected"
+    )
+    outcomes.append(CaseOutcome("harness-self-test", caught, detail))
     return CorpusResult(tuple(outcomes))

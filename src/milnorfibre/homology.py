@@ -445,12 +445,13 @@ def milnor_fibre_homology(
 
     Branch on corank; #A1 Morse points each add one class in degree n-1.
     Consistency with table_M (rank splitting in degrees >= 4) is asserted.
+    The closed forms are derived for n >= 5: at n = 4 the fibre of
+    f = h*g^2 is two copies of the Milnor fibre of g, which no branch gives.
     """
     for name, value in (("mu0", mu0), ("mu1", mu1), ("a", a), ("a1", a1)):
         _require(value >= 0, f"{name} = {value} < 0")
+    _require(n >= 5, f"the fibre tables need n >= 5, got n={n}")
     _require(0 <= corank <= n - 3, f"corank {corank} outside 0..{n - 3}")
-    if corank >= 1 and n < 5:
-        raise InconsistencyError(f"fibre table needs n >= 5 for corank >= 1, got n={n}")
     groups: dict[int, FgAbelianGroup] = {}
     if corank >= 3:
         top = mu0 + 2 * mu1 - 4 * a + 1 + a1

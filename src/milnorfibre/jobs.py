@@ -35,7 +35,7 @@ from .homology import (
     SPACE_BU_COVER,
     SPACE_PAIR,
 )
-from .rings import PolyMatrix, Polynomial, Ring, parse_polynomial
+from .rings import Ring, parse_matrix, parse_polynomial
 from .standard_basis import Budgets, DEFAULT_BUDGETS
 
 AUX_TABLE_MIN_N = 8
@@ -48,58 +48,12 @@ SECTION_KEYS = {
 }
 
 
-def _split_bracketed(text: str, line_no: int) -> list[str]:
-    """Split on commas at square-bracket depth 0."""
-    parts: list[str] = []
-    depth = 0
-    current: list[str] = []
-    for ch in text:
-        if ch == "[":
-            depth += 1
-            current.append(ch)
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(f"line {line_no}: unbalanced ']' in matrix")
-            current.append(ch)
-        elif ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if depth != 0:
-        raise ParseError(f"line {line_no}: unbalanced '[' in matrix")
-    parts.append("".join(current))
-    return parts
-
-
-def _parse_poly(text: str, ring: Ring, line_no: int, what: str) -> Polynomial:
+def _parsed(parse, text: str, ring: Ring, line_no: int, key: str):
+    """parse(text, ring), with the line and key put before any ParseError."""
     try:
-        return parse_polynomial(text.strip(), ring)
+        return parse(text, ring)
     except ParseError as exc:
-        raise ParseError(f"line {line_no}: in {what}: {exc}") from exc
-
-
-def _parse_matrix(value: str, ring: Ring, line_no: int) -> PolyMatrix:
-    s = value.strip()
-    if not (s.startswith("[") and s.endswith("]")):
-        raise ParseError(f"line {line_no}: matrix must be [[...], [...]]")
-    row_texts = _split_bracketed(s[1:-1], line_no)
-    rows: list[list[Polynomial]] = []
-    for rt in row_texts:
-        rt = rt.strip()
-        if not (rt.startswith("[") and rt.endswith("]")):
-            raise ParseError(f"line {line_no}: matrix row must be [p, q, ...]")
-        entries = _split_bracketed(rt[1:-1], line_no)
-        if entries == [""]:
-            raise ParseError(f"line {line_no}: empty matrix row")
-        rows.append([_parse_poly(e, ring, line_no, "h") for e in entries])
-    if not rows:
-        raise ParseError(f"line {line_no}: empty matrix")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ParseError(f"line {line_no}: ragged matrix rows")
-    return PolyMatrix(ring, rows)
+        raise ParseError(f"line {line_no}: in {key}: {exc}") from exc
 
 
 def parse_job(text: str) -> SingularityInput:
@@ -146,10 +100,10 @@ def parse_job(text: str) -> SingularityInput:
     g_texts = [t for t in g_value.split(";") if t.strip()]
     if not g_texts:
         raise ParseError(f"line {g_line}: no generators in g")
-    g = tuple(_parse_poly(t, ring, g_line, "g") for t in g_texts)
+    g = tuple(_parsed(parse_polynomial, t.strip(), ring, g_line, "g") for t in g_texts)
 
     h_value, h_line = raw[("matrix", "h")]
-    h = _parse_matrix(h_value, ring, h_line)
+    h = _parsed(parse_matrix, h_value, ring, h_line, "h")
 
     a1_mode = "assume_zero"
     a1_count = None
@@ -175,7 +129,7 @@ def parse_job(text: str) -> SingularityInput:
     f_expected = None
     if ("options", "f") in raw:
         f_value, f_line = raw[("options", "f")]
-        f_expected = _parse_poly(f_value, ring, f_line, "f")
+        f_expected = _parsed(parse_polynomial, f_value, ring, f_line, "f")
 
     try:
         return SingularityInput(
@@ -372,13 +326,8 @@ def collect_tables(
 
     The table constructors raise InconsistencyError themselves when an
     identity fails; the CheckResult entries returned here record the
-    identities that were evaluated and the values they took.  The closed
-    forms are derived for n >= 5: at n = 4 the fibre of f = h*g^2 is two
-    copies of the Milnor fibre of g, which the corank-0 branch does not
-    give, so a smaller n is refused here.
+    identities that were evaluated and the values they took.
     """
-    if n < 5:
-        raise InconsistencyError(f"the fibre tables need n >= 5, got n={n}")
     fibre = milnor_fibre_homology(mu0, mu1, a, corank, a1, n)
     m_table = table_M(mu0, mu1, a, corank, n)
     tables: list[tuple[str, HomologyTable]] = []

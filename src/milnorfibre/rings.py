@@ -297,135 +297,123 @@ def format_polynomial(p: Polynomial) -> str:
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*^()]))"
+    r"|(?P<op>[-+*^()\[\],]))"
 )
-
-
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens: list[tuple[str, str, int]] = []
-        while self.pos < len(text):
-            m = _TOKEN_RE.match(text, self.pos)
-            if not m or m.end() == self.pos:
-                stripped = text[self.pos:].lstrip()
-                if not stripped:
-                    break
-                where = len(text) - len(stripped)
-                raise ParseError(f"unexpected character {text[where]!r}", where)
-            for kind in ("number", "name", "op"):
-                val = m.group(kind)
-                if val is not None:
-                    self.tokens.append((kind, val, m.start(kind)))
-                    break
-            self.pos = m.end()
-        self.idx = 0
-
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.idx] if self.idx < len(self.tokens) else None
-
-    def next(self) -> tuple[str, str, int] | None:
-        tok = self.peek()
-        if tok is not None:
-            self.idx += 1
-        return tok
+_SIGNS = {"+": 1, "-": -1}
 
 
 class _Parser:
-    """Recursive-descent parser: sums of products of powers, with parentheses."""
+    """Recursive-descent parser over the tokens of one text:
+
+        expr    := term (('+' | '-') term)*
+        term    := factor ('*' factor)*
+        factor  := ('+' | '-')* atom ('^' integer)?
+        atom    := number | name | '(' expr ')'
+        list    := '[' item (',' item)* ']'
+
+    A factor's signs apply after its power, so -x^2 and x*-y^2 are negative.
+    A token is (kind, text, position): kind is 'number', 'name', the
+    operator itself, or 'end' for the sentinel after the last token.
+    """
 
     def __init__(self, text: str, ring: Ring):
-        self.toks = _Tokenizer(text)
         self.ring = ring
-        self.text = text
+        self.toks: list[tuple[str, str, int]] = []
+        pos, end = 0, len(text.rstrip())
+        while pos < end:
+            m = _TOKEN_RE.match(text, pos)
+            if m is None:
+                where = len(text) - len(text[pos:].lstrip())
+                raise ParseError(f"unexpected character {text[where]!r}", where)
+            kind = m.lastgroup
+            val = m.group(kind)
+            self.toks.append((val if kind == "op" else kind, val, m.start(kind)))
+            pos = m.end()
+        self.toks.append(("end", "", len(text)))
+        self.i = 0
 
-    def parse(self) -> Polynomial:
-        p = self.expr()
-        tok = self.toks.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
-        return p
+    def next(self) -> tuple[str, str, int]:
+        # every rule that takes the sentinel raises, so i never passes it
+        tok = self.toks[self.i]
+        self.i += 1
+        return tok
+
+    def parse(self, rule):
+        """rule() over the whole text."""
+        result = rule()
+        kind, val, pos = self.toks[self.i]
+        if kind != "end":
+            raise ParseError(f"unexpected token {val!r}", pos)
+        return result
 
     def expr(self) -> Polynomial:
-        tok = self.toks.peek()
-        sign = 1
-        while tok is not None and tok[0] == "op" and tok[1] in "+-":
-            self.toks.next()
-            if tok[1] == "-":
-                sign = -sign
-            tok = self.toks.peek()
-        result = self.term().scale(sign)
-        while True:
-            tok = self.toks.peek()
-            if tok is None or tok[0] != "op" or tok[1] not in "+-":
-                break
-            self.toks.next()
-            sign = 1 if tok[1] == "+" else -1
-            nxt = self.toks.peek()
-            while nxt is not None and nxt[0] == "op" and nxt[1] in "+-":
-                self.toks.next()
-                if nxt[1] == "-":
-                    sign = -sign
-                nxt = self.toks.peek()
-            result = result + self.term().scale(sign)
+        result = self.term()
+        while self.toks[self.i][0] in _SIGNS:
+            op = self.next()[0]
+            result = result + self.term() if op == "+" else result - self.term()
         return result
 
     def term(self) -> Polynomial:
         result = self.factor()
-        while True:
-            tok = self.toks.peek()
-            if tok is not None and tok[0] == "op" and tok[1] == "*":
-                self.toks.next()
-                result = result * self.factor()
-            else:
-                return result
+        while self.toks[self.i][0] == "*":
+            self.i += 1
+            result = result * self.factor()
+        return result
 
     def factor(self) -> Polynomial:
+        sign = 1
+        while self.toks[self.i][0] in _SIGNS:
+            sign *= _SIGNS[self.next()[0]]
         base = self.atom()
-        tok = self.toks.peek()
-        if tok is not None and tok[0] == "op" and tok[1] == "^":
-            self.toks.next()
-            etok = self.toks.next()
-            if etok is None:
-                raise ParseError("missing exponent after '^'", len(self.text))
-            kind, val, pos = etok
-            if kind == "op" and val == "-":
-                num = self.toks.next()
-                shown = "-" + (num[1] if num else "")
-                raise ExponentError(f"negative exponent {shown!r}", pos)
-            if kind != "number" or "/" in val:
-                raise ExponentError(f"exponent must be a nonnegative integer, got {val!r}", pos)
-            return base ** int(val)
-        return base
+        if self.toks[self.i][0] == "^":
+            self.i += 1
+            base = base ** self.exponent()
+        return base if sign > 0 else -base
+
+    def exponent(self) -> int:
+        kind, val, pos = self.next()
+        if kind == "end":
+            raise ParseError("missing exponent after '^'", pos)
+        if kind == "-":
+            raise ExponentError(f"negative exponent {'-' + self.next()[1]!r}", pos)
+        if kind != "number" or "/" in val:
+            raise ExponentError(f"exponent must be a nonnegative integer, got {val!r}", pos)
+        return int(val)
 
     def atom(self) -> Polynomial:
-        tok = self.toks.next()
-        if tok is None:
-            raise ParseError("unexpected end of input", len(self.text))
-        kind, val, pos = tok
+        kind, val, pos = self.next()
         if kind == "number":
-            if "/" in val:
-                num, den = val.split("/")
-                if int(den) == 0:
-                    raise ParseError("zero denominator", pos)
-                return self.ring.constant(Fraction(int(num), int(den)))
-            return self.ring.constant(int(val))
+            num, _, den = val.partition("/")
+            if den and int(den) == 0:
+                raise ParseError("zero denominator", pos)
+            return self.ring.constant(Fraction(int(num), int(den or 1)))
         if kind == "name":
             if val not in self.ring.variables:
                 raise UnknownVariableError(f"unknown variable {val!r}", pos)
             return self.ring.variable(val)
-        if kind == "op" and val == "(":
+        if kind == "(":
             inner = self.expr()
-            close = self.toks.next()
-            if close is None or close[1] != ")":
+            if self.next()[0] != ")":
                 raise ParseError("missing closing parenthesis", pos)
             return inner
-        if kind == "op" and val == "-":
-            return -self.atom()
-        if kind == "op" and val == "+":
-            return self.atom()
+        if kind == "end":
+            raise ParseError("unexpected end of input", pos)
         raise ParseError(f"unexpected token {val!r}", pos)
+
+    def bracketed(self, item) -> list:
+        kind, val, pos = self.next()
+        if kind != "[":
+            raise ParseError(f"expected '[', got {val!r}", pos)
+        items = [item()]
+        while self.toks[self.i][0] == ",":
+            self.i += 1
+            items.append(item())
+        kind, val, close = self.next()
+        if kind == "end":
+            raise ParseError("unbalanced '[' in matrix", pos)
+        if kind != "]":
+            raise ParseError(f"unexpected token {val!r}", close)
+        return items
 
 
 def parse_polynomial(text: str, ring: Ring) -> Polynomial:
@@ -434,7 +422,18 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
     Integer and p/q rational coefficients are accepted; exponents must be
     nonnegative integers.  Errors carry the character position.
     """
-    return _Parser(text, ring).parse()
+    parser = _Parser(text, ring)
+    return parser.parse(parser.expr)
+
+
+def parse_matrix(text: str, ring: Ring) -> PolyMatrix:
+    """Parse a matrix '[[p, q], [r, s]]' of polynomials; error positions
+    count from the start of text."""
+    parser = _Parser(text, ring)
+    rows = parser.parse(lambda: parser.bracketed(lambda: parser.bracketed(parser.expr)))
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ParseError("ragged matrix rows")
+    return PolyMatrix(ring, rows)
 
 
 # --- matrices ---------------------------------------------------------------

@@ -230,7 +230,6 @@ def _standard_basis_ep(
     gens: Sequence[_EP],
     order: MonomialOrder,
     budgets: Budgets,
-    use_criteria: bool,
     highest_corner: bool = False,
 ) -> list[_EP]:
     """Minimal monic standard basis of the ideal of gens, as engine
@@ -272,23 +271,22 @@ def _standard_basis_ep(
     while queue:
         _, i, j, lcm = heapq.heappop(queue)
         pending.remove((i, j))
-        if use_criteria:
-            ei, ej = G[i].lead, G[j].lead
-            if is_global and all(min(a, b) == 0 for a, b in zip(ei, ej)):
+        ei, ej = G[i].lead, G[j].lead
+        if is_global and all(min(a, b) == 0 for a, b in zip(ei, ej)):
+            continue
+        skip = False
+        for k in range(len(G)):
+            if k in (i, j):
                 continue
-            skip = False
-            for k in range(len(G)):
-                if k in (i, j):
-                    continue
-                if not monomial_divides(G[k].lead, lcm):
-                    continue
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a not in pending and b not in pending:
-                    skip = True
-                    break
-            if skip:
+            if not monomial_divides(G[k].lead, lcm):
                 continue
+            a = (min(i, k), max(i, k))
+            b = (min(j, k), max(j, k))
+            if a not in pending and b not in pending:
+                skip = True
+                break
+        if skip:
+            continue
         pair_counter.spend()
         s = _ep_spoly(G[i], G[j], order, cut)
         h = _weak_normal_form(s, G, order, counter, cut)
@@ -328,12 +326,11 @@ def standard_basis(
     gens: Sequence[Polynomial],
     order: MonomialOrder,
     budgets: Budgets = DEFAULT_BUDGETS,
-    use_criteria: bool = True,
 ) -> tuple[Polynomial, ...]:
     """Minimal monic standard basis of the ideal generated by gens."""
     ring = _check_inputs(gens, order)
     eps = [_ep_from_polynomial(g, order) for g in gens]
-    basis = _standard_basis_ep(eps, order, budgets, use_criteria)
+    basis = _standard_basis_ep(eps, order, budgets)
     return tuple(_ep_to_polynomial(g, ring) for g in basis)
 
 
@@ -376,13 +373,11 @@ def is_member(
     gens: Sequence[Polynomial],
     order: MonomialOrder,
     budgets: Budgets = DEFAULT_BUDGETS,
-    basis: Sequence[Polynomial] | None = None,
 ) -> bool:
     """Ideal membership via weak normal form against a standard basis."""
     if f.is_zero():
         return True
-    if basis is None:
-        basis = standard_basis(gens, order, budgets)
+    basis = standard_basis(gens, order, budgets)
     return weak_normal_form(f, basis, order, budgets).is_zero()
 
 
@@ -412,7 +407,7 @@ def _staircase(
     if basis is None:
         eps = [_ep_from_polynomial(g, order) for g in gens]
         local = order.kind == LOCAL_ANTIGRADED_REVLEX
-        leads = [g.lead for g in _standard_basis_ep(eps, order, budgets, True, local)]
+        leads = [g.lead for g in _standard_basis_ep(eps, order, budgets, local)]
     else:
         leads = leading_exponents(basis, order)
     unbounded = tuple(

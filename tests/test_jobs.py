@@ -70,6 +70,20 @@ def test_parse_errors(mutation, fragment):
     assert fragment.lower() in str(exc.value).lower()
 
 
+@pytest.mark.parametrize(
+    "h, message",
+    [
+        ("[[x3, x4], [x4]]", "line 9: in h: ragged matrix rows"),
+        ("[[x3, x4], [x4, x3]", "line 9: in h: unbalanced '[' in matrix (at position 0)"),
+        ("[[x3, x4], [x4, x3 - x9]]", "line 9: in h: unknown variable 'x9' (at position 21)"),
+    ],
+)
+def test_matrix_errors_name_the_line_and_key(h, message):
+    with pytest.raises(ParseError) as exc:
+        parse_job(GOOD_JOB.replace("[[x3, x4], [x4, x3 - x5^2]]", h))
+    assert str(exc.value) == message
+
+
 def test_missing_required_key():
     text = "[ring]\nvars = x1 x2 x3 x4\n[ideal]\ng = x4\n"
     with pytest.raises(ParseError) as exc:

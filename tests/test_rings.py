@@ -21,6 +21,7 @@ from milnorfibre.rings import (
     jacobian,
     leading_minors,
     minors,
+    parse_matrix,
     parse_polynomial,
 )
 
@@ -78,6 +79,10 @@ def test_parse_precedence_and_unary():
     assert poly("-x^2") == -poly("x^2")
     assert poly("(-x)^2") == poly("x^2")
     assert poly("x - -y") == poly("x + y")
+    # a run of signs applies after the power, wherever its factor stands
+    assert poly("x*-y^2") == -(poly("x") * poly("y^2"))
+    assert poly("x - -y^2") == poly("x + y^2")
+    assert poly("3/2*-23/2^0") == R2.constant(Fraction(-3, 2))
 
 
 def test_parse_errors_carry_position():
@@ -95,6 +100,100 @@ def test_parse_errors_carry_position():
 @given(polynomials())
 def test_format_parse_round_trip(p):
     assert parse_polynomial(format_polynomial(p), R2) == p
+
+
+# An expression tree renders to text at one of four grammar levels, and its
+# value comes from Polynomial arithmetic alone, never from the parser.
+SUM, TERM, FACTOR, ATOM = range(4)
+
+
+def _at_least(node, level):
+    text, node_level, value = node
+    return node if node_level >= level else (f"({text})", ATOM, value)
+
+
+expression_atoms = st.one_of(
+    st.sampled_from(R2.variables).map(lambda v: (v, ATOM, R2.variable(v))),
+    st.integers(0, 12).map(lambda k: (str(k), ATOM, R2.constant(k))),
+    st.tuples(st.integers(0, 12), st.integers(1, 6)).map(
+        lambda pq: (f"{pq[0]}/{pq[1]}", ATOM, R2.constant(Fraction(*pq)))
+    ),
+)
+spacing = st.sampled_from(["", " "])
+
+
+@st.composite
+def _factors(draw, children):
+    """The factor rule: a run of signs, then a child, then maybe a power."""
+    sp = draw(spacing)
+    signs = draw(st.lists(st.sampled_from("+-"), max_size=3))
+    text, _, value = _at_least(draw(children), ATOM)
+    k = draw(st.none() | st.integers(0, 3))
+    if k is not None:
+        text, value = f"{text}{sp}^{sp}{k}", value**k
+    level = ATOM if not signs and k is None else FACTOR
+    return sp.join(signs + [text]), level, value.scale((-1) ** signs.count("-"))
+
+
+@st.composite
+def _combined(draw, children):
+    kind = draw(st.sampled_from(["+", "-", "*", "factor", "()"]))
+    sp = draw(spacing)
+    if kind in ("+", "-"):
+        lt, _, lv = draw(children)
+        rt, _, rv = _at_least(draw(children), TERM)
+        return f"{lt}{sp}{kind}{sp}{rt}", SUM, lv + rv if kind == "+" else lv - rv
+    if kind == "*":
+        lt, _, lv = _at_least(draw(children), TERM)
+        rt, _, rv = _at_least(draw(children), FACTOR)
+        return f"{lt}{sp}*{sp}{rt}", TERM, lv * rv
+    if kind == "factor":
+        return draw(_factors(children))
+    text, _, value = draw(children)
+    return f"({sp}{text}{sp})", ATOM, value
+
+
+expressions = st.recursive(_factors(expression_atoms), _combined, max_leaves=8)
+
+
+@given(expressions)
+def test_parse_agrees_with_direct_evaluation(node):
+    text, _, value = node
+    assert parse_polynomial(text, R2) == value
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda cols: st.lists(
+            st.lists(polynomials(max_terms=3), min_size=cols, max_size=cols),
+            min_size=1,
+            max_size=3,
+        )
+    ),
+    spacing,
+)
+def test_matrix_format_parse_round_trip(rows, sp):
+    text = "[" + f",{sp}".join(
+        "[" + f",{sp}".join(format_polynomial(p) for p in row) + "]" for row in rows
+    ) + "]"
+    assert parse_matrix(text, R2) == PolyMatrix(R2, rows)
+
+
+def test_parse_matrix_errors():
+    assert parse_matrix("[[x*-y^2]]", R2).entry(0, 0) == -poly("x*y^2")
+    for text, message in [
+        ("[[x, y], [x]]", "ragged matrix rows"),
+        ("[[x, y], [x, y]", "unbalanced '[' in matrix (at position 0)"),
+        ("[[x, y], [x, y", "unbalanced '[' in matrix (at position 9)"),
+        ("[[x, y]]]", "unexpected token ']' (at position 8)"),
+        ("[[x y]]", "unexpected token 'y' (at position 4)"),
+        ("[[]]", "unexpected token ']' (at position 2)"),
+        ("x", "expected '[', got 'x' (at position 0)"),
+        ("[[x, w]]", "unknown variable 'w' (at position 5)"),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse_matrix(text, R2)
+        assert str(exc.value) == message, text
 
 
 @given(polynomials(), polynomials(), polynomials())

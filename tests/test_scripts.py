@@ -30,3 +30,11 @@ def test_family_sweep_runs_from_a_checkout(tmp_path):
     proc = run_script("family_sweep.py", "--help", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "--max-order" in proc.stdout
+
+
+def test_outcome_digest_repeats(tmp_path):
+    runs = [run_script("outcome_digest.py", "batch-n5", "5", "1", cwd=tmp_path) for _ in range(2)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    assert runs[0].stdout.startswith("batch-n5 seed 5 passes 0-0: 96 jobs, sha256 ")
+    assert runs[0].stdout == runs[1].stdout

@@ -142,10 +142,11 @@ def test_monomial_non_membership():
 @given(st.lists(sparse_polys(max_terms=2, max_exp=3), min_size=1, max_size=3))
 @settings(max_examples=25)
 def test_criteria_do_not_change_lead_ideal(gens):
-    """Buchberger criteria are a pruning optimization only."""
+    """Buchberger criteria are a pruning optimization only: the criteria-free
+    completion of the min-scan oracle has the same lead ideal."""
     for order in (global_order(2), local_order(2)):
-        with_c = standard_basis(gens, order, use_criteria=True)
-        without = standard_basis(gens, order, use_criteria=False)
+        with_c = standard_basis(gens, order)
+        without = _min_scan_standard_basis(gens, order, use_criteria=False)
         assert set(leading_exponents(with_c, order)) == set(
             leading_exponents(without, order)
         )
@@ -207,11 +208,15 @@ ALL_ORDERS_3 = (
 @settings(max_examples=30)
 def test_heap_queue_matches_min_scan_oracle(gens):
     """The heap pair queue takes the pairs in the oracle's order, so the
-    bases are the same tuples of polynomials, with and without criteria."""
+    bases are the same tuples of polynomials.  The budget bounds the Mora
+    blow-ups that some draws meet under the local order, such as
+    (y^2*z + z^2 + z, y*z + 1, x^2*y^2 + z): both routes must trip it with
+    the same message."""
+    budgets = Budgets(reductions=400)
     for order in ALL_ORDERS_3:
-        for use_criteria in (True, False):
-            got = standard_basis(gens, order, use_criteria=use_criteria)
-            assert got == _min_scan_standard_basis(gens, order, use_criteria=use_criteria)
+        assert _outcome(standard_basis, gens, order, budgets) == _outcome(
+            _min_scan_standard_basis, gens, order, budgets
+        )
 
 
 def _outcome(route, gens, order, budgets):
