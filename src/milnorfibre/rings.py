@@ -1,8 +1,10 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-Polynomials
-are immutable term maps ``exponent tuple -> Fraction``.  Everything here is
-exact; no floating point enters at any stage.
+Polynomials are immutable term maps ``exponent tuple -> coefficient``, where
+a coefficient is an int when it is integral and a Fraction otherwise; never a
+float.  Everything here is exact; no floating point enters at any stage.
+Arithmetic results are built by a trusted constructor that skips the
+validation of Polynomial(...), since their terms are valid by construction.
 """
 
 from __future__ import annotations
@@ -50,19 +52,19 @@ class Ring:
             raise UnknownVariableError(f"unknown variable {name!r}") from None
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
+        return _poly(self, {})
 
     def one(self) -> "Polynomial":
         return self.constant(1)
 
     def constant(self, c) -> "Polynomial":
-        c = Fraction(c)
-        return Polynomial(self, {} if c == 0 else {(0,) * self.nvars: c})
+        c = _coefficient(c)
+        return _poly(self, {(0,) * self.nvars: c} if c else {})
 
     def variable(self, name: str) -> "Polynomial":
         i = self.index(name)
         expo = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Polynomial(self, {expo: Fraction(1)})
+        return _poly(self, {expo: 1})
 
     def gens(self) -> tuple["Polynomial", ...]:
         return tuple(self.variable(v) for v in self.variables)
@@ -81,15 +83,43 @@ def monomial_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(map(le, a, b))
 
 
+def _coefficient(c) -> int | Fraction:
+    """Any exact rational (an int, a Fraction, or what Fraction accepts) in
+    canonical form: an int when it is integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _canonical(terms: dict) -> dict:
+    """terms with every integral Fraction replaced by its int, in place."""
+    for expo, coeff in terms.items():
+        if type(coeff) is not int and coeff.denominator == 1:
+            terms[expo] = coeff.numerator
+    return terms
+
+
+def _poly(ring: Ring, terms: dict[tuple[int, ...], int | Fraction]) -> "Polynomial":
+    """Trusted constructor: terms must be nonzero canonical coefficients keyed
+    by exponent tuples of the ring's length, and are stored as given."""
+    p = object.__new__(Polynomial)
+    object.__setattr__(p, "ring", ring)
+    object.__setattr__(p, "_terms", terms)
+    object.__setattr__(p, "_hash", None)
+    return p
+
+
 class Polynomial:
-    """Immutable exact polynomial: a map from exponent tuples to Fractions."""
+    """Immutable exact polynomial: a map from exponent tuples to nonzero
+    coefficients, each an int where integral and a Fraction otherwise."""
 
     __slots__ = ("ring", "_terms", "_hash")
 
-    def __init__(self, ring: Ring, terms: Mapping[tuple[int, ...], Fraction]):
+    def __init__(self, ring: Ring, terms: Mapping[tuple[int, ...], int | Fraction]):
         clean = {}
         for expo, coeff in terms.items():
-            coeff = Fraction(coeff)
+            coeff = _coefficient(coeff)
             if coeff == 0:
                 continue
             if len(expo) != ring.nvars or any(e < 0 for e in expo):
@@ -103,10 +133,10 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     @property
-    def terms(self) -> dict[tuple[int, ...], Fraction]:
+    def terms(self) -> dict[tuple[int, ...], int | Fraction]:
         return dict(self._terms)
 
-    def items(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+    def items(self) -> Iterator[tuple[tuple[int, ...], int | Fraction]]:
         return iter(self._terms.items())
 
     def is_zero(self) -> bool:
@@ -130,14 +160,14 @@ class Polynomial:
             return -1
         return min(monomial_degree(e) for e in self._terms)
 
-    def constant_coefficient(self) -> Fraction:
-        return self._terms.get((0,) * self.ring.nvars, Fraction(0))
+    def constant_coefficient(self) -> int | Fraction:
+        return self._terms.get((0,) * self.ring.nvars, 0)
 
-    def evaluate_at_origin(self) -> Fraction:
+    def evaluate_at_origin(self) -> int | Fraction:
         return self.constant_coefficient()
 
-    def coefficient(self, expo: tuple[int, ...]) -> Fraction:
-        return self._terms.get(tuple(expo), Fraction(0))
+    def coefficient(self, expo: tuple[int, ...]) -> int | Fraction:
+        return self._terms.get(tuple(expo), 0)
 
     def is_unit_at_origin(self) -> bool:
         """Invertible in the local ring: nonzero constant term."""
@@ -165,15 +195,15 @@ class Polynomial:
         self._check_ring(other)
         terms = dict(self._terms)
         for expo, coeff in other._terms.items():
-            new = terms.get(expo, Fraction(0)) + coeff
+            new = terms.get(expo, 0) + coeff
             if new == 0:
                 terms.pop(expo, None)
             else:
                 terms[expo] = new
-        return Polynomial(self.ring, terms)
+        return _poly(self.ring, _canonical(terms))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.ring, {e: -c for e, c in self._terms.items()})
+        return _poly(self.ring, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other))
@@ -181,16 +211,16 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         other = self._coerce(other)
         self._check_ring(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], int | Fraction] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 expo = monomial_mul(e1, e2)
-                new = terms.get(expo, Fraction(0)) + c1 * c2
+                new = terms.get(expo, 0) + c1 * c2
                 if new == 0:
                     terms.pop(expo, None)
                 else:
                     terms[expo] = new
-        return Polynomial(self.ring, terms)
+        return _poly(self.ring, _canonical(terms))
 
     def __rmul__(self, other) -> "Polynomial":
         return self * other
@@ -209,15 +239,16 @@ class Polynomial:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
+        c = _coefficient(c)
         if c == 0:
             return self.ring.zero()
-        return Polynomial(self.ring, {e: k * c for e, k in self._terms.items()})
+        return _poly(self.ring, _canonical({e: k * c for e, k in self._terms.items()}))
 
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -229,14 +260,14 @@ class Polynomial:
     def derivative(self, var: str | int) -> "Polynomial":
         """Formal partial derivative with respect to one variable."""
         i = var if isinstance(var, int) else self.ring.index(var)
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], int | Fraction] = {}
         for expo, coeff in self._terms.items():
             if expo[i] == 0:
                 continue
             new = list(expo)
             new[i] -= 1
             terms[tuple(new)] = coeff * expo[i]
-        return Polynomial(self.ring, terms)
+        return _poly(self.ring, _canonical(terms))
 
     def substitute(self, values: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Substitute polynomials for variables; missing variables stay fixed."""
@@ -253,7 +284,7 @@ class Polynomial:
             result = result + term
         return result
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
         """Terms sorted for display: degree then exponents, descending."""
         return sorted(
             self._terms.items(),
@@ -386,7 +417,7 @@ class _Parser:
             num, _, den = val.partition("/")
             if den and int(den) == 0:
                 raise ParseError("zero denominator", pos)
-            return self.ring.constant(Fraction(int(num), int(den or 1)))
+            return self.ring.constant(Fraction(int(num), int(den)) if den else int(num))
         if kind == "name":
             if val not in self.ring.variables:
                 raise UnknownVariableError(f"unknown variable {val!r}", pos)
@@ -614,7 +645,7 @@ def jacobian(ring: Ring, functions: Sequence[Polynomial]) -> PolyMatrix:
     )
 
 
-def evaluate_matrix_at_origin(m: PolyMatrix) -> tuple[tuple[Fraction, ...], ...]:
+def evaluate_matrix_at_origin(m: PolyMatrix) -> tuple[tuple[int | Fraction, ...], ...]:
     return tuple(
         tuple(p.evaluate_at_origin() for p in row) for row in m.entries()
     )

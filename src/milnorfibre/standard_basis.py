@@ -47,7 +47,7 @@ from .orders import (
     MonomialOrder,
     elimination_order,
 )
-from .rings import Polynomial, Ring, monomial_degree, monomial_divides
+from .rings import Polynomial, Ring, _canonical, _poly, monomial_degree, monomial_divides
 
 INFINITE = float("inf")
 
@@ -115,10 +115,16 @@ def _ep_from_polynomial(p: Polynomial, order: MonomialOrder) -> _EP:
 
 
 def _ep_to_polynomial(ep: _EP, ring: Ring) -> Polynomial:
-    return Polynomial(ring, {e: c for _, e, c in ep.terms})
+    return _poly(ring, _canonical({e: c for _, e, c in ep.terms}))
 
 
-def _ep_scale(ep: _EP, c: Fraction) -> _EP:
+def _inverse(c: int | Fraction) -> int | Fraction:
+    """Exact 1/c: c itself for c = +-1, else a Fraction (never a float, as
+    int / int would give)."""
+    return c if c == 1 or c == -1 else _ONE / c
+
+
+def _ep_scale(ep: _EP, c: int | Fraction) -> _EP:
     if c == 0:
         return _EP_ZERO
     if c == 1:
@@ -127,7 +133,7 @@ def _ep_scale(ep: _EP, c: Fraction) -> _EP:
 
 
 def _ep_monic(ep: _EP) -> _EP:
-    return _ep_scale(ep, _ONE / ep.terms[0][2])
+    return _ep_scale(ep, _inverse(ep.terms[0][2]))
 
 
 def _term_degree(term: tuple) -> int:
@@ -143,7 +149,7 @@ def _below(terms: tuple, cut: int) -> int:
 
 
 def _ep_sub_shifted(
-    a: _EP, c: Fraction, skey: tuple, sexpo: tuple, b: _EP, cut: int | None = None
+    a: _EP, c: int | Fraction, skey: tuple, sexpo: tuple, b: _EP, cut: int | None = None
 ) -> _EP:
     """a - c * x^sexpo * b; skey must equal order.key(sexpo).  With cut set,
     under the local degree order only, the terms of degree >= cut are left out."""
@@ -190,7 +196,7 @@ def _ep_spoly(a: _EP, b: _EP, order: MonomialOrder, cut: int | None = None) -> _
         tuple((tuple(map(add, k, ka)), tuple(map(add, e, sa)), c) for k, e, c in a.terms),
         maxdeg=a.maxdeg + sum(sa),
     )
-    return _ep_sub_shifted(shifted, _ONE, order.key(sb), sb, b, cut)
+    return _ep_sub_shifted(shifted, 1, order.key(sb), sb, b, cut)
 
 
 def _weak_normal_form(
@@ -218,9 +224,9 @@ def _weak_normal_form(
             break
         g = table[idx]
         if ecart_g > h.ecart:
-            table.append(_ep_scale(h, _ONE / lc))
+            table.append(_ep_scale(h, _inverse(lc)))
         counter.spend()
-        c = lc / g.terms[0][2]
+        c = lc * _inverse(g.terms[0][2])
         sexpo = tuple(x - y for x, y in zip(le, g.lead))
         h = _ep_sub_shifted(h, c, order.key(sexpo), sexpo, g, cut)
     return h
@@ -459,11 +465,11 @@ def _tag_extension(
 
 def _lift(p: Polynomial, big: Ring, tdeg: int) -> Polynomial:
     """Embed p in the tag-extended ring, multiplied by tag^tdeg."""
-    return Polynomial(big, {e + (tdeg,): c for e, c in p.items()})
+    return _poly(big, {e + (tdeg,): c for e, c in p.items()})
 
 
 def _drop_tag(p: Polynomial, small: Ring) -> Polynomial:
-    return Polynomial(small, {e[:-1]: c for e, c in p.items()})
+    return _poly(small, {e[:-1]: c for e, c in p.items()})
 
 
 def _is_tag_free(p: Polynomial) -> bool:

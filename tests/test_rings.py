@@ -42,11 +42,11 @@ expo2 = st.tuples(st.integers(0, 4), st.integers(0, 4))
 
 
 @st.composite
-def polynomials(draw, ring=R2, max_terms=5):
+def polynomials(draw, ring=R2, max_terms=5, coefficients=coeffs):
     nvars = ring.nvars
     terms = draw(
         st.dictionaries(
-            st.tuples(*[st.integers(0, 4)] * nvars), coeffs, max_size=max_terms
+            st.tuples(*[st.integers(0, 4)] * nvars), coefficients, max_size=max_terms
         )
     )
     return Polynomial(ring, terms)
@@ -209,6 +209,116 @@ def test_derivative_product_rule(p, q):
     dp = p.derivative("x")
     dq = q.derivative("x")
     assert (p * q).derivative("x") == dp * q + p * dq
+
+
+# --- arithmetic against a term-map oracle --------------------------------
+# The reference keeps every coefficient a Fraction and multiplies out powers
+# one factor at a time, independently of Polynomial's int coefficients,
+# trusted constructor and square-and-multiply.
+
+def _ref(p):
+    return {e: Fraction(c) for e, c in p.items()}
+
+
+def _ref_nonzero(terms):
+    return {e: c for e, c in terms.items() if c != 0}
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return _ref_nonzero(out)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return _ref_nonzero(out)
+
+
+def _ref_pow(a, k, nvars):
+    out = {(0,) * nvars: Fraction(1)}
+    for _ in range(k):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_scale(a, c):
+    return _ref_nonzero({e: k * Fraction(c) for e, k in a.items()})
+
+
+def _ref_derivative(a, i):
+    out = {}
+    for e, c in a.items():
+        if e[i]:
+            out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
+    return out
+
+
+def assert_canonical(p):
+    """Every stored coefficient is an int, or a Fraction that is not integral."""
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+# halves, so that sums and products often cancel their denominators
+half_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=2).filter(lambda c: c != 0)
+scalars = st.integers(-3, 3) | st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@given(
+    polynomials(coefficients=half_coeffs),
+    polynomials(coefficients=half_coeffs),
+    scalars,
+    st.integers(0, 5),
+    st.integers(0, 1),
+)
+def test_arithmetic_matches_term_map_oracle(p, q, c, k, i):
+    a, b = _ref(p), _ref(q)
+    cases = [
+        (p + q, _ref_add(a, b)),
+        (p - q, _ref_add(a, b, -1)),
+        (-p, _ref_scale(a, -1)),
+        (p * q, _ref_mul(a, b)),
+        (p.scale(c), _ref_scale(a, c)),
+        (p.derivative(i), _ref_derivative(a, i)),
+        (p**k, _ref_pow(a, k, R2.nvars)),
+    ]
+    for got, want in [(p, a), (q, b)] + cases:
+        assert_canonical(got)
+        assert got.terms == want
+
+
+def test_constructors_store_canonical_coefficients():
+    p = Polynomial(R2, {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 3), (0, 0): 0.5, (1, 1): 0})
+    assert p.terms == {(1, 0): 2, (0, 1): Fraction(1, 3), (0, 0): Fraction(1, 2)}
+    assert_canonical(p)
+    for q in (
+        R2.constant(Fraction(6, 3)),
+        R2.constant(True),
+        R2.variable("y"),
+        poly("4/2*x - 2/4*y + 3"),
+        poly("(1/2*x + 1/2)^2 * 4"),
+    ):
+        assert_canonical(q)
+    assert type(R2.zero().coefficient((0, 0))) is int
+    assert type(poly("x").constant_coefficient()) is int
+
+
+@pytest.mark.parametrize("k", range(1, 20))
+def test_power_squares_only_while_bits_remain(k, monkeypatch):
+    """Square-and-multiply takes one product per set bit of k and one
+    squaring per bit after the first: none after the last bit."""
+    base = poly("x + 1")
+    products = []
+    mul = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    base**k
+    assert len(products) == bin(k).count("1") + k.bit_length() - 1
 
 
 def test_total_degree_and_order():

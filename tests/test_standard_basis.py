@@ -26,6 +26,7 @@ from milnorfibre.standard_basis import (
     Budgets,
     DEFAULT_BUDGETS,
     INFINITE,
+    _EP,
     _Counter,
     _ep_from_polynomial,
     _ep_monic,
@@ -33,7 +34,9 @@ from milnorfibre.standard_basis import (
     _ep_spoly,
     _ep_sub_shifted,
     _ep_to_polynomial,
+    _inverse,
     _minimalize,
+    _standard_basis_ep,
     _weak_normal_form,
     colength,
     intersect_ideals,
@@ -281,6 +284,85 @@ def test_standard_basis_contains_spolynomial_closure():
     # y^2 + y = y*(x^2 + y) - x*(x*y + x) + (x^2 + y)  must reduce to 0
     f = p("y^2 + y")
     assert normal_form(f, basis, global_order(2)) == R2.zero()
+
+
+# --- exact division by non-monic leads -----------------------------------
+# Integral coefficients are ints, so every division in the engine must go
+# through _inverse: int / int would make a float.  The Fraction route below
+# is the engine run on inputs whose coefficients are all Fractions.
+
+def _fraction_ep(f, order):
+    ep = _ep_from_polynomial(f, order)
+    return _EP(tuple((k, e, Fraction(c)) for k, e, c in ep.terms))
+
+
+def _fraction_route(gens, order, budgets):
+    try:
+        basis = _standard_basis_ep([_fraction_ep(g, order) for g in gens], order, budgets)
+    except BudgetExceededError as exc:
+        return str(exc)
+    return tuple(_ep_to_polynomial(g, gens[0].ring) for g in basis)
+
+
+def assert_exact(p):
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+def test_inverse_is_exact():
+    assert _inverse(1) == 1 and type(_inverse(1)) is int
+    assert _inverse(-1) == -1 and type(_inverse(-1)) is int
+    assert _inverse(2) == Fraction(1, 2) and type(_inverse(2)) is Fraction
+    assert _inverse(Fraction(-2, 3)) == Fraction(-3, 2)
+
+
+@pytest.mark.parametrize(
+    "order, wnf, basis, length",
+    [
+        (global_order(2), "-1/12*y", ("y^2 + 1/3*x", "x - 1/2*y"), 2),
+        # 3*y^2 + x leads with x, and y*(1 + 6*y) lies in the ideal
+        (local_order(2), "1/2*y^2", ("x - 1/2*y", "6*y^2 + y"), 1),
+    ],
+)
+def test_engine_divides_exactly_by_non_monic_leads(order, wnf, basis, length):
+    """By hand under the global order: x*y - y*(2*x - y)/2 = y^2/2, then
+    y^2/2 - (3*y^2 + x)/6 = -x/6, then -x/6 + (2*x - y)/12 = -y/12."""
+    reducers = [p("2*x - y"), p("3*y^2 + x")]
+    f = p("x*y")
+    h = weak_normal_form(f, reducers, order)
+    sb = standard_basis(reducers, order)
+    assert h == p(wnf)
+    assert sb == tuple(p(t) for t in basis)
+    assert colength(reducers, order) == length
+    for q in (h,) + sb:
+        assert_exact(q)
+    for b in sb:
+        assert b.coefficient(order.leading_exponent(list(b.terms))) == 1
+    # the same computations on Fraction-valued inputs
+    counter = _Counter(DEFAULT_BUDGETS.reductions, "reduction")
+    frac = [_fraction_ep(g, order) for g in reducers]
+    h_frac = _weak_normal_form(_fraction_ep(f, order), frac, order, counter)
+    assert _ep_to_polynomial(h_frac, R2) == h
+    assert _fraction_route(reducers, order, DEFAULT_BUDGETS) == sb
+    # and with the generators scaled by a non-integral unit
+    scaled = [g.scale(Fraction(2, 3)) for g in reducers]
+    assert weak_normal_form(f, scaled, order) == h
+    assert standard_basis(scaled, order) == sb
+    assert colength(scaled, order) == length
+
+
+@given(st.lists(sparse_polys(R3, max_terms=3, max_exp=2), min_size=1, max_size=3))
+@settings(max_examples=30)
+def test_int_coefficients_match_fraction_route(gens):
+    """Integer generators with non-monic leads give the bases that the same
+    generators with Fraction coefficients give, exact and never float."""
+    budgets = Budgets(reductions=400)
+    for order in ALL_ORDERS_3:
+        got = _outcome(standard_basis, gens, order, budgets)
+        assert got == _fraction_route(gens, order, budgets)
+        if not isinstance(got, str):
+            for b in got:
+                assert_exact(b)
 
 
 # --- colength -------------------------------------------------------------
