@@ -183,8 +183,8 @@ def locus_membership_checks(
 ) -> tuple[CheckResult, ...]:
     """f must have a vanishing 1-jet and lie in the square of the locus ideal;
     partials are the partial derivatives of f."""
-    one_jet_ok = f.evaluate_at_origin() == 0 and all(
-        d.evaluate_at_origin() == 0 for d in partials
+    one_jet_ok = f.constant_coefficient() == 0 and all(
+        d.constant_coefficient() == 0 for d in partials
     )
     # f lies in I^2 by construction, so no membership test is run: f is the
     # assembled sum of g_i * H_ij * g_j, each term a multiple of g_i * g_j,

@@ -296,7 +296,7 @@ def _require(cond: bool, message: str):
 def table_B(mu1: int, a: int) -> tuple[HomologyTable, HomologyTable]:
     """Low-degree homology of the ambient tube boundary piece B:
     integral (Z^a, Z^{mu1-a}, Z2, Z in degrees 3,2,1,0) and its mod-2 twin."""
-    _require(0 <= a <= mu1 or (a == 0 and mu1 == 0), f"need mu1 >= a >= 0, got mu1={mu1} a={a}")
+    _require(0 <= a <= mu1, f"need mu1 >= a >= 0, got mu1={mu1} a={a}")
     integral = make_table(
         SPACE_B,
         "integral",
@@ -496,12 +496,6 @@ class BouquetDescription:
             raise ValueError("sphere dimensions must be distinct and sorted")
         if any(c <= 0 for _, c in self.spheres):
             raise ValueError("sphere counts must be positive")
-
-    def is_empty(self) -> bool:
-        return not self.spheres
-
-    def total_spheres(self) -> int:
-        return sum(c for _, c in self.spheres)
 
     def __str__(self) -> str:
         if not self.spheres:

@@ -1,21 +1,24 @@
 """Milnor numbers of isolated complete intersection singularity germs.
 
 The Milnor number of a germ cut out by k functions is computed by the
-Le-Greuel recursion: after a random invertible linear recombination of the
-generators, mu = sum over j of (-1)^(k-j) * c_j where c_j is the colength of
-the ideal spanned by the first j-1 recombined functions together with the
-j x j minors of the Jacobian of the first j.  Validity of a recombination is
-witnessed by every c_j being finite; a singular or unlucky draw is retried
-from the same seeded stream.
+Le-Greuel recursion: after a random linear recombination of the generators,
+mu = sum over j of (-1)^(k-j) * c_j where c_j is the colength of the ideal
+spanned by the first j-1 recombined functions together with the j x j
+minors of the Jacobian of the first j.  Validity of a recombination is
+witnessed by every c_j being finite; an unlucky draw is retried from the
+same seeded stream.
 
 check_icis tests a presentation once and returns an IcisCheck that carries
 its generators and the maximal minors of their Jacobian J; milnor_icis takes
 that check as its witness and runs the chain on its generators, so a caller
 never tests the same ideal twice.  The chain's minors come from one pass of
 the minors engine over the Jacobian of the first k-1 recombined functions
-(rings.leading_minors), and its top level from the check: for the
-recombination matrix A, the k x k minors of A*J are det(A) times those of J.
-The last recombined function is therefore never built.
+(rings.leading_minors), and its top level is the check's maximal minors.
+So only k-1 rows of the recombination are drawn: when every c_j is finite
+those rows are independent (a dependent row makes some j x j minors vanish
+and leaves c_j the colength of j-1 functions, which is infinite), so they
+complete to an invertible A, and by Cauchy-Binet the k x k minors of A*J
+are det(A) times those of J, which span the same ideal.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Sequence
 
 from .errors import ComputationError, InconsistencyError, InvalidIcisError
 from .orders import local_order
-from .rings import Polynomial, int_determinant, jacobian, leading_minors, minors
+from .rings import Polynomial, jacobian, leading_minors, minors
 from .standard_basis import (
     Budgets,
     DEFAULT_BUDGETS,
@@ -39,20 +42,11 @@ RECOMBINATION_ENTRY_BOUND = 9
 RECOMBINATION_ATTEMPTS = 8
 
 
-def draw_recombination(size: int, rng: random.Random) -> tuple[list[list[int]], int]:
-    """One invertible integer matrix with entries in [-9, 9] from the
-    stream, and its determinant."""
-    for _ in range(RECOMBINATION_ATTEMPTS):
-        m = [
-            [rng.randint(-RECOMBINATION_ENTRY_BOUND, RECOMBINATION_ENTRY_BOUND) for _ in range(size)]
-            for _ in range(size)
-        ]
-        det = int_determinant(m)
-        if det != 0:
-            return m, det
-    raise ComputationError(
-        f"no invertible recombination found in {RECOMBINATION_ATTEMPTS} draws"
-    )
+def draw_recombination(k: int, rng: random.Random) -> list[list[int]]:
+    """The first k-1 rows of a k x k recombination, entries in [-9, 9],
+    drawn row by row from the stream."""
+    bound = RECOMBINATION_ENTRY_BOUND
+    return [[rng.randint(-bound, bound) for _ in range(k)] for _ in range(k - 1)]
 
 
 def recombine(gens: Sequence[Polynomial], matrix: list[list[int]]) -> tuple[Polynomial, ...]:
@@ -99,7 +93,7 @@ def check_icis(gens: Sequence[Polynomial], budgets: Budgets = DEFAULT_BUDGETS) -
         )
     if any(g.is_zero() for g in gens):
         raise InvalidIcisError("zero generator in the presentation")
-    if any(g.evaluate_at_origin() != 0 for g in gens):
+    if any(g.constant_coefficient() != 0 for g in gens):
         raise InvalidIcisError("generator does not vanish at the origin")
     maximal = minors(jacobian(ring, list(gens)), k)
     value, unbounded = _staircase(list(gens) + list(maximal), local_order(ring.nvars), budgets)
@@ -107,20 +101,20 @@ def check_icis(gens: Sequence[Polynomial], budgets: Budgets = DEFAULT_BUDGETS) -
 
 
 def _chain_colengths(
-    check: IcisCheck, matrix: list[list[int]], det: int, budgets: Budgets
+    check: IcisCheck, rows: list[list[int]], budgets: Budgets
 ) -> list[int | float]:
-    """Colengths c_1..c_k of the chain of check.gens recombined by matrix,
-    whose determinant is det."""
+    """Colengths c_1..c_k of the chain of check.gens recombined by the k-1
+    rows of draw_recombination."""
     ring = check.gens[0].ring
     order = local_order(ring.nvars)
-    # step j < k takes level j of one pass over the first k-1 recombined
-    # rows; step k's minors are det(A) times the check's maximal minors
-    head = recombine(check.gens, matrix[:-1])
+    # step j < k takes level j of one pass over the k-1 recombined rows;
+    # step k takes the check's maximal minors, which span the same ideal as
+    # those of any invertible completion of the rows (Cauchy-Binet)
+    head = recombine(check.gens, rows)
     levels = leading_minors(jacobian(ring, list(head))) if head else ()
-    top = tuple(m.scale(det) for m in check.maximal_minors)
     return [
         colength(list(head[: j - 1]) + list(level), order, budgets)
-        for j, level in enumerate(levels + (top,), start=1)
+        for j, level in enumerate(levels + (check.maximal_minors,), start=1)
     ]
 
 
@@ -144,8 +138,7 @@ def milnor_icis(
     rng = random.Random(seed)
     last_error = None
     for _ in range(RECOMBINATION_ATTEMPTS):
-        matrix, det = draw_recombination(k, rng)
-        cs = _chain_colengths(check, matrix, det, budgets)
+        cs = _chain_colengths(check, draw_recombination(k, rng), budgets)
         if any(c == INFINITE for c in cs):
             last_error = f"chain colengths {cs} not all finite"
             continue

@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 from operator import le
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -148,30 +149,11 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def total_degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(monomial_degree(e) for e in self._terms)
-
-    def order_at_origin(self) -> int:
-        """Lowest total degree of a term; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return min(monomial_degree(e) for e in self._terms)
-
     def constant_coefficient(self) -> int | Fraction:
         return self._terms.get((0,) * self.ring.nvars, 0)
 
-    def evaluate_at_origin(self) -> int | Fraction:
-        return self.constant_coefficient()
-
     def coefficient(self, expo: tuple[int, ...]) -> int | Fraction:
         return self._terms.get(tuple(expo), 0)
-
-    def is_unit_at_origin(self) -> bool:
-        """Invertible in the local ring: nonzero constant term."""
-        return self.constant_coefficient() != 0
 
     def _check_ring(self, other: "Polynomial"):
         if self.ring != other.ring:
@@ -331,6 +313,11 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>[-+*^()\[\],]))"
 )
 _SIGNS = {"+": 1, "-": -1}
+# the most terms a product (its term pairs) or a power (the monomials of degree
+# e in as many symbols as the base has terms) in a text may expand to; job
+# texts stay far below it (benchmark jobs peak at 16, the parser fuzz at 9), and
+# the slowest power of a sum it admits parses in under half a second
+EXPANSION_BOUND = 256
 
 
 class _Parser:
@@ -343,6 +330,8 @@ class _Parser:
         list    := '[' item (',' item)* ']'
 
     A factor's signs apply after its power, so -x^2 and x*-y^2 are negative.
+    A product or power that may expand past EXPANSION_BOUND terms is refused
+    before it is multiplied out.
     A token is (kind, text, position): kind is 'number', 'name', the
     operator itself, or 'end' for the sentinel after the last token.
     """
@@ -387,8 +376,10 @@ class _Parser:
     def term(self) -> Polynomial:
         result = self.factor()
         while self.toks[self.i][0] == "*":
-            self.i += 1
-            result = result * self.factor()
+            pos = self.next()[2]
+            other = self.factor()
+            _bound_expansion("product", len(result) * len(other), pos)
+            result = result * other
         return result
 
     def factor(self) -> Polynomial:
@@ -397,8 +388,11 @@ class _Parser:
             sign *= _SIGNS[self.next()[0]]
         base = self.atom()
         if self.toks[self.i][0] == "^":
-            self.i += 1
-            base = base ** self.exponent()
+            pos = self.next()[2]
+            e = self.exponent()
+            if len(base) > 1:
+                _bound_expansion("power", comb(len(base) + e - 1, e), pos)
+            base = base ** e
         return base if sign > 0 else -base
 
     def exponent(self) -> int:
@@ -445,6 +439,13 @@ class _Parser:
         if kind != "]":
             raise ParseError(f"unexpected token {val!r}", close)
         return items
+
+
+def _bound_expansion(what: str, terms: int, pos: int) -> None:
+    if terms > EXPANSION_BOUND:
+        raise ParseError(
+            f"{what} may expand to {terms} terms, over the bound {EXPANSION_BOUND}", pos
+        )
 
 
 def parse_polynomial(text: str, ring: Ring) -> Polynomial:
@@ -647,7 +648,7 @@ def jacobian(ring: Ring, functions: Sequence[Polynomial]) -> PolyMatrix:
 
 def evaluate_matrix_at_origin(m: PolyMatrix) -> tuple[tuple[int | Fraction, ...], ...]:
     return tuple(
-        tuple(p.evaluate_at_origin() for p in row) for row in m.entries()
+        tuple(p.constant_coefficient() for p in row) for row in m.entries()
     )
 
 

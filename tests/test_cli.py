@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,18 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad.write_text(WORKED_JOB.replace("[[x3, x4], [x4, x3 - x5^2]]", "[[x3, x4], [x5, x3]]"))
     code, _, err = run_main(["invariants", str(bad)], capsys)
     assert code == 2 and "symmetric" in err
+
+
+def test_over_expanding_text_is_a_parse_error(tmp_path, capsys):
+    """A power or product that would multiply out past the parser's bound
+    fails at once, naming its line, before any budget applies."""
+    for text in ("(x1 + x2 + x3)^100", "(x1 + x2 + x3 + x4 + x5)^3 * (x1 + x2 + x3 + x4 + x5)^3"):
+        bad = tmp_path / "big.job"
+        bad.write_text(WORKED_JOB.replace("x3 - x5^2", text))
+        start = time.perf_counter()
+        code, _, err = run_main(["invariants", str(bad)], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and "line 6" in err and "over the bound" in err
 
 
 def test_missing_file_exit_code(tmp_path, capsys):

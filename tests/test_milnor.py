@@ -3,7 +3,7 @@
 Oracles: the classical simple-singularity values (A_k, D_k, E_k), the
 quasi-homogeneous product formula mu = prod(p_i - 1) for sums of pure
 powers, hand-checked chain colengths, and the chain as each step's own
-minors call on the full recombination.
+minors call on an invertible completion of the drawn rows.
 """
 
 import random
@@ -32,7 +32,7 @@ from milnorfibre.rings import (
     minors,
     parse_polynomial,
 )
-from milnorfibre.standard_basis import DEFAULT_BUDGETS, colength
+from milnorfibre.standard_basis import DEFAULT_BUDGETS, INFINITE, colength
 
 
 def germ(texts, var_names):
@@ -144,13 +144,15 @@ def test_empty_presentation_rejected():
         check_icis(())
 
 
-def test_recombination_matrices_are_invertible():
-    rng = random.Random(0)
-    for size in (1, 2, 3, 4):
-        m, det = draw_recombination(size, rng)
-        assert len(m) == size
-        assert det == int_determinant(m) != 0
-        assert all(abs(e) <= 9 for row in m for e in row)
+def test_recombination_rows_have_shape_and_bounds():
+    """A draw is the first k-1 rows of a k x k recombination, read row by
+    row from the stream: k(k-1) integers in [-9, 9]."""
+    rng, stream = random.Random(0), random.Random(0)
+    for k in (1, 2, 3, 4, 5):
+        rows = draw_recombination(k, rng)
+        assert len(rows) == k - 1 and all(len(row) == k for row in rows)
+        assert all(abs(e) <= 9 for row in rows for e in row)
+        assert [e for row in rows for e in row] == [stream.randint(-9, 9) for _ in range(k * (k - 1))]
 
 
 # --- the chain's minors ----------------------------------------------------
@@ -168,6 +170,16 @@ def corpus_presentations():
 
 
 CORPUS_PRESENTATIONS = corpus_presentations()
+
+
+def completed(rows, k):
+    """rows followed by the first unit row that makes them an invertible
+    k x k matrix."""
+    for i in range(k):
+        a = rows + [[int(j == i) for j in range(k)]]
+        if int_determinant(a):
+            return a
+    raise AssertionError(f"dependent rows {rows}")
 
 
 def per_step_chain(gens, matrix):
@@ -208,8 +220,10 @@ def test_top_level_minors_are_det_a_times_the_checks(data):
     "gens", [g for _, g in CORPUS_PRESENTATIONS], ids=[name for name, _ in CORPUS_PRESENTATIONS]
 )
 def test_chain_colengths_match_the_per_step_chain(monkeypatch, gens, seed):
-    """The chain hands colength the same polynomials, in the same order, as
-    the per-step route, and so gets the same colengths."""
+    """Steps 1..k-1 hand colength the same polynomials, in the same order,
+    as the per-step route on the drawn rows completed to an invertible A;
+    step k hands the check's maximal minors, which the route has times
+    det(A); every colength agrees."""
     seen = []
 
     def recording(ideal, order, budgets):
@@ -218,9 +232,51 @@ def test_chain_colengths_match_the_per_step_chain(monkeypatch, gens, seed):
 
     monkeypatch.setattr(milnor, "colength", recording)
     check = check_icis(gens)
-    matrix, det = draw_recombination(len(gens), random.Random(seed))
-    cs = _chain_colengths(check, matrix, det, DEFAULT_BUDGETS)
-    ideals = per_step_chain(gens, matrix)
-    assert seen == ideals
+    k = len(gens)
+    rows = draw_recombination(k, random.Random(seed))
+    cs = _chain_colengths(check, rows, DEFAULT_BUDGETS)
+    a = completed(rows, k)
+    ideals = per_step_chain(gens, a)
+    assert seen[:-1] == ideals[:-1]
+    det = int_determinant(a)
+    assert ideals[-1] == seen[-1][: k - 1] + [m.scale(det) for m in seen[-1][k - 1 :]]
     order = local_order(gens[0].ring.nvars)
     assert cs == [colength(ideal, order) for ideal in ideals]
+
+
+def test_rows_whose_stream_completion_is_singular_keep_mu():
+    """The stream's next row would make the square draw singular; the chain
+    never draws it, and mu is the same as at any other seed."""
+    gens = germ(["x^2 + y^2", "z"], ("x", "y", "z"))
+    check = check_icis(gens)
+
+    def stream_completion(seed):
+        rng = random.Random(seed)
+        rows = draw_recombination(2, rng)
+        return rows + [[rng.randint(-9, 9) for _ in range(2)]]
+
+    seed = next(
+        s for s in range(1000)
+        if any(stream_completion(s)[0]) and int_determinant(stream_completion(s)) == 0
+    )
+    rows = stream_completion(seed)[:-1]
+    assert INFINITE not in _chain_colengths(check, rows, DEFAULT_BUDGETS)
+    assert milnor_icis(check, seed=seed) == 1
+
+
+def test_zero_row_gives_an_infinite_step_and_a_retry(monkeypatch):
+    """Dependent rows leave a step whose minors vanish, so its colength is
+    infinite, and milnor_icis draws again."""
+    gens = germ(["x1", "x2", "x3^2 - x3*x5^2 - x4^2"], ("x1", "x2", "x3", "x4", "x5"))
+    check = check_icis(gens)
+    zero = [[1, 2, 3], [0, 0, 0]]
+    assert _chain_colengths(check, zero, DEFAULT_BUDGETS)[1] == INFINITE
+    draws = []
+
+    def first_zero(k, rng):
+        draws.append(draw_recombination(k, rng))
+        return zero if len(draws) == 1 else draws[-1]
+
+    monkeypatch.setattr(milnor, "draw_recombination", first_zero)
+    assert milnor_icis(check) == 3
+    assert len(draws) == 2

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from milnorfibre.corpus import _dkp_case, build_input
 from milnorfibre.errors import ParseError, RingMismatchError
 from milnorfibre.rings import (
+    EXPANSION_BOUND,
     PolyMatrix,
     Polynomial,
     Ring,
@@ -321,12 +322,25 @@ def test_power_squares_only_while_bits_remain(k, monkeypatch):
     assert len(products) == bin(k).count("1") + k.bit_length() - 1
 
 
-def test_total_degree_and_order():
-    assert R2.zero().total_degree() == -1
-    assert poly("x^2*y + x").total_degree() == 3
-    assert poly("x^2*y + x").order_at_origin() == 1
-    assert poly("1 + x").is_unit_at_origin()
-    assert not poly("x").is_unit_at_origin()
+def test_expansion_bound_refuses_before_multiplying(monkeypatch):
+    """A product may form EXPANSION_BOUND term pairs and a power of a t-term
+    base may have that many degree-e monomials in t symbols; one more is a
+    ParseError at the operator, raised before any product is taken."""
+    assert EXPANSION_BOUND == 256
+    assert len(poly("(x + y)^15 * (x + y)^15")) == 31
+    assert len(poly("(x + y)^255")) == 256
+    assert len(poly("(x + y + 1)^21")) == 253
+    products = []
+    mul = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    for text, at in [("(x + y)^256", 7), ("(x + y + 1)^100", 11), ("x + y - (x + y + 1)^22", 19)]:
+        with pytest.raises(ParseError, match="power may expand to .* over the bound 256") as exc:
+            poly(text)
+        assert exc.value.position == at
+    assert products == []
+    with pytest.raises(ParseError, match="product may expand to 272 terms") as exc:
+        poly("(x + y)^15 * (x + y)^16")
+    assert exc.value.position == 11
 
 
 def test_substitute_matches_expansion():

@@ -40,19 +40,36 @@ def test_outcome_digest_repeats(tmp_path):
     assert runs[0].stdout == runs[1].stdout
 
 
-# pass 0 at workload seed 5, as printed by `outcome_digest.py all 5 1` before
-# integral coefficients became ints: any drift in a report's JSON or an
-# error's text changes a digest
+# pass 0 at workload seeds 5 and 11, as printed by `outcome_digest.py all SEED
+# 1`: any drift in a report's JSON or an error's text changes a digest.  Seed 5
+# was pinned before integral coefficients became ints, seed 11 before a
+# recombination draw became its k-1 rows, which changes the rows drawn after
+# a failed attempt
 FROZEN_DIGESTS = {
-    "batch-n5": "96 jobs, sha256 05c8029891ff1609f38ebe433b653f4d47dd5f32c0abde4c61a1f02a7b7586ad",
-    "heavy-local": "13 jobs, sha256 3d0a8a60db32bb8811e604fbb409522e8420b6ace5a9aa7f30b82c7edf747ffc",
-    "a1-saturation": "26 jobs, sha256 64ee32efcbb473fa0aa6a898292bd09d9668a378775353d45847cbb3e26baba1",
+    5: {
+        "batch-n5": "96 jobs, sha256 05c8029891ff1609f38ebe433b653f4d47dd5f32c0abde4c61a1f02a7b7586ad",
+        "heavy-local": "13 jobs, sha256 3d0a8a60db32bb8811e604fbb409522e8420b6ace5a9aa7f30b82c7edf747ffc",
+        "a1-saturation": "26 jobs, sha256 64ee32efcbb473fa0aa6a898292bd09d9668a378775353d45847cbb3e26baba1",
+    },
+    11: {
+        "batch-n5": "96 jobs, sha256 68277c6d2ceb173b9ff7e8343b7d927adaa50f5fa292eca66d7e9dfa498e54c3",
+        "heavy-local": "13 jobs, sha256 48e7e048657aec3fd686d9f8c33be520533828ee6fe569490d9253fb7b4f3ea0",
+        "a1-saturation": "26 jobs, sha256 b852ce06b5e3ce1d6b2c03019eaeaba6de6e52ba306d12b51d42064184b3b9ee",
+    },
 }
 
 
-def test_outcome_digests_are_frozen(tmp_path):
-    proc = run_script("outcome_digest.py", "all", "5", "1", cwd=tmp_path)
+def assert_digests_frozen(seed, tmp_path):
+    proc = run_script("outcome_digest.py", "all", str(seed), "1", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        f"{name} seed 5 passes 0-0: {tail}" for name, tail in FROZEN_DIGESTS.items()
+        f"{name} seed {seed} passes 0-0: {tail}" for name, tail in FROZEN_DIGESTS[seed].items()
     ]
+
+
+def test_outcome_digests_are_frozen(tmp_path):
+    assert_digests_frozen(5, tmp_path)
+
+
+def test_outcome_digests_are_frozen_at_a_second_seed(tmp_path):
+    assert_digests_frozen(11, tmp_path)
