@@ -1,7 +1,7 @@
 """Built-in regression corpus.
 
-Sixteen cases: the order-k family (k = 1..4) in 5 variables, its k = 3 and
-k = 4 members after a sparse linear change of coordinates, the worked
+Eighteen cases: the order-k family (k = 1..4) in 5 variables, its k = 3 and
+k = 4 members after two sparse linear changes of coordinates, the worked
 2-point-D(3,2) example in 5 variables, and the D(3,p) padded normal forms
 for p in {0,1,2} and n in {5,6,7}.  Every case runs under several seeds and
 under two ring variable orders (given and reversed); the invariants must
@@ -63,14 +63,17 @@ def _order_k_case(k: int) -> CorpusCase:
     )
 
 
-def _sheared_order_k_case(k: int) -> CorpusCase:
-    """The order-k germ under x1 -> x2 + y2, x2 -> x1, x3 -> x2 - y1,
-    y1 -> x3 + 2*x2, y2 -> x2; invertible, so the invariants stay."""
+def _sheared_order_k_case(k: int, sign: int = 1) -> CorpusCase:
+    """The order-k germ under x1 -> x2 + y2, x2 -> x1, x3 -> x2 - s*y1,
+    y1 -> x3 + 2*s*x2, y2 -> x2 for s = sign; invertible, so the invariants
+    stay.  s = -1 gives g = (-2*x2 + x3, x2), whose Milnor chain for
+    (g, det H) meets a Mora blow-up at seed 2 in the drawn rows."""
+    plus, minus = ("+", "-") if sign > 0 else ("-", "+")
     return CorpusCase(
-        name=f"order-{k}-shear-n5",
+        name=f"order-{k}-shear-n5" if sign > 0 else f"order-{k}-shear-negated-n5",
         variables=("x1", "x2", "x3", "y1", "y2"),
-        g=("x3 + 2*x2", "x2"),
-        h=(("x2 - y1", "x1"), ("x1", f"(x2 + y2)^{k} - x2 + y1")),
+        g=(f"x3 {plus} 2*x2", "x2"),
+        h=((f"x2 {minus} y1", "x1"), ("x1", f"(x2 + y2)^{k} - x2 {plus} y1")),
         expected=(0, 2 * k - 1, k, 2),
         expected_bouquet="S^3",
     )
@@ -101,7 +104,7 @@ def _dkp_case(p: int, n: int) -> CorpusCase:
 
 def builtin_cases() -> tuple[CorpusCase, ...]:
     cases = [_order_k_case(k) for k in (1, 2, 3, 4)]
-    cases += [_sheared_order_k_case(k) for k in (3, 4)]
+    cases += [_sheared_order_k_case(k, sign) for sign in (1, -1) for k in (3, 4)]
     cases.append(
         CorpusCase(
             name="two-d32-points-n5",

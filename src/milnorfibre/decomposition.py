@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ComputationError, InconsistencyError, InvalidIcisError
-from .milnor import check_icis, milnor_icis
+from .milnor import check_icis, milnor_icis, milnor_top_step
 from .orders import local_order
 from .rings import (
     PolyMatrix,
@@ -267,7 +267,8 @@ def invariant_report(
 
     mu0 = milnor_icis(locus, seed, budgets)
     mu1_applicable = corank != 0
-    mu1 = milnor_icis(sigma1, seed, budgets) if mu1_applicable else 0
+    # (g) is a checked i.c.i.s. of Milnor number mu0, so mu1 is one step
+    mu1 = milnor_top_step(sigma1, mu0, budgets) if mu1_applicable else 0
     a1, a1_prov = a1_count(inp, partials, budgets)
 
     guards = _guard_inequalities(mu1, a, corank) if mu1_applicable else ()

@@ -18,13 +18,22 @@ So only k-1 rows of the recombination are drawn: when every c_j is finite
 those rows are independent (a dependent row makes some j x j minors vanish
 and leaves c_j the colength of j-1 functions, which is infinite), so they
 complete to an invertible A, and by Cauchy-Binet the k x k minors of A*J
-are det(A) times those of J, which span the same ideal.
+are det(A) times those of J, which span the same ideal.  The same witness
+lets milnor_icis try the presented order first, as the first k-1 identity
+rows: when its chain is finite, each prefix of the presented generators is
+an i.c.i.s.; otherwise the seeded draws follow, untouched.
+
+When the caller has already checked that the first k-1 generators cut out
+an i.c.i.s. and knows its Milnor number, milnor_top_step needs no chain:
+by Le-Greuel, mu(gens) + mu(head) is the chain's top colength with the
+presented head, the colength of the head plus the check's maximal minors.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .errors import ComputationError, InconsistencyError, InvalidIcisError
@@ -118,6 +127,42 @@ def _chain_colengths(
     ]
 
 
+def _require_icis(check: IcisCheck) -> None:
+    if not check.ok:
+        raise InvalidIcisError(
+            f"not an isolated complete intersection: {check.message()}"
+        )
+
+
+def milnor_top_step(
+    check: IcisCheck, head_mu: int, budgets: Budgets = DEFAULT_BUDGETS
+) -> int:
+    """Milnor number of the germ cut out by check.gens, where the caller has
+    checked that the first k-1 of them cut out an i.c.i.s. of Milnor number
+    head_mu: colength(head + check.maximal_minors) - head_mu (Le-Greuel).
+
+    Raises InvalidIcisError when the check found no isolated complete
+    intersection singularity, InconsistencyError when the colength is
+    infinite or the Milnor number negative, which a true head rules out.
+    """
+    _require_icis(check)
+    ring = check.gens[0].ring
+    # the minors go first: with the head first, sheared order-3 germs meet a
+    # Mora blow-up that this order of the same generators avoids
+    gens = list(check.maximal_minors) + list(check.gens[:-1])
+    c = colength(gens, local_order(ring.nvars), budgets)
+    if c == INFINITE:
+        raise InconsistencyError(
+            f"infinite top colength over a head of Milnor number {head_mu}"
+        )
+    mu = c - head_mu
+    if mu < 0:
+        raise InconsistencyError(
+            f"negative Milnor number {mu} from top colength {c} and head mu {head_mu}"
+        )
+    return mu
+
+
 def milnor_icis(
     check: IcisCheck,
     seed: int = 0,
@@ -126,19 +171,19 @@ def milnor_icis(
     """Milnor number of the germ cut out by check.gens, where check is the
     check_icis outcome for those generators: milnor_icis(check_icis(gens)).
 
+    The presented order is tried first; it is not one of the attempts.
     Raises InvalidIcisError when the check found no isolated complete
     intersection singularity, ComputationError when no valid recombination
     appears within the attempt cap.
     """
-    if not check.ok:
-        raise InvalidIcisError(
-            f"not an isolated complete intersection: {check.message()}"
-        )
+    _require_icis(check)
     k = len(check.gens)
     rng = random.Random(seed)
+    presented = [[int(i == j) for j in range(k)] for i in range(k - 1)]
+    drawn = (draw_recombination(k, rng) for _ in range(RECOMBINATION_ATTEMPTS))
     last_error = None
-    for _ in range(RECOMBINATION_ATTEMPTS):
-        cs = _chain_colengths(check, draw_recombination(k, rng), budgets)
+    for rows in chain([presented], drawn):
+        cs = _chain_colengths(check, rows, budgets)
         if any(c == INFINITE for c in cs):
             last_error = f"chain colengths {cs} not all finite"
             continue

@@ -314,9 +314,10 @@ _TOKEN_RE = re.compile(
 )
 _SIGNS = {"+": 1, "-": -1}
 # the most terms a product (its term pairs) or a power (the monomials of degree
-# e in as many symbols as the base has terms) in a text may expand to; job
-# texts stay far below it (benchmark jobs peak at 16, the parser fuzz at 9), and
-# the slowest power of a sum it admits parses in under half a second
+# e in as many symbols as the base has terms) in a text may expand to, and the
+# largest exponent of one term; job texts stay far below it (benchmark jobs
+# peak at 16, the parser fuzz at 9), and the slowest power of a sum it admits
+# parses in under half a second
 EXPANSION_BOUND = 256
 
 
@@ -330,8 +331,9 @@ class _Parser:
         list    := '[' item (',' item)* ']'
 
     A factor's signs apply after its power, so -x^2 and x*-y^2 are negative.
-    A product or power that may expand past EXPANSION_BOUND terms is refused
-    before it is multiplied out.
+    A product or power that may expand past EXPANSION_BOUND terms, and a
+    power of one term with an exponent above it, are refused before they
+    are multiplied out.
     A token is (kind, text, position): kind is 'number', 'name', the
     operator itself, or 'end' for the sentinel after the last token.
     """
@@ -392,6 +394,9 @@ class _Parser:
             e = self.exponent()
             if len(base) > 1:
                 _bound_expansion("power", comb(len(base) + e - 1, e), pos)
+            elif e > EXPANSION_BOUND:
+                # one term cannot add terms, but its coefficient grows with e
+                raise ParseError(f"exponent {e} is over the bound {EXPANSION_BOUND}", pos)
             base = base ** e
         return base if sign > 0 else -base
 

@@ -82,6 +82,17 @@ def test_over_expanding_text_is_a_parse_error(tmp_path, capsys):
         assert code == 2 and "line 6" in err and "over the bound" in err
 
 
+def test_over_large_exponent_is_a_parse_error(tmp_path, capsys):
+    """A power of one term whose exponent is over the parser's bound fails at
+    once, naming its line."""
+    bad = tmp_path / "big.job"
+    bad.write_text(WORKED_JOB.replace("x3 - x5^2", "x3 - (123456789*x5)^100000"))
+    start = time.perf_counter()
+    code, _, err = run_main(["invariants", str(bad)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and "line 6" in err and "exponent 100000 is over the bound" in err
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     code, _, err = run_main(["invariants", str(tmp_path / "nope.job")], capsys)
     assert code == 2 and "cannot read" in err
@@ -120,9 +131,24 @@ def test_tables_out_of_range_flag_exit_code(corank, n, message, capsys):
     assert code == 2 and message in err
 
 
-def test_budget_flag_exit_code(job_path, capsys):
+# the order-3 germ of the corpus under a sparse shear: its largest standard
+# basis takes from 51 to 100 reductions, the worked example's at most 5
+SHEARED_JOB = """\
+[ring]
+vars = x1 x2 x3 y1 y2
+[ideal]
+g = -2*x2 + x3; x2
+[matrix]
+h = [[x2 + y1, x1], [x1, (x2 + y2)^3 - x2 - y1]]
+"""
+
+
+def test_budget_flag_exit_code(tmp_path, capsys):
+    path = tmp_path / "sheared.job"
+    path.write_text(SHEARED_JOB)
+    assert run_main(["invariants", str(path)], capsys)[0] == 0
     code, _, err = run_main(
-        ["--budget-reductions", "10", "invariants", job_path], capsys
+        ["--budget-reductions", "10", "invariants", str(path)], capsys
     )
     assert code == 1 and "budget" in err.lower()
 

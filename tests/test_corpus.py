@@ -8,11 +8,11 @@ from milnorfibre.corpus import (
 )
 
 
-def test_corpus_has_sixteen_cases():
+def test_corpus_has_eighteen_cases():
     cases = builtin_cases()
-    assert len(cases) == 16
+    assert len(cases) == 18
     names = [c.name for c in cases]
-    assert len(set(names)) == 16
+    assert len(set(names)) == 18
 
 
 def test_reversed_order_builds_a_different_ring():

@@ -2,8 +2,9 @@
 
 Oracles: the classical simple-singularity values (A_k, D_k, E_k), the
 quasi-homogeneous product formula mu = prod(p_i - 1) for sums of pure
-powers, hand-checked chain colengths, and the chain as each step's own
-minors call on an invertible completion of the drawn rows.
+powers, hand-checked chain colengths, the chain as each step's own minors
+call on an invertible completion of the drawn rows, and the chain on the
+seeded draws alone for the presented order and the one Le-Greuel step.
 """
 
 import random
@@ -13,12 +14,19 @@ from hypothesis import given, settings, strategies as st
 
 from milnorfibre import milnor
 from milnorfibre.corpus import build_input, builtin_cases
-from milnorfibre.errors import InvalidIcisError
+from milnorfibre.errors import (
+    BudgetExceededError,
+    ComputationError,
+    InconsistencyError,
+    InvalidIcisError,
+)
 from milnorfibre.milnor import (
+    RECOMBINATION_ATTEMPTS,
     _chain_colengths,
     check_icis,
     draw_recombination,
     milnor_icis,
+    milnor_top_step,
     recombine,
 )
 from milnorfibre.orders import local_order
@@ -32,7 +40,7 @@ from milnorfibre.rings import (
     minors,
     parse_polynomial,
 )
-from milnorfibre.standard_basis import DEFAULT_BUDGETS, INFINITE, colength
+from milnorfibre.standard_basis import DEFAULT_BUDGETS, INFINITE, Budgets, colength
 
 
 def germ(texts, var_names):
@@ -158,14 +166,15 @@ def test_recombination_rows_have_shape_and_bounds():
 # --- the chain's minors ----------------------------------------------------
 
 def corpus_presentations():
-    """(name, generators) of every i.c.i.s. the corpus hands to milnor_icis:
-    the locus (g) and, off corank 0, (g, det H)."""
+    """(name, generators, mu) of every i.c.i.s. of the corpus: the locus (g)
+    with mu0 and, off corank 0, (g, det H) with mu1."""
     out = []
     for case in builtin_cases():
         inp = build_input(case, "given")
-        out.append((f"{case.name}:g", inp.g))
+        mu0, mu1, _, _ = case.expected
+        out.append((f"{case.name}:g", inp.g, mu0))
         if corank_at_origin(inp.h):
-            out.append((f"{case.name}:g,detH", inp.g + (determinant(inp.h),)))
+            out.append((f"{case.name}:g,detH", inp.g + (determinant(inp.h),), mu1))
     return out
 
 
@@ -207,7 +216,7 @@ def invertible_matrices(draw, size):
 def test_top_level_minors_are_det_a_times_the_checks(data):
     """The k x k minors of Jac(A*g) are det(A) times the maximal minors of
     Jac(g) that check_icis keeps, in the same order."""
-    _, gens = data.draw(st.sampled_from(CORPUS_PRESENTATIONS))
+    _, gens, _ = data.draw(st.sampled_from(CORPUS_PRESENTATIONS))
     k = len(gens)
     a = data.draw(invertible_matrices(k))
     recombined = jacobian(gens[0].ring, list(recombine(gens, a)))
@@ -215,15 +224,28 @@ def test_top_level_minors_are_det_a_times_the_checks(data):
     assert minors(recombined, k) == scaled
 
 
+# per-call budget of the drawn-rows oracle; every corpus chain step takes
+# under 300 reductions except the known blow-ups below
+ORACLE_BUDGETS = Budgets(reductions=1000)
+# (presentation, seed) whose first drawn rows meet a Mora blow-up at the top
+# step (ROADMAP item 5): on the order-3 germ 1000 reductions take 0.3 s, 4000
+# take 11 s and 16000 more than 280 s.  The pipeline takes mu1 by one step and
+# runs no chain on (g, det H), so only the oracle meets them.
+DRAWN_BLOW_UPS = {
+    ("order-3-shear-negated-n5:g,detH", 2),
+    ("order-4-shear-negated-n5:g,detH", 2),
+}
+PRESENTATION_PARAMS = [pytest.param(name, gens, mu, id=name) for name, gens, mu in CORPUS_PRESENTATIONS]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize(
-    "gens", [g for _, g in CORPUS_PRESENTATIONS], ids=[name for name, _ in CORPUS_PRESENTATIONS]
-)
-def test_chain_colengths_match_the_per_step_chain(monkeypatch, gens, seed):
+@pytest.mark.parametrize("name, gens, mu", PRESENTATION_PARAMS)
+def test_chain_colengths_match_the_per_step_chain(monkeypatch, name, gens, mu, seed):
     """Steps 1..k-1 hand colength the same polynomials, in the same order,
     as the per-step route on the drawn rows completed to an invertible A;
     step k hands the check's maximal minors, which the route has times
-    det(A); every colength agrees."""
+    det(A); every colength agrees.  A known blow-up trips the budget on
+    the route's own ideal."""
     seen = []
 
     def recording(ideal, order, budgets):
@@ -234,14 +256,65 @@ def test_chain_colengths_match_the_per_step_chain(monkeypatch, gens, seed):
     check = check_icis(gens)
     k = len(gens)
     rows = draw_recombination(k, random.Random(seed))
-    cs = _chain_colengths(check, rows, DEFAULT_BUDGETS)
     a = completed(rows, k)
     ideals = per_step_chain(gens, a)
+    order = local_order(gens[0].ring.nvars)
+    if (name, seed) in DRAWN_BLOW_UPS:
+        with pytest.raises(BudgetExceededError):
+            _chain_colengths(check, rows, ORACLE_BUDGETS)
+        j = min(len(seen), k - 1)
+        assert seen[:j] == ideals[:j]
+        with pytest.raises(BudgetExceededError):
+            colength(ideals[len(seen) - 1], order, ORACLE_BUDGETS)
+        return
+    cs = _chain_colengths(check, rows, ORACLE_BUDGETS)
     assert seen[:-1] == ideals[:-1]
     det = int_determinant(a)
     assert ideals[-1] == seen[-1][: k - 1] + [m.scale(det) for m in seen[-1][k - 1 :]]
-    order = local_order(gens[0].ring.nvars)
     assert cs == [colength(ideal, order) for ideal in ideals]
+
+
+def drawn_mu(check, seed):
+    """Oracle: mu from the chain on the seeded draws alone, never on the
+    presented order; None when every draw leaves an infinite step."""
+    k = len(check.gens)
+    rng = random.Random(seed)
+    for _ in range(RECOMBINATION_ATTEMPTS):
+        cs = _chain_colengths(check, draw_recombination(k, rng), ORACLE_BUDGETS)
+        if INFINITE not in cs:
+            return sum(c if (k - j) % 2 == 0 else -c for j, c in enumerate(cs, start=1))
+    return None
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name, gens, mu", PRESENTATION_PARAMS)
+def test_presented_order_matches_the_drawn_rows(name, gens, mu, seed):
+    """milnor_icis, which tries the presented order first, gives the corpus
+    value, and so does the chain on the seeded draws alone wherever it
+    finishes."""
+    check = check_icis(gens)
+    assert milnor_icis(check, seed) == mu
+    if (name, seed) in DRAWN_BLOW_UPS:
+        with pytest.raises(BudgetExceededError):
+            drawn_mu(check, seed)
+    else:
+        assert drawn_mu(check, seed) == mu
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name, gens, mu", [p for p in PRESENTATION_PARAMS if p.id.endswith(":g,detH")])
+def test_one_step_mu1_matches_the_drawn_chain(name, gens, mu, seed):
+    """mu1 = colength((g) + the maximal minors of Jac(g, det H)) - mu0 is
+    the corpus value and the drawn chain's on (g, det H); at a known
+    blow-up of the drawn chain the one step still finishes."""
+    check = check_icis(gens)
+    mu0 = milnor_icis(check_icis(gens[:-1]), seed)
+    assert milnor_top_step(check, mu0, ORACLE_BUDGETS) == mu
+    if (name, seed) in DRAWN_BLOW_UPS:
+        with pytest.raises(BudgetExceededError):
+            drawn_mu(check, seed)
+    else:
+        assert drawn_mu(check, seed) == mu
 
 
 def test_rows_whose_stream_completion_is_singular_keep_mu():
@@ -264,11 +337,50 @@ def test_rows_whose_stream_completion_is_singular_keep_mu():
     assert milnor_icis(check, seed=seed) == 1
 
 
+def drawn_or_tripped(check, seed):
+    try:
+        return drawn_mu(check, seed)
+    except BudgetExceededError:
+        return "tripped"
+
+
+OFF_CORANK_ZERO = [case for case in builtin_cases() if case.expected[3] != 0]
+
+
+@settings(max_examples=40)
+@given(case=st.sampled_from(OFF_CORANK_ZERO), seed=st.integers(0, 4), data=st.data())
+def test_fast_routes_match_the_drawn_rows_after_shears(case, seed, data):
+    """On a corpus germ after up to four shears x_i -> x_i + c*x_j, the
+    presented-order mu0 and the one-step mu1 are the corpus values.  The
+    chain on the seeded draws alone gives the same values, or trips the
+    oracle budget at a blow-up that only the drawn rows meet."""
+    inp = build_input(case, "given")
+    ring, n = inp.ring, inp.ring.nvars
+    images = list(ring.gens())
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] != t[1])
+    for (i, j), c in data.draw(st.lists(st.tuples(pair, st.sampled_from((-2, -1, 1, 2))), max_size=4)):
+        images[i] = images[i] + images[j].scale(c)
+    values = dict(zip(ring.variables, images))
+    g = tuple(q.substitute(values) for q in inp.g)
+    locus, sigma1 = check_icis(g), check_icis(g + (determinant(inp.h).substitute(values),))
+    mu0, mu1, _, _ = case.expected
+    assert milnor_icis(locus, seed) == mu0
+    assert milnor_top_step(sigma1, mu0) == mu1
+    assert drawn_or_tripped(locus, seed) in (mu0, "tripped")
+    assert drawn_or_tripped(sigma1, seed) in (mu1, "tripped")
+
+
+# a node curve in 4-space, mu = 1, whose first generator alone is not an
+# i.c.i.s.: the presented order leaves step 1 infinite
+NODE_CURVE = ("x*y", "z", "w"), ("x", "y", "z", "w")
+
+
 def test_zero_row_gives_an_infinite_step_and_a_retry(monkeypatch):
-    """Dependent rows leave a step whose minors vanish, so its colength is
-    infinite, and milnor_icis draws again."""
-    gens = germ(["x1", "x2", "x3^2 - x3*x5^2 - x4^2"], ("x1", "x2", "x3", "x4", "x5"))
-    check = check_icis(gens)
+    """A presented prefix that is not an i.c.i.s. and dependent rows each
+    leave a step whose colength is infinite, and milnor_icis draws again."""
+    check = check_icis(germ(*NODE_CURVE))
+    presented = [[1, 0, 0], [0, 1, 0]]
+    assert _chain_colengths(check, presented, DEFAULT_BUDGETS)[0] == INFINITE
     zero = [[1, 2, 3], [0, 0, 0]]
     assert _chain_colengths(check, zero, DEFAULT_BUDGETS)[1] == INFINITE
     draws = []
@@ -278,5 +390,46 @@ def test_zero_row_gives_an_infinite_step_and_a_retry(monkeypatch):
         return zero if len(draws) == 1 else draws[-1]
 
     monkeypatch.setattr(milnor, "draw_recombination", first_zero)
-    assert milnor_icis(check) == 3
+    assert milnor_icis(check) == 1
     assert len(draws) == 2
+    # the presented order drew nothing: the second draw is the stream's second
+    stream = random.Random(0)
+    assert draws == [draw_recombination(3, stream) for _ in range(2)]
+
+
+def test_presented_order_draws_nothing(monkeypatch):
+    """When the presented order's chain is finite, no row is drawn."""
+    draws = []
+    monkeypatch.setattr(milnor, "draw_recombination", lambda k, rng: draws.append(k))
+    gens = germ(["x1", "x2", "x3^2 - x3*x5^2 - x4^2"], ("x1", "x2", "x3", "x4", "x5"))
+    assert milnor_icis(check_icis(gens)) == 3
+    assert draws == []
+
+
+def test_presented_order_is_not_one_of_the_attempts(monkeypatch):
+    """The attempt cap counts draws only: after the presented order fails,
+    RECOMBINATION_ATTEMPTS dependent draws exhaust it."""
+    draws = []
+
+    def zero_rows(k, rng):
+        draws.append(k)
+        return [[1] * k] + [[0] * k for _ in range(k - 2)]
+
+    monkeypatch.setattr(milnor, "draw_recombination", zero_rows)
+    with pytest.raises(ComputationError, match=f"no valid recombination in {RECOMBINATION_ATTEMPTS} attempts"):
+        milnor_icis(check_icis(germ(*NODE_CURVE)))
+    assert len(draws) == RECOMBINATION_ATTEMPTS == 8
+
+
+def test_top_step_refuses_an_unchecked_or_inconsistent_head():
+    """milnor_top_step needs a check that passed, a head that is an i.c.i.s.
+    and a head Milnor number that leaves mu non-negative."""
+    with pytest.raises(InvalidIcisError):
+        milnor_top_step(check_icis(germ(["x*y", "x*z"], ("x", "y", "z"))), 0)
+    gens = germ(["x1", "x2", "x3^2 - x3*x5^2 - x4^2"], ("x1", "x2", "x3", "x4", "x5"))
+    assert milnor_top_step(check_icis(gens), 0) == 3
+    with pytest.raises(InconsistencyError, match="negative Milnor number -1"):
+        milnor_top_step(check_icis(gens), 4)
+    # the node curve's head (x*y, z) is not an i.c.i.s.
+    with pytest.raises(InconsistencyError, match="infinite top colength"):
+        milnor_top_step(check_icis(germ(*NODE_CURVE)), 0)

@@ -1,5 +1,6 @@
 """Polynomials, parsing, matrices, determinants, minors."""
 
+import time
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -341,6 +342,20 @@ def test_expansion_bound_refuses_before_multiplying(monkeypatch):
     with pytest.raises(ParseError, match="product may expand to 272 terms") as exc:
         poly("(x + y)^15 * (x + y)^16")
     assert exc.value.position == 11
+
+
+def test_exponent_of_one_term_is_bounded():
+    """A power of one term adds no terms, but its coefficient grows with the
+    exponent: an exponent above EXPANSION_BOUND is a ParseError at the '^',
+    raised before the power is taken."""
+    assert poly("x^256") == Polynomial(R2, {(256, 0): 1})
+    assert poly("(2*x*y)^256").terms == {(256, 256): 2**256}
+    for text, at in [("x^257", 1), ("y - (123456789*x)^100000", 17), ("3^1000000", 1)]:
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="exponent .* is over the bound 256") as exc:
+            poly(text)
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.position == at
 
 
 def test_substitute_matches_expansion():

@@ -23,7 +23,7 @@ def run_script(name, *args, cwd):
 def test_run_corpus_runs_from_a_checkout(tmp_path):
     proc = run_script("run_corpus.py", "--seeds", "0", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert "17 of 17 corpus checks passed" in proc.stdout
+    assert "19 of 19 corpus checks passed" in proc.stdout
 
 
 def test_family_sweep_runs_from_a_checkout(tmp_path):
