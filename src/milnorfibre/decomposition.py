@@ -140,17 +140,10 @@ def compute_a(inp: SingularityInput, budgets: Budgets = DEFAULT_BUDGETS) -> int:
     return int(value)
 
 
-def jacobian_ideal(f: Polynomial) -> tuple[Polynomial, ...]:
-    return tuple(f.derivative(i) for i in range(f.ring.nvars))
-
-
 def a1_count(
-    inp: SingularityInput,
-    partials: tuple[Polynomial, ...],
-    budgets: Budgets = DEFAULT_BUDGETS,
+    inp: SingularityInput, f: Polynomial, budgets: Budgets = DEFAULT_BUDGETS
 ) -> tuple[int, str]:
-    """Morse-point count with provenance; partials are the partial derivatives
-    of the assembled f = g * H * g^t.
+    """Morse-point count with provenance; f is the assembled g * H * g^t.
 
     provided -> the user's number; assume_zero -> 0 flagged as assumed;
     estimate -> colength of the Jacobian ideal of f saturated by the locus
@@ -160,7 +153,7 @@ def a1_count(
         return inp.a1_count, "provided"
     if inp.a1_mode == "assume_zero":
         return 0, "assumed"
-    jac = [p for p in partials if not p.is_zero()]
+    jac = [d for d in map(f.derivative, range(inp.n)) if not d.is_zero()]
     if not jac:
         raise ComputationError("zero Jacobian ideal; f is identically zero")
     order = local_order(inp.n)
@@ -178,21 +171,14 @@ def a1_count(
     return int(value), "experimental-saturation"
 
 
-def locus_membership_checks(
-    f: Polynomial, partials: tuple[Polynomial, ...]
-) -> tuple[CheckResult, ...]:
-    """f must have a vanishing 1-jet and lie in the square of the locus ideal;
-    partials are the partial derivatives of f."""
-    one_jet_ok = f.constant_coefficient() == 0 and all(
-        d.constant_coefficient() == 0 for d in partials
-    )
-    # f lies in I^2 by construction, so no membership test is run: f is the
-    # assembled sum of g_i * H_ij * g_j, each term a multiple of g_i * g_j,
-    # and verify_decomposition rejects an explicit f that differs from it.
-    return (
-        CheckResult("vanishing_1jet", one_jet_ok, "f and all partials vanish at 0"),
-        CheckResult("f_in_I_squared", True, "f lies in I^2"),
-    )
+# f lies in I^2 by construction: it is the assembled sum of g_i * H_ij * g_j,
+# and verify_decomposition rejects an explicit f that differs from it.  So f
+# lies in m^2 once every g_i vanishes at 0, and check_icis raises before any
+# report exists when one does not.  Neither check can fail, so none is run.
+_LOCUS_MEMBERSHIP_CHECKS = (
+    CheckResult("vanishing_1jet", True, "f and all partials vanish at 0"),
+    CheckResult("f_in_I_squared", True, "f lies in I^2"),
+)
 
 
 def _guard_inequalities(mu1: int, a: int, corank: int) -> tuple[CheckResult, ...]:
@@ -219,9 +205,7 @@ def invariant_report(
     InvalidIcisError when the geometry is out of scope.
     """
     f = verify_decomposition(inp)
-    partials = jacobian_ideal(f)
-    checks: list[CheckResult] = []
-    checks.extend(locus_membership_checks(f, partials))
+    checks = list(_LOCUS_MEMBERSHIP_CHECKS)
 
     locus = check_icis(inp.g, budgets)
     checks.append(
@@ -269,7 +253,7 @@ def invariant_report(
     mu1_applicable = corank != 0
     # (g) is a checked i.c.i.s. of Milnor number mu0, so mu1 is one step
     mu1 = milnor_top_step(sigma1, mu0, budgets) if mu1_applicable else 0
-    a1, a1_prov = a1_count(inp, partials, budgets)
+    a1, a1_prov = a1_count(inp, f, budgets)
 
     guards = _guard_inequalities(mu1, a, corank) if mu1_applicable else ()
     checks.extend(guards)

@@ -408,15 +408,16 @@ class _Parser:
             raise ExponentError(f"negative exponent {'-' + self.next()[1]!r}", pos)
         if kind != "number" or "/" in val:
             raise ExponentError(f"exponent must be a nonnegative integer, got {val!r}", pos)
-        return int(val)
+        return _numeral(val, pos)
 
     def atom(self) -> Polynomial:
         kind, val, pos = self.next()
         if kind == "number":
             num, _, den = val.partition("/")
-            if den and int(den) == 0:
+            value, den = _numeral(num, pos), _numeral(den, pos) if den else 1
+            if den == 0:
                 raise ParseError("zero denominator", pos)
-            return self.ring.constant(Fraction(int(num), int(den)) if den else int(num))
+            return self.ring.constant(value if den == 1 else Fraction(value, den))
         if kind == "name":
             if val not in self.ring.variables:
                 raise UnknownVariableError(f"unknown variable {val!r}", pos)
@@ -444,6 +445,15 @@ class _Parser:
         if kind != "]":
             raise ParseError(f"unexpected token {val!r}", close)
         return items
+
+
+def _numeral(digits: str, pos: int) -> int:
+    """int(digits), or a ParseError at pos past Python's int string limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        message = f"numeral of {len(digits)} digits is over Python's int string limit"
+        raise ParseError(message, pos) from None
 
 
 def _bound_expansion(what: str, terms: int, pos: int) -> None:

@@ -7,8 +7,9 @@ division.  Standard bases come from Buchberger completion driven by that
 normal form.  On top of these sit colength, membership, ideal intersection
 and saturation.  Intersection and saturation are tag eliminations: one
 extra variable t, global and dominant in a block order, and the t-free part
-of a standard basis (Rabinowitsch's 1 - t*q for saturation), which is itself
-a standard basis of the result.
+of a standard basis, which is itself a standard basis of the result.
+Saturation by (q_1, ..., q_r) is one elimination, with Rabinowitsch's
+1 - sum_i t^i * q_i.
 
 All routines are deterministic: reducer choice is (ecart, insertion index),
 and S-pairs are popped from a heap in (lcm degree, i, j) order.  Each engine
@@ -468,21 +469,14 @@ def _lift(p: Polynomial, big: Ring, tdeg: int) -> Polynomial:
     return _poly(big, {e + (tdeg,): c for e, c in p.items()})
 
 
-def _drop_tag(p: Polynomial, small: Ring) -> Polynomial:
-    return _poly(small, {e[:-1]: c for e, c in p.items()})
-
-
-def _is_tag_free(p: Polynomial) -> bool:
-    return all(e[-1] == 0 for e in p.terms)
-
-
 def _tag_free_part(
     lifted: list[Polynomial], elim: MonomialOrder, ring: Ring, budgets: Budgets
 ) -> tuple[Polynomial, ...]:
-    """The tag-free elements of a standard basis of lifted under elim, a
-    minimal standard basis of the eliminated ideal; (0,) when there are none."""
-    sb = standard_basis(lifted, elim, budgets)
-    return tuple(_drop_tag(p, ring) for p in sb if _is_tag_free(p)) or (ring.zero(),)
+    """The tag-free elements of a standard basis of lifted under elim, back in
+    ring: a minimal standard basis of the eliminated ideal; (0,) when there
+    are none."""
+    free = [p for p in standard_basis(lifted, elim, budgets) if all(e[-1] == 0 for e in p.terms)]
+    return tuple(_poly(ring, {e[:-1]: c for e, c in p.items()}) for p in free) or (ring.zero(),)
 
 
 def intersect_ideals(
@@ -512,26 +506,33 @@ def saturate(
     order: MonomialOrder,
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> tuple[tuple[Polynomial, ...], int]:
-    """Saturation (gens) : (igens)^infinity by the Rabinowitsch trick.
+    """Saturation J : (q)^infinity of J = (gens) by the ideal (q) of the
+    nonzero q_1, ..., q_r in igens, by one Rabinowitsch elimination: with
+    s = sum_i t^i * q_i it is (J, 1 - s) ∩ R, the tag-free part of a standard
+    basis of (gens, 1 - s) under the tag-dominant block order.  With the tag
+    global, that part is a standard basis under order, local orders included
+    (Cox, Little & O'Shea, ch. 4, section 4; Greuel & Pfister).
 
-    For each nonzero q in igens, (gens) : q^infinity is the tag-free part of
-    a standard basis of (gens, 1 - t*q) under the tag-dominant block order
-    (Cox, Little & O'Shea, ch. 4, section 4); with the tag global, that part
-    is a standard basis under order, local orders included (Greuel &
-    Pfister).
-    The saturation by the ideal is the intersection of these parts, taken in
-    igens order.  Returns (basis, eliminations): a minimal standard basis of
-    the saturation under order, and the number of tag eliminations, one per
-    nonzero generator of igens."""
+    Proof.  If p * (q)^N lies in J, so does p * s^N, and
+    p = p * s^N + p * (1 - s) * (1 + s + ... + s^(N-1)) lies in (J, 1 - s).
+    Conversely, let p = b(t) * (1 - s) modulo J and sum h_m t^m = 1/(1 - s),
+    so h_0 = 1 and h_m = sum_i q_i * h_(m-i).  Then h_m * p lies in J for
+    every m > deg b.  Over a field, r consecutive zeros of h_m make every
+    later h_m zero, so 1/(1 - s) is a polynomial and s = 0.  So every q_j
+    vanishes where r consecutive h_m do, and by the Nullstellensatz over Q a
+    power of each q_j lies in their ideal: p times that power lies in J.
+    Under the local order the same argument runs in R localized at the
+    maximal ideal, as for r = 1.
+
+    Returns (basis, 1): a minimal standard basis of the saturation under
+    order, and the number of tag eliminations."""
     ring = _check_inputs(list(gens) + list(igens), order)
     big, elim = _tag_extension(ring, order, "saturation")
     divisors = [q for q in igens if not q.is_zero()]
     if not divisors:
         raise ValueError("saturation by the zero ideal")
+    # 1 - sum_i t^i * q_i
+    tagged = (_lift(q, big, i) for i, q in enumerate(divisors, start=1))
+    rabinowitsch = big.one() - sum(tagged, big.zero())
     lifted = [_lift(p, big, 0) for p in gens if not p.is_zero()]
-    basis = None
-    for q in divisors:
-        # 1 - t * q
-        part = _tag_free_part(lifted + [big.one() - _lift(q, big, 1)], elim, ring, budgets)
-        basis = part if basis is None else intersect_ideals(basis, part, order, budgets)
-    return basis, len(divisors)
+    return _tag_free_part(lifted + [rabinowitsch], elim, ring, budgets), 1

@@ -93,6 +93,17 @@ def test_over_large_exponent_is_a_parse_error(tmp_path, capsys):
     assert code == 2 and "line 6" in err and "exponent 100000 is over the bound" in err
 
 
+def test_over_long_numeral_is_a_parse_error(tmp_path, capsys):
+    """A numeral longer than Python reads as an int fails at once, naming its
+    line and its digit count."""
+    bad = tmp_path / "long.job"
+    bad.write_text(WORKED_JOB.replace("x3 - x5^2", "x3 - " + "9" * 5000 + "*x5"))
+    start = time.perf_counter()
+    code, _, err = run_main(["invariants", str(bad)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and "line 6: in h:" in err and "numeral of 5000 digits" in err
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     code, _, err = run_main(["invariants", str(tmp_path / "nope.job")], capsys)
     assert code == 2 and "cannot read" in err

@@ -1,5 +1,7 @@
 """Invariants of the presentation f = g * H * g^T."""
 
+import dataclasses
+import importlib
 import re
 from fractions import Fraction
 
@@ -24,6 +26,9 @@ from milnorfibre.jobs import Job, run_homology
 from milnorfibre.orders import global_order
 from milnorfibre.rings import PolyMatrix, Polynomial, Ring, parse_polynomial
 from milnorfibre.standard_basis import Budgets, is_member
+
+# the module, which the package's standard_basis function shadows as an attribute
+sb_module = importlib.import_module("milnorfibre.standard_basis")
 
 R5 = Ring(("x1", "x2", "x3", "y1", "y2"))
 
@@ -203,8 +208,9 @@ def test_locus_must_be_an_icis():
         # corank 2: the locus and (g, det H) are each checked once; mu1 is
         # one step over the check, so only the locus chain differentiates
         (worked_example(a1_mode="estimate"), (2, 1, 1, 1, 35)),
-        # corank 0: only the locus is checked; a = 0 needs no colength
-        (mk(("y1", "y2"), (("1", "0"), ("0", "1"))), (1, 0, 0, 1, 20)),
+        # corank 0: only the locus is checked; a = 0 needs no colength, and
+        # the partials of f are taken only to estimate #A1
+        (mk(("y1", "y2"), (("1", "0"), ("0", "1"))), (1, 0, 0, 1, 15)),
     ],
 )
 def test_each_ideal_is_checked_once(monkeypatch, inp, expected):
@@ -227,6 +233,31 @@ def test_each_ideal_is_checked_once(monkeypatch, inp, expected):
     monkeypatch.setattr(milnor, "check_icis", decomposition.check_icis)
     invariant_report(inp)
     assert tuple(counts.values()) == expected
+
+
+@pytest.mark.parametrize(
+    "inp",
+    [
+        worked_example(a1_mode="estimate"),
+        dataclasses.replace(build_input(_dkp_case(2, 6), "given"), a1_mode="estimate"),
+    ],
+    ids=["worked-n5", "d32-n6"],
+)
+def test_a1_estimate_is_one_elimination(monkeypatch, inp):
+    """The saturation by the k = n - 3 generators of (g) is one standard
+    basis, and colength reads the leads of that basis.  One elimination per
+    generator and their intersections would make 2k - 1: 3 at n = 5 and 5
+    at n = 6."""
+    count = [0]
+    standard_basis = sb_module.standard_basis
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return standard_basis(*args, **kwargs)
+
+    monkeypatch.setattr(sb_module, "standard_basis", counting)
+    assert decomposition.a1_count(inp, assemble_f(inp)) == (0, "experimental-saturation")
+    assert count[0] == 1
 
 
 def test_chain_minors_are_built_once(monkeypatch):

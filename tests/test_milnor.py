@@ -317,6 +317,42 @@ def test_one_step_mu1_matches_the_drawn_chain(name, gens, mu, seed):
         assert drawn_mu(check, seed) == mu
 
 
+# (g, H, mu0, mu1) on which milnor_top_step, with the minors first, meets a
+# Mora blow-up that the head-first order of the same generators avoids
+# (ROADMAP item 5): a sheared order-4 corpus germ with invariants
+# (mu0, mu1, a, corank) = (0, 7, 4, 2).  Minors first it needs 16k-64k
+# reductions, and invariant_report takes 6-9 minutes on it.  A fix of item 5 that
+# lets the top step finish flips the test below.
+TOP_STEP_BLOW_UPS = [
+    (
+        ("x2 + x3", "x2"),
+        (
+            ("x2 - y1", "-3*x1 + 2*y1 - 2*y2"),
+            ("-3*x1 + 2*y1 - 2*y2", "(2*x1 + x2 + y2)^4 - x2 + y1"),
+        ),
+        0,
+        7,
+    ),
+]
+
+
+@pytest.mark.parametrize("g, h, mu0, mu1", TOP_STEP_BLOW_UPS, ids=["order-4-shear"])
+def test_top_step_blow_ups_finish_head_first(g, h, mu0, mu1):
+    """Under 1000 reductions the head-first top colength gives mu0 + mu1 at
+    once, while milnor_top_step, minors first, trips the budget."""
+    names = ("x1", "x2", "x3", "y1", "y2")
+    gens = germ(g, names)
+    ring = gens[0].ring
+    matrix = PolyMatrix(ring, [[parse_polynomial(t, ring) for t in row] for row in h])
+    budgets = Budgets(reductions=1000)
+    assert milnor_icis(check_icis(gens)) == mu0
+    check = check_icis(gens + [determinant(matrix)])
+    head_first = list(check.gens[:-1]) + list(check.maximal_minors)
+    assert colength(head_first, local_order(len(names)), budgets) == mu0 + mu1
+    with pytest.raises(BudgetExceededError):
+        milnor_top_step(check, mu0, budgets)
+
+
 def test_rows_whose_stream_completion_is_singular_keep_mu():
     """The stream's next row would make the square draw singular; the chain
     never draws it, and mu is the same as at any other seed."""

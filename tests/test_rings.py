@@ -1,5 +1,6 @@
 """Polynomials, parsing, matrices, determinants, minors."""
 
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -355,6 +356,22 @@ def test_exponent_of_one_term_is_bounded():
         with pytest.raises(ParseError, match="exponent .* is over the bound 256") as exc:
             poly(text)
         assert time.perf_counter() - start < 1.0
+        assert exc.value.position == at
+
+
+LONG = "9" * 5000  # over Python's default limit of 4300 digits for an int string
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int string limit"
+)
+def test_numeral_over_the_int_string_limit_is_a_parse_error():
+    """A coefficient, denominator or exponent that Python refuses to read as
+    an int is a ParseError at the numeral that names its digit count, with
+    no new bound: the interpreter's limit stays the limit."""
+    for text, at in [(f"y - {LONG}*x", 4), (f"1/{LONG}*x", 0), (f"x^{LONG}", 2)]:
+        with pytest.raises(ParseError, match="numeral of 5000 digits") as exc:
+            poly(text)
         assert exc.value.position == at
 
 

@@ -32,6 +32,14 @@ def test_family_sweep_runs_from_a_checkout(tmp_path):
     assert "--max-order" in proc.stdout
 
 
+def test_order_sweep_prints_its_summary(tmp_path):
+    proc = run_script("order_sweep.py", "1", "2", "--budget", "200", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-3].startswith("seed 1: ") and "of 2 sheared germs checked" in lines[-3]
+    assert lines[-2].startswith("head-first: ") and lines[-1].startswith("minors-first: ")
+
+
 def test_outcome_digest_repeats(tmp_path):
     runs = [run_script("outcome_digest.py", "batch-n5", "5", "1", cwd=tmp_path) for _ in range(2)]
     for proc in runs:

@@ -4,14 +4,15 @@ saturation.
 Every nontrivial frozen value here is cross-checked by an independent
 route stated next to it: a truncated-series computation, divisibility logic
 for monomial ideals, a count the reader can do by hand on a staircase, or a
-slower second algorithm kept here as an oracle (a min-scan completion, and
-saturation by iterated ideal quotients).
+slower second algorithm kept here as an oracle (a min-scan completion,
+saturation by iterated ideal quotients, and saturation as the intersection
+of one elimination per divisor).
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from milnorfibre.errors import BudgetExceededError
 from milnorfibre.orders import (
@@ -529,10 +530,22 @@ def test_saturation_honest_values():
     assert eliminations == 1
     # f*x in (x^2*y) iff f in (x*y); f*y in (x^2*y) iff f in (x^2); so
     # (x^2*y) : (x, y) = (x*y) ∩ (x^2) = (x^2*y) again, and so is the saturation;
-    # one elimination per generator of (x, y), none for the zero generator
+    # one elimination for the whole ideal, whose zero generator adds no tag power
     gens, eliminations = saturate([p("x^2*y")], [p("x"), R2.zero(), p("y")], global_order(2))
     assert _generates_same_monomial_ideal(gens, ["x^2*y"])
-    assert eliminations == 2
+    assert eliminations == 1
+
+
+@pytest.mark.parametrize("order", [global_order(2), local_order(2)], ids=["global", "local"])
+def test_saturation_keeps_the_divisors_apart(order):
+    """A principal ideal has no component at the origin, so
+    (x*(x + y)) : (x, y)^inf is the ideal itself, while by the one element
+    x + y it is (x): the tag powers t^i keep the divisors apart."""
+    basis, _ = saturate([p("x^2 + x*y")], [p("x"), p("y")], order)
+    assert leading_exponents(basis, order) == ((2, 0),)
+    assert _same_ideal(basis, [p("x^2 + x*y")], order)
+    basis, _ = saturate([p("x^2 + x*y")], [p("x + y")], order)
+    assert _same_ideal(basis, [p("x")], order)
 
 
 def test_saturation_fixed_point():
@@ -619,7 +632,7 @@ def test_saturation_matches_iterated_quotient_oracle(gens, igens):
     order = global_order(2)
     expected = _iterated_quotient_saturation(gens, igens, order)
     basis, eliminations = saturate(gens, igens, order)
-    assert eliminations == len(igens)
+    assert eliminations == 1
     assert _same_ideal(basis, expected, order)
     assert _is_standard_basis(basis, order)
     # saturation commutes with localization, so under the local order the
@@ -632,6 +645,73 @@ def test_saturation_matches_iterated_quotient_oracle(gens, igens):
         standard_basis(expected, local), local
     )
     assert _is_standard_basis(basis, local)
+
+
+def _per_generator_saturation(gens, igens, order, budgets=DEFAULT_BUDGETS):
+    """Test-only oracle: I : (igens)^inf = ∩_q I : q^inf over the nonzero q,
+    each part a one-divisor saturation, intersected in igens order."""
+    basis = None
+    for q in igens:
+        if q.is_zero():
+            continue
+        part, _ = saturate(gens, [q], order, budgets)
+        basis = part if basis is None else intersect_ideals(basis, part, order, budgets)
+    return basis
+
+
+@st.composite
+def divisor_lists(draw):
+    """1-3 divisors, at least one nonzero: sparse polynomials, zero and the
+    unit 1 + x, with the first one sometimes repeated."""
+    pool = st.one_of(sparse_polys(max_terms=2, max_exp=2), st.sampled_from([R2.zero(), p("1 + x")]))
+    qs = draw(st.lists(pool, min_size=1, max_size=3))
+    if len(qs) < 3 and draw(st.booleans()):
+        qs.append(qs[0])
+    assume(any(not q.is_zero() for q in qs))
+    return qs
+
+
+@given(st.lists(sparse_polys(max_terms=3, max_exp=3), min_size=1, max_size=3), divisor_lists())
+@example([p("x^2*y"), p("x*y^3")], [p("x"), R2.zero(), p("y")])
+@example([p("x^2 + x*y")], [p("x"), p("y")])
+@example([p("x^2*y - y^2"), p("x^3")], [p("x*y"), p("x*y")])
+@example([p("x - x^2"), p("y^2")], [p("1 + x"), p("y")])
+@settings(max_examples=50, deadline=None)
+def test_one_elimination_matches_the_per_generator_route(gens, igens):
+    """The one Rabinowitsch elimination by 1 - sum_i t^i * q_i against the
+    intersection of the one-divisor saturations: the same ideal under the
+    global order, the same lead ideal under the local one."""
+    order = global_order(2)
+    basis, _ = saturate(gens, igens, order)
+    assert _same_ideal(basis, _per_generator_saturation(gens, igens, order), order)
+    local = local_order(2)
+    basis, _ = saturate(gens, igens, local)
+    expected = _per_generator_saturation(gens, igens, local)
+    assert leading_exponents(basis, local) == leading_exponents(expected, local)
+
+
+# (gens, divisors) whose one-elimination saturation under the local order
+# meets a Mora blow-up in the presented divisor order, while the reversed
+# order and the per-generator route finish in 5 ms: (J, 1 - t*y - t^2*x)
+# passes 1000 reductions in 0.1 s and 2000 run past 5 minutes, where
+# (J, 1 - t*x - t^2*y) needs under 256.  A fix of the engine's order
+# dependence flips the test below.
+SATURATION_BLOW_UPS = [
+    (("2*x^2*y^3 - 2*x^2", "-2*x^3*y^2 + 3*x*y^2 + y^3"), ("y", "x")),
+]
+
+
+@pytest.mark.parametrize("gens, divisors", SATURATION_BLOW_UPS)
+def test_one_elimination_blow_ups_are_order_dependent(gens, divisors):
+    """Under 1000 reductions the presented divisor order trips, and the
+    reversed order and the per-generator route give the same lead ideal."""
+    order, budgets = local_order(2), Budgets(reductions=1000)
+    gens, divisors = [p(t) for t in gens], [p(t) for t in divisors]
+    with pytest.raises(BudgetExceededError):
+        saturate(gens, divisors, order, budgets)
+    basis, _ = saturate(gens, divisors[::-1], order, budgets)
+    expected = _per_generator_saturation(gens, divisors, order, budgets)
+    assert leading_exponents(basis, order) == leading_exponents(expected, order)
 
 
 def _minimal_monomials(exps):
@@ -657,6 +737,6 @@ def test_saturation_of_monomial_ideal_by_variables(exps, subset, order):
             tuple(map(max, a, b)) for a in expected for b in part
         }
     basis, eliminations = saturate(gens, variables, order)
-    assert eliminations == len(subset)
+    assert eliminations == 1
     assert set(leading_exponents(basis, order)) == _minimal_monomials(expected)
     assert _is_standard_basis(basis, order)
