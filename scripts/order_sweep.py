@@ -68,7 +68,7 @@ def main() -> int:
             continue
         checked += 1
         head, minors = list(check.gens[:-1]), list(check.maximal_minors)
-        order = local_order(len(check.gens[0].ring.variables))
+        order = local_order(check.gens[0].ring.nvars)
         for name, gens in zip(ORDERS, (head + minors, minors + head)):
             try:
                 colength(gens, order, budgets)
