@@ -30,7 +30,6 @@ from .homology import (
     HomologyTable,
     bouquet,
     dkp_fibre,
-    direct_sum,
     milnor_fibre_homology,
     smith_normal_form,
     table_B,
@@ -94,7 +93,6 @@ __all__ = [
     "check_icis",
     "colength",
     "determinant",
-    "direct_sum",
     "dkp_fibre",
     "elimination_order",
     "global_order",

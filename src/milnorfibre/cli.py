@@ -85,7 +85,7 @@ def _load_job(path: str, args: argparse.Namespace) -> Job:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read job file {path}: {exc}") from exc
     return Job(input=parse_job(text), seed=args.seed, budgets=_budgets_from(args))
 
@@ -130,6 +130,9 @@ def _cmd_tables(args: argparse.Namespace) -> int:
         raise ParseError(f"the fibre tables need --n at least 5 at every --corank, got {args.n}")
     if not 0 <= args.corank <= args.n - 3:
         raise ParseError(f"--corank must be in 0..{args.n - 3}, got {args.corank}")
+    # at corank >= 2 every (n-4)-minor of H vanishes at 0, so a >= 1
+    if args.corank >= 2 and args.a < 1:
+        raise ParseError(f"--a must be at least 1 at --corank >= 2, got {args.a}")
     start = time.perf_counter()
     fibre, tables, checks, notes = collect_tables(
         args.mu0, args.mu1, args.a, args.corank, args.a1, args.n

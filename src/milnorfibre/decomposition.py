@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ComputationError, InconsistencyError, InvalidIcisError
+from .homology import rank_guards
 from .milnor import check_icis, milnor_icis, milnor_top_step
 from .orders import local_order
 from .rings import (
@@ -184,13 +185,9 @@ _LOCUS_MEMBERSHIP_CHECKS = (
 def _guard_inequalities(mu1: int, a: int, corank: int) -> tuple[CheckResult, ...]:
     if corank < 2:
         return ()
-    guards = (
-        ("mu1 - 2a + 1 >= 0", mu1 - 2 * a + 1),
-        ("mu1 - a >= 0", mu1 - a),
-        ("2*mu1 - 3a + 1 >= 0", 2 * mu1 - 3 * a + 1),
-    )
     return tuple(
-        CheckResult(name, value >= 0, f"value {value}") for name, value in guards
+        CheckResult(name, value >= 0, f"value {value}")
+        for name, value in rank_guards(mu1, a)
     )
 
 
@@ -232,7 +229,12 @@ def invariant_report(
         )
         checks.append(CheckResult("a_finite", True, "corank 0 forces a = 0"))
     else:
-        sigma1 = check_icis(inp.g + (determinant(inp.h),), budgets)
+        det_h = determinant(inp.h)
+        if det_h.is_zero():
+            raise InvalidIcisError(
+                "det H vanishes identically, so (g, det H) is not an i.c.i.s."
+            )
+        sigma1 = check_icis(inp.g + (det_h,), budgets)
         checks.append(
             CheckResult(
                 "sigma1_icis",
@@ -255,7 +257,7 @@ def invariant_report(
     mu1 = milnor_top_step(sigma1, mu0, budgets) if mu1_applicable else 0
     a1, a1_prov = a1_count(inp, f, budgets)
 
-    guards = _guard_inequalities(mu1, a, corank) if mu1_applicable else ()
+    guards = _guard_inequalities(mu1, a, corank)
     checks.extend(guards)
     report = InvariantReport(
         n=inp.n,

@@ -22,6 +22,10 @@ SPACE_X = "X"
 SPACE_M = "M"
 SPACE_FIBRE = "Fibre"
 
+# the (B, B_u) ladder and the X table are derived for n >= 8; a job at a
+# smaller n gets them at this reference dimension
+LADDER_MIN_N = 8
+
 
 @dataclass(frozen=True)
 class FgAbelianGroup:
@@ -195,22 +199,6 @@ def _mat_mul(p: list[list[int]], q: list[list[int]]) -> list[list[int]]:
     ]
 
 
-def direct_sum(groups: Iterable[FgAbelianGroup]) -> FgAbelianGroup:
-    """Direct sum, with merged torsion renormalized to a divisibility chain."""
-    rank = 0
-    torsion: list[int] = []
-    for g in groups:
-        rank += g.rank
-        torsion.extend(g.torsion)
-    if not torsion:
-        return FgAbelianGroup(rank)
-    size = len(torsion)
-    diag = [[torsion[i] if i == j else 0 for j in range(size)] for i in range(size)]
-    d, _, _ = smith_normal_form(diag)
-    chain = tuple(d[i][i] for i in range(size) if d[i][i] > 1)
-    return FgAbelianGroup(rank, chain)
-
-
 @dataclass(frozen=True)
 class HomologyTable:
     """Degree-indexed groups for one space; missing degrees are trivial."""
@@ -261,14 +249,14 @@ def make_table(
     return HomologyTable(space, coefficients, entries)
 
 
-def _accumulate(groups: dict[int, FgAbelianGroup], degree: int, g: FgAbelianGroup):
-    """Add a summand at a degree, merging collisions by direct sum."""
-    if g.is_trivial():
-        return
-    if degree in groups:
-        groups[degree] = direct_sum([groups[degree], g])
-    else:
-        groups[degree] = g
+def _free_table(space: str, summands: Iterable[tuple[int, int]]) -> HomologyTable:
+    """Integral table of free summands (degree, rank); ranks at one degree add."""
+    ranks: dict[int, int] = {}
+    for degree, rank in summands:
+        if rank < 0:
+            raise ValueError("negative rank")
+        ranks[degree] = ranks.get(degree, 0) + rank
+    return make_table(space, "integral", {d: free_group(r) for d, r in ranks.items()})
 
 
 def universal_coefficients_mod2(table: HomologyTable) -> HomologyTable:
@@ -291,6 +279,21 @@ def universal_coefficients_mod2(table: HomologyTable) -> HomologyTable:
 def _require(cond: bool, message: str):
     if not cond:
         raise InconsistencyError(message)
+
+
+def rank_guards(mu1: int, a: int) -> tuple[tuple[str, int], ...]:
+    """The rank inequalities the corank >= 2 tables hold under, as
+    (name, value) pairs; each holds when its value is non-negative."""
+    return (
+        ("mu1 - 2a + 1 >= 0", mu1 - 2 * a + 1),
+        ("mu1 - a >= 0", mu1 - a),
+        ("2*mu1 - 3a + 1 >= 0", 2 * mu1 - 3 * a + 1),
+    )
+
+
+def _require_rank_guards(mu1: int, a: int):
+    for name, value in rank_guards(mu1, a):
+        _require(value >= 0, f"rank guard violated: {name} (value {value})")
 
 
 def table_B(mu1: int, a: int) -> tuple[HomologyTable, HomologyTable]:
@@ -327,10 +330,9 @@ def table_pair_B_Bu(mu1: int, a: int, n: int) -> dict[str, HomologyTable]:
     cover must equal twice that of B_u; the identity is evaluated in the
     even-n degree regime the ladder was derived in.
     """
-    _require(n >= 8, f"pair ladder needs n >= 8, got {n}")
-    _require(mu1 - 2 * a + 1 >= 0, f"mu1 - 2a + 1 = {mu1 - 2 * a + 1} < 0")
-    _require(2 * mu1 - 3 * a + 1 >= 0, f"2*mu1 - 3a + 1 = {2 * mu1 - 3 * a + 1} < 0")
-    _require(mu1 >= a >= 0, f"need mu1 >= a >= 0, got mu1={mu1} a={a}")
+    _require(n >= LADDER_MIN_N, f"pair ladder needs n >= {LADDER_MIN_N}, got {n}")
+    _require_rank_guards(mu1, a)
+    _require(a >= 0, f"need a >= 0, got a={a}")
     pair = make_table(
         SPACE_PAIR,
         "integral",
@@ -381,10 +383,8 @@ def table_X(mu1: int, a: int, n: int) -> tuple[HomologyTable, HomologyTable]:
     """Homology of the smoothed corank-2 locus piece X (needs a >= 1)."""
     if a == 0:
         raise ValueError("a = 0: X is not defined; use the table_B route")
-    _require(n >= 8, f"X table needs n >= 8, got {n}")
-    _require(mu1 - 2 * a + 1 >= 0, f"mu1 - 2a + 1 = {mu1 - 2 * a + 1} < 0")
-    _require(2 * mu1 - 3 * a + 1 >= 0, f"2*mu1 - 3a + 1 = {2 * mu1 - 3 * a + 1} < 0")
-    _require(mu1 >= a, f"need mu1 >= a, got mu1={mu1} a={a}")
+    _require(n >= LADDER_MIN_N, f"X table needs n >= {LADDER_MIN_N}, got {n}")
+    _require_rank_guards(mu1, a)
     integral = make_table(
         SPACE_X,
         "integral",
@@ -416,26 +416,17 @@ def table_M(mu0: int, mu1: int, a: int, corank: int, n: int) -> HomologyTable:
     for corank >= 2.  Lower coranks list their complete tables.
     """
     _require(0 <= corank <= n - 3, f"corank {corank} outside 0..{n - 3}")
-    groups: dict[int, FgAbelianGroup] = {}
     if corank >= 2:
-        _require(mu1 - 2 * a + 1 >= 0, f"mu1 - 2a + 1 = {mu1 - 2 * a + 1} < 0")
-        _require(2 * mu1 - 3 * a + 1 >= 0, f"2*mu1 - 3a + 1 = {2 * mu1 - 3 * a + 1} < 0")
-        _require(mu1 >= a, f"need mu1 >= a, got mu1={mu1} a={a}")
+        _require_rank_guards(mu1, a)
         e = 1 if corank == 2 else 0
         top = mu0 + 2 * mu1 - 4 * a + 1 + e
         _require(top >= 0, f"mu0 + 2*mu1 - 4a + 1 + e = {top} < 0")
-        _accumulate(groups, n - 1, free_group(top))
-        _accumulate(groups, n - 2, free_group(e))
+        summands = [(n - 1, top), (n - 2, e)]
     elif corank == 1:
-        _accumulate(groups, n - 1, free_group(2 * mu1 + mu0))
-        _accumulate(groups, n - 3, free_group(1))
-        _accumulate(groups, 2, free_group(mu0))
-        _accumulate(groups, 0, free_group(1))
+        summands = [(n - 1, 2 * mu1 + mu0), (n - 3, 1), (2, mu0), (0, 1)]
     else:
-        _accumulate(groups, n - 1, free_group(mu0))
-        _accumulate(groups, n - 4, free_group(1))
-        _accumulate(groups, 0, free_group(1))
-    return make_table(SPACE_M, "integral", groups)
+        summands = [(n - 1, mu0), (n - 4, 1), (0, 1)]
+    return _free_table(SPACE_M, summands)
 
 
 def milnor_fibre_homology(
@@ -452,24 +443,16 @@ def milnor_fibre_homology(
         _require(value >= 0, f"{name} = {value} < 0")
     _require(n >= 5, f"the fibre tables need n >= 5, got n={n}")
     _require(0 <= corank <= n - 3, f"corank {corank} outside 0..{n - 3}")
-    groups: dict[int, FgAbelianGroup] = {}
-    if corank >= 3:
-        top = mu0 + 2 * mu1 - 4 * a + 1 + a1
-        _require(top >= 0, f"mu0 + 2*mu1 - 4a + 1 + #A1 = {top} < 0")
-        _accumulate(groups, n - 1, free_group(top))
-    elif corank == 2:
-        top = mu0 + 2 * mu1 - 4 * a + 2 + a1
-        _require(top >= 0, f"mu0 + 2*mu1 - 4a + 2 + #A1 = {top} < 0")
-        _accumulate(groups, n - 1, free_group(top))
-        _accumulate(groups, n - 2, free_group(1))
+    if corank >= 2:
+        e = 1 if corank == 2 else 0
+        top = mu0 + 2 * mu1 - 4 * a + 1 + e + a1
+        _require(top >= 0, f"mu0 + 2*mu1 - 4a + {1 + e} + #A1 = {top} < 0")
+        summands = [(n - 1, top), (n - 2, e)]
     elif corank == 1:
-        _accumulate(groups, n - 1, free_group(mu0 + 2 * mu1 + a1))
-        _accumulate(groups, n - 3, free_group(1))
+        summands = [(n - 1, mu0 + 2 * mu1 + a1), (n - 3, 1)]
     else:
-        _accumulate(groups, n - 1, free_group(mu0 + a1))
-        _accumulate(groups, n - 4, free_group(1))
-    _accumulate(groups, 0, free_group(1))
-    fibre = make_table(SPACE_FIBRE, "integral", groups)
+        summands = [(n - 1, mu0 + a1), (n - 4, 1)]
+    fibre = _free_table(SPACE_FIBRE, summands + [(0, 1)])
 
     m_table = table_M(mu0, mu1, a, corank, n)
     for d in sorted(set(fibre.degrees()) | set(m_table.degrees())):

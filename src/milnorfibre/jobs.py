@@ -30,15 +30,15 @@ from .homology import (
     table_pair_B_Bu,
     table_X,
     universal_coefficients_mod2,
+    LADDER_MIN_N,
     SPACE_B,
     SPACE_BU,
     SPACE_BU_COVER,
     SPACE_PAIR,
+    SPACE_X,
 )
 from .rings import Ring, parse_matrix, parse_polynomial
 from .standard_basis import Budgets, DEFAULT_BUDGETS
-
-AUX_TABLE_MIN_N = 8
 
 SECTION_KEYS = {
     "ring": ("vars",),
@@ -329,36 +329,25 @@ def collect_tables(
     identities that were evaluated and the values they took.
     """
     fibre = milnor_fibre_homology(mu0, mu1, a, corank, a1, n)
-    m_table = table_M(mu0, mu1, a, corank, n)
     tables: list[tuple[str, HomologyTable]] = []
-    checks: list[CheckResult] = []
-    notes: list[str] = []
-
-    checks.append(
+    checks = [
         CheckResult(
             "fibre_M_rank_split",
             True,
             "rank H_d(F) = rank H_d(M) + (#A1 if d = n-1) for all d >= 4",
         )
-    )
+    ]
+    notes: list[str] = []
 
     if corank >= 2:
-        n_aux = n if n >= AUX_TABLE_MIN_N else AUX_TABLE_MIN_N
+        n_aux = max(n, LADDER_MIN_N)
         if n_aux != n:
             notes.append(
                 f"auxiliary tables rendered at reference dimension n = {n_aux} "
-                f"(job has n = {n} < {AUX_TABLE_MIN_N})"
+                f"(job has n = {n} < {LADDER_MIN_N})"
             )
         b_low, b_low_mod2 = table_B(mu1, a)
-        uc_b = universal_coefficients_mod2(b_low)
-        _check_tables_equal(uc_b, b_low_mod2, "B")
-        checks.append(
-            CheckResult(
-                "uc_mod2_B",
-                True,
-                "mod-2 table of B matches universal coefficients of the integral table",
-            )
-        )
+        checks.append(_uc_mod2_check(SPACE_B, b_low, b_low_mod2))
         ladder = table_pair_B_Bu(mu1, a, n_aux)
         cover_chi = ladder[SPACE_BU_COVER].euler_characteristic()
         checks.append(
@@ -369,15 +358,7 @@ def collect_tables(
             )
         )
         x_int, x_mod2 = table_X(mu1, a, n_aux)
-        uc_x = universal_coefficients_mod2(x_int)
-        _check_tables_equal(uc_x, x_mod2, "X")
-        checks.append(
-            CheckResult(
-                "uc_mod2_X",
-                True,
-                "mod-2 table of X matches universal coefficients of the integral table",
-            )
-        )
+        checks.append(_uc_mod2_check(SPACE_X, x_int, x_mod2))
         tables.extend(
             [
                 ("B_low", b_low),
@@ -395,15 +376,22 @@ def collect_tables(
             "corank <= 1: the corank-2 locus is empty, so only the fibre and M "
             "tables apply"
         )
-    tables.append(("M", m_table))
+    tables.append(("M", table_M(mu0, mu1, a, corank, n)))
     return fibre, tables, checks, notes
 
 
-def _check_tables_equal(left: HomologyTable, right: HomologyTable, what: str):
-    degrees = set(left.degrees()) | set(right.degrees())
-    for d in sorted(degrees):
-        if left.group(d) != right.group(d):
+def _uc_mod2_check(space: str, integral: HomologyTable, mod2: HomologyTable) -> CheckResult:
+    """The stated mod-2 table of a space against the universal coefficients
+    of its integral table; a mismatch raises InconsistencyError."""
+    derived = universal_coefficients_mod2(integral)
+    for d in sorted(set(derived.degrees()) | set(mod2.degrees())):
+        if derived.group(d) != mod2.group(d):
             raise InconsistencyError(
-                f"universal-coefficient mismatch for {what} in degree {d}: "
-                f"{left.group(d)} vs {right.group(d)}"
+                f"universal-coefficient mismatch for {space} in degree {d}: "
+                f"{derived.group(d)} vs {mod2.group(d)}"
             )
+    return CheckResult(
+        f"uc_mod2_{space}",
+        True,
+        f"mod-2 table of {space} matches universal coefficients of the integral table",
+    )

@@ -109,6 +109,13 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert code == 2 and "cannot read" in err
 
 
+def test_non_utf8_job_file_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.job"
+    bad.write_bytes(WORKED_JOB.replace("x5^2", "x5^2  # \xe9").encode("latin-1"))
+    code, _, err = run_main(["invariants", str(bad)], capsys)
+    assert code == 2 and f"cannot read job file {bad}" in err
+
+
 def test_computation_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "noniso.job"
     bad.write_text(WORKED_JOB.replace("x3 - x5^2", "-x3"))
@@ -140,6 +147,15 @@ def test_tables_out_of_range_flag_exit_code(corank, n, message, capsys):
         capsys,
     )
     assert code == 2 and message in err
+
+
+def test_tables_refuse_a_below_one_at_corank_two(capsys):
+    # every (n-4)-minor of H vanishes at 0 at corank >= 2, so a >= 1
+    code, out, err = run_main(
+        ["tables", "--mu0", "0", "--mu1", "1", "--a", "0", "--corank", "2", "--n", "8"],
+        capsys,
+    )
+    assert code == 2 and "--a must be at least 1 at --corank >= 2" in err and not out
 
 
 # the order-3 germ of the corpus under a sparse shear: its largest standard

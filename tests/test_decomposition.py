@@ -200,6 +200,13 @@ def test_locus_must_be_an_icis():
         invariant_report(inp)
 
 
+def test_identically_zero_det_h_is_named():
+    # the (g, det H) check must name det H, not a generator the user never wrote
+    inp = mk(("y1", "y2"), (("x1", "x1"), ("x1", "x1")))
+    with pytest.raises(InvalidIcisError, match=re.escape("det H vanishes identically")):
+        invariant_report(inp)
+
+
 # --- one dataflow per job ----------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -227,7 +234,11 @@ def test_each_ideal_is_checked_once(monkeypatch, inp, expected):
 
     for name in ("check_icis", "compute_a", "determinant", "assemble_f"):
         monkeypatch.setattr(decomposition, name, counting(name, getattr(decomposition, name)))
-    # each generator and each partial of f is differentiated once per job
+    # the derivative count pins where a job differentiates: the partials of g
+    # are taken by the locus check, again by the (g, det H) check and again
+    # by the head of the presented chain, and those of f only to estimate
+    # #A1; 15 of the worked example's 35 calls and 5 of the corank-0 germ's
+    # 15 repeat a (polynomial, variable) pair already taken
     monkeypatch.setattr(Polynomial, "derivative", counting("derivative", Polynomial.derivative))
     # milnor_icis must run on the caller's check, not test its ideal again
     monkeypatch.setattr(milnor, "check_icis", decomposition.check_icis)

@@ -1,5 +1,6 @@
 """Abelian groups, Smith normal form, homology tables, bouquets."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,12 +15,12 @@ from milnorfibre.homology import (
     SPACE_BU_COVER,
     SPACE_PAIR,
     bouquet,
-    direct_sum,
     dkp_fibre,
     free_group,
     make_table,
     milnor_fibre_homology,
     mod2_group,
+    rank_guards,
     smith_normal_form,
     table_B,
     table_M,
@@ -42,15 +43,6 @@ def test_group_validation():
     assert str(g) == "Z^2 + Z/2 + Z/4"
     assert str(FgAbelianGroup(0, (2, 2, 2))) == "(Z/2)^3"
     assert str(FgAbelianGroup(0)) == "0"
-
-
-def test_direct_sum_renormalizes():
-    assert direct_sum(
-        [FgAbelianGroup(1, (2,)), FgAbelianGroup(0, (3,)), FgAbelianGroup(2)]
-    ) == FgAbelianGroup(3, (6,))
-    assert direct_sum(
-        [FgAbelianGroup(0, (2,)), FgAbelianGroup(0, (2,))]
-    ) == FgAbelianGroup(0, (2, 2))
 
 
 # --- Smith normal form --------------------------------------------------------
@@ -186,9 +178,26 @@ def test_universal_coefficients_agrees_with_stated_mod2_tables():
                 assert uc.group(d) == b2.group(d), (mu1, a, d)
 
 
+def test_negative_summand_is_a_value_error():
+    with pytest.raises(ValueError, match="negative rank"):
+        table_M(-3, 0, 0, 0, 8)
+
+
 def test_guard_violations_raise():
-    with pytest.raises(InconsistencyError):
-        table_pair_B_Bu(1, 2, 8)  # mu1 - 2a + 1 < 0
+    assert rank_guards(1, 2) == (
+        ("mu1 - 2a + 1 >= 0", -2),
+        ("mu1 - a >= 0", -1),
+        ("2*mu1 - 3a + 1 >= 0", -3),
+    )
+    # every corank >= 2 table reads the one guard list
+    message = re.escape("rank guard violated: mu1 - 2a + 1 >= 0 (value -2)")
+    for build in (
+        lambda: table_pair_B_Bu(1, 2, 8),
+        lambda: table_X(1, 2, 8),
+        lambda: table_M(0, 1, 2, 2, 8),
+    ):
+        with pytest.raises(InconsistencyError, match=message):
+            build()
     with pytest.raises(InconsistencyError):
         table_pair_B_Bu(3, 2, 7)  # ladder needs n >= 8
     with pytest.raises(InconsistencyError):

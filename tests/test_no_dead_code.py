@@ -2,9 +2,11 @@
 
 A function defined at the top level of a module in ``src/milnorfibre`` and
 not starting with an underscore must be referenced somewhere in the package
-outside its own definition (a call, an attribute access or an import), or
-be exported through ``milnorfibre.__all__``.  Tests and scripts do not count
-as callers.
+outside its own definition and the package's re-export in ``__init__.py``
+(a call, an attribute access or an import).  Failing that, it must be
+exported through ``milnorfibre.__all__`` and named in README.md, as the
+start of a code span, which documents its use.  Tests and scripts do not
+count as callers.
 
 A method of a package class not starting with an underscore must be
 accessed as an attribute, or named in a string (the benchmark's tracer
@@ -13,6 +15,7 @@ names the methods it wraps by string), somewhere in ``src/``, ``tests/``,
 """
 
 import ast
+import re
 from pathlib import Path
 
 import milnorfibre
@@ -44,18 +47,19 @@ def _references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
 def unreferenced_functions() -> list[str]:
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     exported = set(milnorfibre.__all__)
+    readme = (ROOT / "README.md").read_text()
     missing = []
     for module, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
                 continue
-            if node.name in exported:
-                continue
             used = any(
                 node.name in _references(other, skip=node)
-                for other in trees.values()
+                for stem, other in trees.items()
+                if stem != "__init__"
             )
-            if not used:
+            documented = node.name in exported and re.search(rf"`{node.name}\b", readme)
+            if not used and not documented:
                 missing.append(f"{module}.{node.name}")
     return missing
 
