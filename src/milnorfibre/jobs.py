@@ -5,13 +5,19 @@ one `key = value` per line; `#` starts a comment.  Structural problems
 (including a non-symmetric matrix) are parse-stage errors.  Reports render
 as text or JSON; the JSON form is byte-identical for a fixed (job, seed) and
 therefore excludes timing, which only the text form shows.
+
+Report.to_json writes the text json.dumps(doc, indent=2) gives, but by a
+small writer for the report's fixed shape (dicts with str keys, lists, str,
+int, bool and None; strings through json's own ASCII escaping): json.dumps
+with an indent always takes the pure-Python encoder, which takes about twice
+as long on a homology report.  Any other type raises TypeError.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .decomposition import (
     CheckResult,
@@ -26,7 +32,6 @@ from .homology import (
     bouquet,
     milnor_fibre_homology,
     table_B,
-    table_M,
     table_pair_B_Bu,
     table_X,
     universal_coefficients_mod2,
@@ -195,7 +200,7 @@ class Report:
         return doc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        return _json_text(self.to_json_dict(), "\n") + "\n"
 
     def to_text(self) -> str:
         inv = self.invariants
@@ -232,6 +237,38 @@ class Report:
         lines.append("")
         lines.append(f"seed {self.seed}, elapsed {self.elapsed:.2f} s")
         return "\n".join(lines) + "\n"
+
+
+def _json_text(value, newline: str) -> str:
+    """The text json.dumps(value, indent=2) gives, for the report's shape:
+    dicts with str keys, lists, str, int, bool and None.  newline is a line
+    break and the indent of the line value starts on.  Any other type, a
+    float included, raises TypeError, and so does a key that is not a str
+    (from the escaping)."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return repr(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _table_groups_json(table: HomologyTable) -> dict:
@@ -328,7 +365,7 @@ def collect_tables(
     identity fails; the CheckResult entries returned here record the
     identities that were evaluated and the values they took.
     """
-    fibre = milnor_fibre_homology(mu0, mu1, a, corank, a1, n)
+    fibre, m_table = milnor_fibre_homology(mu0, mu1, a, corank, a1, n, with_m_table=True)
     tables: list[tuple[str, HomologyTable]] = []
     checks = [
         CheckResult(
@@ -376,7 +413,7 @@ def collect_tables(
             "corank <= 1: the corank-2 locus is empty, so only the fibre and M "
             "tables apply"
         )
-    tables.append(("M", table_M(mu0, mu1, a, corank, n)))
+    tables.append(("M", m_table))
     return fibre, tables, checks, notes
 
 

@@ -5,6 +5,8 @@ a coefficient is an int when it is integral and a Fraction otherwise; never a
 float.  Everything here is exact; no floating point enters at any stage.
 Arithmetic results are built by a trusted constructor that skips the
 validation of Polynomial(...), since their terms are valid by construction.
+Sums, products and powers run on bare term maps, so the parser builds each
+polynomial without intermediate Polynomial objects and makes one at the end.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
-from operator import le
+from operator import add, le
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -75,10 +77,6 @@ def monomial_degree(expo: tuple[int, ...]) -> int:
     return sum(expo)
 
 
-def monomial_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def monomial_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     """True when monomial a divides monomial b."""
     return all(map(le, a, b))
@@ -99,6 +97,49 @@ def _canonical(terms: dict) -> dict:
         if type(coeff) is not int and coeff.denominator == 1:
             terms[expo] = coeff.numerator
     return terms
+
+
+def _terms_add(acc: dict, b: dict) -> dict:
+    """The term map acc + b, added into acc, without the terms that cancel."""
+    for expo, coeff in b.items():
+        new = acc.get(expo, 0) + coeff
+        if new:
+            acc[expo] = new
+        else:
+            acc.pop(expo, None)
+    return acc
+
+
+def _terms_neg(a: dict) -> dict:
+    return {expo: -coeff for expo, coeff in a.items()}
+
+
+def _terms_mul(a: dict, b: dict) -> dict:
+    """The term map a * b, without the terms that cancel."""
+    out: dict[tuple[int, ...], int | Fraction] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            expo = tuple(map(add, e1, e2))
+            new = out.get(expo, 0) + c1 * c2
+            if new:
+                out[expo] = new
+            else:
+                out.pop(expo, None)
+    return out
+
+
+def _terms_pow(base: dict, e: int, one: tuple[int, ...]) -> dict:
+    """The term map base^e by square and multiply: one product per set bit
+    of e and one squaring per bit after the first.  one is the exponent of
+    the monomial 1."""
+    power = {one: 1}
+    while e:
+        if e & 1:
+            power = _terms_mul(power, base)
+        e >>= 1
+        if e:
+            base = _terms_mul(base, base)
+    return power
 
 
 def _poly(ring: Ring, terms: dict[tuple[int, ...], int | Fraction]) -> "Polynomial":
@@ -175,17 +216,10 @@ class Polynomial:
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
         self._check_ring(other)
-        terms = dict(self._terms)
-        for expo, coeff in other._terms.items():
-            new = terms.get(expo, 0) + coeff
-            if new == 0:
-                terms.pop(expo, None)
-            else:
-                terms[expo] = new
-        return _poly(self.ring, _canonical(terms))
+        return _poly(self.ring, _canonical(_terms_add(dict(self._terms), other._terms)))
 
     def __neg__(self) -> "Polynomial":
-        return _poly(self.ring, {e: -c for e, c in self._terms.items()})
+        return _poly(self.ring, _terms_neg(self._terms))
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other))
@@ -193,16 +227,7 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         other = self._coerce(other)
         self._check_ring(other)
-        terms: dict[tuple[int, ...], int | Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                expo = monomial_mul(e1, e2)
-                new = terms.get(expo, 0) + c1 * c2
-                if new == 0:
-                    terms.pop(expo, None)
-                else:
-                    terms[expo] = new
-        return _poly(self.ring, _canonical(terms))
+        return _poly(self.ring, _canonical(_terms_mul(self._terms, other._terms)))
 
     def __rmul__(self, other) -> "Polynomial":
         return self * other
@@ -216,15 +241,7 @@ class Polynomial:
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _poly(self.ring, _canonical(_terms_pow(self._terms, k, (0,) * self.ring.nvars)))
 
     def scale(self, c) -> "Polynomial":
         c = _coefficient(c)
@@ -331,6 +348,8 @@ class _Parser:
         list    := '[' item (',' item)* ']'
 
     A factor's signs apply after its power, so -x^2 and x*-y^2 are negative.
+    The rules build term maps {exponent: nonzero coefficient} and
+    polynomial() makes one Polynomial of each at the end.
     A product or power that may expand past EXPANSION_BOUND terms, and a
     power of one term with an exponent above it, are refused before they
     are multiplied out.
@@ -340,6 +359,7 @@ class _Parser:
 
     def __init__(self, text: str, ring: Ring):
         self.ring = ring
+        self.one = (0,) * ring.nvars  # the exponent of the monomial 1
         self.toks: list[tuple[str, str, int]] = []
         pos, end = 0, len(text.rstrip())
         while pos < end:
@@ -368,23 +388,28 @@ class _Parser:
             raise ParseError(f"unexpected token {val!r}", pos)
         return result
 
-    def expr(self) -> Polynomial:
+    def polynomial(self) -> Polynomial:
+        return _poly(self.ring, _canonical(self.expr()))
+
+    def expr(self) -> dict:
+        # every rule returns a map of its own, so the sum adds into it
         result = self.term()
         while self.toks[self.i][0] in _SIGNS:
             op = self.next()[0]
-            result = result + self.term() if op == "+" else result - self.term()
+            other = self.term()
+            _terms_add(result, other if op == "+" else _terms_neg(other))
         return result
 
-    def term(self) -> Polynomial:
+    def term(self) -> dict:
         result = self.factor()
         while self.toks[self.i][0] == "*":
             pos = self.next()[2]
             other = self.factor()
             _bound_expansion("product", len(result) * len(other), pos)
-            result = result * other
+            result = _terms_mul(result, other)
         return result
 
-    def factor(self) -> Polynomial:
+    def factor(self) -> dict:
         sign = 1
         while self.toks[self.i][0] in _SIGNS:
             sign *= _SIGNS[self.next()[0]]
@@ -397,8 +422,8 @@ class _Parser:
             elif e > EXPANSION_BOUND:
                 # one term cannot add terms, but its coefficient grows with e
                 raise ParseError(f"exponent {e} is over the bound {EXPANSION_BOUND}", pos)
-            base = base ** e
-        return base if sign > 0 else -base
+            base = _terms_pow(base, e, self.one)
+        return base if sign > 0 else _terms_neg(base)
 
     def exponent(self) -> int:
         kind, val, pos = self.next()
@@ -410,18 +435,19 @@ class _Parser:
             raise ExponentError(f"exponent must be a nonnegative integer, got {val!r}", pos)
         return _numeral(val, pos)
 
-    def atom(self) -> Polynomial:
+    def atom(self) -> dict:
         kind, val, pos = self.next()
         if kind == "number":
             num, _, den = val.partition("/")
             value, den = _numeral(num, pos), _numeral(den, pos) if den else 1
             if den == 0:
                 raise ParseError("zero denominator", pos)
-            return self.ring.constant(value if den == 1 else Fraction(value, den))
+            return {self.one: value if den == 1 else Fraction(value, den)} if value else {}
         if kind == "name":
             if val not in self.ring.variables:
                 raise UnknownVariableError(f"unknown variable {val!r}", pos)
-            return self.ring.variable(val)
+            i = self.ring.variables.index(val)
+            return {self.one[:i] + (1,) + self.one[i + 1:]: 1}
         if kind == "(":
             inner = self.expr()
             if self.next()[0] != ")":
@@ -470,14 +496,14 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
     nonnegative integers.  Errors carry the character position.
     """
     parser = _Parser(text, ring)
-    return parser.parse(parser.expr)
+    return parser.parse(parser.polynomial)
 
 
 def parse_matrix(text: str, ring: Ring) -> PolyMatrix:
     """Parse a matrix '[[p, q], [r, s]]' of polynomials; error positions
     count from the start of text."""
     parser = _Parser(text, ring)
-    rows = parser.parse(lambda: parser.bracketed(lambda: parser.bracketed(parser.expr)))
+    rows = parser.parse(lambda: parser.bracketed(lambda: parser.bracketed(parser.polynomial)))
     if any(len(row) != len(rows[0]) for row in rows):
         raise ParseError("ragged matrix rows")
     return PolyMatrix(ring, rows)

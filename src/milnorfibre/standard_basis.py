@@ -30,6 +30,13 @@ colength then counts the staircase of the lead ideal by recursion over the
 lead exponents, splitting on one variable's exponent (the Hilbert-function
 recursion, Bayer & Stillman 1992).  Its work is at most the number of
 variables times the count, so the count has no size limit of its own.
+
+Under the local degree order a generator with a nonzero constant term is a
+unit of the local ring, so its ideal is the whole ring: colength returns 0,
+with no unbounded variable, before it builds any engine polynomial.  The
+completion reaches the same answer, a lead 1 and a count of 0, only after
+its pair loop, where a small budget can trip.  Linear loci make such ideals
+common: the maximal minors of their Jacobians are constants.
 """
 
 from __future__ import annotations
@@ -409,11 +416,14 @@ def _staircase(
     leads; the colength is INFINITE exactly when there are such variables.
 
     Without a given basis, the leads come from a standard basis that the
-    local degree order truncates at the highest corner."""
+    local degree order truncates at the highest corner; under that order an
+    ideal with a unit generator needs none."""
     ring = _check_inputs(gens, order)
     if basis is None:
-        eps = [_ep_from_polynomial(g, order) for g in gens]
         local = order.kind == LOCAL_ANTIGRADED_REVLEX
+        if local and any(g.constant_coefficient() for g in gens):
+            return 0, ()
+        eps = [_ep_from_polynomial(g, order) for g in gens]
         leads = [g.lead for g in _standard_basis_ep(eps, order, budgets, local)]
     else:
         leads = leading_exponents(basis, order)

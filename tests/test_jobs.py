@@ -1,9 +1,14 @@
 """Job-file grammar, report assembly, and JSON serialization."""
 
+import dataclasses
 import json
+import sys
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from milnorfibre import jobs
+from milnorfibre.corpus import build_input, builtin_cases
 from milnorfibre.errors import InconsistencyError, ParseError
 from milnorfibre.jobs import Job, parse_job, run_homology, run_invariants
 
@@ -196,3 +201,71 @@ def test_n4_job_has_invariants_but_no_fibre_table():
     assert (inv.n, inv.mu0, inv.corank) == (4, 1, 0)
     with pytest.raises(InconsistencyError, match="need n >= 5, got n=4"):
         run_homology(job)
+
+
+def test_homology_job_builds_the_m_table_once(monkeypatch):
+    """milnor_fibre_homology builds M for its rank-split check and hands it
+    to collect_tables, which reports it.  Every module attribute that holds
+    table_M is counted."""
+    from milnorfibre import homology
+
+    calls = []
+    table_m = homology.table_M
+    for name, module in list(sys.modules.items()):
+        if name.startswith("milnorfibre") and getattr(module, "table_M", None) is table_m:
+            monkeypatch.setattr(
+                module, "table_M", lambda *args: calls.append(args) or table_m(*args)
+            )
+    report = run_homology(Job(input=parse_job(GOOD_JOB)))
+    assert len(calls) == 1
+    assert dict(report.tables)["M"] == table_m(*calls[0])
+
+
+# --- the JSON writer against json.dumps --------------------------------------
+# json.dumps(doc, indent=2) + "\n" is the oracle of Report.to_json.
+
+def json_oracle(doc):
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_json_writer_matches_json_dumps_on_every_corpus_report():
+    for case in builtin_cases():
+        report = run_homology(Job(input=build_input(case, "given")))
+        bare = dataclasses.replace(report, fibre=None, tables=(), sphere_bouquet=None)
+        for r in (report, bare):
+            assert r.to_json() == json_oracle(r.to_json_dict()), case.name
+
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**300), 10**300),
+    st.text(st.characters(exclude_categories=())),
+)
+json_documents = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@given(json_documents)
+@example({})
+@example([])
+@example({"": {}, "a": [[], {}], "b": [True, 1, False, 0, None, -(2**200)]})
+@example(["é\n\"\\\t\u2028\x00\x7f\ud800😀", {"ключ\x1f": "\ufeff"}])
+def test_json_writer_matches_json_dumps_on_drawn_documents(doc):
+    assert jobs._json_text(doc, "\n") + "\n" == json_oracle(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [1.0, float("nan"), (1, 2), {"a": [1, 2.5]}, {1: "a"}, {"a": {"b": {1, 2}}}, b"x", [object()]],
+)
+def test_json_writer_refuses_other_types(doc):
+    with pytest.raises(TypeError):
+        jobs._json_text(doc, "\n")

@@ -4,12 +4,14 @@ import sys
 import time
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from milnorfibre import rings
 from milnorfibre.corpus import _dkp_case, build_input
-from milnorfibre.errors import ParseError, RingMismatchError
+from milnorfibre.errors import ParseError, RingMismatchError, UnknownVariableError
 from milnorfibre.rings import (
     EXPANSION_BOUND,
     PolyMatrix,
@@ -159,10 +161,119 @@ def _combined(draw, children):
 expressions = st.recursive(_factors(expression_atoms), _combined, max_leaves=8)
 
 
+class _PolynomialParser(rings._Parser):
+    """Test-only oracle: the grammar's rules evaluated with Polynomial
+    arithmetic (sums, products, square-and-multiply powers) instead of term
+    maps, with the same bound checks, messages and positions.  Polynomial
+    arithmetic runs on the same term-map routines; the Fraction-only
+    reference further down checks it independently."""
+
+    def polynomial(self):
+        return self.expr()
+
+    def expr(self):
+        result = self.term()
+        while self.toks[self.i][0] in ("+", "-"):
+            op = self.next()[0]
+            result = result + self.term() if op == "+" else result - self.term()
+        return result
+
+    def term(self):
+        result = self.factor()
+        while self.toks[self.i][0] == "*":
+            pos = self.next()[2]
+            other = self.factor()
+            rings._bound_expansion("product", len(result) * len(other), pos)
+            result = result * other
+        return result
+
+    def factor(self):
+        sign = 1
+        while self.toks[self.i][0] in ("+", "-"):
+            sign *= -1 if self.next()[0] == "-" else 1
+        base = self.atom()
+        if self.toks[self.i][0] == "^":
+            pos = self.next()[2]
+            e = self.exponent()
+            if len(base) > 1:
+                rings._bound_expansion("power", comb(len(base) + e - 1, e), pos)
+            elif e > EXPANSION_BOUND:
+                raise ParseError(f"exponent {e} is over the bound {EXPANSION_BOUND}", pos)
+            base = base**e
+        return base if sign > 0 else -base
+
+    def atom(self):
+        kind, val, pos = self.next()
+        if kind == "number":
+            num, _, den = val.partition("/")
+            value, den = rings._numeral(num, pos), rings._numeral(den, pos) if den else 1
+            if den == 0:
+                raise ParseError("zero denominator", pos)
+            return self.ring.constant(Fraction(value, den))
+        if kind == "name":
+            if val not in self.ring.variables:
+                raise UnknownVariableError(f"unknown variable {val!r}", pos)
+            return self.ring.variable(val)
+        if kind == "(":
+            inner = self.expr()
+            if self.next()[0] != ")":
+                raise ParseError("missing closing parenthesis", pos)
+            return inner
+        if kind == "end":
+            raise ParseError("unexpected end of input", pos)
+        raise ParseError(f"unexpected token {val!r}", pos)
+
+
+def oracle_parse(text, ring=R2):
+    parser = _PolynomialParser(text, ring)
+    return parser.parse(parser.polynomial)
+
+
+def _parse_outcome(parse, text):
+    """parse(text, R2), or the error's class, message and position."""
+    try:
+        return parse(text, R2)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.position
+
+
 @given(expressions)
 def test_parse_agrees_with_direct_evaluation(node):
     text, _, value = node
-    assert parse_polynomial(text, R2) == value
+    got = parse_polynomial(text, R2)
+    assert got == value == oracle_parse(text)
+    assert_canonical(got)
+
+
+# token soup, for every kind of parse error, and operand-operator chains,
+# mostly well formed, with powers and products near EXPANSION_BOUND
+parse_tokens = st.sampled_from(
+    ["x", "y", "w", "0", "1", "2", "3/2", "4/2", "0/5", "1/0", "16", "300", "(x + y + 1)",
+     "+", "-", "*", "^", "(", ")", " ", "/", "!"]
+)
+operands = st.sampled_from(
+    ["x", "y", "2", "3/2", "4/2", "0/5", "7", "16", "-x", "(x - y)", "(x + y + 1)", "(2*x*y)",
+     "(1/2*x - 2*y + 1)", "w"]
+)
+operators = st.sampled_from(["+", " - ", "*", "^", "*-", "-"])
+parse_texts = st.one_of(
+    st.lists(parse_tokens, max_size=12).map("".join),
+    st.tuples(operands, st.lists(st.tuples(operators, operands), max_size=6)).map(
+        lambda chain: chain[0] + "".join(op + arg for op, arg in chain[1])
+    ),
+)
+
+
+@given(parse_texts)
+@example("(x + y)^15 * (x + y)^16")
+@example("x - (x + y + 1)^22")
+@example("(2*x*y)^300")
+@example("4/2*x*-1/2 + 0/5*y^3 - (y - x)^16")
+@settings(max_examples=150)
+def test_term_map_parse_matches_polynomial_oracle(text):
+    """The term-map parser against the Polynomial-arithmetic oracle: the same
+    polynomial, or the same error at the same position."""
+    assert _parse_outcome(parse_polynomial, text) == _parse_outcome(oracle_parse, text)
 
 
 @given(
@@ -315,26 +426,34 @@ def test_constructors_store_canonical_coefficients():
 @pytest.mark.parametrize("k", range(1, 20))
 def test_power_squares_only_while_bits_remain(k, monkeypatch):
     """Square-and-multiply takes one product per set bit of k and one
-    squaring per bit after the first: none after the last bit."""
+    squaring per bit after the first: none after the last bit.  Polynomial
+    powers and the parser's powers share it, and it multiplies term maps
+    with rings._terms_mul, which is counted."""
     base = poly("x + 1")
     products = []
-    mul = Polynomial.__mul__
-    monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    mul = rings._terms_mul
+    monkeypatch.setattr(rings, "_terms_mul", lambda a, b: products.append(1) or mul(a, b))
     base**k
+    assert len(products) == bin(k).count("1") + k.bit_length() - 1
+    products.clear()
+    poly(f"(x + 1)^{k}")
     assert len(products) == bin(k).count("1") + k.bit_length() - 1
 
 
 def test_expansion_bound_refuses_before_multiplying(monkeypatch):
     """A product may form EXPANSION_BOUND term pairs and a power of a t-term
     base may have that many degree-e monomials in t symbols; one more is a
-    ParseError at the operator, raised before any product is taken."""
+    ParseError at the operator, raised before any product is taken.  The
+    parser multiplies term maps with rings._terms_mul, which is counted."""
     assert EXPANSION_BOUND == 256
+    products = []
+    mul = rings._terms_mul
+    monkeypatch.setattr(rings, "_terms_mul", lambda a, b: products.append(1) or mul(a, b))
     assert len(poly("(x + y)^15 * (x + y)^15")) == 31
     assert len(poly("(x + y)^255")) == 256
     assert len(poly("(x + y + 1)^21")) == 253
-    products = []
-    mul = Polynomial.__mul__
-    monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    assert products  # the counter sees the parser's products
+    products.clear()
     for text, at in [("(x + y)^256", 7), ("(x + y + 1)^100", 11), ("x + y - (x + y + 1)^22", 19)]:
         with pytest.raises(ParseError, match="power may expand to .* over the bound 256") as exc:
             poly(text)

@@ -9,12 +9,14 @@ saturation by iterated ideal quotients, and saturation as the intersection
 of one elimination per divisor).
 """
 
+import importlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from milnorfibre.errors import BudgetExceededError
+from milnorfibre.milnor import check_icis
 from milnorfibre.orders import (
     GLOBAL_GRADED_REVLEX,
     LOCAL_ANTIGRADED_REVLEX,
@@ -38,6 +40,7 @@ from milnorfibre.standard_basis import (
     _inverse,
     _minimalize,
     _standard_basis_ep,
+    _staircase,
     _weak_normal_form,
     colength,
     intersect_ideals,
@@ -47,6 +50,9 @@ from milnorfibre.standard_basis import (
     standard_basis,
     weak_normal_form,
 )
+
+# the module, which the package's standard_basis function shadows
+sb = importlib.import_module("milnorfibre.standard_basis")
 
 R1 = Ring(("x",))
 R2 = Ring(("x", "y"))
@@ -426,6 +432,99 @@ def test_local_colength_budget_keeps_its_message():
     assert str(info.value) == (
         "reduction budget exhausted (5); raise the budget to continue"
     )
+
+
+# --- unit ideals ------------------------------------------------------------
+
+def _count_engine_polynomials(monkeypatch):
+    built = []
+    original = sb._ep_from_polynomial
+    monkeypatch.setattr(
+        sb, "_ep_from_polynomial", lambda f, order: built.append(f) or original(f, order)
+    )
+    return built
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        ("1 + x",),
+        ("x*y", "y^2", "1 + x"),
+        ("0", "x*y", "0", "-2/3 + y^2"),
+        ("x^2 - y^3", "x^5 + 7"),
+    ],
+)
+def test_unit_ideal_has_colength_zero_without_a_basis(texts, monkeypatch):
+    """Under the local order a generator with a nonzero constant term is a
+    unit, wherever it stands among the generators and zeros: colength 0 and
+    no unbounded variable, before any engine polynomial is built."""
+    gens = [p(t) for t in texts]
+    order = local_order(2)
+    built = _count_engine_polynomials(monkeypatch)
+    assert _staircase(gens, order, DEFAULT_BUDGETS) == (0, ())
+    assert colength(gens, order) == 0
+    assert built == []
+    # the untruncated basis gives the same answer the long way
+    assert colength(gens, order, basis=standard_basis(gens, order)) == 0
+    # a global order keeps the completion: 1 + x is no unit there, and
+    # Q[x, y] / (1 + x, y) is Q
+    assert colength([p("1 + x"), p("y")], global_order(2)) == 1
+    assert built
+
+
+def test_check_icis_of_a_linear_locus_takes_the_unit_short_cut(monkeypatch):
+    """The maximal minor of a linear locus's Jacobian is a constant, so the
+    check's ideal holds a unit: colength 0, no unbounded variable."""
+    ring = Ring(("x1", "x2", "x3", "x4", "x5"))
+    gens = [p(t, ring) for t in ("x1 + x3^2", "x2 - x4*x5")]
+    built = _count_engine_polynomials(monkeypatch)
+    check = check_icis(gens)
+    assert (check.ok, check.colength, check.unbounded_variables) == (True, 0, ())
+    assert built == []
+    assert any(m.constant_coefficient() for m in check.maximal_minors)
+
+
+def test_unit_ideal_fits_a_budget_of_one_pair():
+    """Three or more nonzero generators with a unit among them used to run
+    the pair loop and trip Budgets(basis=1); the unit short-cut needs no pair.
+    A unit-free ideal still trips it."""
+    order = local_order(2)
+    for texts in [("x*y", "y^2", "1 + x"), ("y - x^2", "x*y", "3 + y"), ("x", "y", "0", "1 + x")]:
+        assert colength([p(t) for t in texts], order, Budgets(basis=1)) == 0
+    with pytest.raises(BudgetExceededError):
+        colength([p("x^2 + y^3"), p("x*y"), p("y^4 + x^3")], order, Budgets(basis=1))
+
+
+@st.composite
+def local_ideals_with_units(draw):
+    """1-4 sparse generators in 2 or 3 variables, each with a constant term
+    now and then, and zeros among them."""
+    ring = draw(st.sampled_from((R2, R3)))
+    pool = st.one_of(
+        sparse_polys(ring, max_terms=3, max_exp=2),
+        st.just(ring.zero()),
+        st.builds(
+            lambda f, c: f + ring.constant(c), sparse_polys(ring, max_terms=2, max_exp=2), small_coeffs
+        ),
+    )
+    return draw(st.lists(pool, min_size=1, max_size=4))
+
+
+@given(local_ideals_with_units())
+@example([p("x*y"), p("y^2"), p("1 + x")])
+@example([R2.zero(), p("x^2"), p("y^3")])
+@settings(max_examples=100, deadline=None)
+def test_local_colength_matches_untruncated_basis_with_units(gens):
+    """Every local colength, unit ideals included, against the colength read
+    off the untruncated standard basis; the budget bounds the Mora blow-ups
+    of some random inputs."""
+    order = local_order(gens[0].ring.nvars)
+    budgets = Budgets(reductions=300)
+    try:
+        expected = colength(gens, order, basis=standard_basis(gens, order, budgets))
+    except BudgetExceededError:
+        return
+    assert colength(gens, order, budgets) == expected
 
 
 # --- highest corner ---------------------------------------------------------
