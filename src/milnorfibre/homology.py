@@ -430,16 +430,15 @@ def table_M(mu0: int, mu1: int, a: int, corank: int, n: int) -> HomologyTable:
 
 
 def milnor_fibre_homology(
-    mu0: int, mu1: int, a: int, corank: int, a1: int, n: int, *, with_m_table: bool = False
-) -> HomologyTable | tuple[HomologyTable, HomologyTable]:
-    """Integral homology of the Milnor fibre from the closed-form branches.
+    mu0: int, mu1: int, a: int, corank: int, a1: int, n: int
+) -> tuple[HomologyTable, HomologyTable]:
+    """Integral homology of the Milnor fibre from the closed-form branches,
+    returned as (fibre, M) with the M table of the consistency check.
 
     Branch on corank; #A1 Morse points each add one class in degree n-1.
     Consistency with table_M (rank splitting in degrees >= 4) is asserted.
     The closed forms are derived for n >= 5: at n = 4 the fibre of
     f = h*g^2 is two copies of the Milnor fibre of g, which no branch gives.
-    With with_m_table it returns (fibre, M), the M table the check built,
-    for a caller that reports M too.
     """
     for name, value in (("mu0", mu0), ("mu1", mu1), ("a", a), ("a1", a1)):
         _require(value >= 0, f"{name} = {value} < 0")
@@ -466,7 +465,7 @@ def milnor_fibre_homology(
             f"fibre/M rank splitting fails in degree {d}: "
             f"{fibre.rank(d)} != {expected}",
         )
-    return (fibre, m_table) if with_m_table else fibre
+    return fibre, m_table
 
 
 @dataclass(frozen=True)

@@ -365,7 +365,7 @@ def collect_tables(
     identity fails; the CheckResult entries returned here record the
     identities that were evaluated and the values they took.
     """
-    fibre, m_table = milnor_fibre_homology(mu0, mu1, a, corank, a1, n, with_m_table=True)
+    fibre, m_table = milnor_fibre_homology(mu0, mu1, a, corank, a1, n)
     tables: list[tuple[str, HomologyTable]] = []
     checks = [
         CheckResult(

@@ -231,8 +231,8 @@ def test_criterion_7_table_consistency_sweep():
                     ]
                 for a in a_values:
                     for a1 in (0, 2):
-                        fibre = milnor_fibre_homology(mu0, mu1, a, corank, a1, n)
-                        m = table_M(mu0, mu1, a, corank, n)
+                        fibre, m = milnor_fibre_homology(mu0, mu1, a, corank, a1, n)
+                        assert m == table_M(mu0, mu1, a, corank, n)
                         # rank splitting in the top degree
                         assert (
                             fibre.group(n - 1).rank == m.group(n - 1).rank + a1

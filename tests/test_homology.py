@@ -207,19 +207,19 @@ def test_guard_violations_raise():
 # --- fibre homology -------------------------------------------------------------
 
 def test_fibre_branches():
-    f = milnor_fibre_homology(0, 3, 2, 2, 0, 5)
+    f = milnor_fibre_homology(0, 3, 2, 2, 0, 5)[0]
     assert f.group(3) == free_group(1) and f.group(4).is_trivial()
-    f = milnor_fibre_homology(2, 5, 0, 1, 0, 8)
+    f = milnor_fibre_homology(2, 5, 0, 1, 0, 8)[0]
     assert f.group(7) == free_group(12) and f.group(5) == free_group(1)
-    f = milnor_fibre_homology(2, 0, 0, 0, 0, 6)
+    f = milnor_fibre_homology(2, 0, 0, 0, 0, 6)[0]
     assert f.group(5) == free_group(2) and f.group(2) == free_group(1)
-    f = milnor_fibre_homology(1, 4, 2, 3, 0, 9)
+    f = milnor_fibre_homology(1, 4, 2, 3, 0, 9)[0]
     assert f.group(8) == free_group(1 + 8 - 8 + 1)  # mu0 + 2mu1 - 4a + 1
 
 
 def test_fibre_counts_morse_points_in_top_degree():
-    base = milnor_fibre_homology(0, 3, 2, 2, 0, 5)
-    with_a1 = milnor_fibre_homology(0, 3, 2, 2, 4, 5)
+    base = milnor_fibre_homology(0, 3, 2, 2, 0, 5)[0]
+    with_a1 = milnor_fibre_homology(0, 3, 2, 2, 4, 5)[0]
     assert with_a1.group(4).rank == base.group(4).rank + 4
 
 
@@ -240,9 +240,9 @@ def test_fibre_negative_rank_is_inconsistent():
 # --- bouquets --------------------------------------------------------------------
 
 def test_bouquet_readings():
-    assert str(bouquet(milnor_fibre_homology(0, 3, 2, 2, 0, 5))) == "S^3"
+    assert str(bouquet(milnor_fibre_homology(0, 3, 2, 2, 0, 5)[0])) == "S^3"
     assert (
-        str(bouquet(milnor_fibre_homology(2, 0, 0, 0, 0, 6))) == "S^5 v S^5 v S^2"
+        str(bouquet(milnor_fibre_homology(2, 0, 0, 0, 0, 6)[0])) == "S^5 v S^5 v S^2"
     )
     empty = BouquetDescription(())
     assert str(empty) == "point"
@@ -300,10 +300,10 @@ admissible = st.tuples(
 def test_admissible_parameters_build_consistent_tables(params):
     mu0, mu1, a, corank = params
     n = 8
-    fibre = milnor_fibre_homology(mu0, mu1, a, corank, 0, n)
+    fibre, m = milnor_fibre_homology(mu0, mu1, a, corank, 0, n)
     assert fibre.group(0) == free_group(1)
     assert bouquet(fibre) is not None  # torsion-free by construction
-    m = table_M(mu0, mu1, a, corank, n)
+    assert m == table_M(mu0, mu1, a, corank, n)
     assert fibre.group(n - 1).rank == m.group(n - 1).rank
     if corank >= 2:
         tabs = table_pair_B_Bu(mu1, a, n)
