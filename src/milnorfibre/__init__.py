@@ -3,7 +3,7 @@ singular along a 3-dimensional i.c.i.s., presented as f = g * H * g^T.
 
 Layers, bottom to top: rings (exact polynomial arithmetic), orders
 (monomial orders), standard_basis (Mora/Buchberger engine, colength,
-intersection, saturation), milnor (i.c.i.s. Milnor numbers), decomposition
+saturation), milnor (i.c.i.s. Milnor numbers), decomposition
 (the presentation's invariants mu0, mu1, a, corank, #A1), homology
 (tables, Smith normal form, bouquets), jobs (job files and reports),
 corpus (built-in regressions), cli (entry point).
@@ -57,11 +57,8 @@ from .standard_basis import (
     DEFAULT_BUDGETS,
     INFINITE,
     colength,
-    intersect_ideals,
-    is_member,
     saturate,
     standard_basis,
-    weak_normal_form,
 )
 
 __version__ = "0.1.0"
@@ -96,9 +93,7 @@ __all__ = [
     "dkp_fibre",
     "elimination_order",
     "global_order",
-    "intersect_ideals",
     "invariant_report",
-    "is_member",
     "jacobian",
     "leading_minors",
     "local_order",
@@ -118,5 +113,4 @@ __all__ = [
     "table_pair_B_Bu",
     "table_X",
     "universal_coefficients_mod2",
-    "weak_normal_form",
 ]

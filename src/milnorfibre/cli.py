@@ -12,7 +12,7 @@ import time
 
 from .decomposition import InvariantReport
 from .errors import ComputationError, InconsistencyError, ParseError
-from .homology import bouquet, dkp_fibre
+from .homology import FIBRE_MIN_N, bouquet, dkp_fibre
 from .jobs import Job, Report, collect_tables, parse_job, run_homology, run_invariants
 from .standard_basis import DEFAULT_BUDGETS, Budgets
 
@@ -38,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--budget-reductions",
         type=int,
         default=DEFAULT_BUDGETS.reductions,
-        help="cap on reduction steps per standard basis or normal form (at least 1)",
+        help="cap on reduction steps per standard basis (at least 1)",
     )
     parser.add_argument(
         "--budget-basis",
@@ -126,13 +126,18 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     for name in ("mu0", "mu1", "a", "a1"):
         if getattr(args, name) < 0:
             raise ParseError(f"--{name} must be non-negative")
-    if args.n < 5:
-        raise ParseError(f"the fibre tables need --n at least 5 at every --corank, got {args.n}")
+    if args.n < FIBRE_MIN_N:
+        raise ParseError(
+            f"the fibre tables need --n at least {FIBRE_MIN_N} at every --corank, got {args.n}"
+        )
     if not 0 <= args.corank <= args.n - 3:
         raise ParseError(f"--corank must be in 0..{args.n - 3}, got {args.corank}")
-    # at corank >= 2 every (n-4)-minor of H vanishes at 0, so a >= 1
+    # at corank >= 2 every (n-4)-minor of H vanishes at 0, so a >= 1; at
+    # corank <= 1 H(0) has rank >= n-4, so some (n-4)-minor is a unit and a = 0
     if args.corank >= 2 and args.a < 1:
         raise ParseError(f"--a must be at least 1 at --corank >= 2, got {args.a}")
+    if args.corank <= 1 and args.a != 0:
+        raise ParseError(f"--a must be 0 at --corank <= 1, got {args.a}")
     start = time.perf_counter()
     fibre, tables, checks, notes = collect_tables(
         args.mu0, args.mu1, args.a, args.corank, args.a1, args.n

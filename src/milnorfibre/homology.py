@@ -22,6 +22,8 @@ SPACE_X = "X"
 SPACE_M = "M"
 SPACE_FIBRE = "Fibre"
 
+# the fibre tables are derived for n >= 5
+FIBRE_MIN_N = 5
 # the (B, B_u) ladder and the X table are derived for n >= 8; a job at a
 # smaller n gets them at this reference dimension
 LADDER_MIN_N = 8
@@ -442,7 +444,7 @@ def milnor_fibre_homology(
     """
     for name, value in (("mu0", mu0), ("mu1", mu1), ("a", a), ("a1", a1)):
         _require(value >= 0, f"{name} = {value} < 0")
-    _require(n >= 5, f"the fibre tables need n >= 5, got n={n}")
+    _require(n >= FIBRE_MIN_N, f"the fibre tables need n >= {FIBRE_MIN_N}, got n={n}")
     _require(0 <= corank <= n - 3, f"corank {corank} outside 0..{n - 3}")
     if corank >= 2:
         e = 1 if corank == 2 else 0

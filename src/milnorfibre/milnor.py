@@ -9,19 +9,20 @@ witnessed by every c_j being finite; an unlucky draw is retried from the
 same seeded stream.
 
 check_icis tests a presentation once and returns an IcisCheck that carries
-its generators and the maximal minors of their Jacobian J; milnor_icis takes
-that check as its witness and runs the chain on its generators, so a caller
-never tests the same ideal twice.  The chain's minors come from one pass of
-the minors engine over the Jacobian of the first k-1 recombined functions
-(rings.leading_minors), and its top level is the check's maximal minors.
-So only k-1 rows of the recombination are drawn: when every c_j is finite
-those rows are independent (a dependent row makes some j x j minors vanish
-and leaves c_j the colength of j-1 functions, which is infinite), so they
-complete to an invertible A, and by Cauchy-Binet the k x k minors of A*J
-are det(A) times those of J, which span the same ideal.  The same witness
-lets milnor_icis try the presented order first, as the first k-1 identity
-rows: when its chain is finite, each prefix of the presented generators is
-an i.c.i.s.; otherwise the seeded draws follow, untouched.
+its generators and the leading minors of their Jacobian J from one pass of
+the minors engine (rings.leading_minors): level j holds the j x j minors of
+the first j rows, the top level the maximal minors.  milnor_icis takes that
+check as its witness, so a caller never tests the same ideal twice.  It
+tries the presented order first, whose chain reads every level from the
+check: when that chain is finite, each prefix of the presented generators
+is an i.c.i.s.; otherwise the seeded draws follow.  A drawn chain takes its
+lower levels from one pass over the Jacobian of the first k-1 recombined
+functions, and its top level from the check.  So only k-1 rows of the
+recombination are drawn: when every c_j is finite those rows are
+independent (a dependent row makes some j x j minors vanish and leaves c_j
+the colength of j-1 functions, which is infinite), so they complete to an
+invertible A, and by Cauchy-Binet the k x k minors of A*J are det(A) times
+those of J, which span the same ideal.
 
 When the caller has already checked that the first k-1 generators cut out
 an i.c.i.s. and knows its Milnor number, milnor_top_step needs no chain:
@@ -38,7 +39,7 @@ from typing import Sequence
 
 from .errors import ComputationError, InconsistencyError, InvalidIcisError
 from .orders import local_order
-from .rings import Polynomial, jacobian, leading_minors, minors
+from .rings import Polynomial, jacobian, leading_minors
 from .standard_basis import (
     Budgets,
     DEFAULT_BUDGETS,
@@ -79,7 +80,13 @@ class IcisCheck:
     colength: int | float
     unbounded_variables: tuple[str, ...]
     gens: tuple[Polynomial, ...]
-    maximal_minors: tuple[Polynomial, ...]
+    levels: tuple[tuple[Polynomial, ...], ...]
+
+    @property
+    def maximal_minors(self) -> tuple[Polynomial, ...]:
+        """The k x k minors of the Jacobian, in column-lex order with zeros
+        kept: the top of levels."""
+        return self.levels[-1]
 
     def message(self) -> str:
         if self.ok:
@@ -104,26 +111,30 @@ def check_icis(gens: Sequence[Polynomial], budgets: Budgets = DEFAULT_BUDGETS) -
         raise InvalidIcisError("zero generator in the presentation")
     if any(g.constant_coefficient() != 0 for g in gens):
         raise InvalidIcisError("generator does not vanish at the origin")
-    maximal = minors(jacobian(ring, list(gens)), k)
-    value, unbounded = _staircase(list(gens) + list(maximal), local_order(ring.nvars), budgets)
-    return IcisCheck(value != INFINITE, value, unbounded, tuple(gens), maximal)
+    levels = leading_minors(jacobian(ring, list(gens)))
+    value, unbounded = _staircase(list(gens) + list(levels[-1]), local_order(ring.nvars), budgets)
+    return IcisCheck(value != INFINITE, value, unbounded, tuple(gens), levels)
 
 
 def _chain_colengths(
-    check: IcisCheck, rows: list[list[int]], budgets: Budgets
+    check: IcisCheck, rows: list[list[int]] | None, budgets: Budgets
 ) -> list[int | float]:
     """Colengths c_1..c_k of the chain of check.gens recombined by the k-1
-    rows of draw_recombination."""
+    rows of draw_recombination, or in the presented order when rows is None."""
     ring = check.gens[0].ring
     order = local_order(ring.nvars)
-    # step j < k takes level j of one pass over the k-1 recombined rows;
-    # step k takes the check's maximal minors, which span the same ideal as
-    # those of any invertible completion of the rows (Cauchy-Binet)
-    head = recombine(check.gens, rows)
-    levels = leading_minors(jacobian(ring, list(head))) if head else ()
+    if rows is None:
+        head, levels = check.gens, check.levels
+    else:
+        # step j < k takes level j of one pass over the k-1 recombined rows;
+        # step k takes the check's maximal minors, which span the same ideal
+        # as those of any invertible completion of the rows (Cauchy-Binet)
+        head = recombine(check.gens, rows)
+        levels = leading_minors(jacobian(ring, list(head))) if head else ()
+        levels += (check.maximal_minors,)
     return [
         colength(list(head[: j - 1]) + list(level), order, budgets)
-        for j, level in enumerate(levels + (check.maximal_minors,), start=1)
+        for j, level in enumerate(levels, start=1)
     ]
 
 
@@ -179,10 +190,9 @@ def milnor_icis(
     _require_icis(check)
     k = len(check.gens)
     rng = random.Random(seed)
-    presented = [[int(i == j) for j in range(k)] for i in range(k - 1)]
     drawn = (draw_recombination(k, rng) for _ in range(RECOMBINATION_ATTEMPTS))
     last_error = None
-    for rows in chain([presented], drawn):
+    for rows in chain([None], drawn):
         cs = _chain_colengths(check, rows, budgets)
         if any(c == INFINITE for c in cs):
             last_error = f"chain colengths {cs} not all finite"

@@ -4,12 +4,11 @@ The normal form is Mora's weak normal form with ecart selection, which
 terminates for every order kind in this package; under a global order the
 ecart rule never fires and the routine degenerates to ordinary multivariate
 division.  Standard bases come from Buchberger completion driven by that
-normal form.  On top of these sit colength, membership, ideal intersection
-and saturation.  Intersection and saturation are tag eliminations: one
-extra variable t, global and dominant in a block order, and the t-free part
-of a standard basis, which is itself a standard basis of the result.
-Saturation by (q_1, ..., q_r) is one elimination, with Rabinowitsch's
-1 - sum_i t^i * q_i.
+normal form.  On top of these sit colength and saturation.  Saturation by
+(q_1, ..., q_r) is one tag elimination: one extra variable t, global and
+dominant in a block order, Rabinowitsch's 1 - sum_i t^i * q_i, and the
+t-free part of a standard basis, which is itself a standard basis of the
+result.
 
 All routines are deterministic: reducer choice is (ecart, insertion index),
 and S-pairs are popped from a heap in (lcm degree, i, j) order.  Each engine
@@ -23,8 +22,8 @@ ch. 1): once the leads hold a pure power x_i^b_i of every variable, m^D lies
 in the ideal for D = sum(b_i - 1) + 1, so every term of degree >= D is dropped
 from S-polynomials and reduction steps.  This is exact: the lead ideal, and
 so the colength, do not change.  The truncated basis is no standard basis of
-the ideal and never leaves colength; standard_basis, is_member and the
-eliminations compute untruncated ones.
+the ideal and never leaves colength; standard_basis and saturate compute
+untruncated ones.
 
 colength then counts the staircase of the lead ideal by recursion over the
 lead exponents, splitting on one variable's exponent (the Hilbert-function
@@ -348,22 +347,6 @@ def standard_basis(
     return tuple(_ep_to_polynomial(g, ring) for g in basis)
 
 
-def weak_normal_form(
-    f: Polynomial,
-    reducers: Sequence[Polynomial],
-    order: MonomialOrder,
-    budgets: Budgets = DEFAULT_BUDGETS,
-) -> Polynomial:
-    """Mora weak normal form of f against the given reducers (as given, no
-    completion).  Zero iff f lies in the ideal when the reducers form a
-    standard basis; the result equals unit * f - combination."""
-    _check_inputs([f] + list(reducers), order)
-    counter = _Counter(budgets.reductions, "reduction")
-    eps = [_ep_from_polynomial(g, order) for g in reducers if not g.is_zero()]
-    h = _weak_normal_form(_ep_from_polynomial(f, order), eps, order, counter)
-    return _ep_to_polynomial(h, f.ring)
-
-
 def leading_exponents(
     basis: Sequence[Polynomial], order: MonomialOrder
 ) -> tuple[tuple[int, ...], ...]:
@@ -380,19 +363,6 @@ def leading_exponents(
         if not any(o != e and monomial_divides(o, e) for o in exps)
     ]
     return tuple(minimal)
-
-
-def is_member(
-    f: Polynomial,
-    gens: Sequence[Polynomial],
-    order: MonomialOrder,
-    budgets: Budgets = DEFAULT_BUDGETS,
-) -> bool:
-    """Ideal membership via weak normal form against a standard basis."""
-    if f.is_zero():
-        return True
-    basis = standard_basis(gens, order, budgets)
-    return weak_normal_form(f, basis, order, budgets).is_zero()
 
 
 def colength(
@@ -487,27 +457,6 @@ def _tag_free_part(
     are none."""
     free = [p for p in standard_basis(lifted, elim, budgets) if all(e[-1] == 0 for e in p.terms)]
     return tuple(_poly(ring, {e[:-1]: c for e, c in p.items()}) for p in free) or (ring.zero(),)
-
-
-def intersect_ideals(
-    a: Sequence[Polynomial],
-    b: Sequence[Polynomial],
-    order: MonomialOrder,
-    budgets: Budgets = DEFAULT_BUDGETS,
-) -> tuple[Polynomial, ...]:
-    """Intersection of two ideals by tag elimination: the tag-free part of a
-    standard basis of (t*a_i, (1-t)*b_j) under a tag-dominant block order."""
-    ring = _check_inputs(list(a) + list(b), order)
-    big, elim = _tag_extension(ring, order, "intersection")
-    lifted = [_lift(p, big, 1) for p in a if not p.is_zero()]
-    for q in b:
-        if q.is_zero():
-            continue
-        # (1 - t) * q
-        lifted.append(_lift(q, big, 0) - _lift(q, big, 1))
-    if not lifted:
-        return (ring.zero(),)
-    return _tag_free_part(lifted, elim, ring, budgets)
 
 
 def saturate(

@@ -158,6 +158,23 @@ def test_tables_refuse_a_below_one_at_corank_two(capsys):
     assert code == 2 and "--a must be at least 1 at --corank >= 2" in err and not out
 
 
+@pytest.mark.parametrize(
+    "corank, a, expected", [("1", "3", 2), ("0", "1", 2), ("1", "1", 2), ("0", "0", 0), ("1", "0", 0)]
+)
+def test_tables_take_a_zero_at_corank_at_most_one(corank, a, expected, capsys):
+    # H(0) has rank >= n-4 at corank <= 1, so some (n-4)-minor is a unit and a = 0
+    code, out, err = run_main(
+        ["--format", "json", "tables", "--mu0", "0", "--mu1", "2", "--a", a,
+         "--corank", corank, "--n", "5"],
+        capsys,
+    )
+    assert code == expected
+    if code:
+        assert f"--a must be 0 at --corank <= 1, got {a}" in err and not out
+    else:
+        assert json.loads(out)["invariants"]["a"] == 0
+
+
 # the order-3 germ of the corpus under a sparse shear: its largest standard
 # basis takes from 51 to 100 reductions, the worked example's at most 5
 SHEARED_JOB = """\

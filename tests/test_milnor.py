@@ -2,7 +2,8 @@
 
 Oracles: the classical simple-singularity values (A_k, D_k, E_k), the
 quasi-homogeneous product formula mu = prod(p_i - 1) for sums of pure
-powers, hand-checked chain colengths, the chain as each step's own minors
+powers, hand-checked chain colengths, the check's levels as a minors call on
+each leading block of Jacobian rows, the chain as each step's own minors
 call on an invertible completion of the drawn rows, and the chain on the
 seeded draws alone for the presented order and the one Le-Greuel step.
 """
@@ -238,6 +239,56 @@ DRAWN_BLOW_UPS = {
 PRESENTATION_PARAMS = [pytest.param(name, gens, mu, id=name) for name, gens, mu in CORPUS_PRESENTATIONS]
 
 
+def drawn_shears(ring, data):
+    """The substitution of up to four shears x_i -> x_i + c*x_j, applied in
+    turn, drawn from data."""
+    n = ring.nvars
+    images = list(ring.gens())
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] != t[1])
+    for (i, j), c in data.draw(st.lists(st.tuples(pair, st.sampled_from((-2, -1, 1, 2))), max_size=4)):
+        images[i] = images[i] + images[j].scale(c)
+    return dict(zip(ring.variables, images))
+
+
+def assert_levels_are_the_leading_minors(gens):
+    """Level j of the check is a minors call on the first j rows of the
+    Jacobian, and its maximal minors are a minors call on the whole of it."""
+    ring, k = gens[0].ring, len(gens)
+    jac = jacobian(ring, list(gens))
+    check = check_icis(gens)
+    assert len(check.levels) == k
+    for j in range(1, k + 1):
+        assert check.levels[j - 1] == minors(PolyMatrix(ring, jac.entries()[:j]), j)
+    assert check.maximal_minors == minors(jac, k)
+
+
+@pytest.mark.parametrize("name, gens, mu", PRESENTATION_PARAMS)
+def test_check_levels_are_the_leading_minors(name, gens, mu):
+    assert_levels_are_the_leading_minors(gens)
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_check_levels_are_the_leading_minors_after_shears(data):
+    _, gens, _ = data.draw(st.sampled_from(CORPUS_PRESENTATIONS))
+    values = drawn_shears(gens[0].ring, data)
+    assert_levels_are_the_leading_minors(tuple(q.substitute(values) for q in gens))
+
+
+@pytest.mark.parametrize("name, gens, mu", PRESENTATION_PARAMS)
+def test_presented_chain_reads_the_check(monkeypatch, name, gens, mu):
+    """Where the presented order succeeds, milnor_icis recombines and
+    differentiates nothing: every level of its chain comes from the check."""
+    check = check_icis(gens)
+
+    def refused(*args):
+        raise AssertionError("the presented chain left the check")
+
+    monkeypatch.setattr(milnor, "recombine", refused)
+    monkeypatch.setattr(milnor, "jacobian", refused)
+    assert milnor_icis(check) == mu
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("name, gens, mu", PRESENTATION_PARAMS)
 def test_chain_colengths_match_the_per_step_chain(monkeypatch, name, gens, mu, seed):
@@ -391,12 +442,7 @@ def test_fast_routes_match_the_drawn_rows_after_shears(case, seed, data):
     chain on the seeded draws alone gives the same values, or trips the
     oracle budget at a blow-up that only the drawn rows meet."""
     inp = build_input(case, "given")
-    ring, n = inp.ring, inp.ring.nvars
-    images = list(ring.gens())
-    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] != t[1])
-    for (i, j), c in data.draw(st.lists(st.tuples(pair, st.sampled_from((-2, -1, 1, 2))), max_size=4)):
-        images[i] = images[i] + images[j].scale(c)
-    values = dict(zip(ring.variables, images))
+    values = drawn_shears(inp.ring, data)
     g = tuple(q.substitute(values) for q in inp.g)
     locus, sigma1 = check_icis(g), check_icis(g + (determinant(inp.h).substitute(values),))
     mu0, mu1, _, _ = case.expected

@@ -6,7 +6,9 @@ route stated next to it: a truncated-series computation, divisibility logic
 for monomial ideals, a count the reader can do by hand on a staircase, or a
 slower second algorithm kept here as an oracle (a min-scan completion,
 saturation by iterated ideal quotients, and saturation as the intersection
-of one elimination per divisor).
+of one elimination per divisor).  Normal forms, membership and intersection
+come from tests/oracles.py, which builds them on the engine's private
+routines.
 """
 
 import importlib
@@ -43,13 +45,11 @@ from milnorfibre.standard_basis import (
     _staircase,
     _weak_normal_form,
     colength,
-    intersect_ideals,
-    is_member,
     leading_exponents,
     saturate,
     standard_basis,
-    weak_normal_form,
 )
+from oracles import intersect_ideals, is_member, weak_normal_form
 
 # the module, which the package's standard_basis function shadows
 sb = importlib.import_module("milnorfibre.standard_basis")
