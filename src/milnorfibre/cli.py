@@ -138,6 +138,9 @@ def _cmd_tables(args: argparse.Namespace) -> int:
         raise ParseError(f"--a must be at least 1 at --corank >= 2, got {args.a}")
     if args.corank <= 1 and args.a != 0:
         raise ParseError(f"--a must be 0 at --corank <= 1, got {args.a}")
+    # det H is a unit at corank 0, so V(g, det H) is empty and mu1 = 0
+    if args.corank == 0 and args.mu1 != 0:
+        raise ParseError(f"--mu1 must be 0 at --corank 0, got {args.mu1}")
     start = time.perf_counter()
     fibre, tables, checks, notes = collect_tables(
         args.mu0, args.mu1, args.a, args.corank, args.a1, args.n

@@ -142,9 +142,9 @@ def compute_a(inp: SingularityInput, budgets: Budgets = DEFAULT_BUDGETS) -> int:
 
 
 def a1_count(
-    inp: SingularityInput, f: Polynomial, budgets: Budgets = DEFAULT_BUDGETS
+    inp: SingularityInput, f: Polynomial | None, budgets: Budgets = DEFAULT_BUDGETS
 ) -> tuple[int, str]:
-    """Morse-point count with provenance; f is the assembled g * H * g^t.
+    """Morse-point count with provenance; f = g * H * g^t, read only by estimate.
 
     provided -> the user's number; assume_zero -> 0 flagged as assumed;
     estimate -> colength of the Jacobian ideal of f saturated by the locus
@@ -201,7 +201,8 @@ def invariant_report(
     Raises InconsistencyError when a rank guard fails, ComputationError or
     InvalidIcisError when the geometry is out of scope.
     """
-    f = verify_decomposition(inp)
+    needs_f = inp.f_expected is not None or inp.a1_mode == "estimate"
+    f = verify_decomposition(inp) if needs_f else None
     checks = list(_LOCUS_MEMBERSHIP_CHECKS)
 
     locus = check_icis(inp.g, budgets)

@@ -12,6 +12,7 @@ polynomial without intermediate Polynomial objects and makes one at the end.
 from __future__ import annotations
 
 import re
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -613,34 +614,30 @@ def _minor_levels(m: PolyMatrix, size: int) -> Iterator[dict]:
     """Levels k = 1..size of the minors engine.
 
     Level k maps (row subset, column subset) to the nonzero k x k minor, for
-    every column subset and the row subsets inside range(rows - size + k):
-    the heads of the size-subsets.  The minor on rows R and columns C is the
-    Laplace expansion along R's last row over the (k-1) x (k-1) minors on
-    R's other rows, a head subset of the previous level, so each smaller
-    minor is computed once.  Only the previous level is kept.
+    the row subsets inside range(rows - size + k): the heads of the
+    size-subsets.  Each nonzero (k-1)-minor on rows R and columns C times each
+    nonzero entry (r, c), with r after R and c not in C, is a Laplace term
+    along the last row of the minor on R + (r,) and C with c inserted, of sign
+    (-1)^(k-1+i) for c's place i there.  Zero sums are dropped once per level,
+    and only the previous level is kept.
     """
-    entries = m.entries()
+    nonzero = [[(c, e) for c, e in enumerate(row) if e] for row in m.entries()]
     prev = {((), ()): m.ring.one()}
     for k in range(1, size + 1):
-        level = {}
-        for rows in combinations(range(m.rows - size + k), k):
-            bottom, rest = entries[rows[-1]], rows[:-1]
-            for cols in combinations(range(m.cols), k):
-                total = None
-                for i, c in enumerate(cols):
-                    if not bottom[c]:
+        sums = {}
+        for (rows, cols), minor in prev.items():
+            for r in range(rows[-1] + 1 if rows else 0, m.rows - size + k):
+                for c, entry in nonzero[r]:
+                    if c in cols:
                         continue
-                    sub = prev.get((rest, cols[:i] + cols[i + 1:]))
-                    if sub is None:  # a zero subminor
-                        continue
-                    piece = bottom[c] * sub
+                    i = bisect(cols, c)
+                    key = rows + (r,), cols[:i] + (c,) + cols[i:]
+                    piece = entry * minor
                     if (k - 1 + i) % 2:
                         piece = -piece
-                    total = piece if total is None else total + piece
-                if total:
-                    level[rows, cols] = total
-        yield level
-        prev = level
+                    sums[key] = sums[key] + piece if key in sums else piece
+        prev = {key: total for key, total in sums.items() if total}
+        yield prev
 
 
 def minors(m: PolyMatrix, size: int) -> tuple[Polynomial, ...]:
@@ -652,8 +649,6 @@ def minors(m: PolyMatrix, size: int) -> tuple[Polynomial, ...]:
     """
     if size < 1:
         raise ValueError("minor size must be positive")
-    if size > m.rows or size > m.cols:
-        return ()
     for top in _minor_levels(m, size):
         pass
     zero = m.ring.zero()

@@ -162,9 +162,11 @@ def test_tables_refuse_a_below_one_at_corank_two(capsys):
     "corank, a, expected", [("1", "3", 2), ("0", "1", 2), ("1", "1", 2), ("0", "0", 0), ("1", "0", 0)]
 )
 def test_tables_take_a_zero_at_corank_at_most_one(corank, a, expected, capsys):
-    # H(0) has rank >= n-4 at corank <= 1, so some (n-4)-minor is a unit and a = 0
+    # H(0) has rank >= n-4 at corank <= 1, so some (n-4)-minor is a unit and a = 0;
+    # the one accepted corank-0 job takes mu1 = 0 as well
+    mu1 = "0" if (corank, expected) == ("0", 0) else "2"
     code, out, err = run_main(
-        ["--format", "json", "tables", "--mu0", "0", "--mu1", "2", "--a", a,
+        ["--format", "json", "tables", "--mu0", "0", "--mu1", mu1, "--a", a,
          "--corank", corank, "--n", "5"],
         capsys,
     )
@@ -173,6 +175,16 @@ def test_tables_take_a_zero_at_corank_at_most_one(corank, a, expected, capsys):
         assert f"--a must be 0 at --corank <= 1, got {a}" in err and not out
     else:
         assert json.loads(out)["invariants"]["a"] == 0
+
+
+@pytest.mark.parametrize("mu1, n", [("2", "5"), ("1", "6")])
+def test_tables_refuse_mu1_at_corank_zero(mu1, n, capsys):
+    # det H is a unit at corank 0, so a corank-0 job always has mu1 = 0
+    code, out, err = run_main(
+        ["tables", "--mu0", "0", "--mu1", mu1, "--a", "0", "--corank", "0", "--n", n],
+        capsys,
+    )
+    assert code == 2 and f"--mu1 must be 0 at --corank 0, got {mu1}" in err and not out
 
 
 # the order-3 germ of the corpus under a sparse shear: its largest standard

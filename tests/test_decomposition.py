@@ -218,8 +218,10 @@ def test_identically_zero_det_h_is_named():
         # check's minors, so no chain differentiates
         (worked_example(a1_mode="estimate"), (2, 1, 1, 1, 30)),
         # corank 0: only the locus is checked; a = 0 needs no colength, and
-        # the partials of f are taken only to estimate #A1
-        (mk(("y1", "y2"), (("1", "0"), ("0", "1"))), (1, 0, 0, 1, 10)),
+        # f is assembled only to cross-check an explicit f or to estimate
+        # #A1, and differentiated only for the estimate; this job asks for
+        # neither
+        (mk(("y1", "y2"), (("1", "0"), ("0", "1"))), (1, 0, 0, 0, 10)),
     ],
 )
 def test_each_ideal_is_checked_once(monkeypatch, inp, expected):
@@ -276,9 +278,11 @@ def test_a1_estimate_is_one_elimination(monkeypatch, inp):
 def test_chain_minors_are_built_once(monkeypatch):
     """Polynomial products of a whole job on D(3,2) at n = 8: the locus chain
     runs in the presented order and reads every level of its minors from the
-    check, and mu1 is one step over the check of (g, det H).  The per-step
-    expansion of every level at every step took 1951, one prefix pass for
-    both chains 665, and a second prefix pass over the presented head 97."""
+    check, and mu1 is one step over the check of (g, det H).  The job gives
+    no f and assumes #A1 = 0, so f is not assembled.  The per-step expansion
+    of every level at every step took 1951, one prefix pass for both chains
+    665, a second prefix pass over the presented head 97, and assembling f
+    although nothing read it 93."""
     count = [0]
     mul = Polynomial.__mul__
 
@@ -289,7 +293,7 @@ def test_chain_minors_are_built_once(monkeypatch):
     monkeypatch.setattr(Polynomial, "__mul__", counting)
     rep = invariant_report(build_input(_dkp_case(2, 8), "given"), seed=0)
     assert (rep.mu0, rep.mu1, rep.a, rep.corank) == (0, 1, 1, 2)
-    assert count[0] == 93
+    assert count[0] == 43
 
 
 # --- presentation invariance -------------------------------------------------

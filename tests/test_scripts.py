@@ -48,11 +48,12 @@ def test_outcome_digest_repeats(tmp_path):
     assert runs[0].stdout == runs[1].stdout
 
 
-# pass 0 at workload seeds 5 and 11, as printed by `outcome_digest.py all SEED
-# 1`: any drift in a report's JSON or an error's text changes a digest.  Seed 5
-# was pinned before integral coefficients became ints, seed 11 before a
+# pass 0 at workload seeds 5, 11 and 41, as printed by `outcome_digest.py all
+# SEED 1`: any drift in a report's JSON or an error's text changes a digest.
+# Seed 5 was pinned before integral coefficients became ints, seed 11 before a
 # recombination draw became its k-1 rows, which changes the rows drawn after
-# a failed attempt
+# a failed attempt, and seed 41 before the minors engine expanded only
+# nonzero minors by nonzero entries
 FROZEN_DIGESTS = {
     5: {
         "batch-n5": "96 jobs, sha256 05c8029891ff1609f38ebe433b653f4d47dd5f32c0abde4c61a1f02a7b7586ad",
@@ -63,6 +64,11 @@ FROZEN_DIGESTS = {
         "batch-n5": "96 jobs, sha256 68277c6d2ceb173b9ff7e8343b7d927adaa50f5fa292eca66d7e9dfa498e54c3",
         "heavy-local": "13 jobs, sha256 48e7e048657aec3fd686d9f8c33be520533828ee6fe569490d9253fb7b4f3ea0",
         "a1-saturation": "26 jobs, sha256 b852ce06b5e3ce1d6b2c03019eaeaba6de6e52ba306d12b51d42064184b3b9ee",
+    },
+    41: {
+        "batch-n5": "96 jobs, sha256 c44d0b2ce2bc0505520e986a33f91fdf7c804e9c3d7a88c8caf85f2869d0f355",
+        "heavy-local": "13 jobs, sha256 d86d50e0e55508e0559c5af4a63657be20522adfea87cc16903cbba94a65b753",
+        "a1-saturation": "26 jobs, sha256 d7b040aa51901253e4c5660e4653014da307cff9cd97c5da800c795bc4b7a7f9",
     },
 }
 
@@ -81,3 +87,7 @@ def test_outcome_digests_are_frozen(tmp_path):
 
 def test_outcome_digests_are_frozen_at_a_second_seed(tmp_path):
     assert_digests_frozen(11, tmp_path)
+
+
+def test_outcome_digests_are_frozen_at_a_third_seed(tmp_path):
+    assert_digests_frozen(41, tmp_path)
