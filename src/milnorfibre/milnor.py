@@ -158,8 +158,9 @@ def milnor_top_step(
     """
     _require_icis(check)
     ring = check.gens[0].ring
-    # the minors go first: with the head first, sheared order-3 germs meet a
-    # Mora blow-up that this order of the same generators avoids
+    # the minors go first: colength substitutes a linear head away, so the
+    # order of the generators matters only for a head that stays nonlinear,
+    # where sheared order-3 germs met a Mora blow-up with the head first
     gens = list(check.maximal_minors) + list(check.gens[:-1])
     c = colength(gens, local_order(ring.nvars), budgets)
     if c == INFINITE:

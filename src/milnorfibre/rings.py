@@ -16,7 +16,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, gcd, lcm
 from operator import add, le
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -713,31 +713,49 @@ def int_determinant(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def fraction_matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank by Gaussian elimination over Q."""
-    work = [list(map(Fraction, row)) for row in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
+def reduced_row_echelon(
+    rows: Sequence[Sequence[int | Fraction]],
+) -> tuple[list[list[int | Fraction]], list[int]]:
+    """Reduced row-echelon form over Q: the nonzero rows, each with a 1 at
+    its leftmost nonzero column, its pivot, and 0 in every other row's pivot
+    column; and the pivot columns, ascending.  Their number is the rank.
+    Entries are canonical: ints where integral.
+
+    The elimination runs on integer rows, each row's denominators cleared
+    and its content divided out after every step, and divides each row by
+    its pivot entry only at the end, so no Fraction is formed before then."""
+    work = []
+    for row in rows:
+        row = list(map(_coefficient, row))
+        scale = lcm(*(x.denominator for x in row if type(x) is not int))
+        work.append([int(x * scale) for x in row] if scale != 1 else row)
+    pivots: list[int] = []
+    for col in range(len(work[0]) if work else 0):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
         if pivot is None:
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
-        pv = work[rank][col]
-        work[rank] = [x / pv for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-        if rank == len(work):
+        top = work[rank]
+        pv = top[col]
+        for r, row in enumerate(work):
+            factor = row[col]
+            if r != rank and factor:
+                new = [pv * x - factor * y for x, y in zip(row, top)]
+                content = gcd(*new)
+                work[r] = [x // content for x in new] if content > 1 else new
+        pivots.append(col)
+        if len(pivots) == len(work):
             break
-    return rank
+    # read the rows only now: each elimination step replaces the row lists
+    echelon = []
+    for row, col in zip(work, pivots):
+        pv = row[col]
+        echelon.append(row if pv == 1 else [x // pv if x % pv == 0 else Fraction(x, pv) for x in row])
+    return echelon, pivots
 
 
 def corank_at_origin(m: PolyMatrix) -> int:
     """min(rows, cols) minus the rank of the constant part at the origin."""
-    rows = evaluate_matrix_at_origin(m)
-    return min(m.rows, m.cols) - fraction_matrix_rank(rows)
+    _, pivots = reduced_row_echelon(evaluate_matrix_at_origin(m))
+    return min(m.rows, m.cols) - len(pivots)

@@ -16,12 +16,28 @@ polynomial caches its lead exponent and ecart when it is built, so the
 reducer scan reads them instead of recomputing them.  Budgets abort loudly,
 never truncate.
 
-colength under the local degree order computes its basis with the highest
-corner (Greuel & Pfister, A Singular Introduction to Commutative Algebra,
-ch. 1): once the leads hold a pure power x_i^b_i of every variable, m^D lies
-in the ideal for D = sum(b_i - 1) + 1, so every term of degree >= D is dropped
-from S-polynomials and reduction steps.  This is exact: the lead ideal, and
-so the colength, do not change.  The truncated basis is no standard basis of
+Under the local degree order a generator with a nonzero constant term is a
+unit of the local ring, so its ideal is the whole ring: colength returns 0,
+with no unbounded variable, before it builds any engine polynomial.  The
+completion reaches the same answer, a lead 1 and a count of 0, only after
+its pair loop, where a small budget can trip.  Linear loci make such ideals
+common: the maximal minors of their Jacobians are constants.
+
+Otherwise colength under the local degree order substitutes the linear
+generators away: their coefficient rows in reduced row-echelon form send
+each pivot variable to a form in the later, free variables, and the other
+generators, rewritten in the free variables alone, have the same staircase
+(the proof is in _local_staircase).  A germ whose locus is cut out by
+linear forms is so counted in the free variables of the locus, where the
+Mora completion runs on fewer variables and meets none of the blow-ups that
+sheared linear loci met in all of them.
+
+The rest gets its standard basis with the highest corner (Greuel & Pfister,
+A Singular Introduction to Commutative Algebra, ch. 1): once the leads hold
+a pure power x_i^b_i of every variable, m^D lies in the ideal for
+D = sum(b_i - 1) + 1, so every term of degree >= D is dropped from
+S-polynomials and reduction steps.  This is exact: the lead ideal, and so
+the colength, do not change.  The truncated basis is no standard basis of
 the ideal and never leaves colength; standard_basis and saturate compute
 untruncated ones.
 
@@ -29,13 +45,6 @@ colength then counts the staircase of the lead ideal by recursion over the
 lead exponents, splitting on one variable's exponent (the Hilbert-function
 recursion, Bayer & Stillman 1992).  Its work is at most the number of
 variables times the count, so the count has no size limit of its own.
-
-Under the local degree order a generator with a nonzero constant term is a
-unit of the local ring, so its ideal is the whole ring: colength returns 0,
-with no unbounded variable, before it builds any engine polynomial.  The
-completion reaches the same answer, a lead 1 and a count of 0, only after
-its pair loop, where a small budget can trip.  Linear loci make such ideals
-common: the maximal minors of their Jacobians are constants.
 """
 
 from __future__ import annotations
@@ -53,8 +62,20 @@ from .orders import (
     LOCAL_ANTIGRADED_REVLEX,
     MonomialOrder,
     elimination_order,
+    local_order,
 )
-from .rings import Polynomial, Ring, _canonical, _poly, monomial_degree, monomial_divides
+from .rings import (
+    Polynomial,
+    Ring,
+    _canonical,
+    _poly,
+    _terms_add,
+    _terms_mul,
+    _terms_pow,
+    monomial_degree,
+    monomial_divides,
+    reduced_row_echelon,
+)
 
 INFINITE = float("inf")
 
@@ -112,7 +133,8 @@ class _EP:
 _EP_ZERO = _EP(())
 
 
-def _ep_from_polynomial(p: Polynomial, order: MonomialOrder) -> _EP:
+def _ep_from_polynomial(p: Polynomial | dict, order: MonomialOrder) -> _EP:
+    """p, a polynomial or a bare term map, as an engine polynomial."""
     terms = sorted(
         ((order.key(e), e, c) for e, c in p.items()),
         key=lambda t: t[0],
@@ -385,26 +407,106 @@ def _staircase(
     """Colength of the ideal and the variables with no pure power among its
     leads; the colength is INFINITE exactly when there are such variables.
 
-    Without a given basis, the leads come from a standard basis that the
-    local degree order truncates at the highest corner; under that order an
-    ideal with a unit generator needs none."""
+    Without a given basis, the local degree order takes the unit rule and
+    then _local_staircase; other orders read the leads of a standard basis."""
     ring = _check_inputs(gens, order)
-    if basis is None:
-        local = order.kind == LOCAL_ANTIGRADED_REVLEX
-        if local and any(g.constant_coefficient() for g in gens):
-            return 0, ()
-        eps = [_ep_from_polynomial(g, order) for g in gens]
-        leads = [g.lead for g in _standard_basis_ep(eps, order, budgets, local)]
-    else:
+    if basis is not None:
         leads = leading_exponents(basis, order)
+    elif order.kind == LOCAL_ANTIGRADED_REVLEX:
+        if any(g.constant_coefficient() for g in gens):
+            return 0, ()
+        return _local_staircase([g.terms for g in gens if g], ring.variables, budgets)
+    else:
+        eps = [_ep_from_polynomial(g, order) for g in gens]
+        leads = [g.lead for g in _standard_basis_ep(eps, order, budgets)]
+    return _bounded_staircase(leads, ring.variables)
+
+
+def _bounded_staircase(
+    leads: Sequence[tuple[int, ...]], names: tuple[str, ...]
+) -> tuple[int | float, tuple[str, ...]]:
+    """The staircase of the leads over the variables names: its size and no
+    unbounded variable, or INFINITE and the variables with no pure power."""
     unbounded = tuple(
         name
-        for i, name in enumerate(ring.variables)
+        for i, name in enumerate(names)
         if not any(e[i] == monomial_degree(e) for e in leads)
     )
     if unbounded:
         return INFINITE, unbounded
-    return _count_staircase(leads, ring.nvars), ()
+    return _count_staircase(leads, len(names)), ()
+
+
+def _local_staircase(
+    gens: list[dict], names: tuple[str, ...], budgets: Budgets
+) -> tuple[int | float, tuple[str, ...]]:
+    """_staircase under the local degree order of the ideal I of the nonzero
+    term maps gens over the variables names, none with a constant term.
+
+    The linear generators are substituted away first.  Their coefficient
+    rows in reduced row-echelon form have pivots x_p at the leftmost nonzero
+    columns, and x1 > x2 > ... > xn on degree-1 terms, so each pivot is the
+    lead of its row l_p = x_p - r_p, where r_p is a form in the free
+    (non-pivot) variables to the right of x_p.  Let phi map each x_p to r_p
+    and fix the free variables, and let I' = phi(I), the ideal of the images
+    of the other generators in the ring of the free variables, with the same
+    names in the same relative order.  Then I = (l_p) + I', and the lead
+    ideal L(I) is (x_p) + L(I'), so the staircase of I is that of I' and the
+    pivots are bounded.
+
+    Proof.  phi(f) - f lies in (l_p), so I' lies in I and L(I') in L(I); the
+    restriction of the order to the free variables is their own local degree
+    order.  Conversely let f lie in I with lead(f) divisible by no pivot.
+    phi maps each term divisible by a pivot to terms of the same degree that
+    are smaller (x_p goes to later variables), and fixes the other terms.
+    Every term of f but its lead is smaller than the lead, so
+    lead(phi(f)) = lead(f), and phi(f) lies in I'.  The same holds in the
+    localization, where f may carry a unit factor u: phi(u) keeps the
+    constant term of u and is a unit too (Greuel & Pfister, A Singular
+    Introduction to Commutative Algebra, ch. 1).
+
+    phi keeps degrees, so no image has a constant term.  The images are
+    checked again for linear generators: a generator that becomes linear is
+    substituted away in turn.  When every variable is a pivot the colength
+    is 1; when every generator is linear and a variable is left, the
+    standard basis of no generators leaves every free variable unbounded.
+    Without a linear generator the leads come from a standard basis
+    truncated at the highest corner."""
+    n = len(names)
+    linear = [all(sum(e) == 1 for e in t) for t in gens]
+    if not any(linear):
+        order = local_order(n)
+        eps = [_ep_from_polynomial(t, order) for t in gens]
+        leads = [g.lead for g in _standard_basis_ep(eps, order, budgets, highest_corner=True)]
+        return _bounded_staircase(leads, names)
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    rows, pivots = reduced_row_echelon(
+        [[t.get(u, 0) for u in units] for t, lin in zip(gens, linear) if lin]
+    )
+    free = [j for j in range(n) if j not in pivots]
+    if not free:
+        return 1, ()
+    # phi(x_p) = -(the free part of row p), as a term map over the free variables
+    free_units = [tuple(int(j == k) for k in free) for j in free]
+    images = [
+        (p, {u: -row[j] for j, u in zip(free, free_units) if row[j]})
+        for p, row in zip(pivots, rows)
+    ]
+    one = (0,) * len(free)
+    rest = []
+    for t, lin in zip(gens, linear):
+        if lin:
+            continue
+        image: dict = {}
+        for e, c in t.items():
+            term = {tuple(e[j] for j in free): c}
+            for p, r in images:
+                if e[p]:
+                    term = _terms_mul(term, _terms_pow(r, e[p], one))
+            _terms_add(image, term)
+        if image:
+            rest.append(_canonical(image))
+    return _local_staircase(rest, tuple(names[j] for j in free), budgets)
 
 
 def _count_staircase(leads: Sequence[tuple[int, ...]], nvars: int) -> int:

@@ -187,8 +187,9 @@ def test_tables_refuse_mu1_at_corank_zero(mu1, n, capsys):
     assert code == 2 and f"--mu1 must be 0 at --corank 0, got {mu1}" in err and not out
 
 
-# the order-3 germ of the corpus under a sparse shear: its largest standard
-# basis takes from 51 to 100 reductions, the worked example's at most 5
+# the order-3 germ of the corpus under a sparse shear, with the #A1
+# estimate: its colengths substitute the linear g away and fit in 10
+# reductions, but the saturation of the estimate does not
 SHEARED_JOB = """\
 [ring]
 vars = x1 x2 x3 y1 y2
@@ -196,6 +197,8 @@ vars = x1 x2 x3 y1 y2
 g = -2*x2 + x3; x2
 [matrix]
 h = [[x2 + y1, x1], [x1, (x2 + y2)^3 - x2 - y1]]
+[options]
+a1 = estimate
 """
 
 

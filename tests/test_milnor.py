@@ -21,6 +21,7 @@ from milnorfibre.errors import (
     InconsistencyError,
     InvalidIcisError,
 )
+from milnorfibre.jobs import Job, parse_job, run_homology
 from milnorfibre.milnor import (
     RECOMBINATION_ATTEMPTS,
     _chain_colengths,
@@ -42,6 +43,7 @@ from milnorfibre.rings import (
     parse_polynomial,
 )
 from milnorfibre.standard_basis import DEFAULT_BUDGETS, INFINITE, Budgets, colength
+from oracles import unreduced_staircase
 
 
 def germ(texts, var_names):
@@ -226,17 +228,34 @@ def test_top_level_minors_are_det_a_times_the_checks(data):
 
 
 # per-call budget of the drawn-rows oracle; every corpus chain step takes
-# under 300 reductions except the known blow-ups below
+# under 300 reductions
 ORACLE_BUDGETS = Budgets(reductions=1000)
 # (presentation, seed) whose first drawn rows meet a Mora blow-up at the top
-# step (ROADMAP item 5): on the order-3 germ 1000 reductions take 0.3 s, 4000
-# take 11 s and 16000 more than 280 s.  The pipeline takes mu1 by one step and
-# runs no chain on (g, det H), so only the oracle meets them.
+# step in the unreduced engine, which completes the standard basis in every
+# variable: on the order-3 germ 1000 reductions take 0.3 s, 4000 take 11 s
+# and 16000 more than 280 s.  colength substitutes the linear g away first
+# and finishes under the oracle budget.
 DRAWN_BLOW_UPS = {
     ("order-3-shear-negated-n5:g,detH", 2),
     ("order-4-shear-negated-n5:g,detH", 2),
 }
 PRESENTATION_PARAMS = [pytest.param(name, gens, mu, id=name) for name, gens, mu in CORPUS_PRESENTATIONS]
+
+
+def assert_unreduced_blow_up(ideal):
+    """The unreduced engine trips the oracle budget on ideal, which colength
+    finishes under it."""
+    order = local_order(ideal[0].ring.nvars)
+    assert colength(ideal, order, ORACLE_BUDGETS) != INFINITE
+    with pytest.raises(BudgetExceededError):
+        unreduced_staircase(ideal, order, ORACLE_BUDGETS)
+
+
+def drawn_top_step(check, seed):
+    """The top-step ideal of the chain on the first seeded draw: the k-1
+    recombined rows and the check's maximal minors."""
+    rows = draw_recombination(len(check.gens), random.Random(seed))
+    return list(recombine(check.gens, rows)) + list(check.maximal_minors)
 
 
 def drawn_shears(ring, data):
@@ -295,8 +314,8 @@ def test_chain_colengths_match_the_per_step_chain(monkeypatch, name, gens, mu, s
     """Steps 1..k-1 hand colength the same polynomials, in the same order,
     as the per-step route on the drawn rows completed to an invertible A;
     step k hands the check's maximal minors, which the route has times
-    det(A); every colength agrees.  A known blow-up trips the budget on
-    the route's own ideal."""
+    det(A); every colength agrees.  At a known blow-up the unreduced engine
+    trips the budget on the top-step ideals of both routes."""
     seen = []
 
     def recording(ideal, order, budgets):
@@ -310,19 +329,14 @@ def test_chain_colengths_match_the_per_step_chain(monkeypatch, name, gens, mu, s
     a = completed(rows, k)
     ideals = per_step_chain(gens, a)
     order = local_order(gens[0].ring.nvars)
-    if (name, seed) in DRAWN_BLOW_UPS:
-        with pytest.raises(BudgetExceededError):
-            _chain_colengths(check, rows, ORACLE_BUDGETS)
-        j = min(len(seen), k - 1)
-        assert seen[:j] == ideals[:j]
-        with pytest.raises(BudgetExceededError):
-            colength(ideals[len(seen) - 1], order, ORACLE_BUDGETS)
-        return
     cs = _chain_colengths(check, rows, ORACLE_BUDGETS)
     assert seen[:-1] == ideals[:-1]
     det = int_determinant(a)
     assert ideals[-1] == seen[-1][: k - 1] + [m.scale(det) for m in seen[-1][k - 1 :]]
     assert cs == [colength(ideal, order) for ideal in ideals]
+    if (name, seed) in DRAWN_BLOW_UPS:
+        assert_unreduced_blow_up(seen[-1])
+        assert_unreduced_blow_up(ideals[-1])
 
 
 def drawn_mu(check, seed):
@@ -341,39 +355,35 @@ def drawn_mu(check, seed):
 @pytest.mark.parametrize("name, gens, mu", PRESENTATION_PARAMS)
 def test_presented_order_matches_the_drawn_rows(name, gens, mu, seed):
     """milnor_icis, which tries the presented order first, gives the corpus
-    value, and so does the chain on the seeded draws alone wherever it
-    finishes."""
+    value, and so does the chain on the seeded draws alone, also where its
+    top step meets a blow-up of the unreduced engine."""
     check = check_icis(gens)
     assert milnor_icis(check, seed) == mu
+    assert drawn_mu(check, seed) == mu
     if (name, seed) in DRAWN_BLOW_UPS:
-        with pytest.raises(BudgetExceededError):
-            drawn_mu(check, seed)
-    else:
-        assert drawn_mu(check, seed) == mu
+        assert_unreduced_blow_up(drawn_top_step(check, seed))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("name, gens, mu", [p for p in PRESENTATION_PARAMS if p.id.endswith(":g,detH")])
 def test_one_step_mu1_matches_the_drawn_chain(name, gens, mu, seed):
     """mu1 = colength((g) + the maximal minors of Jac(g, det H)) - mu0 is
-    the corpus value and the drawn chain's on (g, det H); at a known
-    blow-up of the drawn chain the one step still finishes."""
+    the corpus value and the drawn chain's on (g, det H), also where the
+    drawn chain's top step meets a blow-up of the unreduced engine."""
     check = check_icis(gens)
     mu0 = milnor_icis(check_icis(gens[:-1]), seed)
     assert milnor_top_step(check, mu0, ORACLE_BUDGETS) == mu
+    assert drawn_mu(check, seed) == mu
     if (name, seed) in DRAWN_BLOW_UPS:
-        with pytest.raises(BudgetExceededError):
-            drawn_mu(check, seed)
-    else:
-        assert drawn_mu(check, seed) == mu
+        assert_unreduced_blow_up(drawn_top_step(check, seed))
 
 
-# (g, H, mu0, mu1) on which milnor_top_step, with the minors first, meets a
-# Mora blow-up that the head-first order of the same generators avoids
-# (ROADMAP item 5): a sheared order-4 corpus germ with invariants
-# (mu0, mu1, a, corank) = (0, 7, 4, 2).  Minors first it needs 16k-64k
-# reductions, and invariant_report takes 6-9 minutes on it.  A fix of item 5 that
-# lets the top step finish flips the test below.
+# (g, H, mu0, mu1) on which the top step's colength, with the minors first,
+# meets a Mora blow-up in the unreduced engine that the head-first order of
+# the same generators avoids: a sheared order-4 corpus germ with invariants
+# (mu0, mu1, a, corank) = (0, 7, 4, 2).  Minors first the unreduced engine
+# needs 16k-64k reductions, and invariant_report took 6-9 minutes on it
+# before colength substituted the linear g away.
 TOP_STEP_BLOW_UPS = [
     (
         ("x2 + x3", "x2"),
@@ -390,7 +400,8 @@ TOP_STEP_BLOW_UPS = [
 @pytest.mark.parametrize("g, h, mu0, mu1", TOP_STEP_BLOW_UPS, ids=["order-4-shear"])
 def test_top_step_blow_ups_finish_head_first(g, h, mu0, mu1):
     """Under 1000 reductions the head-first top colength gives mu0 + mu1 at
-    once, while milnor_top_step, minors first, trips the budget."""
+    once, and so does milnor_top_step, minors first; in the unreduced engine
+    the head-first order still finishes and the minors-first one trips."""
     names = ("x1", "x2", "x3", "y1", "y2")
     gens = germ(g, names)
     ring = gens[0].ring
@@ -399,9 +410,24 @@ def test_top_step_blow_ups_finish_head_first(g, h, mu0, mu1):
     assert milnor_icis(check_icis(gens)) == mu0
     check = check_icis(gens + [determinant(matrix)])
     head_first = list(check.gens[:-1]) + list(check.maximal_minors)
-    assert colength(head_first, local_order(len(names)), budgets) == mu0 + mu1
+    order = local_order(len(names))
+    assert colength(head_first, order, budgets) == mu0 + mu1
+    assert milnor_top_step(check, mu0, budgets) == mu1
+    assert unreduced_staircase(head_first, order, budgets) == (mu0 + mu1, ())
+    minors_first = list(check.maximal_minors) + list(check.gens[:-1])
     with pytest.raises(BudgetExceededError):
-        milnor_top_step(check, mu0, budgets)
+        unreduced_staircase(minors_first, order, budgets)
+
+
+@pytest.mark.parametrize("g, h, mu0, mu1", TOP_STEP_BLOW_UPS, ids=["order-4-shear"])
+def test_top_step_blow_ups_finish_as_homology_jobs(g, h, mu0, mu1):
+    """The whole homology job of the pinned germ, which used to run for
+    minutes, finishes under the default budgets with its invariants; a = 4
+    and corank 2 are those of the unsheared corpus germ."""
+    matrix = ", ".join(f"[{', '.join(row)}]" for row in h)
+    text = f"[ring]\nvars = x1 x2 x3 y1 y2\n[ideal]\ng = {'; '.join(g)}\n[matrix]\nh = [{matrix}]\n"
+    inv = run_homology(Job(input=parse_job(text))).invariants
+    assert (inv.mu0, inv.mu1, inv.a, inv.corank) == (mu0, mu1, 4, 2)
 
 
 def test_rows_whose_stream_completion_is_singular_keep_mu():

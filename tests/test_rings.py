@@ -21,14 +21,15 @@ from milnorfibre.rings import (
     determinant,
     evaluate_matrix_at_origin,
     format_polynomial,
-    fraction_matrix_rank,
     int_determinant,
     jacobian,
     leading_minors,
     minors,
     parse_matrix,
     parse_polynomial,
+    reduced_row_echelon,
 )
+from oracles import fraction_matrix_rank
 
 R2 = Ring(("x", "y"))
 R3 = Ring(("x", "y", "z"))
@@ -701,6 +702,33 @@ def test_int_determinant_edge_cases():
         int_determinant([[1, 2]])
 
 
+@given(
+    st.integers(1, 5).flatmap(
+        lambda cols: st.lists(
+            st.lists(st.integers(-3, 3) | st.fractions(-2, 2, max_denominator=3), min_size=cols, max_size=cols),
+            max_size=6,
+        )
+    )
+)
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[2, 4, 1], [1, 2, 3], [3, 6, 4]])
+def test_reduced_row_echelon_matches_the_rank_oracle(rows):
+    """The pivots count the rank of the old every-row elimination; each row
+    has a 1 at its pivot, its leftmost nonzero entry, the other rows a 0
+    there; every input row is the combination of the rows its pivot entries
+    give; entries are canonical."""
+    echelon, pivots = reduced_row_echelon(rows)
+    assert len(pivots) == len(echelon) == fraction_matrix_rank(rows)
+    assert pivots == sorted(set(pivots))
+    for i, (row, col) in enumerate(zip(echelon, pivots)):
+        assert not any(row[:col]) and row[col] == 1
+        assert all(other[col] == 0 for k, other in enumerate(echelon) if k != i)
+        assert all(type(x) is int or x.denominator != 1 for x in row)
+    for row in rows:
+        combination = [sum(row[c] * r[j] for c, r in zip(pivots, echelon)) for j in range(len(row))]
+        assert combination == list(row)
+
+
 def test_corank_at_origin_examples():
     one, zero = R2.one(), R2.zero()
     x = poly("x")
@@ -711,4 +739,4 @@ def test_corank_at_origin_examples():
     m2 = PolyMatrix(R2, [[x, x], [x, x]])
     assert corank_at_origin(m2) == 2
     rect = evaluate_matrix_at_origin(PolyMatrix(R2, [[one, zero, zero]]))
-    assert fraction_matrix_rank(rect) == 1
+    assert reduced_row_echelon(rect) == ([[1, 0, 0]], [0])

@@ -40,6 +40,15 @@ def test_order_sweep_prints_its_summary(tmp_path):
     assert lines[-2].startswith("head-first: ") and lines[-1].startswith("minors-first: ")
 
 
+def test_order_sweep_trips_in_neither_order(tmp_path):
+    """Sheared germs with a linear g reach the standard basis in the three
+    free variables of the locus, where neither order of the top step's
+    generators meets a blow-up under the default budget of 4000."""
+    proc = run_script("order_sweep.py", "1", "60", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["head-first: 0 trips", "minors-first: 0 trips"]
+
+
 def test_outcome_digest_repeats(tmp_path):
     runs = [run_script("outcome_digest.py", "batch-n5", "5", "1", cwd=tmp_path) for _ in range(2)]
     for proc in runs:

@@ -6,9 +6,10 @@ route stated next to it: a truncated-series computation, divisibility logic
 for monomial ideals, a count the reader can do by hand on a staircase, or a
 slower second algorithm kept here as an oracle (a min-scan completion,
 saturation by iterated ideal quotients, and saturation as the intersection
-of one elimination per divisor).  Normal forms, membership and intersection
-come from tests/oracles.py, which builds them on the engine's private
-routines.
+of one elimination per divisor, and the local staircase completed in every
+variable for the route that substitutes linear generators away).  Normal
+forms, membership, intersection and that staircase come from
+tests/oracles.py, which builds them on the engine's private routines.
 """
 
 import importlib
@@ -49,7 +50,7 @@ from milnorfibre.standard_basis import (
     saturate,
     standard_basis,
 )
-from oracles import intersect_ideals, is_member, weak_normal_form
+from oracles import intersect_ideals, is_member, unreduced_staircase, weak_normal_form
 
 # the module, which the package's standard_basis function shadows
 sb = importlib.import_module("milnorfibre.standard_basis")
@@ -590,6 +591,107 @@ def test_highest_corner_stays_inside_colength():
         p("x^4"),
         p("-2*x^2*y^3 + x^3*y"),
     )
+
+
+# --- linear generators substituted away -------------------------------------
+
+# names out of alphabetical order, so that a reordered variable shows in the
+# unbounded names
+R5 = Ring(("x", "b", "y", "a", "z"))
+
+
+def p5(text, n=5):
+    return parse_polynomial(text, Ring(R5.variables[:n]))
+
+
+@st.composite
+def local_ideals_with_linear_forms(draw):
+    """1-5 generators without a constant term in 3-5 variables: linear
+    forms, and forms of degree 1-3 with 1-3 terms, each with a linear part
+    now and then; and up to n pure powers x_i^b, 2 <= b <= 4, so that many
+    colengths are finite."""
+    n = draw(st.integers(3, 5))
+    ring = Ring(R5.variables[:n])
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    linear = st.dictionaries(st.sampled_from(units), small_coeffs, min_size=1, max_size=n)
+    monomials = st.tuples(*[st.integers(0, 2)] * n).filter(lambda e: 0 < sum(e) <= 3)
+    other = st.dictionaries(monomials, small_coeffs, min_size=1, max_size=3)
+    terms = draw(st.lists(st.one_of(linear, other), min_size=1, max_size=5))
+    for i, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(2, 4)), max_size=n)):
+        terms.append({tuple(b * u for u in units[i]): 1})
+    return [Polynomial(ring, t) for t in terms]
+
+
+# a linear locus sheared to x = y + z and b = -a, with images y^2 - a*z,
+# a*z and a^3 + z^2 of the other generators
+SHEARED_LOCUS = ["x - y - z", "b + a", "y^2 + b*z", "a*z + (x - y - z)*y", "(x - y - z)^2 + a^3 + z^2"]
+
+
+@given(local_ideals_with_linear_forms())
+# only linear generators: every free variable is unbounded
+@example([p5("x + 2*y - a"), p5("b - y")])
+@example([p5("y - 2*b", 3)])
+# every variable a pivot: colength 1
+@example([p5("x + b"), p5("b - y"), p5("y + a - z"), p5("a + x*z"), p5("z - x^2"), p5("x*b*y")])
+@example([p5("x - y", 3), p5("b + y", 3), p5("y", 3)])
+# x -> b, not -b: the image 2*b - y^2 of the second generator bounds b
+@example([p5("x - b", 3), p5("x + b - y^2", 3)])
+# a generator that becomes linear after the substitution: x^2 - b^2 + y is
+# y after x -> b, and then y^2 + a*z is a*z
+@example([p5("x - b"), p5("x^2 - b^2 + y"), p5("b^2 + y*z"), p5("y^2 + a*z"), p5("a^2 + z^3")])
+@example([p5(t) for t in SHEARED_LOCUS])
+@settings(max_examples=200, deadline=None)
+def test_substituted_staircase_matches_the_unreduced_engine(gens):
+    """colength and the unbounded names of the route that substitutes the
+    linear generators away, against the standard basis in every variable;
+    the budget bounds the Mora blow-ups of the unreduced engine."""
+    order = local_order(gens[0].ring.nvars)
+    budgets = Budgets(reductions=2000)
+    try:
+        expected = unreduced_staircase(gens, order, budgets)
+    except BudgetExceededError:
+        return
+    assert _staircase(gens, order, budgets) == expected
+
+
+@pytest.mark.parametrize(
+    "texts, n, expected",
+    [
+        (["x + 2*y - a", "b - y"], 5, (INFINITE, ("y", "a", "z"))),
+        (["x - y", "b + y", "y"], 3, (1, ())),
+        (["x - b", "x + b - y^2"], 3, (INFINITE, ("y",))),
+        (["x - b", "x^2 - b^2 + y", "b^2 + y*z", "y^2 + a*z", "a^2 + z^3"], 5, (10, ())),
+        (SHEARED_LOCUS, 5, (10, ())),
+        (SHEARED_LOCUS[:3], 5, (INFINITE, ("a", "z"))),
+    ],
+)
+def test_substituted_staircase_examples(texts, n, expected):
+    """Hand counts.  After x -> b and y -> 0 the third example leaves
+    (b^2, a*z, a^2 + z^3), whose leads b^2, a*z, a^2 and z^4 (from the
+    S-polynomial of the last two) leave 1, a, z, z^2, z^3 and their b
+    multiples.  The sheared locus leaves (y^2, a*z, z^2 + a^3), with leads
+    y^2, a*z, z^2 and a^4, and staircase 1, a, a^2, a^3, z and their y
+    multiples; its first three generators leave y^2 - a*z alone, whose lead
+    is y^2."""
+    gens = [p5(t, n) for t in texts]
+    assert _staircase(gens, local_order(n), DEFAULT_BUDGETS) == expected
+
+
+@pytest.mark.parametrize(
+    "texts, n, expected",
+    [
+        (["x + 2*y - a", "b - y"], 5, (INFINITE, ("y", "a", "z"))),
+        (["x - y", "b + y", "y"], 3, (1, ())),
+        (["x - b", "x^2 - b^2 + y", "b + 2*x*y"], 3, (1, ())),
+        (SHEARED_LOCUS[:2], 5, (INFINITE, ("y", "a", "z"))),
+    ],
+)
+def test_linear_generators_need_no_standard_basis(texts, n, expected, monkeypatch):
+    """When every generator is linear or becomes linear, no engine
+    polynomial is built."""
+    built = _count_engine_polynomials(monkeypatch)
+    assert _staircase([p5(t, n) for t in texts], local_order(n), DEFAULT_BUDGETS) == expected
+    assert built == []
 
 
 # --- intersection, saturation -------------------------------------------
