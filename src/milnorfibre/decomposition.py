@@ -130,11 +130,11 @@ def verify_decomposition(inp: SingularityInput) -> Polynomial:
 
 def compute_a(inp: SingularityInput, budgets: Budgets = DEFAULT_BUDGETS) -> int:
     """Colength of the corank >= 2 determinantal scheme on the locus:
-    (g) + all minors of H of size n-4.  Scalar H (n = 4) gives 0."""
+    (g) + the nonzero minors of H of size n-4.  Scalar H (n = 4) gives 0."""
     size = inp.n - 4
     if size == 0:
         return 0
-    gens = list(inp.g) + list(minors(inp.h, size))
+    gens = list(inp.g) + [m for m in minors(inp.h, size) if m]
     value = colength(gens, local_order(inp.n), budgets)
     if value == INFINITE:
         raise ComputationError("corank-2 locus not isolated at origin")
@@ -235,7 +235,8 @@ def invariant_report(
             raise InvalidIcisError(
                 "det H vanishes identically, so (g, det H) is not an i.c.i.s."
             )
-        sigma1 = check_icis(inp.g + (det_h,), budgets)
+        # the locus check's Jacobian rows and minors tower, one row longer
+        sigma1 = check_icis(inp.g + (det_h,), budgets, locus)
         checks.append(
             CheckResult(
                 "sigma1_icis",

@@ -9,20 +9,26 @@ witnessed by every c_j being finite; an unlucky draw is retried from the
 same seeded stream.
 
 check_icis tests a presentation once and returns an IcisCheck that carries
-its generators and the leading minors of their Jacobian J from one pass of
-the minors engine (rings.leading_minors): level j holds the j x j minors of
-the first j rows, the top level the maximal minors.  milnor_icis takes that
-check as its witness, so a caller never tests the same ideal twice.  It
-tries the presented order first, whose chain reads every level from the
-check: when that chain is finite, each prefix of the presented generators
-is an i.c.i.s.; otherwise the seeded draws follow.  A drawn chain takes its
-lower levels from one pass over the Jacobian of the first k-1 recombined
-functions, and its top level from the check.  So only k-1 rows of the
-recombination are drawn: when every c_j is finite those rows are
-independent (a dependent row makes some j x j minors vanish and leaves c_j
-the colength of j-1 functions, which is infinite), so they complete to an
-invertible A, and by Cauchy-Binet the k x k minors of A*J are det(A) times
-those of J, which span the same ideal.
+its generators, the rows of their Jacobian J and its leading minors from
+one pass of the minors engine (rings.leading_minors): level j holds the
+nonzero j x j minors of the first j rows, with their column subsets, the
+top level the nonzero maximal minors.  No level stores a zero minor, so no
+colength is handed a zero minor.  Given the check of all generators but the last,
+check_icis keeps its rows and levels: it differentiates only the last
+generator and continues the tower by one row.  So the (g, det H) check of
+a job is the locus check's tower one level up.
+
+milnor_icis takes a check as its witness, so a caller never tests the same
+ideal twice.  It tries the presented order first, whose chain reads every
+level from the check: when that chain is finite, each prefix of the
+presented generators is an i.c.i.s.; otherwise the seeded draws follow.  A
+drawn chain takes its lower levels from one pass over the Jacobian of the
+first k-1 recombined functions, and its top level from the check.  So only
+k-1 rows of the recombination are drawn: when every c_j is finite those
+rows are independent (a dependent row makes some j x j minors vanish and
+leaves c_j the colength of j-1 functions, which is infinite), so they
+complete to an invertible A, and by Cauchy-Binet the k x k minors of A*J
+are det(A) times those of J, which span the same ideal.
 
 When the caller has already checked that the first k-1 generators cut out
 an i.c.i.s. and knows its Milnor number, milnor_top_step needs no chain:
@@ -39,7 +45,7 @@ from typing import Sequence
 
 from .errors import ComputationError, InconsistencyError, InvalidIcisError
 from .orders import local_order
-from .rings import Polynomial, jacobian, leading_minors
+from .rings import PolyMatrix, Polynomial, jacobian, leading_minors
 from .standard_basis import (
     Budgets,
     DEFAULT_BUDGETS,
@@ -80,13 +86,16 @@ class IcisCheck:
     colength: int | float
     unbounded_variables: tuple[str, ...]
     gens: tuple[Polynomial, ...]
-    levels: tuple[tuple[Polynomial, ...], ...]
+    jacobian: PolyMatrix
+    # level j: (column subset, minor) for the nonzero j x j minors of the
+    # first j rows of the Jacobian, in column-lex order
+    levels: tuple[tuple[tuple[tuple[int, ...], Polynomial], ...], ...]
 
     @property
     def maximal_minors(self) -> tuple[Polynomial, ...]:
-        """The k x k minors of the Jacobian, in column-lex order with zeros
-        kept: the top of levels."""
-        return self.levels[-1]
+        """The nonzero k x k minors of the Jacobian, in column-lex order: the
+        top of levels."""
+        return _minors_of(self.levels[-1])
 
     def message(self) -> str:
         if self.ok:
@@ -95,12 +104,26 @@ class IcisCheck:
         return f"INFINITE singular locus (unbounded in {missing})"
 
 
-def check_icis(gens: Sequence[Polynomial], budgets: Budgets = DEFAULT_BUDGETS) -> IcisCheck:
+def _minors_of(level: tuple) -> tuple[Polynomial, ...]:
+    return tuple(minor for _, minor in level)
+
+
+def check_icis(
+    gens: Sequence[Polynomial],
+    budgets: Budgets = DEFAULT_BUDGETS,
+    head: IcisCheck | None = None,
+) -> IcisCheck:
     """Test that V(gens) is a complete intersection with at most an isolated
     singularity at the origin: the ideal of the generators plus the maximal
-    minors of their Jacobian must have finite colength."""
+    minors of their Jacobian must have finite colength.
+
+    head, when given, is the check of gens[:-1]: its Jacobian rows and
+    levels are kept, and only the last generator's row is differentiated
+    and expanded.  Raises ValueError when head checked other generators."""
     if not gens:
         raise InvalidIcisError("empty presentation")
+    if head is not None and head.gens != tuple(gens[:-1]):
+        raise ValueError("head is not the check of the generators but the last")
     ring = gens[0].ring
     k = len(gens)
     if k > ring.nvars:
@@ -111,9 +134,16 @@ def check_icis(gens: Sequence[Polynomial], budgets: Budgets = DEFAULT_BUDGETS) -
         raise InvalidIcisError("zero generator in the presentation")
     if any(g.constant_coefficient() != 0 for g in gens):
         raise InvalidIcisError("generator does not vanish at the origin")
-    levels = leading_minors(jacobian(ring, list(gens)))
-    value, unbounded = _staircase(list(gens) + list(levels[-1]), local_order(ring.nvars), budgets)
-    return IcisCheck(value != INFINITE, value, unbounded, tuple(gens), levels)
+    if head is None:
+        jac = jacobian(ring, list(gens))
+        levels = leading_minors(jac)
+    else:
+        jac = PolyMatrix(ring, head.jacobian.entries() + jacobian(ring, gens[-1:]).entries())
+        levels = leading_minors(jac, head.levels)
+    value, unbounded = _staircase(
+        list(gens) + list(_minors_of(levels[-1])), local_order(ring.nvars), budgets
+    )
+    return IcisCheck(value != INFINITE, value, unbounded, tuple(gens), jac, levels)
 
 
 def _chain_colengths(
@@ -131,11 +161,12 @@ def _chain_colengths(
         # as those of any invertible completion of the rows (Cauchy-Binet)
         head = recombine(check.gens, rows)
         levels = leading_minors(jacobian(ring, list(head))) if head else ()
-        levels += (check.maximal_minors,)
-    return [
-        colength(list(head[: j - 1]) + list(level), order, budgets)
-        for j, level in enumerate(levels, start=1)
-    ]
+        levels += (check.levels[-1],)
+    steps = (
+        list(head[: j - 1]) + list(_minors_of(level)) for j, level in enumerate(levels, start=1)
+    )
+    # an empty first level, from a zero first row, leaves the zero ideal
+    return [colength(gens, order, budgets) if gens else INFINITE for gens in steps]
 
 
 def _require_icis(check: IcisCheck) -> None:

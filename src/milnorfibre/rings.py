@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, gcd, lcm
-from operator import add, le
+from operator import add, itemgetter, le
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -610,8 +610,10 @@ def determinant(m: PolyMatrix) -> Polynomial:
     return minors(m, m.rows)[0]
 
 
-def _minor_levels(m: PolyMatrix, size: int) -> Iterator[dict]:
-    """Levels k = 1..size of the minors engine.
+def _minor_levels(
+    m: PolyMatrix, size: int, first: int = 1, prev: dict | None = None
+) -> Iterator[dict]:
+    """Levels k = first..size of the minors engine.
 
     Level k maps (row subset, column subset) to the nonzero k x k minor, for
     the row subsets inside range(rows - size + k): the heads of the
@@ -619,11 +621,13 @@ def _minor_levels(m: PolyMatrix, size: int) -> Iterator[dict]:
     nonzero entry (r, c), with r after R and c not in C, is a Laplace term
     along the last row of the minor on R + (r,) and C with c inserted, of sign
     (-1)^(k-1+i) for c's place i there.  Zero sums are dropped once per level,
-    and only the previous level is kept.
+    and only the previous level is kept.  prev, given with first > 1, is
+    level first - 1, so the engine continues from it.
     """
     nonzero = [[(c, e) for c, e in enumerate(row) if e] for row in m.entries()]
-    prev = {((), ()): m.ring.one()}
-    for k in range(1, size + 1):
+    if prev is None:
+        prev = {((), ()): m.ring.one()}
+    for k in range(first, size + 1):
         sums = {}
         for (rows, cols), minor in prev.items():
             for r in range(rows[-1] + 1 if rows else 0, m.rows - size + k):
@@ -658,17 +662,23 @@ def minors(m: PolyMatrix, size: int) -> tuple[Polynomial, ...]:
     )
 
 
-def leading_minors(m: PolyMatrix) -> tuple[tuple[Polynomial, ...], ...]:
-    """For j = 1..rows, the j x j minors of the first j rows, in column-lex
-    order with zeros kept (none once j exceeds the columns).
+def leading_minors(
+    m: PolyMatrix, head: tuple[tuple, ...] = ()
+) -> tuple[tuple[tuple[tuple[int, ...], Polynomial], ...], ...]:
+    """For j = 1..rows, the nonzero j x j minors of the first j rows, each as
+    (column subset, minor) in column-lex order; a level is empty when every
+    such minor vanishes, as it is once j exceeds the columns.
 
     One pass of the minors engine at size = rows: its level j has the single
-    row subset range(j), so it holds exactly these minors.
+    row subset range(j), so it holds exactly these minors.  head, the
+    leading minors of the first len(head) rows of m, is kept, and the pass
+    continues from its top level.
     """
-    zero = m.ring.zero()
-    return tuple(
-        tuple(level.get((tuple(range(j)), cols), zero) for cols in combinations(range(m.cols), j))
-        for j, level in enumerate(_minor_levels(m, m.rows), start=1)
+    j = len(head)
+    prev = {(tuple(range(j)), cols): minor for cols, minor in head[-1]} if head else None
+    return tuple(head) + tuple(
+        tuple(sorted(((cols, minor) for (_, cols), minor in level.items()), key=itemgetter(0)))
+        for level in _minor_levels(m, m.rows, j + 1, prev)
     )
 
 

@@ -18,10 +18,11 @@ never truncate.
 
 Under the local degree order a generator with a nonzero constant term is a
 unit of the local ring, so its ideal is the whole ring: colength returns 0,
-with no unbounded variable, before it builds any engine polynomial.  The
-completion reaches the same answer, a lead 1 and a count of 0, only after
-its pair loop, where a small budget can trip.  Linear loci make such ideals
-common: the maximal minors of their Jacobians are constants.
+with no unbounded variable, before it builds any engine polynomial.  Linear
+loci make such ideals common: the maximal minors of their Jacobians are
+constants.  The completion stops as soon as an element of lead 1 enters
+its basis, under every order: that element alone is the minimal standard
+basis, so a unit that only a normal form reveals costs no further pairs.
 
 Otherwise colength under the local degree order substitutes the linear
 generators away: their coefficient rows in reduced row-echelon form send
@@ -277,15 +278,20 @@ def _standard_basis_ep(
     # heap of (lcm degree, i, j, lcm); pending holds the pairs not yet popped
     queue: list[tuple] = []
     pending: set[tuple[int, int]] = set()
-    # least pure power of each variable among the leads (a lead 1 is a pure
-    # power of every variable), and D once every variable has one
+    # least pure power of each variable among the leads, and D once every
+    # variable has one
     pure: list[int | None] = [None] * order.nvars
     cut = None
 
-    def add_element(g: _EP) -> None:
+    def add_element(g: _EP) -> bool:
+        """Append g and queue its pairs; when its lead is 1, append it only
+        and return True: a lead 1 divides every lead, so g alone is the
+        minimal standard basis, the one element _minimalize would keep."""
         nonlocal cut
         new = len(G)
         G.append(g)
+        if not any(g.lead):
+            return True
         for k in range(new):
             lcm = tuple(map(max, G[k].lead, g.lead))
             heapq.heappush(queue, (monomial_degree(lcm), k, new, lcm))
@@ -297,10 +303,11 @@ def _standard_basis_ep(
                     pure[i] = b
             if None not in pure:
                 cut = sum(pure) - len(pure) + 1
+        return False
 
     for g in gens:
-        if g.terms:
-            add_element(_ep_monic(g))
+        if g.terms and add_element(_ep_monic(g)):
+            return [G[-1]]
     is_global = order.is_global()
 
     while queue:
@@ -325,8 +332,8 @@ def _standard_basis_ep(
         pair_counter.spend()
         s = _ep_spoly(G[i], G[j], order, cut)
         h = _weak_normal_form(s, G, order, counter, cut)
-        if h.terms:
-            add_element(_ep_monic(h))
+        if h.terms and add_element(_ep_monic(h)):
+            return [G[-1]]
     return _minimalize(G)
 
 

@@ -216,7 +216,7 @@ def test_identically_zero_det_h_is_named():
         # corank 2: the locus and (g, det H) are each checked once; mu1 is
         # one step over the check, and the presented locus chain reads the
         # check's minors, so no chain differentiates
-        (worked_example(a1_mode="estimate"), (2, 1, 1, 1, 30)),
+        (worked_example(a1_mode="estimate"), (2, 1, 1, 1, 20)),
         # corank 0: only the locus is checked; a = 0 needs no colength, and
         # f is assembled only to cross-check an explicit f or to estimate
         # #A1, and differentiated only for the estimate; this job asks for
@@ -239,10 +239,10 @@ def test_each_ideal_is_checked_once(monkeypatch, inp, expected):
     for name in ("check_icis", "compute_a", "determinant", "assemble_f"):
         monkeypatch.setattr(decomposition, name, counting(name, getattr(decomposition, name)))
     # the derivative count pins where a job differentiates: the partials of g
-    # are taken by the locus check and again by the (g, det H) check, and
-    # those of f only to estimate #A1; 10 of the worked example's 30 calls
-    # and none of the corank-0 germ's 10 repeat a (polynomial, variable) pair
-    # already taken
+    # are taken once, by the locus check, whose rows the (g, det H) check
+    # keeps while it differentiates det H alone, and those of f only to
+    # estimate #A1; the worked example takes 10 + 5 + 5, and no call of
+    # either germ repeats a (polynomial, variable) pair already taken
     monkeypatch.setattr(Polynomial, "derivative", counting("derivative", Polynomial.derivative))
     # milnor_icis must run on the caller's check, not test its ideal again
     monkeypatch.setattr(milnor, "check_icis", decomposition.check_icis)
@@ -278,11 +278,13 @@ def test_a1_estimate_is_one_elimination(monkeypatch, inp):
 def test_chain_minors_are_built_once(monkeypatch):
     """Polynomial products of a whole job on D(3,2) at n = 8: the locus chain
     runs in the presented order and reads every level of its minors from the
-    check, and mu1 is one step over the check of (g, det H).  The job gives
-    no f and assumes #A1 = 0, so f is not assembled.  The per-step expansion
-    of every level at every step took 1951, one prefix pass for both chains
-    665, a second prefix pass over the presented head 97, and assembling f
-    although nothing read it 93."""
+    check, the check of (g, det H) continues the locus check's tower by the
+    row of det H, and mu1 is one step over that check.  The job gives no f
+    and assumes #A1 = 0, so f is not assembled.  The per-step expansion of
+    every level at every step took 1951, one prefix pass for both chains
+    665, a second prefix pass over the presented head 97, assembling f
+    although nothing read it 93, and a (g, det H) check that rebuilt the
+    locus tower 43."""
     count = [0]
     mul = Polynomial.__mul__
 
@@ -293,7 +295,30 @@ def test_chain_minors_are_built_once(monkeypatch):
     monkeypatch.setattr(Polynomial, "__mul__", counting)
     rep = invariant_report(build_input(_dkp_case(2, 8), "given"), seed=0)
     assert (rep.mu0, rep.mu1, rep.a, rep.corank) == (0, 1, 1, 2)
-    assert count[0] == 43
+    assert count[0] == 38
+
+
+@pytest.mark.parametrize(
+    "inp",
+    [worked_example(a1_mode="estimate"), build_input(_dkp_case(2, 8), "given")],
+    ids=["worked-n5", "d32-n8"],
+)
+def test_no_zero_generator_reaches_the_staircase(monkeypatch, inp):
+    """The checks, the Milnor chain, the top step and compute_a hand the
+    staircase only nonzero generators: no level of a minors tower stores a
+    zero minor, and compute_a drops the zero minors of H."""
+    handed = []
+    staircase = sb_module._staircase
+
+    def recording(gens, *args, **kwargs):
+        handed.append(list(gens))
+        return staircase(gens, *args, **kwargs)
+
+    monkeypatch.setattr(sb_module, "_staircase", recording)
+    monkeypatch.setattr(milnor, "_staircase", recording)
+    invariant_report(inp)
+    assert handed
+    assert all(all(gens) for gens in handed)
 
 
 # --- presentation invariance -------------------------------------------------

@@ -2,13 +2,16 @@
 
 Oracles: the classical simple-singularity values (A_k, D_k, E_k), the
 quasi-homogeneous product formula mu = prod(p_i - 1) for sums of pure
-powers, hand-checked chain colengths, the check's levels as a minors call on
-each leading block of Jacobian rows, the chain as each step's own minors
-call on an invertible completion of the drawn rows, and the chain on the
-seeded draws alone for the presented order and the one Le-Greuel step.
+powers, hand-checked chain colengths, the check's levels as the nonzero
+values of a minors call on each leading block of Jacobian rows, a fresh
+check for one continued from the check of its head, the chain as each
+step's own minors call on an invertible completion of the drawn rows, and
+the chain on the seeded draws alone for the presented order and the one
+Le-Greuel step.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -194,10 +197,20 @@ def completed(rows, k):
     raise AssertionError(f"dependent rows {rows}")
 
 
+def nonzero(values):
+    return [v for v in values if v]
+
+
+def nonzero_with_columns(values, ncols, k):
+    """The nonzero k x k minors of one row subset, given in column-lex order
+    over ncols columns, each as (column subset, minor)."""
+    return tuple((c, v) for c, v in zip(combinations(range(ncols), k), values, strict=True) if v)
+
+
 def per_step_chain(gens, matrix):
     """Oracle: recombine every generator, differentiate them all, and take
     the j x j minors of the first j rows by a minors call at each step j.
-    Returns the chain's ideals."""
+    Returns the chain's ideals, with the zero minors kept."""
     ring = gens[0].ring
     fprime = recombine(gens, matrix)
     rows = jacobian(ring, list(fprime)).entries()
@@ -218,13 +231,17 @@ def invertible_matrices(draw, size):
 @given(st.data())
 def test_top_level_minors_are_det_a_times_the_checks(data):
     """The k x k minors of Jac(A*g) are det(A) times the maximal minors of
-    Jac(g) that check_icis keeps, in the same order."""
+    Jac(g): the nonzero ones are those check_icis keeps, on the same column
+    subsets, in the same order, each times det(A)."""
     _, gens, _ = data.draw(st.sampled_from(CORPUS_PRESENTATIONS))
-    k = len(gens)
+    k, ncols = len(gens), gens[0].ring.nvars
     a = data.draw(invertible_matrices(k))
     recombined = jacobian(gens[0].ring, list(recombine(gens, a)))
-    scaled = tuple(m.scale(int_determinant(a)) for m in check_icis(gens).maximal_minors)
-    assert minors(recombined, k) == scaled
+    check = check_icis(gens)
+    det = int_determinant(a)
+    scaled = tuple((cols, m.scale(det)) for cols, m in check.levels[-1])
+    assert nonzero_with_columns(minors(recombined, k), ncols, k) == scaled
+    assert check.maximal_minors == tuple(m for _, m in check.levels[-1])
 
 
 # per-call budget of the drawn-rows oracle; every corpus chain step takes
@@ -270,15 +287,19 @@ def drawn_shears(ring, data):
 
 
 def assert_levels_are_the_leading_minors(gens):
-    """Level j of the check is a minors call on the first j rows of the
-    Jacobian, and its maximal minors are a minors call on the whole of it."""
+    """Level j of the check is the nonzero values of a minors call on the
+    first j rows of the Jacobian, each with its column subset, in the call's
+    order, and its maximal minors are the nonzero values of a minors call on
+    the whole of it."""
     ring, k = gens[0].ring, len(gens)
     jac = jacobian(ring, list(gens))
     check = check_icis(gens)
+    assert check.jacobian == jac
     assert len(check.levels) == k
     for j in range(1, k + 1):
-        assert check.levels[j - 1] == minors(PolyMatrix(ring, jac.entries()[:j]), j)
-    assert check.maximal_minors == minors(jac, k)
+        block = PolyMatrix(ring, jac.entries()[:j])
+        assert check.levels[j - 1] == nonzero_with_columns(minors(block, j), ring.nvars, j)
+    assert list(check.maximal_minors) == nonzero(minors(jac, k))
 
 
 @pytest.mark.parametrize("name, gens, mu", PRESENTATION_PARAMS)
@@ -292,6 +313,34 @@ def test_check_levels_are_the_leading_minors_after_shears(data):
     _, gens, _ = data.draw(st.sampled_from(CORPUS_PRESENTATIONS))
     values = drawn_shears(gens[0].ring, data)
     assert_levels_are_the_leading_minors(tuple(q.substitute(values) for q in gens))
+
+
+@pytest.mark.parametrize("name, gens, mu", PRESENTATION_PARAMS)
+@settings(max_examples=5, deadline=None)
+@given(sheared=st.booleans(), data=st.data())
+def test_check_continued_from_its_head_is_the_fresh_check(name, gens, mu, sheared, data):
+    """The check of gens built on the check of gens[:-1] equals a fresh
+    check_icis(gens): gens, Jacobian, levels, colength and unbounded
+    variables; with or without shears.  A head that checked other
+    generators is refused."""
+    if sheared:
+        values = drawn_shears(gens[0].ring, data)
+        gens = tuple(q.substitute(values) for q in gens)
+    head = check_icis(gens[:-1])
+    continued = check_icis(gens, head=head)
+    fresh = check_icis(gens)
+    assert continued.gens == fresh.gens
+    assert continued.jacobian == fresh.jacobian
+    assert continued.levels == fresh.levels
+    assert (continued.ok, continued.colength) == (fresh.ok, fresh.colength)
+    assert continued.unbounded_variables == fresh.unbounded_variables
+    assert continued.levels[:-1] == head.levels
+    others = [fresh]
+    if gens[:-1][::-1] != gens[:-1]:
+        others.append(check_icis(gens[:-1][::-1]))
+    for other in others:
+        with pytest.raises(ValueError, match="head is not the check"):
+            check_icis(gens, head=other)
 
 
 @pytest.mark.parametrize("name, gens, mu", PRESENTATION_PARAMS)
@@ -312,9 +361,10 @@ def test_presented_chain_reads_the_check(monkeypatch, name, gens, mu):
 @pytest.mark.parametrize("name, gens, mu", PRESENTATION_PARAMS)
 def test_chain_colengths_match_the_per_step_chain(monkeypatch, name, gens, mu, seed):
     """Steps 1..k-1 hand colength the same polynomials, in the same order,
-    as the per-step route on the drawn rows completed to an invertible A;
-    step k hands the check's maximal minors, which the route has times
-    det(A); every colength agrees.  At a known blow-up the unreduced engine
+    as the per-step route on the drawn rows completed to an invertible A,
+    with its zero minors dropped; step k hands the check's nonzero maximal
+    minors, which the route has times det(A); every colength agrees, and
+    no zero reaches colength.  At a known blow-up the unreduced engine
     trips the budget on the top-step ideals of both routes."""
     seen = []
 
@@ -330,9 +380,10 @@ def test_chain_colengths_match_the_per_step_chain(monkeypatch, name, gens, mu, s
     ideals = per_step_chain(gens, a)
     order = local_order(gens[0].ring.nvars)
     cs = _chain_colengths(check, rows, ORACLE_BUDGETS)
-    assert seen[:-1] == ideals[:-1]
+    assert seen[:-1] == [nonzero(ideal) for ideal in ideals[:-1]]
     det = int_determinant(a)
-    assert ideals[-1] == seen[-1][: k - 1] + [m.scale(det) for m in seen[-1][k - 1 :]]
+    assert nonzero(ideals[-1]) == seen[-1][: k - 1] + [m.scale(det) for m in seen[-1][k - 1 :]]
+    assert all(all(ideal) for ideal in seen)
     assert cs == [colength(ideal, order) for ideal in ideals]
     if (name, seed) in DRAWN_BLOW_UPS:
         assert_unreduced_blow_up(seen[-1])
@@ -491,6 +542,8 @@ def test_zero_row_gives_an_infinite_step_and_a_retry(monkeypatch):
     assert _chain_colengths(check, presented, DEFAULT_BUDGETS)[0] == INFINITE
     zero = [[1, 2, 3], [0, 0, 0]]
     assert _chain_colengths(check, zero, DEFAULT_BUDGETS)[1] == INFINITE
+    # a zero first row leaves no minor at step 1: the zero ideal
+    assert _chain_colengths(check, [[0, 0, 0], [1, 2, 3]], DEFAULT_BUDGETS)[0] == INFINITE
     draws = []
 
     def first_zero(k, rng):

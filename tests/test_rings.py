@@ -545,6 +545,16 @@ def oracle_minors(m, k):
     )
 
 
+def nonzero_with_columns(values, ncols, k):
+    """The nonzero k x k minors of one row subset, given in column-lex order
+    over ncols columns, each as (column subset, minor)."""
+    return tuple((c, v) for c, v in zip(combinations(range(ncols), k), values, strict=True) if v)
+
+
+def prefix(m, j):
+    return PolyMatrix(m.ring, m.entries()[:j])
+
+
 @st.composite
 def matrices(draw, max_rows=4, max_cols=5):
     rows = draw(st.integers(1, max_rows))
@@ -607,26 +617,38 @@ def test_sparse_minors_engine_matches_leibniz_oracle(m):
     for k in range(1, min(m.rows, m.cols) + 1):
         assert minors(m, k) == oracle_minors(m, k)
     assert leading_minors(m) == tuple(
-        oracle_minors(PolyMatrix(m.ring, m.entries()[:j]), j) for j in range(1, m.rows + 1)
+        nonzero_with_columns(oracle_minors(prefix(m, j), j), m.cols, j)
+        for j in range(1, m.rows + 1)
     )
     if m.is_square():
         assert determinant(m) == leibniz(m.entries(), R2)
 
 
-@given(matrices())
+@given(st.one_of(matrices(), sparse_matrices()))
 def test_leading_minors_match_per_step_minors(m):
     """Level j of the one prefix pass is what a minors call on the first j
-    rows gives, values, order and zeros included."""
+    rows gives with its zeros dropped: the nonzero values, in column-lex
+    order, each with its column subset.  Continued from the tower of any
+    row prefix, the pass keeps that tower and gives the same levels."""
     levels = leading_minors(m)
     assert len(levels) == m.rows
     for j, level in enumerate(levels, start=1):
-        assert level == minors(PolyMatrix(m.ring, m.entries()[:j]), j)
+        assert level == nonzero_with_columns(minors(prefix(m, j), j), m.cols, j)
+    for p in range(1, m.rows + 1):
+        head = leading_minors(prefix(m, p))
+        continued = leading_minors(m, head)
+        assert continued == levels
+        assert all(a is b for a, b in zip(continued, head))
 
 
-def test_leading_minors_keep_zeros_and_stop_at_the_columns():
+def test_leading_minors_drop_zeros_and_stop_at_the_columns():
     x, y, zero = poly("x"), poly("y"), R2.zero()
     m = PolyMatrix(R2, [[x, zero], [y, zero], [x, y]])
-    assert leading_minors(m) == ((x, zero), (zero,), ())
+    assert leading_minors(m) == ((((0,), x),), (), ())
+    # an empty level stays empty one row further on
+    assert leading_minors(m, leading_minors(prefix(m, 2))) == ((((0,), x),), (), ())
+    m = PolyMatrix(R2, [[zero, y], [x, y]])
+    assert leading_minors(m) == ((((1,), y),), (((0, 1), -x * y),))
 
 
 @given(st.integers(1, 4), st.data())

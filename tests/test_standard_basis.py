@@ -23,6 +23,7 @@ from milnorfibre.milnor import check_icis
 from milnorfibre.orders import (
     GLOBAL_GRADED_REVLEX,
     LOCAL_ANTIGRADED_REVLEX,
+    MonomialOrder,
     elimination_order,
     global_order,
     local_order,
@@ -163,17 +164,29 @@ def test_criteria_do_not_change_lead_ideal(gens):
         )
 
 
-def _min_scan_standard_basis(gens, order, budgets=DEFAULT_BUDGETS, use_criteria=True):
+def _min_scan_standard_basis(
+    gens, order, budgets=DEFAULT_BUDGETS, use_criteria=True, stop_at_unit=True
+):
     """Test-only oracle: Buchberger completion that picks each S-pair by a
     min over every pending pair, keyed (lcm degree, i, j), and reads leads
-    off the terms instead of the cached lead data."""
+    off the terms instead of the cached lead data.  With stop_at_unit it
+    returns the first element of lead 1 as soon as there is one."""
     counter = _Counter(budgets.reductions, "reduction")
     pair_counter = _Counter(budgets.basis, "basis pair")
     eps = [_ep_from_polynomial(g, order) for g in gens]
     G = [_ep_monic(g) for g in eps if g.terms]
+    ring = gens[0].ring
 
     def lead(g):
         return g.terms[0][1]
+
+    def unit():
+        """The first element of lead 1 as a basis, when stop_at_unit."""
+        units = [g for g in G if not any(lead(g))] if stop_at_unit else []
+        return (_ep_to_polynomial(units[0], ring),) if units else None
+
+    if found := unit():
+        return found
 
     def pair_lcm(a, b):
         return tuple(max(x, y) for x, y in zip(lead(a), lead(b)))
@@ -201,10 +214,12 @@ def _min_scan_standard_basis(gens, order, budgets=DEFAULT_BUDGETS, use_criteria=
         h = _weak_normal_form(_ep_spoly(G[i], G[j], order), G, order, counter)
         if h.terms:
             G.append(_ep_monic(h))
+            if found := unit():
+                return found
             new = len(G) - 1
             for k in range(new):
                 pending[(k, new)] = pair_lcm(G[k], G[new])
-    return tuple(_ep_to_polynomial(g, gens[0].ring) for g in _minimalize(G))
+    return tuple(_ep_to_polynomial(g, ring) for g in _minimalize(G))
 
 
 ALL_ORDERS_3 = (
@@ -221,8 +236,9 @@ def test_heap_queue_matches_min_scan_oracle(gens):
     """The heap pair queue takes the pairs in the oracle's order, so the
     bases are the same tuples of polynomials.  The budget bounds the Mora
     blow-ups that some draws meet under the local order, such as
-    (y^2*z + z^2 + z, y*z + 1, x^2*y^2 + z): both routes must trip it with
-    the same message."""
+    (-3*x*y^2*z^2 + 3*y^2*z^2 - 3*x^2*z, -y*z^2 + 3*z^2 + 3*y,
+    2*x^2*y^2*z^2 - 2*x^2 - 3*y^2): both routes must trip it with the same
+    message."""
     budgets = Budgets(reductions=400)
     for order in ALL_ORDERS_3:
         assert _outcome(standard_basis, gens, order, budgets) == _outcome(
@@ -496,6 +512,25 @@ def test_unit_ideal_fits_a_budget_of_one_pair():
         colength([p("x^2 + y^3"), p("x*y"), p("y^4 + x^3")], order, Budgets(basis=1))
 
 
+def test_completion_stops_at_a_unit():
+    """An element of lead 1 ends the completion: it is the minimal standard
+    basis.  The pinned local ideal holds the unit y*z + 1, and the
+    completion that runs on past it passes 400 reductions in a Mora blow-up;
+    under a global order (x, x + 1) meets the unit -1 in its first
+    S-polynomial, and a saturation to the whole ring meets it in its
+    elimination."""
+    gens = [p(t, R3) for t in ("y^2*z + z^2 + z", "y*z + 1", "x^2*y^2 + z")]
+    order, budgets = local_order(3), Budgets(reductions=400)
+    assert standard_basis(gens, order, budgets) == (p("y*z + 1", R3),)
+    with pytest.raises(BudgetExceededError):
+        _min_scan_standard_basis(gens, order, budgets, stop_at_unit=False)
+    assert standard_basis([p("x"), p("x + 1")], global_order(2), Budgets(basis=1)) == (p("1"),)
+    # (x^2, y) : x^inf is the whole ring: the elimination meets a lead 1 at
+    # its fifth S-pair, and the completion that runs on forms two more
+    budgets = Budgets(basis=5)
+    assert saturate([p("x^2"), p("y")], [p("x")], local_order(2), budgets) == ((p("1"),), 1)
+
+
 @st.composite
 def local_ideals_with_units(draw):
     """1-4 sparse generators in 2 or 3 variables, each with a constant term
@@ -526,6 +561,21 @@ def test_local_colength_matches_untruncated_basis_with_units(gens):
     except BudgetExceededError:
         return
     assert colength(gens, order, budgets) == expected
+
+
+@given(local_ideals_with_units(), st.sampled_from([order.kind for order in ALL_ORDERS_3]))
+@settings(max_examples=60, deadline=None)
+def test_unit_stop_matches_the_completion_that_runs_on(gens, kind):
+    """Under every order kind, where the completion that runs on past a
+    lead 1 finishes, its minimal basis is what the stopped completion
+    returns."""
+    order = MonomialOrder(kind, gens[0].ring.nvars)
+    budgets = Budgets(reductions=300)
+    try:
+        expected = _min_scan_standard_basis(gens, order, budgets, stop_at_unit=False)
+    except BudgetExceededError:
+        return
+    assert standard_basis(gens, order, budgets) == expected
 
 
 # --- highest corner ---------------------------------------------------------

@@ -56,3 +56,8 @@ def test_traced_homology_job_matches_the_untraced_one():
         "standard_basis.saturate",
     } <= names
     assert tracer.counts["orders.key.calls"] > 0
+    # the job is corank 2: (g) and (g, det H) are checked once each, the
+    # second on the first, and the tracer hashes both argument tuples
+    checks = [span for span in tracer.spans if tracer.names[span[0]] == "milnor.check_icis"]
+    assert len(checks) == 2
+    assert len(tracer.distinct["milnor.check_icis"][-1]) == 2
