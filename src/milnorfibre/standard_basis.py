@@ -16,6 +16,17 @@ polynomial caches its lead exponent and ecart when it is built, so the
 reducer scan reads them instead of recomputing them.  Budgets abort loudly,
 never truncate.
 
+The engine works over Z, as Singular keeps its standard bases over Q with
+cleared denominators (Greuel & Pfister, ch. 1-2).  An input is multiplied by
+the lcm of its denominators; each element that enters the basis is made
+primitive, divided by the gcd of its coefficients with its lead made
+positive; a reduction step forms lc(g)/d * h - lc(h)/d * x^s * g, and an
+S-polynomial lb/d * x^sa * a - la/d * x^sb * b from the tails alone, for d
+the gcd of the two lead coefficients.  Every engine polynomial is then a
+nonzero integer multiple of the one a monic completion over Q would hold,
+so the leads, ecarts, reducer choices, counts and budget trips are that
+completion's.  standard_basis makes each element monic once, at the end.
+
 Under the local degree order a generator with a nonzero constant term is a
 unit of the local ring, so its ideal is the whole ring: colength returns 0,
 with no unbounded variable, before it builds any engine polynomial.  Linear
@@ -51,10 +62,12 @@ variables times the count, so the count has no size limit of its own.
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, itemgetter
+from math import gcd
+from operator import add, itemgetter, le, sub
 from typing import Sequence
 
 from .errors import BudgetExceededError
@@ -79,8 +92,6 @@ from .rings import (
 )
 
 INFINITE = float("inf")
-
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -112,7 +123,8 @@ class _Counter:
 
 
 class _EP:
-    """Engine polynomial: (key, exponent, coefficient) sorted by key, descending.
+    """Engine polynomial: (key, exponent, coefficient) sorted by key,
+    descending, with int coefficients.
 
     lead is the lead exponent and ecart the top degree minus the lead degree;
     both are None for the zero polynomial."""
@@ -135,35 +147,34 @@ _EP_ZERO = _EP(())
 
 
 def _ep_from_polynomial(p: Polynomial | dict, order: MonomialOrder) -> _EP:
-    """p, a polynomial or a bare term map, as an engine polynomial."""
+    """p, a polynomial or a bare term map, as an engine polynomial: p times
+    the lcm of its denominators when it has a Fraction coefficient."""
     terms = sorted(
-        ((order.key(e), e, c) for e, c in p.items()),
-        key=lambda t: t[0],
-        reverse=True,
+        ((order.key(e), e, c) for e, c in p.items()), key=itemgetter(0), reverse=True
     )
+    if any(type(c) is not int for _, _, c in terms):
+        m = math.lcm(*(c.denominator for _, _, c in terms))
+        terms = [(k, e, c.numerator * (m // c.denominator)) for k, e, c in terms]
     return _EP(tuple(terms))
 
 
 def _ep_to_polynomial(ep: _EP, ring: Ring) -> Polynomial:
-    return _poly(ring, _canonical({e: c for _, e, c in ep.terms}))
+    """The monic multiple of ep, ep divided by its lead coefficient."""
+    lc = ep.terms[0][2]
+    if lc == 1:
+        return _poly(ring, {e: c for _, e, c in ep.terms})
+    return _poly(ring, _canonical({e: Fraction(c, lc) for _, e, c in ep.terms}))
 
 
-def _inverse(c: int | Fraction) -> int | Fraction:
-    """Exact 1/c: c itself for c = +-1, else a Fraction (never a float, as
-    int / int would give)."""
-    return c if c == 1 or c == -1 else _ONE / c
-
-
-def _ep_scale(ep: _EP, c: int | Fraction) -> _EP:
-    if c == 0:
-        return _EP_ZERO
-    if c == 1:
+def _ep_primitive(ep: _EP) -> _EP:
+    """ep divided by the gcd of its coefficients, with a positive lead."""
+    terms = ep.terms
+    d = gcd(*map(itemgetter(2), terms))
+    if terms[0][2] < 0:
+        d = -d
+    if d == 1:
         return ep
-    return _EP(tuple((k, e, q * c) for k, e, q in ep.terms), maxdeg=ep.maxdeg)
-
-
-def _ep_monic(ep: _EP) -> _EP:
-    return _ep_scale(ep, _inverse(ep.terms[0][2]))
+    return _EP(tuple((k, e, c // d) for k, e, c in terms), maxdeg=ep.maxdeg)
 
 
 def _term_degree(term: tuple) -> int:
@@ -179,54 +190,54 @@ def _below(terms: tuple, cut: int) -> int:
 
 
 def _ep_sub_shifted(
-    a: _EP, c: int | Fraction, skey: tuple, sexpo: tuple, b: _EP, cut: int | None = None
+    a: tuple, ma: int, mb: int, skey: tuple, sexpo: tuple, b: tuple, cut: int | None = None
 ) -> _EP:
-    """a - c * x^sexpo * b; skey must equal order.key(sexpo).  With cut set,
-    under the local degree order only, the terms of degree >= cut are left out."""
-    out = []
-    aterms, bterms = a.terms, b.terms
-    i = j = 0
-    na, nb = len(aterms), len(bterms)
+    """ma * a - mb * x^sexpo * b for engine term tuples a and b; skey must
+    equal order.key(sexpo).  With cut set, under the local degree order
+    only, the terms of degree >= cut are left out."""
     if cut is not None:
-        na = _below(aterms, cut)
-        nb = _below(bterms, cut - monomial_degree(sexpo))
-    while i < na and j < nb:
-        ka = aterms[i][0]
-        kb = tuple(map(add, bterms[j][0], skey))
-        if ka > kb:
-            out.append(aterms[i])
+        a = a[: _below(a, cut)]
+        b = b[: _below(b, cut - monomial_degree(sexpo))]
+    if ma != 1:
+        a = [(k, e, ma * c) for k, e, c in a]
+    out = []
+    i, na = 0, len(a)
+    for kt, et, ct in b:
+        kb = tuple(map(add, kt, skey))
+        while i < na and a[i][0] > kb:
+            out.append(a[i])
             i += 1
-        elif ka < kb:
-            kt, et, ct = bterms[j]
-            out.append((kb, tuple(map(add, et, sexpo)), -c * ct))
-            j += 1
+        if i < na and a[i][0] == kb:
+            coeff = a[i][2] - mb * ct
+            if coeff:
+                out.append((kb, a[i][1], coeff))
+            i += 1
         else:
-            coeff = aterms[i][2] - c * bterms[j][2]
-            if coeff != 0:
-                out.append((ka, aterms[i][1], coeff))
-            i += 1
-            j += 1
-    out.extend(aterms[i:na])
-    while j < nb:
-        kt, et, ct = bterms[j]
-        out.append((tuple(map(add, kt, skey)), tuple(map(add, et, sexpo)), -c * ct))
-        j += 1
+            out.append((kb, tuple(map(add, et, sexpo)), -mb * ct))
+    out.extend(a[i:])
     return _EP(tuple(out))
 
 
 def _ep_spoly(a: _EP, b: _EP, order: MonomialOrder, cut: int | None = None) -> _EP:
-    """S-polynomial of monic engine polynomials: x^(l-ea)*a - x^(l-eb)*b,
-    without its terms of degree >= cut when cut is set."""
+    """S-polynomial (lb/d)*x^(l-ea)*a - (la/d)*x^(l-eb)*b of engine
+    polynomials with leads la*x^ea and lb*x^eb, where l = lcm(ea, eb) and
+    d = gcd(la, lb), without its terms of degree >= cut when cut is set.
+    The leads cancel, so only the tails are merged; two one-term elements
+    give zero."""
+    if len(a.terms) == 1 and len(b.terms) == 1:
+        return _EP_ZERO
     ea, eb = a.lead, b.lead
     lcm = tuple(map(max, ea, eb))
-    sa = tuple(x - y for x, y in zip(lcm, ea))
-    sb = tuple(x - y for x, y in zip(lcm, eb))
+    sa = tuple(map(sub, lcm, ea))
+    sb = tuple(map(sub, lcm, eb))
+    la, lb = a.terms[0][2], b.terms[0][2]
+    d = gcd(la, lb)
+    ma = lb // d
     ka = order.key(sa)
-    shifted = _EP(
-        tuple((tuple(map(add, k, ka)), tuple(map(add, e, sa)), c) for k, e, c in a.terms),
-        maxdeg=a.maxdeg + sum(sa),
+    shifted = tuple(
+        (tuple(map(add, k, ka)), tuple(map(add, e, sa)), ma * c) for k, e, c in a.terms[1:]
     )
-    return _ep_sub_shifted(shifted, 1, order.key(sb), sb, b, cut)
+    return _ep_sub_shifted(shifted, 1, la // d, order.key(sb), sb, b.terms[1:], cut)
 
 
 def _weak_normal_form(
@@ -236,17 +247,18 @@ def _weak_normal_form(
     counter: _Counter,
     cut: int | None = None,
 ) -> _EP:
-    """Mora weak normal form: unit * f minus a combination of the reducers,
-    whose lead is divisible by no reducer lead (the unit is 1 under a global
-    order).  With cut set, each step drops the terms of degree >= cut."""
+    """Mora weak normal form: an integer multiple of unit * f minus a
+    combination of the reducers, whose lead is divisible by no reducer lead
+    (the unit is 1 under a global order).  With cut set, each step drops the
+    terms of degree >= cut."""
     table = list(reducers)
     h = f
     while h.terms:
-        _, le, lc = h.terms[0]
-        # the first reducer of least ecart among those whose lead divides le
+        _, lead, lc = h.terms[0]
+        # the first reducer of least ecart among those whose lead divides lead
         idx = ecart_g = None
         for k, g in enumerate(table):
-            if (ecart_g is None or g.ecart < ecart_g) and monomial_divides(g.lead, le):
+            if (ecart_g is None or g.ecart < ecart_g) and all(map(le, g.lead, lead)):
                 idx, ecart_g = k, g.ecart
                 if not ecart_g:
                     break
@@ -254,11 +266,15 @@ def _weak_normal_form(
             break
         g = table[idx]
         if ecart_g > h.ecart:
-            table.append(_ep_scale(h, _inverse(lc)))
+            table.append(h)
         counter.spend()
-        c = lc * _inverse(g.terms[0][2])
-        sexpo = tuple(x - y for x, y in zip(le, g.lead))
-        h = _ep_sub_shifted(h, c, order.key(sexpo), sexpo, g, cut)
+        # lg*h - lc*x^s*g over d = gcd(lc, lg): the leads cancel
+        lg = g.terms[0][2]
+        d = gcd(lc, lg)
+        sexpo = tuple(map(sub, lead, g.lead))
+        h = _ep_sub_shifted(
+            h.terms[1:], lg // d, lc // d, order.key(sexpo), sexpo, g.terms[1:], cut
+        )
     return h
 
 
@@ -268,10 +284,13 @@ def _standard_basis_ep(
     budgets: Budgets,
     highest_corner: bool = False,
 ) -> list[_EP]:
-    """Minimal monic standard basis of the ideal of gens, as engine
-    polynomials.  With highest_corner, for the local degree order only, it is
-    truncated at the highest corner: its leads still generate the lead ideal,
-    but its elements lie in the ideal only modulo m^D."""
+    """Minimal standard basis of the ideal of gens, as primitive engine
+    polynomials with positive leads: each is an integer multiple of the
+    element a monic completion over Q would hold, so leads, ecarts, reducer
+    choices and pairs are the same.  With highest_corner, for the local
+    degree order only, it is truncated at the highest corner: its leads
+    still generate the lead ideal, but its elements lie in the ideal only
+    modulo m^D."""
     counter = _Counter(budgets.reductions, "reduction")
     pair_counter = _Counter(budgets.basis, "basis pair")
     G: list[_EP] = []
@@ -306,34 +325,32 @@ def _standard_basis_ep(
         return False
 
     for g in gens:
-        if g.terms and add_element(_ep_monic(g)):
+        if g.terms and add_element(_ep_primitive(g)):
             return [G[-1]]
     is_global = order.is_global()
 
     while queue:
         _, i, j, lcm = heapq.heappop(queue)
         pending.remove((i, j))
-        ei, ej = G[i].lead, G[j].lead
-        if is_global and all(min(a, b) == 0 for a, b in zip(ei, ej)):
+        if is_global and not any(map(min, G[i].lead, G[j].lead)):
             continue
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            if not monomial_divides(G[k].lead, lcm):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a not in pending and b not in pending:
-                skip = True
+        # the chain criterion: some other lead divides the lcm and neither
+        # of its pairs with i and j is pending
+        for k, g in enumerate(G):
+            if (
+                k != i
+                and k != j
+                and all(map(le, g.lead, lcm))
+                and ((k, i) if k < i else (i, k)) not in pending
+                and ((k, j) if k < j else (j, k)) not in pending
+            ):
                 break
-        if skip:
-            continue
-        pair_counter.spend()
-        s = _ep_spoly(G[i], G[j], order, cut)
-        h = _weak_normal_form(s, G, order, counter, cut)
-        if h.terms and add_element(_ep_monic(h)):
-            return [G[-1]]
+        else:
+            pair_counter.spend()
+            s = _ep_spoly(G[i], G[j], order, cut)
+            h = _weak_normal_form(s, G, order, counter, cut)
+            if h.terms and add_element(_ep_primitive(h)):
+                return [G[-1]]
     return _minimalize(G)
 
 

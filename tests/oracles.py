@@ -1,6 +1,7 @@
-"""Test-only routes over the standard-basis engine: weak normal form,
-ideal membership, ideal intersection and the local staircase in all
-variables; and the rank of a rational matrix.
+"""Test-only routes over the standard-basis engine: the monic route over
+Q that the integer engine replaced, weak normal form, ideal membership,
+ideal intersection and the local staircase in all variables; and the rank
+of a rational matrix.
 
 The package computes none of these in a job, so they live here, as
 oracles for the tests, built on the engine's private routines.  Under the
@@ -8,26 +9,226 @@ local order, Mora normal forms of small inputs can run for minutes; keep
 their inputs small or their budgets tight.
 """
 
+import heapq
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from milnorfibre.orders import LOCAL_ANTIGRADED_REVLEX, MonomialOrder
-from milnorfibre.rings import Polynomial
+from milnorfibre.rings import Polynomial, _canonical, _poly, monomial_degree, monomial_divides
 from milnorfibre.standard_basis import (
     Budgets,
     DEFAULT_BUDGETS,
+    _EP,
+    _EP_ZERO,
     _Counter,
+    _below,
     _bounded_staircase,
     _check_inputs,
     _ep_from_polynomial,
-    _ep_to_polynomial,
     _lift,
+    _minimalize,
     _standard_basis_ep,
     _tag_extension,
     _tag_free_part,
-    _weak_normal_form,
     standard_basis,
 )
+
+_ONE = Fraction(1)
+
+
+# --- the monic route over Q ---------------------------------------------------
+# The completion as it ran before the engine kept integer coefficients: every
+# basis element monic, each reduction step scaled by a Fraction.  It takes
+# the same steps as the integer engine, so the tests compare bases, counts and
+# budget trips.
+
+
+def exact_ep(p: Polynomial, order: MonomialOrder) -> _EP:
+    """p as an engine polynomial with its coefficients as they are, ints and
+    Fractions, not scaled to integers."""
+    terms = sorted(((order.key(e), e, c) for e, c in p.items()), key=lambda t: t[0], reverse=True)
+    return _EP(tuple(terms))
+
+
+def exact_polynomial(ep: _EP, ring) -> Polynomial:
+    """ep as a polynomial, not made monic."""
+    return _poly(ring, _canonical({e: c for _, e, c in ep.terms}))
+
+
+def _inverse(c: int | Fraction) -> int | Fraction:
+    """Exact 1/c: c itself for c = +-1, else a Fraction (never a float, as
+    int / int would give)."""
+    return c if c == 1 or c == -1 else _ONE / c
+
+
+def _ep_scale(ep: _EP, c: int | Fraction) -> _EP:
+    if c == 0:
+        return _EP_ZERO
+    if c == 1:
+        return ep
+    return _EP(tuple((k, e, q * c) for k, e, q in ep.terms), maxdeg=ep.maxdeg)
+
+
+def _ep_monic(ep: _EP) -> _EP:
+    return _ep_scale(ep, _inverse(ep.terms[0][2]))
+
+
+def monic_sub_shifted(
+    a: _EP, c: int | Fraction, skey: tuple, sexpo: tuple, b: _EP, cut: int | None = None
+) -> _EP:
+    """a - c * x^sexpo * b by a merge of all terms; skey must equal
+    order.key(sexpo).  With cut set, under the local degree order only, the
+    terms of degree >= cut are left out."""
+    out = []
+    aterms, bterms = a.terms, b.terms
+    i = j = 0
+    na, nb = len(aterms), len(bterms)
+    if cut is not None:
+        na = _below(aterms, cut)
+        nb = _below(bterms, cut - monomial_degree(sexpo))
+    while i < na and j < nb:
+        ka = aterms[i][0]
+        kb = tuple(map(add, bterms[j][0], skey))
+        if ka > kb:
+            out.append(aterms[i])
+            i += 1
+        elif ka < kb:
+            kt, et, ct = bterms[j]
+            out.append((kb, tuple(map(add, et, sexpo)), -c * ct))
+            j += 1
+        else:
+            coeff = aterms[i][2] - c * bterms[j][2]
+            if coeff != 0:
+                out.append((ka, aterms[i][1], coeff))
+            i += 1
+            j += 1
+    out.extend(aterms[i:na])
+    while j < nb:
+        kt, et, ct = bterms[j]
+        out.append((tuple(map(add, kt, skey)), tuple(map(add, et, sexpo)), -c * ct))
+        j += 1
+    return _EP(tuple(out))
+
+
+def monic_spoly(a: _EP, b: _EP, order: MonomialOrder, cut: int | None = None) -> _EP:
+    """S-polynomial of monic engine polynomials: x^(l-ea)*a - x^(l-eb)*b,
+    without its terms of degree >= cut when cut is set."""
+    ea, eb = a.lead, b.lead
+    lcm = tuple(map(max, ea, eb))
+    sa = tuple(x - y for x, y in zip(lcm, ea))
+    sb = tuple(x - y for x, y in zip(lcm, eb))
+    ka = order.key(sa)
+    shifted = _EP(
+        tuple((tuple(map(add, k, ka)), tuple(map(add, e, sa)), c) for k, e, c in a.terms),
+        maxdeg=a.maxdeg + sum(sa),
+    )
+    return monic_sub_shifted(shifted, 1, order.key(sb), sb, b, cut)
+
+
+def monic_weak_normal_form(
+    f: _EP,
+    reducers: Sequence[_EP],
+    order: MonomialOrder,
+    counter: _Counter,
+    cut: int | None = None,
+) -> _EP:
+    """Mora weak normal form over Q: unit * f minus a combination of the
+    reducers, whose lead is divisible by no reducer lead; each step divides
+    by the reducer's lead coefficient, and Mora's table takes h monic."""
+    table = list(reducers)
+    h = f
+    while h.terms:
+        _, le, lc = h.terms[0]
+        idx = ecart_g = None
+        for k, g in enumerate(table):
+            if (ecart_g is None or g.ecart < ecart_g) and monomial_divides(g.lead, le):
+                idx, ecart_g = k, g.ecart
+                if not ecart_g:
+                    break
+        if idx is None:
+            break
+        g = table[idx]
+        if ecart_g > h.ecart:
+            table.append(_ep_scale(h, _inverse(lc)))
+        counter.spend()
+        c = lc * _inverse(g.terms[0][2])
+        sexpo = tuple(x - y for x, y in zip(le, g.lead))
+        h = monic_sub_shifted(h, c, order.key(sexpo), sexpo, g, cut)
+    return h
+
+
+def monic_standard_basis(
+    gens: Sequence[Polynomial],
+    order: MonomialOrder,
+    budgets: Budgets = DEFAULT_BUDGETS,
+    highest_corner: bool = False,
+) -> tuple[tuple[Polynomial, ...], int, int]:
+    """The heap-ordered completion with every element monic: the minimal
+    monic standard basis (truncated at the highest corner with
+    highest_corner, under the local degree order), the reduction steps and
+    the S-pairs it took.  Raises BudgetExceededError as the engine does."""
+    counter = _Counter(budgets.reductions, "reduction")
+    pair_counter = _Counter(budgets.basis, "basis pair")
+    G: list[_EP] = []
+    queue: list[tuple] = []
+    pending: set[tuple[int, int]] = set()
+    pure: list[int | None] = [None] * order.nvars
+    cut = None
+
+    def add_element(g: _EP) -> bool:
+        nonlocal cut
+        new = len(G)
+        G.append(g)
+        if not any(g.lead):
+            return True
+        for k in range(new):
+            lcm = tuple(map(max, G[k].lead, g.lead))
+            heapq.heappush(queue, (monomial_degree(lcm), k, new, lcm))
+            pending.add((k, new))
+        if highest_corner:
+            deg = monomial_degree(g.lead)
+            for i, b in enumerate(g.lead):
+                if b == deg and (pure[i] is None or b < pure[i]):
+                    pure[i] = b
+            if None not in pure:
+                cut = sum(pure) - len(pure) + 1
+        return False
+
+    def result(basis):
+        ring = gens[0].ring
+        polys = tuple(exact_polynomial(g, ring) for g in basis)
+        return polys, counter.used, pair_counter.used
+
+    for g in gens:
+        if not g.is_zero() and add_element(_ep_monic(exact_ep(g, order))):
+            return result([G[-1]])
+    is_global = order.is_global()
+    while queue:
+        _, i, j, lcm = heapq.heappop(queue)
+        pending.remove((i, j))
+        ei, ej = G[i].lead, G[j].lead
+        if is_global and all(min(a, b) == 0 for a, b in zip(ei, ej)):
+            continue
+        skip = False
+        for k in range(len(G)):
+            if k in (i, j):
+                continue
+            if not monomial_divides(G[k].lead, lcm):
+                continue
+            a = (min(i, k), max(i, k))
+            b = (min(j, k), max(j, k))
+            if a not in pending and b not in pending:
+                skip = True
+                break
+        if skip:
+            continue
+        pair_counter.spend()
+        s = monic_spoly(G[i], G[j], order, cut)
+        h = monic_weak_normal_form(s, G, order, counter, cut)
+        if h.terms and add_element(_ep_monic(h)):
+            return result([G[-1]])
+    return result(_minimalize(G))
 
 
 def weak_normal_form(
@@ -41,9 +242,9 @@ def weak_normal_form(
     standard basis; the result equals unit * f - combination."""
     _check_inputs([f] + list(reducers), order)
     counter = _Counter(budgets.reductions, "reduction")
-    eps = [_ep_from_polynomial(g, order) for g in reducers if not g.is_zero()]
-    h = _weak_normal_form(_ep_from_polynomial(f, order), eps, order, counter)
-    return _ep_to_polynomial(h, f.ring)
+    eps = [exact_ep(g, order) for g in reducers if not g.is_zero()]
+    h = monic_weak_normal_form(exact_ep(f, order), eps, order, counter)
+    return exact_polynomial(h, f.ring)
 
 
 def is_member(

@@ -8,12 +8,15 @@ slower second algorithm kept here as an oracle (a min-scan completion,
 saturation by iterated ideal quotients, and saturation as the intersection
 of one elimination per divisor, and the local staircase completed in every
 variable for the route that substitutes linear generators away).  Normal
-forms, membership, intersection and that staircase come from
+forms, membership, intersection, that staircase and the monic completion
+over Q, which the integer engine must follow step by step, come from
 tests/oracles.py, which builds them on the engine's private routines.
 """
 
 import importlib
 from fractions import Fraction
+from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -36,12 +39,10 @@ from milnorfibre.standard_basis import (
     _EP,
     _Counter,
     _ep_from_polynomial,
-    _ep_monic,
-    _ep_scale,
+    _ep_primitive,
     _ep_spoly,
     _ep_sub_shifted,
     _ep_to_polynomial,
-    _inverse,
     _minimalize,
     _standard_basis_ep,
     _staircase,
@@ -51,7 +52,19 @@ from milnorfibre.standard_basis import (
     saturate,
     standard_basis,
 )
-from oracles import intersect_ideals, is_member, unreduced_staircase, weak_normal_form
+from oracles import (
+    _ep_monic,
+    _inverse,
+    exact_ep,
+    exact_polynomial,
+    intersect_ideals,
+    is_member,
+    monic_spoly,
+    monic_standard_basis,
+    monic_weak_normal_form,
+    unreduced_staircase,
+    weak_normal_form,
+)
 
 # the module, which the package's standard_basis function shadows
 sb = importlib.import_module("milnorfibre.standard_basis")
@@ -167,14 +180,14 @@ def test_criteria_do_not_change_lead_ideal(gens):
 def _min_scan_standard_basis(
     gens, order, budgets=DEFAULT_BUDGETS, use_criteria=True, stop_at_unit=True
 ):
-    """Test-only oracle: Buchberger completion that picks each S-pair by a
-    min over every pending pair, keyed (lcm degree, i, j), and reads leads
-    off the terms instead of the cached lead data.  With stop_at_unit it
+    """Test-only oracle: Buchberger completion over Q with monic elements,
+    on the monic route of tests/oracles.py, that picks each S-pair by a min
+    over every pending pair, keyed (lcm degree, i, j), and reads leads off
+    the terms instead of the cached lead data.  With stop_at_unit it
     returns the first element of lead 1 as soon as there is one."""
     counter = _Counter(budgets.reductions, "reduction")
     pair_counter = _Counter(budgets.basis, "basis pair")
-    eps = [_ep_from_polynomial(g, order) for g in gens]
-    G = [_ep_monic(g) for g in eps if g.terms]
+    G = [_ep_monic(exact_ep(g, order)) for g in gens if not g.is_zero()]
     ring = gens[0].ring
 
     def lead(g):
@@ -183,7 +196,7 @@ def _min_scan_standard_basis(
     def unit():
         """The first element of lead 1 as a basis, when stop_at_unit."""
         units = [g for g in G if not any(lead(g))] if stop_at_unit else []
-        return (_ep_to_polynomial(units[0], ring),) if units else None
+        return (exact_polynomial(units[0], ring),) if units else None
 
     if found := unit():
         return found
@@ -211,7 +224,7 @@ def _min_scan_standard_basis(
             ):
                 continue
         pair_counter.spend()
-        h = _weak_normal_form(_ep_spoly(G[i], G[j], order), G, order, counter)
+        h = monic_weak_normal_form(monic_spoly(G[i], G[j], order), G, order, counter)
         if h.terms:
             G.append(_ep_monic(h))
             if found := unit():
@@ -219,7 +232,7 @@ def _min_scan_standard_basis(
             new = len(G) - 1
             for k in range(new):
                 pending[(k, new)] = pair_lcm(G[k], G[new])
-    return tuple(_ep_to_polynomial(g, ring) for g in _minimalize(G))
+    return tuple(exact_polynomial(g, ring) for g in _minimalize(G))
 
 
 ALL_ORDERS_3 = (
@@ -233,12 +246,12 @@ ALL_ORDERS_3 = (
 @given(st.lists(sparse_polys(R3, max_terms=3, max_exp=2), min_size=1, max_size=3))
 @settings(max_examples=30)
 def test_heap_queue_matches_min_scan_oracle(gens):
-    """The heap pair queue takes the pairs in the oracle's order, so the
-    bases are the same tuples of polynomials.  The budget bounds the Mora
-    blow-ups that some draws meet under the local order, such as
-    (-3*x*y^2*z^2 + 3*y^2*z^2 - 3*x^2*z, -y*z^2 + 3*z^2 + 3*y,
-    2*x^2*y^2*z^2 - 2*x^2 - 3*y^2): both routes must trip it with the same
-    message."""
+    """The heap pair queue of the integer engine takes the pairs in the
+    order of the monic min-scan oracle, so the bases are the same tuples of
+    polynomials.  The budget bounds the Mora blow-ups that some draws meet
+    under the local order, such as (-3*x*y^2*z^2 + 3*y^2*z^2 - 3*x^2*z,
+    -y*z^2 + 3*z^2 + 3*y, 2*x^2*y^2*z^2 - 2*x^2 - 3*y^2): both routes must
+    trip it with the same message."""
     budgets = Budgets(reductions=400)
     for order in ALL_ORDERS_3:
         assert _outcome(standard_basis, gens, order, budgets) == _outcome(
@@ -278,29 +291,88 @@ def _assert_cached_lead_data(ep, order):
     assert ep.ecart == top - sum(ep.lead)
 
 
+def _monomial(ring, e):
+    return Polynomial(ring, {e: 1})
+
+
 @given(
     sparse_polys(R3, max_terms=4),
     sparse_polys(R3, max_terms=4),
     st.tuples(*[st.integers(0, 2)] * 3),
     small_coeffs,
+    small_coeffs,
     st.sampled_from(ALL_ORDERS_3),
 )
-def test_engine_operations_keep_cached_lead_data(f, g, shift, c, order):
+def test_engine_operations_keep_cached_lead_data(f, g, shift, ma, mb, order):
     """Lead exponent and ecart cached at construction match the values
-    recomputed from the terms after every engine operation."""
+    recomputed from the terms after every engine operation, and the merge
+    ma * a - mb * x^shift * b is the product in Polynomial arithmetic."""
     a, b = _ep_from_polynomial(f, order), _ep_from_polynomial(g, order)
-    c = Fraction(c)
+    merged = _ep_sub_shifted(a.terms, ma, mb, order.key(shift), shift, b.terms)
+    assert exact_polynomial(merged, R3) == f.scale(ma) - _monomial(R3, shift) * g.scale(mb)
     results = [
         a,
-        _ep_scale(a, c),
-        _ep_monic(a),
-        _ep_sub_shifted(a, c, order.key(shift), shift, b),
-        _ep_spoly(_ep_monic(a), _ep_monic(b), order),
+        _ep_primitive(a),
+        merged,
+        _ep_spoly(_ep_primitive(a), _ep_primitive(b), order),
+        _ep_spoly(a, b, order),
         # a - a cancels to the zero polynomial
-        _ep_sub_shifted(a, Fraction(1), order.key((0, 0, 0)), (0, 0, 0), a),
+        _ep_sub_shifted(a.terms, 1, 1, order.key((0, 0, 0)), (0, 0, 0), a.terms),
     ]
     for ep in results:
         _assert_cached_lead_data(ep, order)
+        assert all(type(c) is int for _, _, c in ep.terms)
+    assert not results[-1].terms
+
+
+def _spoly_by_products(a, b, ring, cut):
+    """The S-polynomial (lb/d)*x^(l-ea)*a - (la/d)*x^(l-eb)*b in Polynomial
+    arithmetic, every term of a and b multiplied out, leads included, and
+    without the terms of degree >= cut when cut is set."""
+    (_, ea, la), (_, eb, lb) = a.terms[0], b.terms[0]
+    lcm = tuple(map(max, ea, eb))
+    d = gcd(la, lb)
+    shift_a = _monomial(ring, tuple(x - y for x, y in zip(lcm, ea)))
+    shift_b = _monomial(ring, tuple(x - y for x, y in zip(lcm, eb)))
+    s = (shift_a * exact_polynomial(a, ring)).scale(lb // d) - (
+        shift_b * exact_polynomial(b, ring)
+    ).scale(la // d)
+    if cut is not None:
+        s = Polynomial(ring, {e: c for e, c in s.items() if sum(e) < cut})
+    return s
+
+
+@given(
+    sparse_polys(R3, max_terms=4),
+    sparse_polys(R3, max_terms=4),
+    st.sampled_from(ALL_ORDERS_3),
+    st.one_of(st.none(), st.integers(1, 7)),
+)
+@example(p("2*x^2", R3), p("-3*x*y", R3), global_order(3), None)
+@example(p("2*x^2 + y", R3), p("3*x*y", R3), local_order(3), 3)
+def test_spoly_merges_the_tails_like_the_full_products(f, g, order, cut):
+    """The tail-only S-polynomial against the full products, leads included,
+    with and without the cut (under the local degree order only, where it
+    applies); two one-term elements give zero."""
+    if order.kind != LOCAL_ANTIGRADED_REVLEX:
+        cut = None
+    for a, b in ((f, g), (g, f)):
+        ea, eb = _ep_from_polynomial(a, order), _ep_from_polynomial(b, order)
+        s = _ep_spoly(ea, eb, order, cut)
+        assert exact_polynomial(s, R3) == _spoly_by_products(ea, eb, R3, cut)
+        assert all(type(c) is int for _, _, c in s.terms)
+        _assert_cached_lead_data(s, order)
+        if len(ea.terms) == len(eb.terms) == 1:
+            assert s.terms == ()
+
+
+def test_spoly_of_one_term_elements_reads_no_order():
+    """The leads of two one-term elements cancel, and nothing else is left:
+    the S-polynomial is zero before any order key is computed, so it takes
+    no order at all."""
+    order = local_order(2)
+    a, b = (_ep_from_polynomial(p(t), order) for t in ("2*x^2", "-3*x*y"))
+    assert _ep_spoly(a, b, None) is _ep_spoly(b, a, None) is sb._EP_ZERO
 
 
 def test_standard_basis_contains_spolynomial_closure():
@@ -311,21 +383,44 @@ def test_standard_basis_contains_spolynomial_closure():
 
 
 # --- exact division by non-monic leads -----------------------------------
-# Integral coefficients are ints, so every division in the engine must go
-# through _inverse: int / int would make a float.  The Fraction route below
-# is the engine run on inputs whose coefficients are all Fractions.
-
-def _fraction_ep(f, order):
-    ep = _ep_from_polynomial(f, order)
-    return _EP(tuple((k, e, Fraction(c)) for k, e, c in ep.terms))
+# The engine keeps every coefficient an int: it clears the denominators of
+# its inputs, divides only by gcds and makes its outputs monic once, at the
+# end.  The monic route over Q in tests/oracles.py divides through _inverse
+# at every step (int / int would make a float); the integer engine must give
+# its bases, with the same reductions, pairs and budget trips.
 
 
-def _fraction_route(gens, order, budgets):
+def _monic_route(gens, order, budgets, highest_corner=False):
+    """The monic route's basis and counts, or its budget-trip message."""
     try:
-        basis = _standard_basis_ep([_fraction_ep(g, order) for g in gens], order, budgets)
+        return monic_standard_basis(gens, order, budgets, highest_corner)
     except BudgetExceededError as exc:
         return str(exc)
-    return tuple(_ep_to_polynomial(g, gens[0].ring) for g in basis)
+
+
+class _RecordingCounter(_Counter):
+    """A _Counter that keeps every instance made, so that a test can read
+    the reductions and pairs a completion spent."""
+
+    made: list = []
+
+    def __init__(self, limit, what):
+        super().__init__(limit, what)
+        _RecordingCounter.made.append(self)
+
+
+def _integer_route(gens, order, budgets, highest_corner=False):
+    """The engine's monic basis and the reductions and pairs it spent, or
+    its budget-trip message."""
+    _RecordingCounter.made = []
+    with mock.patch.object(sb, "_Counter", _RecordingCounter):
+        eps = [_ep_from_polynomial(g, order) for g in gens]
+        try:
+            basis = _standard_basis_ep(eps, order, budgets, highest_corner)
+        except BudgetExceededError as exc:
+            return str(exc)
+    reductions, pairs = (c.used for c in _RecordingCounter.made)
+    return tuple(_ep_to_polynomial(g, gens[0].ring) for g in basis), reductions, pairs
 
 
 def assert_exact(p):
@@ -350,43 +445,137 @@ def test_inverse_is_exact():
 )
 def test_engine_divides_exactly_by_non_monic_leads(order, wnf, basis, length):
     """By hand under the global order: x*y - y*(2*x - y)/2 = y^2/2, then
-    y^2/2 - (3*y^2 + x)/6 = -x/6, then -x/6 + (2*x - y)/12 = -y/12."""
+    y^2/2 - (3*y^2 + x)/6 = -x/6, then -x/6 + (2*x - y)/12 = -y/12.  The
+    monic route's normal form is that; the engine's is an integer multiple
+    of it, and its bases are monic and exact."""
     reducers = [p("2*x - y"), p("3*y^2 + x")]
     f = p("x*y")
     h = weak_normal_form(f, reducers, order)
-    sb = standard_basis(reducers, order)
+    sb_ = standard_basis(reducers, order)
     assert h == p(wnf)
-    assert sb == tuple(p(t) for t in basis)
+    assert sb_ == tuple(p(t) for t in basis)
     assert colength(reducers, order) == length
-    for q in (h,) + sb:
+    for q in (h,) + sb_:
         assert_exact(q)
-    for b in sb:
+    for b in sb_:
         assert b.coefficient(order.leading_exponent(list(b.terms))) == 1
-    # the same computations on Fraction-valued inputs
+    # the engine's normal form, with int coefficients only
     counter = _Counter(DEFAULT_BUDGETS.reductions, "reduction")
-    frac = [_fraction_ep(g, order) for g in reducers]
-    h_frac = _weak_normal_form(_fraction_ep(f, order), frac, order, counter)
-    assert _ep_to_polynomial(h_frac, R2) == h
-    assert _fraction_route(reducers, order, DEFAULT_BUDGETS) == sb
-    # and with the generators scaled by a non-integral unit
+    eps = [_ep_from_polynomial(g, order) for g in reducers]
+    h_int = _weak_normal_form(_ep_from_polynomial(f, order), eps, order, counter)
+    assert all(type(c) is int for _, _, c in h_int.terms)
+    lead = order.leading_exponent(list(h.terms))
+    assert exact_polynomial(h_int, R2) == h.scale(h_int.terms[0][2] / h.coefficient(lead))
+    # and with the generators scaled by a non-integral unit, which the
+    # engine takes as the integer multiples 4*x - 2*y and 2*y^2 + 2/3*x
     scaled = [g.scale(Fraction(2, 3)) for g in reducers]
+    for g, q in zip(reducers, scaled):
+        assert _ep_primitive(_ep_from_polynomial(q, order)).terms == _ep_from_polynomial(g, order).terms
     assert weak_normal_form(f, scaled, order) == h
-    assert standard_basis(scaled, order) == sb
+    assert standard_basis(scaled, order) == sb_
     assert colength(scaled, order) == length
+    assert _integer_route(scaled, order, DEFAULT_BUDGETS) == _monic_route(
+        scaled, order, DEFAULT_BUDGETS
+    )
 
 
-@given(st.lists(sparse_polys(R3, max_terms=3, max_exp=2), min_size=1, max_size=3))
+non_integral_units = st.fractions(-5, 5, max_denominator=7).filter(
+    lambda q: q != 0 and q.denominator != 1
+)
+
+
+@given(
+    st.lists(sparse_polys(R3, max_terms=3, max_exp=2), min_size=1, max_size=3),
+    st.lists(non_integral_units, min_size=3, max_size=3),
+)
 @settings(max_examples=30)
-def test_int_coefficients_match_fraction_route(gens):
+def test_int_coefficients_match_fraction_route(gens, units):
     """Integer generators with non-monic leads give the bases that the same
-    generators with Fraction coefficients give, exact and never float."""
+    generators scaled by non-integral units give, and the monic route over
+    Q gives both: exact and never float."""
     budgets = Budgets(reductions=400)
+    scaled = [g.scale(u) for g, u in zip(gens, units)]
     for order in ALL_ORDERS_3:
         got = _outcome(standard_basis, gens, order, budgets)
-        assert got == _fraction_route(gens, order, budgets)
+        assert got == _outcome(standard_basis, scaled, order, budgets)
+        oracle = _monic_route(gens, order, budgets)
+        assert got == (oracle if isinstance(oracle, str) else oracle[0])
         if not isinstance(got, str):
             for b in got:
                 assert_exact(b)
+
+
+@st.composite
+def engine_inputs(draw):
+    """1-3 sparse generators in 3 variables, integral or scaled by
+    non-integral units, an order of every kind, the highest corner now and
+    then under the local order, and small budgets of both kinds."""
+    gens = draw(st.lists(sparse_polys(R3, max_terms=3, max_exp=2), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        gens = [g.scale(draw(non_integral_units)) for g in gens]
+    order = draw(st.sampled_from(ALL_ORDERS_3))
+    corner = order.kind == LOCAL_ANTIGRADED_REVLEX and draw(st.booleans())
+    budgets = draw(
+        st.sampled_from(
+            [Budgets(reductions=r) for r in (3, 20, 150)] + [Budgets(basis=b) for b in (1, 2, 3)]
+        )
+    )
+    return gens, order, corner, budgets
+
+
+@given(engine_inputs())
+@example(([p("2*x^2*y^3 - 2*x^2", R3), p("-2*x^3*y^2 + 3*x*y^2 + y^3", R3)], local_order(3), True, Budgets(reductions=150)))
+@settings(max_examples=150, deadline=None)
+def test_integer_engine_takes_the_steps_of_the_monic_route(inputs):
+    """The integer engine against the monic route over Q, under every order
+    kind, with and without the highest corner: the same monic basis, the
+    same count of reduction steps and of S-pairs, or the same
+    BudgetExceededError at the same budget."""
+    gens, order, corner, budgets = inputs
+    assert _integer_route(gens, order, budgets, corner) == _monic_route(
+        gens, order, budgets, corner
+    )
+
+
+class _RecordingEP(_EP):
+    """An _EP that keeps every instance made."""
+
+    made: list = []
+
+    def __init__(self, terms, maxdeg=None):
+        super().__init__(terms, maxdeg)
+        _RecordingEP.made.append(self)
+
+
+@given(engine_inputs())
+@settings(max_examples=60, deadline=None)
+def test_completion_keeps_int_coefficients_and_primitive_elements(inputs):
+    """Every engine polynomial the completion builds has int coefficients,
+    and every element that enters its basis is primitive with a positive
+    lead, as is every element it returns."""
+    gens, order, corner, budgets = inputs
+    entered = []
+    primitive = sb._ep_primitive
+
+    def recording_primitive(ep):
+        entered.append(primitive(ep))
+        return entered[-1]
+
+    _RecordingEP.made = []
+    with mock.patch.object(sb, "_EP", _RecordingEP), mock.patch.object(
+        sb, "_ep_primitive", recording_primitive
+    ):
+        eps = [_ep_from_polynomial(g, order) for g in gens]
+        try:
+            basis = _standard_basis_ep(eps, order, budgets, corner)
+        except BudgetExceededError:
+            basis = []
+    assert _RecordingEP.made
+    for ep in _RecordingEP.made:
+        assert all(type(c) is int for _, _, c in ep.terms)
+    for ep in entered + basis:
+        assert ep.terms[0][2] > 0
+        assert gcd(*(c for _, _, c in ep.terms)) == 1
 
 
 # --- colength -------------------------------------------------------------
@@ -942,11 +1131,11 @@ def test_one_elimination_matches_the_per_generator_route(gens, igens):
 
 
 # (gens, divisors) whose one-elimination saturation under the local order
-# meets a Mora blow-up in the presented divisor order, while the reversed
-# order and the per-generator route finish in 5 ms: (J, 1 - t*y - t^2*x)
-# passes 1000 reductions in 0.1 s and 2000 run past 5 minutes, where
-# (J, 1 - t*x - t^2*y) needs under 256.  A fix of the engine's order
-# dependence flips the test below.
+# needs far more reductions in the presented divisor order than in the
+# reversed one or on the per-generator route, which finish in 5 ms:
+# (J, 1 - t*y - t^2*x) passes 1000 reductions, and finishes under 2000 in
+# 0.2 s, where (J, 1 - t*x - t^2*y) needs under 256.  A fix of the engine's
+# order dependence flips the first assertion of the test below.
 SATURATION_BLOW_UPS = [
     (("2*x^2*y^3 - 2*x^2", "-2*x^3*y^2 + 3*x*y^2 + y^3"), ("y", "x")),
 ]
@@ -955,14 +1144,17 @@ SATURATION_BLOW_UPS = [
 @pytest.mark.parametrize("gens, divisors", SATURATION_BLOW_UPS)
 def test_one_elimination_blow_ups_are_order_dependent(gens, divisors):
     """Under 1000 reductions the presented divisor order trips, and the
-    reversed order and the per-generator route give the same lead ideal."""
+    reversed order and the per-generator route give the same lead ideal;
+    under 2000 the presented order gives it too."""
     order, budgets = local_order(2), Budgets(reductions=1000)
     gens, divisors = [p(t) for t in gens], [p(t) for t in divisors]
     with pytest.raises(BudgetExceededError):
         saturate(gens, divisors, order, budgets)
     basis, _ = saturate(gens, divisors[::-1], order, budgets)
-    expected = _per_generator_saturation(gens, divisors, order, budgets)
-    assert leading_exponents(basis, order) == leading_exponents(expected, order)
+    expected = leading_exponents(_per_generator_saturation(gens, divisors, order, budgets), order)
+    assert leading_exponents(basis, order) == expected
+    basis, _ = saturate(gens, divisors, order, Budgets(reductions=2000))
+    assert leading_exponents(basis, order) == expected
 
 
 def _minimal_monomials(exps):
