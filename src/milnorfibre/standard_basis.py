@@ -62,11 +62,10 @@ variables times the count, so the count has no size limit of its own.
 from __future__ import annotations
 
 import heapq
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import add, itemgetter, le, sub
 from typing import Sequence
 
@@ -150,10 +149,12 @@ def _ep_from_polynomial(p: Polynomial | dict, order: MonomialOrder) -> _EP:
     """p, a polynomial or a bare term map, as an engine polynomial: p times
     the lcm of its denominators when it has a Fraction coefficient."""
     terms = sorted(
-        ((order.key(e), e, c) for e, c in p.items()), key=itemgetter(0), reverse=True
+        ((order.key(e), e, c) for e, c in p.items()),
+        key=lambda t: t[0],
+        reverse=True,
     )
     if any(type(c) is not int for _, _, c in terms):
-        m = math.lcm(*(c.denominator for _, _, c in terms))
+        m = lcm(*(c.denominator for _, _, c in terms))
         terms = [(k, e, c.numerator * (m // c.denominator)) for k, e, c in terms]
     return _EP(tuple(terms))
 
@@ -161,8 +162,6 @@ def _ep_from_polynomial(p: Polynomial | dict, order: MonomialOrder) -> _EP:
 def _ep_to_polynomial(ep: _EP, ring: Ring) -> Polynomial:
     """The monic multiple of ep, ep divided by its lead coefficient."""
     lc = ep.terms[0][2]
-    if lc == 1:
-        return _poly(ring, {e: c for _, e, c in ep.terms})
     return _poly(ring, _canonical({e: Fraction(c, lc) for _, e, c in ep.terms}))
 
 

@@ -9,7 +9,6 @@ local order, Mora normal forms of small inputs can run for minutes; keep
 their inputs small or their budgets tight.
 """
 
-import heapq
 from fractions import Fraction
 from operator import add
 from typing import Sequence
@@ -27,10 +26,10 @@ from milnorfibre.standard_basis import (
     _check_inputs,
     _ep_from_polynomial,
     _lift,
-    _minimalize,
     _standard_basis_ep,
     _tag_extension,
     _tag_free_part,
+    _weak_normal_form,
     standard_basis,
 )
 
@@ -38,10 +37,11 @@ _ONE = Fraction(1)
 
 
 # --- the monic route over Q ---------------------------------------------------
-# The completion as it ran before the engine kept integer coefficients: every
-# basis element monic, each reduction step scaled by a Fraction.  It takes
-# the same steps as the integer engine, so the tests compare bases, counts and
-# budget trips.
+# The normal form as it ran before the engine kept integer coefficients: each
+# reduction step scaled by a Fraction, Mora's table taking h monic.  It takes
+# the same steps as the integer engine, so weak_normal_form runs both, and the
+# tests' min-scan completion, built on it, compares bases, counts and budget
+# trips with the engine's.
 
 
 def exact_ep(p: Polynomial, order: MonomialOrder) -> _EP:
@@ -158,79 +158,6 @@ def monic_weak_normal_form(
     return h
 
 
-def monic_standard_basis(
-    gens: Sequence[Polynomial],
-    order: MonomialOrder,
-    budgets: Budgets = DEFAULT_BUDGETS,
-    highest_corner: bool = False,
-) -> tuple[tuple[Polynomial, ...], int, int]:
-    """The heap-ordered completion with every element monic: the minimal
-    monic standard basis (truncated at the highest corner with
-    highest_corner, under the local degree order), the reduction steps and
-    the S-pairs it took.  Raises BudgetExceededError as the engine does."""
-    counter = _Counter(budgets.reductions, "reduction")
-    pair_counter = _Counter(budgets.basis, "basis pair")
-    G: list[_EP] = []
-    queue: list[tuple] = []
-    pending: set[tuple[int, int]] = set()
-    pure: list[int | None] = [None] * order.nvars
-    cut = None
-
-    def add_element(g: _EP) -> bool:
-        nonlocal cut
-        new = len(G)
-        G.append(g)
-        if not any(g.lead):
-            return True
-        for k in range(new):
-            lcm = tuple(map(max, G[k].lead, g.lead))
-            heapq.heappush(queue, (monomial_degree(lcm), k, new, lcm))
-            pending.add((k, new))
-        if highest_corner:
-            deg = monomial_degree(g.lead)
-            for i, b in enumerate(g.lead):
-                if b == deg and (pure[i] is None or b < pure[i]):
-                    pure[i] = b
-            if None not in pure:
-                cut = sum(pure) - len(pure) + 1
-        return False
-
-    def result(basis):
-        ring = gens[0].ring
-        polys = tuple(exact_polynomial(g, ring) for g in basis)
-        return polys, counter.used, pair_counter.used
-
-    for g in gens:
-        if not g.is_zero() and add_element(_ep_monic(exact_ep(g, order))):
-            return result([G[-1]])
-    is_global = order.is_global()
-    while queue:
-        _, i, j, lcm = heapq.heappop(queue)
-        pending.remove((i, j))
-        ei, ej = G[i].lead, G[j].lead
-        if is_global and all(min(a, b) == 0 for a, b in zip(ei, ej)):
-            continue
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            if not monomial_divides(G[k].lead, lcm):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a not in pending and b not in pending:
-                skip = True
-                break
-        if skip:
-            continue
-        pair_counter.spend()
-        s = monic_spoly(G[i], G[j], order, cut)
-        h = monic_weak_normal_form(s, G, order, counter, cut)
-        if h.terms and add_element(_ep_monic(h)):
-            return result([G[-1]])
-    return result(_minimalize(G))
-
-
 def weak_normal_form(
     f: Polynomial,
     reducers: Sequence[Polynomial],
@@ -239,12 +166,32 @@ def weak_normal_form(
 ) -> Polynomial:
     """Mora weak normal form of f against the given reducers (as given, no
     completion).  Zero iff f lies in the ideal when the reducers form a
-    standard basis; the result equals unit * f - combination."""
+    standard basis; the result equals unit * f - combination.
+
+    Both routes run: the engine's, on integer multiples of the inputs, and
+    the monic route over Q, on the inputs as given.  They must take the same
+    reduction steps, and the engine's result must be a nonzero integer
+    multiple of the monic route's, which is returned, unscaled."""
     _check_inputs([f] + list(reducers), order)
+    reducers = [g for g in reducers if not g.is_zero()]
     counter = _Counter(budgets.reductions, "reduction")
-    eps = [exact_ep(g, order) for g in reducers if not g.is_zero()]
-    h = monic_weak_normal_form(exact_ep(f, order), eps, order, counter)
-    return exact_polynomial(h, f.ring)
+    h = _weak_normal_form(
+        _ep_from_polynomial(f, order),
+        [_ep_from_polynomial(g, order) for g in reducers],
+        order,
+        counter,
+    )
+    monic_counter = _Counter(budgets.reductions, "reduction")
+    exact = monic_weak_normal_form(
+        exact_ep(f, order), [exact_ep(g, order) for g in reducers], order, monic_counter
+    )
+    assert counter.used == monic_counter.used
+    assert [e for _, e, _ in h.terms] == [e for _, e, _ in exact.terms]
+    if h.terms:
+        factor = Fraction(h.terms[0][2]) / exact.terms[0][2]
+        assert factor.denominator == 1
+        assert all(c == factor * q for (_, _, c), (_, _, q) in zip(h.terms, exact.terms))
+    return exact_polynomial(exact, f.ring)
 
 
 def is_member(

@@ -7,10 +7,11 @@ for monomial ideals, a count the reader can do by hand on a staircase, or a
 slower second algorithm kept here as an oracle (a min-scan completion,
 saturation by iterated ideal quotients, and saturation as the intersection
 of one elimination per divisor, and the local staircase completed in every
-variable for the route that substitutes linear generators away).  Normal
-forms, membership, intersection, that staircase and the monic completion
-over Q, which the integer engine must follow step by step, come from
-tests/oracles.py, which builds them on the engine's private routines.
+variable for the route that substitutes linear generators away).  The
+min-scan completion runs on the monic route over Q, which the integer
+engine must follow step by step.  That route's normal form, and
+membership, intersection and that staircase, come from tests/oracles.py,
+which builds them on the engine's private routines.
 """
 
 import importlib
@@ -60,7 +61,6 @@ from oracles import (
     intersect_ideals,
     is_member,
     monic_spoly,
-    monic_standard_basis,
     monic_weak_normal_form,
     unreduced_staircase,
     weak_normal_form,
@@ -171,20 +171,28 @@ def test_criteria_do_not_change_lead_ideal(gens):
     completion of the min-scan oracle has the same lead ideal."""
     for order in (global_order(2), local_order(2)):
         with_c = standard_basis(gens, order)
-        without = _min_scan_standard_basis(gens, order, use_criteria=False)
+        without, _, _ = _min_scan_standard_basis(gens, order, use_criteria=False)
         assert set(leading_exponents(with_c, order)) == set(
             leading_exponents(without, order)
         )
 
 
 def _min_scan_standard_basis(
-    gens, order, budgets=DEFAULT_BUDGETS, use_criteria=True, stop_at_unit=True
+    gens,
+    order,
+    budgets=DEFAULT_BUDGETS,
+    use_criteria=True,
+    stop_at_unit=True,
+    highest_corner=False,
 ):
     """Test-only oracle: Buchberger completion over Q with monic elements,
     on the monic route of tests/oracles.py, that picks each S-pair by a min
     over every pending pair, keyed (lcm degree, i, j), and reads leads off
     the terms instead of the cached lead data.  With stop_at_unit it
-    returns the first element of lead 1 as soon as there is one."""
+    returns the first element of lead 1 as soon as there is one; with
+    highest_corner, under the local degree order only, it drops the terms
+    of degree >= D once the leads hold a pure power of every variable.
+    Returns the basis and the reduction steps and S-pairs it took."""
     counter = _Counter(budgets.reductions, "reduction")
     pair_counter = _Counter(budgets.basis, "basis pair")
     G = [_ep_monic(exact_ep(g, order)) for g in gens if not g.is_zero()]
@@ -193,10 +201,22 @@ def _min_scan_standard_basis(
     def lead(g):
         return g.terms[0][1]
 
+    def result(basis):
+        return tuple(exact_polynomial(g, ring) for g in basis), counter.used, pair_counter.used
+
     def unit():
         """The first element of lead 1 as a basis, when stop_at_unit."""
         units = [g for g in G if not any(lead(g))] if stop_at_unit else []
-        return (exact_polynomial(units[0], ring),) if units else None
+        return result(units[:1]) if units else None
+
+    def corner():
+        """D for the leads so far, or None while some variable has no pure
+        power among them."""
+        pure = [
+            min((sum(lead(g)) for g in G if lead(g)[i] == sum(lead(g))), default=None)
+            for i in range(order.nvars)
+        ]
+        return None if None in pure else sum(pure) - len(pure) + 1
 
     if found := unit():
         return found
@@ -224,7 +244,9 @@ def _min_scan_standard_basis(
             ):
                 continue
         pair_counter.spend()
-        h = monic_weak_normal_form(monic_spoly(G[i], G[j], order), G, order, counter)
+        cut = corner() if highest_corner else None
+        s = monic_spoly(G[i], G[j], order, cut)
+        h = monic_weak_normal_form(s, G, order, counter, cut)
         if h.terms:
             G.append(_ep_monic(h))
             if found := unit():
@@ -232,7 +254,7 @@ def _min_scan_standard_basis(
             new = len(G) - 1
             for k in range(new):
                 pending[(k, new)] = pair_lcm(G[k], G[new])
-    return tuple(exact_polynomial(g, ring) for g in _minimalize(G))
+    return result(_minimalize(G))
 
 
 ALL_ORDERS_3 = (
@@ -248,15 +270,13 @@ ALL_ORDERS_3 = (
 def test_heap_queue_matches_min_scan_oracle(gens):
     """The heap pair queue of the integer engine takes the pairs in the
     order of the monic min-scan oracle, so the bases are the same tuples of
-    polynomials.  The budget bounds the Mora blow-ups that some draws meet
+    polynomials, reached with the same reduction steps and S-pairs.  The budget bounds the Mora blow-ups that some draws meet
     under the local order, such as (-3*x*y^2*z^2 + 3*y^2*z^2 - 3*x^2*z,
     -y*z^2 + 3*z^2 + 3*y, 2*x^2*y^2*z^2 - 2*x^2 - 3*y^2): both routes must
     trip it with the same message."""
     budgets = Budgets(reductions=400)
     for order in ALL_ORDERS_3:
-        assert _outcome(standard_basis, gens, order, budgets) == _outcome(
-            _min_scan_standard_basis, gens, order, budgets
-        )
+        assert _integer_route(gens, order, budgets) == _monic_route(gens, order, budgets)
 
 
 def _outcome(route, gens, order, budgets):
@@ -270,12 +290,10 @@ def _outcome(route, gens, order, budgets):
 @settings(max_examples=20)
 def test_heap_queue_trips_budgets_like_min_scan_oracle(gens):
     """At small budgets both routes raise BudgetExceededError, with the same
-    message, or both return the same basis."""
+    message, or both return the same basis with the same counts."""
     for order in ALL_ORDERS_3:
         for budgets in (Budgets(basis=1), Budgets(basis=2), Budgets(basis=3), Budgets(reductions=6)):
-            assert _outcome(standard_basis, gens, order, budgets) == _outcome(
-                _min_scan_standard_basis, gens, order, budgets
-            )
+            assert _integer_route(gens, order, budgets) == _monic_route(gens, order, budgets)
 
 
 def _assert_cached_lead_data(ep, order):
@@ -391,9 +409,10 @@ def test_standard_basis_contains_spolynomial_closure():
 
 
 def _monic_route(gens, order, budgets, highest_corner=False):
-    """The monic route's basis and counts, or its budget-trip message."""
+    """The min-scan oracle's monic basis and counts, or its budget-trip
+    message."""
     try:
-        return monic_standard_basis(gens, order, budgets, highest_corner)
+        return _min_scan_standard_basis(gens, order, budgets, highest_corner=highest_corner)
     except BudgetExceededError as exc:
         return str(exc)
 
@@ -761,7 +780,7 @@ def test_unit_stop_matches_the_completion_that_runs_on(gens, kind):
     order = MonomialOrder(kind, gens[0].ring.nvars)
     budgets = Budgets(reductions=300)
     try:
-        expected = _min_scan_standard_basis(gens, order, budgets, stop_at_unit=False)
+        expected, _, _ = _min_scan_standard_basis(gens, order, budgets, stop_at_unit=False)
     except BudgetExceededError:
         return
     assert standard_basis(gens, order, budgets) == expected
