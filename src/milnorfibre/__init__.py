@@ -36,7 +36,6 @@ from .homology import (
     table_M,
     table_pair_B_Bu,
     table_X,
-    universal_coefficients_mod2,
 )
 from .jobs import Job, Report, parse_job, run_homology, run_invariants
 from .milnor import check_icis, milnor_icis
@@ -112,5 +111,4 @@ __all__ = [
     "table_M",
     "table_pair_B_Bu",
     "table_X",
-    "universal_coefficients_mod2",
 ]

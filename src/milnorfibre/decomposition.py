@@ -12,6 +12,7 @@ under one of three modes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .errors import ComputationError, InconsistencyError, InvalidIcisError
 from .homology import rank_guards
@@ -22,8 +23,7 @@ from .rings import (
     Polynomial,
     Ring,
     corank_at_origin,
-    determinant,
-    minors,
+    determinant_and_minors,
 )
 from .standard_basis import (
     Budgets,
@@ -128,13 +128,15 @@ def verify_decomposition(inp: SingularityInput) -> Polynomial:
     return f
 
 
-def compute_a(inp: SingularityInput, budgets: Budgets = DEFAULT_BUDGETS) -> int:
+def compute_a(
+    inp: SingularityInput, h_minors: Sequence[Polynomial], budgets: Budgets = DEFAULT_BUDGETS
+) -> int:
     """Colength of the corank >= 2 determinantal scheme on the locus:
-    (g) + the nonzero minors of H of size n-4.  Scalar H (n = 4) gives 0."""
-    size = inp.n - 4
-    if size == 0:
+    (g) + h_minors, the nonzero minors of H of size n-4 (as
+    determinant_and_minors gives them).  Scalar H (n = 4) gives 0."""
+    if inp.n == 4:
         return 0
-    gens = list(inp.g) + [m for m in minors(inp.h, size) if m]
+    gens = list(inp.g) + list(h_minors)
     value = colength(gens, local_order(inp.n), budgets)
     if value == INFINITE:
         raise ComputationError("corank-2 locus not isolated at origin")
@@ -230,7 +232,8 @@ def invariant_report(
         )
         checks.append(CheckResult("a_finite", True, "corank 0 forces a = 0"))
     else:
-        det_h = determinant(inp.h)
+        # det H is one level past the (n-4)-minors that a needs
+        det_h, h_minors = determinant_and_minors(inp.h)
         if det_h.is_zero():
             raise InvalidIcisError(
                 "det H vanishes identically, so (g, det H) is not an i.c.i.s."
@@ -245,7 +248,7 @@ def invariant_report(
             )
         )
         try:
-            a = compute_a(inp, budgets)
+            a = compute_a(inp, h_minors, budgets)
             checks.append(CheckResult("a_finite", True, f"a = {a}"))
         except ComputationError as exc:
             checks.append(CheckResult("a_finite", False, str(exc)))

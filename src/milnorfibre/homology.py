@@ -1,9 +1,12 @@
 """Finitely generated abelian groups and the homology tables.
 
 Tables are generated from closed forms in the invariants (mu0, mu1, a,
-corank, #A1, n); the consistency relations between them (Euler
-characteristics, universal coefficients, rank splitting) are assertions and
-the package's main test surface.  Degrees missing from a table are trivial.
+corank, #A1, n); the consistency relations between them are assertions and
+the package's main test surface.  The constructors here check the rank
+guards, the cover's Euler characteristic (twice that of B_u) and the fibre/M
+rank split; jobs.collect_tables checks the mod-2 twins of B and X against
+the universal coefficients of their integral tables.  Degrees missing from
+a table are trivial.
 """
 
 from __future__ import annotations
@@ -29,22 +32,28 @@ FIBRE_MIN_N = 5
 LADDER_MIN_N = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FgAbelianGroup:
     """Z^rank plus cyclic torsion in a divisibility chain d1 | d2 | ..."""
 
     rank: int
     torsion: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __init__(self, rank: int, torsion: tuple[int, ...] = ()):
+        # a job builds dozens of groups and tables, so each class checks its
+        # fields in its own __init__, with no __post_init__ call after the
+        # dataclass's
+        if rank < 0:
             raise ValueError("negative rank")
-        for d in self.torsion:
-            if d < 2:
-                raise ValueError(f"torsion entry {d} < 2")
-        for x, y in zip(self.torsion, self.torsion[1:]):
-            if y % x != 0:
-                raise ValueError(f"torsion chain broken: {x} does not divide {y}")
+        if torsion:
+            for d in torsion:
+                if d < 2:
+                    raise ValueError(f"torsion entry {d} < 2")
+            for x, y in zip(torsion, torsion[1:]):
+                if y % x != 0:
+                    raise ValueError(f"torsion chain broken: {x} does not divide {y}")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "torsion", torsion)
 
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.torsion
@@ -201,7 +210,7 @@ def _mat_mul(p: list[list[int]], q: list[list[int]]) -> list[list[int]]:
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HomologyTable:
     """Degree-indexed groups for one space; missing degrees are trivial."""
 
@@ -209,14 +218,19 @@ class HomologyTable:
     coefficients: str
     entries: tuple[tuple[int, FgAbelianGroup], ...]
 
-    def __post_init__(self):
-        if self.coefficients not in ("integral", "mod2"):
-            raise ValueError(f"bad coefficient tag {self.coefficients!r}")
-        degrees = [d for d, _ in self.entries]
-        if degrees != sorted(degrees) or len(set(degrees)) != len(degrees):
+    def __init__(
+        self, space: str, coefficients: str, entries: tuple[tuple[int, FgAbelianGroup], ...]
+    ):
+        if coefficients not in ("integral", "mod2"):
+            raise ValueError(f"bad coefficient tag {coefficients!r}")
+        degrees = [d for d, _ in entries]
+        if degrees != sorted(set(degrees)):
             raise ValueError("entries must be sorted by distinct degree")
-        if any(d < 0 for d in degrees):
+        if degrees and degrees[0] < 0:
             raise ValueError("negative degree")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "entries", entries)
 
     def group(self, degree: int) -> FgAbelianGroup:
         for d, g in self.entries:
@@ -259,23 +273,6 @@ def _free_table(space: str, summands: Iterable[tuple[int, int]]) -> HomologyTabl
             raise ValueError("negative rank")
         ranks[degree] = ranks.get(degree, 0) + rank
     return make_table(space, "integral", {d: free_group(r) for d, r in ranks.items()})
-
-
-def universal_coefficients_mod2(table: HomologyTable) -> HomologyTable:
-    """Mod-2 table derived from an integral one: dim H_d(-;F2) equals
-    rank H_d + (even torsion of H_d) + (even torsion of H_{d-1})."""
-    if table.coefficients != "integral":
-        raise ValueError("universal-coefficient transform needs an integral table")
-    degrees = set(table.degrees()) | {d + 1 for d in table.degrees()}
-    groups = {}
-    for d in sorted(degrees):
-        dim = (
-            table.group(d).mod2_dimension()
-            + table.group(d - 1).two_torsion_count()
-        )
-        if dim:
-            groups[d] = mod2_group(dim)
-    return make_table(table.space, "mod2", groups)
 
 
 def _require(cond: bool, message: str):

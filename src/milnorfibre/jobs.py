@@ -6,11 +6,18 @@ one `key = value` per line; `#` starts a comment.  Structural problems
 as text or JSON; the JSON form is byte-identical for a fixed (job, seed) and
 therefore excludes timing, which only the text form shows.
 
-Report.to_json writes the text json.dumps(doc, indent=2) gives, but by a
-small writer for the report's fixed shape (dicts with str keys, lists, str,
-int, bool and None; strings through json's own ASCII escaping): json.dumps
-with an indent always takes the pure-Python encoder, which takes about twice
-as long on a homology report.  Any other type raises TypeError.
+Report.to_json writes the text json.dumps(doc, indent=2) gives for the
+report's document, but straight from the report's fixed shape: one f-string
+per check, group and table, ints and bools written in place and strings
+through json's own ASCII escaping, so no document is built and json.dumps,
+which takes its pure-Python encoder whenever it indents, does not run.  A
+note or check detail that is not a str raises TypeError from the escaping.
+
+collect_tables evaluates the tables' consistency checks: the rank guards
+and the cover's Euler characteristic in the table constructors, the fibre/M
+rank split in milnor_fibre_homology, and here the mod-2 twins of B and X
+against the universal coefficients of their integral tables, compared
+degree by degree.
 """
 
 from __future__ import annotations
@@ -31,16 +38,17 @@ from .homology import (
     HomologyTable,
     bouquet,
     milnor_fibre_homology,
+    mod2_group,
     table_B,
     table_pair_B_Bu,
     table_X,
-    universal_coefficients_mod2,
     LADDER_MIN_N,
     SPACE_B,
     SPACE_BU,
     SPACE_BU_COVER,
     SPACE_PAIR,
     SPACE_X,
+    TRIVIAL_GROUP,
 )
 from .rings import Ring, parse_matrix, parse_polynomial
 from .standard_basis import Budgets, DEFAULT_BUDGETS
@@ -167,40 +175,48 @@ class Report:
     seed: int
     elapsed: float
 
-    def to_json_dict(self) -> dict:
+    def to_json(self) -> str:
+        """The text json.dumps(doc, indent=2) + "\\n" gives for the report's
+        document, written for its fixed shape (the test oracles build the
+        document).  Table names are distinct, as collect_tables gives them."""
         inv = self.invariants
-        doc: dict = {
-            "invariants": {
-                "n": inv.n,
-                "mu0": inv.mu0,
-                "mu1": inv.mu1,
-                "mu1_applicable": inv.mu1_applicable,
-                "a": inv.a,
-                "corank": inv.corank,
-                "a1": inv.a1,
-                "a1_provenance": inv.a1_provenance,
-            },
-            "homology": _table_groups_json(self.fibre) if self.fibre else None,
-            "bouquet": (
-                [{"dim": d, "count": c} for d, c in self.sphere_bouquet.spheres]
-                if self.sphere_bouquet is not None
-                else None
-            ),
-            "checks": [
-                {"name": c.name, "pass": c.passed, "detail": c.detail}
+        esc = encode_basestring_ascii
+        homology = "null" if self.fibre is None else _groups_json(self.fibre, "  ")
+        wedge = "null" if self.sphere_bouquet is None else _block(
+            "[]",
+            [f'{{\n      "dim": {d},\n      "count": {c}\n    }}' for d, c in self.sphere_bouquet.spheres],
+            "  ",
+        )
+        checks = _block(
+            "[]",
+            [
+                f'{{\n      "name": {esc(c.name)},\n      "pass": {_BOOL[c.passed]},\n'
+                f'      "detail": {esc(c.detail)}\n    }}'
                 for c in self.checks
             ],
-            "provenance": {
-                "seed": self.seed,
-                "a1_provenance": inv.a1_provenance,
-                "notes": list(self.notes),
-                "tables": {name: _table_json(t) for name, t in self.tables},
-            },
-        }
-        return doc
-
-    def to_json(self) -> str:
-        return _json_text(self.to_json_dict(), "\n") + "\n"
+            "  ",
+        )
+        tables = _block(
+            "{}",
+            [
+                f'{esc(name)}: {{\n        "space": {esc(t.space)},\n'
+                f'        "coefficients": {esc(t.coefficients)},\n'
+                f'        "groups": {_groups_json(t, "        ")}\n      }}'
+                for name, t in self.tables
+            ],
+            "    ",
+        )
+        return (
+            f'{{\n  "invariants": {{\n    "n": {inv.n},\n    "mu0": {inv.mu0},\n'
+            f'    "mu1": {inv.mu1},\n    "mu1_applicable": {_BOOL[inv.mu1_applicable]},\n'
+            f'    "a": {inv.a},\n    "corank": {inv.corank},\n    "a1": {inv.a1},\n'
+            f'    "a1_provenance": {esc(inv.a1_provenance)}\n  }},\n'
+            f'  "homology": {homology},\n  "bouquet": {wedge},\n  "checks": {checks},\n'
+            f'  "provenance": {{\n    "seed": {self.seed},\n'
+            f'    "a1_provenance": {esc(inv.a1_provenance)},\n'
+            f'    "notes": {_block("[]", [esc(note) for note in self.notes], "    ")},\n'
+            f'    "tables": {tables}\n  }}\n}}\n'
+        )
 
     def to_text(self) -> str:
         inv = self.invariants
@@ -239,51 +255,31 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _json_text(value, newline: str) -> str:
-    """The text json.dumps(value, indent=2) gives, for the report's shape:
-    dicts with str keys, lists, str, int, bool and None.  newline is a line
-    break and the indent of the line value starts on.  Any other type, a
-    float included, raises TypeError, and so does a key that is not a str
-    (from the escaping)."""
-    kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return repr(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if kind is dict:
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if kind is list:
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        items = [_json_text(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+_BOOL = {True: "true", False: "false"}
 
 
-def _table_groups_json(table: HomologyTable) -> dict:
-    return {
-        str(d): {"rank": g.rank, "torsion": list(g.torsion)}
-        for d, g in table.entries
-    }
+def _block(brackets: str, items: list[str], indent: str) -> str:
+    """A list or dict as json.dumps(..., indent=2) lays it out, on a line
+    indented by indent: brackets is "[]" or "{}", and each item is already
+    laid out for the next level."""
+    if not items:
+        return brackets
+    inner = "\n" + indent + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
 
 
-def _table_json(table: HomologyTable) -> dict:
-    return {
-        "space": table.space,
-        "coefficients": table.coefficients,
-        "groups": _table_groups_json(table),
-    }
+def _groups_json(table: HomologyTable, indent: str) -> str:
+    """A table's groups by degree, on a line indented by indent."""
+    inner = indent + "    "
+    return _block(
+        "{}",
+        [
+            f'"{d}": {{\n{inner}"rank": {g.rank},\n'
+            f'{inner}"torsion": {_block("[]", [str(t) for t in g.torsion], inner)}\n{indent}  }}'
+            for d, g in table.entries
+        ],
+        indent,
+    )
 
 
 def _render_table_lines(table: HomologyTable, indent: str = "  ") -> list[str]:
@@ -419,13 +415,20 @@ def collect_tables(
 
 def _uc_mod2_check(space: str, integral: HomologyTable, mod2: HomologyTable) -> CheckResult:
     """The stated mod-2 table of a space against the universal coefficients
-    of its integral table; a mismatch raises InconsistencyError."""
-    derived = universal_coefficients_mod2(integral)
-    for d in sorted(set(derived.degrees()) | set(mod2.degrees())):
-        if derived.group(d) != mod2.group(d):
+    of its integral table: dim H_d(-;F2) = rank H_d + (even torsion of H_d)
+    + (even torsion of H_(d-1)) in every degree.  A mismatch raises
+    InconsistencyError."""
+    groups = dict(integral.entries)
+    stated = dict(mod2.entries)
+    for d in sorted(groups.keys() | {d + 1 for d in groups} | stated.keys()):
+        dim = (groups[d].mod2_dimension() if d in groups else 0) + (
+            groups[d - 1].two_torsion_count() if d - 1 in groups else 0
+        )
+        group = stated.get(d, TRIVIAL_GROUP)
+        if group.rank or group.torsion != (2,) * dim:
             raise InconsistencyError(
                 f"universal-coefficient mismatch for {space} in degree {d}: "
-                f"{derived.group(d)} vs {mod2.group(d)}"
+                f"{mod2_group(dim)} vs {group}"
             )
     return CheckResult(
         f"uc_mod2_{space}",

@@ -45,6 +45,15 @@ class Ring:
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable names")
 
+    def __eq__(self, other) -> bool:
+        # a job compares its ring with itself on every ring check, so the
+        # identity test comes first; __hash__ stays the dataclass's
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.variables == other.variables
+
     @property
     def nvars(self) -> int:
         return len(self.variables)
@@ -326,10 +335,10 @@ def format_polynomial(p: Polynomial) -> str:
 
 # --- parsing ---------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*^()\[\],]))"
-)
+_TOKEN_RE = re.compile(r"\d+(?:/\d+)?|[A-Za-z_][A-Za-z_0-9]*|[-+*^()\[\],]")
+# whitespace and tokens from the start of a text; the match stops where the
+# tokens do, before any trailing whitespace
+_TOKENS_RE = re.compile(rf"(?:\s*(?:{_TOKEN_RE.pattern}))*")
 _SIGNS = {"+": 1, "-": -1}
 # the most terms a product (its term pairs) or a power (the monomials of degree
 # e in as many symbols as the base has terms) in a text may expand to, and the
@@ -354,39 +363,42 @@ class _Parser:
     A product or power that may expand past EXPANSION_BOUND terms, and a
     power of one term with an exponent above it, are refused before they
     are multiplied out.
-    A token is (kind, text, position): kind is 'number', 'name', the
-    operator itself, or 'end' for the sentinel after the last token.
+    A token is its text: a name is an identifier, a number starts with a
+    decimal digit, and an operator is itself; '' is the sentinel after the
+    last token.  One match checks that the text is tokens and whitespace,
+    one findall splits it, and a token's position is found only for an
+    error.
     """
 
     def __init__(self, text: str, ring: Ring):
         self.ring = ring
         self.one = (0,) * ring.nvars  # the exponent of the monomial 1
-        self.toks: list[tuple[str, str, int]] = []
-        pos, end = 0, len(text.rstrip())
-        while pos < end:
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                where = len(text) - len(text[pos:].lstrip())
-                raise ParseError(f"unexpected character {text[where]!r}", where)
-            kind = m.lastgroup
-            val = m.group(kind)
-            self.toks.append((val if kind == "op" else kind, val, m.start(kind)))
-            pos = m.end()
-        self.toks.append(("end", "", len(text)))
+        self.text = text
+        rest = text[_TOKENS_RE.match(text).end():]
+        if rest.strip():
+            where = len(text) - len(rest.lstrip())
+            raise ParseError(f"unexpected character {text[where]!r}", where)
+        self.toks: list[str] = _TOKEN_RE.findall(text)
+        self.toks.append("")
         self.i = 0
 
-    def next(self) -> tuple[str, str, int]:
+    def next(self) -> str:
         # every rule that takes the sentinel raises, so i never passes it
         tok = self.toks[self.i]
         self.i += 1
         return tok
 
+    def error(self, cls, message: str, at: int) -> ParseError:
+        """cls(message) at the position of token at; the sentinel's is the
+        end of the text."""
+        starts = [m.start() for m in _TOKEN_RE.finditer(self.text)]
+        return cls(message, starts[at] if at < len(starts) else len(self.text))
+
     def parse(self, rule):
         """rule() over the whole text."""
         result = rule()
-        kind, val, pos = self.toks[self.i]
-        if kind != "end":
-            raise ParseError(f"unexpected token {val!r}", pos)
+        if self.toks[self.i]:
+            raise self.error(ParseError, f"unexpected token {self.toks[self.i]!r}", self.i)
         return result
 
     def polynomial(self) -> Polynomial:
@@ -395,99 +407,106 @@ class _Parser:
     def expr(self) -> dict:
         # every rule returns a map of its own, so the sum adds into it
         result = self.term()
-        while self.toks[self.i][0] in _SIGNS:
-            op = self.next()[0]
+        while self.toks[self.i] in _SIGNS:
+            op = self.next()
             other = self.term()
             _terms_add(result, other if op == "+" else _terms_neg(other))
         return result
 
     def term(self) -> dict:
         result = self.factor()
-        while self.toks[self.i][0] == "*":
-            pos = self.next()[2]
+        while self.toks[self.i] == "*":
+            at = self.i
+            self.i += 1
             other = self.factor()
-            _bound_expansion("product", len(result) * len(other), pos)
+            self.bound("product", len(result) * len(other), at)
             result = _terms_mul(result, other)
         return result
 
     def factor(self) -> dict:
         sign = 1
-        while self.toks[self.i][0] in _SIGNS:
-            sign *= _SIGNS[self.next()[0]]
+        while self.toks[self.i] in _SIGNS:
+            sign *= _SIGNS[self.next()]
         base = self.atom()
-        if self.toks[self.i][0] == "^":
-            pos = self.next()[2]
+        if self.toks[self.i] == "^":
+            at = self.i
+            self.i += 1
             e = self.exponent()
             if len(base) > 1:
-                _bound_expansion("power", comb(len(base) + e - 1, e), pos)
+                self.bound("power", comb(len(base) + e - 1, e), at)
             elif e > EXPANSION_BOUND:
                 # one term cannot add terms, but its coefficient grows with e
-                raise ParseError(f"exponent {e} is over the bound {EXPANSION_BOUND}", pos)
+                raise self.error(ParseError, f"exponent {e} is over the bound {EXPANSION_BOUND}", at)
             base = _terms_pow(base, e, self.one)
         return base if sign > 0 else _terms_neg(base)
 
     def exponent(self) -> int:
-        kind, val, pos = self.next()
-        if kind == "end":
-            raise ParseError("missing exponent after '^'", pos)
-        if kind == "-":
-            raise ExponentError(f"negative exponent {'-' + self.next()[1]!r}", pos)
-        if kind != "number" or "/" in val:
-            raise ExponentError(f"exponent must be a nonnegative integer, got {val!r}", pos)
-        return _numeral(val, pos)
+        at = self.i
+        tok = self.next()
+        if not tok:
+            raise self.error(ParseError, "missing exponent after '^'", at)
+        if tok == "-":
+            raise self.error(ExponentError, f"negative exponent {'-' + self.next()!r}", at)
+        if not tok[0].isdecimal() or "/" in tok:
+            raise self.error(ExponentError, f"exponent must be a nonnegative integer, got {tok!r}", at)
+        return self.numeral(tok, at)
 
     def atom(self) -> dict:
-        kind, val, pos = self.next()
-        if kind == "number":
-            num, _, den = val.partition("/")
-            value, den = _numeral(num, pos), _numeral(den, pos) if den else 1
-            if den == 0:
-                raise ParseError("zero denominator", pos)
-            return {self.one: value if den == 1 else Fraction(value, den)} if value else {}
-        if kind == "name":
-            if val not in self.ring.variables:
-                raise UnknownVariableError(f"unknown variable {val!r}", pos)
-            i = self.ring.variables.index(val)
+        at = self.i
+        tok = self.next()
+        if not tok:
+            raise self.error(ParseError, "unexpected end of input", at)
+        if tok.isidentifier():
+            if tok not in self.ring.variables:
+                raise self.error(UnknownVariableError, f"unknown variable {tok!r}", at)
+            i = self.ring.variables.index(tok)
             return {self.one[:i] + (1,) + self.one[i + 1:]: 1}
-        if kind == "(":
+        if tok[0].isdecimal():
+            num, _, den = tok.partition("/")
+            value, den = self.numeral(num, at), self.numeral(den, at) if den else 1
+            if den == 0:
+                raise self.error(ParseError, "zero denominator", at)
+            return {self.one: value if den == 1 else Fraction(value, den)} if value else {}
+        if tok == "(":
             inner = self.expr()
-            if self.next()[0] != ")":
-                raise ParseError("missing closing parenthesis", pos)
+            if self.next() != ")":
+                raise self.error(ParseError, "missing closing parenthesis", at)
             return inner
-        if kind == "end":
-            raise ParseError("unexpected end of input", pos)
-        raise ParseError(f"unexpected token {val!r}", pos)
+        raise self.error(ParseError, f"unexpected token {tok!r}", at)
 
     def bracketed(self, item) -> list:
-        kind, val, pos = self.next()
-        if kind != "[":
-            raise ParseError(f"expected '[', got {val!r}", pos)
+        at = self.i
+        tok = self.next()
+        if tok != "[":
+            raise self.error(ParseError, f"expected '[', got {tok!r}", at)
         items = [item()]
-        while self.toks[self.i][0] == ",":
+        while self.toks[self.i] == ",":
             self.i += 1
             items.append(item())
-        kind, val, close = self.next()
-        if kind == "end":
-            raise ParseError("unbalanced '[' in matrix", pos)
-        if kind != "]":
-            raise ParseError(f"unexpected token {val!r}", close)
+        close = self.i
+        tok = self.next()
+        if not tok:
+            raise self.error(ParseError, "unbalanced '[' in matrix", at)
+        if tok != "]":
+            raise self.error(ParseError, f"unexpected token {tok!r}", close)
         return items
 
+    def numeral(self, digits: str, at: int) -> int:
+        """int(digits), or a ParseError at token at past Python's int string
+        limit."""
+        try:
+            return int(digits)
+        except ValueError:
+            message = f"numeral of {len(digits)} digits is over Python's int string limit"
+            raise self.error(ParseError, message, at) from None
 
-def _numeral(digits: str, pos: int) -> int:
-    """int(digits), or a ParseError at pos past Python's int string limit."""
-    try:
-        return int(digits)
-    except ValueError:
-        message = f"numeral of {len(digits)} digits is over Python's int string limit"
-        raise ParseError(message, pos) from None
-
-
-def _bound_expansion(what: str, terms: int, pos: int) -> None:
-    if terms > EXPANSION_BOUND:
-        raise ParseError(
-            f"{what} may expand to {terms} terms, over the bound {EXPANSION_BOUND}", pos
-        )
+    def bound(self, what: str, terms: int, at: int) -> None:
+        """A ParseError at token at when a product or power may expand to
+        more than EXPANSION_BOUND terms."""
+        if terms > EXPANSION_BOUND:
+            raise self.error(
+                ParseError, f"{what} may expand to {terms} terms, over the bound {EXPANSION_BOUND}", at
+            )
 
 
 def parse_polynomial(text: str, ring: Ring) -> Polynomial:
@@ -608,6 +627,24 @@ def determinant(m: PolyMatrix) -> Polynomial:
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
     return minors(m, m.rows)[0]
+
+
+def determinant_and_minors(m: PolyMatrix) -> tuple[Polynomial, tuple[Polynomial, ...]]:
+    """det m and the nonzero (rows - 1)-minors of a square m, lexicographic
+    in (row subset, column subset), from one pass of the minors engine.
+
+    Every row subset of size rows - 1 is a head of itself, so the pass at
+    size rows - 1 ends with all those minors; det m is one level more, the
+    minors on the first rows - 1 rows expanded along the last row.
+    """
+    if not m.is_square():
+        raise ValueError("determinant of a non-square matrix")
+    top = {((), ()): m.ring.one()}
+    for top in _minor_levels(m, m.rows - 1):
+        pass
+    (full,) = _minor_levels(m, m.rows, m.rows, top)
+    det = next(iter(full.values()), m.ring.zero())
+    return det, tuple(top[key] for key in sorted(top))
 
 
 def _minor_levels(

@@ -1,18 +1,20 @@
 """Test-only routes over the standard-basis engine: the monic route over
 Q that the integer engine replaced, weak normal form, ideal membership,
-ideal intersection and the local staircase in all variables; and the rank
-of a rational matrix.
+ideal intersection and the local staircase in all variables; the rank of
+a rational matrix; the mod-2 table of an integral homology table by
+universal coefficients; and a report as the document json.dumps renders.
 
 The package computes none of these in a job, so they live here, as
-oracles for the tests, built on the engine's private routines.  Under the
-local order, Mora normal forms of small inputs can run for minutes; keep
-their inputs small or their budgets tight.
+oracles for the tests; the standard-basis routes are built on the engine's
+private routines.  Under the local order, Mora normal forms of small inputs
+can run for minutes; keep their inputs small or their budgets tight.
 """
 
 from fractions import Fraction
 from operator import add
 from typing import Sequence
 
+from milnorfibre.homology import HomologyTable, make_table, mod2_group
 from milnorfibre.orders import LOCAL_ANTIGRADED_REVLEX, MonomialOrder
 from milnorfibre.rings import Polynomial, _canonical, _poly, monomial_degree, monomial_divides
 from milnorfibre.standard_basis import (
@@ -270,3 +272,64 @@ def fraction_matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
         if rank == len(work):
             break
     return rank
+
+
+# --- homology tables and reports ----------------------------------------------
+
+
+def universal_coefficients_mod2(table: HomologyTable) -> HomologyTable:
+    """Mod-2 table derived from an integral one: dim H_d(-;F2) equals
+    rank H_d + (even torsion of H_d) + (even torsion of H_{d-1}).  The
+    oracle of the jobs' universal-coefficient check, which compares the
+    stated mod-2 table degree by degree without building this one."""
+    if table.coefficients != "integral":
+        raise ValueError("universal-coefficient transform needs an integral table")
+    degrees = set(table.degrees()) | {d + 1 for d in table.degrees()}
+    groups = {}
+    for d in sorted(degrees):
+        dim = table.group(d).mod2_dimension() + table.group(d - 1).two_torsion_count()
+        if dim:
+            groups[d] = mod2_group(dim)
+    return make_table(table.space, "mod2", groups)
+
+
+def _table_groups_doc(table: HomologyTable) -> dict:
+    return {str(d): {"rank": g.rank, "torsion": list(g.torsion)} for d, g in table.entries}
+
+
+def report_doc(report) -> dict:
+    """The JSON document of a jobs.Report, as a dict: Report.to_json must
+    give json.dumps(report_doc(report), indent=2) + "\\n"."""
+    inv = report.invariants
+    return {
+        "invariants": {
+            "n": inv.n,
+            "mu0": inv.mu0,
+            "mu1": inv.mu1,
+            "mu1_applicable": inv.mu1_applicable,
+            "a": inv.a,
+            "corank": inv.corank,
+            "a1": inv.a1,
+            "a1_provenance": inv.a1_provenance,
+        },
+        "homology": _table_groups_doc(report.fibre) if report.fibre else None,
+        "bouquet": (
+            [{"dim": d, "count": c} for d, c in report.sphere_bouquet.spheres]
+            if report.sphere_bouquet is not None
+            else None
+        ),
+        "checks": [{"name": c.name, "pass": c.passed, "detail": c.detail} for c in report.checks],
+        "provenance": {
+            "seed": report.seed,
+            "a1_provenance": inv.a1_provenance,
+            "notes": list(report.notes),
+            "tables": {
+                name: {
+                    "space": t.space,
+                    "coefficients": t.coefficients,
+                    "groups": _table_groups_doc(t),
+                }
+                for name, t in report.tables
+            },
+        },
+    }

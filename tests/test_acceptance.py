@@ -24,13 +24,13 @@ from milnorfibre.homology import (
     table_M,
     table_pair_B_Bu,
     table_X,
-    universal_coefficients_mod2,
 )
 from milnorfibre.jobs import Job, run_homology
 from milnorfibre.milnor import check_icis, milnor_icis
 from milnorfibre.orders import global_order, local_order
 from milnorfibre.rings import Polynomial, Ring, parse_polynomial
 from milnorfibre.standard_basis import colength
+from oracles import universal_coefficients_mod2
 
 
 def _case(name):

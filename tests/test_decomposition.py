@@ -24,7 +24,7 @@ from milnorfibre.errors import (
 )
 from milnorfibre.jobs import Job, run_homology
 from milnorfibre.orders import global_order
-from milnorfibre.rings import PolyMatrix, Polynomial, Ring, parse_polynomial
+from milnorfibre.rings import PolyMatrix, Polynomial, Ring, minors, parse_polynomial
 from milnorfibre.standard_basis import Budgets
 from oracles import is_member
 
@@ -142,7 +142,8 @@ def test_worked_example_invariants():
 def test_a_matches_direct_colength():
     # for the worked example: (g) + entries of H = (x1, x2, x3, x4, x3 - x5^2),
     # whose staircase is {1, x5}, so a = 2
-    assert compute_a(worked_example()) == 2
+    inp = worked_example()
+    assert compute_a(inp, [m for m in minors(inp.h, 1) if m]) == 2
 
 
 def test_corank_zero_reports_mu1_not_applicable():
@@ -226,7 +227,7 @@ def test_identically_zero_det_h_is_named():
 )
 def test_each_ideal_is_checked_once(monkeypatch, inp, expected):
     counts = dict.fromkeys(
-        ("check_icis", "compute_a", "determinant", "assemble_f", "derivative"), 0
+        ("check_icis", "compute_a", "determinant_and_minors", "assemble_f", "derivative"), 0
     )
 
     def counting(name, fn):
@@ -236,7 +237,7 @@ def test_each_ideal_is_checked_once(monkeypatch, inp, expected):
 
         return wrapper
 
-    for name in ("check_icis", "compute_a", "determinant", "assemble_f"):
+    for name in ("check_icis", "compute_a", "determinant_and_minors", "assemble_f"):
         monkeypatch.setattr(decomposition, name, counting(name, getattr(decomposition, name)))
     # the derivative count pins where a job differentiates: the partials of g
     # are taken once, by the locus check, whose rows the (g, det H) check
@@ -279,12 +280,14 @@ def test_chain_minors_are_built_once(monkeypatch):
     """Polynomial products of a whole job on D(3,2) at n = 8: the locus chain
     runs in the presented order and reads every level of its minors from the
     check, the check of (g, det H) continues the locus check's tower by the
-    row of det H, and mu1 is one step over that check.  The job gives no f
+    row of det H, det H is one level past the (n-4)-minors of H in one
+    pass, and mu1 is one step over that check.  The job gives no f
     and assumes #A1 = 0, so f is not assembled.  The per-step expansion of
     every level at every step took 1951, one prefix pass for both chains
     665, a second prefix pass over the presented head 97, assembling f
-    although nothing read it 93, and a (g, det H) check that rebuilt the
-    locus tower 43."""
+    although nothing read it 93, a (g, det H) check that rebuilt the locus
+    tower 43, and det H from a minors pass of its own, apart from the
+    (n-4)-minors of H, 38."""
     count = [0]
     mul = Polynomial.__mul__
 
@@ -295,7 +298,34 @@ def test_chain_minors_are_built_once(monkeypatch):
     monkeypatch.setattr(Polynomial, "__mul__", counting)
     rep = invariant_report(build_input(_dkp_case(2, 8), "given"), seed=0)
     assert (rep.mu0, rep.mu1, rep.a, rep.corank) == (0, 1, 1, 2)
-    assert count[0] == 38
+    assert count[0] == 32
+
+
+@pytest.mark.parametrize(
+    "inp",
+    [
+        worked_example(),
+        build_input(_dkp_case(2, 8), "given"),
+        mk(("y1", "y2"), (("x1", "0"), ("0", "1"))),
+    ],
+    ids=["worked-n5-corank2", "d32-n8-corank2", "n5-corank1"],
+)
+def test_h_enters_the_minors_engine_once(monkeypatch, inp):
+    """A corank >= 1 job takes det H and the (n-4)-minors of H from one pass
+    of the minors engine over H: the pass from level 1 to n-4, continued by
+    the one level of det H.  Every other pass runs on a Jacobian."""
+    starts = []
+    levels = rings._minor_levels
+
+    def recording(m, size, first=1, prev=None):
+        if m is inp.h:
+            starts.append(first)
+        return levels(m, size, first, prev)
+
+    monkeypatch.setattr(rings, "_minor_levels", recording)
+    rep = invariant_report(inp)
+    assert rep.corank >= 1
+    assert starts == [1, inp.h.rows]
 
 
 @pytest.mark.parametrize(

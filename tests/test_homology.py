@@ -26,8 +26,8 @@ from milnorfibre.homology import (
     table_M,
     table_X,
     table_pair_B_Bu,
-    universal_coefficients_mod2,
 )
+from oracles import universal_coefficients_mod2
 
 # --- groups -----------------------------------------------------------------
 

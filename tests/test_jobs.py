@@ -9,8 +9,17 @@ from hypothesis import example, given, strategies as st
 
 from milnorfibre import jobs
 from milnorfibre.corpus import build_input, builtin_cases
+from milnorfibre.decomposition import CheckResult, InvariantReport
 from milnorfibre.errors import InconsistencyError, ParseError
-from milnorfibre.jobs import Job, parse_job, run_homology, run_invariants
+from milnorfibre.homology import (
+    BouquetDescription,
+    FgAbelianGroup,
+    bouquet,
+    make_table,
+    mod2_group,
+)
+from milnorfibre.jobs import Job, Report, collect_tables, parse_job, run_homology, run_invariants
+from oracles import report_doc, universal_coefficients_mod2
 
 GOOD_JOB = """\
 # the worked two-point example
@@ -116,7 +125,7 @@ def test_invariants_report_shape():
     report = run_invariants(Job(input=parse_job(GOOD_JOB)))
     inv = report.invariants
     assert (inv.mu0, inv.mu1, inv.a, inv.corank) == (0, 3, 2, 2)
-    doc = report.to_json_dict()
+    doc = json.loads(report.to_json())
     assert list(doc) == ["invariants", "homology", "bouquet", "checks", "provenance"]
     assert doc["homology"] is None and doc["bouquet"] is None
     assert doc["invariants"]["a1_provenance"] == "assumed"
@@ -125,7 +134,7 @@ def test_invariants_report_shape():
 
 def test_homology_report_shape():
     report = run_homology(Job(input=parse_job(GOOD_JOB), seed=2))
-    doc = report.to_json_dict()
+    doc = json.loads(report.to_json())
     assert doc["homology"] == {
         "0": {"rank": 1, "torsion": []},
         "3": {"rank": 1, "torsion": []},
@@ -222,44 +231,95 @@ def test_homology_job_builds_the_m_table_once(monkeypatch):
 
 
 # --- the JSON writer against json.dumps --------------------------------------
-# json.dumps(doc, indent=2) + "\n" is the oracle of Report.to_json.
+# json.dumps(report_doc(report), indent=2) + "\n" is the oracle of
+# Report.to_json, with report_doc the report's document as a dict.
 
-def json_oracle(doc):
-    return json.dumps(doc, indent=2) + "\n"
+def json_oracle(report):
+    return json.dumps(report_doc(report), indent=2) + "\n"
+
+
+def bare(report):
+    """The report as run_invariants gives it: no fibre, tables or bouquet."""
+    return dataclasses.replace(report, fibre=None, tables=(), sphere_bouquet=None)
 
 
 def test_json_writer_matches_json_dumps_on_every_corpus_report():
     for case in builtin_cases():
         report = run_homology(Job(input=build_input(case, "given")))
-        bare = dataclasses.replace(report, fibre=None, tables=(), sphere_bouquet=None)
-        for r in (report, bare):
-            assert r.to_json() == json_oracle(r.to_json_dict()), case.name
+        for r in (report, bare(report)):
+            assert r.to_json() == json_oracle(r), case.name
 
 
-json_scalars = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.integers(-(10**300), 10**300),
-    st.text(st.characters(exclude_categories=())),
+# any text: escapes, control characters, lone surrogates, non-ASCII
+texts = st.text(st.characters(exclude_categories=()), max_size=12)
+
+
+@st.composite
+def admissible_invariants(draw):
+    """(mu0, mu1, a, corank, a1, n) that collect_tables accepts: at corank
+    >= 2, a >= 1 under the rank guards with the top ranks of M and the
+    fibre non-negative; at corank 1, a = 0; at corank 0, a = mu1 = 0."""
+    n = draw(st.integers(5, 10))
+    corank = draw(st.sampled_from([0, 1, *range(2, n - 2)]))
+    a1 = draw(st.integers(0, 3))
+    if corank == 0:
+        return draw(st.integers(0, 12)), 0, 0, corank, a1, n
+    if corank == 1:
+        return draw(st.integers(0, 12)), draw(st.integers(0, 12)), 0, corank, a1, n
+    a = draw(st.integers(1, 6))
+    mu1 = 2 * a - 1 + draw(st.integers(0, 6))
+    e = 1 if corank == 2 else 0
+    mu0 = max(0, 4 * a - 2 * mu1 - 1 - e) + draw(st.integers(0, 6))
+    return mu0, mu1, a, corank, a1, n
+
+
+@st.composite
+def drawn_reports(draw):
+    """A homology report through collect_tables, with drawn notes and check
+    details, or its bare form; now and then with no checks or an empty
+    bouquet."""
+    mu0, mu1, a, corank, a1, n = draw(admissible_invariants())
+    fibre, tables, table_checks, notes = collect_tables(mu0, mu1, a, corank, a1, n)
+    drawn_checks = draw(st.lists(st.builds(CheckResult, texts, st.booleans(), texts), max_size=3))
+    inv = InvariantReport(
+        n=n,
+        mu0=mu0,
+        mu1=mu1,
+        mu1_applicable=corank != 0,
+        a=a,
+        corank=corank,
+        a1=a1,
+        a1_provenance=draw(st.sampled_from(["assumed", "provided", "experimental-saturation"]) | texts),
+    )
+    checks = tuple(table_checks) + tuple(drawn_checks)
+    report = Report(
+        invariants=inv,
+        fibre=fibre,
+        tables=tuple(tables),
+        sphere_bouquet=draw(st.sampled_from([bouquet(fibre), BouquetDescription(())])),
+        checks=checks if draw(st.booleans()) else (),
+        notes=tuple(notes) + tuple(draw(st.lists(texts, max_size=3))),
+        seed=draw(st.integers() | st.integers(-(10**300), 10**300)),
+        elapsed=0.0,
+    )
+    return bare(report) if draw(st.booleans()) else report
+
+
+@given(drawn_reports())
+@example(
+    Report(
+        invariants=InvariantReport(5, 0, 0, False, 0, 0, 0, "é\n\"\\\t\u2028\x00\x7f\ud800😀"),
+        fibre=None,
+        tables=(),
+        sphere_bouquet=None,
+        checks=(CheckResult("ключ\x1f", False, "\ufeff"),),
+        notes=("",),
+        seed=-(2**200),
+        elapsed=0.0,
+    )
 )
-json_documents = st.recursive(
-    json_scalars,
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.dictionaries(st.text(max_size=4), children, max_size=4),
-    ),
-    max_leaves=24,
-)
-
-
-@given(json_documents)
-@example({})
-@example([])
-@example({"": {}, "a": [[], {}], "b": [True, 1, False, 0, None, -(2**200)]})
-@example(["é\n\"\\\t\u2028\x00\x7f\ud800😀", {"ключ\x1f": "\ufeff"}])
-def test_json_writer_matches_json_dumps_on_drawn_documents(doc):
-    assert jobs._json_text(doc, "\n") + "\n" == json_oracle(doc)
+def test_json_writer_matches_json_dumps_on_drawn_reports(report):
+    assert report.to_json() == json_oracle(report)
 
 
 @pytest.mark.parametrize(
@@ -267,5 +327,77 @@ def test_json_writer_matches_json_dumps_on_drawn_documents(doc):
     [1.0, float("nan"), (1, 2), {"a": [1, 2.5]}, {1: "a"}, {"a": {"b": {1, 2}}}, b"x", [object()]],
 )
 def test_json_writer_refuses_other_types(doc):
-    with pytest.raises(TypeError):
-        jobs._json_text(doc, "\n")
+    """A value that is not a str where the report's shape has a string, a
+    note or a check detail, raises TypeError from the escaping rather than
+    give a text json.dumps would not."""
+    report = run_invariants(Job(input=parse_job(GOOD_JOB)))
+    for wrong in (
+        dataclasses.replace(report, notes=(doc,)),
+        dataclasses.replace(report, checks=(CheckResult("c", True, doc),)),
+    ):
+        with pytest.raises(TypeError):
+            wrong.to_json()
+
+
+# --- the tables' universal-coefficient check ---------------------------------
+
+def _wrong_twin(table, change):
+    groups = dict(table.entries)
+    groups.update(change)
+    return make_table(table.space, "mod2", groups)
+
+
+@pytest.mark.parametrize(
+    "space, change, message",
+    [
+        ("B", {2: mod2_group(3)}, "for B in degree 2: (Z/2)^2 vs (Z/2)^3"),
+        ("B", {0: mod2_group(0)}, "for B in degree 0: Z/2 vs 0"),
+        ("B", {4: mod2_group(1)}, "for B in degree 4: 0 vs Z/2"),
+        ("X", {0: mod2_group(2)}, "for X in degree 0: Z/2 vs (Z/2)^2"),
+        ("X", {7: mod2_group(9)}, "for X in degree 7: 0 vs (Z/2)^9"),
+    ],
+)
+def test_wrong_mod2_twin_is_an_inconsistency(monkeypatch, space, change, message):
+    """collect_tables checks each stated mod-2 twin against the universal
+    coefficients of its integral table: a twin changed in one degree, made
+    trivial there or given a degree the integral table does not reach
+    raises the first mismatching degree."""
+    name = {"B": "table_B", "X": "table_X"}[space]
+    table = getattr(jobs, name)
+    monkeypatch.setattr(
+        jobs, name, lambda *args: (lambda i, m: (i, _wrong_twin(m, change)))(*table(*args))
+    )
+    with pytest.raises(InconsistencyError) as exc:
+        collect_tables(0, 3, 2, 2, 0, 8)
+    assert str(exc.value) == f"universal-coefficient mismatch {message}"
+
+
+# torsion chains with odd and even factors
+groups = st.builds(
+    FgAbelianGroup,
+    st.integers(0, 3),
+    st.sampled_from([(), (2,), (3,), (2, 2), (2, 4), (3, 6), (3, 3, 9), (2, 6, 12)]),
+)
+integral_tables = st.dictionaries(st.integers(0, 6), groups, max_size=5).map(
+    lambda g: make_table("S", "integral", g)
+)
+mod2_tables = st.dictionaries(st.integers(0, 7), st.integers(0, 4).map(mod2_group), max_size=5).map(
+    lambda g: make_table("S", "mod2", g)
+)
+
+
+@given(integral_tables, st.none() | mod2_tables)
+def test_uc_check_agrees_with_the_derived_table(integral, stated):
+    """The check compares degree by degree without building the derived
+    table: it passes on the table universal_coefficients_mod2 derives and
+    names the first degree where any other stated table differs from it."""
+    derived = universal_coefficients_mod2(integral)
+    assert jobs._uc_mod2_check("S", integral, derived).passed
+    if stated is None or stated == derived:
+        return
+    d = min(d for d in set(stated.degrees()) | set(derived.degrees()) if stated.group(d) != derived.group(d))
+    with pytest.raises(InconsistencyError) as exc:
+        jobs._uc_mod2_check("S", integral, stated)
+    assert str(exc.value) == (
+        f"universal-coefficient mismatch for S in degree {d}: {derived.group(d)} vs {stated.group(d)}"
+    )

@@ -1,5 +1,6 @@
 """Polynomials, parsing, matrices, determinants, minors."""
 
+import re
 import sys
 import time
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from milnorfibre import rings
-from milnorfibre.corpus import _dkp_case, build_input
+from milnorfibre.corpus import _dkp_case, build_input, builtin_cases
 from milnorfibre.errors import ParseError, RingMismatchError, UnknownVariableError
 from milnorfibre.rings import (
     EXPANSION_BOUND,
@@ -162,67 +163,100 @@ def _combined(draw, children):
 expressions = st.recursive(_factors(expression_atoms), _combined, max_leaves=8)
 
 
+# one token after optional whitespace, named by its kind
+_ONE_TOKEN = re.compile(
+    r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*^()\[\],]))"
+)
+
+
 class _PolynomialParser(rings._Parser):
     """Test-only oracle: the grammar's rules evaluated with Polynomial
     arithmetic (sums, products, square-and-multiply powers) instead of term
-    maps, with the same bound checks, messages and positions.  Polynomial
-    arithmetic runs on the same term-map routines; the Fraction-only
-    reference further down checks it independently."""
+    maps, with the same bound checks, messages and positions.  It tokenizes
+    apart from the parser: one match per token, which records each token's
+    kind and position as it goes.  Polynomial arithmetic runs on the same
+    term-map routines; the Fraction-only reference further down checks it
+    independently."""
+
+    def __init__(self, text, ring):
+        self.ring = ring
+        self.toks, self.kinds, self.starts = [], [], []
+        pos, end = 0, len(text.rstrip())
+        while pos < end:
+            m = _ONE_TOKEN.match(text, pos)
+            if m is None:
+                where = len(text) - len(text[pos:].lstrip())
+                raise ParseError(f"unexpected character {text[where]!r}", where)
+            self.toks.append(m.group(m.lastgroup))
+            self.kinds.append(m.lastgroup)
+            self.starts.append(m.start(m.lastgroup))
+            pos = m.end()
+        self.toks.append("")
+        self.kinds.append("end")
+        self.starts.append(len(text))
+        self.i = 0
+
+    def error(self, cls, message, at):
+        return cls(message, self.starts[at])
 
     def polynomial(self):
         return self.expr()
 
     def expr(self):
         result = self.term()
-        while self.toks[self.i][0] in ("+", "-"):
-            op = self.next()[0]
+        while self.toks[self.i] in ("+", "-"):
+            op = self.next()
             result = result + self.term() if op == "+" else result - self.term()
         return result
 
     def term(self):
         result = self.factor()
-        while self.toks[self.i][0] == "*":
-            pos = self.next()[2]
+        while self.toks[self.i] == "*":
+            at = self.i
+            self.next()
             other = self.factor()
-            rings._bound_expansion("product", len(result) * len(other), pos)
+            self.bound("product", len(result) * len(other), at)
             result = result * other
         return result
 
     def factor(self):
         sign = 1
-        while self.toks[self.i][0] in ("+", "-"):
-            sign *= -1 if self.next()[0] == "-" else 1
+        while self.toks[self.i] in ("+", "-"):
+            sign *= -1 if self.next() == "-" else 1
         base = self.atom()
-        if self.toks[self.i][0] == "^":
-            pos = self.next()[2]
+        if self.toks[self.i] == "^":
+            at = self.i
+            self.next()
             e = self.exponent()
             if len(base) > 1:
-                rings._bound_expansion("power", comb(len(base) + e - 1, e), pos)
+                self.bound("power", comb(len(base) + e - 1, e), at)
             elif e > EXPANSION_BOUND:
-                raise ParseError(f"exponent {e} is over the bound {EXPANSION_BOUND}", pos)
+                raise self.error(ParseError, f"exponent {e} is over the bound {EXPANSION_BOUND}", at)
             base = base**e
         return base if sign > 0 else -base
 
     def atom(self):
-        kind, val, pos = self.next()
+        at = self.i
+        tok, kind = self.next(), self.kinds[at]
+        if kind == "end":
+            raise self.error(ParseError, "unexpected end of input", at)
         if kind == "number":
-            num, _, den = val.partition("/")
-            value, den = rings._numeral(num, pos), rings._numeral(den, pos) if den else 1
+            num, _, den = tok.partition("/")
+            value, den = self.numeral(num, at), self.numeral(den, at) if den else 1
             if den == 0:
-                raise ParseError("zero denominator", pos)
+                raise self.error(ParseError, "zero denominator", at)
             return self.ring.constant(Fraction(value, den))
         if kind == "name":
-            if val not in self.ring.variables:
-                raise UnknownVariableError(f"unknown variable {val!r}", pos)
-            return self.ring.variable(val)
-        if kind == "(":
+            if tok not in self.ring.variables:
+                raise self.error(UnknownVariableError, f"unknown variable {tok!r}", at)
+            return self.ring.variable(tok)
+        if tok == "(":
             inner = self.expr()
-            if self.next()[0] != ")":
-                raise ParseError("missing closing parenthesis", pos)
+            if self.next() != ")":
+                raise self.error(ParseError, "missing closing parenthesis", at)
             return inner
-        if kind == "end":
-            raise ParseError("unexpected end of input", pos)
-        raise ParseError(f"unexpected token {val!r}", pos)
+        raise self.error(ParseError, f"unexpected token {tok!r}", at)
 
 
 def oracle_parse(text, ring=R2):
@@ -247,10 +281,14 @@ def test_parse_agrees_with_direct_evaluation(node):
 
 
 # token soup, for every kind of parse error, and operand-operator chains,
-# mostly well formed, with powers and products near EXPANSION_BOUND
+# mostly well formed, with powers and products near EXPANSION_BOUND; the
+# soup has characters no token takes (non-ASCII letters, a lone '/', '.',
+# '$'), a non-ASCII decimal digit, which a number takes, and whitespace
+# other than a space
 parse_tokens = st.sampled_from(
     ["x", "y", "w", "0", "1", "2", "3/2", "4/2", "0/5", "1/0", "16", "300", "(x + y + 1)",
-     "+", "-", "*", "^", "(", ")", " ", "/", "!"]
+     "+", "-", "*", "^", "(", ")", " ", "/", "!", "é", "ж", ".", "$", "\u0663", "\t",
+     "\u3000", "[", "]", ","]
 )
 operands = st.sampled_from(
     ["x", "y", "2", "3/2", "4/2", "0/5", "7", "16", "-x", "(x - y)", "(x + y + 1)", "(2*x*y)",
@@ -270,6 +308,12 @@ parse_texts = st.one_of(
 @example("x - (x + y + 1)^22")
 @example("(2*x*y)^300")
 @example("4/2*x*-1/2 + 0/5*y^3 - (y - x)^16")
+@example("x + é*y")
+@example("x/ y")
+@example("1.5*x")
+@example("$x ")
+@example("x^\u0663 - y")
+@example("x\t*\u3000y ")
 @settings(max_examples=150)
 def test_term_map_parse_matches_polynomial_oracle(text):
     """The term-map parser against the Polynomial-arithmetic oracle: the same
@@ -666,6 +710,42 @@ def test_minors_of_symmetric_matrix_are_symmetric(size, data):
         values = dict(zip([(a, b) for a in subsets for b in subsets], minors(m, k)))
         for (a, b), value in values.items():
             assert value == values[b, a]
+
+
+@st.composite
+def symmetric_matrices(draw, max_size=5):
+    """Symmetric matrices up to 5 x 5, the shapes of H, with zero-heavy
+    entries: det H and its (n-4)-minors may cancel or vanish."""
+    size = draw(st.integers(1, max_size))
+    pool = st.one_of(
+        st.just(R2.zero()), st.sampled_from((R2.one(), poly("x"), poly("y"))), polynomials(max_terms=2)
+    )
+    upper = {(i, j): draw(pool) for i in range(size) for j in range(i, size)}
+    return PolyMatrix(R2, [[upper[min(i, j), max(i, j)] for j in range(size)] for i in range(size)])
+
+
+def separate_calls(m):
+    """det m and the nonzero (rows - 1)-minors of m in lex order, from two
+    calls of the engine; the one 0 x 0 minor is 1."""
+    below = tuple(p for p in minors(m, m.rows - 1) if p) if m.rows > 1 else (m.ring.one(),)
+    return determinant(m), below
+
+
+@given(symmetric_matrices())
+@example(PolyMatrix(R2, [[poly("x"), poly("x")], [poly("x"), poly("x")]]))
+def test_determinant_and_minors_match_separate_calls(m):
+    """det m, one level past the (rows-1)-minors in one pass of the engine,
+    is determinant(m) and the Leibniz sum; the minors are those of a minors
+    call with its zeros dropped (the example's det cancels)."""
+    det, below = rings.determinant_and_minors(m)
+    assert (det, below) == separate_calls(m)
+    assert det == leibniz(m.entries(), R2)
+
+
+def test_determinant_and_minors_on_corpus_germs():
+    for case in builtin_cases():
+        h = build_input(case, "given").h
+        assert rings.determinant_and_minors(h) == separate_calls(h), case.name
 
 
 def test_n9_corpus_case_det_h_and_a_minors():
