@@ -75,6 +75,10 @@ class SingularityInput:
             raise ValueError("f_expected over a different ring")
         if self.a1_mode not in A1_MODES:
             raise ValueError(f"a1_mode must be one of {A1_MODES}")
+        # the report writes the count in place, so a bool or a float would
+        # give invalid JSON or a broken bouquet
+        if self.a1_count is not None and type(self.a1_count) is not int:
+            raise ValueError(f"a1_count must be an int, got {type(self.a1_count).__name__}")
         if self.a1_mode == "provided" and (
             self.a1_count is None or self.a1_count < 0
         ):

@@ -163,6 +163,11 @@ class Job:
     seed: int = 0
     budgets: Budgets = DEFAULT_BUDGETS
 
+    def __post_init__(self):
+        # the report writes the seed in place: a bool would give invalid JSON
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an int, got {type(self.seed).__name__}")
+
 
 @dataclass(frozen=True)
 class Report:

@@ -5,10 +5,11 @@ terminates for every order kind in this package; under a global order the
 ecart rule never fires and the routine degenerates to ordinary multivariate
 division.  Standard bases come from Buchberger completion driven by that
 normal form.  On top of these sit colength and saturation.  Saturation by
-(q_1, ..., q_r) is one tag elimination: one extra variable t, global and
-dominant in a block order, Rabinowitsch's 1 - sum_i t^i * q_i, and the
-t-free part of a standard basis, which is itself a standard basis of the
-result.
+(q_1, ..., q_r) is one tag elimination: one extra exponent slot t in the
+engine's term maps, global and dominant in a block order, Rabinowitsch's
+1 - sum_i t^i * q_i, and the t-free part of a standard basis, which is
+itself a standard basis of the result.  With t dominant, an element is
+t-free exactly when its lead is, so that part is read off the leads.
 
 All routines are deterministic: reducer choice is (ecart, insertion index),
 and S-pairs are popped from a heap in (lcm degree, i, j) order.  Each engine
@@ -25,7 +26,8 @@ S-polynomial lb/d * x^sa * a - la/d * x^sb * b from the tails alone, for d
 the gcd of the two lead coefficients.  Every engine polynomial is then a
 nonzero integer multiple of the one a monic completion over Q would hold,
 so the leads, ecarts, reducer choices, counts and budget trips are that
-completion's.  standard_basis makes each element monic once, at the end.
+completion's.  standard_basis and saturate make each element they return
+monic once, at the end.
 
 Under the local degree order a generator with a nonzero constant term is a
 unit of the local ring, so its ideal is the whole ring: colength returns 0,
@@ -160,9 +162,10 @@ def _ep_from_polynomial(p: Polynomial | dict, order: MonomialOrder) -> _EP:
 
 
 def _ep_to_polynomial(ep: _EP, ring: Ring) -> Polynomial:
-    """The monic multiple of ep, ep divided by its lead coefficient."""
-    lc = ep.terms[0][2]
-    return _poly(ring, _canonical({e: Fraction(c, lc) for _, e, c in ep.terms}))
+    """The monic multiple of ep, ep divided by its lead coefficient, over
+    ring: the exponent slots past ring.nvars are dropped."""
+    lc, n = ep.terms[0][2], ring.nvars
+    return _poly(ring, _canonical({e[:n]: Fraction(c, lc) for _, e, c in ep.terms}))
 
 
 def _ep_primitive(ep: _EP) -> _EP:
@@ -392,24 +395,6 @@ def standard_basis(
     return tuple(_ep_to_polynomial(g, ring) for g in basis)
 
 
-def leading_exponents(
-    basis: Sequence[Polynomial], order: MonomialOrder
-) -> tuple[tuple[int, ...], ...]:
-    """Minimal generating exponents of the lead-monomial ideal of a basis."""
-    exps = []
-    for g in basis:
-        if g.is_zero():
-            continue
-        exps.append(order.leading_exponent(list(g.terms)))
-    exps = sorted(set(exps))
-    minimal = [
-        e
-        for e in exps
-        if not any(o != e and monomial_divides(o, e) for o in exps)
-    ]
-    return tuple(minimal)
-
-
 def colength(
     gens: Sequence[Polynomial],
     order: MonomialOrder,
@@ -430,11 +415,12 @@ def _staircase(
     """Colength of the ideal and the variables with no pure power among its
     leads; the colength is INFINITE exactly when there are such variables.
 
-    Without a given basis, the local degree order takes the unit rule and
-    then _local_staircase; other orders read the leads of a standard basis."""
+    A given basis has its leads read as the engine reads them.  Without one,
+    the local degree order takes the unit rule and then _local_staircase;
+    other orders read the leads of a standard basis."""
     ring = _check_inputs(gens, order)
     if basis is not None:
-        leads = leading_exponents(basis, order)
+        leads = [_ep_from_polynomial(g, order).lead for g in basis if g]
     elif order.kind == LOCAL_ANTIGRADED_REVLEX:
         if any(g.constant_coefficient() for g in gens):
             return 0, ()
@@ -553,37 +539,6 @@ def _count_staircase(leads: Sequence[tuple[int, ...]], nvars: int) -> int:
     )
 
 
-def _tag_extension(
-    ring: Ring, order: MonomialOrder, what: str
-) -> tuple[Ring, MonomialOrder]:
-    """ring with a fresh tag variable appended, and the block order in which
-    the tag compares globally and dominates while the rest compares by order."""
-    if order.kind not in (GLOBAL_GRADED_REVLEX, LOCAL_ANTIGRADED_REVLEX):
-        raise ValueError(f"{what} needs a plain global or local order")
-    tag = "_t"
-    k = 0
-    while tag in ring.variables:
-        k += 1
-        tag = f"_t{k}"
-    big = Ring(ring.variables + (tag,))
-    return big, elimination_order(big.nvars, order.kind)
-
-
-def _lift(p: Polynomial, big: Ring, tdeg: int) -> Polynomial:
-    """Embed p in the tag-extended ring, multiplied by tag^tdeg."""
-    return _poly(big, {e + (tdeg,): c for e, c in p.items()})
-
-
-def _tag_free_part(
-    lifted: list[Polynomial], elim: MonomialOrder, ring: Ring, budgets: Budgets
-) -> tuple[Polynomial, ...]:
-    """The tag-free elements of a standard basis of lifted under elim, back in
-    ring: a minimal standard basis of the eliminated ideal; (0,) when there
-    are none."""
-    free = [p for p in standard_basis(lifted, elim, budgets) if all(e[-1] == 0 for e in p.terms)]
-    return tuple(_poly(ring, {e[:-1]: c for e, c in p.items()}) for p in free) or (ring.zero(),)
-
-
 def saturate(
     gens: Sequence[Polynomial],
     igens: Sequence[Polynomial],
@@ -596,6 +551,12 @@ def saturate(
     basis of (gens, 1 - s) under the tag-dominant block order.  With the tag
     global, that part is a standard basis under order, local orders included
     (Cox, Little & O'Shea, ch. 4, section 4; Greuel & Pfister).
+
+    The tag t is no variable of a ring: it is one more exponent slot, after
+    the ring's variables, in the engine's term maps.  The block order
+    compares the tag exponent first, so the lead of an element carries its
+    highest tag power: the elements whose lead has tag exponent 0 are exactly
+    the tag-free ones, and only they are made polynomials again.
 
     Proof.  If p * (q)^N lies in J, so does p * s^N, and
     p = p * s^N + p * (1 - s) * (1 + s + ... + s^(N-1)) lies in (J, 1 - s).
@@ -611,12 +572,18 @@ def saturate(
     Returns (basis, 1): a minimal standard basis of the saturation under
     order, and the number of tag eliminations."""
     ring = _check_inputs(list(gens) + list(igens), order)
-    big, elim = _tag_extension(ring, order, "saturation")
+    if order.kind not in (GLOBAL_GRADED_REVLEX, LOCAL_ANTIGRADED_REVLEX):
+        raise ValueError("saturation needs a plain global or local order")
     divisors = [q for q in igens if not q.is_zero()]
     if not divisors:
         raise ValueError("saturation by the zero ideal")
-    # 1 - sum_i t^i * q_i
-    tagged = (_lift(q, big, i) for i, q in enumerate(divisors, start=1))
-    rabinowitsch = big.one() - sum(tagged, big.zero())
-    lifted = [_lift(p, big, 0) for p in gens if not p.is_zero()]
-    return _tag_free_part(lifted + [rabinowitsch], elim, ring, budgets), 1
+    n = ring.nvars
+    # 1 - sum_i t^i * q_i, with the tag exponent in slot n
+    rabinowitsch = {(0,) * (n + 1): 1}
+    for i, q in enumerate(divisors, start=1):
+        rabinowitsch.update({e + (i,): -c for e, c in q.items()})
+    tagged = [{e + (0,): c for e, c in p.items()} for p in gens if p] + [rabinowitsch]
+    elim = elimination_order(n + 1, order.kind)
+    basis = _standard_basis_ep([_ep_from_polynomial(t, elim) for t in tagged], elim, budgets)
+    free = tuple(_ep_to_polynomial(g, ring) for g in basis if not g.lead[n])
+    return free or (ring.zero(),), 1

@@ -1,6 +1,7 @@
 """Test-only routes over the standard-basis engine: the monic route over
 Q that the integer engine replaced, weak normal form, ideal membership,
-ideal intersection and the local staircase in all variables; the rank of
+the leads of a basis, ideal intersection, saturation in a ring with a
+named tag variable, and the local staircase in all variables; the rank of
 a rational matrix; the mod-2 table of an integral homology table by
 universal coefficients; and a report as the document json.dumps renders.
 
@@ -15,8 +16,20 @@ from operator import add
 from typing import Sequence
 
 from milnorfibre.homology import HomologyTable, make_table, mod2_group
-from milnorfibre.orders import LOCAL_ANTIGRADED_REVLEX, MonomialOrder
-from milnorfibre.rings import Polynomial, _canonical, _poly, monomial_degree, monomial_divides
+from milnorfibre.orders import (
+    GLOBAL_GRADED_REVLEX,
+    LOCAL_ANTIGRADED_REVLEX,
+    MonomialOrder,
+    elimination_order,
+)
+from milnorfibre.rings import (
+    Polynomial,
+    Ring,
+    _canonical,
+    _poly,
+    monomial_degree,
+    monomial_divides,
+)
 from milnorfibre.standard_basis import (
     Budgets,
     DEFAULT_BUDGETS,
@@ -27,10 +40,7 @@ from milnorfibre.standard_basis import (
     _bounded_staircase,
     _check_inputs,
     _ep_from_polynomial,
-    _lift,
     _standard_basis_ep,
-    _tag_extension,
-    _tag_free_part,
     _weak_normal_form,
     standard_basis,
 )
@@ -207,6 +217,85 @@ def is_member(
         return True
     basis = standard_basis(gens, order, budgets)
     return weak_normal_form(f, basis, order, budgets).is_zero()
+
+
+def leading_exponents(
+    basis: Sequence[Polynomial], order: MonomialOrder
+) -> tuple[tuple[int, ...], ...]:
+    """Minimal generating exponents of the lead-monomial ideal of a basis,
+    each lead read by the order's leading_exponent, in sorted order."""
+    exps = []
+    for g in basis:
+        if g.is_zero():
+            continue
+        exps.append(order.leading_exponent(list(g.terms)))
+    exps = sorted(set(exps))
+    minimal = [
+        e
+        for e in exps
+        if not any(o != e and monomial_divides(o, e) for o in exps)
+    ]
+    return tuple(minimal)
+
+
+# --- tag elimination in a ring with a named tag --------------------------------
+# The route saturation took before its tag became an exponent slot of the
+# engine's term maps: a second ring with a fresh tag variable, the inputs
+# lifted into it by Polynomial arithmetic, the public standard_basis, which
+# makes every element monic, and a term-by-term filter of the tag-free ones.
+
+
+def _tag_extension(
+    ring: Ring, order: MonomialOrder, what: str
+) -> tuple[Ring, MonomialOrder]:
+    """ring with a fresh tag variable appended, and the block order in which
+    the tag compares globally and dominates while the rest compares by order."""
+    if order.kind not in (GLOBAL_GRADED_REVLEX, LOCAL_ANTIGRADED_REVLEX):
+        raise ValueError(f"{what} needs a plain global or local order")
+    tag = "_t"
+    k = 0
+    while tag in ring.variables:
+        k += 1
+        tag = f"_t{k}"
+    big = Ring(ring.variables + (tag,))
+    return big, elimination_order(big.nvars, order.kind)
+
+
+def _lift(p: Polynomial, big: Ring, tdeg: int) -> Polynomial:
+    """Embed p in the tag-extended ring, multiplied by tag^tdeg."""
+    return _poly(big, {e + (tdeg,): c for e, c in p.items()})
+
+
+def _tag_free_part(
+    lifted: list[Polynomial], elim: MonomialOrder, ring: Ring, budgets: Budgets
+) -> tuple[Polynomial, ...]:
+    """The tag-free elements of a standard basis of lifted under elim, back in
+    ring: a minimal standard basis of the eliminated ideal; (0,) when there
+    are none."""
+    free = [p for p in standard_basis(lifted, elim, budgets) if all(e[-1] == 0 for e in p.terms)]
+    return tuple(_poly(ring, {e[:-1]: c for e, c in p.items()}) for p in free) or (ring.zero(),)
+
+
+def tag_ring_saturation(
+    gens: Sequence[Polynomial],
+    igens: Sequence[Polynomial],
+    order: MonomialOrder,
+    budgets: Budgets = DEFAULT_BUDGETS,
+) -> tuple[tuple[Polynomial, ...], int]:
+    """saturate by the tag ring: (gens, 1 - sum_i t^i * q_i) lifted into the
+    ring with a named tag t, its standard basis under the tag-dominant block
+    order, and the elements none of whose terms holds t.  Returns (basis, 1),
+    and raises the errors saturate raises, in the same order."""
+    ring = _check_inputs(list(gens) + list(igens), order)
+    big, elim = _tag_extension(ring, order, "saturation")
+    divisors = [q for q in igens if not q.is_zero()]
+    if not divisors:
+        raise ValueError("saturation by the zero ideal")
+    # 1 - sum_i t^i * q_i
+    tagged = (_lift(q, big, i) for i, q in enumerate(divisors, start=1))
+    rabinowitsch = big.one() - sum(tagged, big.zero())
+    lifted = [_lift(p, big, 0) for p in gens if not p.is_zero()]
+    return _tag_free_part(lifted + [rabinowitsch], elim, ring, budgets), 1
 
 
 def intersect_ideals(

@@ -104,6 +104,12 @@ def test_input_validation():
             g=(),
             h=PolyMatrix(Ring(("a", "b", "c")), [[parse_polynomial("a", Ring(("a", "b", "c")))]]),
         )  # n < 4
+    # the report writes the count in place: True gave "a1": true in the JSON
+    # and 2.5 a bare TypeError in the bouquet
+    for count in (True, 2.5, Fraction(2)):
+        with pytest.raises(ValueError, match="a1_count must be an int"):
+            family_input(1, a1_mode="provided", a1_count=count)
+    assert family_input(1, a1_mode="provided", a1_count=2).a1_count == 2
 
 
 # --- corank ----------------------------------------------------------------
@@ -260,20 +266,23 @@ def test_each_ideal_is_checked_once(monkeypatch, inp, expected):
     ids=["worked-n5", "d32-n6"],
 )
 def test_a1_estimate_is_one_elimination(monkeypatch, inp):
-    """The saturation by the k = n - 3 generators of (g) is one standard
-    basis, and colength reads the leads of that basis.  One elimination per
-    generator and their intersections would make 2k - 1: 3 at n = 5 and 5
-    at n = 6."""
-    count = [0]
-    standard_basis = sb_module.standard_basis
+    """The saturation by the k = n - 3 generators of (g) is one completion
+    of the engine, and colength reads the leads of that basis.  One
+    elimination per generator and their intersections would make 2k - 1:
+    3 at n = 5 and 5 at n = 6.  The saturation runs on engine term maps, so
+    the public standard_basis, which makes every element monic, is not
+    called at all."""
+    counts = {"_standard_basis_ep": 0, "standard_basis": 0}
+    for name in counts:
+        original = getattr(sb_module, name)
 
-    def counting(*args, **kwargs):
-        count[0] += 1
-        return standard_basis(*args, **kwargs)
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(sb_module, "standard_basis", counting)
+        monkeypatch.setattr(sb_module, name, counting)
     assert decomposition.a1_count(inp, assemble_f(inp)) == (0, "experimental-saturation")
-    assert count[0] == 1
+    assert counts == {"_standard_basis_ep": 1, "standard_basis": 0}
 
 
 def test_chain_minors_are_built_once(monkeypatch):

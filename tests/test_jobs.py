@@ -111,6 +111,25 @@ def test_a1_integer_mode():
     assert inp.a1_mode == "provided" and inp.a1_count == 3
 
 
+@pytest.mark.parametrize("seed", [True, False, 1.0])
+def test_job_refuses_a_seed_that_is_no_int(seed):
+    """The report writes the seed in place, so a bool would give "seed":
+    True, which json.loads rejects."""
+    with pytest.raises(ValueError, match="seed must be an int"):
+        Job(input=parse_job(GOOD_JOB), seed=seed)
+
+
+@pytest.mark.parametrize("count", [True, 2.5])
+def test_provided_a1_count_that_is_no_int_is_refused(count):
+    """A provided #A1 of another type than int gave "a1": True in the JSON,
+    or "a1": 2.5 and a bare TypeError from the bouquet."""
+    inp = parse_job(GOOD_JOB)
+    with pytest.raises(ValueError, match="a1_count must be an int"):
+        dataclasses.replace(inp, a1_mode="provided", a1_count=count)
+    report = run_homology(Job(input=dataclasses.replace(inp, a1_mode="provided", a1_count=1)))
+    assert json.loads(report.to_json())["invariants"]["a1"] == 1
+
+
 def test_wrong_f_is_a_run_stage_inconsistency():
     text = GOOD_JOB.replace(
         "f = x3*x1^2 + 2*x4*x1*x2 + x3*x2^2 - x5^2*x2^2",

@@ -12,6 +12,12 @@ A method of a package class not starting with an underscore must be
 accessed as an attribute, or named in a string (the benchmark's tracer
 names the methods it wraps by string), somewhere in ``src/``, ``tests/``,
 ``scripts/`` or ``perfbench/``.
+
+A private function at the top level of a module, or a private method of a
+package class (a name starting with one underscore, dunders left out), must
+be read somewhere in ``src/`` outside its own definition: an import alone
+does not count, and neither do tests, scripts or the benchmark.  Code the
+package keeps only for the test oracles belongs in ``tests/oracles.py``.
 """
 
 import ast
@@ -25,9 +31,9 @@ ROOT = Path(__file__).resolve().parent.parent
 TREES = ("src", "tests", "scripts", "perfbench")
 
 
-def _references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
-    """Names read, attributes accessed and names imported in tree, leaving
-    out the subtree skip."""
+def _references(tree: ast.AST, skip: ast.AST | None = None, imports: bool = True) -> set[str]:
+    """Names read, attributes accessed and, with imports, names imported in
+    tree, leaving out the subtree skip."""
     out = set()
     stack = [tree]
     while stack:
@@ -38,7 +44,7 @@ def _references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
+        elif imports and isinstance(node, ast.ImportFrom):
             out.update(alias.name for alias in node.names)
         stack.extend(ast.iter_child_nodes(node))
     return out
@@ -94,3 +100,32 @@ def unreferenced_methods() -> list[str]:
 
 def test_every_public_method_has_a_use():
     assert unreferenced_methods() == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def unreferenced_private_functions() -> list[str]:
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    missing = []
+    for module, tree in trees.items():
+        defs = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                defs += [
+                    (f"{cls.name}.{node.name}", node)
+                    for node in cls.body
+                    if isinstance(node, ast.FunctionDef)
+                ]
+        for label, node in defs:
+            if _private(node.name) and not any(
+                node.name in _references(other, skip=node, imports=False)
+                for other in trees.values()
+            ):
+                missing.append(f"{module}.{label}")
+    return missing
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    assert unreferenced_private_functions() == []

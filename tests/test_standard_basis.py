@@ -5,13 +5,14 @@ Every nontrivial frozen value here is cross-checked by an independent
 route stated next to it: a truncated-series computation, divisibility logic
 for monomial ideals, a count the reader can do by hand on a staircase, or a
 slower second algorithm kept here as an oracle (a min-scan completion,
-saturation by iterated ideal quotients, and saturation as the intersection
-of one elimination per divisor, and the local staircase completed in every
-variable for the route that substitutes linear generators away).  The
-min-scan completion runs on the monic route over Q, which the integer
-engine must follow step by step.  That route's normal form, and
-membership, intersection and that staircase, come from tests/oracles.py,
-which builds them on the engine's private routines.
+saturation by iterated ideal quotients, saturation as the intersection
+of one elimination per divisor and saturation in a ring with a named tag
+variable, and the local staircase completed in every variable for the
+route that substitutes linear generators away).  The min-scan completion
+runs on the monic route over Q, which the integer engine must follow step
+by step.  That route's normal form, and membership, the leads of a basis,
+intersection, the tag-ring saturation and that staircase, come from
+tests/oracles.py, which builds them on the engine's private routines.
 """
 
 import importlib
@@ -49,7 +50,6 @@ from milnorfibre.standard_basis import (
     _staircase,
     _weak_normal_form,
     colength,
-    leading_exponents,
     saturate,
     standard_basis,
 )
@@ -60,8 +60,10 @@ from oracles import (
     exact_polynomial,
     intersect_ideals,
     is_member,
+    leading_exponents,
     monic_spoly,
     monic_weak_normal_form,
+    tag_ring_saturation,
     unreduced_staircase,
     weak_normal_form,
 )
@@ -1174,6 +1176,93 @@ def test_one_elimination_blow_ups_are_order_dependent(gens, divisors):
     assert leading_exponents(basis, order) == expected
     basis, _ = saturate(gens, divisors, order, Budgets(reductions=2000))
     assert leading_exponents(basis, order) == expected
+
+
+# rings whose variables take the names the tag ring's fresh-tag search skips
+TAG_NAMED_RINGS = (Ring(("x", "_t")), Ring(("_t", "_t1")), Ring(("_t", "y", "_t1")), R2, R3)
+fraction_coeffs = st.sampled_from(
+    (-3, -1, 1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4))
+).map(Fraction)
+
+
+@st.composite
+def tag_ring_saturations(draw):
+    """A ring of 2-3 variables, some named _t and _t1, 0-3 generators and
+    1-3 divisors with Fraction coefficients, zero and repeated divisors
+    among them, a local or global order and a budget that often trips."""
+    ring = draw(st.sampled_from(TAG_NAMED_RINGS))
+
+    def polys(max_terms, max_exp):
+        return st.dictionaries(
+            st.tuples(*[st.integers(0, max_exp)] * ring.nvars),
+            fraction_coeffs,
+            min_size=1,
+            max_size=max_terms,
+        ).map(lambda terms: Polynomial(ring, terms))
+
+    zero = st.just(ring.zero())
+    gens = draw(st.lists(st.one_of(polys(3, 3), polys(3, 3), zero), max_size=3))
+    divisors = draw(st.lists(st.one_of(polys(2, 2), polys(2, 2), zero), min_size=1, max_size=3))
+    if len(divisors) < 3 and draw(st.booleans()):
+        divisors.append(divisors[0])
+    kind = draw(st.sampled_from((GLOBAL_GRADED_REVLEX, LOCAL_ANTIGRADED_REVLEX)))
+    budgets = draw(st.sampled_from((Budgets(reductions=300), Budgets(reductions=6), Budgets(basis=2))))
+    return gens, divisors, MonomialOrder(kind, ring.nvars), budgets
+
+
+def _outcome(route, *args):
+    """What route(*args) returns, or the class and message of the error it
+    raises."""
+    try:
+        return route(*args)
+    except (ValueError, BudgetExceededError) as exc:
+        return type(exc), str(exc)
+
+
+RT = Ring(("x", "_t"))
+
+
+@given(tag_ring_saturations())
+@example(
+    ([p("x*_t - 1/2", RT), RT.zero()], [p("x", RT), p("x", RT)], local_order(2), Budgets()),
+)
+@example(
+    (
+        [p(t) for t in SATURATION_BLOW_UPS[0][0]],
+        [p(t) for t in SATURATION_BLOW_UPS[0][1]],
+        local_order(2),
+        Budgets(reductions=1000),
+    ),
+)
+@example(([], [p("x - x^2"), R2.zero()], global_order(2), Budgets()))
+@settings(max_examples=150, deadline=None)
+def test_saturation_matches_the_tag_ring_route(case):
+    """The saturation on engine term maps, with the tag as an exponent slot
+    and the tag-free part read off the leads, against the route through a
+    ring with a named tag variable: the same polynomials in the same order,
+    or the same error with the same message, budget trips included."""
+    gens, divisors, order, budgets = case
+    expected = _outcome(tag_ring_saturation, gens, divisors, order, budgets)
+    assert _outcome(saturate, gens, divisors, order, budgets) == expected
+
+
+@pytest.mark.parametrize(
+    "gens, divisors, order",
+    [
+        ([], [], global_order(2)),
+        ([p("x")], [p("x", R3)], global_order(2)),
+        ([p("x")], [p("y")], global_order(3)),
+        ([p("x")], [R2.zero()], elimination_order(2, LOCAL_ANTIGRADED_REVLEX)),
+        ([p("x")], [R2.zero()], local_order(2)),
+    ],
+    ids=["no-generators", "two-rings", "variable-count", "block-order", "zero-ideal"],
+)
+def test_saturation_errors_match_the_tag_ring_route(gens, divisors, order):
+    """Each input error, and the first of two, is the one the tag ring
+    route raises."""
+    expected = _outcome(tag_ring_saturation, gens, divisors, order, DEFAULT_BUDGETS)
+    assert expected[0] is ValueError
+    assert _outcome(saturate, gens, divisors, order, DEFAULT_BUDGETS) == expected
 
 
 def _minimal_monomials(exps):
