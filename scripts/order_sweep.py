@@ -25,7 +25,7 @@ from milnorfibre.corpus import build_input, builtin_cases  # noqa: E402
 from milnorfibre.errors import BudgetExceededError  # noqa: E402
 from milnorfibre.milnor import check_icis  # noqa: E402
 from milnorfibre.orders import local_order  # noqa: E402
-from milnorfibre.rings import determinant  # noqa: E402
+from milnorfibre.rings import determinant_and_minors  # noqa: E402
 from milnorfibre.standard_basis import Budgets, colength  # noqa: E402
 
 ORDERS = ("head-first", "minors-first")
@@ -45,7 +45,7 @@ def sheared(case, rng: random.Random):
         shears.append((i, j, c))
     values = dict(zip(ring.variables, images))
     g = [q.substitute(values) for q in inp.g]
-    det = determinant(inp.h).substitute(values)
+    det = determinant_and_minors(inp.h)[0].substitute(values)
     return g, det, shears
 
 

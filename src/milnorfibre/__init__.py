@@ -44,10 +44,8 @@ from .rings import (
     PolyMatrix,
     Polynomial,
     Ring,
-    determinant,
     jacobian,
     leading_minors,
-    minors,
     parse_matrix,
     parse_polynomial,
 )
@@ -88,7 +86,6 @@ __all__ = [
     "bouquet",
     "check_icis",
     "colength",
-    "determinant",
     "dkp_fibre",
     "elimination_order",
     "global_order",
@@ -98,7 +95,6 @@ __all__ = [
     "local_order",
     "milnor_fibre_homology",
     "milnor_icis",
-    "minors",
     "parse_job",
     "parse_matrix",
     "parse_polynomial",

@@ -12,8 +12,8 @@ import time
 
 from .decomposition import InvariantReport
 from .errors import ComputationError, InconsistencyError, ParseError
-from .homology import FIBRE_MIN_N, bouquet, dkp_fibre
-from .jobs import Job, Report, collect_tables, parse_job, run_homology, run_invariants
+from .homology import FIBRE_MIN_N, dkp_fibre
+from .jobs import Job, Report, _homology_report, parse_job, run_homology, run_invariants
 from .standard_basis import DEFAULT_BUDGETS, Budgets
 
 EXIT_OK = 0
@@ -142,10 +142,6 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     if args.corank == 0 and args.mu1 != 0:
         raise ParseError(f"--mu1 must be 0 at --corank 0, got {args.mu1}")
     start = time.perf_counter()
-    fibre, tables, checks, notes = collect_tables(
-        args.mu0, args.mu1, args.a, args.corank, args.a1, args.n
-    )
-    wedge = bouquet(fibre)
     inv = InvariantReport(
         n=args.n,
         mu0=args.mu0,
@@ -157,16 +153,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
         a1_provenance="provided",
         checks=(),
     )
-    report = Report(
-        invariants=inv,
-        fibre=fibre,
-        tables=tuple(tables),
-        sphere_bouquet=wedge,
-        checks=tuple(checks),
-        notes=tuple(notes) + ("tables generated from provided invariants",),
-        seed=args.seed,
-        elapsed=time.perf_counter() - start,
-    )
+    report = _homology_report(inv, ["tables generated from provided invariants"], args.seed, start)
     _emit(report, args.fmt)
     return EXIT_OK
 

@@ -137,9 +137,8 @@ def compute_a(
 ) -> int:
     """Colength of the corank >= 2 determinantal scheme on the locus:
     (g) + h_minors, the nonzero minors of H of size n-4 (as
-    determinant_and_minors gives them).  Scalar H (n = 4) gives 0."""
-    if inp.n == 4:
-        return 0
+    determinant_and_minors gives them).  Scalar H (n = 4) has the one
+    0 x 0 minor, 1, so the unit rule gives 0."""
     gens = list(inp.g) + list(h_minors)
     value = colength(gens, local_order(inp.n), budgets)
     if value == INFINITE:

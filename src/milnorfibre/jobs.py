@@ -318,11 +318,18 @@ def run_homology(job: Job) -> Report:
     intermediate tables with their consistency assertions evaluated."""
     start = time.perf_counter()
     inv = invariant_report(job.input, seed=job.seed, budgets=job.budgets)
-    notes = _invariant_notes(inv)
+    return _homology_report(inv, _invariant_notes(inv), job.seed, start)
+
+
+def _homology_report(
+    inv: InvariantReport, notes: list[str], seed: int, start: float
+) -> Report:
+    """The homology report of inv: its tables and bouquet, its checks with
+    the tables' and the bouquet's appended, and notes followed by the
+    tables' notes; start is the job's perf_counter start."""
     fibre, tables, table_checks, table_notes = collect_tables(
         inv.mu0, inv.mu1, inv.a, inv.corank, inv.a1, inv.n
     )
-    notes.extend(table_notes)
     wedge = bouquet(fibre)
     checks = inv.checks + tuple(table_checks) + (
         CheckResult(
@@ -337,8 +344,8 @@ def run_homology(job: Job) -> Report:
         tables=tuple(tables),
         sphere_bouquet=wedge,
         checks=checks,
-        notes=tuple(notes),
-        seed=job.seed,
+        notes=tuple(notes + table_notes),
+        seed=seed,
         elapsed=time.perf_counter() - start,
     )
 

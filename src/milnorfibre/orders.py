@@ -62,9 +62,6 @@ class MonomialOrder:
         """True when 1 is the smallest monomial (well-ordering)."""
         return self.kind == GLOBAL_GRADED_REVLEX
 
-    def leading_exponent(self, exponents) -> tuple[int, ...]:
-        return max(exponents, key=self.key)
-
 
 def global_order(nvars: int) -> MonomialOrder:
     return MonomialOrder(GLOBAL_GRADED_REVLEX, nvars)

@@ -15,7 +15,6 @@ import re
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
 from math import comb, gcd, lcm
 from operator import add, itemgetter, le
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -622,13 +621,6 @@ class PolyMatrix:
         return f"PolyMatrix([{body}])"
 
 
-def determinant(m: PolyMatrix) -> Polynomial:
-    """Exact determinant: the one full-size minor."""
-    if not m.is_square():
-        raise ValueError("determinant of a non-square matrix")
-    return minors(m, m.rows)[0]
-
-
 def determinant_and_minors(m: PolyMatrix) -> tuple[Polynomial, tuple[Polynomial, ...]]:
     """det m and the nonzero (rows - 1)-minors of a square m, lexicographic
     in (row subset, column subset), from one pass of the minors engine.
@@ -679,24 +671,6 @@ def _minor_levels(
                     sums[key] = sums[key] + piece if key in sums else piece
         prev = {key: total for key, total in sums.items() if total}
         yield prev
-
-
-def minors(m: PolyMatrix, size: int) -> tuple[Polynomial, ...]:
-    """All size x size minors, lexicographic in (row subset, column subset).
-
-    The top level of the minors engine, with its zeros put back.  Duplicates
-    are kept; the symmetric 2x2 example [[a,b],[b,c]] has size-1 minors
-    (a, b, b, c).
-    """
-    if size < 1:
-        raise ValueError("minor size must be positive")
-    for top in _minor_levels(m, size):
-        pass
-    zero = m.ring.zero()
-    return tuple(
-        top.get(key, zero)
-        for key in product(combinations(range(m.rows), size), combinations(range(m.cols), size))
-    )
 
 
 def leading_minors(

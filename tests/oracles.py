@@ -1,9 +1,10 @@
 """Test-only routes over the standard-basis engine: the monic route over
 Q that the integer engine replaced, weak normal form, ideal membership,
 the leads of a basis, ideal intersection, saturation in a ring with a
-named tag variable, and the local staircase in all variables; the rank of
-a rational matrix; the mod-2 table of an integral homology table by
-universal coefficients; and a report as the document json.dumps renders.
+named tag variable, and the local staircase in all variables; minors by
+the Leibniz formula; the rank of a rational matrix; the mod-2 table of an
+integral homology table by universal coefficients; and a report as the
+document json.dumps renders.
 
 The package computes none of these in a job, so they live here, as
 oracles for the tests; the standard-basis routes are built on the engine's
@@ -12,6 +13,7 @@ can run for minutes; keep their inputs small or their budgets tight.
 """
 
 from fractions import Fraction
+from itertools import combinations, permutations
 from operator import add
 from typing import Sequence
 
@@ -219,16 +221,21 @@ def is_member(
     return weak_normal_form(f, basis, order, budgets).is_zero()
 
 
+def leading_exponent(order: MonomialOrder, exponents) -> tuple[int, ...]:
+    """The exponent of exponents that order puts first."""
+    return max(exponents, key=order.key)
+
+
 def leading_exponents(
     basis: Sequence[Polynomial], order: MonomialOrder
 ) -> tuple[tuple[int, ...], ...]:
     """Minimal generating exponents of the lead-monomial ideal of a basis,
-    each lead read by the order's leading_exponent, in sorted order."""
+    each lead read by leading_exponent, in sorted order."""
     exps = []
     for g in basis:
         if g.is_zero():
             continue
-        exps.append(order.leading_exponent(list(g.terms)))
+        exps.append(leading_exponent(order, g.terms))
     exps = sorted(set(exps))
     minimal = [
         e
@@ -336,6 +343,34 @@ def unreduced_staircase(
     eps = [_ep_from_polynomial(g, order) for g in gens]
     leads = [g.lead for g in _standard_basis_ep(eps, order, budgets, highest_corner=True)]
     return _bounded_staircase(leads, ring.variables)
+
+
+# --- minors by the Leibniz formula --------------------------------------------
+# The package's minors engine expands along the last row and keeps its levels;
+# these sum the signed products over permutations directly.
+
+
+def leibniz(rows, ring: Ring) -> Polynomial:
+    """The determinant of a square array of polynomials as the sum over
+    permutations of signed products of entries; 1 for the 0 x 0 array."""
+    total = ring.zero()
+    for perm in permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        term = ring.constant(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
+
+
+def oracle_minors(m, k: int) -> tuple[Polynomial, ...]:
+    """All k x k minors of the PolyMatrix m by leibniz, zeros kept,
+    lexicographic in (row subset, column subset)."""
+    return tuple(
+        leibniz([[m.entry(i, j) for j in cols] for i in rows], m.ring)
+        for rows in combinations(range(m.rows), k)
+        for cols in combinations(range(m.cols), k)
+    )
 
 
 def fraction_matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:

@@ -7,7 +7,8 @@ import sys
 import pytest
 from hypothesis import example, given, strategies as st
 
-from milnorfibre import jobs
+from milnorfibre import decomposition, jobs
+from milnorfibre.cli import main
 from milnorfibre.corpus import build_input, builtin_cases
 from milnorfibre.decomposition import CheckResult, InvariantReport
 from milnorfibre.errors import InconsistencyError, ParseError
@@ -229,6 +230,57 @@ def test_n4_job_has_invariants_but_no_fibre_table():
     assert (inv.n, inv.mu0, inv.corank) == (4, 1, 0)
     with pytest.raises(InconsistencyError, match="need n >= 5, got n=4"):
         run_homology(job)
+
+
+# corank 1 at n = 4, where H is 1 x 1
+N4_CORANK1_JOB = """\
+[ring]
+vars = x1 x2 x3 x4
+[ideal]
+g = x4
+[matrix]
+h = [[x1]]
+"""
+
+
+def test_n4_corank_one_job_takes_a_from_the_empty_minor(monkeypatch):
+    """compute_a gets the one 0 x 0 minor of the scalar H, 1, and the unit
+    rule gives a = 0."""
+    seen = []
+    compute_a = decomposition.compute_a
+
+    def recording(inp, h_minors, budgets):
+        seen.append(h_minors)
+        return compute_a(inp, h_minors, budgets)
+
+    monkeypatch.setattr(decomposition, "compute_a", recording)
+    inp = parse_job(N4_CORANK1_JOB)
+    report = run_invariants(Job(input=inp))
+    inv = report.invariants
+    assert (inv.n, inv.corank, inv.a) == (4, 1, 0)
+    assert seen == [(inp.ring.one(),)]
+    assert {c.name: c.detail for c in report.checks}["a_finite"] == "a = 0"
+
+
+def test_tables_verb_reports_like_the_homology_job(capsys):
+    """tables on the worked job's invariants gives the job's fibre, tables
+    and bouquet, and its checks after the invariant checks, the bouquet's
+    included; its own note comes before the tables' notes."""
+    job = run_homology(Job(input=parse_job(GOOD_JOB)))
+    inv = job.invariants
+    assert (inv.mu0, inv.mu1, inv.a, inv.corank, inv.n) == (0, 3, 2, 2, 5)
+    args = ["--mu0", "0", "--mu1", "3", "--a", "2", "--corank", "2", "--n", "5"]
+    assert main(["--format", "json", "tables", *args]) == 0
+    doc, expected = json.loads(capsys.readouterr().out), report_doc(job)
+    invariant_checks = {c.name for c in inv.checks}
+    names = [c["name"] for c in doc["checks"]]
+    assert names == [c.name for c in job.checks if c.name not in invariant_checks]
+    assert "bouquet_torsion_free" in names
+    assert doc["bouquet"] == expected["bouquet"]
+    assert doc["homology"] == expected["homology"]
+    assert doc["provenance"]["tables"] == expected["provenance"]["tables"]
+    table_notes = [n for n in job.notes if n not in jobs._invariant_notes(inv)]
+    assert doc["provenance"]["notes"] == ["tables generated from provided invariants"] + table_notes
 
 
 def test_homology_job_builds_the_m_table_once(monkeypatch):

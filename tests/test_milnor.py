@@ -3,9 +3,9 @@
 Oracles: the classical simple-singularity values (A_k, D_k, E_k), the
 quasi-homogeneous product formula mu = prod(p_i - 1) for sums of pure
 powers, hand-checked chain colengths, the check's levels as the nonzero
-values of a minors call on each leading block of Jacobian rows, a fresh
-check for one continued from the check of its head, the chain as each
-step's own minors call on an invertible completion of the drawn rows, and
+Leibniz minors of each leading block of Jacobian rows, a fresh check for
+one continued from the check of its head, the chain as each step's own
+Leibniz minors on an invertible completion of the drawn rows, and
 the chain on the seeded draws alone for the presented order and the one
 Le-Greuel step.
 """
@@ -39,14 +39,12 @@ from milnorfibre.rings import (
     PolyMatrix,
     Ring,
     corank_at_origin,
-    determinant,
     int_determinant,
     jacobian,
-    minors,
     parse_polynomial,
 )
 from milnorfibre.standard_basis import DEFAULT_BUDGETS, INFINITE, Budgets, colength
-from oracles import unreduced_staircase
+from oracles import leibniz, oracle_minors, unreduced_staircase
 
 
 def germ(texts, var_names):
@@ -180,7 +178,7 @@ def corpus_presentations():
         mu0, mu1, _, _ = case.expected
         out.append((f"{case.name}:g", inp.g, mu0))
         if corank_at_origin(inp.h):
-            out.append((f"{case.name}:g,detH", inp.g + (determinant(inp.h),), mu1))
+            out.append((f"{case.name}:g,detH", inp.g + (leibniz(inp.h.entries(), inp.ring),), mu1))
     return out
 
 
@@ -209,13 +207,13 @@ def nonzero_with_columns(values, ncols, k):
 
 def per_step_chain(gens, matrix):
     """Oracle: recombine every generator, differentiate them all, and take
-    the j x j minors of the first j rows by a minors call at each step j.
+    the j x j minors of the first j rows by the Leibniz oracle at each step j.
     Returns the chain's ideals, with the zero minors kept."""
     ring = gens[0].ring
     fprime = recombine(gens, matrix)
     rows = jacobian(ring, list(fprime)).entries()
     return [
-        list(fprime[: j - 1]) + list(minors(PolyMatrix(ring, rows[:j]), j))
+        list(fprime[: j - 1]) + list(oracle_minors(PolyMatrix(ring, rows[:j]), j))
         for j in range(1, len(gens) + 1)
     ]
 
@@ -240,7 +238,7 @@ def test_top_level_minors_are_det_a_times_the_checks(data):
     check = check_icis(gens)
     det = int_determinant(a)
     scaled = tuple((cols, m.scale(det)) for cols, m in check.levels[-1])
-    assert nonzero_with_columns(minors(recombined, k), ncols, k) == scaled
+    assert nonzero_with_columns(oracle_minors(recombined, k), ncols, k) == scaled
     assert check.maximal_minors == tuple(m for _, m in check.levels[-1])
 
 
@@ -287,10 +285,10 @@ def drawn_shears(ring, data):
 
 
 def assert_levels_are_the_leading_minors(gens):
-    """Level j of the check is the nonzero values of a minors call on the
-    first j rows of the Jacobian, each with its column subset, in the call's
-    order, and its maximal minors are the nonzero values of a minors call on
-    the whole of it."""
+    """Level j of the check is the nonzero Leibniz minors of the first j
+    rows of the Jacobian, each with its column subset, in column-lex order,
+    and its maximal minors are the nonzero Leibniz minors of the whole of
+    it."""
     ring, k = gens[0].ring, len(gens)
     jac = jacobian(ring, list(gens))
     check = check_icis(gens)
@@ -298,8 +296,8 @@ def assert_levels_are_the_leading_minors(gens):
     assert len(check.levels) == k
     for j in range(1, k + 1):
         block = PolyMatrix(ring, jac.entries()[:j])
-        assert check.levels[j - 1] == nonzero_with_columns(minors(block, j), ring.nvars, j)
-    assert list(check.maximal_minors) == nonzero(minors(jac, k))
+        assert check.levels[j - 1] == nonzero_with_columns(oracle_minors(block, j), ring.nvars, j)
+    assert list(check.maximal_minors) == nonzero(oracle_minors(jac, k))
 
 
 @pytest.mark.parametrize("name, gens, mu", PRESENTATION_PARAMS)
@@ -459,7 +457,7 @@ def test_top_step_blow_ups_finish_head_first(g, h, mu0, mu1):
     matrix = PolyMatrix(ring, [[parse_polynomial(t, ring) for t in row] for row in h])
     budgets = Budgets(reductions=1000)
     assert milnor_icis(check_icis(gens)) == mu0
-    check = check_icis(gens + [determinant(matrix)])
+    check = check_icis(gens + [leibniz(matrix.entries(), ring)])
     head_first = list(check.gens[:-1]) + list(check.maximal_minors)
     order = local_order(len(names))
     assert colength(head_first, order, budgets) == mu0 + mu1
@@ -521,7 +519,7 @@ def test_fast_routes_match_the_drawn_rows_after_shears(case, seed, data):
     inp = build_input(case, "given")
     values = drawn_shears(inp.ring, data)
     g = tuple(q.substitute(values) for q in inp.g)
-    locus, sigma1 = check_icis(g), check_icis(g + (determinant(inp.h).substitute(values),))
+    locus, sigma1 = check_icis(g), check_icis(g + (leibniz(inp.h.entries(), inp.ring).substitute(values),))
     mu0, mu1, _, _ = case.expected
     assert milnor_icis(locus, seed) == mu0
     assert milnor_top_step(sigma1, mu0) == mu1

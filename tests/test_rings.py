@@ -4,7 +4,7 @@ import re
 import sys
 import time
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -19,18 +19,16 @@ from milnorfibre.rings import (
     Polynomial,
     Ring,
     corank_at_origin,
-    determinant,
     evaluate_matrix_at_origin,
     format_polynomial,
     int_determinant,
     jacobian,
     leading_minors,
-    minors,
     parse_matrix,
     parse_polynomial,
     reduced_row_echelon,
 )
-from oracles import fraction_matrix_rank
+from oracles import fraction_matrix_rank, leibniz, oracle_minors
 
 R2 = Ring(("x", "y"))
 R3 = Ring(("x", "y", "z"))
@@ -559,36 +557,6 @@ def test_matrix_shape_and_symmetry():
         PolyMatrix(R2, [[parse_polynomial("x", R3)]])
 
 
-def test_minors_lexicographic_example():
-    a, b, c = poly("x"), poly("y"), poly("x + y")
-    m = PolyMatrix(R2, [[a, b], [b, c]])
-    assert minors(m, 1) == (a, b, b, c)
-    assert minors(m, 2) == (a * c - b * b,)
-    assert minors(m, 3) == ()
-    with pytest.raises(ValueError):
-        minors(m, 0)
-
-
-def leibniz(rows, ring):
-    """Oracle: the sum over permutations of signed products of entries."""
-    total = ring.zero()
-    for perm in permutations(range(len(rows))):
-        inversions = sum(a > b for a, b in combinations(perm, 2))
-        term = ring.constant(-1 if inversions % 2 else 1)
-        for i, j in enumerate(perm):
-            term = term * rows[i][j]
-        total = total + term
-    return total
-
-
-def oracle_minors(m, k):
-    return tuple(
-        leibniz([[m.entry(i, j) for j in cols] for i in rows], m.ring)
-        for rows in combinations(range(m.rows), k)
-        for cols in combinations(range(m.cols), k)
-    )
-
-
 def nonzero_with_columns(values, ncols, k):
     """The nonzero k x k minors of one row subset, given in column-lex order
     over ncols columns, each as (column subset, minor)."""
@@ -606,18 +574,6 @@ def matrices(draw, max_rows=4, max_cols=5):
     return PolyMatrix(
         R2, [[draw(polynomials(max_terms=2)) for _ in range(cols)] for _ in range(rows)]
     )
-
-
-@given(matrices())
-def test_minors_match_leibniz_oracle(m):
-    for k in range(1, min(m.rows, m.cols) + 1):
-        assert minors(m, k) == oracle_minors(m, k)
-    assert minors(m, min(m.rows, m.cols) + 1) == ()
-    if m.is_square():
-        assert determinant(m) == leibniz(m.entries(), R2)
-    else:
-        with pytest.raises(ValueError):
-            determinant(m)
 
 
 @st.composite
@@ -649,35 +605,45 @@ def sparse_matrices(draw):
 @example(PolyMatrix(R2, [[poly("x"), poly("y")], [poly("x"), poly("y")]]))
 def test_sparse_minors_engine_matches_leibniz_oracle(m):
     """The engine multiplies only nonzero minors by nonzero entries: on
-    zero-heavy shapes every minor, every leading minor and the determinant
-    agree with the Leibniz oracle, and every level holds only nonzero minors
-    on the heads of the size-subsets (the example's 2 x 2 minor cancels)."""
+    zero-heavy shapes each level of every pass holds exactly the nonzero
+    Leibniz minors on the heads of the size-subsets, and every leading
+    minor and the determinant agree with the Leibniz oracle (the example's
+    2 x 2 minor cancels); a matrix that is not square has no determinant."""
+    oracle = {
+        (rows, cols): leibniz([[m.entry(i, j) for j in cols] for i in rows], R2)
+        for k in range(1, m.rows + 1)
+        for rows in combinations(range(m.rows), k)
+        for cols in combinations(range(m.cols), k)
+    }
     for size in range(1, m.rows + 1):
         for k, level in enumerate(rings._minor_levels(m, size), start=1):
-            heads = set(combinations(range(m.rows - size + k), k))
-            columns = set(combinations(range(m.cols), k))
-            assert all(level.values())
-            assert all(rows in heads and cols in columns for rows, cols in level)
-    for k in range(1, min(m.rows, m.cols) + 1):
-        assert minors(m, k) == oracle_minors(m, k)
+            assert level == {
+                (rows, cols): oracle[rows, cols]
+                for rows in combinations(range(m.rows - size + k), k)
+                for cols in combinations(range(m.cols), k)
+                if oracle[rows, cols]
+            }
     assert leading_minors(m) == tuple(
         nonzero_with_columns(oracle_minors(prefix(m, j), j), m.cols, j)
         for j in range(1, m.rows + 1)
     )
     if m.is_square():
-        assert determinant(m) == leibniz(m.entries(), R2)
+        assert rings.determinant_and_minors(m)[0] == leibniz(m.entries(), R2)
+    else:
+        with pytest.raises(ValueError):
+            rings.determinant_and_minors(m)
 
 
 @given(st.one_of(matrices(), sparse_matrices()))
 def test_leading_minors_match_per_step_minors(m):
-    """Level j of the one prefix pass is what a minors call on the first j
-    rows gives with its zeros dropped: the nonzero values, in column-lex
-    order, each with its column subset.  Continued from the tower of any
-    row prefix, the pass keeps that tower and gives the same levels."""
+    """Level j of the one prefix pass is the Leibniz minors of the first j
+    rows with their zeros dropped: the nonzero values, in column-lex order,
+    each with its column subset.  Continued from the tower of any row
+    prefix, the pass keeps that tower and gives the same levels."""
     levels = leading_minors(m)
     assert len(levels) == m.rows
     for j, level in enumerate(levels, start=1):
-        assert level == nonzero_with_columns(minors(prefix(m, j), j), m.cols, j)
+        assert level == nonzero_with_columns(oracle_minors(prefix(m, j), j), m.cols, j)
     for p in range(1, m.rows + 1):
         head = leading_minors(prefix(m, p))
         continued = leading_minors(m, head)
@@ -695,23 +661,6 @@ def test_leading_minors_drop_zeros_and_stop_at_the_columns():
     assert leading_minors(m) == ((((1,), y),), (((0, 1), -x * y),))
 
 
-@given(st.integers(1, 4), st.data())
-def test_minors_of_symmetric_matrix_are_symmetric(size, data):
-    upper = {
-        (i, j): data.draw(polynomials(max_terms=2))
-        for i in range(size)
-        for j in range(i, size)
-    }
-    m = PolyMatrix(
-        R2, [[upper[min(i, j), max(i, j)] for j in range(size)] for i in range(size)]
-    )
-    for k in range(1, size + 1):
-        subsets = list(combinations(range(size), k))
-        values = dict(zip([(a, b) for a in subsets for b in subsets], minors(m, k)))
-        for (a, b), value in values.items():
-            assert value == values[b, a]
-
-
 @st.composite
 def symmetric_matrices(draw, max_size=5):
     """Symmetric matrices up to 5 x 5, the shapes of H, with zero-heavy
@@ -725,21 +674,18 @@ def symmetric_matrices(draw, max_size=5):
 
 
 def separate_calls(m):
-    """det m and the nonzero (rows - 1)-minors of m in lex order, from two
-    calls of the engine; the one 0 x 0 minor is 1."""
-    below = tuple(p for p in minors(m, m.rows - 1) if p) if m.rows > 1 else (m.ring.one(),)
-    return determinant(m), below
+    """det m and the nonzero (rows - 1)-minors of m in lex order, from
+    separate Leibniz sums; the one 0 x 0 minor is 1."""
+    return leibniz(m.entries(), m.ring), tuple(p for p in oracle_minors(m, m.rows - 1) if p)
 
 
 @given(symmetric_matrices())
 @example(PolyMatrix(R2, [[poly("x"), poly("x")], [poly("x"), poly("x")]]))
 def test_determinant_and_minors_match_separate_calls(m):
     """det m, one level past the (rows-1)-minors in one pass of the engine,
-    is determinant(m) and the Leibniz sum; the minors are those of a minors
-    call with its zeros dropped (the example's det cancels)."""
-    det, below = rings.determinant_and_minors(m)
-    assert (det, below) == separate_calls(m)
-    assert det == leibniz(m.entries(), R2)
+    is the Leibniz sum; the minors are the Leibniz minors with their zeros
+    dropped (the example's det cancels)."""
+    assert rings.determinant_and_minors(m) == separate_calls(m)
 
 
 def test_determinant_and_minors_on_corpus_germs():
@@ -752,8 +698,8 @@ def test_n9_corpus_case_det_h_and_a_minors():
     """The largest matrices the runtime meets: H is 6 x 6 at n = 9, and
     `a` takes its 5 x 5 minors."""
     inp = build_input(_dkp_case(2, 9), "given")
-    assert determinant(inp.h) == leibniz(inp.h.entries(), inp.ring)
-    assert minors(inp.h, inp.n - 4) == oracle_minors(inp.h, inp.n - 4)
+    assert inp.h.rows - 1 == inp.n - 4
+    assert rings.determinant_and_minors(inp.h) == separate_calls(inp.h)
 
 
 def test_jacobian_example():

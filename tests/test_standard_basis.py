@@ -60,6 +60,7 @@ from oracles import (
     exact_polynomial,
     intersect_ideals,
     is_member,
+    leading_exponent,
     leading_exponents,
     monic_spoly,
     monic_weak_normal_form,
@@ -106,7 +107,7 @@ def normal_form(f, reducers, order):
     out = f.ring.zero()
     h = weak_normal_form(f, reducers, order)
     while not h.is_zero():
-        lead = order.leading_exponent(list(h.terms))
+        lead = leading_exponent(order, h.terms)
         term = Polynomial(f.ring, {lead: h.coefficient(lead)})
         out = out + term
         h = weak_normal_form(h - term, reducers, order)
@@ -479,13 +480,13 @@ def test_engine_divides_exactly_by_non_monic_leads(order, wnf, basis, length):
     for q in (h,) + sb_:
         assert_exact(q)
     for b in sb_:
-        assert b.coefficient(order.leading_exponent(list(b.terms))) == 1
+        assert b.coefficient(leading_exponent(order, b.terms)) == 1
     # the engine's normal form, with int coefficients only
     counter = _Counter(DEFAULT_BUDGETS.reductions, "reduction")
     eps = [_ep_from_polynomial(g, order) for g in reducers]
     h_int = _weak_normal_form(_ep_from_polynomial(f, order), eps, order, counter)
     assert all(type(c) is int for _, _, c in h_int.terms)
-    lead = order.leading_exponent(list(h.terms))
+    lead = leading_exponent(order, h.terms)
     assert exact_polynomial(h_int, R2) == h.scale(h_int.terms[0][2] / h.coefficient(lead))
     # and with the generators scaled by a non-integral unit, which the
     # engine takes as the integer multiples 4*x - 2*y and 2*y^2 + 2/3*x
@@ -1049,10 +1050,10 @@ def _long_division(h, q, order):
     """Exact quotient h / q by multivariate long division under a global
     order; fails if q does not divide h."""
     ring = h.ring
-    lq = order.leading_exponent(list(q.terms))
+    lq = leading_exponent(order, q.terms)
     quotient = ring.zero()
     while not h.is_zero():
-        lh = order.leading_exponent(list(h.terms))
+        lh = leading_exponent(order, h.terms)
         assert monomial_divides(lq, lh), "division leaves a remainder"
         shift = tuple(a - b for a, b in zip(lh, lq))
         term = Polynomial(ring, {shift: h.coefficient(lh) / q.coefficient(lq)})
