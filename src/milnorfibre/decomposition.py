@@ -7,12 +7,23 @@ tables consume: mu0 (Milnor number of the locus), mu1 (Milnor number of the
 locus intersected with det H = 0), a (colength of the corank-2 determinantal
 scheme) and the corank of H at the origin, plus the Morse-point count #A1
 under one of three modes.
+
+mu0, mu1 and a belong to germs that lie in V(g).  So a job substitutes the
+linear generators l of g away once, each pivot variable of their reduced
+row-echelon form replaced by a form in the free variables, and runs the
+checks, the mu0 chain, the mu1 step and the colength of a on the restricted
+germ, in n - rank(l) variables: O_n/(l) is O_(n - rank(l)), and the Milnor
+number of an i.c.i.s. depends only on the germ (Looijenga, Isolated
+Singular Points on Complete Intersections, LMS LN 77).  The corank of H is
+read at the origin, which the substitution fixes, and the #A1 estimate
+saturates the Jacobian ideal of f in all n variables.  _restrict proves
+that the checks report what they report in all n variables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ComputationError, InconsistencyError, InvalidIcisError
 from .homology import rank_guards
@@ -22,6 +33,7 @@ from .rings import (
     PolyMatrix,
     Polynomial,
     Ring,
+    _poly,
     corank_at_origin,
     determinant_and_minors,
 )
@@ -29,6 +41,7 @@ from .standard_basis import (
     Budgets,
     DEFAULT_BUDGETS,
     INFINITE,
+    _linear_substitution,
     colength,
     saturate,
 )
@@ -111,6 +124,61 @@ class InvariantReport:
     checks: tuple[CheckResult, ...] = field(default_factory=tuple)
 
 
+class _RestrictedGerm(NamedTuple):
+    """The germ with the linear generators of g substituted away: ring is
+    the ring of their free variables, g holds the images of the other
+    generators, then a zero for each linear generator past the rank of the
+    linear ones, so it has n - 3 entries for the n variables of ring, as an
+    input does, and h is the image of H, of the same size as H."""
+
+    ring: Ring
+    g: tuple[Polynomial, ...]
+    h: PolyMatrix
+
+    @property
+    def n(self) -> int:
+        return self.ring.nvars
+
+
+def _restrict(inp: SingularityInput) -> _RestrictedGerm:
+    """inp restricted to the free variables of its linear generators l, by
+    the substitution phi that colength applies to an ideal
+    (_linear_substitution).  phi keeps degrees, so constant terms and the
+    corank of H stay.
+
+    The checks give the same outcome on the restriction.  Let I be the
+    ideal of g and the maximal minors of its Jacobian J = [A; dh], with A
+    the rows of l, and suppose A has full rank r.  A linear change of
+    coordinates multiplies J on the right by an invertible constant matrix,
+    and row operations on A multiply it on the left, so by Cauchy-Binet
+    neither changes the ideal of the maximal minors.  In the coordinates
+    u_p = x_p - r_p and the free variables z, A is [1 0]: a maximal minor is
+    zero unless it takes every u column, and then it is a (k - r)-minor of
+    dh/dz, which modulo (l) = (u) is the Jacobian of phi(h).  So
+    I = (l) + I', for I' the restricted check's ideal in the free variables,
+    and the two colengths are equal.  By the lemma of _local_staircase,
+    L(I) = (x_p) + L(I'), so the unbounded variables an INFINITE check names
+    are the same as well: the pivot set of the whole linear row space is
+    the union of the restriction's pivots and those colength finds in I'.
+    A linear generator past the rank of l makes every maximal minor of J
+    vanish, and a generator in (l) makes every one vanish modulo (l); on
+    the restriction either is a zero generator, whose zero row leaves no
+    nonzero maximal minor.  A nonzero det H in (l) is such a generator of
+    the (g, det H) check."""
+    linear = [all(sum(e) == 1 for e, _ in q.items()) for q in inp.g]
+    free, phi = _linear_substitution([q for q, lin in zip(inp.g, linear) if lin], inp.n)
+    ring = Ring(tuple(inp.ring.variables[j] for j in free))
+    zero = ring.zero()
+
+    def image(q: Polynomial) -> Polynomial:
+        terms = phi(q) if q else None
+        return _poly(ring, terms) if terms else zero
+
+    dependent = sum(linear) - (inp.n - len(free))
+    g = tuple(image(q) for q, lin in zip(inp.g, linear) if not lin) + (zero,) * dependent
+    return _RestrictedGerm(ring, g, PolyMatrix(ring, [list(map(image, row)) for row in inp.h.entries()]))
+
+
 def assemble_f(inp: SingularityInput) -> Polynomial:
     """Expand the matrix product g * H * g^t."""
     total = inp.ring.zero()
@@ -133,14 +201,16 @@ def verify_decomposition(inp: SingularityInput) -> Polynomial:
 
 
 def compute_a(
-    inp: SingularityInput, h_minors: Sequence[Polynomial], budgets: Budgets = DEFAULT_BUDGETS
+    germ: SingularityInput | _RestrictedGerm,
+    h_minors: Sequence[Polynomial],
+    budgets: Budgets = DEFAULT_BUDGETS,
 ) -> int:
     """Colength of the corank >= 2 determinantal scheme on the locus:
     (g) + h_minors, the nonzero minors of H of size n-4 (as
-    determinant_and_minors gives them).  Scalar H (n = 4) has the one
-    0 x 0 minor, 1, so the unit rule gives 0."""
-    gens = list(inp.g) + list(h_minors)
-    value = colength(gens, local_order(inp.n), budgets)
+    determinant_and_minors gives them), over the germ's ring.  Scalar H
+    (n = 4) has the one 0 x 0 minor, 1, so the unit rule gives 0."""
+    gens = list(germ.g) + list(h_minors)
+    value = colength(gens, local_order(germ.n), budgets)
     if value == INFINITE:
         raise ComputationError("corank-2 locus not isolated at origin")
     return int(value)
@@ -210,14 +280,19 @@ def invariant_report(
     f = verify_decomposition(inp) if needs_f else None
     checks = list(_LOCUS_MEMBERSHIP_CHECKS)
 
-    locus = check_icis(inp.g, budgets)
-    checks.append(
-        CheckResult("locus_icis", locus.ok, f"(g) i.c.i.s. test: {locus.message()}")
-    )
-    if not locus.ok:
-        raise InvalidIcisError(
-            f"the locus ideal (g) is not an i.c.i.s.: {locus.message()}"
-        )
+    # the restriction sends a generator in the span of the linear ones to
+    # zero too, so a zero generator is named first; a constant term stays,
+    # on a generator that is not linear, and the locus check names it
+    if any(q.is_zero() for q in inp.g):
+        raise InvalidIcisError("zero generator in the presentation")
+    germ = _restrict(inp)
+    # with every generator linear V(g) is smooth: its check ideal holds the
+    # 0 x 0 minor 1, a unit, and mu0 = 0
+    locus = check_icis(germ.g, budgets) if germ.g else None
+    ok, message = (locus.ok, locus.message()) if locus else (True, "singular locus colength 0")
+    checks.append(CheckResult("locus_icis", ok, f"(g) i.c.i.s. test: {message}"))
+    if not ok:
+        raise InvalidIcisError(f"the locus ideal (g) is not an i.c.i.s.: {message}")
 
     # Surrogate for finite extended codimension: (g, det H) is an i.c.i.s.
     # and the a-colength is finite.  A unit det H at the origin classifies
@@ -235,14 +310,16 @@ def invariant_report(
         )
         checks.append(CheckResult("a_finite", True, "corank 0 forces a = 0"))
     else:
-        # det H is one level past the (n-4)-minors that a needs
-        det_h, h_minors = determinant_and_minors(inp.h)
-        if det_h.is_zero():
+        # det H is one level past the (n-4)-minors that a needs; a nonzero
+        # det H in the ideal of the linear generators restricts to zero, and
+        # the check below fails on it as it does in all n variables
+        det_h, h_minors = determinant_and_minors(germ.h)
+        if det_h.is_zero() and determinant_and_minors(inp.h)[0].is_zero():
             raise InvalidIcisError(
                 "det H vanishes identically, so (g, det H) is not an i.c.i.s."
             )
         # the locus check's Jacobian rows and minors tower, one row longer
-        sigma1 = check_icis(inp.g + (det_h,), budgets, locus)
+        sigma1 = check_icis(germ.g + (det_h,), budgets, locus)
         checks.append(
             CheckResult(
                 "sigma1_icis",
@@ -251,7 +328,7 @@ def invariant_report(
             )
         )
         try:
-            a = compute_a(inp, h_minors, budgets)
+            a = compute_a(germ, h_minors, budgets)
             checks.append(CheckResult("a_finite", True, f"a = {a}"))
         except ComputationError as exc:
             checks.append(CheckResult("a_finite", False, str(exc)))
@@ -259,7 +336,7 @@ def invariant_report(
         if failing:
             raise ComputationError(f"finite-codimension surrogate failed: {failing}")
 
-    mu0 = milnor_icis(locus, seed, budgets)
+    mu0 = milnor_icis(locus, seed, budgets) if locus else 0
     mu1_applicable = corank != 0
     # (g) is a checked i.c.i.s. of Milnor number mu0, so mu1 is one step
     mu1 = milnor_top_step(sigma1, mu0, budgets) if mu1_applicable else 0

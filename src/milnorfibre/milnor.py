@@ -117,6 +117,12 @@ def check_icis(
     singularity at the origin: the ideal of the generators plus the maximal
     minors of their Jacobian must have finite colength.
 
+    A zero generator gives a zero row of the Jacobian and so no nonzero
+    maximal minor: the ideal is that of the other generators, too few to
+    have finite colength, and the check fails.  A presentation restricted
+    to the free variables of its linear generators (decomposition) meets
+    one when a generator lies in their span.
+
     head, when given, is the check of gens[:-1]: its Jacobian rows and
     levels are kept, and only the last generator's row is differentiated
     and expanded.  Raises ValueError when head checked other generators."""
@@ -130,8 +136,6 @@ def check_icis(
         raise InvalidIcisError(
             f"{k} generators in {ring.nvars} variables cannot be a complete intersection"
         )
-    if any(g.is_zero() for g in gens):
-        raise InvalidIcisError("zero generator in the presentation")
     if any(g.constant_coefficient() != 0 for g in gens):
         raise InvalidIcisError("generator does not vanish at the origin")
     if head is None:
@@ -189,9 +193,11 @@ def milnor_top_step(
     """
     _require_icis(check)
     ring = check.gens[0].ring
-    # the minors go first: colength substitutes a linear head away, so the
-    # order of the generators matters only for a head that stays nonlinear,
-    # where sheared order-3 germs met a Mora blow-up with the head first
+    # the minors go first: a job has substituted g's linear generators away
+    # before its checks, and colength substitutes any head that is linear
+    # still, so the order of the generators matters only for a head that
+    # stays nonlinear, where sheared order-3 germs met a Mora blow-up with
+    # the head first
     gens = list(check.maximal_minors) + list(check.gens[:-1])
     c = colength(gens, local_order(ring.nvars), budgets)
     if c == INFINITE:

@@ -747,14 +747,19 @@ def reduced_row_echelon(
     its pivot entry only at the end, so no Fraction is formed before then."""
     work = []
     for row in rows:
+        if set(map(type, row)) <= {int}:
+            work.append(list(row))
+            continue
         row = list(map(_coefficient, row))
         scale = lcm(*(x.denominator for x in row if type(x) is not int))
         work.append([int(x * scale) for x in row] if scale != 1 else row)
     pivots: list[int] = []
     for col in range(len(work[0]) if work else 0):
         rank = len(pivots)
-        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if pivot is None:
+        for pivot in range(rank, len(work)):
+            if work[pivot][col]:
+                break
+        else:
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
         top = work[rank]

@@ -69,7 +69,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, itemgetter, le, sub
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import BudgetExceededError
 from .orders import (
@@ -452,7 +452,8 @@ def _local_staircase(
     """_staircase under the local degree order of the ideal I of the nonzero
     term maps gens over the variables names, none with a constant term.
 
-    The linear generators are substituted away first.  Their coefficient
+    The linear generators are substituted away first (_linear_substitution,
+    which decomposition also applies to a whole germ).  Their coefficient
     rows in reduced row-echelon form have pivots x_p at the leftmost nonzero
     columns, and x1 > x2 > ... > xn on degree-1 terms, so each pivot is the
     lead of its row l_p = x_p - r_p, where r_p is a form in the free
@@ -488,13 +489,31 @@ def _local_staircase(
         eps = [_ep_from_polynomial(t, order) for t in gens]
         leads = [g.lead for g in _standard_basis_ep(eps, order, budgets, highest_corner=True)]
         return _bounded_staircase(leads, names)
-    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    rows, pivots = reduced_row_echelon(
-        [[t.get(u, 0) for u in units] for t, lin in zip(gens, linear) if lin]
-    )
-    free = [j for j in range(n) if j not in pivots]
+    free, phi = _linear_substitution([t for t, lin in zip(gens, linear) if lin], n)
     if not free:
         return 1, ()
+    rest = [image for t, lin in zip(gens, linear) if not lin and (image := phi(t))]
+    return _local_staircase(rest, tuple(names[j] for j in free), budgets)
+
+
+def _linear_substitution(
+    linear: Sequence[dict], n: int
+) -> tuple[list[int], Callable[[dict], dict]]:
+    """The substitution phi of _local_staircase for the linear term maps
+    linear over n variables: the free columns, ascending, and phi from term
+    maps over the n variables to term maps over the free ones, which sends
+    each form in the span of linear to zero.  A term that holds no pivot
+    variable is only re-keyed to the free variables; only the terms that
+    hold one are expanded.  Only the items of a term map are read, so a
+    Polynomial serves as one."""
+    rows = []
+    for t in linear:
+        row = [0] * n
+        for e, c in t.items():
+            row[e.index(1)] = c
+        rows.append(row)
+    rows, pivots = reduced_row_echelon(rows)
+    free = [j for j in range(n) if j not in pivots]
     # phi(x_p) = -(the free part of row p), as a term map over the free variables
     free_units = [tuple(int(j == k) for k in free) for j in free]
     images = [
@@ -502,20 +521,23 @@ def _local_staircase(
         for p, row in zip(pivots, rows)
     ]
     one = (0,) * len(free)
-    rest = []
-    for t, lin in zip(gens, linear):
-        if lin:
-            continue
-        image: dict = {}
+
+    def phi(t: dict) -> dict:
+        image, held = {}, []
         for e, c in t.items():
-            term = {tuple(e[j] for j in free): c}
+            if any(map(e.__getitem__, pivots)):
+                held.append((e, c))
+            else:
+                image[tuple(map(e.__getitem__, free))] = c
+        for e, c in held:
+            term = {tuple(map(e.__getitem__, free)): c}
             for p, r in images:
                 if e[p]:
                     term = _terms_mul(term, _terms_pow(r, e[p], one))
             _terms_add(image, term)
-        if image:
-            rest.append(_canonical(image))
-    return _local_staircase(rest, tuple(names[j] for j in free), budgets)
+        return _canonical(image) if held else image
+
+    return free, phi
 
 
 def _count_staircase(leads: Sequence[tuple[int, ...]], nvars: int) -> int:

@@ -1,10 +1,11 @@
 """Test-only routes over the standard-basis engine: the monic route over
 Q that the integer engine replaced, weak normal form, ideal membership,
 the leads of a basis, ideal intersection, saturation in a ring with a
-named tag variable, and the local staircase in all variables; minors by
-the Leibniz formula; the rank of a rational matrix; the mod-2 table of an
-integral homology table by universal coefficients; and a report as the
-document json.dumps renders.
+named tag variable, and the local staircase in all variables; a germ's
+invariants and checks in all its variables, with no linear generator of
+the locus substituted away; minors by the Leibniz formula; the rank of a
+rational matrix; the mod-2 table of an integral homology table by
+universal coefficients; and a report as the document json.dumps renders.
 
 The package computes none of these in a job, so they live here, as
 oracles for the tests; the standard-basis routes are built on the engine's
@@ -17,7 +18,10 @@ from itertools import combinations, permutations
 from operator import add
 from typing import Sequence
 
+from milnorfibre.decomposition import SingularityInput, compute_a
+from milnorfibre.errors import ComputationError, InvalidIcisError
 from milnorfibre.homology import HomologyTable, make_table, mod2_group
+from milnorfibre.milnor import check_icis, milnor_icis, milnor_top_step
 from milnorfibre.orders import (
     GLOBAL_GRADED_REVLEX,
     LOCAL_ANTIGRADED_REVLEX,
@@ -29,6 +33,8 @@ from milnorfibre.rings import (
     Ring,
     _canonical,
     _poly,
+    corank_at_origin,
+    determinant_and_minors,
     monomial_degree,
     monomial_divides,
 )
@@ -343,6 +349,51 @@ def unreduced_staircase(
     eps = [_ep_from_polynomial(g, order) for g in gens]
     leads = [g.lead for g in _standard_basis_ep(eps, order, budgets, highest_corner=True)]
     return _bounded_staircase(leads, ring.variables)
+
+
+# --- a germ's invariants in all n variables ------------------------------------
+# The route invariant_report took before it substituted the linear generators
+# of g away once per job: the checks, the Milnor chain, the top step and the
+# colength of a, each in every variable of the input's ring.
+
+
+def full_ring_invariants(
+    inp: SingularityInput, seed: int = 0, budgets: Budgets = DEFAULT_BUDGETS
+) -> tuple[tuple[int, int, int, int], dict[str, str]]:
+    """(mu0, mu1, a, corank) of inp and the details of its locus_icis,
+    sigma1_icis and a_finite checks, in all n variables.  Raises what
+    invariant_report raises, with the same text, where the germ is out of
+    scope; the #A1 count and the rank guards are left out."""
+    if any(q.is_zero() for q in inp.g):
+        raise InvalidIcisError("zero generator in the presentation")
+    locus = check_icis(inp.g, budgets)
+    details = {"locus_icis": f"(g) i.c.i.s. test: {locus.message()}"}
+    if not locus.ok:
+        raise InvalidIcisError(f"the locus ideal (g) is not an i.c.i.s.: {locus.message()}")
+    corank = corank_at_origin(inp.h)
+    mu1 = a = 0
+    if corank == 0:
+        details["sigma1_icis"] = "det H is a unit at the origin (corank 0); mu1 not applicable"
+        details["a_finite"] = "corank 0 forces a = 0"
+    else:
+        det_h, h_minors = determinant_and_minors(inp.h)
+        if det_h.is_zero():
+            raise InvalidIcisError("det H vanishes identically, so (g, det H) is not an i.c.i.s.")
+        sigma1 = check_icis(inp.g + (det_h,), budgets, locus)
+        details["sigma1_icis"] = f"(g, det H) i.c.i.s. test: {sigma1.message()}"
+        failing = [] if sigma1.ok else [details["sigma1_icis"]]
+        try:
+            a = compute_a(inp, h_minors, budgets)
+            details["a_finite"] = f"a = {a}"
+        except ComputationError as exc:
+            details["a_finite"] = str(exc)
+            failing.append(str(exc))
+        if failing:
+            raise ComputationError(f"finite-codimension surrogate failed: {'; '.join(failing)}")
+    mu0 = milnor_icis(locus, seed, budgets)
+    if corank:
+        mu1 = milnor_top_step(sigma1, mu0, budgets)
+    return (mu0, mu1, a, corank), details
 
 
 # --- minors by the Leibniz formula --------------------------------------------

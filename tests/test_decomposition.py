@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import random
 import re
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from milnorfibre.jobs import Job, run_homology
 from milnorfibre.orders import global_order
 from milnorfibre.rings import PolyMatrix, Polynomial, Ring, parse_polynomial
 from milnorfibre.standard_basis import Budgets
-from oracles import is_member, oracle_minors
+from oracles import full_ring_invariants, is_member, oracle_minors
 
 # the module, which the package's standard_basis function shadows as an attribute
 sb_module = importlib.import_module("milnorfibre.standard_basis")
@@ -208,6 +209,35 @@ def test_locus_must_be_an_icis():
         invariant_report(inp)
 
 
+def test_dependent_linear_generators_fail_the_locus_check():
+    """2*y1 lies in the span of y1: the Jacobian's rows are dependent, so no
+    maximal minor is nonzero and the check ideal is (y1), unbounded in every
+    other variable.  Restricted to the free variables, 2*y1 becomes a zero
+    generator, whose zero row gives the same failure."""
+    inp = mk(("y1", "2*y1"), (("x3", "x2"), ("x2", "x1 - x3")))
+    message = (
+        "the locus ideal (g) is not an i.c.i.s.: "
+        "INFINITE singular locus (unbounded in x1, x2, x3, y2)"
+    )
+    with pytest.raises(InvalidIcisError, match=re.escape(message)):
+        invariant_report(inp)
+
+
+def test_det_h_in_the_linear_locus_fails_the_sigma1_check():
+    """det H = y1 is not zero but lies in (g): (g, det H) is (y1, y2), whose
+    check fails on the three variables left.  Restricted to them, det H is
+    zero, and the job must still report that check, not a det H that
+    vanishes identically."""
+    inp = mk(("y1", "y2"), (("y1", "0"), ("0", "1")))
+    message = (
+        "finite-codimension surrogate failed: (g, det H) i.c.i.s. test: "
+        "INFINITE singular locus (unbounded in x1, x2, x3)"
+    )
+    with pytest.raises(ComputationError, match=re.escape(message)) as caught:
+        invariant_report(inp)
+    assert type(caught.value) is ComputationError
+
+
 def test_identically_zero_det_h_is_named():
     # the (g, det H) check must name det H, not a generator the user never wrote
     inp = mk(("y1", "y2"), (("x1", "x1"), ("x1", "x1")))
@@ -220,15 +250,16 @@ def test_identically_zero_det_h_is_named():
 @pytest.mark.parametrize(
     "inp, expected",
     [
-        # corank 2: the locus and (g, det H) are each checked once; mu1 is
-        # one step over the check, and the presented locus chain reads the
-        # check's minors, so no chain differentiates
-        (worked_example(a1_mode="estimate"), (2, 1, 1, 1, 20)),
-        # corank 0: only the locus is checked; a = 0 needs no colength, and
-        # f is assembled only to cross-check an explicit f or to estimate
-        # #A1, and differentiated only for the estimate; this job asks for
-        # neither
-        (mk(("y1", "y2"), (("1", "0"), ("0", "1"))), (1, 0, 0, 0, 10)),
+        # corank 2: g is linear, so the restricted locus has no generator
+        # and is smooth, and only (g, det H) is checked, once, in the three
+        # free variables; mu1 is one step over that check, and mu0 = 0 needs
+        # no chain
+        (worked_example(a1_mode="estimate"), (1, 1, 1, 1, 8)),
+        # corank 0: the restricted locus has no generator, so nothing is
+        # checked; a = 0 needs no colength, and f is assembled only to
+        # cross-check an explicit f or to estimate #A1, and differentiated
+        # only for the estimate; this job asks for neither
+        (mk(("y1", "y2"), (("1", "0"), ("0", "1"))), (0, 0, 0, 0, 0)),
     ],
 )
 def test_each_ideal_is_checked_once(monkeypatch, inp, expected):
@@ -245,11 +276,14 @@ def test_each_ideal_is_checked_once(monkeypatch, inp, expected):
 
     for name in ("check_icis", "compute_a", "determinant_and_minors", "assemble_f"):
         monkeypatch.setattr(decomposition, name, counting(name, getattr(decomposition, name)))
-    # the derivative count pins where a job differentiates: the partials of g
-    # are taken once, by the locus check, whose rows the (g, det H) check
-    # keeps while it differentiates det H alone, and those of f only to
-    # estimate #A1; the worked example takes 10 + 5 + 5, and no call of
-    # either germ repeats a (polynomial, variable) pair already taken
+    # the derivative count pins where a job differentiates: a restricted g
+    # is differentiated once, by the locus check, whose rows the (g, det H)
+    # check keeps while it differentiates the restricted det H alone, and f
+    # only to estimate #A1; the worked example, whose g restricts to no
+    # generator, takes the 3 partials of det H in its free variables and
+    # the 5 of f, and no call of either germ repeats a (polynomial,
+    # variable) pair already taken (in all n variables the two jobs took
+    # 10 + 5 + 5 and 10)
     monkeypatch.setattr(Polynomial, "derivative", counting("derivative", Polynomial.derivative))
     # milnor_icis must run on the caller's check, not test its ideal again
     monkeypatch.setattr(milnor, "check_icis", decomposition.check_icis)
@@ -286,17 +320,19 @@ def test_a1_estimate_is_one_elimination(monkeypatch, inp):
 
 
 def test_chain_minors_are_built_once(monkeypatch):
-    """Polynomial products of a whole job on D(3,2) at n = 8: the locus chain
-    runs in the presented order and reads every level of its minors from the
-    check, the check of (g, det H) continues the locus check's tower by the
-    row of det H, det H is one level past the (n-4)-minors of H in one
-    pass, and mu1 is one step over that check.  The job gives no f
+    """Polynomial products of a whole job on D(3,2) at n = 8: g is linear,
+    so the job runs in the three free variables, where the locus has no
+    generator and is not checked, det H is one level past the (n-4)-minors
+    of the restricted H in one pass, the check of (g, det H) is that of
+    det H alone, and mu1 is one step over that check.  The job gives no f
     and assumes #A1 = 0, so f is not assembled.  The per-step expansion of
     every level at every step took 1951, one prefix pass for both chains
     665, a second prefix pass over the presented head 97, assembling f
     although nothing read it 93, a (g, det H) check that rebuilt the locus
     tower 43, and det H from a minors pass of its own, apart from the
-    (n-4)-minors of H, 38."""
+    (n-4)-minors of H, 38, and every check, the minors tower and det H in
+    all n variables, before g's linear generators were substituted away
+    once per job, 32."""
     count = [0]
     mul = Polynomial.__mul__
 
@@ -307,7 +343,7 @@ def test_chain_minors_are_built_once(monkeypatch):
     monkeypatch.setattr(Polynomial, "__mul__", counting)
     rep = invariant_report(build_input(_dkp_case(2, 8), "given"), seed=0)
     assert (rep.mu0, rep.mu1, rep.a, rep.corank) == (0, 1, 1, 2)
-    assert count[0] == 32
+    assert count[0] == 27
 
 
 @pytest.mark.parametrize(
@@ -321,20 +357,27 @@ def test_chain_minors_are_built_once(monkeypatch):
 )
 def test_h_enters_the_minors_engine_once(monkeypatch, inp):
     """A corank >= 1 job takes det H and the (n-4)-minors of H from one pass
-    of the minors engine over H: the pass from level 1 to n-4, continued by
-    the one level of det H.  Every other pass runs on a Jacobian."""
-    starts = []
+    of the minors engine over H restricted to the free variables of g's
+    linear generators: the pass from level 1 to n-4, continued by the one
+    level of det H.  Every other pass runs on a Jacobian.  The three germs'
+    g are coordinate variables that H does not hold, so restricting H only
+    moves its entries to the ring of the other variables."""
+    handed = []
     levels = rings._minor_levels
 
     def recording(m, size, first=1, prev=None):
-        if m is inp.h:
-            starts.append(first)
+        handed.append((m, first))
         return levels(m, size, first, prev)
 
     monkeypatch.setattr(rings, "_minor_levels", recording)
     rep = invariant_report(inp)
     assert rep.corank >= 1
-    assert starts == [1, inp.h.rows]
+    ring = Ring(tuple(v for v in inp.ring.variables if inp.ring.variable(v) not in inp.g))
+    restricted = PolyMatrix(
+        ring, [[parse_polynomial(str(q), ring) for q in row] for row in inp.h.entries()]
+    )
+    assert [first for m, first in handed if m == restricted] == [1, inp.h.rows]
+    assert all(m.rows < inp.h.rows for m, _ in handed if m != restricted)
 
 
 @pytest.mark.parametrize(
@@ -457,3 +500,63 @@ def test_linear_coordinate_changes_keep_the_invariants(case, data):
         h=PolyMatrix(ring, [[q.substitute(values) for q in row] for row in inp.h.entries()]),
     )
     assert homology_of(changed) == (case.expected, case.expected_bouquet)
+
+
+# --- the restricted route against the full-ring oracle -----------------------
+
+def _invertible(rng, size):
+    """A random integer matrix with entries in [-2, 2] and nonzero
+    determinant."""
+    while True:
+        rows = [[rng.randint(-2, 2) for _ in range(size)] for _ in range(size)]
+        if rings.int_determinant(rows):
+            return rows
+
+
+def _combination(ring, coeffs, polys):
+    total = ring.zero()
+    for c, q in zip(coeffs, polys):
+        total = total + q.scale(c)
+    return total
+
+
+def _presented_anew(inp, rng):
+    """inp after a random invertible integer change of coordinates, a random
+    invertible recombination of g, and polynomial multiples of one linear
+    generator added to the other generators.  The ideals (g), (g, det H) and
+    (g) + the (n-4)-minors of H keep their colengths and Milnor numbers, so
+    every invariant stays; the coordinate change leaves g linear, and the
+    multiples make some of it nonlinear."""
+    ring, n, k = inp.ring, inp.n, len(inp.g)
+    images = [_combination(ring, row, ring.gens()) for row in _invertible(rng, n)]
+    values = dict(zip(ring.variables, images))
+    g = [q.substitute(values) for q in inp.g]
+    h = PolyMatrix(ring, [[q.substitute(values) for q in row] for row in inp.h.entries()])
+    g = [_combination(ring, row, g) for row in _invertible(rng, k)]
+    lead = rng.randrange(k)
+    for i in range(k):
+        if i != lead and rng.random() < 0.7:
+            multiple = ring.constant(rng.choice((-2, -1, 1, 2)))
+            for _ in range(rng.randint(1, 2)):
+                multiple = multiple * rng.choice(ring.gens())
+            g[i] = g[i] + multiple * g[lead]
+    return SingularityInput(ring=ring, g=tuple(g), h=h)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_restricted_route_matches_the_full_ring_oracle(seed):
+    """invariant_report, which substitutes g's linear generators away once
+    per job, gives the full-ring route's (mu0, mu1, a, corank) and the same
+    locus_icis, sigma1_icis and a_finite details, on corpus germs presented
+    anew, and both give the corpus invariants."""
+    rng = random.Random(seed)
+    for _ in range(12):
+        case = rng.choice(CORPUS_CASES)
+        inp = _presented_anew(build_input(case, "given"), rng)
+        milnor_seed = rng.randrange(100)
+        rep = invariant_report(inp, seed=milnor_seed)
+        details = {c.name: c.detail for c in rep.checks}
+        got = (rep.mu0, rep.mu1, rep.a, rep.corank)
+        expected, oracle_details = full_ring_invariants(inp, milnor_seed)
+        assert got == expected == case.expected, (case.name, inp)
+        assert {name: details[name] for name in oracle_details} == oracle_details

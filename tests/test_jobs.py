@@ -20,6 +20,7 @@ from milnorfibre.homology import (
     mod2_group,
 )
 from milnorfibre.jobs import Job, Report, collect_tables, parse_job, run_homology, run_invariants
+from milnorfibre.rings import Ring
 from oracles import report_doc, universal_coefficients_mod2
 
 GOOD_JOB = """\
@@ -244,8 +245,9 @@ h = [[x1]]
 
 
 def test_n4_corank_one_job_takes_a_from_the_empty_minor(monkeypatch):
-    """compute_a gets the one 0 x 0 minor of the scalar H, 1, and the unit
-    rule gives a = 0."""
+    """compute_a gets the one 0 x 0 minor of the scalar H, 1, over the ring
+    of x1, x2, x3, the variables g = x4 leaves free, and the unit rule
+    gives a = 0."""
     seen = []
     compute_a = decomposition.compute_a
 
@@ -258,7 +260,7 @@ def test_n4_corank_one_job_takes_a_from_the_empty_minor(monkeypatch):
     report = run_invariants(Job(input=inp))
     inv = report.invariants
     assert (inv.n, inv.corank, inv.a) == (4, 1, 0)
-    assert seen == [(inp.ring.one(),)]
+    assert seen == [(Ring(("x1", "x2", "x3")).one(),)]
     assert {c.name: c.detail for c in report.checks}["a_finite"] == "a = 0"
 
 

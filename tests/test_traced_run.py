@@ -56,8 +56,9 @@ def test_traced_homology_job_matches_the_untraced_one():
         "standard_basis.saturate",
     } <= names
     assert tracer.counts["orders.key.calls"] > 0
-    # the job is corank 2: (g) and (g, det H) are checked once each, the
-    # second on the first, and the tracer hashes both argument tuples
+    # the job is corank 2 and its g is linear: restricted to the free
+    # variables, (g) has no generator and is smooth, so only (g, det H) is
+    # checked, once, and the tracer hashes its one argument tuple
     checks = [span for span in tracer.spans if tracer.names[span[0]] == "milnor.check_icis"]
-    assert len(checks) == 2
-    assert len(tracer.distinct["milnor.check_icis"][-1]) == 2
+    assert len(checks) == 1
+    assert len(tracer.distinct["milnor.check_icis"][-1]) == 1
