@@ -15,14 +15,21 @@ checks, the mu0 chain, the mu1 step and the colength of a on the restricted
 germ, in n - rank(l) variables: O_n/(l) is O_(n - rank(l)), and the Milnor
 number of an i.c.i.s. depends only on the germ (Looijenga, Isolated
 Singular Points on Complete Intersections, LMS LN 77).  The corank of H is
-read at the origin, which the substitution fixes, and the #A1 estimate
-saturates the Jacobian ideal of f in all n variables.  _restrict proves
-that the checks report what they report in all n variables.
+read at the origin, which the substitution fixes.  _restrict proves that
+the checks report what they report in all n variables.
+
+The #A1 estimate is 0 or an error: it checks that the critical locus of f
+near 0 is V(g) (a1_count).  When g is linear and H is constant along a
+complement of V(g), as on every germ the paper writes down and every linear
+image of one, it is decided on the fibre over the origin, by one colength
+in n - 3 variables (_origin_fibre); otherwise the Jacobian ideal of f is
+saturated by (g) in all n variables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 from typing import NamedTuple, Sequence
 
 from .errors import ComputationError, InconsistencyError, InvalidIcisError
@@ -36,6 +43,7 @@ from .rings import (
     _poly,
     corank_at_origin,
     determinant_and_minors,
+    reduced_row_echelon,
 )
 from .standard_basis import (
     Budgets,
@@ -216,14 +224,101 @@ def compute_a(
     return int(value)
 
 
+def _origin_fibre(inp: SingularityInput) -> list[Polynomial] | None:
+    """The fibre ideal of inp over the origin, in k = n - 3 fresh variables
+    w: the nonzero forms among H(0)*w and w^t * d_iH(0) * w, i = 1..n; None
+    when inp is outside the class the fibre decides.
+
+    The class: every generator of g is linear, and every entry of H is
+    constant along some k-dimensional subspace T with T ∩ V(g) = 0.  The
+    directions v along which H is constant, d_v H_ij = 0 for all i <= j,
+    form the kernel L of the linear system whose rows are the coefficients
+    of the monomials of the partials d_l H_ij.  T exists exactly when the
+    coefficient rows A of g have rank k on L: a k-dimensional T in L on
+    which A has rank k meets ker A = V(g) in 0, and conversely A is
+    injective on such a T.
+
+    Exactness.  Q^n is the direct sum of T and V(g), so take coordinates
+    (x', y) with y = g(z) and x' linear coordinates on V(g), read through
+    the projection along T.  H is constant along T, so f = y^t * H(x') * y
+    and J(f) = (2 H(x') y, y^t * d_j H(x') y), generated by forms in y: over
+    every x' the critical locus V(J) is a cone in y.  So V(J) meets the
+    complement of V(g) = {y = 0} arbitrarily near 0 exactly when some
+    y != 0 lies in V(J) over x' = 0.  Such a y scaled down to 0 stays in
+    V(J).  Conversely, take critical points (x'_m, y_m) -> 0 with y_m != 0.
+    The equations are homogeneous in y, so they hold at (x'_m, y_m / |y_m|),
+    and P^(k-1) is compact, so these unit vectors have a limit point w; by
+    continuity H(0) w = 0 and w^t * d_j H(0) w = 0.  Over x' = 0
+    these are the fibre ideal's equations: the partials d_i in the original
+    coordinates span the same matrices d_v H(0) as those in (x', y), since
+    d_v H = 0 for v in T.  The fibre ideal is homogeneous, so its colength
+    is finite exactly when w = 0 is its only zero, that is when V(J) lies
+    in V(g) near 0, which by the Nullstellensatz in the local ring makes
+    J : (g)^infinity the whole ring.  With a1_count's lemma, the fibre's
+    colength is finite exactly when the saturation's colength is 0, and
+    infinite exactly when the saturation's is.  A zero fibre ideal, which
+    colength refuses, has every w as a zero and counts as infinite."""
+    n, k = inp.n, len(inp.g)
+    a = []
+    for q in inp.g:
+        row = [0] * n
+        for e, c in q.items():
+            if sum(e) != 1:
+                return None
+            row[e.index(1)] = c
+        a.append(row)
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    # one row of the system per entry of H and monomial of its partials; the
+    # linear terms of the entries give the forms w^t * d_l H(0) * w
+    system: dict[tuple, list] = {}
+    forms: list[dict] = [{} for _ in range(n)]
+    for i in range(k):
+        for j in range(i, k):
+            for e, c in inp.h.entry(i, j).items():
+                for l, el in enumerate(e):
+                    if el:
+                        key = (i, j) + e[:l] + (el - 1,) + e[l + 1:]
+                        system.setdefault(key, [0] * n)[l] += el * c
+                if sum(e) == 1:
+                    forms[e.index(1)][tuple(map(add, units[i], units[j]))] = c if i == j else 2 * c
+    echelon, pivots = reduced_row_echelon(list(system.values()))
+    # L has one basis vector per free column c: e_c minus (row p)[c] * e_p
+    # over the pivots p; A on L is A times these vectors
+    free = [c for c in range(n) if c not in pivots]
+    on_kernel = [[row[c] - sum(r[c] * row[p] for p, r in zip(pivots, echelon)) for c in free] for row in a]
+    if len(reduced_row_echelon(on_kernel)[1]) < k:
+        return None
+    ring = Ring(tuple(f"w{i}" for i in range(1, k + 1)))
+    fibre = [
+        Polynomial(ring, {units[j]: h.constant_coefficient() for j, h in enumerate(row)})
+        for row in inp.h.entries()
+    ]
+    fibre += [Polynomial(ring, form) for form in forms]
+    return [q for q in fibre if q]
+
+
 def a1_count(
     inp: SingularityInput, f: Polynomial | None, budgets: Budgets = DEFAULT_BUDGETS
 ) -> tuple[int, str]:
     """Morse-point count with provenance; f = g * H * g^t, read only by estimate.
 
     provided -> the user's number; assume_zero -> 0 flagged as assumed;
-    estimate -> colength of the Jacobian ideal of f saturated by the locus
-    ideal, flagged experimental (downstream ranks are conditional on it).
+    estimate -> the colength of J : (g)^infinity, for J the Jacobian ideal
+    of f, in the local ring R = Q[x]_(x), flagged experimental (downstream
+    ranks are conditional on it).
+
+    That colength is 0 or infinite, and an infinite one raises: the
+    estimate checks that the critical locus of f near 0 is V(g), and counts
+    no Morse point of a deformation.  Proof: write J as an intersection of
+    primary ideals Q_i of R with primes P_i.  Then J : (g)^infinity is the
+    intersection of the Q_i with (g) not in P_i.  Such a P_i lies in the
+    maximal ideal m, and is not m, since (g) lies in m; so R/P_i has
+    dimension at least 1.  Hence the saturation is R, of colength 0, or
+    has infinite colength.
+
+    On a germ in the class of _origin_fibre the outcome is read off the
+    fibre ideal over the origin, one colength in n - 3 variables; every
+    other germ is saturated, by one elimination in n + 1 exponent slots.
     """
     if inp.a1_mode == "provided":
         return inp.a1_count, "provided"
@@ -232,13 +327,18 @@ def a1_count(
     jac = [d for d in map(f.derivative, range(inp.n)) if not d.is_zero()]
     if not jac:
         raise ComputationError("zero Jacobian ideal; f is identically zero")
-    order = local_order(inp.n)
-    sat, _eliminations = saturate(jac, list(inp.g), order, budgets)
-    live = [p for p in sat if not p.is_zero()]
-    if not live:
-        raise ComputationError("saturation of the Jacobian ideal is zero")
-    # saturate returns a standard basis, so colength needs no new one
-    value = colength(live, order, budgets, basis=live)
+    fibre = _origin_fibre(inp)
+    if fibre is not None:
+        finite = fibre and colength(fibre, local_order(len(inp.g)), budgets) != INFINITE
+        value = 0 if finite else INFINITE
+    else:
+        order = local_order(inp.n)
+        sat, _eliminations = saturate(jac, list(inp.g), order, budgets)
+        live = [p for p in sat if not p.is_zero()]
+        if not live:
+            raise ComputationError("saturation of the Jacobian ideal is zero")
+        # saturate returns a standard basis, so colength needs no new one
+        value = colength(live, order, budgets, basis=live)
     if value == INFINITE:
         raise ComputationError(
             "saturated Jacobian ideal is not 0-dimensional; "

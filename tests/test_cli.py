@@ -188,8 +188,10 @@ def test_tables_refuse_mu1_at_corank_zero(mu1, n, capsys):
 
 
 # the order-3 germ of the corpus under a sparse shear, with the #A1
-# estimate: its colengths substitute the linear g away and fit in 10
-# reductions, but the saturation of the estimate does not
+# estimate: g is linear and H is constant along the plane spanned by the
+# directions (0, 1, 0, -1, -1) and (0, 0, 1, 0, 0), which meets V(g) in 0,
+# so the estimate is decided on the fibre over the origin, and every
+# colength of the job fits in 10 reductions
 SHEARED_JOB = """\
 [ring]
 vars = x1 x2 x3 y1 y2
@@ -201,15 +203,34 @@ h = [[x2 + y1, x1], [x1, (x2 + y2)^3 - x2 - y1]]
 a1 = estimate
 """
 
+# a germ whose H is constant along no direction across V(g): its #A1
+# estimate is a saturation, which does not fit in 10 reductions
+CURVED_JOB = """\
+[ring]
+vars = x1 x2 x3 y1 y2
+[ideal]
+g = y1; y2
+[matrix]
+h = [[x3 + y1^2, x2], [x2, x1 - x3]]
+[options]
+a1 = estimate
+"""
+
 
 def test_budget_flag_exit_code(tmp_path, capsys):
-    path = tmp_path / "sheared.job"
-    path.write_text(SHEARED_JOB)
-    assert run_main(["invariants", str(path)], capsys)[0] == 0
+    curved = tmp_path / "curved.job"
+    curved.write_text(CURVED_JOB)
+    assert run_main(["invariants", str(curved)], capsys)[0] == 0
     code, _, err = run_main(
-        ["--budget-reductions", "10", "invariants", str(path)], capsys
+        ["--budget-reductions", "10", "invariants", str(curved)], capsys
     )
     assert code == 1 and "budget" in err.lower()
+    sheared = tmp_path / "sheared.job"
+    sheared.write_text(SHEARED_JOB)
+    code, out, _ = run_main(
+        ["--budget-reductions", "10", "invariants", str(sheared)], capsys
+    )
+    assert code == 0 and "#A1      0" in out
 
 
 @pytest.mark.parametrize(

@@ -291,32 +291,53 @@ def test_each_ideal_is_checked_once(monkeypatch, inp, expected):
     assert tuple(counts.values()) == expected
 
 
+def curved_input(**kwargs):
+    """g is linear, and H is constant along no direction across V(g): the
+    directions along which it is constant are those of y2 alone."""
+    return mk(("y1", "y2"), (("x3 + y1^2", "x2"), ("x2", "x1 - x3")), **kwargs)
+
+
+def thom_sebastiani_input(**kwargs):
+    """f = y1^2 + h^2 for h = x1^2 + x2^2 + x3^2 + y2^2, of Milnor number 1."""
+    return mk(("y1", "x1^2 + x2^2 + x3^2 + y2^2"), (("1", "0"), ("0", "1")), **kwargs)
+
+
 @pytest.mark.parametrize(
-    "inp",
+    "inp, expected",
     [
-        worked_example(a1_mode="estimate"),
-        dataclasses.replace(build_input(_dkp_case(2, 6), "given"), a1_mode="estimate"),
+        # the fibre ideal (w1^2 + w2^2, 2*w1*w2) in two variables
+        (worked_example(a1_mode="estimate"), (0, 1)),
+        # the fibre ideal (w3, w1^2, 2*w1*w2, w2^2): w3 is substituted away
+        (dataclasses.replace(build_input(_dkp_case(2, 6), "given"), a1_mode="estimate"), (0, 1)),
+        # outside the class, with a curved H or a nonlinear generator: one
+        # elimination, whose basis colength reads
+        (curved_input(a1_mode="estimate"), (1, 1)),
+        (thom_sebastiani_input(a1_mode="estimate"), (1, 1)),
     ],
-    ids=["worked-n5", "d32-n6"],
+    ids=["worked-n5", "d32-n6", "curved-n5", "thom-sebastiani-n5"],
 )
-def test_a1_estimate_is_one_elimination(monkeypatch, inp):
-    """The saturation by the k = n - 3 generators of (g) is one completion
-    of the engine, and colength reads the leads of that basis.  One
-    elimination per generator and their intersections would make 2k - 1:
-    3 at n = 5 and 5 at n = 6.  The saturation runs on engine term maps, so
-    the public standard_basis, which makes every element monic, is not
-    called at all."""
-    counts = {"_standard_basis_ep": 0, "standard_basis": 0}
-    for name in counts:
-        original = getattr(sb_module, name)
+def test_a1_estimate_is_one_elimination(monkeypatch, inp, expected):
+    """At most one elimination: a germ in the class of _origin_fibre has its
+    estimate decided by one colength of its fibre ideal over the origin, in
+    n - 3 variables, and is not saturated; any other germ is saturated by
+    the k = n - 3 generators of (g) in one completion of the engine, and
+    colength reads the leads of that basis.  One elimination per generator
+    and their intersections would make 2k - 1.  Neither route calls the
+    public standard_basis, which makes every element monic."""
+    counts = {"saturate": 0, "_standard_basis_ep": 0, "standard_basis": 0}
 
-        def counting(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
 
-        monkeypatch.setattr(sb_module, name, counting)
+        return wrapper
+
+    monkeypatch.setattr(decomposition, "saturate", counting("saturate", decomposition.saturate))
+    for name in ("_standard_basis_ep", "standard_basis"):
+        monkeypatch.setattr(sb_module, name, counting(name, getattr(sb_module, name)))
     assert decomposition.a1_count(inp, assemble_f(inp)) == (0, "experimental-saturation")
-    assert counts == {"_standard_basis_ep": 1, "standard_basis": 0}
+    assert counts == {"saturate": expected[0], "_standard_basis_ep": expected[1], "standard_basis": 0}
 
 
 def test_chain_minors_are_built_once(monkeypatch):
@@ -520,6 +541,18 @@ def _combination(ring, coeffs, polys):
     return total
 
 
+def _changed(inp, rng):
+    """inp after a random invertible integer change of coordinates and a
+    random invertible recombination of g, with its a1 mode."""
+    ring, n, k = inp.ring, inp.n, len(inp.g)
+    images = [_combination(ring, row, ring.gens()) for row in _invertible(rng, n)]
+    values = dict(zip(ring.variables, images))
+    g = [q.substitute(values) for q in inp.g]
+    h = PolyMatrix(ring, [[q.substitute(values) for q in row] for row in inp.h.entries()])
+    g = [_combination(ring, row, g) for row in _invertible(rng, k)]
+    return dataclasses.replace(inp, g=tuple(g), h=h)
+
+
 def _presented_anew(inp, rng):
     """inp after a random invertible integer change of coordinates, a random
     invertible recombination of g, and polynomial multiples of one linear
@@ -527,12 +560,8 @@ def _presented_anew(inp, rng):
     (g) + the (n-4)-minors of H keep their colengths and Milnor numbers, so
     every invariant stays; the coordinate change leaves g linear, and the
     multiples make some of it nonlinear."""
-    ring, n, k = inp.ring, inp.n, len(inp.g)
-    images = [_combination(ring, row, ring.gens()) for row in _invertible(rng, n)]
-    values = dict(zip(ring.variables, images))
-    g = [q.substitute(values) for q in inp.g]
-    h = PolyMatrix(ring, [[q.substitute(values) for q in row] for row in inp.h.entries()])
-    g = [_combination(ring, row, g) for row in _invertible(rng, k)]
+    changed = _changed(inp, rng)
+    ring, k, g = inp.ring, len(inp.g), list(changed.g)
     lead = rng.randrange(k)
     for i in range(k):
         if i != lead and rng.random() < 0.7:
@@ -540,7 +569,7 @@ def _presented_anew(inp, rng):
             for _ in range(rng.randint(1, 2)):
                 multiple = multiple * rng.choice(ring.gens())
             g[i] = g[i] + multiple * g[lead]
-    return SingularityInput(ring=ring, g=tuple(g), h=h)
+    return dataclasses.replace(changed, g=tuple(g))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -560,3 +589,82 @@ def test_restricted_route_matches_the_full_ring_oracle(seed):
         expected, oracle_details = full_ring_invariants(inp, milnor_seed)
         assert got == expected == case.expected, (case.name, inp)
         assert {name: details[name] for name in oracle_details} == oracle_details
+
+
+# --- the #A1 estimate: the fibre over the origin against the saturation -------
+
+# g is linear and H is constant along y1 and y2, so the estimate is decided
+# on the fibre, and every check of the job passes; but H(0) = 0 and the
+# fibre ideal (w1^2, 2*w1*w2) vanishes at w = (0, 1): the y2-axis is critical
+NEGATIVE_GERM = mk(("y1", "y2"), (("x1", "x2"), ("x2", "x3^2 + x1^2")), a1_mode="estimate")
+
+# its fibre forms (w1 + w2)^2, from d/dx1 H = [[1, 1], [1, 1]], and
+# w1^2 - w2^2 vanish at w = (1, -1), so the line y1 = -y2 is critical; its
+# (g, det H) check fails, so it is no job
+CROSSED_GERM = mk(("y1", "y2"), (("x1 + x2", "x1"), ("x1", "x1 - x2")), a1_mode="estimate")
+
+NOT_ZERO_DIMENSIONAL = (
+    "saturated Jacobian ideal is not 0-dimensional; cannot estimate the Morse-point count"
+)
+
+
+def estimate(inp, saturate=False):
+    """The #A1 estimate of inp, or its error text; with saturate, by the
+    saturation, the route a1_count takes when _origin_fibre refuses the
+    germ."""
+    with pytest.MonkeyPatch.context() as patch:
+        if saturate:
+            patch.setattr(decomposition, "_origin_fibre", lambda inp: None)
+        try:
+            return decomposition.a1_count(inp, assemble_f(inp))
+        except ComputationError as exc:
+            return str(exc)
+
+
+@pytest.mark.parametrize("order", ["given", "reversed"])
+def test_fibre_route_matches_the_saturation_on_the_corpus(order):
+    """Every corpus germ, the sheared ones included, is in the class the
+    fibre decides, and both routes give it #A1 = 0; both give the negative
+    and the crossed germ the error."""
+    for case in CORPUS_CASES:
+        inp = dataclasses.replace(build_input(case, order), a1_mode="estimate")
+        assert decomposition._origin_fibre(inp) is not None, case.name
+        assert estimate(inp) == estimate(inp, saturate=True) == (0, "experimental-saturation")
+    for inp in (NEGATIVE_GERM, CROSSED_GERM):
+        assert decomposition._origin_fibre(inp) is not None
+        assert estimate(inp) == estimate(inp, saturate=True) == NOT_ZERO_DIMENSIONAL
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fibre_route_is_invariant_under_linear_changes(seed):
+    """A random invertible integer change of coordinates and recombination
+    of g keep the class, and the fibre route gives the changed germ the
+    outcome the saturation gives the germ as presented.  The saturation of
+    the changed germ itself is not run: its one elimination trips a budget
+    of 1000 reductions on most such presentations."""
+    rng = random.Random(seed)
+    sources = [build_input(case, "given") for case in CORPUS_CASES] + [NEGATIVE_GERM]
+    for _ in range(12):
+        inp = dataclasses.replace(rng.choice(sources), a1_mode="estimate")
+        changed = _changed(inp, rng)
+        assert decomposition._origin_fibre(changed) is not None, changed
+        assert estimate(changed) == estimate(inp, saturate=True), changed
+
+
+def test_negative_germ_fails_the_whole_job():
+    """The germ passes every check of the job, so the estimate raises."""
+    with pytest.raises(ComputationError, match=re.escape(NOT_ZERO_DIMENSIONAL)):
+        invariant_report(NEGATIVE_GERM)
+    rep = invariant_report(dataclasses.replace(NEGATIVE_GERM, a1_mode="assume_zero"))
+    assert rep.a1_provenance == "assumed"
+
+
+def test_thom_sebastiani_estimate_pins_a_known_limitation():
+    """f = y1^2 + h^2 with h a Brieskorn-Pham polynomial of Milnor number 1.
+    A generic deformation of g to (y1, h_s) with h_s(0) != 0 has mu0 = 1
+    Morse point off the locus, so #A1 = 1, but the critical locus of f near
+    0 is V(g), and the estimate, which only checks that, reports 0.  This
+    pins today's behaviour, not a target."""
+    rep = invariant_report(thom_sebastiani_input(a1_mode="estimate"))
+    assert (rep.mu0, rep.mu1, rep.a, rep.corank) == (1, 0, 0, 0)
+    assert (rep.a1, rep.a1_provenance) == (0, "experimental-saturation")

@@ -13,7 +13,8 @@ from milnorfibre import jobs
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
-# the worked two-point example, with #A1 estimated by saturation
+# the worked two-point example, with #A1 estimated on the fibre over the
+# origin: g is linear and H is constant along x1 and x2
 WORKED_JOB = """\
 [ring]
 vars = x1 x2 x3 x4 x5
@@ -21,6 +22,19 @@ vars = x1 x2 x3 x4 x5
 g = x1; x2
 [matrix]
 h = [[x3, x4], [x4, x3 - x5^2]]
+[options]
+a1 = estimate
+"""
+
+# a germ whose H is constant along no direction across V(g), so its #A1
+# estimate saturates the Jacobian ideal
+CURVED_JOB = """\
+[ring]
+vars = x1 x2 x3 y1 y2
+[ideal]
+g = y1; y2
+[matrix]
+h = [[x3 + y1^2, x2], [x2, x1 - x3]]
 [options]
 a1 = estimate
 """
@@ -33,28 +47,40 @@ def load_tracer():
     return module
 
 
-def homology_json():
+def homology_json(text):
     # through the module's attributes, which the tracer wraps
-    return jobs.run_homology(jobs.Job(input=jobs.parse_job(WORKED_JOB), seed=1)).to_json()
+    return jobs.run_homology(jobs.Job(input=jobs.parse_job(text), seed=1)).to_json()
 
 
-def test_traced_homology_job_matches_the_untraced_one():
+def traced_run(text):
+    """The tracer after one traced run of the job text, whose JSON must be
+    the untraced one."""
     tracing = load_tracer()
-    untraced = homology_json()
+    untraced = homology_json(text)
     tracer = tracing.Tracer(milnorfibre)
     tracer.install()
     try:
         tracer.begin_pass()
-        traced = homology_json()
+        traced = homology_json(text)
     finally:
         tracer.uninstall()
     assert traced == untraced
     assert tracing.installed_wrappers(milnorfibre) == []
-    names = {tracer.names[span[0]] for span in tracer.spans}
+    return tracer
+
+
+def span_names(tracer):
+    return {tracer.names[span[0]] for span in tracer.spans}
+
+
+def test_traced_homology_job_matches_the_untraced_one():
+    tracer = traced_run(WORKED_JOB)
+    names = span_names(tracer)
     assert {
         "jobs.parse_job", "jobs.run_homology", "jobs.to_json", "milnor.check_icis",
-        "standard_basis.saturate",
+        "decomposition.a1_count",
     } <= names
+    assert "standard_basis.saturate" not in names
     assert tracer.counts["orders.key.calls"] > 0
     # the job is corank 2 and its g is linear: restricted to the free
     # variables, (g) has no generator and is smooth, so only (g, det H) is
@@ -62,3 +88,8 @@ def test_traced_homology_job_matches_the_untraced_one():
     checks = [span for span in tracer.spans if tracer.names[span[0]] == "milnor.check_icis"]
     assert len(checks) == 1
     assert len(tracer.distinct["milnor.check_icis"][-1]) == 1
+
+
+def test_traced_saturation_job_matches_the_untraced_one():
+    tracer = traced_run(CURVED_JOB)
+    assert "standard_basis.saturate" in span_names(tracer)
