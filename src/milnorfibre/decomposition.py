@@ -63,7 +63,8 @@ class SingularityInput:
 
     g has exactly n-3 entries, H is symmetric of size n-3; f_expected, when
     given, is cross-checked against the assembled product.  a1_mode governs
-    where the Morse-point count comes from.
+    where the Morse-point count comes from.  _outcomes holds the seed-free
+    outcomes of invariant_report on this input, keyed by the budgets.
     """
 
     ring: Ring
@@ -72,6 +73,7 @@ class SingularityInput:
     f_expected: Polynomial | None = None
     a1_mode: str = "assume_zero"
     a1_count: int | None = None
+    _outcomes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.ring.nvars
@@ -375,7 +377,46 @@ def invariant_report(
 
     Raises InconsistencyError when a rank guard fails, ComputationError or
     InvalidIcisError when the geometry is out of scope.
+
+    The seed is read once, by milnor_icis(locus, seed, budgets), which runs
+    only when the restriction leaves a generator of g (`if locus`).  Every
+    other step is a deterministic function of the input and the budgets,
+    and each engine call counts its budget from zero.  So an outcome reached
+    without milnor_icis, the report or a ComputationError or
+    InconsistencyError, is a function of (inp, budgets): it is kept on the
+    input, keyed by the budgets, and a later call with the same budgets
+    returns the same report, or raises a fresh error of the same type and
+    text, spending no budget.  An outcome that read the seed is recomputed
+    on every call.
     """
+    outcomes = inp._outcomes
+    outcome = outcomes.get(budgets)
+    if outcome is None:
+        seed_read = False
+
+        def mu0_of(locus):
+            nonlocal seed_read
+            seed_read = True
+            return milnor_icis(locus, seed, budgets)
+
+        try:
+            outcome = _invariant_report(inp, mu0_of, budgets)
+        except (ComputationError, InconsistencyError) as exc:
+            if not seed_read:
+                outcomes[budgets] = (type(exc), exc.args)
+            raise
+        if not seed_read:
+            outcomes[budgets] = outcome
+        return outcome
+    if type(outcome) is InvariantReport:
+        return outcome
+    kind, args = outcome
+    raise kind(*args)
+
+
+def _invariant_report(inp: SingularityInput, mu0_of, budgets: Budgets) -> InvariantReport:
+    """invariant_report's computation, with mu0_of(locus) the Milnor number
+    of the checked locus."""
     needs_f = inp.f_expected is not None or inp.a1_mode == "estimate"
     f = verify_decomposition(inp) if needs_f else None
     checks = list(_LOCUS_MEMBERSHIP_CHECKS)
@@ -436,7 +477,7 @@ def invariant_report(
         if failing:
             raise ComputationError(f"finite-codimension surrogate failed: {failing}")
 
-    mu0 = milnor_icis(locus, seed, budgets) if locus else 0
+    mu0 = mu0_of(locus) if locus else 0
     mu1_applicable = corank != 0
     # (g) is a checked i.c.i.s. of Milnor number mu0, so mu1 is one step
     mu1 = milnor_top_step(sigma1, mu0, budgets) if mu1_applicable else 0

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import sys
+import traceback
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -11,7 +12,7 @@ from milnorfibre import decomposition, jobs
 from milnorfibre.cli import main
 from milnorfibre.corpus import build_input, builtin_cases
 from milnorfibre.decomposition import CheckResult, InvariantReport
-from milnorfibre.errors import InconsistencyError, ParseError
+from milnorfibre.errors import BudgetExceededError, ComputationError, InconsistencyError, ParseError
 from milnorfibre.homology import (
     BouquetDescription,
     FgAbelianGroup,
@@ -21,6 +22,7 @@ from milnorfibre.homology import (
 )
 from milnorfibre.jobs import Job, Report, collect_tables, parse_job, run_homology, run_invariants
 from milnorfibre.rings import Ring
+from milnorfibre.standard_basis import DEFAULT_BUDGETS, Budgets
 from oracles import report_doc, universal_coefficients_mod2
 
 GOOD_JOB = """\
@@ -474,3 +476,137 @@ def test_uc_check_agrees_with_the_derived_table(integral, stated):
     assert str(exc.value) == (
         f"universal-coefficient mismatch for S in degree {d}: {derived.group(d)} vs {stated.group(d)}"
     )
+
+
+# --- work a process shares across jobs ----------------------------------------
+# One text parses to one input, which keeps its seed-free invariants, and the
+# tables of one invariant tuple are built once.  The autouse fixture of
+# conftest.py starts every test with both memos of jobs.py empty.
+
+# the curved job of test_cli.py's budget test: g is linear, so the seed is
+# never read; its #A1 estimate saturates, which does not fit in 10 reductions
+CURVED_JOB = """\
+[ring]
+vars = x1 x2 x3 y1 y2
+[ideal]
+g = y1; y2
+[matrix]
+h = [[x3 + y1^2, x2], [x2, x1 - x3]]
+[options]
+a1 = estimate
+"""
+
+# g = (y1, h) with h Brieskorn-Pham of exponents (2, 3, 4, 5), so the locus
+# keeps a nonlinear generator and milnor_icis reads the seed:
+# (mu0, mu1, a, corank) = (1*2*3*4, 2*3*4, 0, 1)
+SINGULAR_LOCUS_JOB = """\
+[ring]
+vars = x1 x2 x3 y1 y2
+[ideal]
+g = y1; x1^2 + x2^3 + x3^4 + y2^5
+[matrix]
+h = [[x1, 0], [0, 1]]
+"""
+
+# a must-fail germ of the benchmark's small batch: det H = x1^2 makes the
+# (g, det H) scheme non-reduced along a surface
+NON_ISOLATED_JOB = """\
+[ring]
+vars = x1 x2 x3 y1 y2
+[ideal]
+g = y1; x1^2 + x2^2 + x3^2 + y2^2
+[matrix]
+h = [[x1^2, 0], [0, 1]]
+"""
+
+
+@pytest.mark.parametrize("tight_first", [False, True])
+def test_the_budgets_are_part_of_the_invariants_key(tight_first):
+    """A report kept under the default budgets does not serve a job under
+    10 reductions, and a budget error kept under 10 reductions does not
+    fail a job under the default budgets."""
+    inp = parse_job(CURVED_JOB)
+    tight = Budgets(reductions=10)
+    order = (tight, DEFAULT_BUDGETS) if tight_first else (DEFAULT_BUDGETS, tight)
+    for budgets in order + order:
+        job = Job(input=parse_job(CURVED_JOB), seed=3, budgets=budgets)
+        assert job.input is inp
+        if budgets == tight:
+            with pytest.raises(BudgetExceededError):
+                run_homology(job)
+        else:
+            assert run_homology(job).invariants.a1 == 0
+    assert inp._outcomes.keys() == {tight, DEFAULT_BUDGETS}
+
+
+def test_an_input_that_reads_the_seed_is_computed_for_each_seed(monkeypatch):
+    calls = []
+    milnor_icis = decomposition.milnor_icis
+    monkeypatch.setattr(
+        decomposition,
+        "milnor_icis",
+        lambda locus, seed, budgets: calls.append(seed) or milnor_icis(locus, seed, budgets),
+    )
+    inp = parse_job(SINGULAR_LOCUS_JOB)
+    for seed in (0, 1, 2, 0):
+        inv = run_homology(Job(input=inp, seed=seed)).invariants
+        assert (inv.mu0, inv.mu1, inv.a, inv.corank) == (24, 24, 0, 1)
+    assert calls == [0, 1, 2, 0]
+    assert inp._outcomes == {}
+
+
+def test_a_kept_failure_is_raised_afresh():
+    """The failure is reached before the seed is read, so it is kept: the
+    second job raises a new error of the same type and text, from the
+    memo, with no deeper traceback."""
+    inp = parse_job(NON_ISOLATED_JOB)
+    raised = []
+    for seed in (0, 1):
+        with pytest.raises(ComputationError) as exc:
+            run_homology(Job(input=inp, seed=seed))
+        raised.append(exc.value)
+    first, second = raised
+    assert type(second) is type(first) and str(second) == str(first)
+    assert "finite-codimension surrogate failed" in str(first)
+    assert second is not first
+    depth = [len(traceback.extract_tb(e.__traceback__)) for e in raised]
+    assert depth[1] <= depth[0]
+    assert list(inp._outcomes) == [DEFAULT_BUDGETS]
+
+
+def test_a_parse_error_is_raised_on_every_call():
+    text = GOOD_JOB.replace("g = x1; x2", "g = x1; x2 +")
+    for _ in range(2):
+        with pytest.raises(ParseError, match=r"^line 6: in g: "):
+            parse_job(text)
+    assert jobs._parse_job.cache_info().currsize == 0
+
+
+@given(admissible_invariants())
+def test_kept_tables_are_built_from_their_own_invariants(invariants):
+    """The tables kept for a tuple, and for the tuple with another #A1, are
+    the tables a fresh build gives."""
+    mu0, mu1, a, corank, a1, n = invariants
+    for count in (a1, a1 + 1, a1):
+        key = (mu0, mu1, a, corank, count, n)
+        assert collect_tables(*key) == jobs._tables.__wrapped__(*key)
+
+
+def test_warm_and_cold_memos_give_the_same_json():
+    """The corpus under both variable orders and seeds 0-2: warm, each
+    input built once and run under every seed with the tables kept; cold,
+    a new input and no kept tables for every job."""
+
+    def corpus_json(cold):
+        out = []
+        for case in builtin_cases():
+            for order in ("given", "reversed"):
+                inp = build_input(case, order)
+                for seed in (0, 1, 2):
+                    if cold:
+                        jobs._tables.cache_clear()
+                        inp = build_input(case, order)
+                    out.append(run_homology(Job(input=inp, seed=seed)).to_json())
+        return out
+
+    assert corpus_json(cold=False) == corpus_json(cold=True)

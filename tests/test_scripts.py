@@ -1,9 +1,12 @@
 """The scripts in scripts/ run from a checkout without an installed package."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from milnorfibre import jobs
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -55,6 +58,28 @@ def test_outcome_digest_repeats(tmp_path):
         assert proc.returncode == 0, proc.stderr
     assert runs[0].stdout.startswith("batch-n5 seed 5 passes 0-0: 96 jobs, sha256 ")
     assert runs[0].stdout == runs[1].stdout
+
+
+def test_outcome_digest_runs_warm_as_it_would_cold(monkeypatch):
+    """The script runs every job in one process, so a text met earlier
+    reuses its parsed input, that input's seed-free invariants and the
+    tables of its invariants.  Its digest is the one of jobs that each
+    start with those memos empty."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("outcome_digest", SCRIPTS / "outcome_digest.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    warm = script.digest("batch-n5", 5, 1)
+    outcome = script.outcome
+
+    def cold_outcome(pkg, text, seed):
+        jobs._parse_job.cache_clear()
+        jobs._tables.cache_clear()
+        return outcome(pkg, text, seed)
+
+    monkeypatch.setattr(script, "outcome", cold_outcome)
+    assert script.digest("batch-n5", 5, 1) == warm
+    assert warm[0] == 96
 
 
 # pass 0 at workload seeds 5, 11 and 41, as printed by `outcome_digest.py all

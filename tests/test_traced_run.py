@@ -52,11 +52,19 @@ def homology_json(text):
     return jobs.run_homology(jobs.Job(input=jobs.parse_job(text), seed=1)).to_json()
 
 
-def traced_run(text):
+def clear_job_memos():
+    jobs._parse_job.cache_clear()
+    jobs._tables.cache_clear()
+
+
+def traced_run(text, warm=False):
     """The tracer after one traced run of the job text, whose JSON must be
-    the untraced one."""
+    the untraced one.  The traced run starts cold, as the untraced one did,
+    unless warm: then it reuses what the untraced run kept."""
     tracing = load_tracer()
     untraced = homology_json(text)
+    if not warm:
+        clear_job_memos()
     tracer = tracing.Tracer(milnorfibre)
     tracer.install()
     try:
@@ -93,3 +101,14 @@ def test_traced_homology_job_matches_the_untraced_one():
 def test_traced_saturation_job_matches_the_untraced_one():
     tracer = traced_run(CURVED_JOB)
     assert "standard_basis.saturate" in span_names(tracer)
+
+
+def test_warm_traced_rerun_reuses_the_parsed_input_and_its_invariants():
+    """A rerun of the text in one process parses nothing and checks no
+    ideal: it gets the input and its seed-free invariants kept by the first
+    run, and the same JSON.  The wrapped public functions still record
+    their spans."""
+    tracer = traced_run(WORKED_JOB, warm=True)
+    names = span_names(tracer)
+    assert {"jobs.parse_job", "jobs.collect_tables", "decomposition.invariant_report"} <= names
+    assert "milnor.check_icis" not in names
