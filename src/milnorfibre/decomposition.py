@@ -21,15 +21,21 @@ the checks report what they report in all n variables.
 The #A1 estimate is 0 or an error: it checks that the critical locus of f
 near 0 is V(g) (a1_count).  When g is linear and H is constant along a
 complement of V(g), as on every germ the paper writes down and every linear
-image of one, it is decided on the fibre over the origin, by one colength
-in n - 3 variables (_origin_fibre); otherwise the Jacobian ideal of f is
-saturated by (g) in all n variables.
+image of one, it is decided on the fibre over the origin, read off one pass
+over the terms of H: H(0), the matrices d_iH(0) and the class test's rows.
+Restricted to ker H(0), the fibre is a question about at most two binary
+quadrics when the corank of H(0) is at most 2, settled in closed form by
+their span and Sylvester's resultant, and one colength in corank-many
+variables otherwise (_fibre_finite).  f is neither assembled nor
+differentiated there; it is assembled to check an explicit f, and for the
+other germs, whose Jacobian ideal of f is saturated by (g) in all n
+variables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add
+from operator import add, mul
 from typing import NamedTuple, Sequence
 
 from .errors import ComputationError, InconsistencyError, InvalidIcisError
@@ -226,19 +232,23 @@ def compute_a(
     return int(value)
 
 
-def _origin_fibre(inp: SingularityInput) -> list[Polynomial] | None:
-    """The fibre ideal of inp over the origin, in k = n - 3 fresh variables
-    w: the nonzero forms among H(0)*w and w^t * d_iH(0) * w, i = 1..n; None
-    when inp is outside the class the fibre decides.
+def _fibre_finite(inp: SingularityInput, budgets: Budgets) -> bool | None:
+    """Whether the fibre ideal of inp over the origin is 0-dimensional, read
+    off the coefficients of H; None when inp is outside the class the fibre
+    decides.  The fibre ideal, in k = n - 3 variables w, is generated by the
+    forms H(0) w and w^t * D_l * w, for D_l = d_lH(0), l = 1..n.
 
     The class: every generator of g is linear, and every entry of H is
     constant along some k-dimensional subspace T with T ∩ V(g) = 0.  The
     directions v along which H is constant, d_v H_ij = 0 for all i <= j,
-    form the kernel L of the linear system whose rows are the coefficients
-    of the monomials of the partials d_l H_ij.  T exists exactly when the
-    coefficient rows A of g have rank k on L: a k-dimensional T in L on
-    which A has rank k meets ker A = V(g) in 0, and conversely A is
-    injective on such a T.
+    form the kernel L of the linear system S whose rows are the
+    coefficients of the monomials of the partials d_l H_ij.  T exists
+    exactly when the coefficient rows A of g have rank k on L: a
+    k-dimensional T in L on which A has rank k meets ker A = V(g) in 0, and
+    conversely A is injective on such a T.  A has rank k on L = ker S
+    exactly when the row spaces of A and S meet in 0 and A has rank k, that
+    is when each row of A is independent of the rows of S and of the rows
+    of A before it.
 
     Exactness.  Q^n is the direct sum of T and V(g), so take coordinates
     (x', y) with y = g(z) and x' linear coordinates on V(g), read through
@@ -253,13 +263,44 @@ def _origin_fibre(inp: SingularityInput) -> list[Polynomial] | None:
     continuity H(0) w = 0 and w^t * d_j H(0) w = 0.  Over x' = 0
     these are the fibre ideal's equations: the partials d_i in the original
     coordinates span the same matrices d_v H(0) as those in (x', y), since
-    d_v H = 0 for v in T.  The fibre ideal is homogeneous, so its colength
-    is finite exactly when w = 0 is its only zero, that is when V(J) lies
-    in V(g) near 0, which by the Nullstellensatz in the local ring makes
-    J : (g)^infinity the whole ring.  With a1_count's lemma, the fibre's
-    colength is finite exactly when the saturation's colength is 0, and
-    infinite exactly when the saturation's is.  A zero fibre ideal, which
-    colength refuses, has every w as a zero and counts as infinite."""
+    d_v H = 0 for v in T.  The fibre ideal is homogeneous, so it is
+    0-dimensional exactly when w = 0 is its only zero, that is when V(J)
+    lies in V(g) near 0, which by the Nullstellensatz in the local ring
+    makes J : (g)^infinity the whole ring.  With a1_count's lemma, the
+    fibre ideal is 0-dimensional exactly when the saturation's colength is
+    0, and it is not exactly when the saturation's colength is infinite.
+    f is never assembled here, so its zero Jacobian ideal is read off H.
+    H = 0 makes f = 0 whatever g is, and raises that error before the class
+    test.  Conversely, in the coordinates above a quadratic form
+    y^t * H(x') * y vanishes for every y only when the symmetric H(x') is
+    zero, so no other germ of the class has f = 0.
+
+    Closed form.  H(0) has rational entries, so its kernel over C is
+    spanned by a basis kappa_1..kappa_c of K = ker H(0) over Q, c the
+    corank.  With w = sum t_s kappa_s, the fibre ideal's zeros are the
+    common zeros in C^c of the restricted quadrics q_l(t) = w^t * D_l * w,
+    and these form a cone, which is 0 exactly when the fibre ideal is
+    0-dimensional.
+    - c = 0: the only zero is 0.
+    - c = 1: q_l = lambda_l * t^2, and 0 is the only zero exactly when some
+      lambda_l is nonzero.
+    - c = 2: pair a binary quadric q = a u^2 + b uv + c v^2 with
+      m = (u^2, uv, v^2) as (a, b, c) . m; then (u, v) != 0 is a common
+      zero exactly when m lies in the annihilator V' in C^3 of the span V
+      of the q_l.  The m of that shape with (u, v) != 0 are the nonzero
+      points of the cone m_1 m_3 = m_2^2: u and v are square roots of m_1
+      and m_3 with uv = m_2.  If dim V = 3, V' = 0 and 0 is the only zero.
+      If dim V <= 1, V' contains a plane, on which the cone's equation is a
+      binary quadratic form over C, and that has a nonzero zero.  If
+      dim V = 2, V' is the line of x = q_1 x q_2 for a basis pair, and it
+      lies on the cone exactly when x_2^2 = x_1 x_3.  x_2^2 - x_1 x_3 =
+      (a_1 c_2 - a_2 c_1)^2 - (a_1 b_2 - a_2 b_1)(b_1 c_2 - b_2 c_1) is
+      Sylvester's resultant of q_1 and q_2 (Cox, Little and O'Shea, Ideals,
+      Varieties, and Algorithms, ch. 3 section 6).
+    - c >= 3: one colength of the restricted quadrics in c variables,
+      which is finite exactly when 0 is their only zero, as they are
+      homogeneous; a zero ideal, which colength refuses, has every t as a
+      zero."""
     n, k = inp.n, len(inp.g)
     a = []
     for q in inp.g:
@@ -269,40 +310,105 @@ def _origin_fibre(inp: SingularityInput) -> list[Polynomial] | None:
                 return None
             row[e.index(1)] = c
         a.append(row)
-    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-    # one row of the system per entry of H and monomial of its partials; the
-    # linear terms of the entries give the forms w^t * d_l H(0) * w
+    # one pass over the terms of H: its value at 0, the doubled coefficients
+    # of the forms w^t * D_l * w on w_i * w_j, i <= j, and one row of S per
+    # entry of H and monomial of its partials
+    h0 = [[0] * k for _ in range(k)]
+    forms: dict[int, dict] = {}
     system: dict[tuple, list] = {}
-    forms: list[dict] = [{} for _ in range(n)]
     for i in range(k):
         for j in range(i, k):
             for e, c in inp.h.entry(i, j).items():
+                degree = sum(e)
+                if degree == 0:
+                    h0[i][j] = h0[j][i] = c
+                    continue
+                if degree == 1:
+                    forms.setdefault(e.index(1), {})[i, j] = c if i == j else 2 * c
                 for l, el in enumerate(e):
                     if el:
                         key = (i, j) + e[:l] + (el - 1,) + e[l + 1:]
                         system.setdefault(key, [0] * n)[l] += el * c
-                if sum(e) == 1:
-                    forms[e.index(1)][tuple(map(add, units[i], units[j]))] = c if i == j else 2 * c
-    echelon, pivots = reduced_row_echelon(list(system.values()))
-    # L has one basis vector per free column c: e_c minus (row p)[c] * e_p
-    # over the pivots p; A on L is A times these vectors
-    free = [c for c in range(n) if c not in pivots]
-    on_kernel = [[row[c] - sum(r[c] * row[p] for p, r in zip(pivots, echelon)) for c in free] for row in a]
-    if len(reduced_row_echelon(on_kernel)[1]) < k:
+    if not system and not any(map(any, h0)):
+        raise ComputationError("zero Jacobian ideal; f is identically zero")
+    # forward elimination, one row at a time: each kept row is zero in the
+    # pivot columns of the rows kept before it, so a row reduced by all of
+    # them in turn is zero in every pivot column, and nonzero exactly when
+    # it is independent of them
+    echelon: list[tuple[int, list]] = []
+
+    def independent(row: list) -> bool:
+        for p, kept in echelon:
+            if row[p]:
+                row = [kept[p] * x - row[p] * y for x, y in zip(row, kept)]
+        for p, x in enumerate(row):
+            if x:
+                echelon.append((p, row))
+                return True
+        return False
+
+    for row in system.values():
+        independent(row)
+    if not all(map(independent, a)):
         return None
-    ring = Ring(tuple(f"w{i}" for i in range(1, k + 1)))
-    fibre = [
-        Polynomial(ring, {units[j]: h.constant_coefficient() for j, h in enumerate(row)})
-        for row in inp.h.entries()
-    ]
-    fibre += [Polynomial(ring, form) for form in forms]
-    return [q for q in fibre if q]
+    reduced, pivots = reduced_row_echelon(h0)
+    if len(pivots) == k:
+        return True
+    # K has one basis vector per free column c: e_c minus (row p)[c] * e_p
+    # over the pivots p
+    kernel = []
+    for col in range(k):
+        if col not in pivots:
+            v = [0] * k
+            v[col] = 1
+            for p, r in zip(pivots, reduced):
+                v[p] = -r[col]
+            kernel.append(v)
+    corank = len(kernel)
+    # each restricted quadric as its coefficients on t_s * t_t, s <= t, in
+    # lexicographic order of (s, t): for corank 2 that is (a, b, c)
+    pairs = [(s, t) for s in range(corank) for t in range(s, corank)]
+    quadrics = []
+    for form in forms.values():
+        q = []
+        for s, t in pairs:
+            u, v = kernel[s], kernel[t]
+            if s == t:
+                q.append(sum(x * u[i] * u[j] for (i, j), x in form.items()))
+            else:
+                q.append(sum(x * (u[i] * v[j] + v[i] * u[j]) for (i, j), x in form.items()))
+        if any(q):
+            quadrics.append(q)
+    if corank == 1 or not quadrics:
+        return bool(quadrics)
+    if corank == 2:
+        # the normal q1 x q2 of the span of the first independent pair
+        q1 = quadrics[0]
+        for q2 in quadrics[1:]:
+            normal = (
+                q1[1] * q2[2] - q1[2] * q2[1],
+                q1[2] * q2[0] - q1[0] * q2[2],
+                q1[0] * q2[1] - q1[1] * q2[0],
+            )
+            if any(normal):
+                break
+        else:
+            return False
+        if any(sum(map(mul, normal, q)) for q in quadrics):
+            return True
+        return normal[1] * normal[1] != normal[0] * normal[2]
+    ring = Ring(tuple(f"t{s}" for s in range(1, corank + 1)))
+    units = [tuple(int(s == r) for r in range(corank)) for s in range(corank)]
+    monomials = [tuple(map(add, units[s], units[t])) for s, t in pairs]
+    restricted = [Polynomial(ring, dict(zip(monomials, q))) for q in quadrics]
+    return colength(restricted, local_order(corank), budgets) != INFINITE
 
 
 def a1_count(
     inp: SingularityInput, f: Polynomial | None, budgets: Budgets = DEFAULT_BUDGETS
 ) -> tuple[int, str]:
-    """Morse-point count with provenance; f = g * H * g^t, read only by estimate.
+    """Morse-point count with provenance; f = g * H * g^t may be None, and is
+    read only by the saturation route, which assembles it when it is.
 
     provided -> the user's number; assume_zero -> 0 flagged as assumed;
     estimate -> the colength of J : (g)^infinity, for J the Jacobian ideal
@@ -318,22 +424,25 @@ def a1_count(
     dimension at least 1.  Hence the saturation is R, of colength 0, or
     has infinite colength.
 
-    On a germ in the class of _origin_fibre the outcome is read off the
-    fibre ideal over the origin, one colength in n - 3 variables; every
-    other germ is saturated, by one elimination in n + 1 exponent slots.
+    On a germ in the class of _fibre_finite the outcome is read off the
+    fibre over the origin, from the coefficients of H at 0: in closed form
+    when H(0) has corank at most 2, and by one colength in corank-many
+    variables otherwise.  Every other germ is saturated, by one elimination
+    in n + 1 exponent slots.
     """
     if inp.a1_mode == "provided":
         return inp.a1_count, "provided"
     if inp.a1_mode == "assume_zero":
         return 0, "assumed"
-    jac = [d for d in map(f.derivative, range(inp.n)) if not d.is_zero()]
-    if not jac:
-        raise ComputationError("zero Jacobian ideal; f is identically zero")
-    fibre = _origin_fibre(inp)
-    if fibre is not None:
-        finite = fibre and colength(fibre, local_order(len(inp.g)), budgets) != INFINITE
+    finite = _fibre_finite(inp, budgets)
+    if finite is not None:
         value = 0 if finite else INFINITE
     else:
+        if f is None:
+            f = assemble_f(inp)
+        jac = [d for d in map(f.derivative, range(inp.n)) if not d.is_zero()]
+        if not jac:
+            raise ComputationError("zero Jacobian ideal; f is identically zero")
         order = local_order(inp.n)
         sat, _eliminations = saturate(jac, list(inp.g), order, budgets)
         live = [p for p in sat if not p.is_zero()]
@@ -417,8 +526,8 @@ def invariant_report(
 def _invariant_report(inp: SingularityInput, mu0_of, budgets: Budgets) -> InvariantReport:
     """invariant_report's computation, with mu0_of(locus) the Milnor number
     of the checked locus."""
-    needs_f = inp.f_expected is not None or inp.a1_mode == "estimate"
-    f = verify_decomposition(inp) if needs_f else None
+    if inp.f_expected is not None:
+        verify_decomposition(inp)
     checks = list(_LOCUS_MEMBERSHIP_CHECKS)
 
     # the restriction sends a generator in the span of the linear ones to
@@ -481,7 +590,7 @@ def _invariant_report(inp: SingularityInput, mu0_of, budgets: Budgets) -> Invari
     mu1_applicable = corank != 0
     # (g) is a checked i.c.i.s. of Milnor number mu0, so mu1 is one step
     mu1 = milnor_top_step(sigma1, mu0, budgets) if mu1_applicable else 0
-    a1, a1_prov = a1_count(inp, f, budgets)
+    a1, a1_prov = a1_count(inp, None, budgets)
 
     guards = _guard_inequalities(mu1, a, corank)
     checks.extend(guards)

@@ -3,7 +3,8 @@ Q that the integer engine replaced, weak normal form, ideal membership,
 the leads of a basis, ideal intersection, saturation in a ring with a
 named tag variable, and the local staircase in all variables; a germ's
 invariants and checks in all its variables, with no linear generator of
-the locus substituted away; minors by the Leibniz formula; the rank of a
+the locus substituted away; the #A1 estimate's fibre ideal over the origin
+and its colength; minors by the Leibniz formula; the rank of a
 rational matrix; the mod-2 table of an integral homology table by
 universal coefficients; and a report as the document json.dumps renders.
 
@@ -27,6 +28,7 @@ from milnorfibre.orders import (
     LOCAL_ANTIGRADED_REVLEX,
     MonomialOrder,
     elimination_order,
+    local_order,
 )
 from milnorfibre.rings import (
     Polynomial,
@@ -37,10 +39,12 @@ from milnorfibre.rings import (
     determinant_and_minors,
     monomial_degree,
     monomial_divides,
+    reduced_row_echelon,
 )
 from milnorfibre.standard_basis import (
     Budgets,
     DEFAULT_BUDGETS,
+    INFINITE,
     _EP,
     _EP_ZERO,
     _Counter,
@@ -50,6 +54,7 @@ from milnorfibre.standard_basis import (
     _ep_from_polynomial,
     _standard_basis_ep,
     _weak_normal_form,
+    colength,
     standard_basis,
 )
 
@@ -394,6 +399,67 @@ def full_ring_invariants(
     if corank:
         mu1 = milnor_top_step(sigma1, mu0, budgets)
     return (mu0, mu1, a, corank), details
+
+
+# --- the #A1 estimate's fibre ideal, built and given its colength ----------
+# The fibre ideal over the origin as an ideal of polynomials in k = n - 3
+# variables w, with the class test solved for the kernel L of S, and its
+# colength taken by the engine; the package reads the same outcome off the
+# coefficients of H in closed form (decomposition._fibre_finite, which
+# proves both routes).
+
+
+def origin_fibre(inp: SingularityInput) -> list[Polynomial] | None:
+    """The nonzero forms among H(0)*w and w^t * d_iH(0) * w, i = 1..n, in
+    fresh variables w1..wk; None when inp is outside the class: some
+    generator of g is not linear, or the coefficient rows A of g have rank
+    below k on the kernel L of the system S whose rows are the coefficients
+    of the monomials of the partials d_l H_ij."""
+    n, k = inp.n, len(inp.g)
+    a = []
+    for q in inp.g:
+        row = [0] * n
+        for e, c in q.items():
+            if sum(e) != 1:
+                return None
+            row[e.index(1)] = c
+        a.append(row)
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    system: dict[tuple, list] = {}
+    forms: list[dict] = [{} for _ in range(n)]
+    for i in range(k):
+        for j in range(i, k):
+            for e, c in inp.h.entry(i, j).items():
+                for l, el in enumerate(e):
+                    if el:
+                        key = (i, j) + e[:l] + (el - 1,) + e[l + 1:]
+                        system.setdefault(key, [0] * n)[l] += el * c
+                if sum(e) == 1:
+                    forms[e.index(1)][tuple(map(add, units[i], units[j]))] = c if i == j else 2 * c
+    echelon, pivots = reduced_row_echelon(list(system.values()))
+    # L has one basis vector per free column c: e_c minus (row p)[c] * e_p
+    # over the pivots p; A on L is A times these vectors
+    free = [c for c in range(n) if c not in pivots]
+    on_kernel = [[row[c] - sum(r[c] * row[p] for p, r in zip(pivots, echelon)) for c in free] for row in a]
+    if len(reduced_row_echelon(on_kernel)[1]) < k:
+        return None
+    ring = Ring(tuple(f"w{i}" for i in range(1, k + 1)))
+    fibre = [
+        Polynomial(ring, {units[j]: h.constant_coefficient() for j, h in enumerate(row)})
+        for row in inp.h.entries()
+    ]
+    fibre += [Polynomial(ring, form) for form in forms]
+    return [q for q in fibre if q]
+
+
+def fibre_colength_finite(inp: SingularityInput, budgets: Budgets = DEFAULT_BUDGETS) -> bool | None:
+    """Whether the colength of origin_fibre(inp) is finite, None outside its
+    class; a zero fibre ideal, which colength refuses, has every w as a
+    zero and counts as infinite."""
+    fibre = origin_fibre(inp)
+    if fibre is None:
+        return None
+    return bool(fibre) and colength(fibre, local_order(len(inp.g)), budgets) != INFINITE
 
 
 # --- minors by the Leibniz formula --------------------------------------------

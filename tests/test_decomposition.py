@@ -26,8 +26,8 @@ from milnorfibre.errors import (
 from milnorfibre.jobs import Job, run_homology
 from milnorfibre.orders import global_order
 from milnorfibre.rings import PolyMatrix, Polynomial, Ring, parse_polynomial
-from milnorfibre.standard_basis import Budgets
-from oracles import full_ring_invariants, is_member, oracle_minors
+from milnorfibre.standard_basis import DEFAULT_BUDGETS, Budgets
+from oracles import fibre_colength_finite, full_ring_invariants, is_member, oracle_minors
 
 # the module, which the package's standard_basis function shadows as an attribute
 sb_module = importlib.import_module("milnorfibre.standard_basis")
@@ -253,12 +253,13 @@ def test_identically_zero_det_h_is_named():
         # corank 2: g is linear, so the restricted locus has no generator
         # and is smooth, and only (g, det H) is checked, once, in the three
         # free variables; mu1 is one step over that check, and mu0 = 0 needs
-        # no chain
-        (worked_example(a1_mode="estimate"), (1, 1, 1, 1, 8)),
+        # no chain; the #A1 estimate is read off the coefficients of H, so f
+        # is neither assembled nor differentiated
+        (worked_example(a1_mode="estimate"), (1, 1, 1, 0, 3)),
         # corank 0: the restricted locus has no generator, so nothing is
         # checked; a = 0 needs no colength, and f is assembled only to
-        # cross-check an explicit f or to estimate #A1, and differentiated
-        # only for the estimate; this job asks for neither
+        # cross-check an explicit f or for a saturated #A1 estimate, and
+        # differentiated only for that estimate; this job asks for neither
         (mk(("y1", "y2"), (("1", "0"), ("0", "1"))), (0, 0, 0, 0, 0)),
     ],
 )
@@ -279,11 +280,11 @@ def test_each_ideal_is_checked_once(monkeypatch, inp, expected):
     # the derivative count pins where a job differentiates: a restricted g
     # is differentiated once, by the locus check, whose rows the (g, det H)
     # check keeps while it differentiates the restricted det H alone, and f
-    # only to estimate #A1; the worked example, whose g restricts to no
-    # generator, takes the 3 partials of det H in its free variables and
-    # the 5 of f, and no call of either germ repeats a (polynomial,
-    # variable) pair already taken (in all n variables the two jobs took
-    # 10 + 5 + 5 and 10)
+    # only to saturate for the #A1 estimate; the worked example, whose g
+    # restricts to no generator and whose estimate is read off H, takes the
+    # 3 partials of det H in its free variables, and no call of either germ
+    # repeats a (polynomial, variable) pair already taken (in all n
+    # variables the two jobs took 10 + 5 + 5 and 10)
     monkeypatch.setattr(Polynomial, "derivative", counting("derivative", Polynomial.derivative))
     # milnor_icis must run on the caller's check, not test its ideal again
     monkeypatch.setattr(milnor, "check_icis", decomposition.check_icis)
@@ -302,25 +303,41 @@ def thom_sebastiani_input(**kwargs):
     return mk(("y1", "x1^2 + x2^2 + x3^2 + y2^2"), (("1", "0"), ("0", "1")), **kwargs)
 
 
+def corank3_input(**kwargs):
+    """n = 6, g = (x4, x5, x6) and H = diag(x1, x2, x3): H(0) = 0 has
+    corank 3, and the restricted quadrics t1^2, t2^2, t3^2 have no common
+    zero but 0."""
+    return mk(
+        ("x4", "x5", "x6"),
+        (("x1", "0", "0"), ("0", "x2", "0"), ("0", "0", "x3")),
+        ring=Ring(tuple(f"x{i}" for i in range(1, 7))),
+        **kwargs,
+    )
+
+
 @pytest.mark.parametrize(
     "inp, expected",
     [
-        # the fibre ideal (w1^2 + w2^2, 2*w1*w2) in two variables
-        (worked_example(a1_mode="estimate"), (0, 1)),
-        # the fibre ideal (w3, w1^2, 2*w1*w2, w2^2): w3 is substituted away
-        (dataclasses.replace(build_input(_dkp_case(2, 6), "given"), a1_mode="estimate"), (0, 1)),
+        # corank 2: the binary quadrics u^2 + v^2 and 2uv, of nonzero
+        # resultant, decide it in closed form
+        (worked_example(a1_mode="estimate"), (0, 0)),
+        # corank 2 of k = 3: u^2, 2uv and v^2 span every binary quadric
+        (dataclasses.replace(build_input(_dkp_case(2, 6), "given"), a1_mode="estimate"), (0, 0)),
+        # corank 3: one colength of the restricted quadrics in 3 variables
+        (corank3_input(a1_mode="estimate"), (0, 1)),
         # outside the class, with a curved H or a nonlinear generator: one
         # elimination, whose basis colength reads
         (curved_input(a1_mode="estimate"), (1, 1)),
         (thom_sebastiani_input(a1_mode="estimate"), (1, 1)),
     ],
-    ids=["worked-n5", "d32-n6", "curved-n5", "thom-sebastiani-n5"],
+    ids=["worked-n5", "d32-n6", "corank3-n6", "curved-n5", "thom-sebastiani-n5"],
 )
 def test_a1_estimate_is_one_elimination(monkeypatch, inp, expected):
-    """At most one elimination: a germ in the class of _origin_fibre has its
-    estimate decided by one colength of its fibre ideal over the origin, in
-    n - 3 variables, and is not saturated; any other germ is saturated by
-    the k = n - 3 generators of (g) in one completion of the engine, and
+    """At most one elimination: a germ in the class of _fibre_finite has its
+    estimate read off the coefficients of H, with no engine call when H(0)
+    has corank at most 2 and one colength in corank-many variables
+    otherwise, and is not saturated; any other germ is saturated by the
+    k = n - 3 generators of (g) in one completion of the engine, and
     colength reads the leads of that basis.  One elimination per generator
     and their intersections would make 2k - 1.  Neither route calls the
     public standard_basis, which makes every element monic."""
@@ -336,7 +353,7 @@ def test_a1_estimate_is_one_elimination(monkeypatch, inp, expected):
     monkeypatch.setattr(decomposition, "saturate", counting("saturate", decomposition.saturate))
     for name in ("_standard_basis_ep", "standard_basis"):
         monkeypatch.setattr(sb_module, name, counting(name, getattr(sb_module, name)))
-    assert decomposition.a1_count(inp, assemble_f(inp)) == (0, "experimental-saturation")
+    assert decomposition.a1_count(inp, None) == (0, "experimental-saturation")
     assert counts == {"saturate": expected[0], "_standard_basis_ep": expected[1], "standard_basis": 0}
 
 
@@ -610,45 +627,227 @@ NOT_ZERO_DIMENSIONAL = (
 
 def estimate(inp, saturate=False):
     """The #A1 estimate of inp, or its error text; with saturate, by the
-    saturation, the route a1_count takes when _origin_fibre refuses the
+    saturation, the route a1_count takes when _fibre_finite refuses the
     germ."""
     with pytest.MonkeyPatch.context() as patch:
         if saturate:
-            patch.setattr(decomposition, "_origin_fibre", lambda inp: None)
+            patch.setattr(decomposition, "_fibre_finite", lambda inp, budgets: None)
         try:
-            return decomposition.a1_count(inp, assemble_f(inp))
+            return decomposition.a1_count(inp, None)
         except ComputationError as exc:
             return str(exc)
+
+
+def fibre_estimate(inp):
+    """The #A1 estimate of a germ in the class, as the colength of its fibre
+    ideal over the origin gives it (the oracle fibre_colength_finite)."""
+    finite = fibre_colength_finite(inp)
+    assert finite is not None, inp
+    return (0, "experimental-saturation") if finite else NOT_ZERO_DIMENSIONAL
 
 
 @pytest.mark.parametrize("order", ["given", "reversed"])
 def test_fibre_route_matches_the_saturation_on_the_corpus(order):
     """Every corpus germ, the sheared ones included, is in the class the
-    fibre decides, and both routes give it #A1 = 0; both give the negative
-    and the crossed germ the error."""
+    fibre decides, and the closed form, the fibre's colength and the
+    saturation all give it #A1 = 0; all three give the negative and the
+    crossed germ the error."""
     for case in CORPUS_CASES:
         inp = dataclasses.replace(build_input(case, order), a1_mode="estimate")
-        assert decomposition._origin_fibre(inp) is not None, case.name
-        assert estimate(inp) == estimate(inp, saturate=True) == (0, "experimental-saturation")
+        assert decomposition._fibre_finite(inp, DEFAULT_BUDGETS) is True, case.name
+        assert estimate(inp) == fibre_estimate(inp) == estimate(inp, saturate=True) == (
+            0, "experimental-saturation"
+        )
     for inp in (NEGATIVE_GERM, CROSSED_GERM):
-        assert decomposition._origin_fibre(inp) is not None
-        assert estimate(inp) == estimate(inp, saturate=True) == NOT_ZERO_DIMENSIONAL
+        assert decomposition._fibre_finite(inp, DEFAULT_BUDGETS) is False
+        assert estimate(inp) == fibre_estimate(inp) == estimate(inp, saturate=True) == NOT_ZERO_DIMENSIONAL
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_fibre_route_is_invariant_under_linear_changes(seed):
     """A random invertible integer change of coordinates and recombination
-    of g keep the class, and the fibre route gives the changed germ the
-    outcome the saturation gives the germ as presented.  The saturation of
-    the changed germ itself is not run: its one elimination trips a budget
-    of 1000 reductions on most such presentations."""
+    of g keep the class, and the closed form and the fibre's colength give
+    the changed germ the outcome the saturation gives the germ as
+    presented.  The saturation of the changed germ itself is not run: its
+    one elimination trips a budget of 1000 reductions on most such
+    presentations."""
     rng = random.Random(seed)
     sources = [build_input(case, "given") for case in CORPUS_CASES] + [NEGATIVE_GERM]
     for _ in range(12):
         inp = dataclasses.replace(rng.choice(sources), a1_mode="estimate")
         changed = _changed(inp, rng)
-        assert decomposition._origin_fibre(changed) is not None, changed
-        assert estimate(changed) == estimate(inp, saturate=True), changed
+        assert decomposition._fibre_finite(changed, DEFAULT_BUDGETS) is not None, changed
+        assert estimate(changed) == fibre_estimate(changed) == estimate(inp, saturate=True), changed
+
+
+# --- the closed form on random fibre data ------------------------------------
+
+def _binary(rng):
+    """A random binary quadric (a, b, c), for a u^2 + b uv + c v^2."""
+    return [rng.randint(-3, 3) for _ in range(3)]
+
+
+def _linear_times(rng, linear):
+    """linear, a binary linear form (p, q), times a random one."""
+    r, s = rng.randint(-2, 2), rng.randint(-2, 2)
+    return [linear[0] * r, linear[0] * s + linear[1] * r, linear[1] * s]
+
+
+def _resultant(q1, q2):
+    (a1, b1, c1), (a2, b2, c2) = q1, q2
+    return (a1 * c2 - a2 * c1) ** 2 - (a1 * b2 - a2 * b1) * (b1 * c2 - b2 * c1)
+
+
+def _pencil(rng, kind):
+    """Three binary quadrics whose span is of the kind named, and whether
+    they have no common zero but 0."""
+    if kind == "shared-factor":
+        linear = (rng.choice((-2, -1, 1, 2)), rng.randint(-2, 2))
+        return [_linear_times(rng, linear) for _ in range(3)], False
+    if kind == "coprime":
+        while True:
+            q1, q2 = _binary(rng), _binary(rng)
+            if _resultant(q1, q2):
+                break
+        r, s = rng.randint(-2, 2), rng.randint(-2, 2)
+        return [q1, q2, [r * x + s * y for x, y in zip(q1, q2)]], True
+    if kind == "span-1":
+        q = _binary(rng)
+        while not any(q):
+            q = _binary(rng)
+        return [[r * x for x in q] for r in (rng.randint(-2, 2), 1, rng.randint(-2, 2))], False
+    if kind == "span-3":
+        while True:
+            qs = [_binary(rng) for _ in range(3)]
+            if rings.int_determinant(qs):
+                return qs, True
+    raise ValueError(kind)
+
+
+def _fibre_germ(rng, k, corank, corners, fractions):
+    """A germ at n = k + 3 with g = (x4, ..., xn) and H = H(0) + sum over
+    l = 1..3 of x_l D_l + a curved term in x1 and x2, which leave H constant
+    along the axes of g.  H(0) = P^t diag(d, 0) P has the corank asked for,
+    and D_l = P^t E_l P, with E_l random but for its corner on the kernel
+    coordinates, corners[l] as a symmetric corank x corank matrix; so the
+    restricted quadrics are given by the corners.  With fractions, d holds
+    Fractions."""
+    ring = Ring(tuple(f"x{i}" for i in range(1, k + 4)))
+    p_rows = _invertible(rng, k)
+    unit = [Fraction(1, rng.choice((2, 3))) if fractions else 1 for _ in range(k)]
+    diagonal = [rng.choice((-2, -1, 1, 2)) * unit[i] for i in range(k - corank)] + [0] * corank
+
+    def conjugate(e):
+        # P^t * e * P
+        return [
+            [sum(p_rows[r][i] * e[r][s] * p_rows[s][j] for r in range(k) for s in range(k)) for j in range(k)]
+            for i in range(k)
+        ]
+
+    h0 = conjugate([[diagonal[i] if i == j else 0 for j in range(k)] for i in range(k)])
+    slopes = []
+    for corner in corners:
+        e = [[0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                inside = i >= k - corank and j >= k - corank
+                e[i][j] = e[j][i] = corner[i - k + corank][j - k + corank] if inside else rng.randint(-2, 2)
+        slopes.append(conjugate(e))
+    x = ring.gens()
+    curved = x[0] * x[1] if rng.random() < 0.5 else x[0] ** 2
+    entries = [
+        [
+            ring.constant(h0[i][j])
+            + sum((x[l] * slopes[l][i][j] for l in range(len(corners))), ring.zero())
+            + (curved if i == j == 0 else ring.zero())
+            for j in range(k)
+        ]
+        for i in range(k)
+    ]
+    return SingularityInput(
+        ring=ring, g=tuple(x[3:]), h=PolyMatrix(ring, entries), a1_mode="estimate"
+    )
+
+
+def _symmetric(q):
+    """The symmetric 2 x 2 matrix of the binary quadric (a, b, c), times 2 so
+    it stays integral."""
+    a, b, c = q
+    return [[2 * a, b], [b, 2 * c]]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_closed_form_matches_the_fibre_colength_on_random_data(seed):
+    """Random fibre data, H(0) of integers or Fractions of corank 0 to 3 and
+    random D_l, some after a random linear change: the closed form agrees
+    with the colength of the fibre ideal, and both outcomes occur at every
+    corank from 1 to 3.  At corank 2 the pencils share a
+    linear factor (infinite), are coprime (finite), span a line (infinite)
+    or span every binary quadric (finite), and the closed form gives the
+    outcome each kind has by construction."""
+    rng = random.Random(seed)
+    seen = set()
+    for trial in range(40):
+        k = rng.choice((2, 3))
+        corank = rng.randint(0, k)
+        fractions = rng.random() < 0.4
+        expected = None
+        if corank == 2:
+            kind = ("shared-factor", "coprime", "span-1", "span-3")[trial % 4]
+            pencil, expected = _pencil(rng, kind)
+            corners = [_symmetric(q) for q in pencil]
+            seen.add(kind)
+        else:
+            # a zero first diagonal entry in every corner puts t = (1, 0, ...)
+            # in every restricted quadric's zeros
+            degenerate = corank and trial % 3 == 0
+            corners = []
+            for _ in range(3):
+                upper = [[rng.randint(-2, 2) for _ in range(corank)] for _ in range(corank)]
+                if degenerate:
+                    upper[0][0] = 0
+                corners.append([[upper[min(i, j)][max(i, j)] for j in range(corank)] for i in range(corank)])
+            expected = False if degenerate else None
+        inp = _fibre_germ(rng, k, corank, corners, fractions)
+        assert rings.corank_at_origin(inp.h) == corank
+        finite = decomposition._fibre_finite(inp, DEFAULT_BUDGETS)
+        assert finite is not None
+        assert finite == fibre_colength_finite(inp), (corank, corners)
+        if corank == 0:
+            assert finite
+        if expected is not None:
+            assert finite == expected, (corank, corners)
+        seen.add((corank, finite))
+        if trial % 5 == 0:
+            changed = _changed(inp, rng)
+            assert decomposition._fibre_finite(changed, DEFAULT_BUDGETS) == finite
+            assert fibre_colength_finite(changed) == finite
+    kinds = {"shared-factor", "coprime", "span-1", "span-3"}
+    assert kinds <= seen
+    assert {(c, v) for c in (1, 2, 3) for v in (True, False)} | {(0, True)} == seen - kinds
+
+
+# --- guards ------------------------------------------------------------------
+
+def test_zero_h_raises_the_zero_jacobian_text():
+    """H = 0 makes f = 0: straight to a1_count, a germ of the class names
+    the zero Jacobian ideal, as the saturation does outside it."""
+    zero = mk(("y1", "y2"), (("0", "0"), ("0", "0")), a1_mode="estimate")
+    message = "zero Jacobian ideal; f is identically zero"
+    with pytest.raises(ComputationError, match=re.escape(message)):
+        decomposition.a1_count(zero, None)
+    nonlinear = mk(("y1", "y2 + x1^2"), (("0", "0"), ("0", "0")), a1_mode="estimate")
+    with pytest.raises(ComputationError, match=re.escape(message)):
+        decomposition.a1_count(nonlinear, None)
+
+
+def test_estimate_job_still_checks_an_explicit_f():
+    """The estimate no longer assembles f, but a job that writes f checks it."""
+    good = worked_example(a1_mode="estimate", f_expected=assemble_f(worked_example()))
+    assert invariant_report(good).a1_provenance == "experimental-saturation"
+    bad = worked_example(a1_mode="estimate", f_expected=p("x1^2*x3", good.ring))
+    with pytest.raises(InconsistencyError, match="does not equal the expected f"):
+        invariant_report(bad)
 
 
 def test_negative_germ_fails_the_whole_job():

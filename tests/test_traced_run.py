@@ -103,6 +103,30 @@ def test_traced_saturation_job_matches_the_untraced_one():
     assert "standard_basis.saturate" in span_names(tracer)
 
 
+def colengths_under_a1_count(tracer):
+    """The standard_basis.colength spans with decomposition.a1_count among
+    their ancestors."""
+    spans, names = tracer.spans, tracer.names
+
+    def under_a1_count(span):
+        parent = span[3]
+        while parent >= 0:
+            if names[spans[parent][0]] == "decomposition.a1_count":
+                return True
+            parent = spans[parent][3]
+        return False
+
+    return [s for s in spans if names[s[0]] == "standard_basis.colength" and under_a1_count(s)]
+
+
+def test_worked_estimate_takes_no_colength():
+    """The worked job's H(0) has corank 2, so its #A1 estimate is decided
+    in closed form, with no colength under a1_count; the saturated job's
+    estimate reads one."""
+    assert colengths_under_a1_count(traced_run(WORKED_JOB)) == []
+    assert len(colengths_under_a1_count(traced_run(CURVED_JOB))) == 1
+
+
 def test_warm_traced_rerun_reuses_the_parsed_input_and_its_invariants():
     """A rerun of the text in one process parses nothing and checks no
     ideal: it gets the input and its seed-free invariants kept by the first
