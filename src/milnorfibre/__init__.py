@@ -2,8 +2,8 @@
 singular along a 3-dimensional i.c.i.s., presented as f = g * H * g^T.
 
 Layers, bottom to top: rings (exact polynomial arithmetic), orders
-(monomial orders), standard_basis (Mora/Buchberger engine, colength,
-saturation), milnor (i.c.i.s. Milnor numbers), decomposition
+(monomial orders), standard_basis (Mora's local standard bases,
+colength, saturation), milnor (i.c.i.s. Milnor numbers), decomposition
 (the presentation's invariants mu0, mu1, a, corank, #A1), homology
 (tables, Smith normal form, bouquets), jobs (job files and reports),
 corpus (built-in regressions), cli (entry point).
@@ -39,7 +39,7 @@ from .homology import (
 )
 from .jobs import Job, Report, parse_job, run_homology, run_invariants
 from .milnor import check_icis, milnor_icis
-from .orders import MonomialOrder, elimination_order, global_order, local_order
+from .orders import MonomialOrder, elimination_order, local_order
 from .rings import (
     PolyMatrix,
     Polynomial,
@@ -55,7 +55,6 @@ from .standard_basis import (
     INFINITE,
     colength,
     saturate,
-    standard_basis,
 )
 
 __version__ = "0.1.0"
@@ -88,7 +87,6 @@ __all__ = [
     "colength",
     "dkp_fibre",
     "elimination_order",
-    "global_order",
     "invariant_report",
     "jacobian",
     "leading_minors",
@@ -102,7 +100,6 @@ __all__ = [
     "run_invariants",
     "saturate",
     "smith_normal_form",
-    "standard_basis",
     "table_B",
     "table_M",
     "table_pair_B_Bu",

@@ -404,11 +404,8 @@ def _fibre_finite(inp: SingularityInput, budgets: Budgets) -> bool | None:
     return colength(restricted, local_order(corank), budgets) != INFINITE
 
 
-def a1_count(
-    inp: SingularityInput, f: Polynomial | None, budgets: Budgets = DEFAULT_BUDGETS
-) -> tuple[int, str]:
-    """Morse-point count with provenance; f = g * H * g^t may be None, and is
-    read only by the saturation route, which assembles it when it is.
+def a1_count(inp: SingularityInput, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[int, str]:
+    """Morse-point count with provenance.
 
     provided -> the user's number; assume_zero -> 0 flagged as assumed;
     estimate -> the colength of J : (g)^infinity, for J the Jacobian ideal
@@ -427,8 +424,8 @@ def a1_count(
     On a germ in the class of _fibre_finite the outcome is read off the
     fibre over the origin, from the coefficients of H at 0: in closed form
     when H(0) has corank at most 2, and by one colength in corank-many
-    variables otherwise.  Every other germ is saturated, by one elimination
-    in n + 1 exponent slots.
+    variables otherwise.  Every other germ has f = g * H * g^t assembled and
+    its Jacobian ideal saturated, by one elimination in n + 1 exponent slots.
     """
     if inp.a1_mode == "provided":
         return inp.a1_count, "provided"
@@ -438,8 +435,7 @@ def a1_count(
     if finite is not None:
         value = 0 if finite else INFINITE
     else:
-        if f is None:
-            f = assemble_f(inp)
+        f = assemble_f(inp)
         jac = [d for d in map(f.derivative, range(inp.n)) if not d.is_zero()]
         if not jac:
             raise ComputationError("zero Jacobian ideal; f is identically zero")
@@ -590,7 +586,7 @@ def _invariant_report(inp: SingularityInput, mu0_of, budgets: Budgets) -> Invari
     mu1_applicable = corank != 0
     # (g) is a checked i.c.i.s. of Milnor number mu0, so mu1 is one step
     mu1 = milnor_top_step(sigma1, mu0, budgets) if mu1_applicable else 0
-    a1, a1_prov = a1_count(inp, None, budgets)
+    a1, a1_prov = a1_count(inp, budgets)
 
     guards = _guard_inequalities(mu1, a, corank)
     checks.extend(guards)

@@ -1,15 +1,14 @@
-"""Standard bases in local and global monomial orders.
+"""Standard bases in the local ring Q[x]_(x), under the local degree order.
 
 The normal form is Mora's weak normal form with ecart selection, which
-terminates for every order kind in this package; under a global order the
-ecart rule never fires and the routine degenerates to ordinary multivariate
-division.  Standard bases come from Buchberger completion driven by that
-normal form.  On top of these sit colength and saturation.  Saturation by
-(q_1, ..., q_r) is one tag elimination: one extra exponent slot t in the
-engine's term maps, global and dominant in a block order, Rabinowitsch's
-1 - sum_i t^i * q_i, and the t-free part of a standard basis, which is
-itself a standard basis of the result.  With t dominant, an element is
-t-free exactly when its lead is, so that part is read off the leads.
+terminates under the local order, where plain division need not.  Standard
+bases come from Buchberger completion driven by that normal form.  On top of
+these sit colength and saturation.  Saturation by (q_1, ..., q_r) is one tag
+elimination: one extra exponent slot t in the engine's term maps, global
+and dominant in a block order, Rabinowitsch's 1 - sum_i t^i * q_i, and the
+t-free part of a standard basis, which is itself a standard basis of the
+result.  With t dominant, an element is t-free exactly when its lead is, so
+that part is read off the leads.
 
 All routines are deterministic: reducer choice is (ecart, insertion index),
 and S-pairs are popped from a heap in (lcm degree, i, j) order.  Each engine
@@ -26,16 +25,16 @@ S-polynomial lb/d * x^sa * a - la/d * x^sb * b from the tails alone, for d
 the gcd of the two lead coefficients.  Every engine polynomial is then a
 nonzero integer multiple of the one a monic completion over Q would hold,
 so the leads, ecarts, reducer choices, counts and budget trips are that
-completion's.  standard_basis and saturate make each element they return
-monic once, at the end.
+completion's.  saturate makes each element it returns monic once, at the
+end.
 
 Under the local degree order a generator with a nonzero constant term is a
 unit of the local ring, so its ideal is the whole ring: colength returns 0,
 with no unbounded variable, before it builds any engine polynomial.  Linear
 loci make such ideals common: the maximal minors of their Jacobians are
 constants.  The completion stops as soon as an element of lead 1 enters
-its basis, under every order: that element alone is the minimal standard
-basis, so a unit that only a normal form reveals costs no further pairs.
+its basis: that element alone is the minimal standard basis, so a unit that
+only a normal form reveals costs no further pairs.
 
 Otherwise colength under the local degree order substitutes the linear
 generators away: their coefficient rows in reduced row-echelon form send
@@ -52,8 +51,7 @@ a pure power x_i^b_i of every variable, m^D lies in the ideal for
 D = sum(b_i - 1) + 1, so every term of degree >= D is dropped from
 S-polynomials and reduction steps.  This is exact: the lead ideal, and so
 the colength, do not change.  The truncated basis is no standard basis of
-the ideal and never leaves colength; standard_basis and saturate compute
-untruncated ones.
+the ideal and never leaves colength; saturate computes untruncated ones.
 
 colength then counts the staircase of the lead ideal by recursion over the
 lead exponents, splitting on one variable's exponent (the Hilbert-function
@@ -73,7 +71,6 @@ from typing import Callable, Sequence
 
 from .errors import BudgetExceededError
 from .orders import (
-    GLOBAL_GRADED_REVLEX,
     LOCAL_ANTIGRADED_REVLEX,
     MonomialOrder,
     elimination_order,
@@ -250,9 +247,9 @@ def _weak_normal_form(
     cut: int | None = None,
 ) -> _EP:
     """Mora weak normal form: an integer multiple of unit * f minus a
-    combination of the reducers, whose lead is divisible by no reducer lead
-    (the unit is 1 under a global order).  With cut set, each step drops the
-    terms of degree >= cut."""
+    combination of the reducers, whose lead is divisible by no reducer lead,
+    for a unit of the local ring.  With cut set, each step drops the terms
+    of degree >= cut."""
     table = list(reducers)
     h = f
     while h.terms:
@@ -329,13 +326,10 @@ def _standard_basis_ep(
     for g in gens:
         if g.terms and add_element(_ep_primitive(g)):
             return [G[-1]]
-    is_global = order.is_global()
 
     while queue:
         _, i, j, lcm = heapq.heappop(queue)
         pending.remove((i, j))
-        if is_global and not any(map(min, G[i].lead, G[j].lead)):
-            continue
         # the chain criterion: some other lead divides the lcm and neither
         # of its pairs with i and j is pending
         for k, g in enumerate(G):
@@ -372,6 +366,8 @@ def _minimalize(G: list[_EP]) -> list[_EP]:
 
 
 def _check_inputs(gens: Sequence[Polynomial], order: MonomialOrder) -> Ring:
+    """The ring of gens, which must be one ring, with order the local order
+    on its variables."""
     if not gens:
         raise ValueError("need at least one generator")
     ring = gens[0].ring
@@ -380,19 +376,9 @@ def _check_inputs(gens: Sequence[Polynomial], order: MonomialOrder) -> Ring:
             raise ValueError("generators over different rings")
     if order.nvars != ring.nvars:
         raise ValueError("order and ring disagree on variable count")
+    if order.kind != LOCAL_ANTIGRADED_REVLEX:
+        raise ValueError(f"need the local order, not {order.kind!r}")
     return ring
-
-
-def standard_basis(
-    gens: Sequence[Polynomial],
-    order: MonomialOrder,
-    budgets: Budgets = DEFAULT_BUDGETS,
-) -> tuple[Polynomial, ...]:
-    """Minimal monic standard basis of the ideal generated by gens."""
-    ring = _check_inputs(gens, order)
-    eps = [_ep_from_polynomial(g, order) for g in gens]
-    basis = _standard_basis_ep(eps, order, budgets)
-    return tuple(_ep_to_polynomial(g, ring) for g in basis)
 
 
 def colength(
@@ -416,19 +402,15 @@ def _staircase(
     leads; the colength is INFINITE exactly when there are such variables.
 
     A given basis has its leads read as the engine reads them.  Without one,
-    the local degree order takes the unit rule and then _local_staircase;
-    other orders read the leads of a standard basis."""
+    the unit rule applies and then _local_staircase."""
     ring = _check_inputs(gens, order)
     if basis is not None:
-        leads = [_ep_from_polynomial(g, order).lead for g in basis if g]
-    elif order.kind == LOCAL_ANTIGRADED_REVLEX:
-        if any(g.constant_coefficient() for g in gens):
-            return 0, ()
-        return _local_staircase([g.terms for g in gens if g], ring.variables, budgets)
-    else:
-        eps = [_ep_from_polynomial(g, order) for g in gens]
-        leads = [g.lead for g in _standard_basis_ep(eps, order, budgets)]
-    return _bounded_staircase(leads, ring.variables)
+        return _bounded_staircase(
+            [_ep_from_polynomial(g, order).lead for g in basis if g], ring.variables
+        )
+    if any(g.constant_coefficient() for g in gens):
+        return 0, ()
+    return _local_staircase([g.terms for g in gens if g], ring.variables, budgets)
 
 
 def _bounded_staircase(
@@ -571,8 +553,8 @@ def saturate(
     nonzero q_1, ..., q_r in igens, by one Rabinowitsch elimination: with
     s = sum_i t^i * q_i it is (J, 1 - s) ∩ R, the tag-free part of a standard
     basis of (gens, 1 - s) under the tag-dominant block order.  With the tag
-    global, that part is a standard basis under order, local orders included
-    (Cox, Little & O'Shea, ch. 4, section 4; Greuel & Pfister).
+    global, that part is a standard basis under the local order (Cox,
+    Little & O'Shea, ch. 4, section 4; Greuel & Pfister).
 
     The tag t is no variable of a ring: it is one more exponent slot, after
     the ring's variables, in the engine's term maps.  The block order
@@ -594,8 +576,6 @@ def saturate(
     Returns (basis, 1): a minimal standard basis of the saturation under
     order, and the number of tag eliminations."""
     ring = _check_inputs(list(gens) + list(igens), order)
-    if order.kind not in (GLOBAL_GRADED_REVLEX, LOCAL_ANTIGRADED_REVLEX):
-        raise ValueError("saturation needs a plain global or local order")
     divisors = [q for q in igens if not q.is_zero()]
     if not divisors:
         raise ValueError("saturation by the zero ideal")
@@ -605,7 +585,7 @@ def saturate(
     for i, q in enumerate(divisors, start=1):
         rabinowitsch.update({e + (i,): -c for e, c in q.items()})
     tagged = [{e + (0,): c for e, c in p.items()} for p in gens if p] + [rabinowitsch]
-    elim = elimination_order(n + 1, order.kind)
+    elim = elimination_order(n + 1)
     basis = _standard_basis_ep([_ep_from_polynomial(t, elim) for t in tagged], elim, budgets)
     free = tuple(_ep_to_polynomial(g, ring) for g in basis if not g.lead[n])
     return free or (ring.zero(),), 1

@@ -1,19 +1,25 @@
-"""Test-only routes over the standard-basis engine: the monic route over
-Q that the integer engine replaced, weak normal form, ideal membership,
-the leads of a basis, ideal intersection, saturation in a ring with a
-named tag variable, and the local staircase in all variables; a germ's
-invariants and checks in all its variables, with no linear generator of
-the locus substituted away; the #A1 estimate's fibre ideal over the origin
-and its colength; minors by the Leibniz formula; the rank of a
-rational matrix; the mod-2 table of an integral homology table by
-universal coefficients; and a report as the document json.dumps renders.
+"""Test-only routes over the standard-basis engine: a graded (global)
+order and its elimination order, the untruncated standard basis, the
+colength read off a standard basis under any order, the monic route over Q
+that the integer engine replaced, weak normal form, ideal membership, the
+leads of a basis, ideal intersection, saturation in a ring with a named tag
+variable, and the local staircase in all variables; a germ's invariants and
+checks in all its variables, with no linear generator of the locus
+substituted away; the #A1 estimate's fibre ideal over the origin and its
+colength; minors by the Leibniz formula; the rank of a rational matrix; the
+mod-2 table of an integral homology table by universal coefficients; and a
+report as the document json.dumps renders.
 
 The package computes none of these in a job, so they live here, as
 oracles for the tests; the standard-basis routes are built on the engine's
-private routines.  Under the local order, Mora normal forms of small inputs
-can run for minutes; keep their inputs small or their budgets tight.
+private routines.  The package computes only in the local ring, but its
+engine reads nothing of an order except key and nvars, so the routes here
+drive it under the graded order too.  Under the local order, Mora normal
+forms of small inputs can run for minutes; keep their inputs small or their
+budgets tight.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from operator import add
@@ -24,7 +30,6 @@ from milnorfibre.errors import ComputationError, InvalidIcisError
 from milnorfibre.homology import HomologyTable, make_table, mod2_group
 from milnorfibre.milnor import check_icis, milnor_icis, milnor_top_step
 from milnorfibre.orders import (
-    GLOBAL_GRADED_REVLEX,
     LOCAL_ANTIGRADED_REVLEX,
     MonomialOrder,
     elimination_order,
@@ -50,15 +55,81 @@ from milnorfibre.standard_basis import (
     _Counter,
     _below,
     _bounded_staircase,
-    _check_inputs,
     _ep_from_polynomial,
+    _ep_to_polynomial,
     _standard_basis_ep,
     _weak_normal_form,
     colength,
-    standard_basis,
 )
 
 _ONE = Fraction(1)
+
+
+# --- a graded order, standard bases and colengths under any order ---------------
+# The package's orders are the local order and its elimination order.  The
+# graded order here is global: 1 is the least monomial, so a standard basis
+# is a Groebner basis of the polynomial ideal, and ideals such as
+# (x - x^2, y) keep the factor 1 - x that the local ring inverts.
+
+
+@dataclass(frozen=True)
+class GradedOrder:
+    """Total degree up with a reverse-lexicographic tie-break on nvars
+    variables; with eliminate_last, the last variable is a tag that compares
+    first, globally, and the rest compares by the graded order.  Its keys
+    are additive, as the engine needs."""
+
+    nvars: int
+    eliminate_last: bool = False
+
+    @property
+    def kind(self) -> str:
+        return "eliminate_last_then_graded" if self.eliminate_last else "graded_revlex"
+
+    def key(self, expo: tuple[int, ...]) -> tuple[int, ...]:
+        if self.eliminate_last:
+            body = expo[:-1]
+            return (expo[-1], sum(body), *(-e for e in reversed(body)))
+        return (sum(expo), *(-e for e in reversed(expo)))
+
+
+Order = MonomialOrder | GradedOrder
+
+
+def check_inputs(gens: Sequence[Polynomial], order: Order) -> Ring:
+    """The ring of gens, which must be one ring, with order on its
+    variables: the package's input checks, for any order."""
+    if not gens:
+        raise ValueError("need at least one generator")
+    ring = gens[0].ring
+    for g in gens:
+        if g.ring != ring:
+            raise ValueError("generators over different rings")
+    if order.nvars != ring.nvars:
+        raise ValueError("order and ring disagree on variable count")
+    return ring
+
+
+def standard_basis(
+    gens: Sequence[Polynomial], order: Order, budgets: Budgets = DEFAULT_BUDGETS
+) -> tuple[Polynomial, ...]:
+    """Minimal monic standard basis of the ideal generated by gens, untruncated,
+    under any order the engine takes."""
+    ring = check_inputs(gens, order)
+    eps = [_ep_from_polynomial(g, order) for g in gens]
+    return tuple(_ep_to_polynomial(g, ring) for g in _standard_basis_ep(eps, order, budgets))
+
+
+def basis_colength(
+    gens: Sequence[Polynomial], order: Order, budgets: Budgets = DEFAULT_BUDGETS
+) -> int | float:
+    """Colength of the ideal read off the leads of an untruncated standard
+    basis under order, graded or local: INFINITE when some variable has no
+    pure power among them."""
+    ring = check_inputs(gens, order)
+    eps = [_ep_from_polynomial(g, order) for g in gens]
+    leads = [g.lead for g in _standard_basis_ep(eps, order, budgets)]
+    return _bounded_staircase(leads, ring.variables)[0]
 
 
 # --- the monic route over Q ---------------------------------------------------
@@ -69,7 +140,7 @@ _ONE = Fraction(1)
 # trips with the engine's.
 
 
-def exact_ep(p: Polynomial, order: MonomialOrder) -> _EP:
+def exact_ep(p: Polynomial, order: Order) -> _EP:
     """p as an engine polynomial with its coefficients as they are, ints and
     Fractions, not scaled to integers."""
     terms = sorted(((order.key(e), e, c) for e, c in p.items()), key=lambda t: t[0], reverse=True)
@@ -136,7 +207,7 @@ def monic_sub_shifted(
     return _EP(tuple(out))
 
 
-def monic_spoly(a: _EP, b: _EP, order: MonomialOrder, cut: int | None = None) -> _EP:
+def monic_spoly(a: _EP, b: _EP, order: Order, cut: int | None = None) -> _EP:
     """S-polynomial of monic engine polynomials: x^(l-ea)*a - x^(l-eb)*b,
     without its terms of degree >= cut when cut is set."""
     ea, eb = a.lead, b.lead
@@ -154,7 +225,7 @@ def monic_spoly(a: _EP, b: _EP, order: MonomialOrder, cut: int | None = None) ->
 def monic_weak_normal_form(
     f: _EP,
     reducers: Sequence[_EP],
-    order: MonomialOrder,
+    order: Order,
     counter: _Counter,
     cut: int | None = None,
 ) -> _EP:
@@ -186,7 +257,7 @@ def monic_weak_normal_form(
 def weak_normal_form(
     f: Polynomial,
     reducers: Sequence[Polynomial],
-    order: MonomialOrder,
+    order: Order,
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> Polynomial:
     """Mora weak normal form of f against the given reducers (as given, no
@@ -197,7 +268,7 @@ def weak_normal_form(
     the monic route over Q, on the inputs as given.  They must take the same
     reduction steps, and the engine's result must be a nonzero integer
     multiple of the monic route's, which is returned, unscaled."""
-    _check_inputs([f] + list(reducers), order)
+    check_inputs([f] + list(reducers), order)
     reducers = [g for g in reducers if not g.is_zero()]
     counter = _Counter(budgets.reductions, "reduction")
     h = _weak_normal_form(
@@ -222,7 +293,7 @@ def weak_normal_form(
 def is_member(
     f: Polynomial,
     gens: Sequence[Polynomial],
-    order: MonomialOrder,
+    order: Order,
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> bool:
     """Ideal membership via weak normal form against a standard basis."""
@@ -232,13 +303,13 @@ def is_member(
     return weak_normal_form(f, basis, order, budgets).is_zero()
 
 
-def leading_exponent(order: MonomialOrder, exponents) -> tuple[int, ...]:
+def leading_exponent(order: Order, exponents) -> tuple[int, ...]:
     """The exponent of exponents that order puts first."""
     return max(exponents, key=order.key)
 
 
 def leading_exponents(
-    basis: Sequence[Polynomial], order: MonomialOrder
+    basis: Sequence[Polynomial], order: Order
 ) -> tuple[tuple[int, ...], ...]:
     """Minimal generating exponents of the lead-monomial ideal of a basis,
     each lead read by leading_exponent, in sorted order."""
@@ -259,24 +330,27 @@ def leading_exponents(
 # --- tag elimination in a ring with a named tag --------------------------------
 # The route saturation took before its tag became an exponent slot of the
 # engine's term maps: a second ring with a fresh tag variable, the inputs
-# lifted into it by Polynomial arithmetic, the public standard_basis, which
-# makes every element monic, and a term-by-term filter of the tag-free ones.
+# lifted into it by Polynomial arithmetic, standard_basis, which makes every
+# element monic, and a term-by-term filter of the tag-free ones.  It takes
+# the graded order as well as the local one.
 
 
-def _tag_extension(
-    ring: Ring, order: MonomialOrder, what: str
-) -> tuple[Ring, MonomialOrder]:
+def _tag_extension(ring: Ring, order: Order) -> tuple[Ring, Order]:
     """ring with a fresh tag variable appended, and the block order in which
-    the tag compares globally and dominates while the rest compares by order."""
-    if order.kind not in (GLOBAL_GRADED_REVLEX, LOCAL_ANTIGRADED_REVLEX):
-        raise ValueError(f"{what} needs a plain global or local order")
+    the tag compares globally and dominates while the rest compares by order,
+    which must be the local or the graded order; other orders are refused
+    with saturate's message."""
     tag = "_t"
     k = 0
     while tag in ring.variables:
         k += 1
         tag = f"_t{k}"
     big = Ring(ring.variables + (tag,))
-    return big, elimination_order(big.nvars, order.kind)
+    if order.kind == LOCAL_ANTIGRADED_REVLEX:
+        return big, elimination_order(big.nvars)
+    if order == GradedOrder(ring.nvars):
+        return big, GradedOrder(big.nvars, eliminate_last=True)
+    raise ValueError(f"need the local order, not {order.kind!r}")
 
 
 def _lift(p: Polynomial, big: Ring, tdeg: int) -> Polynomial:
@@ -285,7 +359,7 @@ def _lift(p: Polynomial, big: Ring, tdeg: int) -> Polynomial:
 
 
 def _tag_free_part(
-    lifted: list[Polynomial], elim: MonomialOrder, ring: Ring, budgets: Budgets
+    lifted: list[Polynomial], elim: Order, ring: Ring, budgets: Budgets
 ) -> tuple[Polynomial, ...]:
     """The tag-free elements of a standard basis of lifted under elim, back in
     ring: a minimal standard basis of the eliminated ideal; (0,) when there
@@ -297,15 +371,15 @@ def _tag_free_part(
 def tag_ring_saturation(
     gens: Sequence[Polynomial],
     igens: Sequence[Polynomial],
-    order: MonomialOrder,
+    order: Order,
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> tuple[tuple[Polynomial, ...], int]:
     """saturate by the tag ring: (gens, 1 - sum_i t^i * q_i) lifted into the
     ring with a named tag t, its standard basis under the tag-dominant block
     order, and the elements none of whose terms holds t.  Returns (basis, 1),
     and raises the errors saturate raises, in the same order."""
-    ring = _check_inputs(list(gens) + list(igens), order)
-    big, elim = _tag_extension(ring, order, "saturation")
+    ring = check_inputs(list(gens) + list(igens), order)
+    big, elim = _tag_extension(ring, order)
     divisors = [q for q in igens if not q.is_zero()]
     if not divisors:
         raise ValueError("saturation by the zero ideal")
@@ -319,13 +393,13 @@ def tag_ring_saturation(
 def intersect_ideals(
     a: Sequence[Polynomial],
     b: Sequence[Polynomial],
-    order: MonomialOrder,
+    order: Order,
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> tuple[Polynomial, ...]:
     """Intersection of two ideals by tag elimination: the tag-free part of a
     standard basis of (t*a_i, (1-t)*b_j) under a tag-dominant block order."""
-    ring = _check_inputs(list(a) + list(b), order)
-    big, elim = _tag_extension(ring, order, "intersection")
+    ring = check_inputs(list(a) + list(b), order)
+    big, elim = _tag_extension(ring, order)
     lifted = [_lift(p, big, 1) for p in a if not p.is_zero()]
     for q in b:
         if q.is_zero():
@@ -339,14 +413,14 @@ def intersect_ideals(
 
 def unreduced_staircase(
     gens: Sequence[Polynomial],
-    order: MonomialOrder,
+    order: Order,
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> tuple[int | float, tuple[str, ...]]:
     """The local staircase with no linear generator substituted away: after
     the unit rule, the leads of a standard basis truncated at the highest
     corner, completed in every variable of the ring.  Returns the colength
     and the unbounded variables, as _staircase does."""
-    ring = _check_inputs(gens, order)
+    ring = check_inputs(gens, order)
     if order.kind != LOCAL_ANTIGRADED_REVLEX:
         raise ValueError("the unreduced staircase needs the local order")
     if any(g.constant_coefficient() for g in gens):

@@ -1,7 +1,6 @@
 """Invariants of the presentation f = g * H * g^T."""
 
 import dataclasses
-import importlib
 import random
 import re
 from fractions import Fraction
@@ -9,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from milnorfibre import decomposition, milnor, rings
+from milnorfibre import decomposition, milnor, rings, standard_basis as sb_module
 from milnorfibre.corpus import _dkp_case, build_input, builtin_cases
 from milnorfibre.decomposition import (
     SingularityInput,
@@ -24,13 +23,9 @@ from milnorfibre.errors import (
     InvalidIcisError,
 )
 from milnorfibre.jobs import Job, run_homology
-from milnorfibre.orders import global_order
 from milnorfibre.rings import PolyMatrix, Polynomial, Ring, parse_polynomial
 from milnorfibre.standard_basis import DEFAULT_BUDGETS, Budgets
-from oracles import fibre_colength_finite, full_ring_invariants, is_member, oracle_minors
-
-# the module, which the package's standard_basis function shadows as an attribute
-sb_module = importlib.import_module("milnorfibre.standard_basis")
+from oracles import GradedOrder, fibre_colength_finite, full_ring_invariants, is_member, oracle_minors
 
 R5 = Ring(("x1", "x2", "x3", "y1", "y2"))
 
@@ -79,11 +74,11 @@ SMALL_POLYS = st.dictionaries(
 def test_assembled_f_lies_in_the_square_of_the_locus_ideal(g, h):
     """The f_in_I_squared check is reported without a membership test because
     g * H * g^t lies in I^2 = (g_i * g_j) by construction; test that here
-    under the global order, where completion stays small."""
+    under a graded (global) order, where completion stays small."""
     a, b, c = h
     inp = SingularityInput(ring=R5, g=g, h=PolyMatrix(R5, [[a, b], [b, c]]))
     square = [x * y for i, x in enumerate(g) for y in g[i:]]
-    assert is_member(assemble_f(inp), square, global_order(R5.nvars), Budgets(reductions=2000))
+    assert is_member(assemble_f(inp), square, GradedOrder(R5.nvars), Budgets(reductions=2000))
 
 
 def test_verify_decomposition_cross_check():
@@ -339,9 +334,8 @@ def test_a1_estimate_is_one_elimination(monkeypatch, inp, expected):
     otherwise, and is not saturated; any other germ is saturated by the
     k = n - 3 generators of (g) in one completion of the engine, and
     colength reads the leads of that basis.  One elimination per generator
-    and their intersections would make 2k - 1.  Neither route calls the
-    public standard_basis, which makes every element monic."""
-    counts = {"saturate": 0, "_standard_basis_ep": 0, "standard_basis": 0}
+    and their intersections would make 2k - 1."""
+    counts = {"saturate": 0, "_standard_basis_ep": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -351,10 +345,11 @@ def test_a1_estimate_is_one_elimination(monkeypatch, inp, expected):
         return wrapper
 
     monkeypatch.setattr(decomposition, "saturate", counting("saturate", decomposition.saturate))
-    for name in ("_standard_basis_ep", "standard_basis"):
-        monkeypatch.setattr(sb_module, name, counting(name, getattr(sb_module, name)))
-    assert decomposition.a1_count(inp, None) == (0, "experimental-saturation")
-    assert counts == {"saturate": expected[0], "_standard_basis_ep": expected[1], "standard_basis": 0}
+    monkeypatch.setattr(
+        sb_module, "_standard_basis_ep", counting("_standard_basis_ep", sb_module._standard_basis_ep)
+    )
+    assert decomposition.a1_count(inp) == (0, "experimental-saturation")
+    assert counts == {"saturate": expected[0], "_standard_basis_ep": expected[1]}
 
 
 def test_chain_minors_are_built_once(monkeypatch):
@@ -633,7 +628,7 @@ def estimate(inp, saturate=False):
         if saturate:
             patch.setattr(decomposition, "_fibre_finite", lambda inp, budgets: None)
         try:
-            return decomposition.a1_count(inp, None)
+            return decomposition.a1_count(inp)
         except ComputationError as exc:
             return str(exc)
 
@@ -835,10 +830,10 @@ def test_zero_h_raises_the_zero_jacobian_text():
     zero = mk(("y1", "y2"), (("0", "0"), ("0", "0")), a1_mode="estimate")
     message = "zero Jacobian ideal; f is identically zero"
     with pytest.raises(ComputationError, match=re.escape(message)):
-        decomposition.a1_count(zero, None)
+        decomposition.a1_count(zero)
     nonlinear = mk(("y1", "y2 + x1^2"), (("0", "0"), ("0", "0")), a1_mode="estimate")
     with pytest.raises(ComputationError, match=re.escape(message)):
-        decomposition.a1_count(nonlinear, None)
+        decomposition.a1_count(nonlinear)
 
 
 def test_estimate_job_still_checks_an_explicit_f():

@@ -12,10 +12,11 @@ route that substitutes linear generators away).  The min-scan completion
 runs on the monic route over Q, which the integer engine must follow step
 by step.  That route's normal form, and membership, the leads of a basis,
 intersection, the tag-ring saturation and that staircase, come from
-tests/oracles.py, which builds them on the engine's private routines.
+tests/oracles.py, which builds them on the engine's private routines, as it
+builds standard_basis, the untruncated basis, and the graded (global)
+order, under which the engine's Groebner bases are checked.
 """
 
-import importlib
 from fractions import Fraction
 from math import gcd
 from unittest import mock
@@ -23,16 +24,10 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from milnorfibre import standard_basis as sb
 from milnorfibre.errors import BudgetExceededError
 from milnorfibre.milnor import check_icis
-from milnorfibre.orders import (
-    GLOBAL_GRADED_REVLEX,
-    LOCAL_ANTIGRADED_REVLEX,
-    MonomialOrder,
-    elimination_order,
-    global_order,
-    local_order,
-)
+from milnorfibre.orders import LOCAL_ANTIGRADED_REVLEX, elimination_order, local_order
 from milnorfibre.rings import Polynomial, Ring, monomial_divides, parse_polynomial
 from milnorfibre.standard_basis import (
     Budgets,
@@ -51,11 +46,12 @@ from milnorfibre.standard_basis import (
     _weak_normal_form,
     colength,
     saturate,
-    standard_basis,
 )
 from oracles import (
+    GradedOrder,
     _ep_monic,
     _inverse,
+    basis_colength,
     exact_ep,
     exact_polynomial,
     intersect_ideals,
@@ -64,13 +60,11 @@ from oracles import (
     leading_exponents,
     monic_spoly,
     monic_weak_normal_form,
+    standard_basis,
     tag_ring_saturation,
     unreduced_staircase,
     weak_normal_form,
 )
-
-# the module, which the package's standard_basis function shadows
-sb = importlib.import_module("milnorfibre.standard_basis")
 
 R1 = Ring(("x",))
 R2 = Ring(("x", "y"))
@@ -115,10 +109,10 @@ def normal_form(f, reducers, order):
 
 
 def test_global_normal_form_is_canonical():
-    basis = standard_basis([p("x^2 - y"), p("y^2 - 1")], global_order(2))
+    basis = standard_basis([p("x^2 - y"), p("y^2 - 1")], GradedOrder(2))
     f, g = p("x^4 + y"), p("x^2*y + 1")
     # linearity over a fixed Groebner basis characterizes the reduced NF
-    nf = lambda q: normal_form(q, basis, global_order(2))
+    nf = lambda q: normal_form(q, basis, GradedOrder(2))
     assert nf(f + g) == nf(f) + nf(g)
     assert nf(f - nf(f)) == R2.zero()
 
@@ -143,7 +137,7 @@ def test_local_membership_via_truncated_series():
 def test_local_vs_global_membership_of_unit_multiple():
     f, g = p("x", R1), p("x - x^2", R1)
     assert is_member(f, [g], local_order(1))
-    assert not is_member(f, [g], global_order(1))
+    assert not is_member(f, [g], GradedOrder(1))
 
 
 @given(st.lists(sparse_polys(), min_size=1, max_size=3), st.data())
@@ -153,16 +147,16 @@ def test_membership_of_constructed_combinations(gens, data):
     for g in gens:
         factor = data.draw(sparse_polys(max_terms=2, max_exp=2))
         combo = combo + factor * g
-    for order in (global_order(2), local_order(2)):
+    for order in (GradedOrder(2), local_order(2)):
         assert is_member(combo, gens, order)
 
 
 def test_monomial_non_membership():
     gens = [p("x^2"), p("x*y^2")]
     # for monomial ideals membership is divisibility, decidable by eye
-    assert not is_member(p("y^3"), gens, global_order(2))
-    assert not is_member(p("x*y"), gens, global_order(2))
-    assert is_member(p("x^3*y"), gens, global_order(2))
+    assert not is_member(p("y^3"), gens, local_order(2))
+    assert not is_member(p("x*y"), gens, local_order(2))
+    assert is_member(p("x^3*y"), gens, local_order(2))
 
 
 # --- standard bases -------------------------------------------------------
@@ -172,7 +166,7 @@ def test_monomial_non_membership():
 def test_criteria_do_not_change_lead_ideal(gens):
     """Buchberger criteria are a pruning optimization only: the criteria-free
     completion of the min-scan oracle has the same lead ideal."""
-    for order in (global_order(2), local_order(2)):
+    for order in (GradedOrder(2), local_order(2)):
         with_c = standard_basis(gens, order)
         without, _, _ = _min_scan_standard_basis(gens, order, use_criteria=False)
         assert set(leading_exponents(with_c, order)) == set(
@@ -234,10 +228,6 @@ def _min_scan_standard_basis(
         i, j = min(pending, key=lambda p: (sum(pending[p]), p))
         lcm = pending.pop((i, j))
         if use_criteria:
-            if order.is_global() and all(
-                min(a, b) == 0 for a, b in zip(lead(G[i]), lead(G[j]))
-            ):
-                continue
             if any(
                 k not in (i, j)
                 and monomial_divides(lead(G[k]), lcm)
@@ -260,12 +250,15 @@ def _min_scan_standard_basis(
     return result(_minimalize(G))
 
 
-ALL_ORDERS_3 = (
-    global_order(3),
-    local_order(3),
-    elimination_order(3, LOCAL_ANTIGRADED_REVLEX),
-    elimination_order(3, GLOBAL_GRADED_REVLEX),
+# the package's two orders and the graded order of the oracles, with its
+# elimination order: the engine reads only their keys
+ORDER_MAKERS = (
+    GradedOrder,
+    local_order,
+    elimination_order,
+    lambda n: GradedOrder(n, eliminate_last=True),
 )
+ALL_ORDERS_3 = tuple(make(3) for make in ORDER_MAKERS)
 
 
 @given(st.lists(sparse_polys(R3, max_terms=3, max_exp=2), min_size=1, max_size=3))
@@ -369,7 +362,7 @@ def _spoly_by_products(a, b, ring, cut):
     st.sampled_from(ALL_ORDERS_3),
     st.one_of(st.none(), st.integers(1, 7)),
 )
-@example(p("2*x^2", R3), p("-3*x*y", R3), global_order(3), None)
+@example(p("2*x^2", R3), p("-3*x*y", R3), GradedOrder(3), None)
 @example(p("2*x^2 + y", R3), p("3*x*y", R3), local_order(3), 3)
 def test_spoly_merges_the_tails_like_the_full_products(f, g, order, cut):
     """The tail-only S-polynomial against the full products, leads included,
@@ -397,10 +390,10 @@ def test_spoly_of_one_term_elements_reads_no_order():
 
 
 def test_standard_basis_contains_spolynomial_closure():
-    basis = standard_basis([p("x^2 + y"), p("x*y + x")], global_order(2))
+    basis = standard_basis([p("x^2 + y"), p("x*y + x")], GradedOrder(2))
     # y^2 + y = y*(x^2 + y) - x*(x*y + x) + (x^2 + y)  must reduce to 0
     f = p("y^2 + y")
-    assert normal_form(f, basis, global_order(2)) == R2.zero()
+    assert normal_form(f, basis, GradedOrder(2)) == R2.zero()
 
 
 # --- exact division by non-monic leads -----------------------------------
@@ -460,7 +453,7 @@ def test_inverse_is_exact():
 @pytest.mark.parametrize(
     "order, wnf, basis, length",
     [
-        (global_order(2), "-1/12*y", ("y^2 + 1/3*x", "x - 1/2*y"), 2),
+        (GradedOrder(2), "-1/12*y", ("y^2 + 1/3*x", "x - 1/2*y"), 2),
         # 3*y^2 + x leads with x, and y*(1 + 6*y) lies in the ideal
         (local_order(2), "1/2*y^2", ("x - 1/2*y", "6*y^2 + y"), 1),
     ],
@@ -469,14 +462,16 @@ def test_engine_divides_exactly_by_non_monic_leads(order, wnf, basis, length):
     """By hand under the global order: x*y - y*(2*x - y)/2 = y^2/2, then
     y^2/2 - (3*y^2 + x)/6 = -x/6, then -x/6 + (2*x - y)/12 = -y/12.  The
     monic route's normal form is that; the engine's is an integer multiple
-    of it, and its bases are monic and exact."""
+    of it, and its bases are monic and exact.  colength takes only the
+    local order; the graded one's is read off its basis."""
+    colength_of = colength if order.kind == LOCAL_ANTIGRADED_REVLEX else basis_colength
     reducers = [p("2*x - y"), p("3*y^2 + x")]
     f = p("x*y")
     h = weak_normal_form(f, reducers, order)
     sb_ = standard_basis(reducers, order)
     assert h == p(wnf)
     assert sb_ == tuple(p(t) for t in basis)
-    assert colength(reducers, order) == length
+    assert colength_of(reducers, order) == length
     for q in (h,) + sb_:
         assert_exact(q)
     for b in sb_:
@@ -495,7 +490,7 @@ def test_engine_divides_exactly_by_non_monic_leads(order, wnf, basis, length):
         assert _ep_primitive(_ep_from_polynomial(q, order)).terms == _ep_from_polynomial(g, order).terms
     assert weak_normal_form(f, scaled, order) == h
     assert standard_basis(scaled, order) == sb_
-    assert colength(scaled, order) == length
+    assert colength_of(scaled, order) == length
     assert _integer_route(scaled, order, DEFAULT_BUDGETS) == _monic_route(
         scaled, order, DEFAULT_BUDGETS
     )
@@ -604,28 +599,30 @@ def test_completion_keeps_int_coefficients_and_primitive_elements(inputs):
 
 def test_colength_examples():
     # staircase of (x^2, y^3): monomials 1, x, y, xy, y^2, xy^2
-    assert colength([p("x^2"), p("y^3")], global_order(2)) == 6
+    assert colength([p("x^2"), p("y^3")], local_order(2)) == 6
     # A_3 plane curve x^4 + y^2: Jacobian ideal (x^3, y), colength 3
     assert colength([p("x^3"), p("y")], local_order(2)) == 3
-    assert colength([p("x*y")], global_order(2)) == INFINITE
+    assert colength([p("x*y")], local_order(2)) == INFINITE
+    # 1 - x is a unit of the local ring only: the graded order keeps the
+    # point x = 1 of Q[x, y] / (x - x^2, y)
     assert colength([p("x - x^2"), p("y")], local_order(2)) == 1
-    assert colength([p("x - x^2"), p("y")], global_order(2)) == 2
+    assert basis_colength([p("x - x^2"), p("y")], GradedOrder(2)) == 2
 
 
 def test_colength_nonmonomial_matches_hand_count():
     # (x^2 + y^2, x*y): standard basis adds y^3; staircase 1, x, y, y^2
-    for order in (global_order(2), local_order(2)):
-        assert colength([p("x^2 + y^2"), p("x*y")], order) == 4
+    assert colength([p("x^2 + y^2"), p("x*y")], local_order(2)) == 4
 
 
 def test_colength_budget():
-    """(x^2 + y^2, x*y) under the global order reduces two S-pairs: the first
-    gives y^3, and (x*y, y^3) reduces to zero; (x^2 + y^2, y^3) has coprime
-    leads and is skipped.  A basis budget of 1 aborts at the second."""
+    """(x^2 + y^2, x*y) reduces two S-pairs: the first gives y^3, and
+    (x*y, y^3) reduces to zero; the chain criterion skips (x^2 + y^2, y^3),
+    since x*y divides their lcm and its pairs with both are done.  A basis
+    budget of 1 aborts at the second."""
     gens = [p("x^2 + y^2"), p("x*y")]
-    assert colength(gens, global_order(2), Budgets(basis=2)) == 4
+    assert colength(gens, local_order(2), Budgets(basis=2)) == 4
     with pytest.raises(BudgetExceededError) as info:
-        colength(gens, global_order(2), Budgets(basis=1))
+        colength(gens, local_order(2), Budgets(basis=1))
     assert str(info.value) == (
         "basis pair budget exhausted (1); raise the budget to continue"
     )
@@ -692,12 +689,13 @@ def test_unit_ideal_has_colength_zero_without_a_basis(texts, monkeypatch):
     assert _staircase(gens, order, DEFAULT_BUDGETS) == (0, ())
     assert colength(gens, order) == 0
     assert built == []
-    # the untruncated basis gives the same answer the long way
+    # the untruncated basis gives the same answer the long way, its leads
+    # read from engine polynomials
     assert colength(gens, order, basis=standard_basis(gens, order)) == 0
+    assert built
     # a global order keeps the completion: 1 + x is no unit there, and
     # Q[x, y] / (1 + x, y) is Q
-    assert colength([p("1 + x"), p("y")], global_order(2)) == 1
-    assert built
+    assert basis_colength([p("1 + x"), p("y")], GradedOrder(2)) == 1
 
 
 def test_check_icis_of_a_linear_locus_takes_the_unit_short_cut(monkeypatch):
@@ -735,7 +733,7 @@ def test_completion_stops_at_a_unit():
     assert standard_basis(gens, order, budgets) == (p("y*z + 1", R3),)
     with pytest.raises(BudgetExceededError):
         _min_scan_standard_basis(gens, order, budgets, stop_at_unit=False)
-    assert standard_basis([p("x"), p("x + 1")], global_order(2), Budgets(basis=1)) == (p("1"),)
+    assert standard_basis([p("x"), p("x + 1")], GradedOrder(2), Budgets(basis=1)) == (p("1"),)
     # (x^2, y) : x^inf is the whole ring: the elimination meets a lead 1 at
     # its fifth S-pair, and the completion that runs on forms two more
     budgets = Budgets(basis=5)
@@ -774,13 +772,13 @@ def test_local_colength_matches_untruncated_basis_with_units(gens):
     assert colength(gens, order, budgets) == expected
 
 
-@given(local_ideals_with_units(), st.sampled_from([order.kind for order in ALL_ORDERS_3]))
+@given(local_ideals_with_units(), st.sampled_from(ORDER_MAKERS))
 @settings(max_examples=60, deadline=None)
-def test_unit_stop_matches_the_completion_that_runs_on(gens, kind):
+def test_unit_stop_matches_the_completion_that_runs_on(gens, make_order):
     """Under every order kind, where the completion that runs on past a
     lead 1 finishes, its minimal basis is what the stopped completion
     returns."""
-    order = MonomialOrder(kind, gens[0].ring.nvars)
+    order = make_order(gens[0].ring.nvars)
     budgets = Budgets(reductions=300)
     try:
         expected, _, _ = _min_scan_standard_basis(gens, order, budgets, stop_at_unit=False)
@@ -964,8 +962,11 @@ def _same_ideal(a, b, order):
 
 
 def _generates_same_monomial_ideal(gens, expected_texts, ring=R2):
+    """Whether gens and the monomials expected_texts generate the same ideal
+    of the local ring, where a monomial ideal's membership is still
+    divisibility."""
     expected = [p(t, ring) for t in expected_texts]
-    return _same_ideal(gens, expected, global_order(ring.nvars))
+    return _same_ideal(gens, expected, local_order(ring.nvars))
 
 
 def _is_standard_basis(basis, order):
@@ -975,34 +976,34 @@ def _is_standard_basis(basis, order):
 
 
 def test_intersection_examples():
-    got = intersect_ideals([p("x")], [p("y")], global_order(2))
+    got = intersect_ideals([p("x")], [p("y")], GradedOrder(2))
     assert _generates_same_monomial_ideal(got, ["x*y"])
-    got = intersect_ideals([p("x^2"), p("y")], [p("x")], global_order(2))
+    got = intersect_ideals([p("x^2"), p("y")], [p("x")], GradedOrder(2))
     assert _generates_same_monomial_ideal(got, ["x^2", "x*y"])
 
 
 def test_saturation_honest_values():
     # (x^2*y, x^3) : x^inf contains y (x^2*y / x^2) and 1 (x^3 / x^3) -> (1)
-    gens, eliminations = saturate([p("x^2*y"), p("x^3")], [p("x")], global_order(2))
+    gens, eliminations = saturate([p("x^2*y"), p("x^3")], [p("x")], local_order(2))
     assert _generates_same_monomial_ideal(gens, ["1"])
     assert eliminations == 1
     # (x^2*y) : x^inf = (y)
-    gens, eliminations = saturate([p("x^2*y")], [p("x")], global_order(2))
+    gens, eliminations = saturate([p("x^2*y")], [p("x")], local_order(2))
     assert _generates_same_monomial_ideal(gens, ["y"])
     assert eliminations == 1
     # f*x in (x^2*y) iff f in (x*y); f*y in (x^2*y) iff f in (x^2); so
     # (x^2*y) : (x, y) = (x*y) ∩ (x^2) = (x^2*y) again, and so is the saturation;
     # one elimination for the whole ideal, whose zero generator adds no tag power
-    gens, eliminations = saturate([p("x^2*y")], [p("x"), R2.zero(), p("y")], global_order(2))
+    gens, eliminations = saturate([p("x^2*y")], [p("x"), R2.zero(), p("y")], local_order(2))
     assert _generates_same_monomial_ideal(gens, ["x^2*y"])
     assert eliminations == 1
 
 
-@pytest.mark.parametrize("order", [global_order(2), local_order(2)], ids=["global", "local"])
-def test_saturation_keeps_the_divisors_apart(order):
+def test_saturation_keeps_the_divisors_apart():
     """A principal ideal has no component at the origin, so
     (x*(x + y)) : (x, y)^inf is the ideal itself, while by the one element
     x + y it is (x): the tag powers t^i keep the divisors apart."""
+    order = local_order(2)
     basis, _ = saturate([p("x^2 + x*y")], [p("x"), p("y")], order)
     assert leading_exponents(basis, order) == ((2, 0),)
     assert _same_ideal(basis, [p("x^2 + x*y")], order)
@@ -1011,28 +1012,49 @@ def test_saturation_keeps_the_divisors_apart(order):
 
 
 def test_saturation_fixed_point():
-    gens, eliminations = saturate([p("y")], [p("x")], global_order(2))
+    gens, eliminations = saturate([p("y")], [p("x")], local_order(2))
     assert _generates_same_monomial_ideal(gens, ["y"])
     assert eliminations == 1
 
 
 def test_saturation_rejects_zero_ideal_and_block_orders():
-    with pytest.raises(ValueError):
-        saturate([p("x")], [R2.zero()], global_order(2))
-    with pytest.raises(ValueError):
-        saturate([p("x")], [p("y")], elimination_order(2, GLOBAL_GRADED_REVLEX))
+    with pytest.raises(ValueError, match="saturation by the zero ideal"):
+        saturate([p("x")], [R2.zero()], local_order(2))
+    with pytest.raises(ValueError, match="need the local order"):
+        saturate([p("x")], [p("y")], elimination_order(2))
+
+
+@pytest.mark.parametrize(
+    "order",
+    [elimination_order(2), GradedOrder(2), GradedOrder(2, eliminate_last=True)],
+    ids=["local-elimination", "graded", "graded-elimination"],
+)
+def test_colength_and_saturate_refuse_orders_that_are_not_local(order):
+    """Both take the local order only, and refuse any other with one
+    message, the local elimination order included; given a basis, colength
+    refuses it too."""
+    message = f"need the local order, not {order.kind!r}"
+    gens = [p("x^2"), p("y^3")]
+    for call in (
+        lambda: colength(gens, order),
+        lambda: colength(gens, order, basis=gens),
+        lambda: saturate(gens, [p("x")], order),
+    ):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_saturation_local_versus_global_hand_value():
     """x - x^2 = x*(1 - x): locally 1 - x is a unit, so the ideal is (x, y^2)
-    and saturating by x gives (1); globally the factor x is removed and
-    (x - 1, y^2) remains."""
+    and saturating by x gives (1); globally, on the tag-ring route under the
+    graded order, the factor x is removed and (x - 1, y^2) remains."""
     gens = [p("x - x^2"), p("y^2")]
     local, _ = saturate(gens, [p("x")], local_order(2))
     assert leading_exponents(local, local_order(2)) == ((0, 0),)
-    glob, _ = saturate(gens, [p("x")], global_order(2))
-    assert _same_ideal(glob, [p("x - 1"), p("y^2")], global_order(2))
-    for basis, order in ((local, local_order(2)), (glob, global_order(2))):
+    glob, _ = tag_ring_saturation(gens, [p("x")], GradedOrder(2))
+    assert _same_ideal(glob, [p("x - 1"), p("y^2")], GradedOrder(2))
+    for basis, order in ((local, local_order(2)), (glob, GradedOrder(2))):
         assert _is_standard_basis(basis, order)
 
 
@@ -1063,7 +1085,7 @@ def _long_division(h, q, order):
 
 
 def _iterated_quotient_saturation(gens, igens, order):
-    """Test-only oracle, global orders: I : (igens)^inf by repeated ideal
+    """Test-only oracle, graded order: I : (igens)^inf by repeated ideal
     quotients I : (igens) = ∩_q I : q, where I : q is (I ∩ (q)) / q, until the
     lead ideal stops changing."""
     ring = gens[0].ring
@@ -1091,18 +1113,17 @@ def _iterated_quotient_saturation(gens, igens, order):
 )
 @settings(max_examples=25, deadline=None)
 def test_saturation_matches_iterated_quotient_oracle(gens, igens):
-    order = global_order(2)
+    """The iterated quotients under the graded order give the ideal of the
+    tag-ring route under that order, the polynomial saturation.  It
+    commutes with localization, so under the local order the oracle's ideal
+    has the lead ideal of the local saturation (mutual membership is not
+    checked there: Mora normal forms of these inputs can take minutes)."""
+    order = GradedOrder(2)
     expected = _iterated_quotient_saturation(gens, igens, order)
-    basis, eliminations = saturate(gens, igens, order)
-    assert eliminations == 1
-    assert _same_ideal(basis, expected, order)
-    assert _is_standard_basis(basis, order)
-    # saturation commutes with localization, so under the local order the
-    # oracle's ideal has the lead ideal of the local saturation (mutual
-    # membership is not checked there: Mora normal forms of these inputs
-    # can take minutes)
+    assert _same_ideal(tag_ring_saturation(gens, igens, order)[0], expected, order)
     local = local_order(2)
-    basis, _ = saturate(gens, igens, local)
+    basis, eliminations = saturate(gens, igens, local)
+    assert eliminations == 1
     assert leading_exponents(basis, local) == leading_exponents(
         standard_basis(expected, local), local
     )
@@ -1141,11 +1162,8 @@ def divisor_lists(draw):
 @settings(max_examples=50, deadline=None)
 def test_one_elimination_matches_the_per_generator_route(gens, igens):
     """The one Rabinowitsch elimination by 1 - sum_i t^i * q_i against the
-    intersection of the one-divisor saturations: the same ideal under the
-    global order, the same lead ideal under the local one."""
-    order = global_order(2)
-    basis, _ = saturate(gens, igens, order)
-    assert _same_ideal(basis, _per_generator_saturation(gens, igens, order), order)
+    intersection of the one-divisor saturations: the same lead ideal under
+    the local order."""
     local = local_order(2)
     basis, _ = saturate(gens, igens, local)
     expected = _per_generator_saturation(gens, igens, local)
@@ -1190,7 +1208,7 @@ fraction_coeffs = st.sampled_from(
 def tag_ring_saturations(draw):
     """A ring of 2-3 variables, some named _t and _t1, 0-3 generators and
     1-3 divisors with Fraction coefficients, zero and repeated divisors
-    among them, a local or global order and a budget that often trips."""
+    among them, and a budget that often trips."""
     ring = draw(st.sampled_from(TAG_NAMED_RINGS))
 
     def polys(max_terms, max_exp):
@@ -1206,9 +1224,8 @@ def tag_ring_saturations(draw):
     divisors = draw(st.lists(st.one_of(polys(2, 2), polys(2, 2), zero), min_size=1, max_size=3))
     if len(divisors) < 3 and draw(st.booleans()):
         divisors.append(divisors[0])
-    kind = draw(st.sampled_from((GLOBAL_GRADED_REVLEX, LOCAL_ANTIGRADED_REVLEX)))
     budgets = draw(st.sampled_from((Budgets(reductions=300), Budgets(reductions=6), Budgets(basis=2))))
-    return gens, divisors, MonomialOrder(kind, ring.nvars), budgets
+    return gens, divisors, local_order(ring.nvars), budgets
 
 
 def _outcome(route, *args):
@@ -1235,7 +1252,7 @@ RT = Ring(("x", "_t"))
         Budgets(reductions=1000),
     ),
 )
-@example(([], [p("x - x^2"), R2.zero()], global_order(2), Budgets()))
+@example(([], [p("x - x^2"), R2.zero()], local_order(2), Budgets()))
 @settings(max_examples=150, deadline=None)
 def test_saturation_matches_the_tag_ring_route(case):
     """The saturation on engine term maps, with the tag as an exponent slot
@@ -1250,10 +1267,10 @@ def test_saturation_matches_the_tag_ring_route(case):
 @pytest.mark.parametrize(
     "gens, divisors, order",
     [
-        ([], [], global_order(2)),
-        ([p("x")], [p("x", R3)], global_order(2)),
-        ([p("x")], [p("y")], global_order(3)),
-        ([p("x")], [R2.zero()], elimination_order(2, LOCAL_ANTIGRADED_REVLEX)),
+        ([], [], local_order(2)),
+        ([p("x")], [p("x", R3)], local_order(2)),
+        ([p("x")], [p("y")], local_order(3)),
+        ([p("x")], [R2.zero()], elimination_order(2)),
         ([p("x")], [R2.zero()], local_order(2)),
     ],
     ids=["no-generators", "two-rings", "variable-count", "block-order", "zero-ideal"],
@@ -1274,12 +1291,12 @@ def _minimal_monomials(exps):
 @given(
     st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=1, max_size=4),
     st.sets(st.integers(0, 2), min_size=1),
-    st.sampled_from((global_order(3), local_order(3))),
 )
 @settings(max_examples=40, deadline=None)
-def test_saturation_of_monomial_ideal_by_variables(exps, subset, order):
+def test_saturation_of_monomial_ideal_by_variables(exps, subset):
     """I : (x_i : i in S)^inf = ∩_{i in S} I|_{x_i = 1} for a monomial ideal I,
     with monomial ideals intersected by lcms of their generators."""
+    order = local_order(3)
     gens = [Polynomial(R3, {e: Fraction(1)}) for e in exps]
     variables = [R3.gens()[i] for i in sorted(subset)]
     expected = None
