@@ -9,7 +9,8 @@ order.  Two checkouts whose digests agree gave the same outputs.  An
 unexpected exception's text is its traceback, which names source paths, so
 it matches only within one checkout.  The jobs run warm, in one process,
 as the benchmark runs them: a text met earlier reuses its parsed input and
-seed-free invariants, which gives the digest of cold jobs.
+seed-free invariants, and an invariant tuple met earlier its tables, bouquet
+and their JSON, which gives the digest of cold jobs.
 
 Usage: python scripts/outcome_digest.py WORKLOAD[,WORKLOAD...]|all SEED PASSES
 """

@@ -12,6 +12,14 @@ per check, group and table, ints and bools written in place and strings
 through json's own ASCII escaping, so no document is built and json.dumps,
 which takes its pure-Python encoder whenever it indents, does not run.  A
 note or check detail that is not a str raises TypeError from the escaping.
+The fibre, tables and check tail of a homology report are a function of
+its invariant tuple, so the memo that keeps them for each of the last
+_TABLE_KEYS tuples also keeps the fibre's bouquet and their JSON fragments
+(homology, bouquet, each tail check, the tables block), rendered once by
+the routine to_json uses for any other report.  A report built from them
+renders only its invariants, its own checks, seed and notes, and takes the
+fragments while its fibre, bouquet, tables and last checks are the very
+objects they were rendered from; any other report renders in full.
 
 collect_tables evaluates the tables' consistency checks: the rank guards
 and the cover's Euler characteristic in the table constructors, the fibre/M
@@ -23,9 +31,12 @@ degree by degree.
 from __future__ import annotations
 
 import functools
+import operator
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .decomposition import (
     CheckResult,
@@ -83,8 +94,9 @@ def parse_job(text: str) -> SingularityInput:
     return _parse_job(text)
 
 
-# The benchmark's batch of small jobs runs each of its 32 texts per pass six
-# times, at most 31 other texts apart: twice that is enough.
+# The benchmark's batch of small jobs runs each of its 32 texts three times
+# per pass (a germ's six jobs are two variable orders, each under three
+# Milnor seeds), at most 31 other texts apart: twice that is enough.
 _PARSED_TEXTS = 64
 
 
@@ -195,43 +207,33 @@ class Report:
     seed: int
     elapsed: float
 
+    # the kept tables this report was built from (_homology_report); not a
+    # field, so a report made by hand or by dataclasses.replace has none
+    _kept = None
+
     def to_json(self) -> str:
         """The text json.dumps(doc, indent=2) + "\\n" gives for the report's
         document, written for its fixed shape (the test oracles build the
-        document).  Table names are distinct, as collect_tables gives them."""
+        document).  Table names are distinct, as collect_tables gives them.
+        Only the invariants, the checks before the kept tail, the seed and
+        the notes are rendered here when the kept fragments serve."""
         inv = self.invariants
         esc = encode_basestring_ascii
-        homology = "null" if self.fibre is None else _groups_json(self.fibre, "  ")
-        wedge = "null" if self.sphere_bouquet is None else _block(
-            "[]",
-            [f'{{\n      "dim": {d},\n      "count": {c}\n    }}' for d, c in self.sphere_bouquet.spheres],
-            "  ",
-        )
-        checks = _block(
-            "[]",
-            [
-                f'{{\n      "name": {esc(c.name)},\n      "pass": {_BOOL[c.passed]},\n'
-                f'      "detail": {esc(c.detail)}\n    }}'
-                for c in self.checks
-            ],
-            "  ",
-        )
-        tables = _block(
-            "{}",
-            [
-                f'{esc(name)}: {{\n        "space": {esc(t.space)},\n'
-                f'        "coefficients": {esc(t.coefficients)},\n'
-                f'        "groups": {_groups_json(t, "        ")}\n      }}'
-                for name, t in self.tables
-            ],
-            "    ",
-        )
+        kept = self._kept
+        if kept is not None and kept.serves(self):
+            homology, wedge, tail, tables = kept.json
+            checks = [*map(_check_json, self.checks[: len(self.checks) - len(tail)]), *tail]
+        else:
+            homology, wedge, checks, tables = _fragments(
+                self.fibre, self.sphere_bouquet, self.checks, self.tables
+            )
         return (
             f'{{\n  "invariants": {{\n    "n": {inv.n},\n    "mu0": {inv.mu0},\n'
             f'    "mu1": {inv.mu1},\n    "mu1_applicable": {_BOOL[inv.mu1_applicable]},\n'
             f'    "a": {inv.a},\n    "corank": {inv.corank},\n    "a1": {inv.a1},\n'
             f'    "a1_provenance": {esc(inv.a1_provenance)}\n  }},\n'
-            f'  "homology": {homology},\n  "bouquet": {wedge},\n  "checks": {checks},\n'
+            f'  "homology": {homology},\n  "bouquet": {wedge},\n'
+            f'  "checks": {_block("[]", checks, "  ")},\n'
             f'  "provenance": {{\n    "seed": {self.seed},\n'
             f'    "a1_provenance": {esc(inv.a1_provenance)},\n'
             f'    "notes": {_block("[]", [esc(note) for note in self.notes], "    ")},\n'
@@ -278,7 +280,7 @@ class Report:
 _BOOL = {True: "true", False: "false"}
 
 
-def _block(brackets: str, items: list[str], indent: str) -> str:
+def _block(brackets: str, items: Sequence[str], indent: str) -> str:
     """A list or dict as json.dumps(..., indent=2) lays it out, on a line
     indented by indent: brackets is "[]" or "{}", and each item is already
     laid out for the next level."""
@@ -300,6 +302,44 @@ def _groups_json(table: HomologyTable, indent: str) -> str:
         ],
         indent,
     )
+
+
+def _check_json(check: CheckResult) -> str:
+    """One check as an item of the report's checks list."""
+    return (
+        f'{{\n      "name": {encode_basestring_ascii(check.name)},\n'
+        f'      "pass": {_BOOL[check.passed]},\n'
+        f'      "detail": {encode_basestring_ascii(check.detail)}\n    }}'
+    )
+
+
+def _fragments(
+    fibre: HomologyTable | None,
+    wedge: BouquetDescription | None,
+    checks: tuple[CheckResult, ...],
+    tables: tuple[tuple[str, HomologyTable], ...],
+) -> tuple[str, str, tuple[str, ...], str]:
+    """The JSON of a report's homology and bouquet, of each of its checks
+    as a list item, and of its tables block, as to_json lays them out: for
+    the kept tables of an invariant tuple and for any other report."""
+    homology = "null" if fibre is None else _groups_json(fibre, "  ")
+    wedge_json = "null" if wedge is None else _block(
+        "[]",
+        [f'{{\n      "dim": {d},\n      "count": {c}\n    }}' for d, c in wedge.spheres],
+        "  ",
+    )
+    esc = encode_basestring_ascii
+    tables_json = _block(
+        "{}",
+        [
+            f'{esc(name)}: {{\n        "space": {esc(t.space)},\n'
+            f'        "coefficients": {esc(t.coefficients)},\n'
+            f'        "groups": {_groups_json(t, "        ")}\n      }}'
+            for name, t in tables
+        ],
+        "    ",
+    )
+    return homology, wedge_json, tuple(map(_check_json, checks)), tables_json
 
 
 def _render_table_lines(table: HomologyTable, indent: str = "  ") -> list[str]:
@@ -339,30 +379,23 @@ def run_homology(job: Job) -> Report:
 def _homology_report(
     inv: InvariantReport, notes: list[str], seed: int, start: float
 ) -> Report:
-    """The homology report of inv: its tables and bouquet, its checks with
-    the tables' and the bouquet's appended, and notes followed by the
-    tables' notes; start is the job's perf_counter start."""
-    fibre, tables, table_checks, table_notes = collect_tables(
-        inv.mu0, inv.mu1, inv.a, inv.corank, inv.a1, inv.n
-    )
-    wedge = bouquet(fibre)
-    checks = inv.checks + table_checks + (
-        CheckResult(
-            "bouquet_torsion_free",
-            True,
-            f"fibre table is torsion-free with H_0 = Z; bouquet {wedge}",
-        ),
-    )
-    return Report(
+    """The homology report of inv: its kept tables and bouquet, its checks
+    with the tables' and the bouquet's appended, and notes followed by the
+    tables' notes; start is the job's perf_counter start.  The report keeps
+    the tables' JSON fragments for to_json."""
+    kept = _tables(inv.mu0, inv.mu1, inv.a, inv.corank, inv.a1, inv.n)
+    report = Report(
         invariants=inv,
-        fibre=fibre,
-        tables=tables,
-        sphere_bouquet=wedge,
-        checks=checks,
-        notes=tuple(notes) + table_notes,
+        fibre=kept.fibre,
+        tables=kept.tables,
+        sphere_bouquet=kept.wedge,
+        checks=inv.checks + kept.checks,
+        notes=tuple(notes) + kept.notes,
         seed=seed,
         elapsed=time.perf_counter() - start,
     )
+    object.__setattr__(report, "_kept", kept)
+    return report
 
 
 def _invariant_notes(inv: InvariantReport) -> list[str]:
@@ -392,18 +425,9 @@ def collect_tables(
     The table constructors raise InconsistencyError themselves when an
     identity fails; the CheckResult entries returned here record the
     identities that were evaluated and the values they took.  The result is
-    a function of the six ints alone, kept for the last _TABLE_KEYS of them
-    and shared by every caller that passes them, so all of it is immutable.
+    a function of the six ints alone and immutable, so homology reports
+    share the one _tables keeps for each of the last _TABLE_KEYS tuples.
     """
-    return _tables(mu0, mu1, a, corank, a1, n)
-
-
-# A pass of any benchmark workload meets at most 11 invariant tuples.
-_TABLE_KEYS = 32
-
-
-@functools.lru_cache(maxsize=_TABLE_KEYS)
-def _tables(mu0: int, mu1: int, a: int, corank: int, a1: int, n: int):
     fibre, m_table = milnor_fibre_homology(mu0, mu1, a, corank, a1, n)
     tables: list[tuple[str, HomologyTable]] = []
     checks = [
@@ -454,6 +478,50 @@ def _tables(mu0: int, mu1: int, a: int, corank: int, a1: int, n: int):
         )
     tables.append(("M", m_table))
     return fibre, tuple(tables), tuple(checks), tuple(notes)
+
+
+class _KeptTables(NamedTuple):
+    """What every homology report of one invariant tuple shares: the fibre
+    and tables with their notes, the bouquet of the fibre, the check tail
+    the report appends (the tables' checks, then the bouquet's) and the
+    _fragments of all of it."""
+
+    fibre: HomologyTable
+    tables: tuple[tuple[str, HomologyTable], ...]
+    checks: tuple[CheckResult, ...]
+    notes: tuple[str, ...]
+    wedge: BouquetDescription
+    json: tuple[str, str, tuple[str, ...], str]
+
+    def serves(self, report: Report) -> bool:
+        """Whether report's fibre, bouquet, tables and last checks are the
+        very objects the fragments were rendered from."""
+        tail = len(self.checks)
+        return (
+            report.fibre is self.fibre
+            and report.sphere_bouquet is self.wedge
+            and report.tables is self.tables
+            and len(report.checks) >= tail
+            and all(map(operator.is_, report.checks[-tail:], self.checks))
+        )
+
+
+# A pass of any benchmark workload meets at most 11 invariant tuples.
+_TABLE_KEYS = 32
+
+
+@functools.lru_cache(maxsize=_TABLE_KEYS)
+def _tables(mu0: int, mu1: int, a: int, corank: int, a1: int, n: int) -> _KeptTables:
+    fibre, tables, checks, notes = collect_tables(mu0, mu1, a, corank, a1, n)
+    wedge = bouquet(fibre)
+    checks += (
+        CheckResult(
+            "bouquet_torsion_free",
+            True,
+            f"fibre table is torsion-free with H_0 = Z; bouquet {wedge}",
+        ),
+    )
+    return _KeptTables(fibre, tables, checks, notes, wedge, _fragments(fibre, wedge, checks, tables))
 
 
 def _uc_mod2_check(space: str, integral: HomologyTable, mod2: HomologyTable) -> CheckResult:

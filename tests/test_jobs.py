@@ -585,11 +585,86 @@ def test_a_parse_error_is_raised_on_every_call():
 @given(admissible_invariants())
 def test_kept_tables_are_built_from_their_own_invariants(invariants):
     """The tables kept for a tuple, and for the tuple with another #A1, are
-    the tables a fresh build gives."""
+    the tables a fresh build gives, with the bouquet of the fibre and its
+    check after the tables' checks; a tuple met again gets the same kept
+    object."""
     mu0, mu1, a, corank, a1, n = invariants
+    kept = []
     for count in (a1, a1 + 1, a1):
         key = (mu0, mu1, a, corank, count, n)
-        assert collect_tables(*key) == jobs._tables.__wrapped__(*key)
+        kept.append(jobs._tables(*key))
+        fibre, tables, checks, notes = collect_tables(*key)
+        assert kept[-1][:4] == (fibre, tables, checks + kept[-1].checks[-1:], notes)
+        assert kept[-1].wedge == bouquet(fibre)
+        assert kept[-1].checks[-1] == CheckResult(
+            "bouquet_torsion_free",
+            True,
+            f"fibre table is torsion-free with H_0 = Z; bouquet {bouquet(fibre)}",
+        )
+    assert kept[2] is kept[0] and kept[1] is not kept[0]
+
+
+def _tuple(inv):
+    return inv.mu0, inv.mu1, inv.a, inv.corank, inv.a1, inv.n
+
+
+def _kept_report(report):
+    """report with the kept fragments of the tables it was built from
+    attached, as _homology_report attaches them, although report may have
+    been changed since; dataclasses.replace leaves them behind."""
+    replaced = dataclasses.replace(report)
+    object.__setattr__(replaced, "_kept", jobs._tables(*_tuple(report.invariants)))
+    return replaced
+
+
+def test_a_report_that_changed_since_its_tables_were_kept_renders_afresh():
+    """Once the fragments are kept, a report whose fibre, bouquet, tables
+    or check tail are not the very objects they were rendered from, made by
+    dataclasses.replace with or without the fragments attached, gives the
+    oracle's JSON, as the report they were built with does."""
+    report = run_homology(Job(input=parse_job(GOOD_JOB)))
+    assert report._kept is jobs._tables(*_tuple(report.invariants))
+    assert report.to_json() == json_oracle(report)
+    tail = report._kept.checks
+    failing = dataclasses.replace(tail[-1], passed=False)
+    changed = [
+        bare(report),
+        dataclasses.replace(report, tables=report.tables[:-1]),
+        dataclasses.replace(report, tables=report.tables[::-1]),
+        dataclasses.replace(report, sphere_bouquet=BouquetDescription(())),
+        dataclasses.replace(report, fibre=dict(report.tables)["M"]),
+        dataclasses.replace(report, checks=report.checks[:-1] + (failing,)),
+        dataclasses.replace(report, checks=report.checks[: -len(tail)]),
+        dataclasses.replace(report, checks=tail[1:]),
+        dataclasses.replace(report, checks=tail[:-1]),
+        dataclasses.replace(report, checks=()),
+    ]
+    for other in changed:
+        assert other._kept is None
+        for r in (other, _kept_report(other)):
+            assert r.to_json() == json_oracle(r)
+    # equal but not the same objects: the fragments do not serve, and the
+    # bytes are the same
+    copied = dataclasses.replace(report, checks=report.checks[:-1] + (dataclasses.replace(tail[-1]),))
+    assert _kept_report(copied).to_json() == report.to_json()
+
+
+def test_reports_of_one_tuple_share_the_fragments_and_keep_their_own_parts():
+    """Homology reports of one invariant tuple, each with a seed, notes and
+    checks of its own, share the kept fragments and each give the oracle's
+    JSON."""
+    base = run_homology(Job(input=parse_job(GOOD_JOB))).invariants
+    reports = [
+        jobs._homology_report(base, ["first"], 3, 0.0),
+        jobs._homology_report(
+            dataclasses.replace(base, checks=(CheckResult("own", False, "é\n"),)), [], -7, 0.0
+        ),
+        jobs._homology_report(dataclasses.replace(base, checks=()), ["third", "\ud800"], 0, 0.0),
+    ]
+    assert reports[1]._kept is reports[0]._kept is reports[2]._kept
+    texts = [r.to_json() for r in reports]
+    assert texts == [json_oracle(r) for r in reports]
+    assert len(set(texts)) == 3
 
 
 def test_warm_and_cold_memos_give_the_same_json():

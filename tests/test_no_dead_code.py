@@ -20,6 +20,10 @@ package class (a name starting with one underscore, dunders left out), must
 be read somewhere in ``src/`` outside its own definition: an import alone
 does not count, and neither do tests, scripts or the benchmark.  Code the
 package keeps only for the test oracles belongs in ``tests/oracles.py``.
+
+No module under ``src/``, ``tests/`` or ``scripts/`` defines one top-level
+function or class name twice: the later definition would silently replace
+the earlier one for its callers.
 """
 
 import ast
@@ -142,3 +146,23 @@ def unreferenced_private_functions() -> list[str]:
 
 def test_every_private_function_has_a_caller_in_the_package():
     assert unreferenced_private_functions() == []
+
+
+def redefined_top_level_names() -> list[str]:
+    """Each name a module under src/, tests/ or scripts/ binds twice with a
+    top-level def or class: the second rebinds the first for every caller,
+    including those defined between the two."""
+    found = []
+    for tree in ("src", "tests", "scripts"):
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            seen = set()
+            for node in ast.parse(path.read_text()).body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    if node.name in seen:
+                        found.append(f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}")
+                    seen.add(node.name)
+    return found
+
+
+def test_no_module_defines_a_top_level_name_twice():
+    assert redefined_top_level_names() == []

@@ -62,14 +62,16 @@ def test_outcome_digest_repeats(tmp_path):
 
 def test_outcome_digest_runs_warm_as_it_would_cold(monkeypatch):
     """The script runs every job in one process, so a text met earlier
-    reuses its parsed input, that input's seed-free invariants and the
-    tables of its invariants.  Its digest is the one of jobs that each
-    start with those memos empty."""
+    reuses its parsed input, that input's seed-free invariants, and the
+    tables of its invariants with their bouquet and JSON fragments.  Its
+    digest of each workload is the one of jobs that each start with those
+    memos empty."""
     monkeypatch.setattr(sys, "path", list(sys.path))
     spec = importlib.util.spec_from_file_location("outcome_digest", SCRIPTS / "outcome_digest.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    warm = script.digest("batch-n5", 5, 1)
+    workloads = {"batch-n5": 96, "heavy-local": 13, "a1-saturation": 26}
+    warm = {name: script.digest(name, 5, 1) for name in workloads}
     outcome = script.outcome
 
     def cold_outcome(pkg, text, seed):
@@ -78,8 +80,9 @@ def test_outcome_digest_runs_warm_as_it_would_cold(monkeypatch):
         return outcome(pkg, text, seed)
 
     monkeypatch.setattr(script, "outcome", cold_outcome)
-    assert script.digest("batch-n5", 5, 1) == warm
-    assert warm[0] == 96
+    for name, count in workloads.items():
+        assert script.digest(name, 5, 1) == warm[name]
+        assert warm[name][0] == count
 
 
 # pass 0 at workload seeds 5, 11 and 41, as printed by `outcome_digest.py all

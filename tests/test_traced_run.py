@@ -86,7 +86,7 @@ def test_traced_homology_job_matches_the_untraced_one():
     names = span_names(tracer)
     assert {
         "jobs.parse_job", "jobs.run_homology", "jobs.to_json", "milnor.check_icis",
-        "decomposition.a1_count",
+        "decomposition.a1_count", "jobs.collect_tables", "homology.bouquet",
     } <= names
     assert "standard_basis.saturate" not in names
     assert tracer.counts["orders.key.calls"] > 0
@@ -128,11 +128,14 @@ def test_worked_estimate_takes_no_colength():
 
 
 def test_warm_traced_rerun_reuses_the_parsed_input_and_its_invariants():
-    """A rerun of the text in one process parses nothing and checks no
-    ideal: it gets the input and its seed-free invariants kept by the first
-    run, and the same JSON.  The wrapped public functions still record
-    their spans."""
+    """A rerun of the text in one process parses nothing, checks no ideal
+    and builds no table or bouquet: it gets the input, its seed-free
+    invariants and the tables of its invariant tuple, with their JSON, kept
+    by the first run, and the same JSON.  The wrapped public functions
+    still record their spans."""
     tracer = traced_run(WORKED_JOB, warm=True)
     names = span_names(tracer)
-    assert {"jobs.parse_job", "jobs.collect_tables", "decomposition.invariant_report"} <= names
-    assert "milnor.check_icis" not in names
+    assert {
+        "jobs.parse_job", "jobs.run_homology", "decomposition.invariant_report", "jobs.to_json"
+    } <= names
+    assert names.isdisjoint({"milnor.check_icis", "jobs.collect_tables", "homology.bouquet"})
