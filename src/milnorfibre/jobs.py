@@ -12,14 +12,11 @@ per check, group and table, ints and bools written in place and strings
 through json's own ASCII escaping, so no document is built and json.dumps,
 which takes its pure-Python encoder whenever it indents, does not run.  A
 note or check detail that is not a str raises TypeError from the escaping.
-The fibre, tables and check tail of a homology report are a function of
-its invariant tuple, so the memo that keeps them for each of the last
-_TABLE_KEYS tuples also keeps the fibre's bouquet and their JSON fragments
-(homology, bouquet, each tail check, the tables block), rendered once by
-the routine to_json uses for any other report.  A report built from them
-renders only its invariants, its own checks, seed and notes, and takes the
-fragments while its fibre, bouquet, tables and last checks are the very
-objects they were rendered from; any other report renders in full.
+The memo of the tables of the last _TABLE_KEYS invariant tuples also keeps
+the fibre's bouquet and the JSON of the homology, bouquet, table checks and
+tables block, rendered by the routine to_json uses for any other report; a
+report built from them renders only its invariants, own checks, seed and
+notes, while its fibre, bouquet, tables and last checks are those objects.
 
 collect_tables evaluates the tables' consistency checks: the rank guards
 and the cover's Euler characteristic in the table constructors, the fibre/M
