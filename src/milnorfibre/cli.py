@@ -13,7 +13,7 @@ import time
 from .decomposition import InvariantReport
 from .errors import ComputationError, InconsistencyError, ParseError
 from .homology import FIBRE_MIN_N, dkp_fibre
-from .jobs import Job, Report, _homology_report, parse_job, run_homology, run_invariants
+from .jobs import Job, Report, _HomologyParts, parse_job, run_homology, run_invariants
 from .standard_basis import DEFAULT_BUDGETS, Budgets
 
 EXIT_OK = 0
@@ -153,7 +153,8 @@ def _cmd_tables(args: argparse.Namespace) -> int:
         a1_provenance="provided",
         checks=(),
     )
-    report = _homology_report(inv, ["tables generated from provided invariants"], args.seed, start)
+    parts = _HomologyParts(inv, ["tables generated from provided invariants"])
+    report = parts.report(inv, args.seed, start)
     _emit(report, args.fmt)
     return EXIT_OK
 

@@ -14,9 +14,13 @@ which takes its pure-Python encoder whenever it indents, does not run.  A
 note or check detail that is not a str raises TypeError from the escaping.
 The memo of the tables of the last _TABLE_KEYS invariant tuples also keeps
 the fibre's bouquet and the JSON of the homology, bouquet, table checks and
-tables block, rendered by the routine to_json uses for any other report; a
-report built from them renders only its invariants, own checks, seed and
-notes, while its fibre, bouquet, tables and last checks are those objects.
+tables block, rendered by the routine to_json uses for any other report.
+run_homology keeps a report's parts on its invariants: the kept tables, the
+checks and the notes, and from its first to_json on the report's JSON
+before and after the seed, rendered with those fragments.  So a later job
+given the same kept outcome (invariant_report) reuses them, and its to_json
+writes only the seed, while its invariants, checks, notes, fibre, bouquet
+and tables are those objects.
 
 collect_tables evaluates the tables' consistency checks: the rank guards
 and the cover's Euler characteristic in the table constructors, the fibre/M
@@ -28,7 +32,6 @@ degree by degree.
 from __future__ import annotations
 
 import functools
-import operator
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -204,38 +207,22 @@ class Report:
     seed: int
     elapsed: float
 
-    # the kept tables this report was built from (_homology_report); not a
-    # field, so a report made by hand or by dataclasses.replace has none
-    _kept = None
-
     def to_json(self) -> str:
         """The text json.dumps(doc, indent=2) + "\\n" gives for the report's
         document, written for its fixed shape (the test oracles build the
         document).  Table names are distinct, as collect_tables gives them.
-        Only the invariants, the checks before the kept tail, the seed and
-        the notes are rendered here when the kept fragments serve."""
-        inv = self.invariants
-        esc = encode_basestring_ascii
-        kept = self._kept
-        if kept is not None and kept.serves(self):
-            homology, wedge, tail, tables = kept.json
-            checks = [*map(_check_json, self.checks[: len(self.checks) - len(tail)]), *tail]
+        Only the seed is written here when the parts run_homology kept on
+        the report's invariants serve it."""
+        parts = getattr(self.invariants, "_parts", None)
+        if parts is not None and parts.serves(self):
+            head, tail = parts.json or parts.render(self.invariants)
         else:
-            homology, wedge, checks, tables = _fragments(
-                self.fibre, self.sphere_bouquet, self.checks, self.tables
+            head, tail = _halves(
+                self.invariants,
+                self.notes,
+                *_fragments(self.fibre, self.sphere_bouquet, self.checks, self.tables),
             )
-        return (
-            f'{{\n  "invariants": {{\n    "n": {inv.n},\n    "mu0": {inv.mu0},\n'
-            f'    "mu1": {inv.mu1},\n    "mu1_applicable": {_BOOL[inv.mu1_applicable]},\n'
-            f'    "a": {inv.a},\n    "corank": {inv.corank},\n    "a1": {inv.a1},\n'
-            f'    "a1_provenance": {esc(inv.a1_provenance)}\n  }},\n'
-            f'  "homology": {homology},\n  "bouquet": {wedge},\n'
-            f'  "checks": {_block("[]", checks, "  ")},\n'
-            f'  "provenance": {{\n    "seed": {self.seed},\n'
-            f'    "a1_provenance": {esc(inv.a1_provenance)},\n'
-            f'    "notes": {_block("[]", [esc(note) for note in self.notes], "    ")},\n'
-            f'    "tables": {tables}\n  }}\n}}\n'
-        )
+        return f"{head}{self.seed}{tail}"
 
     def to_text(self) -> str:
         inv = self.invariants
@@ -339,6 +326,31 @@ def _fragments(
     return homology, wedge_json, tuple(map(_check_json, checks)), tables_json
 
 
+def _halves(
+    inv: InvariantReport,
+    notes: tuple[str, ...],
+    homology: str,
+    wedge: str,
+    checks: Sequence[str],
+    tables: str,
+) -> tuple[str, str]:
+    """The report's JSON before its seed and after it, from its invariants
+    and notes and the _fragments of the rest."""
+    esc = encode_basestring_ascii
+    return (
+        f'{{\n  "invariants": {{\n    "n": {inv.n},\n    "mu0": {inv.mu0},\n'
+        f'    "mu1": {inv.mu1},\n    "mu1_applicable": {_BOOL[inv.mu1_applicable]},\n'
+        f'    "a": {inv.a},\n    "corank": {inv.corank},\n    "a1": {inv.a1},\n'
+        f'    "a1_provenance": {esc(inv.a1_provenance)}\n  }},\n'
+        f'  "homology": {homology},\n  "bouquet": {wedge},\n'
+        f'  "checks": {_block("[]", checks, "  ")},\n'
+        f'  "provenance": {{\n    "seed": ',
+        f',\n    "a1_provenance": {esc(inv.a1_provenance)},\n'
+        f'    "notes": {_block("[]", [esc(note) for note in notes], "    ")},\n'
+        f'    "tables": {tables}\n  }}\n}}\n',
+    )
+
+
 def _render_table_lines(table: HomologyTable, indent: str = "  ") -> list[str]:
     lines = []
     for d, g in reversed(table.entries):
@@ -367,32 +379,71 @@ def run_invariants(job: Job) -> Report:
 
 def run_homology(job: Job) -> Report:
     """Full pipeline: invariants, fibre homology, bouquet, and the
-    intermediate tables with their consistency assertions evaluated."""
+    intermediate tables with their consistency assertions evaluated.  The
+    report's parts are kept on its invariants, so a later job given the
+    same kept outcome (invariant_report) reuses them and their JSON."""
     start = time.perf_counter()
     inv = invariant_report(job.input, seed=job.seed, budgets=job.budgets)
-    return _homology_report(inv, _invariant_notes(inv), job.seed, start)
+    # getattr, not vars(inv): reading __dict__ moves inv's attributes
+    # into a dict of its own, where every later load of them is slower
+    parts = getattr(inv, "_parts", None)
+    if parts is None:
+        parts = _HomologyParts(inv, _invariant_notes(inv))
+        object.__setattr__(inv, "_parts", parts)
+    return parts.report(inv, job.seed, start)
 
 
-def _homology_report(
-    inv: InvariantReport, notes: list[str], seed: int, start: float
-) -> Report:
-    """The homology report of inv: its kept tables and bouquet, its checks
-    with the tables' and the bouquet's appended, and notes followed by the
-    tables' notes; start is the job's perf_counter start.  The report keeps
-    the tables' JSON fragments for to_json."""
-    kept = _tables(inv.mu0, inv.mu1, inv.a, inv.corank, inv.a1, inv.n)
-    report = Report(
-        invariants=inv,
-        fibre=kept.fibre,
-        tables=kept.tables,
-        sphere_bouquet=kept.wedge,
-        checks=inv.checks + kept.checks,
-        notes=tuple(notes) + kept.notes,
-        seed=seed,
-        elapsed=time.perf_counter() - start,
-    )
-    object.__setattr__(report, "_kept", kept)
-    return report
+class _HomologyParts:
+    """The parts of the homology reports of one InvariantReport inv: the
+    kept tables of its tuple, its checks with the tables' appended, and
+    notes followed by the tables' notes; and, from the first to_json of
+    such a report on, that report's JSON before and after the seed.  It
+    holds no reference to inv, so a dropped outcome is freed at once."""
+
+    __slots__ = ("kept", "checks", "notes", "json")
+
+    def __init__(self, inv: InvariantReport, notes: Sequence[str]):
+        kept = _tables(inv.mu0, inv.mu1, inv.a, inv.corank, inv.a1, inv.n)
+        self.kept = kept
+        self.checks = inv.checks + kept.checks
+        self.notes = tuple(notes) + kept.notes
+        self.json: tuple[str, str] | None = None
+
+    def report(self, inv: InvariantReport, seed: int, start: float) -> Report:
+        """The report of inv with these parts; start is the job's
+        perf_counter start."""
+        kept = self.kept
+        return Report(
+            invariants=inv,
+            fibre=kept.fibre,
+            tables=kept.tables,
+            sphere_bouquet=kept.wedge,
+            checks=self.checks,
+            notes=self.notes,
+            seed=seed,
+            elapsed=time.perf_counter() - start,
+        )
+
+    def serves(self, report: Report) -> bool:
+        """Whether report, whose invariants keep these parts, has the very
+        checks, notes, fibre, bouquet and tables they hold."""
+        kept = self.kept
+        return (
+            report.checks is self.checks
+            and report.notes is self.notes
+            and report.fibre is kept.fibre
+            and report.sphere_bouquet is kept.wedge
+            and report.tables is kept.tables
+        )
+
+    def render(self, inv: InvariantReport) -> tuple[str, str]:
+        """The JSON of the reports these parts serve, before and after the
+        seed, with the kept tables' fragments; inv is the InvariantReport
+        the parts were made of, and the JSON is kept for every later one."""
+        homology, wedge, tail, tables = self.kept.json
+        checks = (*map(_check_json, inv.checks), *tail)
+        self.json = _halves(inv, self.notes, homology, wedge, checks, tables)
+        return self.json
 
 
 def _invariant_notes(inv: InvariantReport) -> list[str]:
@@ -489,18 +540,6 @@ class _KeptTables(NamedTuple):
     notes: tuple[str, ...]
     wedge: BouquetDescription
     json: tuple[str, str, tuple[str, ...], str]
-
-    def serves(self, report: Report) -> bool:
-        """Whether report's fibre, bouquet, tables and last checks are the
-        very objects the fragments were rendered from."""
-        tail = len(self.checks)
-        return (
-            report.fibre is self.fibre
-            and report.sphere_bouquet is self.wedge
-            and report.tables is self.tables
-            and len(report.checks) >= tail
-            and all(map(operator.is_, report.checks[-tail:], self.checks))
-        )
 
 
 # A pass of any benchmark workload meets at most 11 invariant tuples.

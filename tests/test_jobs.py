@@ -1,9 +1,13 @@
 """Job-file grammar, report assembly, and JSON serialization."""
 
 import dataclasses
+import gc
+import importlib.util
 import json
 import sys
 import traceback
+import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -608,24 +612,30 @@ def _tuple(inv):
     return inv.mu0, inv.mu1, inv.a, inv.corank, inv.a1, inv.n
 
 
-def _kept_report(report):
-    """report with the kept fragments of the tables it was built from
-    attached, as _homology_report attaches them, although report may have
-    been changed since; dataclasses.replace leaves them behind."""
-    replaced = dataclasses.replace(report)
-    object.__setattr__(replaced, "_kept", jobs._tables(*_tuple(report.invariants)))
-    return replaced
+def _parts(report):
+    """The parts run_homology keeps on report's invariants."""
+    return report.invariants._parts
+
+
+def _detached(report):
+    """report with an equal copy of its invariants that keeps no parts,
+    as dataclasses.replace leaves them behind."""
+    return dataclasses.replace(report, invariants=dataclasses.replace(report.invariants))
 
 
 def test_a_report_that_changed_since_its_tables_were_kept_renders_afresh():
-    """Once the fragments are kept, a report whose fibre, bouquet, tables
-    or check tail are not the very objects they were rendered from, made by
-    dataclasses.replace with or without the fragments attached, gives the
-    oracle's JSON, as the report they were built with does."""
+    """Once a report's JSON is kept on its invariants, a report whose
+    invariants, fibre, bouquet, tables, checks or notes are not the very
+    objects it was rendered from, made by dataclasses.replace with or
+    without those kept parts, gives the oracle's JSON, as the report they
+    were built with does."""
     report = run_homology(Job(input=parse_job(GOOD_JOB)))
-    assert report._kept is jobs._tables(*_tuple(report.invariants))
+    parts = _parts(report)
+    assert parts.kept is jobs._tables(*_tuple(report.invariants))
+    assert parts.json is None
     assert report.to_json() == json_oracle(report)
-    tail = report._kept.checks
+    assert parts.json is not None
+    tail = parts.kept.checks
     failing = dataclasses.replace(tail[-1], passed=False)
     changed = [
         bare(report),
@@ -638,33 +648,84 @@ def test_a_report_that_changed_since_its_tables_were_kept_renders_afresh():
         dataclasses.replace(report, checks=tail[1:]),
         dataclasses.replace(report, checks=tail[:-1]),
         dataclasses.replace(report, checks=()),
+        dataclasses.replace(
+            report, invariants=dataclasses.replace(report.invariants, a1_provenance="provided")
+        ),
+        dataclasses.replace(report, invariants=dataclasses.replace(report.invariants, mu0=1)),
+        dataclasses.replace(report, notes=report.notes[1:]),
+        dataclasses.replace(report, notes=("\ud800", *report.notes)),
     ]
     for other in changed:
-        assert other._kept is None
-        for r in (other, _kept_report(other)):
+        for r in (other, _detached(other)):
             assert r.to_json() == json_oracle(r)
-    # equal but not the same objects: the fragments do not serve, and the
+    # equal but not the same objects: the kept JSON does not serve, and the
     # bytes are the same
-    copied = dataclasses.replace(report, checks=report.checks[:-1] + (dataclasses.replace(tail[-1]),))
-    assert _kept_report(copied).to_json() == report.to_json()
+    copied = [
+        dataclasses.replace(report, checks=report.checks[:-1] + (dataclasses.replace(tail[-1]),)),
+        dataclasses.replace(report, notes=tuple([*report.notes])),
+        _detached(report),
+    ]
+    for r in copied:
+        parts = getattr(r.invariants, "_parts", None)
+        assert parts is None or not parts.serves(r)
+        assert r.to_json() == report.to_json()
+
+
+def _kept_report(inv, notes, seed):
+    """A homology report of inv with notes, whose parts are kept on inv as
+    run_homology keeps them."""
+    parts = jobs._HomologyParts(inv, notes)
+    object.__setattr__(inv, "_parts", parts)
+    return parts.report(inv, seed, 0.0)
 
 
 def test_reports_of_one_tuple_share_the_fragments_and_keep_their_own_parts():
     """Homology reports of one invariant tuple, each with a seed, notes and
-    checks of its own, share the kept fragments and each give the oracle's
-    JSON."""
+    checks of its own, share the kept tables and their fragments, and each
+    gives the oracle's JSON; so do the warm reports of one kept outcome,
+    whose JSON is rendered once."""
     base = run_homology(Job(input=parse_job(GOOD_JOB))).invariants
     reports = [
-        jobs._homology_report(base, ["first"], 3, 0.0),
-        jobs._homology_report(
-            dataclasses.replace(base, checks=(CheckResult("own", False, "é\n"),)), [], -7, 0.0
+        _kept_report(dataclasses.replace(base), ["first"], 3),
+        _kept_report(
+            dataclasses.replace(base, checks=(CheckResult("own", False, "é\n"),)), [], -7
         ),
-        jobs._homology_report(dataclasses.replace(base, checks=()), ["third", "\ud800"], 0, 0.0),
+        _kept_report(dataclasses.replace(base, checks=()), ["third", "\ud800"], 0),
     ]
-    assert reports[1]._kept is reports[0]._kept is reports[2]._kept
+    assert _parts(reports[1]).kept is _parts(reports[0]).kept is _parts(reports[2]).kept
     texts = [r.to_json() for r in reports]
     assert texts == [json_oracle(r) for r in reports]
     assert len(set(texts)) == 3
+
+    inp = parse_job(GOOD_JOB)
+    warm = [run_homology(Job(input=inp, seed=seed)) for seed in (0, -7, 2**70)]
+    assert all(r.invariants is base for r in warm)
+    assert warm[0].checks is warm[1].checks is warm[2].checks
+    assert warm[0].notes is warm[1].notes is warm[2].notes
+    rendered = []
+    for r in warm:
+        assert r.to_json() == json_oracle(r)
+        rendered.append(_parts(r).json)
+    assert rendered[0] is rendered[1] is rendered[2]
+
+
+def test_kept_parts_hold_no_reference_to_their_outcome():
+    """The parts and JSON a kept outcome keeps do not refer back to it, so
+    once the report, the input and the memos are dropped, reference
+    counting alone frees the outcome."""
+    gc.disable()
+    try:
+        report = run_homology(Job(input=parse_job(GOOD_JOB)))
+        assert report.to_json() == json_oracle(report)
+        assert _parts(report).json is not None
+        outcome = weakref.ref(report.invariants)
+        assert outcome() is parse_job(GOOD_JOB)._outcomes[DEFAULT_BUDGETS]
+        del report
+        jobs._parse_job.cache_clear()
+        jobs._tables.cache_clear()
+        assert outcome() is None
+    finally:
+        gc.enable()
 
 
 def test_warm_and_cold_memos_give_the_same_json():
@@ -685,3 +746,38 @@ def test_warm_and_cold_memos_give_the_same_json():
         return out
 
     assert corpus_json(cold=False) == corpus_json(cold=True)
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def _job_outcome(text, seed):
+    """The report JSON of one job, or the type and text of its error."""
+    try:
+        return run_homology(Job(input=parse_job(text), seed=seed)).to_json()
+    except (ComputationError, InconsistencyError, ParseError) as exc:
+        return type(exc), str(exc)
+
+
+def test_warm_and_cold_memos_give_the_same_outcomes_on_the_benchmark_jobs(monkeypatch):
+    """Passes 0 and 1 of every benchmark workload at workload seed 5, run
+    in order as the benchmark runs them, with a text met earlier reusing its
+    input, outcome, parts and JSON, give each job the report JSON or error
+    it gets with the parsed inputs and kept tables cleared before it."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while it runs
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    specs = [
+        job
+        for name in workloads.WORKLOADS
+        for index in (0, 1)
+        for job in workloads.build(name, 5, index)
+    ]
+    warm = [_job_outcome(job.text, job.seed) for job in specs]
+    for job, got in zip(specs, warm):
+        jobs._parse_job.cache_clear()
+        jobs._tables.cache_clear()
+        assert _job_outcome(job.text, job.seed) == got, job.job_id
+    assert {type(got) for got in warm} == {str, tuple}

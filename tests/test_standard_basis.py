@@ -262,6 +262,13 @@ ALL_ORDERS_3 = tuple(make(3) for make in ORDER_MAKERS)
 
 
 @given(st.lists(sparse_polys(R3, max_terms=3, max_exp=2), min_size=1, max_size=3))
+@example(
+    [
+        p("-3*x*y^2*z^2 + 3*y^2*z^2 - 3*x^2*z", R3),
+        p("-y*z^2 + 3*z^2 + 3*y", R3),
+        p("2*x^2*y^2*z^2 - 2*x^2 - 3*y^2", R3),
+    ]
+)
 @settings(max_examples=30)
 def test_heap_queue_matches_min_scan_oracle(gens):
     """The heap pair queue of the integer engine takes the pairs in the
