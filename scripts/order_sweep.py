@@ -5,9 +5,9 @@ its generators.
 Each trial picks one of the order-3 and order-4 corpus germs and applies 1-4
 random shears x_i -> x_i + c*x_j (c in -2, -1, 1, 2) to its variables.  For
 each image whose (g, det H) passes check_icis, it computes the top colength
-of milnor_top_step, the colength of the head g plus the maximal minors of
+of the mu1 step, the colength of the head g plus the maximal minors of
 Jac(g, det H), twice under the reduction budget: head first, and minors
-first as milnor_top_step orders them.  It prints each budget trip and, at
+first as top_colength orders them.  It prints each budget trip and, at
 the end, the number of trips per order.
 
 Usage: python scripts/order_sweep.py SEED TRIALS [--budget N]

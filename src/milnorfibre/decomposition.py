@@ -18,6 +18,15 @@ Singular Points on Complete Intersections, LMS LN 77).  The corank of H is
 read at the origin, which the substitution fixes.  _restrict proves that
 the checks report what they report in all n variables.
 
+So the steps that read neither the seed nor anything of the input beyond
+its restriction (the locus check, the corank of H(0), the (g, det H)
+check, a and the top colength of the mu1 step) are a function of the
+restricted germ and the budgets, as invariant_report proves, and a process
+runs them once for each such pair it meets (_restricted_stage).  The
+presentations whose linear generators span one space, and whose other
+generators and H agree modulo it, restrict to one germ and share them, as
+rescaled or recombined linear generators do.
+
 The #A1 estimate is 0 or an error: it checks that the critical locus of f
 near 0 is V(g) (a1_count).  When g is linear and H is constant along a
 complement of V(g), as on every germ the paper writes down and every linear
@@ -34,13 +43,14 @@ variables.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from operator import add, mul
 from typing import NamedTuple, Sequence
 
 from .errors import ComputationError, InconsistencyError, InvalidIcisError
 from .homology import rank_guards
-from .milnor import check_icis, milnor_icis, milnor_top_step
+from .milnor import IcisCheck, check_icis, milnor_icis, milnor_top_step, top_colength
 from .orders import local_order
 from .rings import (
     PolyMatrix,
@@ -493,6 +503,25 @@ def invariant_report(
     returns the same report, or raises a fresh error of the same type and
     text, spending no budget.  An outcome that read the seed is recomputed
     on every call.
+
+    Below that, the steps that read only the restricted germ are kept for
+    (germ, budgets) (_restricted_stage): the locus check, the corank, the
+    (g, det H) check with a, and the top colength of mu1, or the error one
+    of them raised.  Each is a function of (germ, budgets): check_icis,
+    compute_a and top_colength read only the generators they are given and
+    the budgets, determinant_and_minors only the restricted H, and the
+    corank of H(0) is that of the restricted H(0), since the substitution
+    sends a form of degree d to one of degree d and so fixes every constant
+    term; their error texts name only variables of the restricted ring,
+    whose names are part of the key.  A job whose germ an earlier job of
+    the process restricted to, under the same budgets, runs only the steps
+    that read its own input or the seed: the cross-check of f, the
+    zero-generator check, the det H fallback in all n variables when the
+    restricted det H is zero, milnor_icis, mu1 = top - mu0 (whose errors
+    name mu0), the #A1 count and the rank guards.  A kept error is raised
+    where the job's own computation raises it: a locus failure before the
+    det H fallback, a failure of the (g, det H) check or of a after it, and
+    a top colength failure after mu0.
     """
     outcomes = inp._outcomes
     outcome = outcomes.get(budgets)
@@ -519,87 +548,144 @@ def invariant_report(
     raise kind(*args)
 
 
+# The points of _invariant_report at which a failure of the restricted stage
+# is raised: before the input's own det H check, after it, and after mu0.
+_LOCUS, _SURROGATE, _TOP = range(3)
+
+
+class _Stage(NamedTuple):
+    """What _invariant_report computes from the restricted germ and the
+    budgets alone: the locus check (None when g restricts to no generator),
+    the corank of H(0), whether the restricted det H is zero, the
+    locus_icis, sigma1_icis and a_finite checks, a, and the top colength of
+    mu1's Le-Greuel step; failure, when a step raised, is its point, type
+    and args, and no later step ran."""
+
+    locus: IcisCheck | None
+    corank: int
+    det_zero: bool
+    checks: tuple[CheckResult, ...]
+    a: int
+    top: int | float
+    failure: tuple[int, type, tuple] | None
+
+    def raise_at(self, point: int) -> None:
+        """Raise a fresh copy of the kept failure, if it happened at point."""
+        if self.failure is not None and self.failure[0] == point:
+            _, kind, args = self.failure
+            raise kind(*args)
+
+
+# A benchmark run of 32 passes restricts heavy-local's 13 slots to 59 germs
+# and a1-saturation's 26 to about 130, each met again in later passes; the
+# small batch restricts to about 560 that seldom recur, which a larger memo
+# would mostly hold.
+_RESTRICTED_GERMS = 128
+
+
+@functools.lru_cache(maxsize=_RESTRICTED_GERMS)
+def _restricted_stage(germ: _RestrictedGerm, budgets: Budgets) -> _Stage:
+    """The _Stage of germ under budgets.  The key is the germ itself, equal
+    only to a germ of the same variables, generators and H, so the stage is
+    the one its job would compute.  It keeps no input and no report, and
+    of the (g, det H) check only its detail."""
+    locus, corank, det_zero, checks, a, top = None, 0, False, [], 0, 0
+    point = _LOCUS
+    try:
+        # with every generator linear V(g) is smooth: its check ideal holds
+        # the 0 x 0 minor 1, a unit, and mu0 = 0
+        locus = check_icis(germ.g, budgets) if germ.g else None
+        ok, message = (locus.ok, locus.message()) if locus else (True, "singular locus colength 0")
+        checks.append(CheckResult("locus_icis", ok, f"(g) i.c.i.s. test: {message}"))
+        if not ok:
+            raise InvalidIcisError(f"the locus ideal (g) is not an i.c.i.s.: {message}")
+
+        # Surrogate for finite extended codimension: (g, det H) is an
+        # i.c.i.s. and the a-colength is finite.  A unit det H at the origin
+        # classifies the germ as corank 0, where both conditions are vacuous:
+        # some (n-4)-minor of H is then a unit, so a = 0.
+        corank = corank_at_origin(germ.h)
+        if corank == 0:
+            checks.append(
+                CheckResult(
+                    "sigma1_icis",
+                    True,
+                    "det H is a unit at the origin (corank 0); mu1 not applicable",
+                )
+            )
+            checks.append(CheckResult("a_finite", True, "corank 0 forces a = 0"))
+        else:
+            # det H is one level past the (n-4)-minors that a needs; a
+            # nonzero det H in the ideal of the linear generators restricts
+            # to zero, and the check below fails on it as it does in all n
+            # variables, so a job whose restricted det H is zero reads its
+            # own det H to tell the two apart
+            det_h, h_minors = determinant_and_minors(germ.h)
+            det_zero = det_h.is_zero()
+            point = _SURROGATE
+            # the locus check's Jacobian rows and minors tower, one row longer
+            sigma1 = check_icis(germ.g + (det_h,), budgets, locus)
+            checks.append(
+                CheckResult(
+                    "sigma1_icis",
+                    sigma1.ok,
+                    f"(g, det H) i.c.i.s. test: {sigma1.message()}",
+                )
+            )
+            try:
+                a = compute_a(germ, h_minors, budgets)
+                checks.append(CheckResult("a_finite", True, f"a = {a}"))
+            except ComputationError as exc:
+                checks.append(CheckResult("a_finite", False, str(exc)))
+            failing = "; ".join(c.detail for c in checks[-2:] if not c.passed)
+            if failing:
+                raise ComputationError(f"finite-codimension surrogate failed: {failing}")
+            point = _TOP
+            top = top_colength(sigma1, budgets)
+        failure = None
+    except ComputationError as exc:
+        failure = (point, type(exc), exc.args)
+    return _Stage(locus, corank, det_zero, tuple(checks), a, top, failure)
+
+
 def _invariant_report(inp: SingularityInput, mu0_of, budgets: Budgets) -> InvariantReport:
     """invariant_report's computation, with mu0_of(locus) the Milnor number
     of the checked locus."""
     if inp.f_expected is not None:
         verify_decomposition(inp)
-    checks = list(_LOCUS_MEMBERSHIP_CHECKS)
 
     # the restriction sends a generator in the span of the linear ones to
     # zero too, so a zero generator is named first; a constant term stays,
     # on a generator that is not linear, and the locus check names it
     if any(q.is_zero() for q in inp.g):
         raise InvalidIcisError("zero generator in the presentation")
-    germ = _restrict(inp)
-    # with every generator linear V(g) is smooth: its check ideal holds the
-    # 0 x 0 minor 1, a unit, and mu0 = 0
-    locus = check_icis(germ.g, budgets) if germ.g else None
-    ok, message = (locus.ok, locus.message()) if locus else (True, "singular locus colength 0")
-    checks.append(CheckResult("locus_icis", ok, f"(g) i.c.i.s. test: {message}"))
-    if not ok:
-        raise InvalidIcisError(f"the locus ideal (g) is not an i.c.i.s.: {message}")
-
-    # Surrogate for finite extended codimension: (g, det H) is an i.c.i.s.
-    # and the a-colength is finite.  A unit det H at the origin classifies
-    # the germ as corank 0, where both conditions are vacuous: some
-    # (n-4)-minor of H is then a unit, so a = 0.
-    corank = corank_at_origin(inp.h)
-    if corank == 0:
-        a = 0
-        checks.append(
-            CheckResult(
-                "sigma1_icis",
-                True,
-                "det H is a unit at the origin (corank 0); mu1 not applicable",
-            )
+    stage = _restricted_stage(_restrict(inp), budgets)
+    stage.raise_at(_LOCUS)
+    if stage.det_zero and determinant_and_minors(inp.h)[0].is_zero():
+        raise InvalidIcisError(
+            "det H vanishes identically, so (g, det H) is not an i.c.i.s."
         )
-        checks.append(CheckResult("a_finite", True, "corank 0 forces a = 0"))
-    else:
-        # det H is one level past the (n-4)-minors that a needs; a nonzero
-        # det H in the ideal of the linear generators restricts to zero, and
-        # the check below fails on it as it does in all n variables
-        det_h, h_minors = determinant_and_minors(germ.h)
-        if det_h.is_zero() and determinant_and_minors(inp.h)[0].is_zero():
-            raise InvalidIcisError(
-                "det H vanishes identically, so (g, det H) is not an i.c.i.s."
-            )
-        # the locus check's Jacobian rows and minors tower, one row longer
-        sigma1 = check_icis(germ.g + (det_h,), budgets, locus)
-        checks.append(
-            CheckResult(
-                "sigma1_icis",
-                sigma1.ok,
-                f"(g, det H) i.c.i.s. test: {sigma1.message()}",
-            )
-        )
-        try:
-            a = compute_a(germ, h_minors, budgets)
-            checks.append(CheckResult("a_finite", True, f"a = {a}"))
-        except ComputationError as exc:
-            checks.append(CheckResult("a_finite", False, str(exc)))
-        failing = "; ".join(c.detail for c in checks[-2:] if not c.passed)
-        if failing:
-            raise ComputationError(f"finite-codimension surrogate failed: {failing}")
+    stage.raise_at(_SURROGATE)
 
-    mu0 = mu0_of(locus) if locus else 0
-    mu1_applicable = corank != 0
+    mu0 = mu0_of(stage.locus) if stage.locus else 0
+    mu1_applicable = stage.corank != 0
+    stage.raise_at(_TOP)
     # (g) is a checked i.c.i.s. of Milnor number mu0, so mu1 is one step
-    mu1 = milnor_top_step(sigma1, mu0, budgets) if mu1_applicable else 0
+    mu1 = milnor_top_step(stage.top, mu0) if mu1_applicable else 0
     a1, a1_prov = a1_count(inp, budgets)
 
-    guards = _guard_inequalities(mu1, a, corank)
-    checks.extend(guards)
+    guards = _guard_inequalities(mu1, stage.a, stage.corank)
+    checks = _LOCUS_MEMBERSHIP_CHECKS + stage.checks + guards
     report = InvariantReport(
         n=inp.n,
         mu0=mu0,
         mu1=mu1,
         mu1_applicable=mu1_applicable,
-        a=a,
-        corank=corank,
+        a=stage.a,
+        corank=stage.corank,
         a1=a1,
         a1_provenance=a1_prov,
-        checks=tuple(checks),
+        checks=checks,
     )
     bad = [c for c in guards if not c.passed]
     if bad:

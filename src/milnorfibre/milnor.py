@@ -31,9 +31,11 @@ complete to an invertible A, and by Cauchy-Binet the k x k minors of A*J
 are det(A) times those of J, which span the same ideal.
 
 When the caller has already checked that the first k-1 generators cut out
-an i.c.i.s. and knows its Milnor number, milnor_top_step needs no chain:
+an i.c.i.s. and knows its Milnor number, the Milnor number needs no chain:
 by Le-Greuel, mu(gens) + mu(head) is the chain's top colength with the
-presented head, the colength of the head plus the check's maximal minors.
+presented head, the colength of the head plus the check's maximal minors
+(top_colength), and milnor_top_step subtracts mu(head) from it.  The top
+colength reads only the check, so a caller may keep it for every head.
 """
 
 from __future__ import annotations
@@ -180,16 +182,12 @@ def _require_icis(check: IcisCheck) -> None:
         )
 
 
-def milnor_top_step(
-    check: IcisCheck, head_mu: int, budgets: Budgets = DEFAULT_BUDGETS
-) -> int:
-    """Milnor number of the germ cut out by check.gens, where the caller has
-    checked that the first k-1 of them cut out an i.c.i.s. of Milnor number
-    head_mu: colength(head + check.maximal_minors) - head_mu (Le-Greuel).
+def top_colength(check: IcisCheck, budgets: Budgets = DEFAULT_BUDGETS) -> int | float:
+    """The top colength of the Le-Greuel chain of check.gens with the
+    presented head: colength(check.maximal_minors + check.gens[:-1]).
 
     Raises InvalidIcisError when the check found no isolated complete
-    intersection singularity, InconsistencyError when the colength is
-    infinite or the Milnor number negative, which a true head rules out.
+    intersection singularity.
     """
     _require_icis(check)
     ring = check.gens[0].ring
@@ -199,15 +197,26 @@ def milnor_top_step(
     # stays nonlinear, where sheared order-3 germs met a Mora blow-up with
     # the head first
     gens = list(check.maximal_minors) + list(check.gens[:-1])
-    c = colength(gens, local_order(ring.nvars), budgets)
-    if c == INFINITE:
+    return colength(gens, local_order(ring.nvars), budgets)
+
+
+def milnor_top_step(top: int | float, head_mu: int) -> int:
+    """Milnor number of the germ cut out by a check's generators, where the
+    caller has checked that the first k-1 of them cut out an i.c.i.s. of
+    Milnor number head_mu and top is the check's top_colength:
+    top - head_mu (Le-Greuel).
+
+    Raises InconsistencyError when the colength is infinite or the Milnor
+    number negative, which a true head rules out.
+    """
+    if top == INFINITE:
         raise InconsistencyError(
             f"infinite top colength over a head of Milnor number {head_mu}"
         )
-    mu = c - head_mu
+    mu = top - head_mu
     if mu < 0:
         raise InconsistencyError(
-            f"negative Milnor number {mu} from top colength {c} and head mu {head_mu}"
+            f"negative Milnor number {mu} from top colength {top} and head mu {head_mu}"
         )
     return mu
 

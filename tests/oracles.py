@@ -28,7 +28,7 @@ from typing import Sequence
 from milnorfibre.decomposition import SingularityInput, compute_a
 from milnorfibre.errors import ComputationError, InvalidIcisError
 from milnorfibre.homology import HomologyTable, make_table, mod2_group
-from milnorfibre.milnor import check_icis, milnor_icis, milnor_top_step
+from milnorfibre.milnor import check_icis, milnor_icis, milnor_top_step, top_colength
 from milnorfibre.orders import (
     LOCAL_ANTIGRADED_REVLEX,
     MonomialOrder,
@@ -471,7 +471,7 @@ def full_ring_invariants(
             raise ComputationError(f"finite-codimension surrogate failed: {'; '.join(failing)}")
     mu0 = milnor_icis(locus, seed, budgets)
     if corank:
-        mu1 = milnor_top_step(sigma1, mu0, budgets)
+        mu1 = milnor_top_step(top_colength(sigma1, budgets), mu0)
     return (mu0, mu1, a, corank), details
 
 

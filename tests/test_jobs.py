@@ -16,7 +16,13 @@ from milnorfibre import decomposition, jobs
 from milnorfibre.cli import main
 from milnorfibre.corpus import build_input, builtin_cases
 from milnorfibre.decomposition import CheckResult, InvariantReport
-from milnorfibre.errors import BudgetExceededError, ComputationError, InconsistencyError, ParseError
+from milnorfibre.errors import (
+    BudgetExceededError,
+    ComputationError,
+    InconsistencyError,
+    InvalidIcisError,
+    ParseError,
+)
 from milnorfibre.homology import (
     BouquetDescription,
     FgAbelianGroup,
@@ -483,9 +489,10 @@ def test_uc_check_agrees_with_the_derived_table(integral, stated):
 
 
 # --- work a process shares across jobs ----------------------------------------
-# One text parses to one input, which keeps its seed-free invariants, and the
-# tables of one invariant tuple are built once.  The autouse fixture of
-# conftest.py starts every test with both memos of jobs.py empty.
+# One text parses to one input, which keeps its seed-free invariants; the
+# seed-free steps of one restricted germ run once; and the tables of one
+# invariant tuple are built once.  The autouse fixture of conftest.py starts
+# every test with the memos of jobs.py and decomposition.py empty.
 
 # the curved job of test_cli.py's budget test: g is linear, so the seed is
 # never read; its #A1 estimate saturates, which does not fit in 10 reductions
@@ -544,6 +551,9 @@ def test_the_budgets_are_part_of_the_invariants_key(tight_first):
 
 
 def test_an_input_that_reads_the_seed_is_computed_for_each_seed(monkeypatch):
+    """milnor_icis runs for every seed, and the locus and (g, det H)
+    checks, which read no seed, run for the first job only: the later jobs
+    take them from its restricted stage."""
     calls = []
     milnor_icis = decomposition.milnor_icis
     monkeypatch.setattr(
@@ -551,12 +561,123 @@ def test_an_input_that_reads_the_seed_is_computed_for_each_seed(monkeypatch):
         "milnor_icis",
         lambda locus, seed, budgets: calls.append(seed) or milnor_icis(locus, seed, budgets),
     )
+    checked = []
+    check_icis = decomposition.check_icis
+    monkeypatch.setattr(
+        decomposition,
+        "check_icis",
+        lambda gens, *args: checked.append(len(gens)) or check_icis(gens, *args),
+    )
     inp = parse_job(SINGULAR_LOCUS_JOB)
     for seed in (0, 1, 2, 0):
         inv = run_homology(Job(input=inp, seed=seed)).invariants
         assert (inv.mu0, inv.mu1, inv.a, inv.corank) == (24, 24, 0, 1)
     assert calls == [0, 1, 2, 0]
+    assert checked == [1, 2]
     assert inp._outcomes == {}
+
+
+def _clear_memos():
+    jobs._parse_job.cache_clear()
+    decomposition._restricted_stage.cache_clear()
+    jobs._tables.cache_clear()
+
+
+def _cold_json(text):
+    """The report JSON of one job run with every memo of the process empty."""
+    _clear_memos()
+    return run_homology(Job(input=parse_job(text))).to_json()
+
+
+def _job_text(g, h):
+    return f"[ring]\nvars = x1 x2 x3 y1 y2\n[ideal]\ng = {g}\n[matrix]\nh = {h}\n"
+
+
+# three presentations of one germ: each g spans (y1, y2), so each job
+# restricts to the same H in x1, x2, x3, with no generator of g left
+SHARED_H = "[[x3, x2], [x2, x1^2 - x3]]"
+SHARED_TEXTS = [_job_text(g, SHARED_H) for g in ("y1; y2", "3*y1; -y2", "y1 + y2; y2")]
+
+
+def test_presentations_of_one_restricted_germ_share_its_stage(monkeypatch):
+    """Across three texts of one restricted germ the (g, det H) check, the
+    minors pass over H and the colength of a run once, and each job's JSON
+    is the one it gets with every memo empty."""
+    cold = [_cold_json(text) for text in SHARED_TEXTS]
+    _clear_memos()
+    counts = dict.fromkeys(("check_icis", "determinant_and_minors", "compute_a"), 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(decomposition, name, counting(name, getattr(decomposition, name)))
+    warm = [run_homology(Job(input=parse_job(text))).to_json() for text in SHARED_TEXTS]
+    assert counts == dict.fromkeys(counts, 1)
+    assert warm == cold
+    assert decomposition._restricted_stage.cache_info()[:2] == (2, 1)
+
+
+@pytest.mark.parametrize("zero_first", [False, True])
+def test_a_det_h_in_the_locus_and_a_zero_det_h_keep_their_own_errors(zero_first):
+    """H = [[y1, 0], [0, 1]] and H = [[0, 0], [0, 1]] restrict to one germ,
+    whose det H is zero.  In all five variables the first det H is y1, a
+    nonzero member of (g), and its (g, det H) check fails; the second is
+    zero.  Whichever job comes first, each raises its own error."""
+    in_locus = _job_text("y1; y2", "[[y1, 0], [0, 1]]")
+    zero = _job_text("y1; y2", "[[0, 0], [0, 1]]")
+    texts = [zero, in_locus] if zero_first else [in_locus, zero]
+    for text in texts:
+        if text == in_locus:
+            with pytest.raises(ComputationError) as caught:
+                run_homology(Job(input=parse_job(text)))
+            assert type(caught.value) is ComputationError
+            assert str(caught.value).startswith("finite-codimension surrogate failed: ")
+        else:
+            with pytest.raises(InvalidIcisError, match=r"^det H vanishes identically, "):
+                run_homology(Job(input=parse_job(text)))
+    assert decomposition._restricted_stage.cache_info()[:2] == (1, 1)
+
+
+def test_the_budgets_are_part_of_the_restricted_stage_key():
+    """Two texts of one restricted germ under 4 reductions and the default
+    budgets, alternately: the top colength trips under 4 reductions, after
+    mu0, and the budget error kept for the germ fails no default job, nor
+    does the default stage serve a tight one."""
+    texts = [SINGULAR_LOCUS_JOB, SINGULAR_LOCUS_JOB.replace("g = y1;", "g = 2*y1;")]
+    tight = Budgets(reductions=4)
+    for text, budgets in zip(texts + texts[::-1], (tight, DEFAULT_BUDGETS) * 2):
+        job = Job(input=parse_job(text), seed=1, budgets=budgets)
+        if budgets == tight:
+            with pytest.raises(BudgetExceededError, match=r"^reduction budget exhausted \(4\)"):
+                run_homology(job)
+        else:
+            inv = run_homology(job).invariants
+            assert (inv.mu0, inv.mu1, inv.a, inv.corank) == (24, 24, 0, 1)
+    assert decomposition._restricted_stage.cache_info()[:2] == (2, 2)
+
+
+def test_the_restricted_stage_holds_no_reference_to_an_input_or_report():
+    """Once the job's report and input are dropped and the jobs.py memos
+    cleared, reference counting alone frees both, while the restricted
+    stage stays kept."""
+    gc.disable()
+    try:
+        inp = parse_job(SINGULAR_LOCUS_JOB)
+        report = run_homology(Job(input=inp, seed=1))
+        assert report.to_json() == json_oracle(report)
+        refs = weakref.ref(inp), weakref.ref(report.invariants)
+        del inp, report
+        jobs._parse_job.cache_clear()
+        jobs._tables.cache_clear()
+        assert [ref() for ref in refs] == [None, None]
+        assert decomposition._restricted_stage.cache_info().currsize == 1
+    finally:
+        gc.enable()
 
 
 def test_a_kept_failure_is_raised_afresh():
@@ -730,8 +851,9 @@ def test_kept_parts_hold_no_reference_to_their_outcome():
 
 def test_warm_and_cold_memos_give_the_same_json():
     """The corpus under both variable orders and seeds 0-2: warm, each
-    input built once and run under every seed with the tables kept; cold,
-    a new input and no kept tables for every job."""
+    input built once and run under every seed with the restricted stages
+    and tables kept; cold, a new input and no kept stage or tables for
+    every job."""
 
     def corpus_json(cold):
         out = []
@@ -740,6 +862,7 @@ def test_warm_and_cold_memos_give_the_same_json():
                 inp = build_input(case, order)
                 for seed in (0, 1, 2):
                     if cold:
+                        decomposition._restricted_stage.cache_clear()
                         jobs._tables.cache_clear()
                         inp = build_input(case, order)
                     out.append(run_homology(Job(input=inp, seed=seed)).to_json())
@@ -777,7 +900,6 @@ def test_warm_and_cold_memos_give_the_same_outcomes_on_the_benchmark_jobs(monkey
     ]
     warm = [_job_outcome(job.text, job.seed) for job in specs]
     for job, got in zip(specs, warm):
-        jobs._parse_job.cache_clear()
-        jobs._tables.cache_clear()
+        _clear_memos()
         assert _job_outcome(job.text, job.seed) == got, job.job_id
     assert {type(got) for got in warm} == {str, tuple}

@@ -33,6 +33,7 @@ from milnorfibre.milnor import (
     milnor_icis,
     milnor_top_step,
     recombine,
+    top_colength,
 )
 from milnorfibre.orders import local_order
 from milnorfibre.rings import (
@@ -421,7 +422,7 @@ def test_one_step_mu1_matches_the_drawn_chain(name, gens, mu, seed):
     drawn chain's top step meets a blow-up of the unreduced engine."""
     check = check_icis(gens)
     mu0 = milnor_icis(check_icis(gens[:-1]), seed)
-    assert milnor_top_step(check, mu0, ORACLE_BUDGETS) == mu
+    assert milnor_top_step(top_colength(check, ORACLE_BUDGETS), mu0) == mu
     assert drawn_mu(check, seed) == mu
     if (name, seed) in DRAWN_BLOW_UPS:
         assert_unreduced_blow_up(drawn_top_step(check, seed))
@@ -449,7 +450,7 @@ TOP_STEP_BLOW_UPS = [
 @pytest.mark.parametrize("g, h, mu0, mu1", TOP_STEP_BLOW_UPS, ids=["order-4-shear"])
 def test_top_step_blow_ups_finish_head_first(g, h, mu0, mu1):
     """Under 1000 reductions the head-first top colength gives mu0 + mu1 at
-    once, and so does milnor_top_step, minors first; in the unreduced engine
+    once, and so does top_colength, minors first; in the unreduced engine
     the head-first order still finishes and the minors-first one trips."""
     names = ("x1", "x2", "x3", "y1", "y2")
     gens = germ(g, names)
@@ -461,7 +462,7 @@ def test_top_step_blow_ups_finish_head_first(g, h, mu0, mu1):
     head_first = list(check.gens[:-1]) + list(check.maximal_minors)
     order = local_order(len(names))
     assert colength(head_first, order, budgets) == mu0 + mu1
-    assert milnor_top_step(check, mu0, budgets) == mu1
+    assert milnor_top_step(top_colength(check, budgets), mu0) == mu1
     assert unreduced_staircase(head_first, order, budgets) == (mu0 + mu1, ())
     minors_first = list(check.maximal_minors) + list(check.gens[:-1])
     with pytest.raises(BudgetExceededError):
@@ -522,7 +523,7 @@ def test_fast_routes_match_the_drawn_rows_after_shears(case, seed, data):
     locus, sigma1 = check_icis(g), check_icis(g + (leibniz(inp.h.entries(), inp.ring).substitute(values),))
     mu0, mu1, _, _ = case.expected
     assert milnor_icis(locus, seed) == mu0
-    assert milnor_top_step(sigma1, mu0) == mu1
+    assert milnor_top_step(top_colength(sigma1), mu0) == mu1
     assert drawn_or_tripped(locus, seed) in (mu0, "tripped")
     assert drawn_or_tripped(sigma1, seed) in (mu1, "tripped")
 
@@ -581,14 +582,15 @@ def test_presented_order_is_not_one_of_the_attempts(monkeypatch):
 
 
 def test_top_step_refuses_an_unchecked_or_inconsistent_head():
-    """milnor_top_step needs a check that passed, a head that is an i.c.i.s.
-    and a head Milnor number that leaves mu non-negative."""
+    """The top step needs a check that passed (top_colength), a head that
+    is an i.c.i.s. and a head Milnor number that leaves mu non-negative
+    (milnor_top_step)."""
     with pytest.raises(InvalidIcisError):
-        milnor_top_step(check_icis(germ(["x*y", "x*z"], ("x", "y", "z"))), 0)
+        top_colength(check_icis(germ(["x*y", "x*z"], ("x", "y", "z"))))
     gens = germ(["x1", "x2", "x3^2 - x3*x5^2 - x4^2"], ("x1", "x2", "x3", "x4", "x5"))
-    assert milnor_top_step(check_icis(gens), 0) == 3
+    assert milnor_top_step(top_colength(check_icis(gens)), 0) == 3
     with pytest.raises(InconsistencyError, match="negative Milnor number -1"):
-        milnor_top_step(check_icis(gens), 4)
+        milnor_top_step(top_colength(check_icis(gens)), 4)
     # the node curve's head (x*y, z) is not an i.c.i.s.
     with pytest.raises(InconsistencyError, match="infinite top colength"):
-        milnor_top_step(check_icis(germ(*NODE_CURVE)), 0)
+        milnor_top_step(top_colength(check_icis(germ(*NODE_CURVE))), 0)

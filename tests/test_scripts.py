@@ -6,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from milnorfibre import jobs
+from milnorfibre import decomposition, jobs
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -62,8 +62,9 @@ def test_outcome_digest_repeats(tmp_path):
 
 def test_outcome_digest_runs_warm_as_it_would_cold(monkeypatch):
     """The script runs every job in one process, so a text met earlier
-    reuses its parsed input, that input's seed-free invariants, and the
-    tables of its invariants with their bouquet and JSON fragments.  Its
+    reuses its parsed input and that input's seed-free invariants, a germ
+    met earlier restricted its stage, and an invariant tuple the tables
+    with their bouquet and JSON fragments.  Its
     digest of each workload is the one of jobs that each start with those
     memos empty."""
     monkeypatch.setattr(sys, "path", list(sys.path))
@@ -76,6 +77,7 @@ def test_outcome_digest_runs_warm_as_it_would_cold(monkeypatch):
 
     def cold_outcome(pkg, text, seed):
         jobs._parse_job.cache_clear()
+        decomposition._restricted_stage.cache_clear()
         jobs._tables.cache_clear()
         return outcome(pkg, text, seed)
 

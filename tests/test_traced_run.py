@@ -9,7 +9,7 @@ import importlib.util
 from pathlib import Path
 
 import milnorfibre
-from milnorfibre import jobs
+from milnorfibre import decomposition, jobs
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -54,6 +54,7 @@ def homology_json(text):
 
 def clear_job_memos():
     jobs._parse_job.cache_clear()
+    decomposition._restricted_stage.cache_clear()
     jobs._tables.cache_clear()
 
 
