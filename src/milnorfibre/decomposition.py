@@ -56,6 +56,7 @@ from .rings import (
     PolyMatrix,
     Polynomial,
     Ring,
+    _matrix,
     _poly,
     corank_at_origin,
     determinant_and_minors,
@@ -190,7 +191,11 @@ def _restrict(inp: SingularityInput) -> _RestrictedGerm:
     vanish, and a generator in (l) makes every one vanish modulo (l); on
     the restriction either is a zero generator, whose zero row leaves no
     nonzero maximal minor.  A nonzero det H in (l) is such a generator of
-    the (g, det H) check."""
+    the (g, det H) check.
+
+    Each distinct entry object of H is mapped once, and the entries it
+    stands at share the image, as the parsed H's repeated entries share
+    their polynomial."""
     linear = [all(sum(e) == 1 for e, _ in q.items()) for q in inp.g]
     free, phi = _linear_substitution([q for q, lin in zip(inp.g, linear) if lin], inp.n)
     ring = Ring(tuple(inp.ring.variables[j] for j in free))
@@ -202,7 +207,12 @@ def _restrict(inp: SingularityInput) -> _RestrictedGerm:
 
     dependent = sum(linear) - (inp.n - len(free))
     g = tuple(image(q) for q, lin in zip(inp.g, linear) if not lin) + (zero,) * dependent
-    return _RestrictedGerm(ring, g, PolyMatrix(ring, [list(map(image, row)) for row in inp.h.entries()]))
+    entries = inp.h.entries()
+    images = {id(q): q for row in entries for q in row}
+    for key, q in images.items():
+        images[key] = image(q)
+    h = _matrix(ring, tuple(tuple([images[id(q)] for q in row]) for row in entries))
+    return _RestrictedGerm(ring, g, h)
 
 
 def assemble_f(inp: SingularityInput) -> Polynomial:
@@ -521,7 +531,11 @@ def invariant_report(
     name mu0), the #A1 count and the rank guards.  A kept error is raised
     where the job's own computation raises it: a locus failure before the
     det H fallback, a failure of the (g, det H) check or of a after it, and
-    a top colength failure after mu0.
+    a top colength failure after mu0.  When g restricts to no generator,
+    the report itself is kept on the stage by (#A1, provenance) and
+    returned after the input's own steps, so every presentation of the
+    germ shares one report, with the parts and JSON run_homology keeps on
+    it.
     """
     outcomes = inp._outcomes
     outcome = outcomes.get(budgets)
@@ -559,7 +573,15 @@ class _Stage(NamedTuple):
     the corank of H(0), whether the restricted det H is zero, the
     locus_icis, sigma1_icis and a_finite checks, a, and the top colength of
     mu1's Le-Greuel step; failure, when a step raised, is its point, type
-    and args, and no later step ran."""
+    and args, and no later step ran.
+
+    reports keeps, when g restricts to no generator, the InvariantReport of
+    each (#A1, provenance) a job of the germ returned.  Such a report is a
+    function of the stage and that pair: with no locus, mu0 = 0 and no seed
+    is read; mu1, mu1_applicable, a, the corank and the checks (the locus
+    membership checks, the stage's checks and the rank guards of mu1, a and
+    the corank) are read off the stage; and n is the size of H plus 3, the
+    size of the restricted H, which the stage's key holds."""
 
     locus: IcisCheck | None
     corank: int
@@ -568,6 +590,7 @@ class _Stage(NamedTuple):
     a: int
     top: int | float
     failure: tuple[int, type, tuple] | None
+    reports: dict[tuple[int, str], InvariantReport]
 
     def raise_at(self, point: int) -> None:
         """Raise a fresh copy of the kept failure, if it happened at point."""
@@ -587,8 +610,10 @@ _RESTRICTED_GERMS = 128
 def _restricted_stage(germ: _RestrictedGerm, budgets: Budgets) -> _Stage:
     """The _Stage of germ under budgets.  The key is the germ itself, equal
     only to a germ of the same variables, generators and H, so the stage is
-    the one its job would compute.  It keeps no input and no report, and
-    of the (g, det H) check only its detail."""
+    the one its job would compute.  It keeps no input, of the (g, det H)
+    check only its detail, and a report only when g restricts to no
+    generator, when no report of the germ reads its seed or its input
+    (_Stage)."""
     locus, corank, det_zero, checks, a, top = None, 0, False, [], 0, 0
     point = _LOCUS
     try:
@@ -645,7 +670,7 @@ def _restricted_stage(germ: _RestrictedGerm, budgets: Budgets) -> _Stage:
         failure = None
     except ComputationError as exc:
         failure = (point, type(exc), exc.args)
-    return _Stage(locus, corank, det_zero, tuple(checks), a, top, failure)
+    return _Stage(locus, corank, det_zero, tuple(checks), a, top, failure, {})
 
 
 def _invariant_report(inp: SingularityInput, mu0_of, budgets: Budgets) -> InvariantReport:
@@ -673,6 +698,9 @@ def _invariant_report(inp: SingularityInput, mu0_of, budgets: Budgets) -> Invari
     # (g) is a checked i.c.i.s. of Milnor number mu0, so mu1 is one step
     mu1 = milnor_top_step(stage.top, mu0) if mu1_applicable else 0
     a1, a1_prov = a1_count(inp, budgets)
+    kept = stage.reports.get((a1, a1_prov))
+    if kept is not None:
+        return kept
 
     guards = _guard_inequalities(mu1, stage.a, stage.corank)
     checks = _LOCUS_MEMBERSHIP_CHECKS + stage.checks + guards
@@ -691,4 +719,6 @@ def _invariant_report(inp: SingularityInput, mu0_of, budgets: Budgets) -> Invari
     if bad:
         names = ", ".join(c.name for c in bad)
         raise InconsistencyError(f"rank guard violated: {names}")
+    if stage.locus is None:
+        stage.reports[a1, a1_prov] = report
     return report

@@ -18,9 +18,10 @@ tables block, rendered by the routine to_json uses for any other report.
 run_homology keeps a report's parts on its invariants: the kept tables, the
 checks and the notes, and from its first to_json on the report's JSON
 before and after the seed, rendered with those fragments.  So a later job
-given the same kept outcome (invariant_report) reuses them, and its to_json
-writes only the seed, while its invariants, checks, notes, fibre, bouquet
-and tables are those objects.
+given the same kept outcome (invariant_report: one input's, or, when g
+restricts to no generator, one restricted germ's) reuses them, and its
+to_json writes only the seed, while its invariants, checks, notes, fibre,
+bouquet and tables are those objects.
 
 collect_tables evaluates the tables' consistency checks: the rank guards
 and the cover's Euler characteristic in the table constructors, the fibre/M
@@ -34,7 +35,7 @@ from __future__ import annotations
 import functools
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -184,19 +185,28 @@ def _parse_job(text: str) -> SingularityInput:
         raise ParseError(str(exc)) from exc
 
 
-@dataclass(frozen=True)
+# Job and Report are frozen dataclasses with slots, whose __init__ sets each
+# slot through its member descriptor (_JOB_SLOTS, _REPORT_SLOTS), as
+# rings._poly does, not through one object.__setattr__ per field.
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Job:
     input: SingularityInput
     seed: int = 0
     budgets: Budgets = DEFAULT_BUDGETS
 
-    def __post_init__(self):
+    def __init__(self, input: SingularityInput, seed: int = 0, budgets: Budgets = DEFAULT_BUDGETS):
         # the report writes the seed in place: a bool would give invalid JSON
-        if type(self.seed) is not int:
-            raise ValueError(f"seed must be an int, got {type(self.seed).__name__}")
+        if type(seed) is not int:
+            raise ValueError(f"seed must be an int, got {type(seed).__name__}")
+        set_input, set_seed, set_budgets = _JOB_SLOTS
+        set_input(self, input)
+        set_seed(self, seed)
+        set_budgets(self, budgets)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Report:
     invariants: InvariantReport
     fibre: HomologyTable | None
@@ -206,6 +216,19 @@ class Report:
     notes: tuple[str, ...]
     seed: int
     elapsed: float
+
+    def __init__(self, invariants, fibre, tables, sphere_bouquet, checks, notes, seed, elapsed):
+        set_inv, set_fibre, set_tables, set_wedge, set_checks, set_notes, set_seed, set_elapsed = (
+            _REPORT_SLOTS
+        )
+        set_inv(self, invariants)
+        set_fibre(self, fibre)
+        set_tables(self, tables)
+        set_wedge(self, sphere_bouquet)
+        set_checks(self, checks)
+        set_notes(self, notes)
+        set_seed(self, seed)
+        set_elapsed(self, elapsed)
 
     def to_json(self) -> str:
         """The text json.dumps(doc, indent=2) + "\\n" gives for the report's
@@ -261,6 +284,8 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
+_JOB_SLOTS = tuple(getattr(Job, f.name).__set__ for f in fields(Job))
+_REPORT_SLOTS = tuple(getattr(Report, f.name).__set__ for f in fields(Report))
 _BOOL = {True: "true", False: "false"}
 
 

@@ -6,14 +6,15 @@ float.  Everything here is exact; no floating point enters at any stage.
 Arithmetic results are built by a trusted constructor that skips the
 validation of Polynomial(...), since their terms are valid by construction.
 Sums, products and powers run on bare term maps, so the parser builds each
-polynomial without intermediate Polynomial objects and makes one at the end.
+polynomial without intermediate Polynomial objects and makes one at the end,
+in one pass over the tokens of its text.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import add, itemgetter, le
@@ -34,6 +35,8 @@ class Ring:
     """A polynomial ring over Q with named variables."""
 
     variables: tuple[str, ...]
+    # the parser's map from each variable to its exponent tuple (_unit_exponents)
+    _units: dict | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.variables:
@@ -153,11 +156,12 @@ def _terms_pow(base: dict, e: int, one: tuple[int, ...]) -> dict:
 
 def _poly(ring: Ring, terms: dict[tuple[int, ...], int | Fraction]) -> "Polynomial":
     """Trusted constructor: terms must be nonzero canonical coefficients keyed
-    by exponent tuples of the ring's length, and are stored as given."""
-    p = object.__new__(Polynomial)
-    object.__setattr__(p, "ring", ring)
-    object.__setattr__(p, "_terms", terms)
-    object.__setattr__(p, "_hash", None)
+    by exponent tuples of the ring's length, and are stored as given, each
+    slot set through its member descriptor."""
+    p = _new(Polynomial)
+    _set_ring(p, ring)
+    _set_terms(p, terms)
+    _set_hash(p, None)
     return p
 
 
@@ -212,14 +216,16 @@ class Polynomial:
             )
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ring == other.ring and self._terms == other._terms
+        # the ring's variables, which decide its equality, stand for it
+        return self.ring.variables == other.ring.variables and self._terms == other._terms
 
     def __hash__(self) -> int:
         if self._hash is None:
-            h = hash((self.ring, frozenset(self._terms.items())))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, hash((self.ring.variables, frozenset(self._terms.items()))))
         return self._hash
 
     def __add__(self, other) -> "Polynomial":
@@ -307,6 +313,12 @@ class Polynomial:
         return format_polynomial(self)
 
 
+_new = object.__new__
+_set_ring, _set_terms, _set_hash = (
+    Polynomial.ring.__set__, Polynomial._terms.__set__, Polynomial._hash.__set__
+)
+
+
 def format_polynomial(p: Polynomial) -> str:
     """Render a polynomial so that parse(format(p)) == p."""
     if p.is_zero():
@@ -334,11 +346,13 @@ def format_polynomial(p: Polynomial) -> str:
 
 # --- parsing ---------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\d+(?:/\d+)?|[A-Za-z_][A-Za-z_0-9]*|[-+*^()\[\],]")
+_TOKEN = r"[-+*^()\[\],]|[A-Za-z_][A-Za-z_0-9]*|\d+(?:/\d+)?"
+# the tokens of a text and each character that no token takes, in order;
+# findall skips whitespace
+_SCAN_RE = re.compile(rf"{_TOKEN}|\S")
 # whitespace and tokens from the start of a text; the match stops where the
 # tokens do, before any trailing whitespace
-_TOKENS_RE = re.compile(rf"(?:\s*(?:{_TOKEN_RE.pattern}))*")
-_SIGNS = {"+": 1, "-": -1}
+_TOKENS_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*")
 # the most terms a product (its term pairs) or a power (the monomials of degree
 # e in as many symbols as the base has terms) in a text may expand to, and the
 # largest exponent of one term; job texts stay far below it (benchmark jobs
@@ -347,165 +361,168 @@ _SIGNS = {"+": 1, "-": -1}
 EXPANSION_BOUND = 256
 
 
-class _Parser:
-    """Recursive-descent parser over the tokens of one text:
+def _tokens(text: str) -> tuple[str, ...]:
+    """The tokens of text, then the sentinel '' and a ',' and a ']' past it,
+    which only parse_matrix's search for an entry's end reads.  A character
+    that no token takes is a token of its own, which no rule accepts."""
+    return (*_SCAN_RE.findall(text), "", ",", "]")
+
+
+def _error(text: str, cls, message: str, at: int) -> ParseError:
+    """cls(message) at the position of token at of text, the end of text for
+    the sentinel; but when some character of text is no token, the error at
+    the first such character, which comes before any other."""
+    rest = text[_TOKENS_RE.match(text).end():]
+    if rest.strip():
+        where = len(text) - len(rest.lstrip())
+        return ParseError(f"unexpected character {text[where]!r}", where)
+    starts = [m.start() for m in _SCAN_RE.finditer(text)]
+    return cls(message, starts[at] if at < len(starts) else len(text))
+
+
+def _numeral(digits: str, text: str, at: int) -> int:
+    """int(digits), or a ParseError at token at past Python's int string
+    limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        message = f"numeral of {len(digits)} digits is over Python's int string limit"
+        raise _error(text, ParseError, message, at) from None
+
+
+def _power(base: dict, toks: tuple[str, ...], at: int, text: str, one: tuple[int, ...]) -> dict:
+    """base to the exponent after the '^' at token at.  A power that may
+    expand past EXPANSION_BOUND terms, and a power of one term with an
+    exponent above it, are refused before they are multiplied out."""
+    tok = toks[at + 1]
+    if not tok:
+        raise _error(text, ParseError, "missing exponent after '^'", at + 1)
+    if tok == "-":
+        raise _error(text, ExponentError, f"negative exponent {'-' + toks[at + 2]!r}", at + 1)
+    if not tok[0].isdecimal() or "/" in tok:
+        message = f"exponent must be a nonnegative integer, got {tok!r}"
+        raise _error(text, ExponentError, message, at + 1)
+    e = _numeral(tok, text, at + 1)
+    if len(base) > 1:
+        terms = comb(len(base) + e - 1, e)
+        if terms > EXPANSION_BOUND:
+            message = f"power may expand to {terms} terms, over the bound {EXPANSION_BOUND}"
+            raise _error(text, ParseError, message, at)
+    elif e > EXPANSION_BOUND:
+        # one term cannot add terms, but its coefficient grows with e
+        raise _error(text, ParseError, f"exponent {e} is over the bound {EXPANSION_BOUND}", at)
+    return _terms_pow(base, e, one)
+
+
+def _unit_exponents(ring: Ring) -> dict[str, tuple[int, ...]]:
+    """Each variable of ring to its exponent tuple, made at the first parse
+    over the ring and kept on it."""
+    units = ring._units
+    if units is None:
+        one = (0,) * ring.nvars
+        units = {v: one[:i] + (1,) + one[i + 1:] for i, v in enumerate(ring.variables)}
+        object.__setattr__(ring, "_units", units)
+    return units
+
+
+def _expression(
+    toks: tuple[str, ...], i: int, text: str, units: dict, one: tuple[int, ...]
+) -> tuple[dict, int]:
+    """The term map of the expression at token i of toks, the _tokens of
+    text, and the index of the first token after it, under the grammar
 
         expr    := term (('+' | '-') term)*
         term    := factor ('*' factor)*
         factor  := ('+' | '-')* atom ('^' integer)?
         atom    := number | name | '(' expr ')'
-        list    := '[' item (',' item)* ']'
 
     A factor's signs apply after its power, so -x^2 and x*-y^2 are negative.
-    The rules build term maps {exponent: nonzero coefficient} and
-    polynomial() makes one Polynomial of each at the end.
-    A product or power that may expand past EXPANSION_BOUND terms, and a
-    power of one term with an exponent above it, are refused before they
-    are multiplied out.
-    A token is its text: a name is an identifier, a number starts with a
-    decimal digit, and an operator is itself; '' is the sentinel after the
-    last token.  One match checks that the text is tokens and whitespace,
-    one findall splits it, and a token's position is found only for an
-    error.
-    """
-
-    def __init__(self, text: str, ring: Ring):
-        self.ring = ring
-        self.one = (0,) * ring.nvars  # the exponent of the monomial 1
-        self.text = text
-        rest = text[_TOKENS_RE.match(text).end():]
-        if rest.strip():
-            where = len(text) - len(rest.lstrip())
-            raise ParseError(f"unexpected character {text[where]!r}", where)
-        self.toks: list[str] = _TOKEN_RE.findall(text)
-        self.toks.append("")
-        self.i = 0
-
-    def next(self) -> str:
-        # every rule that takes the sentinel raises, so i never passes it
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def error(self, cls, message: str, at: int) -> ParseError:
-        """cls(message) at the position of token at; the sentinel's is the
-        end of the text."""
-        starts = [m.start() for m in _TOKEN_RE.finditer(self.text)]
-        return cls(message, starts[at] if at < len(starts) else len(self.text))
-
-    def parse(self, rule):
-        """rule() over the whole text."""
-        result = rule()
-        if self.toks[self.i]:
-            raise self.error(ParseError, f"unexpected token {self.toks[self.i]!r}", self.i)
-        return result
-
-    def polynomial(self) -> Polynomial:
-        return _poly(self.ring, _canonical(self.expr()))
-
-    def expr(self) -> dict:
-        # every rule returns a map of its own, so the sum adds into it
-        result = self.term()
-        while self.toks[self.i] in _SIGNS:
-            op = self.next()
-            other = self.term()
-            _terms_add(result, other if op == "+" else _terms_neg(other))
-        return result
-
-    def term(self) -> dict:
-        result = self.factor()
-        while self.toks[self.i] == "*":
-            at = self.i
-            self.i += 1
-            other = self.factor()
-            self.bound("product", len(result) * len(other), at)
-            result = _terms_mul(result, other)
-        return result
-
-    def factor(self) -> dict:
+    One loop reads a factor at a time, its signs, atom and power, and
+    multiplies it into its term; a '+' or '-' after it adds the term into
+    its sum, and a ')' ends the innermost parenthesis, whose sum is the atom
+    of the factor that opened it.  stack holds, for each open parenthesis,
+    the sum, term, sign of the term, '*' and factor sign it interrupted, and
+    its own token.  The loop takes each sum, product, power and negation of
+    term maps that a recursive descent over the rules takes, in the same
+    order, so it builds the same maps; every map it adds into is one of its
+    own.  A product that may expand past EXPANSION_BOUND terms is refused
+    before it is taken, at its '*'.  The first error in the order of the
+    tokens is raised, at its token."""
+    stack = []
+    total = term = None
+    minus = False
+    star = 0
+    while True:
         sign = 1
-        while self.toks[self.i] in _SIGNS:
-            sign *= _SIGNS[self.next()]
-        base = self.atom()
-        if self.toks[self.i] == "^":
-            at = self.i
-            self.i += 1
-            e = self.exponent()
-            if len(base) > 1:
-                self.bound("power", comb(len(base) + e - 1, e), at)
-            elif e > EXPANSION_BOUND:
-                # one term cannot add terms, but its coefficient grows with e
-                raise self.error(ParseError, f"exponent {e} is over the bound {EXPANSION_BOUND}", at)
-            base = _terms_pow(base, e, self.one)
-        return base if sign > 0 else _terms_neg(base)
-
-    def exponent(self) -> int:
-        at = self.i
-        tok = self.next()
-        if not tok:
-            raise self.error(ParseError, "missing exponent after '^'", at)
-        if tok == "-":
-            raise self.error(ExponentError, f"negative exponent {'-' + self.next()!r}", at)
-        if not tok[0].isdecimal() or "/" in tok:
-            raise self.error(ExponentError, f"exponent must be a nonnegative integer, got {tok!r}", at)
-        return self.numeral(tok, at)
-
-    def atom(self) -> dict:
-        at = self.i
-        tok = self.next()
-        if not tok:
-            raise self.error(ParseError, "unexpected end of input", at)
-        if tok.isidentifier():
-            if tok not in self.ring.variables:
-                raise self.error(UnknownVariableError, f"unknown variable {tok!r}", at)
-            i = self.ring.variables.index(tok)
-            return {self.one[:i] + (1,) + self.one[i + 1:]: 1}
-        if tok[0].isdecimal():
-            num, _, den = tok.partition("/")
-            value, den = self.numeral(num, at), self.numeral(den, at) if den else 1
-            if den == 0:
-                raise self.error(ParseError, "zero denominator", at)
-            return {self.one: value if den == 1 else Fraction(value, den)} if value else {}
-        if tok == "(":
-            inner = self.expr()
-            if self.next() != ")":
-                raise self.error(ParseError, "missing closing parenthesis", at)
-            return inner
-        raise self.error(ParseError, f"unexpected token {tok!r}", at)
-
-    def bracketed(self, item) -> list:
-        at = self.i
-        tok = self.next()
-        if tok != "[":
-            raise self.error(ParseError, f"expected '[', got {tok!r}", at)
-        items = [item()]
-        while self.toks[self.i] == ",":
-            self.i += 1
-            items.append(item())
-        close = self.i
-        tok = self.next()
-        if not tok:
-            raise self.error(ParseError, "unbalanced '[' in matrix", at)
-        if tok != "]":
-            raise self.error(ParseError, f"unexpected token {tok!r}", close)
-        return items
-
-    def numeral(self, digits: str, at: int) -> int:
-        """int(digits), or a ParseError at token at past Python's int string
-        limit."""
-        try:
-            return int(digits)
-        except ValueError:
-            message = f"numeral of {len(digits)} digits is over Python's int string limit"
-            raise self.error(ParseError, message, at) from None
-
-    def bound(self, what: str, terms: int, at: int) -> None:
-        """A ParseError at token at when a product or power may expand to
-        more than EXPANSION_BOUND terms."""
-        if terms > EXPANSION_BOUND:
-            raise self.error(
-                ParseError, f"{what} may expand to {terms} terms, over the bound {EXPANSION_BOUND}", at
-            )
+        tok = toks[i]
+        while tok == "-" or tok == "+":
+            if tok == "-":
+                sign = -sign
+            i += 1
+            tok = toks[i]
+        if tok in units:
+            base = {units[tok]: 1}
+        elif tok == "(":
+            stack.append((total, term, minus, star, sign, i))
+            total = term = None
+            minus = False
+            i += 1
+            continue
+        elif tok[:1].isdecimal():
+            if "/" in tok:
+                num, _, den = tok.partition("/")
+                value, den = _numeral(num, text, i), _numeral(den, text, i)
+                if den == 0:
+                    raise _error(text, ParseError, "zero denominator", i)
+                if den != 1:
+                    value = Fraction(value, den)
+            else:
+                value = _numeral(tok, text, i)
+            base = {one: value} if value else {}
+        elif not tok:
+            raise _error(text, ParseError, "unexpected end of input", i)
+        elif tok.isidentifier():
+            raise _error(text, UnknownVariableError, f"unknown variable {tok!r}", i)
+        else:
+            raise _error(text, ParseError, f"unexpected token {tok!r}", i)
+        i += 1
+        while True:
+            # the atom base ends at token i
+            tok = toks[i]
+            if tok == "^":
+                base = _power(base, toks, i, text, one)
+                i += 2
+                tok = toks[i]
+            if sign < 0:
+                base = _terms_neg(base)
+            if term is None:
+                term = base
+            else:
+                terms = len(term) * len(base)
+                if terms > EXPANSION_BOUND:
+                    message = f"product may expand to {terms} terms, over the bound {EXPANSION_BOUND}"
+                    raise _error(text, ParseError, message, star)
+                term = _terms_mul(term, base)
+            if tok == "*":
+                star = i
+                i += 1
+                break
+            if total is None:
+                total = term
+            else:
+                _terms_add(total, _terms_neg(term) if minus else term)
+            term = None
+            if tok == "+" or tok == "-":
+                minus = tok == "-"
+                i += 1
+                break
+            if not stack:
+                return total, i
+            if tok != ")":
+                raise _error(text, ParseError, "missing closing parenthesis", stack[-1][5])
+            base = total
+            total, term, minus, star, sign, _ = stack.pop()
+            i += 1
 
 
 def parse_polynomial(text: str, ring: Ring) -> Polynomial:
@@ -514,18 +531,78 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
     Integer and p/q rational coefficients are accepted; exponents must be
     nonnegative integers.  Errors carry the character position.
     """
-    parser = _Parser(text, ring)
-    return parser.parse(parser.polynomial)
+    toks = _tokens(text)
+    terms, i = _expression(toks, 0, text, _unit_exponents(ring), (0,) * ring.nvars)
+    if toks[i]:
+        raise _error(text, ParseError, f"unexpected token {toks[i]!r}", i)
+    return _poly(ring, _canonical(terms))
+
+
+def _close(toks: tuple[str, ...], i: int, text: str, opened: int) -> None:
+    """Check that token i closes the '[' at token opened."""
+    tok = toks[i]
+    if not tok:
+        raise _error(text, ParseError, "unbalanced '[' in matrix", opened)
+    if tok != "]":
+        raise _error(text, ParseError, f"unexpected token {tok!r}", i)
 
 
 def parse_matrix(text: str, ring: Ring) -> PolyMatrix:
     """Parse a matrix '[[p, q], [r, s]]' of polynomials; error positions
-    count from the start of text."""
-    parser = _Parser(text, ring)
-    rows = parser.parse(lambda: parser.bracketed(lambda: parser.bracketed(parser.polynomial)))
+    count from the start of text.
+
+    A matrix is '[' row (',' row)* ']' and a row '[' entry (',' entry)* ']'.
+    An entry's tokens run to the next ',' or ']', and entries of the same
+    tokens are parsed once and share one Polynomial, as the 0 and 1 of an
+    identity block and the mirrored entries of a symmetric H written alike
+    do: an entry is kept only when its parse ends at that ',' or ']', so a
+    later entry of the same tokens parses to the same map and ends there
+    too.
+    """
+    toks = _tokens(text)
+    units, one = _unit_exponents(ring), (0,) * ring.nvars
+    parsed: dict[str | tuple[str, ...], Polynomial] = {}
+    if toks[0] != "[":
+        raise _error(text, ParseError, f"expected '[', got {toks[0]!r}", 0)
+    rows = []
+    i = 1
+    while True:
+        opened = i
+        if toks[i] != "[":
+            raise _error(text, ParseError, f"expected '[', got {toks[i]!r}", i)
+        i += 1
+        row = []
+        while True:
+            end = i + 1
+            if toks[end] == "," or toks[end] == "]":
+                key = toks[i]
+            else:
+                end = min(toks.index(",", end), toks.index("]", end))
+                key = toks[i:end]
+            entry = parsed.get(key)
+            if entry is None:
+                terms, i = _expression(toks, i, text, units, one)
+                entry = _poly(ring, _canonical(terms))
+                if i == end:
+                    parsed[key] = entry
+            else:
+                i = end
+            row.append(entry)
+            if toks[i] != ",":
+                break
+            i += 1
+        _close(toks, i, text, opened)
+        rows.append(tuple(row))
+        i += 1
+        if toks[i] != ",":
+            break
+        i += 1
+    _close(toks, i, text, 0)
+    if toks[i + 1]:
+        raise _error(text, ParseError, f"unexpected token {toks[i + 1]!r}", i + 1)
     if any(len(row) != len(rows[0]) for row in rows):
         raise ParseError("ragged matrix rows")
-    return PolyMatrix(ring, rows)
+    return _matrix(ring, tuple(rows))
 
 
 # --- matrices ---------------------------------------------------------------
@@ -533,7 +610,7 @@ def parse_matrix(text: str, ring: Ring) -> PolyMatrix:
 class PolyMatrix:
     """Immutable rectangular matrix of polynomials over one ring."""
 
-    __slots__ = ("ring", "rows", "cols", "_entries")
+    __slots__ = ("ring", "rows", "cols", "_entries", "_hash")
 
     def __init__(self, ring: Ring, entries: Sequence[Sequence[Polynomial]]):
         rows = len(entries)
@@ -554,6 +631,7 @@ class PolyMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_entries", tuple(packed))
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
@@ -565,12 +643,16 @@ class PolyMatrix:
         return self._entries
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        return self.ring == other.ring and self._entries == other._entries
+        return self.ring.variables == other.ring.variables and self._entries == other._entries
 
     def __hash__(self) -> int:
-        return hash((self.ring, self._entries))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.ring.variables, self._entries)))
+        return self._hash
 
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(
@@ -619,6 +701,25 @@ class PolyMatrix:
             ", ".join(format_polynomial(p) for p in row) for row in self._entries
         )
         return f"PolyMatrix([{body}])"
+
+
+_set_matrix = tuple(
+    getattr(PolyMatrix, slot).__set__ for slot in ("ring", "rows", "cols", "_entries", "_hash")
+)
+
+
+def _matrix(ring: Ring, entries: tuple[tuple[Polynomial, ...], ...]) -> PolyMatrix:
+    """Trusted constructor: entries must be a nonempty tuple of rows, each a
+    tuple of as many polynomials over ring, at least one; it is stored as
+    given, with no entry checked."""
+    m = _new(PolyMatrix)
+    set_ring, set_rows, set_cols, set_entries, set_hash = _set_matrix
+    set_ring(m, ring)
+    set_rows(m, len(entries))
+    set_cols(m, len(entries[0]))
+    set_entries(m, entries)
+    set_hash(m, None)
+    return m
 
 
 def determinant_and_minors(m: PolyMatrix) -> tuple[Polynomial, tuple[Polynomial, ...]]:

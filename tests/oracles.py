@@ -6,8 +6,9 @@ leads of a basis, ideal intersection, saturation in a ring with a named tag
 variable, and the local staircase in all variables; a germ's invariants and
 checks in all its variables, with no linear generator of the locus
 substituted away; the #A1 estimate's fibre ideal over the origin and its
-colength; minors by the Leibniz formula; the rank of a rational matrix; the
-mod-2 table of an integral homology table by universal coefficients; and a
+colength; the recursive-descent parser of polynomial and matrix texts;
+minors by the Leibniz formula; the rank of a rational matrix; the mod-2
+table of an integral homology table by universal coefficients; and a
 report as the document json.dumps renders.
 
 The package computes none of these in a job, so they live here, as
@@ -19,14 +20,22 @@ forms of small inputs can run for minutes; keep their inputs small or their
 budgets tight.
 """
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb
 from operator import add
 from typing import Sequence
 
 from milnorfibre.decomposition import SingularityInput, compute_a
-from milnorfibre.errors import ComputationError, InvalidIcisError
+from milnorfibre.errors import (
+    ComputationError,
+    ExponentError,
+    InvalidIcisError,
+    ParseError,
+    UnknownVariableError,
+)
 from milnorfibre.homology import HomologyTable, make_table, mod2_group
 from milnorfibre.milnor import check_icis, milnor_icis, milnor_top_step, top_colength
 from milnorfibre.orders import (
@@ -36,10 +45,16 @@ from milnorfibre.orders import (
     local_order,
 )
 from milnorfibre.rings import (
+    EXPANSION_BOUND,
+    PolyMatrix,
     Polynomial,
     Ring,
     _canonical,
     _poly,
+    _terms_add,
+    _terms_mul,
+    _terms_neg,
+    _terms_pow,
     corank_at_origin,
     determinant_and_minors,
     monomial_degree,
@@ -587,6 +602,192 @@ def fraction_matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
         if rank == len(work):
             break
     return rank
+
+
+# --- parsing -------------------------------------------------------------------
+
+# The package parses a text in one pass over its tokens, with an explicit
+# stack for parentheses; this is the recursive descent it replaced, one
+# method per rule, which tokenizes the text on its own.
+
+_DESCENT_TOKEN_RE = re.compile(r"\d+(?:/\d+)?|[A-Za-z_][A-Za-z_0-9]*|[-+*^()\[\],]")
+# whitespace and tokens from the start of a text; the match stops where the
+# tokens do, before any trailing whitespace
+_DESCENT_TOKENS_RE = re.compile(rf"(?:\s*(?:{_DESCENT_TOKEN_RE.pattern}))*")
+_SIGNS = {"+": 1, "-": -1}
+
+
+class DescentParser:
+    """Recursive-descent parser over the tokens of one text:
+
+        expr    := term (('+' | '-') term)*
+        term    := factor ('*' factor)*
+        factor  := ('+' | '-')* atom ('^' integer)?
+        atom    := number | name | '(' expr ')'
+        list    := '[' item (',' item)* ']'
+
+    A factor's signs apply after its power, so -x^2 and x*-y^2 are negative.
+    The rules build term maps {exponent: nonzero coefficient} and
+    polynomial() makes one Polynomial of each at the end.  A product or
+    power that may expand past EXPANSION_BOUND terms, and a power of one
+    term with an exponent above it, are refused before they are multiplied
+    out.  A token is its text: a name is an identifier, a number starts
+    with a decimal digit, and an operator is itself; '' is the sentinel
+    after the last token.  One match checks that the text is tokens and
+    whitespace, one findall splits it, and a token's position is found only
+    for an error.
+    """
+
+    def __init__(self, text: str, ring: Ring):
+        self.ring = ring
+        self.one = (0,) * ring.nvars  # the exponent of the monomial 1
+        self.text = text
+        rest = text[_DESCENT_TOKENS_RE.match(text).end():]
+        if rest.strip():
+            where = len(text) - len(rest.lstrip())
+            raise ParseError(f"unexpected character {text[where]!r}", where)
+        self.toks: list[str] = _DESCENT_TOKEN_RE.findall(text)
+        self.toks.append("")
+        self.i = 0
+
+    def next(self) -> str:
+        # every rule that takes the sentinel raises, so i never passes it
+        tok = self.toks[self.i]
+        self.i += 1
+        return tok
+
+    def error(self, cls, message: str, at: int) -> ParseError:
+        """cls(message) at the position of token at; the sentinel's is the
+        end of the text."""
+        starts = [m.start() for m in _DESCENT_TOKEN_RE.finditer(self.text)]
+        return cls(message, starts[at] if at < len(starts) else len(self.text))
+
+    def parse(self, rule):
+        """rule() over the whole text."""
+        result = rule()
+        if self.toks[self.i]:
+            raise self.error(ParseError, f"unexpected token {self.toks[self.i]!r}", self.i)
+        return result
+
+    def polynomial(self) -> Polynomial:
+        return _poly(self.ring, _canonical(self.expr()))
+
+    def expr(self) -> dict:
+        # every rule returns a map of its own, so the sum adds into it
+        result = self.term()
+        while self.toks[self.i] in _SIGNS:
+            op = self.next()
+            other = self.term()
+            _terms_add(result, other if op == "+" else _terms_neg(other))
+        return result
+
+    def term(self) -> dict:
+        result = self.factor()
+        while self.toks[self.i] == "*":
+            at = self.i
+            self.i += 1
+            other = self.factor()
+            self.bound("product", len(result) * len(other), at)
+            result = _terms_mul(result, other)
+        return result
+
+    def factor(self) -> dict:
+        sign = 1
+        while self.toks[self.i] in _SIGNS:
+            sign *= _SIGNS[self.next()]
+        base = self.atom()
+        if self.toks[self.i] == "^":
+            at = self.i
+            self.i += 1
+            e = self.exponent()
+            if len(base) > 1:
+                self.bound("power", comb(len(base) + e - 1, e), at)
+            elif e > EXPANSION_BOUND:
+                # one term cannot add terms, but its coefficient grows with e
+                raise self.error(ParseError, f"exponent {e} is over the bound {EXPANSION_BOUND}", at)
+            base = _terms_pow(base, e, self.one)
+        return base if sign > 0 else _terms_neg(base)
+
+    def exponent(self) -> int:
+        at = self.i
+        tok = self.next()
+        if not tok:
+            raise self.error(ParseError, "missing exponent after '^'", at)
+        if tok == "-":
+            raise self.error(ExponentError, f"negative exponent {'-' + self.next()!r}", at)
+        if not tok[0].isdecimal() or "/" in tok:
+            raise self.error(ExponentError, f"exponent must be a nonnegative integer, got {tok!r}", at)
+        return self.numeral(tok, at)
+
+    def atom(self) -> dict:
+        at = self.i
+        tok = self.next()
+        if not tok:
+            raise self.error(ParseError, "unexpected end of input", at)
+        if tok.isidentifier():
+            if tok not in self.ring.variables:
+                raise self.error(UnknownVariableError, f"unknown variable {tok!r}", at)
+            i = self.ring.variables.index(tok)
+            return {self.one[:i] + (1,) + self.one[i + 1:]: 1}
+        if tok[0].isdecimal():
+            num, _, den = tok.partition("/")
+            value, den = self.numeral(num, at), self.numeral(den, at) if den else 1
+            if den == 0:
+                raise self.error(ParseError, "zero denominator", at)
+            return {self.one: value if den == 1 else Fraction(value, den)} if value else {}
+        if tok == "(":
+            inner = self.expr()
+            if self.next() != ")":
+                raise self.error(ParseError, "missing closing parenthesis", at)
+            return inner
+        raise self.error(ParseError, f"unexpected token {tok!r}", at)
+
+    def bracketed(self, item) -> list:
+        at = self.i
+        tok = self.next()
+        if tok != "[":
+            raise self.error(ParseError, f"expected '[', got {tok!r}", at)
+        items = [item()]
+        while self.toks[self.i] == ",":
+            self.i += 1
+            items.append(item())
+        close = self.i
+        tok = self.next()
+        if not tok:
+            raise self.error(ParseError, "unbalanced '[' in matrix", at)
+        if tok != "]":
+            raise self.error(ParseError, f"unexpected token {tok!r}", close)
+        return items
+
+    def numeral(self, digits: str, at: int) -> int:
+        """int(digits), or a ParseError at token at past Python's int string
+        limit."""
+        try:
+            return int(digits)
+        except ValueError:
+            message = f"numeral of {len(digits)} digits is over Python's int string limit"
+            raise self.error(ParseError, message, at) from None
+
+    def bound(self, what: str, terms: int, at: int) -> None:
+        """A ParseError at token at when a product or power may expand to
+        more than EXPANSION_BOUND terms."""
+        if terms > EXPANSION_BOUND:
+            raise self.error(
+                ParseError, f"{what} may expand to {terms} terms, over the bound {EXPANSION_BOUND}", at
+            )
+
+
+def descent_parse_polynomial(text: str, ring: Ring) -> Polynomial:
+    parser = DescentParser(text, ring)
+    return parser.parse(parser.polynomial)
+
+
+def descent_parse_matrix(text: str, ring: Ring) -> PolyMatrix:
+    parser = DescentParser(text, ring)
+    rows = parser.parse(lambda: parser.bracketed(lambda: parser.bracketed(parser.polynomial)))
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ParseError("ragged matrix rows")
+    return PolyMatrix(ring, rows)
 
 
 # --- homology tables and reports ----------------------------------------------

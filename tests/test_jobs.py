@@ -133,6 +133,24 @@ def test_job_refuses_a_seed_that_is_no_int(seed):
         Job(input=parse_job(GOOD_JOB), seed=seed)
 
 
+def test_job_and_report_stay_frozen_dataclasses():
+    """Job and Report set their slots in __init__ and refuse assignment;
+    dataclasses.replace builds through the same __init__, seed check
+    included."""
+    job = Job(parse_job(GOOD_JOB), 3)
+    assert (job.seed, job.budgets) == (3, DEFAULT_BUDGETS)
+    assert dataclasses.replace(job, seed=4) == Job(input=job.input, seed=4)
+    with pytest.raises(ValueError, match="seed must be an int"):
+        dataclasses.replace(job, seed=True)
+    report = run_homology(job)
+    moved = dataclasses.replace(report, seed=5)
+    assert moved.seed == 5 and moved.invariants is report.invariants
+    assert dataclasses.replace(moved, seed=report.seed) == report
+    for obj, name in ((job, "seed"), (report, "seed")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, 0)
+
+
 @pytest.mark.parametrize("count", [True, 2.5])
 def test_provided_a1_count_that_is_no_int_is_refused(count):
     """A provided #A1 of another type than int gave "a1": True in the JSON,
@@ -680,6 +698,48 @@ def test_the_restricted_stage_holds_no_reference_to_an_input_or_report():
         gc.enable()
 
 
+def test_presentations_of_a_locus_free_germ_share_one_report():
+    """g restricts to no generator in each of SHARED_TEXTS, so their germ's
+    stage keeps the report: the three jobs get one InvariantReport, with
+    its parts, and each job's JSON is its cold JSON."""
+    cold = [_cold_json(text) for text in SHARED_TEXTS]
+    _clear_memos()
+    reports = [run_homology(Job(input=parse_job(text))) for text in SHARED_TEXTS]
+    first = reports[0].invariants
+    assert all(r.invariants is first for r in reports)
+    assert [r.to_json() for r in reports] == cold
+    assert _parts(reports[2]).json is _parts(reports[0]).json
+    stage = _stage(SHARED_TEXTS[0])
+    assert stage.locus is None
+    assert list(stage.reports) == [(0, "assumed")] and stage.reports[0, "assumed"] is first
+
+
+def _stage(text):
+    """The restricted stage of the germ of text under the default budgets."""
+    return decomposition._restricted_stage(decomposition._restrict(parse_job(text)), DEFAULT_BUDGETS)
+
+
+def test_a_kept_report_is_keyed_by_the_a1_count_and_provenance():
+    """Texts of one locus-free germ with a1 = 1, a1 = 2 and a1 = 1 again:
+    the two counts get two reports, and the repeated count the first."""
+    texts = [
+        SHARED_TEXTS[i] + f"[options]\na1 = {count}\n" for i, count in ((0, 1), (1, 2), (2, 1))
+    ]
+    got = [run_homology(Job(input=parse_job(text))).invariants for text in texts]
+    assert [inv.a1 for inv in got] == [1, 2, 1]
+    assert got[0] is not got[1] and got[2] is got[0]
+    reports = _stage(texts[0]).reports
+    assert list(reports) == [(1, "provided"), (2, "provided")]
+    assert reports[1, "provided"] is got[0] and reports[2, "provided"] is got[1]
+
+
+def test_a_germ_whose_locus_reads_the_seed_keeps_no_report():
+    """mu0 > 0: the locus check stays on the stage, and no report does."""
+    run_homology(Job(input=parse_job(SINGULAR_LOCUS_JOB), seed=1))
+    stage = _stage(SINGULAR_LOCUS_JOB)
+    assert stage.locus is not None and stage.reports == {}
+
+
 def test_a_kept_failure_is_raised_afresh():
     """The failure is reached before the seed is read, so it is kept: the
     second job raises a new error of the same type and text, from the
@@ -843,6 +903,7 @@ def test_kept_parts_hold_no_reference_to_their_outcome():
         assert outcome() is parse_job(GOOD_JOB)._outcomes[DEFAULT_BUDGETS]
         del report
         jobs._parse_job.cache_clear()
+        decomposition._restricted_stage.cache_clear()
         jobs._tables.cache_clear()
         assert outcome() is None
     finally:

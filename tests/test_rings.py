@@ -28,7 +28,14 @@ from milnorfibre.rings import (
     parse_polynomial,
     reduced_row_echelon,
 )
-from oracles import fraction_matrix_rank, leibniz, oracle_minors
+from oracles import (
+    DescentParser,
+    descent_parse_matrix,
+    descent_parse_polynomial,
+    fraction_matrix_rank,
+    leibniz,
+    oracle_minors,
+)
 
 R2 = Ring(("x", "y"))
 R3 = Ring(("x", "y", "z"))
@@ -168,7 +175,7 @@ _ONE_TOKEN = re.compile(
 )
 
 
-class _PolynomialParser(rings._Parser):
+class _PolynomialParser(DescentParser):
     """Test-only oracle: the grammar's rules evaluated with Polynomial
     arithmetic (sums, products, square-and-multiply powers) instead of term
     maps, with the same bound checks, messages and positions.  It tokenizes
@@ -351,6 +358,87 @@ def test_parse_matrix_errors():
         with pytest.raises(ParseError) as exc:
             parse_matrix(text, R2)
         assert str(exc.value) == message, text
+
+
+# matrix texts: rows of operands, ragged now and then, some with a token of
+# the soup put in, which may unbalance a bracket or break an entry
+_matrix_cells = st.one_of(operands, parse_texts.filter(lambda t: len(t) < 24))
+
+
+@st.composite
+def matrix_texts(draw):
+    cols = draw(st.integers(1, 3))
+    rows = draw(
+        st.lists(
+            st.lists(_matrix_cells, min_size=cols, max_size=cols + draw(st.sampled_from([0, 0, 0, 1]))),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    text = "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(parse_tokens) + text[at:]
+    return text
+
+
+def _parsed_or_error(parse, text):
+    """parse(text, R2) as its term maps in order, or the error's class,
+    message and position."""
+    try:
+        got = parse(text, R2)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    if isinstance(got, Polynomial):
+        return list(got.items())
+    return [[list(p.items()) for p in row] for row in got.entries()]
+
+
+@given(st.one_of(parse_texts, matrix_texts()))
+@example("x + é*y")  # unexpected character
+@example("(x + y) * (x -")  # unexpected end of input
+@example("[[x, y], [x, y]] )")  # unexpected token
+@example("[[x, w]]")  # unknown variable
+@example("[[1/0*x]]")  # zero denominator
+@example("[[(x + y, 1]]")  # missing closing parenthesis
+@example("x^")  # missing exponent
+@example("[[x^-2]]")  # negative exponent
+@example("x^3/2")  # fractional exponent
+@example("[[(x + y)^15 * (x + y)^16]]")  # product over the bound
+@example("(x + y + 1)^22")  # power over the bound
+@example("[[(2*x*y)^300]]")  # one-term power over the bound
+@example("y - " + "9" * 5000 + "*x")  # numeral over the int string limit
+@example("[[x, y], [x]]")  # ragged rows
+@example("[[x, y], [x, y]")  # unbalanced '['
+def test_single_pass_parser_matches_recursive_descent_oracle(text):
+    """parse_polynomial and parse_matrix against the recursive-descent
+    oracle, on polynomial and matrix texts, valid and invalid: the same
+    term maps in the same order, or an error of the same class, message and
+    position."""
+    for parse, oracle in (
+        (parse_polynomial, descent_parse_polynomial),
+        (parse_matrix, descent_parse_matrix),
+    ):
+        assert _parsed_or_error(parse, text) == _parsed_or_error(oracle, text)
+
+
+def test_repeated_matrix_entries_share_one_polynomial():
+    """Entries of the same tokens parse once: the 0 and 1 of an identity
+    block and a mirrored pair written alike are one object each.  A
+    mirrored pair written differently parses to two equal polynomials, and
+    the matrix is symmetric."""
+    m = parse_matrix("[[x, x + 2*y, 0], [x + 2*y, 1, 0], [0, 0, 1]]", R2)
+    e = m.entries()
+    assert e[0][2] is e[1][2] is e[2][0] is e[2][1]
+    assert e[1][1] is e[2][2]
+    assert e[0][1] is e[1][0]
+    assert m == descent_parse_matrix("[[x, x + 2*y, 0], [x + 2*y, 1, 0], [0, 0, 1]]", R2)
+    ring = Ring(("x1", "x2", "x3"))
+    m = parse_matrix("[[x1, x2 + x3], [x3 + x2, x1]]", ring)
+    assert m.entry(0, 1) is not m.entry(1, 0)
+    assert m.entry(0, 1) == m.entry(1, 0)
+    assert m.is_symmetric()
+    assert hash(m) == hash(descent_parse_matrix("[[x1, x2 + x3], [x3 + x2, x1]]", ring))
 
 
 @given(polynomials(), polynomials(), polynomials())
