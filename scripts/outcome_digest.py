@@ -10,10 +10,13 @@ unexpected exception's text is its traceback, which names source paths, so
 it matches only within one checkout.  The jobs run warm, in one process,
 as the benchmark runs them: a text met earlier reuses its parsed input and
 seed-free invariants with their report's parts and JSON around the seed; a
-germ restricted to V(g_lin) that an earlier job of any text restricted to
-reuses its locus check, corank, (g, det H) check, a and top colength, so a
-job reruns only the steps that read its own input or its seed; and an
-invariant tuple met earlier reuses its tables, bouquet and their JSON.
+vars, g or h field met earlier reuses its parsed value; a g met earlier
+reuses its linear substitution, and an H met earlier with the same span of
+linear generators its restriction; a germ restricted to V(g_lin) that an
+earlier job of any text restricted to reuses its locus check, corank,
+(g, det H) check, a and top colength, so a job reruns only the steps that
+read its own input or its seed; and an invariant tuple met earlier reuses
+its tables, bouquet and their JSON.
 Each gives the digest of cold jobs.
 
 Usage: python scripts/outcome_digest.py WORKLOAD[,WORKLOAD...]|all SEED PASSES

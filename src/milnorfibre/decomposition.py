@@ -193,26 +193,84 @@ def _restrict(inp: SingularityInput) -> _RestrictedGerm:
     nonzero maximal minor.  A nonzero det H in (l) is such a generator of
     the (g, det H) check.
 
-    Each distinct entry object of H is mapped once, and the entries it
-    stands at share the image, as the parsed H's repeated entries share
-    their polynomial."""
-    linear = [all(sum(e) == 1 for e, _ in q.items()) for q in inp.g]
-    free, phi = _linear_substitution([q for q, lin in zip(inp.g, linear) if lin], inp.n)
-    ring = Ring(tuple(inp.ring.variables[j] for j in free))
+    The substitution of g is kept for its tuple (_substitution), and the
+    image of H for its _Span and H (_restricted_h), so the g whose linear
+    generators span one space, as rescaled, negated or recombined ones do,
+    share one restricted H and ring.  The image of H depends on the span
+    alone: phi is read off the reduced row-echelon rows of the linear
+    generators' coefficients, and those rows are the one basis of their
+    row space with a 1 in each pivot column and 0 in the other rows' pivot
+    columns, so the pivots, the free variables, the forms r_p and hence
+    phi are functions of the span.  Each distinct entry object of H is
+    mapped once, and the entries it stands at share the image, as the
+    parsed H's repeated entries share their polynomial.  The images of
+    g's other generators are made for each job."""
+    linear, dependent, span = _substitution(inp.g)
+    h = _restricted_h(span, inp.h)
+    ring, phi = h.ring, span.phi
     zero = ring.zero()
+    g = tuple(
+        _poly(ring, terms) if q and (terms := phi(q)) else zero
+        for q, lin in zip(inp.g, linear)
+        if not lin
+    )
+    return _RestrictedGerm(ring, g + (zero,) * dependent, h)
 
-    def image(q: Polynomial) -> Polynomial:
-        terms = phi(q) if q else None
-        return _poly(ring, terms) if terms else zero
 
-    dependent = sum(linear) - (inp.n - len(free))
-    g = tuple(image(q) for q, lin in zip(inp.g, linear) if not lin) + (zero,) * dependent
-    entries = inp.h.entries()
+class _Span:
+    """The span of linear generators in the ring of variables, keyed by the
+    reduced row-echelon rows of their coefficients, which alone decide
+    equality; phi substitutes it away into ring, the ring of its free
+    variables (_linear_substitution).  A plain class, as making a
+    dataclass would slow the package's import."""
+
+    __slots__ = ("key", "phi", "ring")
+
+    def __init__(self, variables: tuple[str, ...], rows: tuple[tuple, ...], phi, ring: Ring):
+        self.key = (variables, rows)
+        self.phi = phi
+        self.ring = ring
+
+    def __eq__(self, other) -> bool:
+        return self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+
+# Over 32 passes an LRU of 64 g tuples catches 313 of the 321 that
+# heavy-local meets again and all 776 of a1-saturation's.
+_SUBSTITUTIONS = 64
+
+
+@functools.lru_cache(maxsize=_SUBSTITUTIONS)
+def _substitution(g: tuple[Polynomial, ...]) -> tuple[tuple[bool, ...], int, _Span]:
+    """Which generators of g are linear, how many of those lie past their
+    rank, and their _Span."""
+    linear = tuple(all(sum(e) == 1 for e, _ in q.items()) for q in g)
+    variables = g[0].ring.variables
+    free, phi, rows = _linear_substitution([q for q, lin in zip(g, linear) if lin], len(variables))
+    ring = Ring(tuple(variables[j] for j in free))
+    return linear, sum(linear) - len(rows), _Span(variables, rows, phi, ring)
+
+
+# Over 32 passes an LRU of 128 catches all 315 (span, H) pairs that
+# heavy-local meets again and 644 of a1-saturation's 676; a larger one holds
+# more of batch-n5's, which seldom recur, at about 0.8 kB each.
+_RESTRICTED_HS = 128
+
+
+@functools.lru_cache(maxsize=_RESTRICTED_HS)
+def _restricted_h(span: _Span, h: PolyMatrix) -> PolyMatrix:
+    """The image of h under span's phi, over span's ring."""
+    ring, phi = span.ring, span.phi
+    zero = ring.zero()
+    entries = h.entries()
     images = {id(q): q for row in entries for q in row}
     for key, q in images.items():
-        images[key] = image(q)
-    h = _matrix(ring, tuple(tuple([images[id(q)] for q in row]) for row in entries))
-    return _RestrictedGerm(ring, g, h)
+        terms = phi(q) if q else None
+        images[key] = _poly(ring, terms) if terms else zero
+    return _matrix(ring, tuple(tuple([images[id(q)] for q in row]) for row in entries))
 
 
 def assemble_f(inp: SingularityInput) -> Polynomial:

@@ -74,12 +74,34 @@ SECTION_KEYS = {
 }
 
 
-def _parsed(parse, text: str, ring: Ring, line_no: int, key: str):
-    """parse(text, ring), with the line and key put before any ParseError."""
+def _parsed(key: str, text: str, ring: Ring, line_no: int):
+    """The value of field key = text over ring, g and h through _field and
+    f parsed afresh, with the line and key put before any ParseError."""
     try:
-        return parse(text, ring)
+        if key == "f":
+            return parse_polynomial(text, ring)
+        return _field(key, text, ring.variables)
     except ParseError as exc:
         raise ParseError(f"line {line_no}: in {key}: {exc}") from exc
+
+
+# Over 32 passes an LRU of 128 fields catches 1229 of the 1245 that
+# heavy-local meets again, but a1-saturation's need 256 to catch 2490 of
+# 2493 rather than 2087.
+_PARSED_FIELDS = 256
+
+
+@functools.lru_cache(maxsize=_PARSED_FIELDS)
+def _field(key: str, text: str, variables: tuple[str, ...]):
+    """The value of a vars, g or h field over the ring of variables: the
+    Ring, the tuple of g's nonblank generators, or H.  text is read only
+    for g and h."""
+    if key == "vars":
+        return Ring(variables)
+    ring = _field("vars", "", variables)
+    if key == "g":
+        return tuple(parse_polynomial(t.strip(), ring) for t in text.split(";") if t.strip())
+    return parse_matrix(text, ring)
 
 
 def parse_job(text: str) -> SingularityInput:
@@ -89,8 +111,11 @@ def parse_job(text: str) -> SingularityInput:
     raises ParseError so the CLI exits with the parse-error code.  The input
     is immutable, and one text gives the same input object each time while
     it stays among the last _PARSED_TEXTS texts parsed, so that input's
-    seed-free invariants are kept across jobs (invariant_report).  A
-    ParseError is raised afresh on every call.
+    seed-free invariants are kept across jobs (invariant_report).  Texts
+    that share a vars, g or h field share its Ring, generators or H while
+    it stays among the last _PARSED_FIELDS fields (_field); f is parsed
+    for each text.  A ParseError is raised afresh on every call, with the
+    line of its own text.
     """
     return _parse_job(text)
 
@@ -133,18 +158,17 @@ def _parse_job(text: str) -> SingularityInput:
 
     vars_value, vars_line = raw[("ring", "vars")]
     try:
-        ring = Ring(tuple(vars_value.split()))
+        ring = _field("vars", "", tuple(vars_value.split()))
     except ValueError as exc:
         raise ParseError(f"line {vars_line}: {exc}") from exc
 
     g_value, g_line = raw[("ideal", "g")]
-    g_texts = [t for t in g_value.split(";") if t.strip()]
-    if not g_texts:
+    g = _parsed("g", g_value, ring, g_line)
+    if not g:
         raise ParseError(f"line {g_line}: no generators in g")
-    g = tuple(_parsed(parse_polynomial, t.strip(), ring, g_line, "g") for t in g_texts)
 
     h_value, h_line = raw[("matrix", "h")]
-    h = _parsed(parse_matrix, h_value, ring, h_line, "h")
+    h = _parsed("h", h_value, ring, h_line)
 
     a1_mode = "assume_zero"
     a1_count = None
@@ -170,7 +194,7 @@ def _parse_job(text: str) -> SingularityInput:
     f_expected = None
     if ("options", "f") in raw:
         f_value, f_line = raw[("options", "f")]
-        f_expected = _parsed(parse_polynomial, f_value, ring, f_line, "f")
+        f_expected = _parsed("f", f_value, ring, f_line)
 
     try:
         return SingularityInput(

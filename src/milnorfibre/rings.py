@@ -390,6 +390,14 @@ def _numeral(digits: str, text: str, at: int) -> int:
         raise _error(text, ParseError, message, at) from None
 
 
+def _count(n: int) -> str:
+    """n in decimal, or past Python's int string limit as over a power of 2."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"over 2^{n.bit_length() - 1}"
+
+
 def _power(base: dict, toks: tuple[str, ...], at: int, text: str, one: tuple[int, ...]) -> dict:
     """base to the exponent after the '^' at token at.  A power that may
     expand past EXPANSION_BOUND terms, and a power of one term with an
@@ -406,7 +414,7 @@ def _power(base: dict, toks: tuple[str, ...], at: int, text: str, one: tuple[int
     if len(base) > 1:
         terms = comb(len(base) + e - 1, e)
         if terms > EXPANSION_BOUND:
-            message = f"power may expand to {terms} terms, over the bound {EXPANSION_BOUND}"
+            message = f"power may expand to {_count(terms)} terms, over the bound {EXPANSION_BOUND}"
             raise _error(text, ParseError, message, at)
     elif e > EXPANSION_BOUND:
         # one term cannot add terms, but its coefficient grows with e

@@ -471,7 +471,7 @@ def _local_staircase(
         eps = [_ep_from_polynomial(t, order) for t in gens]
         leads = [g.lead for g in _standard_basis_ep(eps, order, budgets, highest_corner=True)]
         return _bounded_staircase(leads, names)
-    free, phi = _linear_substitution([t for t, lin in zip(gens, linear) if lin], n)
+    free, phi, _ = _linear_substitution([t for t, lin in zip(gens, linear) if lin], n)
     if not free:
         return 1, ()
     rest = [image for t, lin in zip(gens, linear) if not lin and (image := phi(t))]
@@ -480,14 +480,15 @@ def _local_staircase(
 
 def _linear_substitution(
     linear: Sequence[dict], n: int
-) -> tuple[list[int], Callable[[dict], dict]]:
+) -> tuple[list[int], Callable[[dict], dict], tuple[tuple, ...]]:
     """The substitution phi of _local_staircase for the linear term maps
-    linear over n variables: the free columns, ascending, and phi from term
+    linear over n variables: the free columns, ascending, phi from term
     maps over the n variables to term maps over the free ones, which sends
-    each form in the span of linear to zero.  A term that holds no pivot
-    variable is only re-keyed to the free variables; only the terms that
-    hold one are expanded.  Only the items of a term map are read, so a
-    Polynomial serves as one."""
+    each form in the span of linear to zero, and the reduced row-echelon
+    rows phi is read from.  A term that holds no pivot variable is only
+    re-keyed to the free variables; only the terms that hold one are
+    expanded.  Only the items of a term map are read, so a Polynomial
+    serves as one."""
     rows = []
     for t in linear:
         row = [0] * n
@@ -519,7 +520,7 @@ def _linear_substitution(
             _terms_add(image, term)
         return _canonical(image) if held else image
 
-    return free, phi
+    return free, phi, tuple(map(tuple, rows))
 
 
 def _count_staircase(leads: Sequence[tuple[int, ...]], nvars: int) -> int:

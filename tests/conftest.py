@@ -1,7 +1,7 @@
 import hypothesis
 import pytest
 
-from milnorfibre import decomposition, jobs
+from memos import clear_process_memos
 
 hypothesis.settings.register_profile(
     "default", max_examples=50, deadline=None, derandomize=True
@@ -14,13 +14,10 @@ hypothesis.settings.load_profile("default")
 
 @pytest.fixture(autouse=True)
 def cold_job_memos():
-    """Each test starts with no parsed input, no restricted stage and no
-    tables kept from an earlier test, so a test that counts or replaces the
-    functions behind them sees them run."""
-    jobs._parse_job.cache_clear()
-    decomposition._restricted_stage.cache_clear()
-    jobs._tables.cache_clear()
+    """Each test starts with no process memo filled by an earlier test (no
+    parsed input or field, substitution, restricted H or stage, or tables),
+    so a test that counts or replaces the functions behind them sees them
+    run."""
+    clear_process_memos()
     yield
-    jobs._parse_job.cache_clear()
-    decomposition._restricted_stage.cache_clear()
-    jobs._tables.cache_clear()
+    clear_process_memos()

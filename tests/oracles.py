@@ -772,8 +772,13 @@ class DescentParser:
         """A ParseError at token at when a product or power may expand to
         more than EXPANSION_BOUND terms."""
         if terms > EXPANSION_BOUND:
+            try:
+                count = str(terms)
+            except ValueError:
+                # past Python's int string limit
+                count = f"over 2^{terms.bit_length() - 1}"
             raise self.error(
-                ParseError, f"{what} may expand to {terms} terms, over the bound {EXPANSION_BOUND}", at
+                ParseError, f"{what} may expand to {count} terms, over the bound {EXPANSION_BOUND}", at
             )
 
 

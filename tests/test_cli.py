@@ -104,6 +104,19 @@ def test_over_long_numeral_is_a_parse_error(tmp_path, capsys):
     assert code == 2 and "line 6: in h:" in err and "numeral of 5000 digits" in err
 
 
+def test_power_whose_term_count_is_past_the_int_string_limit_is_a_parse_error(tmp_path, capsys):
+    """A power of three terms whose exponent has 3000 digits may expand to
+    a term count of about 6000 digits, more than Python writes as a decimal
+    string: the refusal names it as over a power of 2."""
+    bad = tmp_path / "big.job"
+    bad.write_text(
+        WORKED_JOB.replace("[[x3, x4], [x4, x3 - x5^2]]", "[[(x1 + x2 + 1)^" + "9" * 3000 + ", 0], [0, 1]]")
+    )
+    code, _, err = run_main(["invariants", str(bad)], capsys)
+    assert code == 2 and "line 6: in h: power may expand to over 2^" in err
+    assert "terms, over the bound 256" in err
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     code, _, err = run_main(["invariants", str(tmp_path / "nope.job")], capsys)
     assert code == 2 and "cannot read" in err

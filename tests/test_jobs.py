@@ -1,9 +1,11 @@
 """Job-file grammar, report assembly, and JSON serialization."""
 
 import dataclasses
+import functools
 import gc
 import importlib.util
 import json
+import pkgutil
 import sys
 import traceback
 import weakref
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
+import milnorfibre
 from milnorfibre import decomposition, jobs
 from milnorfibre.cli import main
 from milnorfibre.corpus import build_input, builtin_cases
@@ -33,6 +36,7 @@ from milnorfibre.homology import (
 from milnorfibre.jobs import Job, Report, collect_tables, parse_job, run_homology, run_invariants
 from milnorfibre.rings import Ring
 from milnorfibre.standard_basis import DEFAULT_BUDGETS, Budgets
+from memos import PROCESS_MEMOS, clear_process_memos
 from oracles import report_doc, universal_coefficients_mod2
 
 GOOD_JOB = """\
@@ -595,15 +599,9 @@ def test_an_input_that_reads_the_seed_is_computed_for_each_seed(monkeypatch):
     assert inp._outcomes == {}
 
 
-def _clear_memos():
-    jobs._parse_job.cache_clear()
-    decomposition._restricted_stage.cache_clear()
-    jobs._tables.cache_clear()
-
-
 def _cold_json(text):
     """The report JSON of one job run with every memo of the process empty."""
-    _clear_memos()
+    clear_process_memos()
     return run_homology(Job(input=parse_job(text))).to_json()
 
 
@@ -622,7 +620,7 @@ def test_presentations_of_one_restricted_germ_share_its_stage(monkeypatch):
     minors pass over H and the colength of a run once, and each job's JSON
     is the one it gets with every memo empty."""
     cold = [_cold_json(text) for text in SHARED_TEXTS]
-    _clear_memos()
+    clear_process_memos()
     counts = dict.fromkeys(("check_icis", "determinant_and_minors", "compute_a"), 0)
 
     def counting(name, fn):
@@ -680,9 +678,9 @@ def test_the_budgets_are_part_of_the_restricted_stage_key():
 
 
 def test_the_restricted_stage_holds_no_reference_to_an_input_or_report():
-    """Once the job's report and input are dropped and the jobs.py memos
-    cleared, reference counting alone frees both, while the restricted
-    stage stays kept."""
+    """Once the job's report and input are dropped and the parsed texts and
+    kept tables cleared, reference counting alone frees both, while the
+    restricted stage stays kept."""
     gc.disable()
     try:
         inp = parse_job(SINGULAR_LOCUS_JOB)
@@ -698,12 +696,68 @@ def test_the_restricted_stage_holds_no_reference_to_an_input_or_report():
         gc.enable()
 
 
+def test_g_of_one_linear_span_share_one_restricted_h():
+    """y1; y2, (-y1); 3*y2 and y1 + y2; y2 span one space, so their jobs
+    share one restricted H and ring, equal to the H each restricts to
+    with every memo empty; y1; y2 + x1 spans another and does not."""
+    texts = [_job_text(g, SHARED_H) for g in ("y1; y2", "(-y1); 3*y2", "y1 + y2; y2")]
+    other = _job_text("y1; y2 + x1", SHARED_H)
+    cold = []
+    for text in texts + [other]:
+        clear_process_memos()
+        cold.append(decomposition._restrict(parse_job(text)))
+    clear_process_memos()
+    warm = [decomposition._restrict(parse_job(text)) for text in texts + [other]]
+    assert warm == cold
+    first = warm[0]
+    assert all(germ.h is first.h and germ.ring is first.ring for germ in warm[1:3])
+    assert warm[3].h is not first.h and warm[3].ring.variables == ("x2", "x3", "y2")
+    assert decomposition._substitution.cache_info().currsize == 4
+    assert decomposition._restricted_h.cache_info()[:2] == (2, 2)
+
+
+def test_the_field_and_substitution_memos_hold_no_input_or_report():
+    """Once a job's report and input are dropped and the parsed texts,
+    restricted stages and tables cleared, reference counting alone frees
+    both, while its fields, g's substitution and its restricted H stay
+    kept.  The germ is locus-free, so its stage would keep the report."""
+    gc.disable()
+    try:
+        inp = parse_job(SHARED_TEXTS[0])
+        report = run_homology(Job(input=inp))
+        assert report.to_json() == json_oracle(report)
+        refs = weakref.ref(inp), weakref.ref(report.invariants)
+        del inp, report
+        for memo in (jobs._parse_job, decomposition._restricted_stage, jobs._tables):
+            memo.cache_clear()
+        assert [ref() for ref in refs] == [None, None]
+        kept = (jobs._field, decomposition._substitution, decomposition._restricted_h)
+        assert [memo.cache_info().currsize for memo in kept] == [3, 1, 1]
+    finally:
+        gc.enable()
+
+
+def test_every_process_memo_is_cleared():
+    """Every module-level functools.lru_cache of the package is in
+    memos.PROCESS_MEMOS, so clear_process_memos leaves a test no memo an
+    earlier test filled."""
+    found = []
+    for info in pkgutil.iter_modules(milnorfibre.__path__):
+        module = importlib.import_module(f"milnorfibre.{info.name}")
+        found += [
+            value
+            for value in vars(module).values()
+            if isinstance(value, functools._lru_cache_wrapper) and value.__module__ == module.__name__
+        ]
+    assert found and set(found) == set(PROCESS_MEMOS)
+
+
 def test_presentations_of_a_locus_free_germ_share_one_report():
     """g restricts to no generator in each of SHARED_TEXTS, so their germ's
     stage keeps the report: the three jobs get one InvariantReport, with
     its parts, and each job's JSON is its cold JSON."""
     cold = [_cold_json(text) for text in SHARED_TEXTS]
-    _clear_memos()
+    clear_process_memos()
     reports = [run_homology(Job(input=parse_job(text))) for text in SHARED_TEXTS]
     first = reports[0].invariants
     assert all(r.invariants is first for r in reports)
@@ -765,6 +819,46 @@ def test_a_parse_error_is_raised_on_every_call():
         with pytest.raises(ParseError, match=r"^line 6: in g: "):
             parse_job(text)
     assert jobs._parse_job.cache_info().currsize == 0
+
+
+def test_texts_that_share_a_field_share_its_value():
+    """Two texts with one vars line get one Ring, and two with one h field
+    one PolyMatrix, while each text gets its own input."""
+    other = GOOD_JOB.replace("g = x1; x2", "g = x2; x1")
+    first, second = parse_job(GOOD_JOB), parse_job(other)
+    assert first is not second
+    assert first.ring is second.ring
+    assert first.h is second.h
+    assert first.g == second.g[::-1] and first.g[0] is not second.g[1]
+
+
+def test_a_bad_field_raises_afresh_with_its_own_line():
+    """The same bad h on line 9 of one text and line 10 of another raises
+    a new ParseError on every call, each with its own line and the same
+    message and position, and no field of it is kept."""
+    bad = GOOD_JOB.replace("x3 - x5^2", "x3 - x5^")
+    texts = (bad, bad.replace("[ideal]", "# shifted\n[ideal]"))
+    raised = []
+    for _ in range(2):
+        for line, text in zip((9, 10), texts):
+            with pytest.raises(ParseError) as caught:
+                parse_job(text)
+            assert type(caught.value) is ParseError
+            assert str(caught.value) == (
+                f"line {line}: in h: exponent must be a nonnegative integer, got ']' (at position 24)"
+            )
+            raised.append(caught.value)
+    assert len({id(exc) for exc in raised}) == 4
+    # the texts' vars and g fields, and no h
+    assert jobs._field.cache_info().currsize == 2
+
+
+def test_an_f_field_is_parsed_for_each_text():
+    """f is never kept: two texts with one f give two equal polynomials."""
+    first = parse_job(GOOD_JOB)
+    second = parse_job(GOOD_JOB.replace("a1 = zero", "a1 = 0"))
+    assert first.f_expected == second.f_expected
+    assert first.f_expected is not second.f_expected
 
 
 @given(admissible_invariants())
@@ -902,9 +996,7 @@ def test_kept_parts_hold_no_reference_to_their_outcome():
         outcome = weakref.ref(report.invariants)
         assert outcome() is parse_job(GOOD_JOB)._outcomes[DEFAULT_BUDGETS]
         del report
-        jobs._parse_job.cache_clear()
-        decomposition._restricted_stage.cache_clear()
-        jobs._tables.cache_clear()
+        clear_process_memos()
         assert outcome() is None
     finally:
         gc.enable()
@@ -923,8 +1015,7 @@ def test_warm_and_cold_memos_give_the_same_json():
                 inp = build_input(case, order)
                 for seed in (0, 1, 2):
                     if cold:
-                        decomposition._restricted_stage.cache_clear()
-                        jobs._tables.cache_clear()
+                        clear_process_memos()
                         inp = build_input(case, order)
                     out.append(run_homology(Job(input=inp, seed=seed)).to_json())
         return out
@@ -961,6 +1052,6 @@ def test_warm_and_cold_memos_give_the_same_outcomes_on_the_benchmark_jobs(monkey
     ]
     warm = [_job_outcome(job.text, job.seed) for job in specs]
     for job, got in zip(specs, warm):
-        _clear_memos()
+        clear_process_memos()
         assert _job_outcome(job.text, job.seed) == got, job.job_id
     assert {type(got) for got in warm} == {str, tuple}

@@ -408,6 +408,7 @@ def _parsed_or_error(parse, text):
 @example("(x + y + 1)^22")  # power over the bound
 @example("[[(2*x*y)^300]]")  # one-term power over the bound
 @example("y - " + "9" * 5000 + "*x")  # numeral over the int string limit
+@example("[[(x + y + 1)^" + "9" * 3000 + ", 0], [0, 1]]")  # term count past that limit
 @example("[[x, y], [x]]")  # ragged rows
 @example("[[x, y], [x, y]")  # unbalanced '['
 def test_single_pass_parser_matches_recursive_descent_oracle(text):

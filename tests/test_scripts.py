@@ -6,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from milnorfibre import decomposition, jobs
+from memos import clear_process_memos
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -76,9 +76,7 @@ def test_outcome_digest_runs_warm_as_it_would_cold(monkeypatch):
     outcome = script.outcome
 
     def cold_outcome(pkg, text, seed):
-        jobs._parse_job.cache_clear()
-        decomposition._restricted_stage.cache_clear()
-        jobs._tables.cache_clear()
+        clear_process_memos()
         return outcome(pkg, text, seed)
 
     monkeypatch.setattr(script, "outcome", cold_outcome)

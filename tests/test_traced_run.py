@@ -9,7 +9,8 @@ import importlib.util
 from pathlib import Path
 
 import milnorfibre
-from milnorfibre import decomposition, jobs
+from memos import clear_process_memos
+from milnorfibre import jobs
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -52,12 +53,6 @@ def homology_json(text):
     return jobs.run_homology(jobs.Job(input=jobs.parse_job(text), seed=1)).to_json()
 
 
-def clear_job_memos():
-    jobs._parse_job.cache_clear()
-    decomposition._restricted_stage.cache_clear()
-    jobs._tables.cache_clear()
-
-
 def traced_run(text, warm=False):
     """The tracer after one traced run of the job text, whose JSON must be
     the untraced one.  The traced run starts cold, as the untraced one did,
@@ -65,7 +60,7 @@ def traced_run(text, warm=False):
     tracing = load_tracer()
     untraced = homology_json(text)
     if not warm:
-        clear_job_memos()
+        clear_process_memos()
     tracer = tracing.Tracer(milnorfibre)
     tracer.install()
     try:
