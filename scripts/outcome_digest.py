@@ -13,7 +13,8 @@ seed-free invariants with their report's parts and JSON around the seed; a
 vars, g or h field met earlier reuses its parsed value; a g met earlier
 reuses its linear substitution, and an H met earlier with the same span of
 linear generators its restriction; a germ restricted to V(g_lin) that an
-earlier job of any text restricted to reuses its locus check, corank,
+earlier job of any text restricted to, up to constant factors on H and on
+each remaining generator, reuses its locus check, corank,
 (g, det H) check, a and top colength, so a job reruns only the steps that
 read its own input or its seed; and an invariant tuple met earlier reuses
 its tables, bouquet and their JSON.

@@ -23,9 +23,10 @@ its restriction (the locus check, the corank of H(0), the (g, det H)
 check, a and the top colength of the mu1 step) are a function of the
 restricted germ and the budgets, as invariant_report proves, and a process
 runs them once for each such pair it meets (_restricted_stage).  The
-presentations whose linear generators span one space, and whose other
-generators and H agree modulo it, restrict to one germ and share them, as
-rescaled or recombined linear generators do.
+germ is keyed with its constant factors removed, on H and on each other
+generator (_unit_free), so the presentations whose linear generators span
+one space, and whose other generators and H agree modulo it up to such
+factors, share them.
 
 The #A1 estimate is 0 or an error: it checks that the critical locus of f
 near 0 is V(g) (a1_count).  When g is linear and H is constant along a
@@ -44,7 +45,8 @@ variables.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from math import gcd, lcm
 from operator import add, mul
 from typing import NamedTuple, Sequence
 
@@ -56,8 +58,11 @@ from .rings import (
     PolyMatrix,
     Polynomial,
     Ring,
+    _canonical,
     _matrix,
     _poly,
+    _terms_add,
+    _terms_mul,
     corank_at_origin,
     determinant_and_minors,
     reduced_row_echelon,
@@ -153,10 +158,11 @@ class InvariantReport:
 
 class _RestrictedGerm(NamedTuple):
     """The germ with the linear generators of g substituted away: ring is
-    the ring of their free variables, g holds the images of the other
-    generators, then a zero for each linear generator past the rank of the
-    linear ones, so it has n - 3 entries for the n variables of ring, as an
-    input does, and h is the image of H, of the same size as H."""
+    the ring of their free variables, g holds the unit-free images of the
+    other generators, then a zero for each linear generator past the rank
+    of the linear ones, so it has n - 3 entries for the n variables of
+    ring, as an input does, and h is the unit-free image of H, of the same
+    size as H."""
 
     ring: Ring
     g: tuple[Polynomial, ...]
@@ -167,11 +173,12 @@ class _RestrictedGerm(NamedTuple):
         return self.ring.nvars
 
 
-def _restrict(inp: SingularityInput) -> _RestrictedGerm:
+def _restrict(inp: SingularityInput) -> tuple[_RestrictedGerm, tuple[Polynomial, ...]]:
     """inp restricted to the free variables of its linear generators l, by
     the substitution phi that colength applies to an ideal
-    (_linear_substitution).  phi keeps degrees, so constant terms and the
-    corank of H stay.
+    (_linear_substitution), with its constant factors removed (_unit_free),
+    and the restricted g of inp itself.  phi keeps degrees, so constant
+    terms and the corank of H stay.
 
     The checks give the same outcome on the restriction.  Let I be the
     ideal of g and the maximal minors of its Jacobian J = [A; dh], with A
@@ -201,10 +208,8 @@ def _restrict(inp: SingularityInput) -> _RestrictedGerm:
     generators' coefficients, and those rows are the one basis of their
     row space with a 1 in each pivot column and 0 in the other rows' pivot
     columns, so the pivots, the free variables, the forms r_p and hence
-    phi are functions of the span.  Each distinct entry object of H is
-    mapped once, and the entries it stands at share the image, as the
-    parsed H's repeated entries share their polynomial.  The images of
-    g's other generators are made for each job."""
+    phi are functions of the span.  The images of g's other generators are
+    made, and made unit-free, for each job."""
     linear, dependent, span = _substitution(inp.g)
     h = _restricted_h(span, inp.h)
     ring, phi = h.ring, span.phi
@@ -214,7 +219,37 @@ def _restrict(inp: SingularityInput) -> _RestrictedGerm:
         for q, lin in zip(inp.g, linear)
         if not lin
     )
-    return _RestrictedGerm(ring, g + (zero,) * dependent, h)
+    pad = (zero,) * dependent
+    return _RestrictedGerm(ring, tuple(map(_unit_free_generator, g)) + pad, h), g + pad
+
+
+def _unit_free_generator(q: Polynomial) -> Polynomial:
+    """q made unit-free (_unit_free); q itself when it is zero or already is."""
+    if not q:
+        return q
+    terms = q.terms
+    (free,) = _unit_free([terms])
+    return q if free is terms else _poly(q.ring, free)
+
+
+def _unit_free(maps: list[dict]) -> list[dict]:
+    """The nonzero term maps divided by the content c of all their
+    coefficients, the rational with every coefficient over c an integer and
+    the gcd of those integers 1, taken negative when the first map's
+    coefficient at its greatest exponent is.  So maps and any nonzero
+    rational multiple of them give equal results; maps itself when c is 1."""
+    values = [c for t in maps for c in t.values()]
+    if all(type(c) is int for c in values):
+        m, d = 1, gcd(*values)
+    else:
+        m = lcm(*(c.denominator for c in values))
+        d = gcd(*(c.numerator * (m // c.denominator) for c in values))
+    first = maps[0]
+    if first[max(first)] < 0:
+        d = -d
+    if m == 1 and d == 1:
+        return maps
+    return [{e: c.numerator * (m // c.denominator) // d for e, c in t.items()} for t in maps]
 
 
 class _Span:
@@ -254,33 +289,47 @@ def _substitution(g: tuple[Polynomial, ...]) -> tuple[tuple[bool, ...], int, _Sp
     return linear, sum(linear) - len(rows), _Span(variables, rows, phi, ring)
 
 
-# Over 32 passes an LRU of 128 catches all 315 (span, H) pairs that
-# heavy-local meets again and 644 of a1-saturation's 676; a larger one holds
-# more of batch-n5's, which seldom recur, at about 0.8 kB each.
+# Over 32 passes at seed 5 an LRU of 128 (span, H) pairs, at about 0.8 kB
+# each, catches all 315 that heavy-local meets again and 644 of
+# a1-saturation's 676; batch-n5, which draws new factors on H every pass,
+# hits 284 of its 1024 look-ups.
 _RESTRICTED_HS = 128
 
 
 @functools.lru_cache(maxsize=_RESTRICTED_HS)
 def _restricted_h(span: _Span, h: PolyMatrix) -> PolyMatrix:
-    """The image of h under span's phi, over span's ring."""
+    """The image of h under span's phi, over span's ring, made unit-free as
+    one list of its entries in row-major order (_unit_free).  Each distinct
+    entry object of h is mapped once, and the entries it stands at share
+    the image, as the parsed H's repeated entries share their polynomial,
+    so the first object with a nonzero image stands at the first nonzero
+    entry."""
     ring, phi = span.ring, span.phi
     zero = ring.zero()
     entries = h.entries()
     images = {id(q): q for row in entries for q in row}
-    for key, q in images.items():
-        terms = phi(q) if q else None
-        images[key] = _poly(ring, terms) if terms else zero
+    maps = {key: terms for key, q in images.items() if q and (terms := phi(q))}
+    if maps:
+        maps = dict(zip(maps, _unit_free(list(maps.values()))))
+    for key in images:
+        images[key] = _poly(ring, maps[key]) if key in maps else zero
     return _matrix(ring, tuple(tuple([images[id(q)] for q in row]) for row in entries))
 
 
 def assemble_f(inp: SingularityInput) -> Polynomial:
-    """Expand the matrix product g * H * g^t."""
-    total = inp.ring.zero()
-    k = len(inp.g)
-    for i in range(k):
-        for j in range(k):
-            total = total + inp.g[i] * inp.h.entry(i, j) * inp.g[j]
-    return total
+    """Expand the matrix product g * H * g^t, as the sum of h_ii * g_i^2
+    and 2 * h_ij * g_i * g_j for i < j over the nonzero entries of the
+    symmetric H, on bare term maps."""
+    total: dict = {}
+    g, entries = inp.g, inp.h.entries()
+    for i, row in enumerate(entries):
+        for j in range(i, len(row)):
+            h = row[j]
+            if h:
+                if i != j:
+                    h = {e: 2 * c for e, c in h.items()}
+                _terms_add(total, _terms_mul(_terms_mul(g[i], g[j]), h))
+    return _poly(inp.ring, _canonical(total))
 
 
 def verify_decomposition(inp: SingularityInput) -> Polynomial:
@@ -573,20 +622,22 @@ def invariant_report(
     on every call.
 
     Below that, the steps that read only the restricted germ are kept for
-    (germ, budgets) (_restricted_stage): the locus check, the corank, the
-    (g, det H) check with a, and the top colength of mu1, or the error one
-    of them raised.  Each is a function of (germ, budgets): check_icis,
-    compute_a and top_colength read only the generators they are given and
-    the budgets, determinant_and_minors only the restricted H, and the
-    corank of H(0) is that of the restricted H(0), since the substitution
-    sends a form of degree d to one of degree d and so fixes every constant
-    term; their error texts name only variables of the restricted ring,
-    whose names are part of the key.  A job whose germ an earlier job of
-    the process restricted to, under the same budgets, runs only the steps
-    that read its own input or the seed: the cross-check of f, the
+    (germ, budgets), the germ unit-free (_restricted_stage): the locus
+    check, the corank, the (g, det H) check with a, and the top colength of
+    mu1, or the error one of them raised.  Each is a function of (germ,
+    budgets): check_icis, compute_a and top_colength read only the
+    generators they are given and the budgets, determinant_and_minors only
+    the restricted H, and the corank of H(0) is that of the restricted
+    H(0), since the substitution sends a form of degree d to one of degree
+    d and so fixes every constant term; their error texts name only
+    variables of the restricted ring, whose names are part of the key.  A
+    job whose germ an earlier job of the process restricted to, up to
+    constant factors and under the same budgets, runs only the steps that
+    read its own input or the seed: the cross-check of f, the
     zero-generator check, the det H fallback in all n variables when the
-    restricted det H is zero, milnor_icis, mu1 = top - mu0 (whose errors
-    name mu0), the #A1 count and the rank guards.  A kept error is raised
+    restricted det H is zero, milnor_icis on the kept locus check with the
+    job's own generators, mu1 = top - mu0 (whose errors name mu0), the #A1
+    count and the rank guards.  A kept error is raised
     where the job's own computation raises it: a locus failure before the
     det H fallback, a failure of the (g, det H) check or of a after it, and
     a top colength failure after mu0.  When g restricts to no generator,
@@ -657,21 +708,29 @@ class _Stage(NamedTuple):
             raise kind(*args)
 
 
-# A benchmark run of 32 passes restricts heavy-local's 13 slots to 59 germs
-# and a1-saturation's 26 to about 130, each met again in later passes; the
-# small batch restricts to about 560 that seldom recur, which a larger memo
-# would mostly hold.
+# A benchmark run of 32 passes at seed 5 restricts batch-n5's 96 slots to 104
+# unit-free germs, heavy-local's 13 to 43 and a1-saturation's 26 to 92, so an
+# LRU of 128 holds them all: 920 of batch-n5's 1024 lookups hit, 373 of
+# heavy-local's 416 and 740 of a1-saturation's 832.
 _RESTRICTED_GERMS = 128
 
 
 @functools.lru_cache(maxsize=_RESTRICTED_GERMS)
 def _restricted_stage(germ: _RestrictedGerm, budgets: Budgets) -> _Stage:
-    """The _Stage of germ under budgets.  The key is the germ itself, equal
-    only to a germ of the same variables, generators and H, so the stage is
-    the one its job would compute.  It keeps no input, of the (g, det H)
-    check only its detail, and a report only when g restricts to no
-    generator, when no report of the germ reads its seed or its input
-    (_Stage)."""
+    """The _Stage of germ under budgets, a unit-free germ (_restrict): it is
+    the stage of every germ that differs from germ by nonzero rational
+    factors on H and on each generator.  Such factors multiply each row of
+    the Jacobian, so each of its minors, and each minor of H by a nonzero
+    constant; they keep the rank of H(0) and which minors vanish.  So each
+    ideal handed to colength has, in the same order, the generators the
+    other germ's job would hand it up to nonzero constant factors.  colength
+    substitutes the linear ones away by their reduced row-echelon rows, and
+    every other engine input passes through _ep_primitive, which sends p
+    and c * p to one polynomial: the same steps run, with the same
+    colengths, unbounded variables, budget trips and error texts.  The
+    stage keeps no input, of the (g, det H) check only its detail, and a
+    report only when g restricts to no generator, when no report of the
+    germ reads its seed or its input (_Stage)."""
     locus, corank, det_zero, checks, a, top = None, 0, False, [], 0, 0
     point = _LOCUS
     try:
@@ -742,7 +801,8 @@ def _invariant_report(inp: SingularityInput, mu0_of, budgets: Budgets) -> Invari
     # on a generator that is not linear, and the locus check names it
     if any(q.is_zero() for q in inp.g):
         raise InvalidIcisError("zero generator in the presentation")
-    stage = _restricted_stage(_restrict(inp), budgets)
+    germ, gens = _restrict(inp)
+    stage = _restricted_stage(germ, budgets)
     stage.raise_at(_LOCUS)
     if stage.det_zero and determinant_and_minors(inp.h)[0].is_zero():
         raise InvalidIcisError(
@@ -750,7 +810,13 @@ def _invariant_report(inp: SingularityInput, mu0_of, budgets: Budgets) -> Invari
         )
     stage.raise_at(_SURROGATE)
 
-    mu0 = mu0_of(stage.locus) if stage.locus else 0
+    # the kept check's levels are the job's own up to nonzero constants, as
+    # _restricted_stage proves, so the chains read the job's own generators
+    # and take the colengths their own check would give
+    locus = stage.locus
+    if locus is not None and locus.gens != gens:
+        locus = replace(locus, gens=gens)
+    mu0 = mu0_of(locus) if locus else 0
     mu1_applicable = stage.corank != 0
     stage.raise_at(_TOP)
     # (g) is a checked i.c.i.s. of Milnor number mu0, so mu1 is one step

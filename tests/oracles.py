@@ -551,6 +551,21 @@ def fibre_colength_finite(inp: SingularityInput, budgets: Budgets = DEFAULT_BUDG
     return bool(fibre) and colength(fibre, local_order(len(inp.g)), budgets) != INFINITE
 
 
+# --- f as the full matrix product ---------------------------------------------
+# assemble_f sums the upper triangle of the symmetric H on bare term maps; this
+# takes all k^2 products g_i * H_ij * g_j through Polynomial arithmetic.
+
+
+def naive_assemble_f(inp: SingularityInput) -> Polynomial:
+    """g * H * g^t as the sum over every i, j of g_i * H_ij * g_j."""
+    total = inp.ring.zero()
+    k = len(inp.g)
+    for i in range(k):
+        for j in range(k):
+            total = total + inp.g[i] * inp.h.entry(i, j) * inp.g[j]
+    return total
+
+
 # --- minors by the Leibniz formula --------------------------------------------
 # The package's minors engine expands along the last row and keeps its levels;
 # these sum the signed products over permutations directly.

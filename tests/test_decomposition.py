@@ -25,7 +25,14 @@ from milnorfibre.errors import (
 from milnorfibre.jobs import Job, run_homology
 from milnorfibre.rings import PolyMatrix, Polynomial, Ring, parse_polynomial
 from milnorfibre.standard_basis import DEFAULT_BUDGETS, Budgets
-from oracles import GradedOrder, fibre_colength_finite, full_ring_invariants, is_member, oracle_minors
+from oracles import (
+    GradedOrder,
+    fibre_colength_finite,
+    full_ring_invariants,
+    is_member,
+    naive_assemble_f,
+    oracle_minors,
+)
 
 R5 = Ring(("x1", "x2", "x3", "y1", "y2"))
 
@@ -79,6 +86,36 @@ def test_assembled_f_lies_in_the_square_of_the_locus_ideal(g, h):
     inp = SingularityInput(ring=R5, g=g, h=PolyMatrix(R5, [[a, b], [b, c]]))
     square = [x * y for i, x in enumerate(g) for y in g[i:]]
     assert is_member(assemble_f(inp), square, GradedOrder(R5.nvars), Budgets(reductions=2000))
+
+
+SPARSE_POLYS = st.one_of(st.just(Polynomial(R5, {})), SMALL_POLYS)
+FRACTIONS = st.sampled_from((Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3), -2, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    g=st.tuples(SPARSE_POLYS, SPARSE_POLYS),
+    h=st.tuples(SPARSE_POLYS, SPARSE_POLYS, SPARSE_POLYS),
+    factors=st.tuples(*[FRACTIONS] * 5),
+)
+@example(
+    g=(Polynomial(R5, {}), p("y1")),
+    h=(p("x1"), Polynomial(R5, {}), p("x2")),
+    factors=(1,) * 5,
+)
+@example(
+    g=(p("y1"), p("y2")),
+    h=(p("x3"), p("x2"), p("-x3")),
+    factors=(Fraction(1, 3), -2, Fraction(1, 2), 1, Fraction(-3, 4)),
+)
+def test_assemble_f_is_the_full_matrix_product(g, h, factors):
+    """The upper-triangle sum equals all k^2 products g_i * H_ij * g_j, with
+    Fraction coefficients and zero entries in g and H alike: factors scale
+    the two generators and the three entries a, b, c of H."""
+    g = tuple(q.scale(x) for q, x in zip(g, factors))
+    a, b, c = (q.scale(x) for q, x in zip(h, factors[2:]))
+    inp = SingularityInput(ring=R5, g=g, h=PolyMatrix(R5, [[a, b], [b, c]]))
+    assert assemble_f(inp) == naive_assemble_f(inp)
 
 
 def test_verify_decomposition_cross_check():

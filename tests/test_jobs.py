@@ -9,6 +9,7 @@ import pkgutil
 import sys
 import traceback
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -34,7 +35,7 @@ from milnorfibre.homology import (
     mod2_group,
 )
 from milnorfibre.jobs import Job, Report, collect_tables, parse_job, run_homology, run_invariants
-from milnorfibre.rings import Ring
+from milnorfibre.rings import PolyMatrix, Ring, parse_polynomial
 from milnorfibre.standard_basis import DEFAULT_BUDGETS, Budgets
 from memos import PROCESS_MEMOS, clear_process_memos
 from oracles import report_doc, universal_coefficients_mod2
@@ -599,10 +600,10 @@ def test_an_input_that_reads_the_seed_is_computed_for_each_seed(monkeypatch):
     assert inp._outcomes == {}
 
 
-def _cold_json(text):
+def _cold_json(text, seed=0):
     """The report JSON of one job run with every memo of the process empty."""
     clear_process_memos()
-    return run_homology(Job(input=parse_job(text))).to_json()
+    return run_homology(Job(input=parse_job(text), seed=seed)).to_json()
 
 
 def _job_text(g, h):
@@ -696,6 +697,101 @@ def test_the_restricted_stage_holds_no_reference_to_an_input_or_report():
         gc.enable()
 
 
+# two generators that are not linear, so the restriction keeps both
+TWO_CURVED_JOB = _job_text("y1 + x1^2; y2 - x2^3", "[[x3, x2], [x2, x1 - x3]]")
+STAGE_TEXTS = (SINGULAR_LOCUS_JOB, NON_ISOLATED_JOB, CURVED_JOB, TWO_CURVED_JOB)
+FACTORS = st.sampled_from((1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 5), Fraction(7, 3)))
+
+
+def _stage_outcome(stage):
+    """What a _Stage decides, its locus check's generators and minors left
+    out: those are the germ's own, which differ by constant factors."""
+    locus = stage.locus and (
+        stage.locus.ok,
+        stage.locus.colength,
+        stage.locus.unbounded_variables,
+        [[columns for columns, _ in level] for level in stage.locus.levels],
+    )
+    return locus, stage.corank, stage.det_zero, stage.checks, stage.a, stage.top, stage.failure
+
+
+@given(
+    text=st.sampled_from(STAGE_TEXTS),
+    h_factor=FACTORS,
+    g_factors=st.tuples(FACTORS, FACTORS),
+    tight=st.booleans(),
+)
+# a budget trip after mu0, an INFINITE (g, det H) check and a Fraction factor
+@example(text=SINGULAR_LOCUS_JOB, h_factor=1, g_factors=(-3, 1), tight=True)
+@example(text=NON_ISOLATED_JOB, h_factor=Fraction(1, 2), g_factors=(1, 1), tight=False)
+@example(text=TWO_CURVED_JOB, h_factor=Fraction(-3, 7), g_factors=(Fraction(2, 5), 3), tight=False)
+def test_a_restricted_stage_is_blind_to_constant_factors(text, h_factor, g_factors, tight):
+    """The stage of a restricted germ, computed afresh, is that of the germ
+    with H and each generator scaled by nonzero rationals: the same values,
+    check texts and failure point, type and args.  Under 4 reductions a
+    stage trips wherever its first colength needs more."""
+    budgets = Budgets(reductions=4) if tight else DEFAULT_BUDGETS
+    germ, _ = decomposition._restrict(parse_job(text))
+    scaled = decomposition._RestrictedGerm(
+        germ.ring,
+        tuple(q.scale(c) for q, c in zip(germ.g, g_factors)),
+        PolyMatrix(germ.ring, [[q.scale(h_factor) for q in row] for row in germ.h.entries()]),
+    )
+    outcomes = []
+    for each in (germ, scaled):
+        clear_process_memos()
+        outcomes.append(_stage_outcome(decomposition._restricted_stage(each, budgets)))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_a_restricted_stage_reaches_each_failure_point():
+    """The examples of the property above reach a budget trip at the top
+    colength, a failed (g, det H) check with an INFINITE colength, and no
+    failure."""
+    failures = []
+    for text, budgets in (
+        (SINGULAR_LOCUS_JOB, Budgets(reductions=4)),
+        (NON_ISOLATED_JOB, DEFAULT_BUDGETS),
+        (TWO_CURVED_JOB, DEFAULT_BUDGETS),
+    ):
+        germ, _ = decomposition._restrict(parse_job(text))
+        failures.append(decomposition._restricted_stage(germ, budgets).failure)
+    (top, tripped, _), (surrogate, failed, args), passed = failures
+    assert (top, tripped, surrogate, failed) == (
+        decomposition._TOP,
+        BudgetExceededError,
+        decomposition._SURROGATE,
+        ComputationError,
+    )
+    assert "INFINITE" in args[0] and passed is None
+
+
+@pytest.mark.parametrize("first, second", [("-3", "2/5"), ("2/5", "-3")])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mu0_reads_the_job_own_generators_from_a_shared_stage(monkeypatch, first, second, seed):
+    """SINGULAR_LOCUS_JOB with g2 scaled by -3 and by 2/5 restricts to one
+    unit-free germ.  After a job of one scaling has kept its stage, a job of
+    the other takes the stage, hands milnor_icis its own restricted g2, and
+    writes its cold JSON."""
+    h2 = "x1^2 + x2^3 + x3^4 + y2^5"
+    texts = {c: SINGULAR_LOCUS_JOB.replace(h2, f"{c}*({h2})") for c in (first, second)}
+    cold = _cold_json(texts[second], seed)
+    handed = []
+    milnor_icis = decomposition.milnor_icis
+    monkeypatch.setattr(
+        decomposition,
+        "milnor_icis",
+        lambda locus, *args: handed.append(locus.gens) or milnor_icis(locus, *args),
+    )
+    clear_process_memos()
+    run_homology(Job(input=parse_job(texts[first]), seed=seed))
+    handed.clear()
+    assert run_homology(Job(input=parse_job(texts[second]), seed=seed)).to_json() == cold
+    own = parse_polynomial(f"{second}*({h2})", Ring(("x1", "x2", "x3", "y2")))
+    assert handed == [(own,)]
+    assert decomposition._restricted_stage.cache_info()[:2] == (1, 1)
+
+
 def test_g_of_one_linear_span_share_one_restricted_h():
     """y1; y2, (-y1); 3*y2 and y1 + y2; y2 span one space, so their jobs
     share one restricted H and ring, equal to the H each restricts to
@@ -705,9 +801,9 @@ def test_g_of_one_linear_span_share_one_restricted_h():
     cold = []
     for text in texts + [other]:
         clear_process_memos()
-        cold.append(decomposition._restrict(parse_job(text)))
+        cold.append(decomposition._restrict(parse_job(text))[0])
     clear_process_memos()
-    warm = [decomposition._restrict(parse_job(text)) for text in texts + [other]]
+    warm = [decomposition._restrict(parse_job(text))[0] for text in texts + [other]]
     assert warm == cold
     first = warm[0]
     assert all(germ.h is first.h and germ.ring is first.ring for germ in warm[1:3])
@@ -770,7 +866,8 @@ def test_presentations_of_a_locus_free_germ_share_one_report():
 
 def _stage(text):
     """The restricted stage of the germ of text under the default budgets."""
-    return decomposition._restricted_stage(decomposition._restrict(parse_job(text)), DEFAULT_BUDGETS)
+    germ, _ = decomposition._restrict(parse_job(text))
+    return decomposition._restricted_stage(germ, DEFAULT_BUDGETS)
 
 
 def test_a_kept_report_is_keyed_by_the_a1_count_and_provenance():

@@ -63,16 +63,18 @@ def test_outcome_digest_repeats(tmp_path):
 def test_outcome_digest_runs_warm_as_it_would_cold(monkeypatch):
     """The script runs every job in one process, so a text met earlier
     reuses its parsed input and that input's seed-free invariants, a germ
-    met earlier restricted its stage, and an invariant tuple the tables
-    with their bouquet and JSON fragments.  Its
+    met earlier, up to constant factors, its restricted stage, and an
+    invariant tuple the tables with their bouquet and JSON fragments.  Its
     digest of each workload is the one of jobs that each start with those
-    memos empty."""
+    memos empty.  batch-n5 runs 9 passes: its restricted sign patterns
+    repeat every 8, so the last pass takes stages kept under other factors
+    on g and H."""
     monkeypatch.setattr(sys, "path", list(sys.path))
     spec = importlib.util.spec_from_file_location("outcome_digest", SCRIPTS / "outcome_digest.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    workloads = {"batch-n5": 96, "heavy-local": 13, "a1-saturation": 26}
-    warm = {name: script.digest(name, 5, 1) for name in workloads}
+    workloads = {"batch-n5": (9, 864), "heavy-local": (1, 13), "a1-saturation": (1, 26)}
+    warm = {name: script.digest(name, 5, passes) for name, (passes, _) in workloads.items()}
     outcome = script.outcome
 
     def cold_outcome(pkg, text, seed):
@@ -80,8 +82,8 @@ def test_outcome_digest_runs_warm_as_it_would_cold(monkeypatch):
         return outcome(pkg, text, seed)
 
     monkeypatch.setattr(script, "outcome", cold_outcome)
-    for name, count in workloads.items():
-        assert script.digest(name, 5, 1) == warm[name]
+    for name, (passes, count) in workloads.items():
+        assert script.digest(name, 5, passes) == warm[name]
         assert warm[name][0] == count
 
 
@@ -128,3 +130,21 @@ def test_outcome_digests_are_frozen_at_a_second_seed(tmp_path):
 
 def test_outcome_digests_are_frozen_at_a_third_seed(tmp_path):
     assert_digests_frozen(41, tmp_path)
+
+
+# passes 0-31 at workload seed 5, as printed by `outcome_digest.py all 5 32`
+# before restricted stages were shared across constant factors: a stage kept
+# for one pass and served to a later one must give the later job's own output
+RUN_DIGESTS = {
+    "batch-n5": "3072 jobs, sha256 40a79d04f2b27340a6981693d9a1c5e501e1a24e1f0a3943d84ce56601055463",
+    "heavy-local": "416 jobs, sha256 2b3222eaa4f2ef4f2137d8d4749612e84214c7036eae2a322872a4168f3b3e40",
+    "a1-saturation": "832 jobs, sha256 b82240bed8ac84edf82f69a05c1b20d8f690cbe757469e29536df3e0211e11aa",
+}
+
+
+def test_outcome_digests_over_a_whole_run_are_frozen(tmp_path):
+    proc = run_script("outcome_digest.py", "all", "5", "32", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"{name} seed 5 passes 0-31: {tail}" for name, tail in RUN_DIGESTS.items()
+    ]
