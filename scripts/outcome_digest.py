@@ -10,15 +10,21 @@ unexpected exception's text is its traceback, which names source paths, so
 it matches only within one checkout.  The jobs run warm, in one process,
 as the benchmark runs them: a text met earlier reuses its parsed input and
 seed-free invariants with their report's parts and JSON around the seed; a
-vars, g or h field met earlier reuses its parsed value; a g met earlier
-reuses its linear substitution, and an H met earlier with the same span of
-linear generators its restriction; a germ restricted to V(g_lin) that an
-earlier job of any text restricted to, up to constant factors on H and on
-each remaining generator, reuses its locus check, corank,
-(g, det H) check, a and top colength, so a job reruns only the steps that
-read its own input or its seed; and an invariant tuple met earlier reuses
-its tables, bouquet and their JSON.
-Each gives the digest of cold jobs.
+vars, g, h or f field met earlier, over any order of its variables, reuses
+its parse; a g met earlier, up to constant factors on its generators,
+reuses its linear substitution, and an H met earlier up to a constant
+factor, with the same span of linear generators, its restriction; a germ
+restricted to V(g_lin) that an earlier job of any text restricted to, up
+to constant factors on H and on each remaining generator, reuses its locus
+check, corank, (g, det H) check, a and top colength, so a job reruns only
+the steps that read its own input or its seed; and an invariant tuple met
+earlier reuses its tables, bouquet and their JSON.  Each gives the digest
+of cold jobs.
+
+Each workload starts with every process memo empty (tests/memos.py), and
+after it the script writes each memo's cache_info() to stderr, one line
+each, so the sizes and hit counts the memos' comments state can be read
+off one run.
 
 Usage: python scripts/outcome_digest.py WORKLOAD[,WORKLOAD...]|all SEED PASSES
 """
@@ -30,11 +36,13 @@ from pathlib import Path
 
 # the checkout's package source comes first, so the script runs uninstalled
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "src"))
 
 import milnorfibre  # noqa: E402
 from checks import outcome  # noqa: E402
+from memos import PROCESS_MEMOS, clear_process_memos  # noqa: E402
 from workloads import MAX_PASSES, WORKLOADS, build  # noqa: E402
 
 
@@ -63,10 +71,12 @@ def main() -> int:
     if not 1 <= args.passes <= MAX_PASSES:
         parser.error(f"passes must be in 1..{MAX_PASSES}, got {args.passes}")
     for name in names:
+        clear_process_memos()
         count, hexdigest = digest(name, args.seed, args.passes)
-        sys.stdout.write(
-            f"{name} seed {args.seed} passes 0-{args.passes - 1}: {count} jobs, sha256 {hexdigest}\n"
-        )
+        run = f"{name} seed {args.seed} passes 0-{args.passes - 1}"
+        sys.stdout.write(f"{run}: {count} jobs, sha256 {hexdigest}\n")
+        for memo in PROCESS_MEMOS:
+            sys.stderr.write(f"{run}: {memo.__module__}.{memo.__name__} {memo.cache_info()}\n")
     return 0
 
 

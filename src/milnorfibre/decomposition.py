@@ -47,7 +47,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field, replace
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, attrgetter, mul
 from typing import NamedTuple, Sequence
 
 from .errors import ComputationError, InconsistencyError, InvalidIcisError
@@ -200,18 +200,28 @@ def _restrict(inp: SingularityInput) -> tuple[_RestrictedGerm, tuple[Polynomial,
     nonzero maximal minor.  A nonzero det H in (l) is such a generator of
     the (g, det H) check.
 
-    The substitution of g is kept for its tuple (_substitution), and the
-    image of H for its _Span and H (_restricted_h), so the g whose linear
-    generators span one space, as rescaled, negated or recombined ones do,
-    share one restricted H and ring.  The image of H depends on the span
-    alone: phi is read off the reduced row-echelon rows of the linear
-    generators' coefficients, and those rows are the one basis of their
-    row space with a 1 in each pivot column and 0 in the other rows' pivot
-    columns, so the pivots, the free variables, the forms r_p and hence
-    phi are functions of the span.  The images of g's other generators are
-    made, and made unit-free, for each job."""
-    linear, dependent, span = _substitution(inp.g)
-    h = _restricted_h(span, inp.h)
+    The substitution of g is kept for the tuple of its unit-free generators
+    (_substitution), and the image of H for its _Span and unit-free H
+    (_restricted_h), so the g whose linear generators span one space, as
+    rescaled, negated or recombined ones do, share one restricted H and
+    ring, and so do the H that differ by a constant factor.  The image of H
+    depends on the span alone: phi is read off the reduced row-echelon rows
+    of the linear generators' coefficients, and those rows are the one basis
+    of their row space with a 1 in each pivot column and 0 in the other
+    rows' pivot columns, so the pivots, the free variables, the forms r_p
+    and hence phi are functions of the span.  Both keys give what g and H
+    as written give.  A nonzero factor on a generator changes neither
+    whether it is linear nor the row space of the linear ones, so neither
+    the _Span nor the count past its rank.  phi is Q-linear, so
+    phi(cH) = c * phi(H) entrywise, and _unit_free gives the same maps for
+    any nonzero multiple of its maps, with the sign fixed at the same first
+    nonzero entry; so the restricted H is the same for H and cH.  The
+    unit-free forms of g's generators and of H are made once for each
+    object and kept on it (_unit_free_generator, _unit_free_matrix), so a
+    parsed field met again pays a slot read.  The images of g's other
+    generators are made, and made unit-free, for each job."""
+    linear, dependent, span = _substitution(tuple(map(_unit_free_generator, inp.g)))
+    h = _restricted_h(span, _unit_free_matrix(inp.h))
     ring, phi = h.ring, span.phi
     zero = ring.zero()
     g = tuple(
@@ -223,13 +233,54 @@ def _restrict(inp: SingularityInput) -> tuple[_RestrictedGerm, tuple[Polynomial,
     return _RestrictedGerm(ring, tuple(map(_unit_free_generator, g)) + pad, h), g + pad
 
 
+# What an object's _free slot holds when its unit-free form is the object
+# itself: a reference to itself would be a cycle that only the GC frees.
+_SAME = object()
+
+
 def _unit_free_generator(q: Polynomial) -> Polynomial:
-    """q made unit-free (_unit_free); q itself when it is zero or already is."""
-    if not q:
-        return q
-    terms = q.terms
-    (free,) = _unit_free([terms])
-    return q if free is terms else _poly(q.ring, free)
+    """q made unit-free (_unit_free); q itself when it is zero or already
+    is.  The form is made once and kept on q."""
+    free = q._free
+    if free is None:
+        free = _SAME
+        if q:
+            (made,) = _unit_free([q._terms])
+            if made is not q._terms:
+                free = _poly(q.ring, made)
+        object.__setattr__(q, "_free", free)
+    return q if free is _SAME else free
+
+
+def _unit_free_matrix(h: PolyMatrix) -> PolyMatrix:
+    """h made unit-free (_unit_free_image); h itself when it is zero or
+    already is.  The form is made once and kept on h."""
+    free = h._free
+    if free is None:
+        made = _unit_free_image(h, h.ring, attrgetter("_terms"))
+        free = _SAME if made is h else made
+        object.__setattr__(h, "_free", free)
+    return h if free is _SAME else free
+
+
+def _unit_free_image(h: PolyMatrix, ring: Ring, image) -> PolyMatrix:
+    """The matrix over ring of the term maps image(q) of the entries q of
+    h, made unit-free as one list of its nonzero entries in row-major order
+    (_unit_free); h itself when that gives over h's ring the term maps of
+    h's own entries.  Each distinct entry object of h is mapped once, and
+    the entries it stands at share the image, as the parsed H's repeated
+    entries share their polynomial, so the first object with a nonzero
+    image stands at the first nonzero entry."""
+    entries = h._entries
+    images = {id(q): q for row in entries for q in row}
+    maps = {key: terms for key, q in images.items() if q and (terms := image(q))}
+    values = list(maps.values())
+    free = _unit_free(values) if values else values
+    if free is values and ring is h.ring and all(t is images[key]._terms for key, t in maps.items()):
+        return h
+    made = {key: _poly(ring, terms) for key, terms in zip(maps, free)}
+    zero = ring.zero()
+    return _matrix(ring, tuple(tuple([made.get(id(q), zero) for q in row]) for row in entries))
 
 
 def _unit_free(maps: list[dict]) -> list[dict]:
@@ -239,16 +290,20 @@ def _unit_free(maps: list[dict]) -> list[dict]:
     coefficient at its greatest exponent is.  So maps and any nonzero
     rational multiple of them give equal results; maps itself when c is 1."""
     values = [c for t in maps for c in t.values()]
-    if all(type(c) is int for c in values):
+    try:
         m, d = 1, gcd(*values)
-    else:
+    except TypeError:
+        # a Fraction among the coefficients
         m = lcm(*(c.denominator for c in values))
         d = gcd(*(c.numerator * (m // c.denominator) for c in values))
     first = maps[0]
     if first[max(first)] < 0:
         d = -d
-    if m == 1 and d == 1:
-        return maps
+    if m == 1:
+        if d == 1:
+            return maps
+        if d == -1:
+            return [{e: -c for e, c in t.items()} for t in maps]
     return [{e: c.numerator * (m // c.denominator) // d for e, c in t.items()} for t in maps]
 
 
@@ -273,15 +328,16 @@ class _Span:
         return hash(self.key)
 
 
-# Over 32 passes an LRU of 64 g tuples catches 313 of the 321 that
-# heavy-local meets again and all 776 of a1-saturation's.
+# Over 32 passes at seed 5 no workload meets more than 16 tuples of
+# unit-free g, so an LRU of 64 misses each once: it hits 1008 of batch-n5's
+# 1024 look-ups, 409 of heavy-local's 416 and 820 of a1-saturation's 832.
 _SUBSTITUTIONS = 64
 
 
 @functools.lru_cache(maxsize=_SUBSTITUTIONS)
 def _substitution(g: tuple[Polynomial, ...]) -> tuple[tuple[bool, ...], int, _Span]:
-    """Which generators of g are linear, how many of those lie past their
-    rank, and their _Span."""
+    """Which generators of g, each unit-free, are linear, how many of those
+    lie past their rank, and their _Span."""
     linear = tuple(all(sum(e) == 1 for e, _ in q.items()) for q in g)
     variables = g[0].ring.variables
     free, phi, rows = _linear_substitution([q for q, lin in zip(g, linear) if lin], len(variables))
@@ -289,31 +345,18 @@ def _substitution(g: tuple[Polynomial, ...]) -> tuple[tuple[bool, ...], int, _Sp
     return linear, sum(linear) - len(rows), _Span(variables, rows, phi, ring)
 
 
-# Over 32 passes at seed 5 an LRU of 128 (span, H) pairs, at about 0.8 kB
-# each, catches all 315 that heavy-local meets again and 644 of
-# a1-saturation's 676; batch-n5, which draws new factors on H every pass,
-# hits 284 of its 1024 look-ups.
+# Over 32 passes at seed 5 no workload meets more than 108 (span,
+# unit-free H) pairs, at about 0.8 kB each, so an LRU of 128 misses each
+# once: it hits 926 of batch-n5's 1024 look-ups, 345 of heavy-local's 416
+# and 724 of a1-saturation's 832.
 _RESTRICTED_HS = 128
 
 
 @functools.lru_cache(maxsize=_RESTRICTED_HS)
 def _restricted_h(span: _Span, h: PolyMatrix) -> PolyMatrix:
-    """The image of h under span's phi, over span's ring, made unit-free as
-    one list of its entries in row-major order (_unit_free).  Each distinct
-    entry object of h is mapped once, and the entries it stands at share
-    the image, as the parsed H's repeated entries share their polynomial,
-    so the first object with a nonzero image stands at the first nonzero
-    entry."""
-    ring, phi = span.ring, span.phi
-    zero = ring.zero()
-    entries = h.entries()
-    images = {id(q): q for row in entries for q in row}
-    maps = {key: terms for key, q in images.items() if q and (terms := phi(q))}
-    if maps:
-        maps = dict(zip(maps, _unit_free(list(maps.values()))))
-    for key in images:
-        images[key] = _poly(ring, maps[key]) if key in maps else zero
-    return _matrix(ring, tuple(tuple([images[id(q)] for q in row]) for row in entries))
+    """The image of h, a unit-free H (_unit_free_matrix), under span's phi,
+    over span's ring, made unit-free (_unit_free_image)."""
+    return _unit_free_image(h, span.ring, span.phi)
 
 
 def assemble_f(inp: SingularityInput) -> Polynomial:

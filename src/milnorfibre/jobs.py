@@ -37,6 +37,7 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import NamedTuple
 
 from .decomposition import (
@@ -63,7 +64,7 @@ from .homology import (
     SPACE_X,
     TRIVIAL_GROUP,
 )
-from .rings import Ring, parse_matrix, parse_polynomial
+from .rings import Polynomial, Ring, _matrix, _poly, parse_matrix, parse_polynomial
 from .standard_basis import Budgets, DEFAULT_BUDGETS
 
 SECTION_KEYS = {
@@ -74,34 +75,105 @@ SECTION_KEYS = {
 }
 
 
-def _parsed(key: str, text: str, ring: Ring, line_no: int):
-    """The value of field key = text over ring, g and h through _field and
-    f parsed afresh, with the line and key put before any ParseError."""
+def _parsed(key: str, text: str, variables: _VariableSet, line_no: int):
+    """The value of field key = text over the variables (_value), with the
+    line and key put before any ParseError."""
     try:
-        if key == "f":
-            return parse_polynomial(text, ring)
-        return _field(key, text, ring.variables)
+        return _value(key, text, variables)
     except ParseError as exc:
         raise ParseError(f"line {line_no}: in {key}: {exc}") from exc
 
 
-# Over 32 passes an LRU of 128 fields catches 1229 of the 1245 that
-# heavy-local meets again, but a1-saturation's need 256 to catch 2490 of
-# 2493 rather than 2087.
+class _VariableSet(frozenset):
+    """The set of a ring's variables, the memo key of a field over any
+    order of them, with the order it was made of: _field parses a field
+    over the order of the first key it is given, and _value gives it over
+    the order of its own.  A frozenset, so the key hashes and compares in
+    C and keeps its hash for each look-up of one text's fields."""
+
+    __slots__ = ("order",)
+
+    def __new__(cls, order: tuple[str, ...]):
+        self = super().__new__(cls, order)
+        self.order = order
+        return self
+
+
+# Over 32 passes at seed 5 an LRU of 256 (field, set of variables) pairs
+# misses 280 of heavy-local's look-ups where an unbounded one misses 279,
+# and a1-saturation's 205 either way; batch-n5, whose texts recur across
+# passes now and then, misses 1189 where an unbounded one misses 990.
 _PARSED_FIELDS = 256
 
 
 @functools.lru_cache(maxsize=_PARSED_FIELDS)
-def _field(key: str, text: str, variables: tuple[str, ...]):
-    """The value of a vars, g or h field over the ring of variables: the
-    Ring, the tuple of g's nonblank generators, or H.  text is read only
-    for g and h."""
+def _field(key: str, text: str, variables: _VariableSet) -> dict:
+    """The value of a vars, g, h or f field over the ring of variables in
+    its order, in a map from each order met to the value over it, which
+    _value fills: the Ring, the tuple of g's nonblank generators, H, or f.
+    text is read only for g, h and f."""
+    order = variables.order
     if key == "vars":
-        return Ring(variables)
-    ring = _field("vars", "", variables)
+        return {order: Ring(order)}
+    ring = _value("vars", "", variables)
     if key == "g":
-        return tuple(parse_polynomial(t.strip(), ring) for t in text.split(";") if t.strip())
-    return parse_matrix(text, ring)
+        value = tuple(parse_polynomial(t.strip(), ring) for t in text.split(";") if t.strip())
+    elif key == "h":
+        value = parse_matrix(text, ring)
+    else:
+        value = parse_polynomial(text, ring)
+    return {order: value}
+
+
+def _value(key: str, text: str, variables: _VariableSet):
+    """The value of a field over the variables in their order: the kept
+    one, or for a new order of kept variables a new Ring, or the value
+    over the first order re-indexed (_reindexed), kept from then on."""
+    orders = _field(key, text, variables)
+    order = variables.order
+    value = orders.get(order)
+    if value is None:
+        value = Ring(order) if key == "vars" else _reindexed(key, orders, variables)
+        orders[order] = value
+    return value
+
+
+def _reindexed(key: str, orders: dict, variables: _VariableSet):
+    """The value of a g, h or f field over the order of variables, made
+    from its value over the first order in orders by permuting each
+    exponent tuple, in the order of each term map.  Each distinct entry
+    object of H is re-indexed once, so the entries parse_matrix shares stay
+    shared.
+
+    That is the field's parse over order.  A permutation sigma of the
+    variables maps exponent tuples one to one and commutes with their sum,
+    so the parse of a text over sigma(v) performs the sigma-image of each
+    dict operation of its parse over v: the unit exponent of each name, the
+    sums of products and of powers, the look-ups, insertions and removals
+    of a term.  So the keys, coefficients, cancellations and insertion order
+    of each map correspond, and the re-indexed map is that parse's.  Whether
+    a parse succeeds, and each error with its position, depend only on the
+    set of variables (a name's membership, term counts), so a text whose
+    parse fails over one order fails alike over every other; no error is
+    kept, so each is raised afresh."""
+    source, value = next(iter(orders.items()))
+    ring = _value("vars", "", variables)
+    # the order is not source, so there are two variables or more and get
+    # gives a tuple
+    get = itemgetter(*map(source.index, variables.order))
+
+    def moved(p: Polynomial) -> Polynomial:
+        return _poly(ring, {get(e): c for e, c in p.items()})
+
+    if key == "g":
+        return tuple(map(moved, value))
+    if key == "f":
+        return moved(value)
+    entries = value.entries()
+    images = {id(q): q for row in entries for q in row}
+    for i, q in images.items():
+        images[i] = moved(q)
+    return _matrix(ring, tuple(tuple([images[id(q)] for q in row]) for row in entries))
 
 
 def parse_job(text: str) -> SingularityInput:
@@ -112,9 +184,11 @@ def parse_job(text: str) -> SingularityInput:
     is immutable, and one text gives the same input object each time while
     it stays among the last _PARSED_TEXTS texts parsed, so that input's
     seed-free invariants are kept across jobs (invariant_report).  Texts
-    that share a vars, g or h field share its Ring, generators or H while
-    it stays among the last _PARSED_FIELDS fields (_field); f is parsed
-    for each text.  A ParseError is raised afresh on every call, with the
+    that share a vars, g, h or f field over one order of their variables
+    share its Ring, generators, H or f while it stays among the last
+    _PARSED_FIELDS fields (_field), and a field met over another order of
+    the same variables is re-indexed from its parse, not parsed again
+    (_reindexed).  A ParseError is raised afresh on every call, with the
     line of its own text.
     """
     return _parse_job(text)
@@ -157,18 +231,19 @@ def _parse_job(text: str) -> SingularityInput:
             raise ParseError(f"missing required key {key!r} in section [{sec}]")
 
     vars_value, vars_line = raw[("ring", "vars")]
+    variables = _VariableSet(tuple(vars_value.split()))
     try:
-        ring = _field("vars", "", tuple(vars_value.split()))
+        ring = _value("vars", "", variables)
     except ValueError as exc:
         raise ParseError(f"line {vars_line}: {exc}") from exc
 
     g_value, g_line = raw[("ideal", "g")]
-    g = _parsed("g", g_value, ring, g_line)
+    g = _parsed("g", g_value, variables, g_line)
     if not g:
         raise ParseError(f"line {g_line}: no generators in g")
 
     h_value, h_line = raw[("matrix", "h")]
-    h = _parsed("h", h_value, ring, h_line)
+    h = _parsed("h", h_value, variables, h_line)
 
     a1_mode = "assume_zero"
     a1_count = None
@@ -194,7 +269,7 @@ def _parse_job(text: str) -> SingularityInput:
     f_expected = None
     if ("options", "f") in raw:
         f_value, f_line = raw[("options", "f")]
-        f_expected = _parsed("f", f_value, ring, f_line)
+        f_expected = _parsed("f", f_value, variables, f_line)
 
     try:
         return SingularityInput(

@@ -162,14 +162,17 @@ def _poly(ring: Ring, terms: dict[tuple[int, ...], int | Fraction]) -> "Polynomi
     _set_ring(p, ring)
     _set_terms(p, terms)
     _set_hash(p, None)
+    _set_free(p, None)
     return p
 
 
 class Polynomial:
     """Immutable exact polynomial: a map from exponent tuples to nonzero
-    coefficients, each an int where integral and a Fraction otherwise."""
+    coefficients, each an int where integral and a Fraction otherwise.
+    _free is the unit-free form decomposition keeps on a generator of g,
+    None until it is made."""
 
-    __slots__ = ("ring", "_terms", "_hash")
+    __slots__ = ("ring", "_terms", "_hash", "_free")
 
     def __init__(self, ring: Ring, terms: Mapping[tuple[int, ...], int | Fraction]):
         clean = {}
@@ -183,6 +186,7 @@ class Polynomial:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_free", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -314,8 +318,11 @@ class Polynomial:
 
 
 _new = object.__new__
-_set_ring, _set_terms, _set_hash = (
-    Polynomial.ring.__set__, Polynomial._terms.__set__, Polynomial._hash.__set__
+_set_ring, _set_terms, _set_hash, _set_free = (
+    Polynomial.ring.__set__,
+    Polynomial._terms.__set__,
+    Polynomial._hash.__set__,
+    Polynomial._free.__set__,
 )
 
 
@@ -616,9 +623,10 @@ def parse_matrix(text: str, ring: Ring) -> PolyMatrix:
 # --- matrices ---------------------------------------------------------------
 
 class PolyMatrix:
-    """Immutable rectangular matrix of polynomials over one ring."""
+    """Immutable rectangular matrix of polynomials over one ring.  _free is
+    the unit-free form decomposition keeps on an H, None until it is made."""
 
-    __slots__ = ("ring", "rows", "cols", "_entries", "_hash")
+    __slots__ = ("ring", "rows", "cols", "_entries", "_hash", "_free")
 
     def __init__(self, ring: Ring, entries: Sequence[Sequence[Polynomial]]):
         rows = len(entries)
@@ -640,6 +648,7 @@ class PolyMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_entries", tuple(packed))
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_free", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
@@ -712,7 +721,8 @@ class PolyMatrix:
 
 
 _set_matrix = tuple(
-    getattr(PolyMatrix, slot).__set__ for slot in ("ring", "rows", "cols", "_entries", "_hash")
+    getattr(PolyMatrix, slot).__set__
+    for slot in ("ring", "rows", "cols", "_entries", "_hash", "_free")
 )
 
 
@@ -721,12 +731,13 @@ def _matrix(ring: Ring, entries: tuple[tuple[Polynomial, ...], ...]) -> PolyMatr
     tuple of as many polynomials over ring, at least one; it is stored as
     given, with no entry checked."""
     m = _new(PolyMatrix)
-    set_ring, set_rows, set_cols, set_entries, set_hash = _set_matrix
+    set_ring, set_rows, set_cols, set_entries, set_hash, set_free = _set_matrix
     set_ring(m, ring)
     set_rows(m, len(entries))
     set_cols(m, len(entries[0]))
     set_entries(m, entries)
     set_hash(m, None)
+    set_free(m, None)
     return m
 
 

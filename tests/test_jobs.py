@@ -19,7 +19,7 @@ import milnorfibre
 from milnorfibre import decomposition, jobs
 from milnorfibre.cli import main
 from milnorfibre.corpus import build_input, builtin_cases
-from milnorfibre.decomposition import CheckResult, InvariantReport
+from milnorfibre.decomposition import CheckResult, InvariantReport, SingularityInput
 from milnorfibre.errors import (
     BudgetExceededError,
     ComputationError,
@@ -39,6 +39,7 @@ from milnorfibre.rings import PolyMatrix, Ring, parse_polynomial
 from milnorfibre.standard_basis import DEFAULT_BUDGETS, Budgets
 from memos import PROCESS_MEMOS, clear_process_memos
 from oracles import report_doc, universal_coefficients_mod2
+from test_rings import matrix_texts, parse_texts
 
 GOOD_JOB = """\
 # the worked two-point example
@@ -795,7 +796,9 @@ def test_mu0_reads_the_job_own_generators_from_a_shared_stage(monkeypatch, first
 def test_g_of_one_linear_span_share_one_restricted_h():
     """y1; y2, (-y1); 3*y2 and y1 + y2; y2 span one space, so their jobs
     share one restricted H and ring, equal to the H each restricts to
-    with every memo empty; y1; y2 + x1 spans another and does not."""
+    with every memo empty; y1; y2 + x1 spans another and does not.  The
+    first two have one tuple of unit-free generators, so they share one
+    substitution."""
     texts = [_job_text(g, SHARED_H) for g in ("y1; y2", "(-y1); 3*y2", "y1 + y2; y2")]
     other = _job_text("y1; y2 + x1", SHARED_H)
     cold = []
@@ -808,27 +811,72 @@ def test_g_of_one_linear_span_share_one_restricted_h():
     first = warm[0]
     assert all(germ.h is first.h and germ.ring is first.ring for germ in warm[1:3])
     assert warm[3].h is not first.h and warm[3].ring.variables == ("x2", "x3", "y2")
-    assert decomposition._substitution.cache_info().currsize == 4
+    assert decomposition._substitution.cache_info()[:2] == (1, 3)
+    assert decomposition._substitution.cache_info().currsize == 3
     assert decomposition._restricted_h.cache_info()[:2] == (2, 2)
+
+
+@given(
+    text=st.sampled_from(STAGE_TEXTS + (SHARED_TEXTS[2], GOOD_JOB)),
+    g_factors=st.tuples(FACTORS, FACTORS),
+    h_factor=FACTORS,
+)
+@example(text=SHARED_TEXTS[2], g_factors=(-1, Fraction(2, 5)), h_factor=Fraction(-7, 3))
+@example(text=CURVED_JOB, g_factors=(Fraction(1, 2), -3), h_factor=-1)
+def test_a_restriction_is_shared_across_constant_factors(text, g_factors, h_factor):
+    """With each generator of g scaled by a nonzero rational, negated or a
+    Fraction, and H by another, the restriction taken after the unscaled
+    input's is kept is the restriction with every memo empty: the same
+    germ and the same restricted g of the input itself.  It takes the kept
+    substitution and restricted H."""
+    base = parse_job(text)
+    scaled = SingularityInput(
+        base.ring,
+        tuple(q.scale(c) for q, c in zip(base.g, g_factors)),
+        PolyMatrix(base.ring, [[q.scale(h_factor) for q in row] for row in base.h.entries()]),
+    )
+    clear_process_memos()
+    cold = decomposition._restrict(scaled)
+    clear_process_memos()
+    decomposition._restrict(base)
+    assert decomposition._restrict(scaled) == cold
+    assert decomposition._substitution.cache_info()[:2] == (1, 1)
+    assert decomposition._restricted_h.cache_info()[:2] == (1, 1)
+
+
+# SHARED_TEXTS[0] with g and H as unit-free as they are, and scaled
+SCALED_SHARED_TEXT = _job_text("3*y1; -y2", "[[2*x3, 2*x2], [2*x2, 2*x1^2 - 2*x3]]")
 
 
 def test_the_field_and_substitution_memos_hold_no_input_or_report():
     """Once a job's report and input are dropped and the parsed texts,
     restricted stages and tables cleared, reference counting alone frees
     both, while its fields, g's substitution and its restricted H stay
-    kept.  The germ is locus-free, so its stage would keep the report."""
+    kept.  The germ is locus-free, so its stage would keep the report.
+    The unit-free forms kept on g's generators and on H are other objects
+    when the text scales them, and the sentinel _SAME when it does not,
+    never the object itself."""
     gc.disable()
     try:
-        inp = parse_job(SHARED_TEXTS[0])
-        report = run_homology(Job(input=inp))
-        assert report.to_json() == json_oracle(report)
-        refs = weakref.ref(inp), weakref.ref(report.invariants)
-        del inp, report
-        for memo in (jobs._parse_job, decomposition._restricted_stage, jobs._tables):
-            memo.cache_clear()
-        assert [ref() for ref in refs] == [None, None]
-        kept = (jobs._field, decomposition._substitution, decomposition._restricted_h)
-        assert [memo.cache_info().currsize for memo in kept] == [3, 1, 1]
+        for text in (SHARED_TEXTS[0], SCALED_SHARED_TEXT):
+            clear_process_memos()
+            inp = parse_job(text)
+            report = run_homology(Job(input=inp))
+            assert report.to_json() == json_oracle(report)
+            fields = (*inp.g, inp.h)
+            refs = weakref.ref(inp), weakref.ref(report.invariants)
+            del inp, report
+            for memo in (jobs._parse_job, decomposition._restricted_stage, jobs._tables):
+                memo.cache_clear()
+            assert [ref() for ref in refs] == [None, None]
+            kept = (jobs._field, decomposition._substitution, decomposition._restricted_h)
+            assert [memo.cache_info().currsize for memo in kept] == [3, 1, 1]
+            forms = [field._free for field in fields]
+            if text == SCALED_SHARED_TEXT:
+                assert [form == field for form, field in zip(forms, fields)] == [False] * 3
+                assert [form._free for form in forms] == [None] * 3
+            else:
+                assert forms == [decomposition._SAME] * 3
     finally:
         gc.enable()
 
@@ -930,14 +978,16 @@ def test_texts_that_share_a_field_share_its_value():
 
 
 def test_a_bad_field_raises_afresh_with_its_own_line():
-    """The same bad h on line 9 of one text and line 10 of another raises
-    a new ParseError on every call, each with its own line and the same
-    message and position, and no field of it is kept."""
+    """The same bad h on line 9 of one text, line 10 of another and line 9
+    of a third with its variables reversed raises a new ParseError on every
+    call, each with its own line and the same message and position, and no
+    field of it is kept."""
     bad = GOOD_JOB.replace("x3 - x5^2", "x3 - x5^")
-    texts = (bad, bad.replace("[ideal]", "# shifted\n[ideal]"))
+    reversed_vars = bad.replace("vars = x1 x2 x3 x4 x5", "vars = x5 x4 x3 x2 x1")
+    texts = (bad, bad.replace("[ideal]", "# shifted\n[ideal]"), reversed_vars)
     raised = []
     for _ in range(2):
-        for line, text in zip((9, 10), texts):
+        for line, text in zip((9, 10, 9), texts):
             with pytest.raises(ParseError) as caught:
                 parse_job(text)
             assert type(caught.value) is ParseError
@@ -945,17 +995,108 @@ def test_a_bad_field_raises_afresh_with_its_own_line():
                 f"line {line}: in h: exponent must be a nonnegative integer, got ']' (at position 24)"
             )
             raised.append(caught.value)
-    assert len({id(exc) for exc in raised}) == 4
-    # the texts' vars and g fields, and no h
+    assert len({id(exc) for exc in raised}) == 6
+    # the texts' one set of variables and one g, each over both orders, and no h
     assert jobs._field.cache_info().currsize == 2
 
 
-def test_an_f_field_is_parsed_for_each_text():
-    """f is never kept: two texts with one f give two equal polynomials."""
+def _counting_parses(monkeypatch):
+    """Count the calls of the parsers that jobs calls."""
+    calls = {"parse_polynomial": 0, "parse_matrix": 0}
+    for name in calls:
+        parse = getattr(jobs, name)
+
+        def counted(*args, _parse=parse, _name=name):
+            calls[_name] += 1
+            return _parse(*args)
+
+        monkeypatch.setattr(jobs, name, counted)
+    return calls
+
+
+def test_an_f_field_is_parsed_once_per_variable_set(monkeypatch):
+    """Two texts with one f share one polynomial; a text with the same
+    fields over the reversed variables gets g, H and f re-indexed, not
+    parsed, each equal to its parse with every memo empty."""
+    reversed_job = GOOD_JOB.replace("vars = x1 x2 x3 x4 x5", "vars = x5 x4 x3 x2 x1")
+    clear_process_memos()
+    cold = parse_job(reversed_job)
+    clear_process_memos()
+    calls = _counting_parses(monkeypatch)
     first = parse_job(GOOD_JOB)
     second = parse_job(GOOD_JOB.replace("a1 = zero", "a1 = 0"))
-    assert first.f_expected == second.f_expected
-    assert first.f_expected is not second.f_expected
+    assert first.f_expected is second.f_expected
+    assert calls == {"parse_polynomial": 3, "parse_matrix": 1}
+    other = parse_job(reversed_job)
+    assert calls == {"parse_polynomial": 3, "parse_matrix": 1}
+    for got, want in ((other.f_expected, cold.f_expected), *zip(other.g, cold.g)):
+        assert list(got.items()) == list(want.items()) and got.ring is other.ring
+    assert [[list(q.items()) for q in row] for row in other.h.entries()] == [
+        [list(q.items()) for q in row] for row in cold.h.entries()
+    ]
+    assert other.ring.variables == cold.ring.variables
+    assert parse_job(reversed_job.replace("a1 = zero", "a1 = 0")).f_expected is other.f_expected
+
+
+# a set of variables with every order, for texts of the parser's properties
+FIELD_VARIABLES = ("x", "y", "z")
+FIELD_TEXTS = st.one_of(
+    st.tuples(st.just("f"), parse_texts),
+    st.tuples(st.just("g"), st.lists(parse_texts, min_size=1, max_size=3).map("; ".join)),
+    st.tuples(st.just("h"), matrix_texts()),
+)
+
+
+def _field_outcome(key, text, order, line):
+    """The field key = text over the variables in order, on line line: its
+    term maps in order, which entries of H are one object, whether it lies
+    over the kept ring of order, and that ring's variables; or its error's
+    type and message."""
+    variables = jobs._VariableSet(order)
+    ring = jobs._value("vars", "", variables)
+    try:
+        value = jobs._parsed(key, text, variables, line)
+    except ParseError as exc:
+        return type(exc), str(exc)
+    if key == "h":
+        rows = value.entries()
+        first = {}
+        shared = [[first.setdefault(id(q), (i, j)) for j, q in enumerate(row)] for i, row in enumerate(rows)]
+        polys = [q for row in rows for q in row]
+        on_ring = value.ring is ring and all(q.ring is ring for q in polys)
+        return [list(q.items()) for q in polys], shared, on_ring, ring.variables
+    polys = value if key == "g" else (value,)
+    return [list(q.items()) for q in polys], all(q.ring is ring for q in polys), ring.variables
+
+
+@given(FIELD_TEXTS, st.permutations(FIELD_VARIABLES), st.permutations(FIELD_VARIABLES))
+@example(("h", "[[x*y + 1, y^2], [y^2, (x - z)^3]]"), list("xyz"), list("zxy"))
+@example(("g", "x*y - z; (y + 1)^2; z"), list("xyz"), list("yzx"))
+@example(("f", "(x + 2*y - z)^3 - x^3"), list("xyz"), list("zyx"))
+@example(("h", "[[x, y], [y, w]]"), list("xyz"), list("yxz"))
+def test_a_field_over_another_order_is_its_cold_parse(key_text, first, second):
+    """A field parsed over one order of its variables, then looked up over
+    another, is the field parsed over that order with every memo empty:
+    the same term maps in the same order, the same entries of H one
+    object, the same ring; looked up again it is the same object.  An
+    invalid text raises a new error over each order, with that order's
+    line, as it does cold, and no field of it is kept."""
+    key, text = key_text
+    first, second = tuple(first), tuple(second)
+    clear_process_memos()
+    cold = _field_outcome(key, text, second, 2)
+    clear_process_memos()
+    warm = [_field_outcome(key, text, first, 1), _field_outcome(key, text, second, 2)]
+    assert warm[1] == cold
+    if isinstance(cold[0], type):
+        assert warm[0] == (cold[0], cold[1].replace("line 2:", "line 1:", 1))
+        # the ring's entry alone
+        assert jobs._field.cache_info().currsize == 1
+    else:
+        # one entry for the ring and one for the field, over both orders
+        assert jobs._field.cache_info().currsize == 2
+        variables = jobs._VariableSet(second)
+        assert jobs._value(key, text, variables) is jobs._value(key, text, variables)
 
 
 @given(admissible_invariants())
