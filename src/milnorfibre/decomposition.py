@@ -39,7 +39,12 @@ their span and Sylvester's resultant, and one colength in corank-many
 variables otherwise (_fibre_finite).  f is neither assembled nor
 differentiated there; it is assembled to check an explicit f, and for the
 other germs, whose Jacobian ideal of f is saturated by (g) in all n
-variables.
+variables.  The verdict, finite, infinite or outside the class, is a
+function of the span of g's linear generators and the unit-free H, so it is
+kept with the restricted H of that pair (_restricted_h) once an estimate
+job has decided it in closed form, and every presentation that shares the
+pair reads it; a verdict that takes a colength, at corank 3 or more, is
+decided for each job.
 """
 
 from __future__ import annotations
@@ -173,12 +178,13 @@ class _RestrictedGerm(NamedTuple):
         return self.ring.nvars
 
 
-def _restrict(inp: SingularityInput) -> tuple[_RestrictedGerm, tuple[Polynomial, ...]]:
+def _restrict(inp: SingularityInput) -> tuple[_RestrictedGerm, tuple[Polynomial, ...], _RestrictedH]:
     """inp restricted to the free variables of its linear generators l, by
     the substitution phi that colength applies to an ideal
     (_linear_substitution), with its constant factors removed (_unit_free),
-    and the restricted g of inp itself.  phi keeps degrees, so constant
-    terms and the corank of H stay.
+    the restricted g of inp itself, and the _restricted_h entry whose h the
+    germ holds.  phi keeps degrees, so constant terms and the corank of H
+    stay.
 
     The checks give the same outcome on the restriction.  Let I be the
     ideal of g and the maximal minors of its Jacobian J = [A; dh], with A
@@ -221,7 +227,8 @@ def _restrict(inp: SingularityInput) -> tuple[_RestrictedGerm, tuple[Polynomial,
     parsed field met again pays a slot read.  The images of g's other
     generators are made, and made unit-free, for each job."""
     linear, dependent, span = _substitution(tuple(map(_unit_free_generator, inp.g)))
-    h = _restricted_h(span, _unit_free_matrix(inp.h))
+    restricted = _restricted_h(span, _unit_free_matrix(inp.h))
+    h = restricted.h
     ring, phi = h.ring, span.phi
     zero = ring.zero()
     g = tuple(
@@ -230,7 +237,7 @@ def _restrict(inp: SingularityInput) -> tuple[_RestrictedGerm, tuple[Polynomial,
         if not lin
     )
     pad = (zero,) * dependent
-    return _RestrictedGerm(ring, tuple(map(_unit_free_generator, g)) + pad, h), g + pad
+    return _RestrictedGerm(ring, tuple(map(_unit_free_generator, g)) + pad, h), g + pad, restricted
 
 
 # What an object's _free slot holds when its unit-free form is the object
@@ -345,18 +352,63 @@ def _substitution(g: tuple[Polynomial, ...]) -> tuple[tuple[bool, ...], int, _Sp
     return linear, sum(linear) - len(rows), _Span(variables, rows, phi, ring)
 
 
+# What a _RestrictedH's fibre slot holds until a verdict is kept there.
+_UNDECIDED = object()
+
+
+class _RestrictedH:
+    """The restricted H of a (_Span, unit-free H) pair, and in fibre the
+    #A1 fibre verdict of its germs (_fibre_finite), True, False or None,
+    once an a = estimate job has decided it in closed form; _UNDECIDED
+    before.  A plain class, as _Span."""
+
+    __slots__ = ("h", "fibre")
+
+    def __init__(self, h: PolyMatrix):
+        self.h = h
+        self.fibre = _UNDECIDED
+
+
 # Over 32 passes at seed 5 no workload meets more than 108 (span,
 # unit-free H) pairs, at about 0.8 kB each, so an LRU of 128 misses each
 # once: it hits 926 of batch-n5's 1024 look-ups, 345 of heavy-local's 416
-# and 724 of a1-saturation's 832.
+# and 724 of a1-saturation's 832.  Only a1-saturation asks for #A1 fibre
+# verdicts: it decides one for each of its 108 entries and reads the 724
+# others from the entries.
 _RESTRICTED_HS = 128
 
 
 @functools.lru_cache(maxsize=_RESTRICTED_HS)
-def _restricted_h(span: _Span, h: PolyMatrix) -> PolyMatrix:
-    """The image of h, a unit-free H (_unit_free_matrix), under span's phi,
-    over span's ring, made unit-free (_unit_free_image)."""
-    return _unit_free_image(h, span.ring, span.phi)
+def _restricted_h(span: _Span, h: PolyMatrix) -> _RestrictedH:
+    """The entry of the image of h, a unit-free H (_unit_free_matrix),
+    under span's phi, over span's ring, made unit-free (_unit_free_image).
+    Its fibre slot starts undecided; the first a = estimate job of the pair
+    whose verdict _fibre_finite reaches in closed form keeps it there, and
+    every later one reads it (a1_count).
+
+    That verdict is a function of the pair, for every input whose g and H
+    give it.  Let k = n - 3 and A be the coefficient rows of g.
+    - If span has rank k, every generator of g is linear and A's rows span
+      it.  The class test asks that each row of A be independent of S and
+      of the rows of A before it.  That holds exactly when
+      row(A) ∩ row(S) = 0 and rank A = k, and both read only the row
+      space, which _Span holds in the ring's variable order.
+    - If span has rank below k, some generator of g is not linear or lies
+      in the span of the linear ones, so the germ is outside the class: the
+      verdict is None, or for H = 0 the zero Jacobian error, which the
+      saturation that a kept None leads to raises with the same text.
+    - H -> cH with c != 0 scales S, H(0) and every form by c.  So ker H(0),
+      the rank tests and any(q) stay the same, and so does the corank-2
+      resultant test, which is homogeneous in the normal.  H = 0 exactly
+      when cH = 0.
+    - Two equal H may list their terms in different orders.  That reorders
+      S and the forms, but neither the class test nor the closed forms for
+      corank <= 2 depend on the order.
+    A corank >= 3 verdict is not kept: it runs colength under the job's
+    budgets on the quadrics in the forms' order, so it can trip differently
+    for an equal H written in another order, and it is decided for each
+    job.  Nor is the H = 0 error, which is raised afresh."""
+    return _RestrictedH(_unit_free_image(h, span.ring, span.phi))
 
 
 def assemble_f(inp: SingularityInput) -> Polynomial:
@@ -402,7 +454,9 @@ def compute_a(
     return int(value)
 
 
-def _fibre_finite(inp: SingularityInput, budgets: Budgets) -> bool | None:
+def _fibre_finite(
+    inp: SingularityInput, budgets: Budgets, restricted: _RestrictedH | None = None
+) -> bool | None:
     """Whether the fibre ideal of inp over the origin is 0-dimensional, read
     off the coefficients of H; None when inp is outside the class the fibre
     decides.  The fibre ideal, in k = n - 3 variables w, is generated by the
@@ -470,7 +524,22 @@ def _fibre_finite(inp: SingularityInput, budgets: Budgets) -> bool | None:
     - c >= 3: one colength of the restricted quadrics in c variables,
       which is finite exactly when 0 is their only zero, as they are
       homogeneous; a zero ideal, which colength refuses, has every t as a
-      zero."""
+      zero.
+
+    A verdict reached in closed form is kept in the fibre slot of
+    restricted, inp's _restricted_h entry, when it is given."""
+    finite = _fibre_closed_form(inp)
+    if type(finite) is list:
+        return colength(finite, local_order(finite[0].ring.nvars), budgets) != INFINITE
+    if restricted is not None:
+        restricted.fibre = finite
+    return finite
+
+
+def _fibre_closed_form(inp: SingularityInput) -> bool | None | list[Polynomial]:
+    """_fibre_finite's verdict where the terms of H settle it, and at
+    corank >= 3 the restricted quadrics, in corank variables, whose
+    colength settles it."""
     n, k = inp.n, len(inp.g)
     a = []
     for q in inp.g:
@@ -570,11 +639,15 @@ def _fibre_finite(inp: SingularityInput, budgets: Budgets) -> bool | None:
     ring = Ring(tuple(f"t{s}" for s in range(1, corank + 1)))
     units = [tuple(int(s == r) for r in range(corank)) for s in range(corank)]
     monomials = [tuple(map(add, units[s], units[t])) for s, t in pairs]
-    restricted = [Polynomial(ring, dict(zip(monomials, q))) for q in quadrics]
-    return colength(restricted, local_order(corank), budgets) != INFINITE
+    return [Polynomial(ring, dict(zip(monomials, q))) for q in quadrics]
 
 
-def a1_count(inp: SingularityInput, budgets: Budgets = DEFAULT_BUDGETS) -> tuple[int, str]:
+def a1_count(
+    inp: SingularityInput,
+    budgets: Budgets = DEFAULT_BUDGETS,
+    *,
+    restricted: _RestrictedH | None = None,
+) -> tuple[int, str]:
     """Morse-point count with provenance.
 
     provided -> the user's number; assume_zero -> 0 flagged as assumed;
@@ -596,12 +669,21 @@ def a1_count(inp: SingularityInput, budgets: Budgets = DEFAULT_BUDGETS) -> tuple
     when H(0) has corank at most 2, and by one colength in corank-many
     variables otherwise.  Every other germ has f = g * H * g^t assembled and
     its Jacobian ideal saturated, by one elimination in n + 1 exponent slots.
+
+    restricted, which invariant_report passes, is inp's _restricted_h
+    entry, from the restriction the job already made.  The fibre verdict
+    kept there is read and not decided again, since it is a function of
+    the entry's key (_restricted_h proves it); an undecided one is decided
+    and, when reached in closed form, kept.  Only the estimate reads the
+    entry, so the other modes never decide a verdict.
     """
     if inp.a1_mode == "provided":
         return inp.a1_count, "provided"
     if inp.a1_mode == "assume_zero":
         return 0, "assumed"
-    finite = _fibre_finite(inp, budgets)
+    finite = _UNDECIDED if restricted is None else restricted.fibre
+    if finite is _UNDECIDED:
+        finite = _fibre_finite(inp, budgets, restricted)
     if finite is not None:
         value = 0 if finite else INFINITE
     else:
@@ -844,7 +926,7 @@ def _invariant_report(inp: SingularityInput, mu0_of, budgets: Budgets) -> Invari
     # on a generator that is not linear, and the locus check names it
     if any(q.is_zero() for q in inp.g):
         raise InvalidIcisError("zero generator in the presentation")
-    germ, gens = _restrict(inp)
+    germ, gens, restricted = _restrict(inp)
     stage = _restricted_stage(germ, budgets)
     stage.raise_at(_LOCUS)
     if stage.det_zero and determinant_and_minors(inp.h)[0].is_zero():
@@ -864,7 +946,7 @@ def _invariant_report(inp: SingularityInput, mu0_of, budgets: Budgets) -> Invari
     stage.raise_at(_TOP)
     # (g) is a checked i.c.i.s. of Milnor number mu0, so mu1 is one step
     mu1 = milnor_top_step(stage.top, mu0) if mu1_applicable else 0
-    a1, a1_prov = a1_count(inp, budgets)
+    a1, a1_prov = a1_count(inp, budgets, restricted=restricted)
     kept = stage.reports.get((a1, a1_prov))
     if kept is not None:
         return kept

@@ -25,6 +25,7 @@ from milnorfibre.errors import (
 from milnorfibre.jobs import Job, run_homology
 from milnorfibre.rings import PolyMatrix, Polynomial, Ring, parse_polynomial
 from milnorfibre.standard_basis import DEFAULT_BUDGETS, Budgets
+from memos import clear_process_memos
 from oracles import (
     GradedOrder,
     fibre_colength_finite,
@@ -657,15 +658,15 @@ NOT_ZERO_DIMENSIONAL = (
 )
 
 
-def estimate(inp, saturate=False):
+def estimate(inp, saturate=False, restricted=None):
     """The #A1 estimate of inp, or its error text; with saturate, by the
     saturation, the route a1_count takes when _fibre_finite refuses the
-    germ."""
+    germ; with restricted, reading and keeping the fibre verdict there."""
     with pytest.MonkeyPatch.context() as patch:
         if saturate:
-            patch.setattr(decomposition, "_fibre_finite", lambda inp, budgets: None)
+            patch.setattr(decomposition, "_fibre_finite", lambda inp, budgets, restricted=None: None)
         try:
-            return decomposition.a1_count(inp)
+            return decomposition.a1_count(inp, restricted=restricted)
         except ComputationError as exc:
             return str(exc)
 
@@ -857,6 +858,110 @@ def test_closed_form_matches_the_fibre_colength_on_random_data(seed):
     kinds = {"shared-factor", "coprime", "span-1", "span-3"}
     assert kinds <= seen
     assert {(c, v) for c in (1, 2, 3) for v in (True, False)} | {(0, True)} == seen - kinds
+
+
+# --- the fibre verdict kept with the restricted H ------------------------------
+
+R6 = Ring(("x1", "x2", "x3", "y1", "y2", "y3"))
+
+# a germ for each branch of the fibre verdict: in the class at coranks 0 to
+# 3 of H(0), each with a finite and an infinite fibre but at corank 0; out
+# of the class, as H varies along y1; and H = 0, whose error is never kept
+FIBRE_GERMS = {
+    "corank-0": mk(("y1", "y2"), (("1 + x1", "x2"), ("x2", "-1 + x3")), a1_mode="estimate"),
+    "corank-1": mk(("y1", "y2"), (("1 + x3", "x1"), ("x1", "x2 + x3")), a1_mode="estimate"),
+    "corank-1-infinite": mk(("y1", "y2"), (("2 + x3", "x2"), ("x2", "x1^2")), a1_mode="estimate"),
+    "corank-2": family_input(1, a1_mode="estimate"),
+    "corank-2-infinite": NEGATIVE_GERM,
+    "corank-3": mk(
+        ("y1", "y2", "y3"),
+        (("x1 + x2", "0", "0"), ("0", "x2", "0"), ("0", "0", "x3 - x1")),
+        ring=R6,
+        a1_mode="estimate",
+    ),
+    "corank-3-infinite": mk(
+        ("y1", "y2", "y3"),
+        (("x1 + x2", "x2", "x3"), ("x2", "x3", "0"), ("x3", "0", "0")),
+        ring=R6,
+        a1_mode="estimate",
+    ),
+    "out-of-class": mk(("y1", "y2"), (("1 + y1", "x2"), ("x2", "1")), a1_mode="estimate"),
+    "zero-h": mk(("y1", "y2"), (("0", "0"), ("0", "0")), a1_mode="estimate"),
+}
+
+
+def _presentation(inp, seed, factor, signs, reverse):
+    """inp with the variables marked in signs negated, g recombined by a
+    random invertible integer matrix drawn from seed, H scaled by factor,
+    and with reverse the terms of every entry of H listed in reverse."""
+    ring = inp.ring
+    values = {v: -x if negated else x for v, x, negated in zip(ring.variables, ring.gens(), signs)}
+    g = [q.substitute(values) for q in inp.g]
+    g = [_combination(ring, row, g) for row in _invertible(random.Random(seed), len(g))]
+    entries = [[q.substitute(values).scale(factor) for q in row] for row in inp.h.entries()]
+    if reverse:
+        entries = [[Polynomial(ring, dict(reversed(list(q.items())))) for q in row] for row in entries]
+    return dataclasses.replace(inp, g=tuple(g), h=PolyMatrix(ring, entries))
+
+
+def _fibre_verdict(inp):
+    """_fibre_finite's verdict on inp, or its error text."""
+    try:
+        return decomposition._fibre_finite(inp, DEFAULT_BUDGETS)
+    except ComputationError as exc:
+        return str(exc)
+
+
+@given(
+    name=st.sampled_from([name for name in FIBRE_GERMS if name.startswith("corank")]),
+    seed=st.integers(0, 2**16),
+    factor=st.sampled_from((1, -1, 3, Fraction(1, 2), Fraction(-7, 3))),
+    signs=st.lists(st.booleans(), min_size=6, max_size=6),
+    reverse=st.booleans(),
+)
+@example(name="corank-0", seed=0, factor=Fraction(-7, 3), signs=[False] * 6, reverse=True)
+@example(name="corank-1", seed=1, factor=Fraction(1, 2), signs=[True, False] * 3, reverse=True)
+@example(name="corank-2", seed=2, factor=-1, signs=[False] * 6, reverse=True)
+@example(name="corank-3", seed=3, factor=3, signs=[False] * 6, reverse=True)
+@example(name="out-of-class", seed=4, factor=Fraction(1, 2), signs=[False] * 6, reverse=True)
+@example(name="zero-h", seed=5, factor=-1, signs=[False] * 6, reverse=False)
+def test_a_kept_fibre_verdict_is_the_cold_verdict_of_each_presentation(name, seed, factor, signs, reverse):
+    """A germ and another presentation of it (variables negated, g
+    recombined, H scaled and its terms reordered) each get, warm after the
+    other, the estimate and the kept fibre verdict that _fibre_finite gives
+    it with every memo empty.  A verdict reached in closed form is kept on
+    the entry and read by every later estimate of the entry, presentations
+    with no negated variable share the first's entry, and a corank >= 3
+    verdict or the H = 0 error is decided afresh on every call, with the
+    same outcome."""
+    inp = FIBRE_GERMS[name]
+    germs = (inp, _presentation(inp, seed, factor, signs, reverse))
+    cold = []
+    for germ in germs:
+        clear_process_memos()
+        cold.append((_fibre_verdict(germ), estimate(germ)))
+    clear_process_memos()
+    decided = []
+    fibre_finite = decomposition._fibre_finite
+    entries = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            decomposition, "_fibre_finite", lambda germ, *args: decided.append(germ) or fibre_finite(germ, *args)
+        )
+        for germ, (verdict, outcome) in zip(germs, cold):
+            entry = decomposition._restrict(germ)[2]
+            kept = entry.fibre
+            closed = type(verdict) is not str and (verdict is None or rings.corank_at_origin(germ.h) < 3)
+            before = len(decided)
+            assert [estimate(germ, restricted=entry) for _ in range(2)] == [outcome] * 2
+            assert entry.fibre is (verdict if closed else decomposition._UNDECIDED)
+            if kept is not decomposition._UNDECIDED:
+                assert kept is verdict and len(decided) == before
+            else:
+                assert len(decided) - before == (1 if closed else 2)
+            entries.append(entry)
+    if not any(signs):
+        assert entries[1] is entries[0]
 
 
 # --- guards ------------------------------------------------------------------

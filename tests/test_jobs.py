@@ -732,7 +732,7 @@ def test_a_restricted_stage_is_blind_to_constant_factors(text, h_factor, g_facto
     check texts and failure point, type and args.  Under 4 reductions a
     stage trips wherever its first colength needs more."""
     budgets = Budgets(reductions=4) if tight else DEFAULT_BUDGETS
-    germ, _ = decomposition._restrict(parse_job(text))
+    germ, *_ = decomposition._restrict(parse_job(text))
     scaled = decomposition._RestrictedGerm(
         germ.ring,
         tuple(q.scale(c) for q, c in zip(germ.g, g_factors)),
@@ -755,7 +755,7 @@ def test_a_restricted_stage_reaches_each_failure_point():
         (NON_ISOLATED_JOB, DEFAULT_BUDGETS),
         (TWO_CURVED_JOB, DEFAULT_BUDGETS),
     ):
-        germ, _ = decomposition._restrict(parse_job(text))
+        germ, *_ = decomposition._restrict(parse_job(text))
         failures.append(decomposition._restricted_stage(germ, budgets).failure)
     (top, tripped, _), (surrogate, failed, args), passed = failures
     assert (top, tripped, surrogate, failed) == (
@@ -795,7 +795,7 @@ def test_mu0_reads_the_job_own_generators_from_a_shared_stage(monkeypatch, first
 
 def test_g_of_one_linear_span_share_one_restricted_h():
     """y1; y2, (-y1); 3*y2 and y1 + y2; y2 span one space, so their jobs
-    share one restricted H and ring, equal to the H each restricts to
+    share one restricted H entry and ring, with the H each restricts to
     with every memo empty; y1; y2 + x1 spans another and does not.  The
     first two have one tuple of unit-free generators, so they share one
     substitution."""
@@ -806,11 +806,15 @@ def test_g_of_one_linear_span_share_one_restricted_h():
         clear_process_memos()
         cold.append(decomposition._restrict(parse_job(text))[0])
     clear_process_memos()
-    warm = [decomposition._restrict(parse_job(text))[0] for text in texts + [other]]
+    restrictions = [decomposition._restrict(parse_job(text)) for text in texts + [other]]
+    warm = [germ for germ, _, _ in restrictions]
+    entries = [entry for _, _, entry in restrictions]
     assert warm == cold
+    assert all(entry.h is germ.h for germ, entry in zip(warm, entries))
     first = warm[0]
-    assert all(germ.h is first.h and germ.ring is first.ring for germ in warm[1:3])
-    assert warm[3].h is not first.h and warm[3].ring.variables == ("x2", "x3", "y2")
+    assert all(entry is entries[0] and germ.ring is first.ring for germ, entry in zip(warm[1:3], entries[1:3]))
+    assert entries[3] is not entries[0] and warm[3].h is not first.h
+    assert warm[3].ring.variables == ("x2", "x3", "y2")
     assert decomposition._substitution.cache_info()[:2] == (1, 3)
     assert decomposition._substitution.cache_info().currsize == 3
     assert decomposition._restricted_h.cache_info()[:2] == (2, 2)
@@ -827,8 +831,9 @@ def test_a_restriction_is_shared_across_constant_factors(text, g_factors, h_fact
     """With each generator of g scaled by a nonzero rational, negated or a
     Fraction, and H by another, the restriction taken after the unscaled
     input's is kept is the restriction with every memo empty: the same
-    germ and the same restricted g of the input itself.  It takes the kept
-    substitution and restricted H."""
+    germ and the same restricted g of the input itself, and an entry that
+    holds the germ's H.  It takes the kept substitution and restricted H
+    entry."""
     base = parse_job(text)
     scaled = SingularityInput(
         base.ring,
@@ -838,10 +843,41 @@ def test_a_restriction_is_shared_across_constant_factors(text, g_factors, h_fact
     clear_process_memos()
     cold = decomposition._restrict(scaled)
     clear_process_memos()
-    decomposition._restrict(base)
-    assert decomposition._restrict(scaled) == cold
+    kept = decomposition._restrict(base)[2]
+    germ, gens, entry = decomposition._restrict(scaled)
+    assert (germ, gens) == cold[:2]
+    assert entry is kept and entry.h is germ.h
     assert decomposition._substitution.cache_info()[:2] == (1, 1)
     assert decomposition._restricted_h.cache_info()[:2] == (1, 1)
+
+
+def test_a_fibre_verdict_is_decided_only_for_an_estimate(monkeypatch):
+    """Jobs with a1 assumed zero or provided, and a _restricted_h miss,
+    never decide a #A1 fibre verdict: with _fibre_finite refused they give
+    their cold JSON and leave the entry undecided.  The first estimate job
+    of the germ decides it, and the other presentations read it."""
+    options = {"assume_zero": "", "2": "[options]\na1 = 2\n", "estimate": "[options]\na1 = estimate\n"}
+    texts = {mode: [text + option for text in SHARED_TEXTS] for mode, option in options.items()}
+    cold = {mode: [_cold_json(text) for text in mode_texts] for mode, mode_texts in texts.items()}
+    fibre_finite = decomposition._fibre_finite
+
+    def refused(*args):
+        raise AssertionError("a fibre verdict was decided")
+
+    monkeypatch.setattr(decomposition, "_fibre_finite", refused)
+    clear_process_memos()
+    estimate = parse_job(texts["estimate"][0])
+    entry = decomposition._restrict(estimate)[2]
+    assert decomposition._restricted_h.cache_info()[:2] == (0, 1)
+    for mode in ("assume_zero", "2"):
+        assert [run_homology(Job(input=parse_job(text))).to_json() for text in texts[mode]] == cold[mode]
+    assert entry.fibre is decomposition._UNDECIDED
+    decided = []
+    monkeypatch.setattr(
+        decomposition, "_fibre_finite", lambda inp, *args: decided.append(inp) or fibre_finite(inp, *args)
+    )
+    assert [run_homology(Job(input=parse_job(text))).to_json() for text in texts["estimate"]] == cold["estimate"]
+    assert decided == [estimate] and entry.fibre is True
 
 
 # SHARED_TEXTS[0] with g and H as unit-free as they are, and scaled
@@ -914,7 +950,7 @@ def test_presentations_of_a_locus_free_germ_share_one_report():
 
 def _stage(text):
     """The restricted stage of the germ of text under the default budgets."""
-    germ, _ = decomposition._restrict(parse_job(text))
+    germ, *_ = decomposition._restrict(parse_job(text))
     return decomposition._restricted_stage(germ, DEFAULT_BUDGETS)
 
 

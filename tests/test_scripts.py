@@ -68,12 +68,14 @@ def test_outcome_digest_runs_warm_as_it_would_cold(monkeypatch):
     digest of each workload is the one of jobs that each start with those
     memos empty.  batch-n5 runs 9 passes: its restricted sign patterns
     repeat every 8, so the last pass takes stages kept under other factors
-    on g and H."""
+    on g and H.  a1-saturation runs 4 passes, so that its estimate jobs
+    read #A1 fibre verdicts kept by other presentations in earlier
+    passes."""
     monkeypatch.setattr(sys, "path", list(sys.path))
     spec = importlib.util.spec_from_file_location("outcome_digest", SCRIPTS / "outcome_digest.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    workloads = {"batch-n5": (9, 864), "heavy-local": (1, 13), "a1-saturation": (1, 26)}
+    workloads = {"batch-n5": (9, 864), "heavy-local": (1, 13), "a1-saturation": (4, 104)}
     warm = {name: script.digest(name, 5, passes) for name, (passes, _) in workloads.items()}
     outcome = script.outcome
 
