@@ -10,8 +10,9 @@ unexpected exception's text is its traceback, which names source paths, so
 it matches only within one checkout.  The jobs run warm, in one process,
 as the benchmark runs them: a text met earlier reuses its parsed input and
 seed-free invariants with their report's parts and JSON around the seed; a
-vars, g, h or f field met earlier, over any order of its variables, reuses
-its parse; a g met earlier, up to constant factors on its generators,
+vars, g, h or f field met earlier over the same order of its variables
+reuses its value, and a g, h or f field met earlier over any order reuses
+its parse over the sorted order; a g met earlier, up to constant factors on its generators,
 reuses its linear substitution, and an H met earlier up to a constant
 factor, with the same span of linear generators, its restriction and the
 #A1 fibre verdict an a = estimate job decided in closed form on it; a germ

@@ -6,6 +6,10 @@ one `key = value` per line; `#` starts a comment.  Structural problems
 as text or JSON; the JSON form is byte-identical for a fixed (job, seed) and
 therefore excludes timing, which only the text form shows.
 
+parse_job keeps one input per text, and each field's value per order of
+the variables in one LRU (_field) whose values nothing changes; a field is
+parsed over the sorted order and re-indexed for any other (_reindexed).
+
 Report.to_json writes the text json.dumps(doc, indent=2) gives for the
 report's document, but straight from the report's fixed shape: one f-string
 per check, group and table, ints and bools written in place and strings
@@ -75,92 +79,66 @@ SECTION_KEYS = {
 }
 
 
-def _parsed(key: str, text: str, variables: _VariableSet, line_no: int):
-    """The value of field key = text over the variables (_value), with the
-    line and key put before any ParseError."""
+def _parsed(key: str, text: str, order: tuple[str, ...], line_no: int):
+    """The value of field key = text over the variables in order (_field),
+    with the line and key put before any ParseError."""
     try:
-        return _value(key, text, variables)
+        return _field(key, text, order)
     except ParseError as exc:
         raise ParseError(f"line {line_no}: in {key}: {exc}") from exc
 
 
-class _VariableSet(frozenset):
-    """The set of a ring's variables, the memo key of a field over any
-    order of them, with the order it was made of: _field parses a field
-    over the order of the first key it is given, and _value gives it over
-    the order of its own.  A frozenset, so the key hashes and compares in
-    C and keeps its hash for each look-up of one text's fields."""
-
-    __slots__ = ("order",)
-
-    def __new__(cls, order: tuple[str, ...]):
-        self = super().__new__(cls, order)
-        self.order = order
-        return self
-
-
-# Over 32 passes at seed 5 an LRU of 256 (field, set of variables) pairs
-# misses 280 of heavy-local's look-ups where an unbounded one misses 279,
-# and a1-saturation's 205 either way; batch-n5, whose texts recur across
-# passes now and then, misses 1189 where an unbounded one misses 990.
-_PARSED_FIELDS = 256
+# A field met over an unsorted order holds an entry for that order and one
+# for the sorted order, with its Ring.  Over 32 passes at seed 5 an LRU of
+# 512 (field, order) entries runs the parsers 632 times on heavy-local and
+# 246 on a1-saturation, as an unbounded one does, and 1531 on batch-n5,
+# whose texts recur across passes now and then: 1601 at 384 entries, 1383
+# at 768 and 1228 unbounded.
+_PARSED_FIELDS = 512
 
 
 @functools.lru_cache(maxsize=_PARSED_FIELDS)
-def _field(key: str, text: str, variables: _VariableSet) -> dict:
-    """The value of a vars, g, h or f field over the ring of variables in
-    its order, in a map from each order met to the value over it, which
-    _value fills: the Ring, the tuple of g's nonblank generators, H, or f.
-    text is read only for g, h and f."""
-    order = variables.order
+def _field(key: str, text: str, order: tuple[str, ...]):
+    """The value of a vars, g, h or f field over the ring of the variables
+    in order: Ring(order), the tuple of g's nonblank generators, H, or f.
+    text is read only for g, h and f.  A g, h or f field is parsed over the
+    sorted order of its variables, and over any other order re-indexed from
+    that order's entry (_reindexed)."""
     if key == "vars":
-        return {order: Ring(order)}
-    ring = _value("vars", "", variables)
+        return Ring(order)
+    ring = _field("vars", "", order)
+    source = tuple(sorted(order))
+    if order != source:
+        return _reindexed(key, _field(key, text, source), source, ring)
     if key == "g":
-        value = tuple(parse_polynomial(t.strip(), ring) for t in text.split(";") if t.strip())
-    elif key == "h":
-        value = parse_matrix(text, ring)
-    else:
-        value = parse_polynomial(text, ring)
-    return {order: value}
+        return tuple(parse_polynomial(t.strip(), ring) for t in text.split(";") if t.strip())
+    if key == "h":
+        return parse_matrix(text, ring)
+    return parse_polynomial(text, ring)
 
 
-def _value(key: str, text: str, variables: _VariableSet):
-    """The value of a field over the variables in their order: the kept
-    one, or for a new order of kept variables a new Ring, or the value
-    over the first order re-indexed (_reindexed), kept from then on."""
-    orders = _field(key, text, variables)
-    order = variables.order
-    value = orders.get(order)
-    if value is None:
-        value = Ring(order) if key == "vars" else _reindexed(key, orders, variables)
-        orders[order] = value
-    return value
+def _reindexed(key: str, value, source: tuple[str, ...], ring: Ring):
+    """The value of a g, h or f field over the order of ring's variables,
+    made from value, its parse over their sorted order source, by permuting
+    each exponent tuple, in the order of each term map.  Each distinct
+    entry object of H is re-indexed once, so the entries parse_matrix
+    shares stay shared.
 
-
-def _reindexed(key: str, orders: dict, variables: _VariableSet):
-    """The value of a g, h or f field over the order of variables, made
-    from its value over the first order in orders by permuting each
-    exponent tuple, in the order of each term map.  Each distinct entry
-    object of H is re-indexed once, so the entries parse_matrix shares stay
-    shared.
-
-    That is the field's parse over order.  A permutation sigma of the
-    variables maps exponent tuples one to one and commutes with their sum,
-    so the parse of a text over sigma(v) performs the sigma-image of each
-    dict operation of its parse over v: the unit exponent of each name, the
-    sums of products and of powers, the look-ups, insertions and removals
-    of a term.  So the keys, coefficients, cancellations and insertion order
-    of each map correspond, and the re-indexed map is that parse's.  Whether
-    a parse succeeds, and each error with its position, depend only on the
-    set of variables (a name's membership, term counts), so a text whose
-    parse fails over one order fails alike over every other; no error is
-    kept, so each is raised afresh."""
-    source, value = next(iter(orders.items()))
-    ring = _value("vars", "", variables)
-    # the order is not source, so there are two variables or more and get
-    # gives a tuple
-    get = itemgetter(*map(source.index, variables.order))
+    That is the field's parse over ring's order.  A permutation sigma of
+    the variables maps exponent tuples one to one and commutes with their
+    sum, so the parse of a text over sigma(v) performs the sigma-image of
+    each dict operation of its parse over v: the unit exponent of each
+    name, the sums of products and of powers, the look-ups, insertions and
+    removals of a term.  So the keys, coefficients, cancellations and
+    insertion order of each map correspond, and the re-indexed map is that
+    parse's.  Whether a parse succeeds, and each error with its position,
+    depend only on the set of variables (a name's membership, term counts),
+    so a text whose parse over source fails, which _field tries first,
+    fails alike and with the same error over ring's order; no error is
+    kept, so each is raised afresh over every order."""
+    # ring's order is not source, so there are two variables or more and
+    # get gives a tuple
+    get = itemgetter(*map(source.index, ring.variables))
 
     def moved(p: Polynomial) -> Polynomial:
         return _poly(ring, {get(e): c for e, c in p.items()})
@@ -186,10 +164,11 @@ def parse_job(text: str) -> SingularityInput:
     seed-free invariants are kept across jobs (invariant_report).  Texts
     that share a vars, g, h or f field over one order of their variables
     share its Ring, generators, H or f while it stays among the last
-    _PARSED_FIELDS fields (_field), and a field met over another order of
-    the same variables is re-indexed from its parse, not parsed again
-    (_reindexed).  A ParseError is raised afresh on every call, with the
-    line of its own text.
+    _PARSED_FIELDS (field, order) entries (_field).  A g, h or f field is
+    parsed over the sorted order of its variables, and over another order
+    re-indexed from that parse, not parsed again (_reindexed).  A
+    ParseError is raised afresh on every call, with the line of its own
+    text.
     """
     return _parse_job(text)
 
@@ -231,19 +210,19 @@ def _parse_job(text: str) -> SingularityInput:
             raise ParseError(f"missing required key {key!r} in section [{sec}]")
 
     vars_value, vars_line = raw[("ring", "vars")]
-    variables = _VariableSet(tuple(vars_value.split()))
+    order = tuple(vars_value.split())
     try:
-        ring = _value("vars", "", variables)
+        ring = _field("vars", "", order)
     except ValueError as exc:
         raise ParseError(f"line {vars_line}: {exc}") from exc
 
     g_value, g_line = raw[("ideal", "g")]
-    g = _parsed("g", g_value, variables, g_line)
+    g = _parsed("g", g_value, order, g_line)
     if not g:
         raise ParseError(f"line {g_line}: no generators in g")
 
     h_value, h_line = raw[("matrix", "h")]
-    h = _parsed("h", h_value, variables, h_line)
+    h = _parsed("h", h_value, order, h_line)
 
     a1_mode = "assume_zero"
     a1_count = None
@@ -269,7 +248,7 @@ def _parse_job(text: str) -> SingularityInput:
     f_expected = None
     if ("options", "f") in raw:
         f_value, f_line = raw[("options", "f")]
-        f_expected = _parsed("f", f_value, variables, f_line)
+        f_expected = _parsed("f", f_value, order, f_line)
 
     try:
         return SingularityInput(

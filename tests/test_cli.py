@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import milnorfibre
+from milnorfibre import cli, decomposition, homology, milnor
 from milnorfibre.cli import main
+from memos import clear_process_memos
 
 WORKED_JOB = """\
 [ring]
@@ -294,3 +296,83 @@ def test_console_script_entry_point(job_path):
     )
     assert proc.returncode == 0
     assert "corank   2" in proc.stdout
+
+
+# Error branches that no input of the other tests reaches.  Each job runs
+# with every process memo empty (conftest.py), and a kept failure goes with
+# its input when the memos are cleared after the test.
+
+
+def _job_file(tmp_path, g, h, options=""):
+    path = tmp_path / "branch.job"
+    path.write_text(f"[ring]\nvars = x1 x2 x3 y1 y2\n[ideal]\ng = {g}\n[matrix]\nh = {h}\n{options}")
+    return str(path)
+
+
+def test_a_zero_generator_is_a_computation_error(tmp_path, capsys):
+    path = _job_file(tmp_path, "0; y2", "[[x1, 0], [0, 1]]")
+    code, out, err = run_main(["homology", path], capsys)
+    assert (code, out) == (1, "")
+    assert err == "computation error: zero generator in the presentation\n"
+
+
+def test_a_violated_rank_guard_is_an_inconsistency(job_path, monkeypatch, capsys):
+    """The worked job has corank 2, so its rank guards are evaluated; one
+    that reads negative stops the job before any table is built."""
+    monkeypatch.setattr(decomposition, "rank_guards", lambda mu1, a: (("mu1 - a >= 0", -1),))
+    code, out, err = run_main(["homology", job_path], capsys)
+    assert (code, out) == (3, "")
+    assert err == "inconsistency: rank guard violated: mu1 - a >= 0\n"
+
+
+def test_a_zero_saturation_is_a_computation_error(tmp_path, monkeypatch, capsys):
+    """H varies along y1, so the #A1 estimate is outside the fibre class
+    and takes the saturation, here one that gives the zero ideal."""
+    path = _job_file(tmp_path, "y1; y2", "[[1 + y1, x2], [x2, x3]]", "[options]\na1 = estimate\n")
+    assert run_main(["invariants", path], capsys)[0] == 0
+    # the input keeps its outcome, and a new parse of the text gets none
+    clear_process_memos()
+    monkeypatch.setattr(decomposition, "saturate", lambda jac, gens, order, budgets: ([jac[0] * 0], 1))
+    code, out, err = run_main(["invariants", path], capsys)
+    assert (code, out) == (1, "")
+    assert err == "computation error: saturation of the Jacobian ideal is zero\n"
+
+
+def test_a_negative_milnor_number_of_the_locus_is_an_inconsistency(tmp_path, monkeypatch, capsys):
+    """Both generators of g stay nonlinear after the restriction, so mu0
+    comes from milnor_icis' chain of two colengths, here (5, 0)."""
+    path = _job_file(tmp_path, "y1 + x1^2; y2^2 + x1^2 + x2^2 + x3^2 + y1^3", "[[x1, 0], [0, 1]]")
+    code, out, _ = run_main(["invariants", path], capsys)
+    assert code == 0 and "mu0      1" in out
+    monkeypatch.setattr(milnor, "_chain_colengths", lambda check, rows, budgets: (5, 0))
+    code, out, err = run_main(["invariants", path], capsys)
+    assert (code, out) == (3, "")
+    assert err == "inconsistency: negative Milnor number -5 from chain colengths (5, 0)\n"
+
+
+def _inexact_abs(x):
+    """abs for smith_normal_form that sees no pivot but a unit one, so a
+    diagonal matrix with no unit entry comes back as it is."""
+    return 1 if x in (1, -1) else 0
+
+
+@pytest.mark.parametrize(
+    "name, fake, m, message",
+    [
+        ("int_determinant", lambda rows: 2, [[2, 4], [6, 8]], "Smith transform not unimodular"),
+        ("_mat_mul", lambda p, q: [], [[2, 4], [6, 8]], "Smith decomposition does not multiply back"),
+        ("abs", _inexact_abs, [[0, 0], [0, 3]], "zero before nonzero on Smith diagonal"),
+        ("abs", _inexact_abs, [[2, 0], [0, 3]], "Smith diagonal divisibility broken"),
+    ],
+)
+def test_smith_self_checks_are_inconsistencies(name, fake, m, message, monkeypatch, capsys):
+    """m passes every self-check.  No verb calls smith_normal_form, a
+    library function, so a verb's handler is replaced by one that calls it,
+    with a helper of it replaced so that one self-check fails: main maps
+    the error to the inconsistency exit code."""
+    homology.smith_normal_form(m)
+    monkeypatch.setattr(homology, name, fake, raising=False)
+    monkeypatch.setattr(cli, "_cmd_corpus", lambda args: homology.smith_normal_form(m))
+    code, out, err = run_main(["corpus"], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"inconsistency: {message}\n"

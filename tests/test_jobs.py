@@ -30,12 +30,13 @@ from milnorfibre.errors import (
 from milnorfibre.homology import (
     BouquetDescription,
     FgAbelianGroup,
+    HomologyTable,
     bouquet,
     make_table,
     mod2_group,
 )
 from milnorfibre.jobs import Job, Report, collect_tables, parse_job, run_homology, run_invariants
-from milnorfibre.rings import PolyMatrix, Ring, parse_polynomial
+from milnorfibre.rings import PolyMatrix, Ring, parse_matrix, parse_polynomial
 from milnorfibre.standard_basis import DEFAULT_BUDGETS, Budgets
 from memos import PROCESS_MEMOS, clear_process_memos
 from oracles import report_doc, universal_coefficients_mod2
@@ -78,6 +79,8 @@ def test_parse_tolerates_comments_and_blank_lines():
         (lambda t: t.replace("[ring]", "[rings]"), "unknown section"),
         (lambda t: t.replace("vars =", "variables ="), "unknown key"),
         (lambda t: "g = x1\n" + t, "outside any section"),
+        (lambda t: t.replace("[ideal]", "[ideal]\ng x1"), "line 6: expected 'key = value'"),
+        (lambda t: t.replace("x4 x5", "x4 x1"), "line 3: duplicate variable names"),
         (lambda t: t.replace("g = x1; x2", "g ="), "no generators"),
         (lambda t: t.replace("x3 - x5^2", "x9"), "unknown variable"),
         (
@@ -230,6 +233,16 @@ def test_text_report_mentions_key_facts():
     assert "bouquet: S^3" in text
     assert "elapsed" in text
     assert "[pass]" in text and "FAIL" not in text
+
+
+def test_text_report_renders_an_empty_table_as_trivial():
+    """A table with no group in any degree reads "trivial", as the fibre
+    and as an intermediate table."""
+    report = run_homology(Job(input=parse_job(GOOD_JOB)))
+    empty = HomologyTable("E", "mod2", ())
+    text = dataclasses.replace(report, fibre=empty, sphere_bouquet=None, tables=(("E", empty),)).to_text()
+    assert "Milnor fibre homology (integral)\n  trivial\n\nintermediate tables\n" in text
+    assert "\n  E (mod2)\n    trivial\n\nchecks\n" in text
 
 
 def test_corank_zero_job_reports_fibre_only_tables():
@@ -1032,8 +1045,8 @@ def test_a_bad_field_raises_afresh_with_its_own_line():
             )
             raised.append(caught.value)
     assert len({id(exc) for exc in raised}) == 6
-    # the texts' one set of variables and one g, each over both orders, and no h
-    assert jobs._field.cache_info().currsize == 2
+    # a Ring and a g over each of the two orders, the first one sorted, and no h
+    assert jobs._field.cache_info().currsize == 4
 
 
 def _counting_parses(monkeypatch):
@@ -1074,6 +1087,53 @@ def test_an_f_field_is_parsed_once_per_variable_set(monkeypatch):
     assert parse_job(reversed_job.replace("a1 = zero", "a1 = 0")).f_expected is other.f_expected
 
 
+def _shared(h):
+    """For each entry of h, the position of the first entry that is the
+    same object."""
+    first = {}
+    return [[first.setdefault(id(q), (i, j)) for j, q in enumerate(row)] for i, row in enumerate(h.entries())]
+
+
+def test_a_text_first_met_over_an_unsorted_order_is_parsed_over_the_sorted_one(monkeypatch):
+    """GOOD_JOB over x5 x4 x3 x2 x1, with every memo empty: each generator
+    of g, H and f is parsed once, over the sorted order, and re-indexed.
+    The input's g, H and f are the grammar's parse over the text's own
+    order: the same term maps in the same order, on the input's ring, and
+    the same entries of H one object."""
+    order = ("x5", "x4", "x3", "x2", "x1")
+    text = GOOD_JOB.replace("vars = x1 x2 x3 x4 x5", "vars = " + " ".join(order))
+    fields = dict(line.split(" = ", 1) for line in text.splitlines() if " = " in line)
+    g_texts = fields["g"].split("; ")
+    seen = []
+    for name in ("parse_polynomial", "parse_matrix"):
+
+        def recorded(field, ring, _parse=getattr(jobs, name), _name=name):
+            seen.append((_name, field, ring.variables))
+            return _parse(field, ring)
+
+        monkeypatch.setattr(jobs, name, recorded)
+    clear_process_memos()
+    inp = parse_job(text)
+    source = order[::-1]
+    assert seen == [
+        *(("parse_polynomial", t, source) for t in g_texts),
+        ("parse_matrix", fields["h"], source),
+        ("parse_polynomial", fields["f"], source),
+    ]
+    ring = Ring(order)
+    cold_h = parse_matrix(fields["h"], ring)
+    cold = [
+        *(parse_polynomial(t, ring) for t in g_texts),
+        *(q for row in cold_h.entries() for q in row),
+        parse_polynomial(fields["f"], ring),
+    ]
+    warm = [*inp.g, *(q for row in inp.h.entries() for q in row), inp.f_expected]
+    assert [list(q.items()) for q in warm] == [list(q.items()) for q in cold]
+    assert inp.ring.variables == order and inp.h.ring is inp.ring
+    assert all(q.ring is inp.ring for q in warm)
+    assert _shared(inp.h) == _shared(cold_h) != [[(0, 0), (0, 1)], [(1, 0), (1, 1)]]
+
+
 # a set of variables with every order, for texts of the parser's properties
 FIELD_VARIABLES = ("x", "y", "z")
 FIELD_TEXTS = st.one_of(
@@ -1083,24 +1143,30 @@ FIELD_TEXTS = st.one_of(
 )
 
 
-def _field_outcome(key, text, order, line):
-    """The field key = text over the variables in order, on line line: its
-    term maps in order, which entries of H are one object, whether it lies
-    over the kept ring of order, and that ring's variables; or its error's
-    type and message."""
-    variables = jobs._VariableSet(order)
-    ring = jobs._value("vars", "", variables)
+def _grammar_field(key, text, ring):
+    """The field key = text parsed over ring by the grammar alone, as
+    _field parses it over a sorted order."""
+    if key == "g":
+        return tuple(parse_polynomial(t.strip(), ring) for t in text.split(";") if t.strip())
+    return parse_matrix(text, ring) if key == "h" else parse_polynomial(text, ring)
+
+
+def _field_outcome(key, text, order, line, cold=False):
+    """The field key = text over the variables in order, on line line, as
+    _parsed gives it over the kept ring of order, or with cold as the
+    grammar gives it over a new ring, with the line and key put before an
+    error as _parsed puts them: its term maps in order, which entries of H
+    are one object, whether it lies over that ring, and that ring's
+    variables; or its error's type and message."""
+    ring = Ring(order) if cold else jobs._field("vars", "", order)
     try:
-        value = jobs._parsed(key, text, variables, line)
+        value = _grammar_field(key, text, ring) if cold else jobs._parsed(key, text, order, line)
     except ParseError as exc:
-        return type(exc), str(exc)
+        return (ParseError, f"line {line}: in {key}: {exc}") if cold else (type(exc), str(exc))
     if key == "h":
-        rows = value.entries()
-        first = {}
-        shared = [[first.setdefault(id(q), (i, j)) for j, q in enumerate(row)] for i, row in enumerate(rows)]
-        polys = [q for row in rows for q in row]
+        polys = [q for row in value.entries() for q in row]
         on_ring = value.ring is ring and all(q.ring is ring for q in polys)
-        return [list(q.items()) for q in polys], shared, on_ring, ring.variables
+        return [list(q.items()) for q in polys], _shared(value), on_ring, ring.variables
     polys = value if key == "g" else (value,)
     return [list(q.items()) for q in polys], all(q.ring is ring for q in polys), ring.variables
 
@@ -1110,29 +1176,29 @@ def _field_outcome(key, text, order, line):
 @example(("g", "x*y - z; (y + 1)^2; z"), list("xyz"), list("yzx"))
 @example(("f", "(x + 2*y - z)^3 - x^3"), list("xyz"), list("zyx"))
 @example(("h", "[[x, y], [y, w]]"), list("xyz"), list("yxz"))
+@example(("h", "[[x*y + 1, y^2], [y^2, (x - z)^3]]"), list("zyx"), list("yxz"))
 def test_a_field_over_another_order_is_its_cold_parse(key_text, first, second):
-    """A field parsed over one order of its variables, then looked up over
-    another, is the field parsed over that order with every memo empty:
-    the same term maps in the same order, the same entries of H one
-    object, the same ring; looked up again it is the same object.  An
-    invalid text raises a new error over each order, with that order's
-    line, as it does cold, and no field of it is kept."""
+    """A field looked up over one order of its variables, then over
+    another, with every memo empty at first, is over each order the
+    grammar's parse over that order: the same term maps in the same order,
+    the same entries of H one object, one ring, that order's kept Ring;
+    looked up again it is the same object.  The memo holds a Ring and the
+    field over each order met and over the sorted order.  An invalid text
+    raises a new error over each order, with that order's line, as the
+    grammar does, and no field of it is kept, only the Rings."""
     key, text = key_text
     first, second = tuple(first), tuple(second)
-    clear_process_memos()
-    cold = _field_outcome(key, text, second, 2)
+    orders = {first, second, tuple(sorted(first))}
+    cold = [_field_outcome(key, text, first, 1, cold=True), _field_outcome(key, text, second, 2, cold=True)]
     clear_process_memos()
     warm = [_field_outcome(key, text, first, 1), _field_outcome(key, text, second, 2)]
-    assert warm[1] == cold
-    if isinstance(cold[0], type):
-        assert warm[0] == (cold[0], cold[1].replace("line 2:", "line 1:", 1))
-        # the ring's entry alone
-        assert jobs._field.cache_info().currsize == 1
+    assert warm == cold
+    if isinstance(cold[0][0], type):
+        assert warm[0] == (cold[1][0], cold[1][1].replace("line 2:", "line 1:", 1))
+        assert jobs._field.cache_info().currsize == len(orders)
     else:
-        # one entry for the ring and one for the field, over both orders
-        assert jobs._field.cache_info().currsize == 2
-        variables = jobs._VariableSet(second)
-        assert jobs._value(key, text, variables) is jobs._value(key, text, variables)
+        assert jobs._field.cache_info().currsize == 2 * len(orders)
+        assert jobs._field(key, text, second) is jobs._field(key, text, second)
 
 
 @given(admissible_invariants())

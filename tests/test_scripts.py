@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -150,3 +151,41 @@ def test_outcome_digests_over_a_whole_run_are_frozen(tmp_path):
     assert proc.stdout.splitlines() == [
         f"{name} seed 5 passes 0-31: {tail}" for name, tail in RUN_DIGESTS.items()
     ]
+
+
+def _expanded(ranges):
+    """The lines of a comma-separated list of lines and ranges a-b."""
+    lines = set()
+    for part in filter(None, ranges.split(", ")):
+        first, _, last = part.partition("-")
+        lines.update(range(int(first), int(last or first) + 1))
+    return lines
+
+
+def test_line_coverage_lists_each_module_and_its_unexecuted_lines(tmp_path):
+    """A run of one test that calls homology.free_group: free_group's body
+    ran, the never imported cli.py ran not at all, and the total adds up
+    the modules' lines."""
+    (tmp_path / "test_one.py").write_text(
+        "from milnorfibre.homology import free_group\n\n\n"
+        "def test_one():\n    assert free_group(2).rank == 2\n"
+    )
+    proc = run_script("line_coverage.py", "-q", "-p", "no:cacheprovider", "test_one.py", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "1 passed" in proc.stdout
+    package = SCRIPTS.parent / "src" / "milnorfibre"
+    modules = {}
+    lines = proc.stdout.splitlines()
+    for line in lines[-1 - len(list(package.glob("*.py"))):-1]:
+        name, missed, total, listed = re.fullmatch(r"(\S+): (\d+) of (\d+) lines unexecuted(?:: (.*))?", line).groups()
+        modules[name] = int(missed), int(total), _expanded(listed or "")
+    assert sorted(modules) == sorted(f"src/milnorfibre/{path.name}" for path in package.glob("*.py"))
+    assert all(missed == len(listed) for missed, _, listed in modules.values())
+    missed, total, listed = modules["src/milnorfibre/cli.py"]
+    assert missed == total > 0 and min(listed) == 1
+    source = (package / "homology.py").read_text().splitlines()
+    body = source.index("def free_group(rank: int) -> FgAbelianGroup:") + 2
+    assert body not in modules["src/milnorfibre/homology.py"][2]
+    missed = sum(m[0] for m in modules.values())
+    total = sum(m[1] for m in modules.values())
+    assert lines[-1] == f"total: {missed} of {total} lines unexecuted"
