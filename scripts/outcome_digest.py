@@ -17,9 +17,10 @@ reuses its linear substitution, and an H met earlier up to a constant
 factor, with the same span of linear generators, its restriction and the
 #A1 fibre verdict an a = estimate job decided in closed form on it; a germ
 restricted to V(g_lin) that an earlier job of any text restricted to, up
-to constant factors on H and on each remaining generator, reuses its locus
-check, corank, (g, det H) check, a and top colength, so a job reruns only
-the steps that read its own input or its seed; and an invariant tuple met
+to constant factors on H and on each remaining generator and up to the
+sign changes x_i -> -x_i its restricted H decides, reuses its locus check,
+corank, (g, det H) check, a and top colength, so a job reruns only the
+steps that read its own input or its seed; and an invariant tuple met
 earlier reuses its tables, bouquet and their JSON.  Each gives the digest
 of cold jobs.
 

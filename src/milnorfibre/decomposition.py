@@ -24,9 +24,10 @@ check, a and the top colength of the mu1 step) are a function of the
 restricted germ and the budgets, as invariant_report proves, and a process
 runs them once for each such pair it meets (_restricted_stage).  The
 germ is keyed with its constant factors removed, on H and on each other
-generator (_unit_free), so the presentations whose linear generators span
-one space, and whose other generators and H agree modulo it up to such
-factors, share them.
+generator (_unit_free), and under the sign flips x_i -> -x_i that its
+restricted H decides (_sign_flips), so the presentations whose linear
+generators span one space, and whose other generators and H agree modulo
+it up to such factors and flips, share them.
 
 The #A1 estimate is 0 or an error: it checks that the critical locus of f
 near 0 is V(g) (a1_count).  When g is linear and H is constant along a
@@ -167,7 +168,8 @@ class _RestrictedGerm(NamedTuple):
     other generators, then a zero for each linear generator past the rank
     of the linear ones, so it has n - 3 entries for the n variables of
     ring, as an input does, and h is the unit-free image of H, of the same
-    size as H."""
+    size as H; h and g are taken under the sign flips of H's
+    _restricted_h entry."""
 
     ring: Ring
     g: tuple[Polynomial, ...]
@@ -181,10 +183,10 @@ class _RestrictedGerm(NamedTuple):
 def _restrict(inp: SingularityInput) -> tuple[_RestrictedGerm, tuple[Polynomial, ...], _RestrictedH]:
     """inp restricted to the free variables of its linear generators l, by
     the substitution phi that colength applies to an ideal
-    (_linear_substitution), with its constant factors removed (_unit_free),
-    the restricted g of inp itself, and the _restricted_h entry whose h the
-    germ holds.  phi keeps degrees, so constant terms and the corank of H
-    stay.
+    (_linear_substitution), with its constant factors removed (_unit_free)
+    and under the sign flips sigma of its _restricted_h entry, the
+    restricted g of inp under sigma, and that entry, whose h the germ
+    holds.  phi keeps degrees, so constant terms and the corank of H stay.
 
     The checks give the same outcome on the restriction.  Let I be the
     ideal of g and the maximal minors of its Jacobian J = [A; dh], with A
@@ -225,14 +227,15 @@ def _restrict(inp: SingularityInput) -> tuple[_RestrictedGerm, tuple[Polynomial,
     unit-free forms of g's generators and of H are made once for each
     object and kept on it (_unit_free_generator, _unit_free_matrix), so a
     parsed field met again pays a slot read.  The images of g's other
-    generators are made, and made unit-free, for each job."""
+    generators are made, flipped by sigma and made unit-free for each job,
+    so the germ is the sigma-image of the job's own restriction."""
     linear, dependent, span = _substitution(tuple(map(_unit_free_generator, inp.g)))
     restricted = _restricted_h(span, _unit_free_matrix(inp.h))
-    h = restricted.h
+    h, flips = restricted.h, restricted.flips
     ring, phi = h.ring, span.phi
     zero = ring.zero()
     g = tuple(
-        _poly(ring, terms) if q and (terms := phi(q)) else zero
+        _poly(ring, _flipped(terms, flips) if flips else terms) if q and (terms := phi(q)) else zero
         for q, lin in zip(inp.g, linear)
         if not lin
     )
@@ -357,16 +360,62 @@ _UNDECIDED = object()
 
 
 class _RestrictedH:
-    """The restricted H of a (_Span, unit-free H) pair, and in fibre the
-    #A1 fibre verdict of its germs (_fibre_finite), True, False or None,
-    once an a = estimate job has decided it in closed form; _UNDECIDED
-    before.  A plain class, as _Span."""
+    """The restricted H of a (_Span, unit-free H) pair under its sign flips,
+    the flipped variables' indices (_sign_flips), and in fibre the #A1
+    fibre verdict of its germs (_fibre_finite), True, False or None, once
+    an a = estimate job has decided it in closed form; _UNDECIDED before.
+    A plain class, as _Span."""
 
-    __slots__ = ("h", "fibre")
+    __slots__ = ("h", "flips", "fibre")
 
     def __init__(self, h: PolyMatrix):
-        self.h = h
+        self.h, self.flips = _sign_flips(h)
         self.fibre = _UNDECIDED
+
+
+def _sign_flips(h: PolyMatrix) -> tuple[PolyMatrix, tuple[int, ...]]:
+    """h, a unit-free H, under the sign flips s of its variables and of H
+    itself that make positive, in turn, each term whose parity vector
+    v = (e mod 2, 1) is independent over GF(2) of those taken before it,
+    and the flipped variables' indices: s sends c * x^e to
+    (-1)^(s . v) * c * x^e.  The walk, over the upper triangle row by row
+    and each entry's terms by descending exponent, starts at the term
+    whose sign _unit_free fixes, so the flipped H is unit-free.  It reads
+    exponents only, which flips fix, so two sign images of h have the same
+    terms made positive; their vectors span every v, so the two flipped H
+    are one."""
+    k = h.ring.nvars
+    taken: list[tuple[int, int, bool]] = []
+    entries = h._entries
+    for i, row in enumerate(entries):
+        for q in row[i:]:
+            for e in sorted(q._terms, reverse=True):
+                v = sum((x & 1) << j for j, x in enumerate(e)) | 1 << k
+                odd = q._terms[e] < 0
+                # each vector taken is zero at the earlier ones' pivots
+                for pivot, w, c in taken:
+                    if v & pivot:
+                        v ^= w
+                        odd ^= c
+                if v:
+                    taken.append((v & -v, v, odd))
+    # a vector taken later is zero at every earlier pivot, so solving from
+    # the last one back sets each pivot once
+    s = 0
+    for pivot, w, c in reversed(taken):
+        if (s & w).bit_count() & 1 != c:
+            s |= pivot
+    if not s:
+        return h, ()
+    flips = tuple(j for j in range(k) if s >> j & 1)
+    negate = bool(s >> k)
+    made = {id(q): _poly(h.ring, _flipped(q._terms, flips, negate)) for row in entries for q in row}
+    return _matrix(h.ring, tuple(tuple(made[id(q)] for q in row) for row in entries)), flips
+
+
+def _flipped(terms: dict, flips: tuple[int, ...], negate: bool = False) -> dict:
+    """terms under x_i -> -x_i for each i in flips, negated when negate."""
+    return {e: -c if (sum(map(e.__getitem__, flips)) + negate) & 1 else c for e, c in terms.items()}
 
 
 # Over 32 passes at seed 5 no workload meets more than 108 (span,
@@ -381,10 +430,12 @@ _RESTRICTED_HS = 128
 @functools.lru_cache(maxsize=_RESTRICTED_HS)
 def _restricted_h(span: _Span, h: PolyMatrix) -> _RestrictedH:
     """The entry of the image of h, a unit-free H (_unit_free_matrix),
-    under span's phi, over span's ring, made unit-free (_unit_free_image).
-    Its fibre slot starts undecided; the first a = estimate job of the pair
-    whose verdict _fibre_finite reaches in closed form keeps it there, and
-    every later one reads it (a1_count).
+    under span's phi, over span's ring, made unit-free (_unit_free_image)
+    and flipped (_sign_flips), with the flips, which _restrict applies to
+    the rest of g; both are functions of the key.  Its fibre slot starts
+    undecided; the first a = estimate job of the pair whose verdict
+    _fibre_finite reaches in closed form keeps it there, and every later
+    one reads it (a1_count).
 
     That verdict is a function of the pair, for every input whose g and H
     give it.  Let k = n - 3 and A be the coefficient rows of g.
@@ -757,15 +808,15 @@ def invariant_report(
     d and so fixes every constant term; their error texts name only
     variables of the restricted ring, whose names are part of the key.  A
     job whose germ an earlier job of the process restricted to, up to
-    constant factors and under the same budgets, runs only the steps that
-    read its own input or the seed: the cross-check of f, the
-    zero-generator check, the det H fallback in all n variables when the
-    restricted det H is zero, milnor_icis on the kept locus check with the
-    job's own generators, mu1 = top - mu0 (whose errors name mu0), the #A1
-    count and the rank guards.  A kept error is raised
-    where the job's own computation raises it: a locus failure before the
-    det H fallback, a failure of the (g, det H) check or of a after it, and
-    a top colength failure after mu0.  When g restricts to no generator,
+    constant factors and sign flips and under the same budgets, runs only
+    the steps that read its own input or the seed: the cross-check of f,
+    the zero-generator check, the det H fallback in all n variables when
+    the restricted det H is zero, milnor_icis on the kept locus check with
+    the job's own generators under its flips, mu1 = top - mu0 (whose
+    errors name mu0), the #A1 count and the rank guards.  A kept error is
+    raised where the job's own computation raises it: a locus failure
+    before the det H fallback, a failure of the (g, det H) check or of a
+    after it, and a top colength failure after mu0.  When g restricts to no generator,
     the report itself is kept on the stage by (#A1, provenance) and
     returned after the input's own steps, so every presentation of the
     germ shares one report, with the parts and JSON run_homology keeps on
@@ -833,10 +884,11 @@ class _Stage(NamedTuple):
             raise kind(*args)
 
 
-# A benchmark run of 32 passes at seed 5 restricts batch-n5's 96 slots to 104
-# unit-free germs, heavy-local's 13 to 43 and a1-saturation's 26 to 92, so an
-# LRU of 128 holds them all: 920 of batch-n5's 1024 lookups hit, 373 of
-# heavy-local's 416 and 740 of a1-saturation's 832.
+# A benchmark run of 32 passes at seed 5 restricts batch-n5's 96 slots to 36
+# unit-free flipped germs, heavy-local's 13 to 11 and a1-saturation's 26 to
+# 26, so an LRU of 128 holds them all: 988 of batch-n5's 1024 lookups hit,
+# 405 of heavy-local's 416 and 806 of a1-saturation's 832.  Every sign
+# pattern of a germ whose g restricts to no generator shares one stage.
 _RESTRICTED_GERMS = 128
 
 
@@ -844,15 +896,20 @@ _RESTRICTED_GERMS = 128
 def _restricted_stage(germ: _RestrictedGerm, budgets: Budgets) -> _Stage:
     """The _Stage of germ under budgets, a unit-free germ (_restrict): it is
     the stage of every germ that differs from germ by nonzero rational
-    factors on H and on each generator.  Such factors multiply each row of
-    the Jacobian, so each of its minors, and each minor of H by a nonzero
-    constant; they keep the rank of H(0) and which minors vanish.  So each
-    ideal handed to colength has, in the same order, the generators the
-    other germ's job would hand it up to nonzero constant factors.  colength
-    substitutes the linear ones away by their reduced row-echelon rows, and
-    every other engine input passes through _ep_primitive, which sends p
-    and c * p to one polynomial: the same steps run, with the same
-    colengths, unbounded variables, budget trips and error texts.  The
+    factors on H and on each generator, and by sign flips sigma of its
+    variables.  Such factors multiply each row of the Jacobian, so each of
+    its minors, and each minor of H by a nonzero constant; they keep the
+    rank of H(0) and which minors vanish.  sigma is a ring automorphism
+    that fixes every monomial up to sign, so the local order, H(0) and the
+    variable names, and d_i sigma(p) = s_i * sigma(d_i p) for the sign s_i
+    of x_i.  So each ideal handed to colength has, in the same order, the
+    sigma-images of the generators the other germ's job would hand it up
+    to nonzero constant factors.  colength substitutes the linear ones away
+    by their reduced row-echelon rows, every other engine input passes
+    through _ep_primitive, which sends p and c * p to one polynomial, and
+    no choice of the engine reads the sign of a coefficient: each step is
+    the sigma-image of the step it replaces, with the same colengths,
+    unbounded variables, budget trips and error texts.  The
     stage keeps no input, of the (g, det H) check only its detail, and a
     report only when g restricts to no generator, when no report of the
     germ reads its seed or its input (_Stage)."""
@@ -935,9 +992,10 @@ def _invariant_report(inp: SingularityInput, mu0_of, budgets: Budgets) -> Invari
         )
     stage.raise_at(_SURROGATE)
 
-    # the kept check's levels are the job's own up to nonzero constants, as
-    # _restricted_stage proves, so the chains read the job's own generators
-    # and take the colengths their own check would give
+    # the kept check's levels are those of the job's own generators under
+    # its flips up to nonzero constants, as _restricted_stage proves, so the
+    # chains read those generators and are the flips' images of the job's
+    # own chains, with the colengths its own check would give
     locus = stage.locus
     if locus is not None and locus.gens != gens:
         locus = replace(locus, gens=gens)

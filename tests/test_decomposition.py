@@ -432,7 +432,8 @@ def test_h_enters_the_minors_engine_once(monkeypatch, inp):
     linear generators: the pass from level 1 to n-4, continued by the one
     level of det H.  Every other pass runs on a Jacobian.  The three germs'
     g are coordinate variables that H does not hold, so restricting H only
-    moves its entries to the ring of the other variables."""
+    moves its entries to the ring of the other variables; the stage takes
+    it under the sign flips of its _restricted_h entry."""
     handed = []
     levels = rings._minor_levels
 
@@ -447,8 +448,10 @@ def test_h_enters_the_minors_engine_once(monkeypatch, inp):
     restricted = PolyMatrix(
         ring, [[parse_polynomial(str(q), ring) for q in row] for row in inp.h.entries()]
     )
-    assert [first for m, first in handed if m == restricted] == [1, inp.h.rows]
-    assert all(m.rows < inp.h.rows for m, _ in handed if m != restricted)
+    negated = [ring.variables[i] for i in decomposition._restrict(inp)[2].flips]
+    images = [_sign_image(restricted, negated, sign) for sign in (1, -1)]
+    assert [first for m, first in handed if m in images] == [1, inp.h.rows]
+    assert all(m.rows < inp.h.rows for m, _ in handed if m not in images)
 
 
 @pytest.mark.parametrize(
@@ -962,6 +965,50 @@ def test_a_kept_fibre_verdict_is_the_cold_verdict_of_each_presentation(name, see
             entries.append(entry)
     if not any(signs):
         assert entries[1] is entries[0]
+
+
+@st.composite
+def restricted_hs(draw):
+    """A symmetric H of size 1-3 in 1-4 variables, entries of up to four
+    terms of degree at most 3 per variable, zero entries among them."""
+    k = draw(st.integers(1, 4))
+    ring = Ring(tuple(f"z{i}" for i in range(1, k + 1)))
+    size = draw(st.integers(1, 3))
+    term = st.tuples(st.tuples(*[st.integers(0, 3)] * k), st.integers(-6, 6).filter(bool))
+    upper = {
+        (i, j): Polynomial(ring, dict(draw(st.lists(term, max_size=4))))
+        for i in range(size)
+        for j in range(i, size)
+    }
+    return PolyMatrix(ring, [[upper[min(i, j), max(i, j)] for j in range(size)] for i in range(size)])
+
+
+def _sign_image(h, negated, sign=1):
+    """h under v -> -v for each variable v in negated, times sign."""
+    values = {v: -h.ring.variable(v) for v in negated}
+    return PolyMatrix(h.ring, [[q.substitute(values).scale(sign) for q in row] for row in h.entries()])
+
+
+@given(h=restricted_hs())
+# the term z1 fixes the flip of z1 and z1^2 only the overall sign, so a
+# flip of z1 leaves -z1^2 for the overall sign to mend
+@example(h=PolyMatrix(Ring(("z1",)), [[parse_polynomial("z1 + z1^2", Ring(("z1",)))]]))
+def test_every_sign_image_of_a_restricted_h_gives_one_flipped_h(h):
+    """All 2^(k+1) sign images of H, each variable negated or not and H
+    times 1 or -1, made unit-free as _restricted_h gets them, give one
+    flipped H.  It is unit-free, and it is the image of each under the
+    flips _sign_flips returns, up to the overall sign."""
+    variables = h.ring.variables
+    flipped = []
+    for pattern in range(2 ** len(variables)):
+        negated = [v for i, v in enumerate(variables) if pattern >> i & 1]
+        for sign in (1, -1):
+            image = decomposition._unit_free_matrix(_sign_image(h, negated, sign))
+            made, flips = decomposition._sign_flips(image)
+            assert made in (_sign_image(image, [variables[i] for i in flips], s) for s in (1, -1))
+            flipped.append(made)
+    assert all(made == flipped[0] for made in flipped)
+    assert decomposition._unit_free_matrix(flipped[0]) is flipped[0]
 
 
 # --- guards ------------------------------------------------------------------

@@ -6,6 +6,7 @@ import gc
 import importlib.util
 import json
 import pkgutil
+import re
 import sys
 import traceback
 import weakref
@@ -734,22 +735,28 @@ def _stage_outcome(stage):
     h_factor=FACTORS,
     g_factors=st.tuples(FACTORS, FACTORS),
     tight=st.booleans(),
+    flips=st.integers(0, 31),
 )
 # a budget trip after mu0, an INFINITE (g, det H) check and a Fraction factor
-@example(text=SINGULAR_LOCUS_JOB, h_factor=1, g_factors=(-3, 1), tight=True)
-@example(text=NON_ISOLATED_JOB, h_factor=Fraction(1, 2), g_factors=(1, 1), tight=False)
-@example(text=TWO_CURVED_JOB, h_factor=Fraction(-3, 7), g_factors=(Fraction(2, 5), 3), tight=False)
-def test_a_restricted_stage_is_blind_to_constant_factors(text, h_factor, g_factors, tight):
+@example(text=SINGULAR_LOCUS_JOB, h_factor=1, g_factors=(-3, 1), tight=True, flips=0)
+@example(text=NON_ISOLATED_JOB, h_factor=Fraction(1, 2), g_factors=(1, 1), tight=False, flips=0)
+@example(text=TWO_CURVED_JOB, h_factor=Fraction(-3, 7), g_factors=(Fraction(2, 5), 3), tight=False, flips=0)
+# x2 and y1 negated: x2 in H and in both generators left, y1 in the first only
+@example(text=TWO_CURVED_JOB, h_factor=-1, g_factors=(1, Fraction(-2, 5)), tight=False, flips=0b01010)
+def test_a_restricted_stage_is_blind_to_constant_factors(text, h_factor, g_factors, tight, flips):
     """The stage of a restricted germ, computed afresh, is that of the germ
-    with H and each generator scaled by nonzero rationals: the same values,
-    check texts and failure point, type and args.  Under 4 reductions a
-    stage trips wherever its first colength needs more."""
+    with the variables of bit i of flips negated, x_i -> -x_i, and H and
+    each generator scaled by nonzero rationals: the same values, check
+    texts and failure point, type and args.  Under 4 reductions a stage
+    trips wherever its first colength needs more."""
     budgets = Budgets(reductions=4) if tight else DEFAULT_BUDGETS
     germ, *_ = decomposition._restrict(parse_job(text))
+    ring = germ.ring
+    negated = {v: -ring.variable(v) for i, v in enumerate(ring.variables) if flips >> i & 1}
     scaled = decomposition._RestrictedGerm(
-        germ.ring,
-        tuple(q.scale(c) for q, c in zip(germ.g, g_factors)),
-        PolyMatrix(germ.ring, [[q.scale(h_factor) for q in row] for row in germ.h.entries()]),
+        ring,
+        tuple(q.substitute(negated).scale(c) for q, c in zip(germ.g, g_factors)),
+        PolyMatrix(ring, [[q.substitute(negated).scale(h_factor) for q in row] for row in germ.h.entries()]),
     )
     outcomes = []
     for each in (germ, scaled):
@@ -780,15 +787,36 @@ def test_a_restricted_stage_reaches_each_failure_point():
     assert "INFINITE" in args[0] and passed is None
 
 
-@pytest.mark.parametrize("first, second", [("-3", "2/5"), ("2/5", "-3")])
+def _negated(text, variable):
+    """A job text with variable -> -variable in g and H."""
+    return "\n".join(
+        line if line.startswith("vars") else re.sub(rf"\b{variable}\b", f"(-{variable})", line)
+        for line in text.split("\n")
+    )
+
+
+@pytest.mark.parametrize(
+    "first, second, power, flip",
+    [
+        pytest.param(first, second, power, flip, id=f"{first}-{second}{suffix}")
+        for power, flip, suffix in ((2, False, ""), (2, True, "-x1"), (3, True, "-x1^3"))
+        for first, second in (("-3", "2/5"), ("2/5", "-3"))
+    ],
+)
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_mu0_reads_the_job_own_generators_from_a_shared_stage(monkeypatch, first, second, seed):
+def test_mu0_reads_the_job_own_generators_from_a_shared_stage(monkeypatch, first, second, power, flip, seed):
     """SINGULAR_LOCUS_JOB with g2 scaled by -3 and by 2/5 restricts to one
     unit-free germ.  After a job of one scaling has kept its stage, a job of
     the other takes the stage, hands milnor_icis its own restricted g2, and
-    writes its cold JSON."""
-    h2 = "x1^2 + x2^3 + x3^4 + y2^5"
-    texts = {c: SINGULAR_LOCUS_JOB.replace(h2, f"{c}*({h2})") for c in (first, second)}
+    writes its cold JSON.  With flip, the second job has x1 negated, which
+    H's restriction [[x1, 0], [0, 1]] determines: its entry flips x1 back,
+    so the job hands milnor_icis its g2 under that flip, the g2 of the text
+    without it.  With x1^3 in place of x1^2 the flip moves g2 too."""
+    h2 = f"x1^{power} + x2^3 + x3^4 + y2^5"
+    base = SINGULAR_LOCUS_JOB.replace("x1^2", f"x1^{power}")
+    texts = {c: base.replace(h2, f"{c}*({h2})") for c in (first, second)}
+    if flip:
+        texts[second] = _negated(texts[second], "x1")
     cold = _cold_json(texts[second], seed)
     handed = []
     milnor_icis = decomposition.milnor_icis
@@ -801,9 +829,26 @@ def test_mu0_reads_the_job_own_generators_from_a_shared_stage(monkeypatch, first
     run_homology(Job(input=parse_job(texts[first]), seed=seed))
     handed.clear()
     assert run_homology(Job(input=parse_job(texts[second]), seed=seed)).to_json() == cold
+    # the job's g2 under its entry's flips: the g2 of the text without x1 negated
     own = parse_polynomial(f"{second}*({h2})", Ring(("x1", "x2", "x3", "y2")))
     assert handed == [(own,)]
     assert decomposition._restricted_stage.cache_info()[:2] == (1, 1)
+
+
+def test_every_sign_pattern_of_a_heavy_germ_shares_one_stage(monkeypatch):
+    """Every sign pattern x_i -> -x_i of the benchmark's D(3,2) germ at
+    n = 7 and of its fixed heavy shear, run warm in turn, gives the JSON it
+    gets with every memo empty, and each germ misses _restricted_stage
+    once: g restricts to no generator, and the patterns' restricted H,
+    each under its sign flips, are one."""
+    workloads = _workloads(monkeypatch)
+    for germ in (workloads.dkp(2, 7), workloads._HEAVY_SHEAR):
+        patterns = range(2 ** len(workloads.occurring(germ)))
+        texts = [workloads.job_text(workloads.sign_change(germ, pattern)) for pattern in patterns]
+        cold = [_cold_json(text) for text in texts]
+        clear_process_memos()
+        assert [run_homology(Job(input=parse_job(text))).to_json() for text in texts] == cold
+        assert decomposition._restricted_stage.cache_info()[:2] == (len(texts) - 1, 1)
 
 
 def test_g_of_one_linear_span_share_one_restricted_h():
@@ -1374,16 +1419,22 @@ def _job_outcome(text, seed):
         return type(exc), str(exc)
 
 
-def test_warm_and_cold_memos_give_the_same_outcomes_on_the_benchmark_jobs(monkeypatch):
-    """Passes 0 and 1 of every benchmark workload at workload seed 5, run
-    in order as the benchmark runs them, with a text met earlier reusing its
-    input, outcome, parts and JSON, give each job the report JSON or error
-    it gets with the parsed inputs and kept tables cleared before it."""
+def _workloads(monkeypatch):
+    """perfbench/workloads.py, loaded as a module."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up while it runs
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_warm_and_cold_memos_give_the_same_outcomes_on_the_benchmark_jobs(monkeypatch):
+    """Passes 0 and 1 of every benchmark workload at workload seed 5, run
+    in order as the benchmark runs them, with a text met earlier reusing its
+    input, outcome, parts and JSON, give each job the report JSON or error
+    it gets with the parsed inputs and kept tables cleared before it."""
+    workloads = _workloads(monkeypatch)
     specs = [
         job
         for name in workloads.WORKLOADS

@@ -61,17 +61,30 @@ def test_outcome_digest_repeats(tmp_path):
     assert runs[0].stdout == runs[1].stdout
 
 
+def test_heavy_local_restricted_germs_recur_across_sign_patterns(tmp_path):
+    """Over passes 0-7 of heavy-local at seed 5 each pass renders every
+    germ under a new sign pattern, and the restricted stage keyed on the
+    restricted H under its sign flips serves the later patterns: at most
+    15 misses, against 42 with a stage keyed up to constant factors only."""
+    proc = run_script("outcome_digest.py", "heavy-local", "5", "8", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    (info,) = re.findall(r"decomposition\._restricted_stage CacheInfo\((.*)\)", proc.stderr)
+    fields = dict(part.split("=") for part in info.split(", "))
+    assert int(fields["hits"]) + int(fields["misses"]) == 104
+    assert int(fields["misses"]) <= 15
+
+
 def test_outcome_digest_runs_warm_as_it_would_cold(monkeypatch):
     """The script runs every job in one process, so a text met earlier
     reuses its parsed input and that input's seed-free invariants, a germ
-    met earlier, up to constant factors, its restricted stage, and an
-    invariant tuple the tables with their bouquet and JSON fragments.  Its
-    digest of each workload is the one of jobs that each start with those
-    memos empty.  batch-n5 runs 9 passes: its restricted sign patterns
-    repeat every 8, so the last pass takes stages kept under other factors
-    on g and H.  a1-saturation runs 4 passes, so that its estimate jobs
-    read #A1 fibre verdicts kept by other presentations in earlier
-    passes."""
+    met earlier, up to constant factors and sign changes, its restricted
+    stage, and an invariant tuple the tables with their bouquet and JSON
+    fragments.  Its digest of each workload is the one of jobs that each
+    start with those memos empty.  batch-n5 runs 9 passes: its restricted
+    sign patterns repeat every 8, so the last pass takes stages kept under
+    other factors on g and H.  a1-saturation runs 4 passes, so that its
+    estimate jobs read #A1 fibre verdicts kept by other presentations in
+    earlier passes."""
     monkeypatch.setattr(sys, "path", list(sys.path))
     spec = importlib.util.spec_from_file_location("outcome_digest", SCRIPTS / "outcome_digest.py")
     script = importlib.util.module_from_spec(spec)
